@@ -3,9 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -43,7 +41,7 @@ const ErrCodeStaleReplica = "stale_replica"
 // ErrCodeReplLag is the error code a leader returns when a feedback
 // batch committed locally but a follower quorum did not ack it within
 // ReplAckTimeout: the write was NOT acknowledged, retry it.
-const ErrCodeReplLag = "replication_lag"
+const ErrCodeReplLag = serve.ErrCodeReplLag
 
 // NodeConfig sizes one cluster node. Zero values select defaults.
 type NodeConfig struct {
@@ -178,8 +176,15 @@ type Node struct {
 	corpus *serve.Corpus
 	api    *serve.Server
 	guard  http.Handler
+	// peers is the HTTP client the node's front door reaches the other
+	// nodes' APIs with; its idle connections close on teardown.
+	peers *http.Client
 
-	ln          net.Listener
+	ln net.Listener
+	// replAddr is ln's address, published for ReplAddr: peers already
+	// running resolve it through the coordinator while Start is still
+	// opening the listener.
+	replAddr    atomic.Pointer[string]
 	shards      []*shardRepl
 	stop        chan struct{}
 	stopped     atomic.Bool
@@ -238,7 +243,9 @@ func NewNode(cfg NodeConfig, coord Coordinator) (*Node, error) {
 	}
 	n.corpus = corpus
 	n.api = serve.NewServer(corpus)
+	n.api.HoldFeedbackAcks(n.holdForQuorum)
 	n.guard = n.guardHandler(n.api)
+	n.peers = newPeerClient()
 	corpus.SetReplicationHealth(n.replicationHealth)
 	return n, nil
 }
@@ -256,10 +263,10 @@ func (n *Node) Handler() http.Handler { return n.guard }
 // ReplAddr returns the replication listener's address (valid after
 // Start).
 func (n *Node) ReplAddr() string {
-	if n.ln == nil {
-		return ""
+	if addr := n.replAddr.Load(); addr != nil {
+		return *addr
 	}
-	return n.ln.Addr().String()
+	return ""
 }
 
 // Alive reports whether the node is still running (false after Kill or
@@ -276,6 +283,8 @@ func (n *Node) Start() error {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	n.ln = ln
+	addr := ln.Addr().String()
+	n.replAddr.Store(&addr)
 	now := time.Now().UnixNano()
 	for si, sr := range n.shards {
 		leader, epoch := n.coord.Leader(si)
@@ -336,6 +345,7 @@ func (n *Node) teardown() {
 	}
 	n.connMu.Unlock()
 	n.wg.Wait()
+	n.peers.CloseIdleConnections()
 }
 
 // SetPartitioned simulates a network partition around the node: every
@@ -707,9 +717,18 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 	held := make(map[uint64][]byte) // pre-durable frames, keyed by LSN
 	applied := n.corpus.CommittedLSN(si)
 	leaderDurable := applied
+	// ackOwed remembers that a durable advance asked for an ack until a
+	// flush carries the request to the applier. The advance itself may
+	// skip its flush (more of the burst is buffered behind it), and the
+	// message that flushes next may be a frame, which asks for nothing:
+	// without the memory the request is dropped there and the leader's
+	// quorum wait sits until the next heartbeat's ack.
+	ackOwed := false
 	// flushReady hands every held frame the leader has advertised as
 	// durable to the applier, in contiguous chunks.
-	flushReady := func(ackNow, hb bool) {
+	flushReady := func(hb bool) {
+		ackNow := ackOwed
+		ackOwed = false
 		for {
 			var frames []serve.ReplFrame
 			var frameBytes int64
@@ -769,7 +788,7 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 			if br.Buffered() > 0 && len(held) < 8192 {
 				continue
 			}
-			flushReady(false, false)
+			flushReady(false)
 		case msgDurable:
 			d, err := decodeDurableMsg(body)
 			if err != nil {
@@ -785,10 +804,11 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 			if d.lsn > sr.leaderCommit.Load() {
 				sr.leaderCommit.Store(d.lsn)
 			}
+			ackOwed = true
 			if br.Buffered() > 0 {
 				continue // more of the burst is right behind; flush once
 			}
-			flushReady(true, false)
+			flushReady(false)
 		case msgHeartbeat:
 			hb, err := decodeHeartbeat(body)
 			if err != nil {
@@ -804,7 +824,7 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 			if hb.commitLSN > sr.leaderCommit.Load() {
 				sr.leaderCommit.Store(hb.commitLSN)
 			}
-			flushReady(false, true)
+			flushReady(true)
 		default:
 			return fmt.Errorf("unexpected message kind %q mid-stream", body[0])
 		}
@@ -1100,13 +1120,20 @@ func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint6
 		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		return writeMsg(conn, msg.encode()) == nil
 	}
+	// wrote and acked are this iteration's wake-up edges, armed at the
+	// top of the loop BEFORE the log and ack positions are sampled (the
+	// order WaitReplicated keeps, for the same reason): a write, commit
+	// or ack that lands after the sample has then already closed the
+	// channel idle selects on, instead of signalling a channel nobody
+	// holds yet and leaving the session asleep until the heartbeat.
+	var wrote, acked <-chan struct{}
 	idle := func(committed uint64) bool {
 		select {
 		case <-n.stop:
 			return false
-		case <-sr.notify.Wait():
+		case <-wrote:
 			return true
-		case <-sr.ackNotify.Wait():
+		case <-acked:
 			return true
 		case <-hb.C:
 			return sendHB(committed)
@@ -1116,6 +1143,7 @@ func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint6
 		if !n.running() || sr.role.Load() != roleLeader || sr.epoch.Load() != epoch {
 			return
 		}
+		wrote, acked = sr.notify.Wait(), sr.ackNotify.Wait()
 		if mark != nil {
 			if floor, ok := mark.take(); ok && floor < pos {
 				pos, rd = floor, nil
@@ -1315,85 +1343,51 @@ func rankPath(p string) bool {
 	return p == "/rank" || p == "/v1/rank" || p == "/v1/rank/batch"
 }
 
-// guardHandler wraps the API with the two cluster-side contracts:
-//
-//   - rank reads 503 with stale_replica while any shard's replica is
-//     outside the staleness bound, so clients (and the cluster front
-//     door) fail over to a fresher node instead of silently reading
-//     arbitrarily old rankings;
-//   - feedback 202s are held until a quorum of followers acked the
-//     batch's commit position (semi-synchronous replication) — the
-//     property the leader-kill chaos gate asserts.
+// guardHandler puts the stale-read guard in front of the API: rank
+// reads 503 with stale_replica while any shard's replica is outside the
+// staleness bound, so clients (and the cluster front door) fail over to
+// a fresher node instead of silently reading arbitrarily old rankings.
+// (The other cluster-side contract, quorum-held feedback 202s, is
+// holdForQuorum, installed inside the feedback handler.)
 func (n *Node) guardHandler(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if rankPath(r.URL.Path) {
 			if stale, why := n.staleShard(); stale {
-				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set("Retry-After", "1")
-				w.WriteHeader(http.StatusServiceUnavailable)
-				env := serve.ErrorEnvelope{Error: serve.ErrorInfo{
-					Code:         ErrCodeStaleReplica,
-					Message:      why,
-					RetryAfterMS: 1000,
-				}}
-				_ = json.NewEncoder(w).Encode(env)
+				errorOut(w, http.StatusServiceUnavailable, ErrCodeStaleReplica, why, 1000)
 				return
 			}
-		}
-		if r.Method == http.MethodPost && (r.URL.Path == "/feedback" || r.URL.Path == "/v1/feedback" || r.URL.Path == "/v1/feedback/batch") {
-			n.serveFeedbackSync(inner, w, r)
-			return
 		}
 		inner.ServeHTTP(w, r)
 	})
 }
 
-// serveFeedbackSync runs the feedback handler and, on 202, withholds
-// the acknowledgment until every touched shard's commit position is on
-// a quorum of followers. A timeout converts the 202 into a 503: the
-// batch is locally durable but unacknowledged, so the client retries
+// holdForQuorum runs between a feedback batch's local commit and its
+// 202 (serve.Server.HoldFeedbackAcks), on the events the handler
+// already decoded: the acknowledgment is withheld until every touched
+// shard's commit position is on a quorum of followers (semi-synchronous
+// replication — the property the leader-kill chaos gate asserts). A
+// timeout turns the 202 into a 503 replication_lag: the batch is
+// locally durable but unacknowledged, so the client retries
 // (at-least-once) rather than trusting an ack that one disk failure
 // could erase.
-func (n *Node) serveFeedbackSync(inner http.Handler, w http.ResponseWriter, r *http.Request) {
+func (n *Node) holdForQuorum(events []serve.Event) error {
 	need := n.quorumFollowerAcks()
 	if need == 0 {
-		inner.ServeHTTP(w, r)
-		return
+		return nil
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err != nil {
-		inner.ServeHTTP(w, r) // let the inner handler shape the error
-		return
+	touched := make([]bool, len(n.shards))
+	for i := range events {
+		touched[serve.ShardIndex(events[i].Page, len(n.shards))] = true
 	}
-	var events []serve.Event
-	if r.Header.Get("Content-Type") == serve.BatchContentType {
-		if evs, err := serve.DecodeFeedbackBatchRequest(body); err == nil {
-			events = evs
+	for si, hit := range touched {
+		if !hit {
+			continue
 		}
-	} else {
-		var req serve.FeedbackRequest
-		if json.Unmarshal(body, &req) == nil {
-			events = req.Events
+		if err := n.WaitReplicated(si, n.corpus.CommittedLSN(si), need, n.cfg.ReplAckTimeout); err != nil {
+			return err
 		}
 	}
-	touched := make(map[int]bool)
-	for _, ev := range events {
-		touched[serve.ShardIndex(ev.Page, n.corpus.Shards())] = true
-	}
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	rec := newBufferResponse()
-	inner.ServeHTTP(rec, r2)
-	if rec.status == http.StatusAccepted {
-		for si := range touched {
-			lsn := n.corpus.CommittedLSN(si)
-			if err := n.WaitReplicated(si, lsn, need, n.cfg.ReplAckTimeout); err != nil {
-				errorOut(w, http.StatusServiceUnavailable, ErrCodeReplLag, err.Error(), 1000)
-				return
-			}
-		}
-	}
-	rec.copyTo(w)
+	return nil
 }
 
 // staleShard reports whether any follower shard violates the staleness

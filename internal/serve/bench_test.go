@@ -25,12 +25,17 @@ func benchCorpus(b *testing.B) (*Corpus, int) {
 // benchCorpusCache is benchCorpus with an explicit query-cache size
 // (0 = default on, negative = disabled).
 func benchCorpusCache(b *testing.B, cacheSize int) (*Corpus, int) {
+	return benchCorpusCfg(b, Config{Shards: 8, Seed: 1, QueryCacheSize: cacheSize})
+}
+
+// benchCorpusCfg is the benchCorpus page set under an explicit Config.
+func benchCorpusCfg(b *testing.B, cfg Config) (*Corpus, int) {
 	b.Helper()
 	n := 10000
 	if testing.Short() {
 		n = 1000
 	}
-	c, err := NewCorpus(Config{Shards: 8, Seed: 1, QueryCacheSize: cacheSize})
+	c, err := NewCorpus(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,6 +240,74 @@ func BenchmarkServeRankHTTP(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchWriter is a reusable http.ResponseWriter that keeps only the
+// status, so a benchmark's allocs/op are the handler's, not a fresh
+// recorder's.
+type benchWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *benchWriter) Header() http.Header         { return w.header }
+func (w *benchWriter) WriteHeader(code int)        { w.code = code }
+func (w *benchWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// reusedPost returns a function that posts body to path through one
+// reused request and response writer, so AllocsPerRun sees the handler
+// (and the apply loops), not a harness.
+func reusedPost(srv *Server, path string, body []byte) (post func(), w *benchWriter) {
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, path, rd)
+	w = &benchWriter{header: make(http.Header)}
+	return func() {
+		rd.Reset(body)
+		srv.ServeHTTP(w, req)
+	}, w
+}
+
+// BenchmarkServeFeedbackHTTP measures the full /v1/feedback handler
+// path on the body the live loop posts (loopFeedbackBody): read, JSON
+// decode, validation, shard partition and admission, 202 — and the
+// apply loops folding the events in. Unlike
+// BenchmarkServeRankHTTP it reuses one request and one response writer
+// per goroutine, so ns/op and allocs/op carry no httptest harness. The
+// queue is sized like the end-to-end benchmark's so a single-CPU run
+// does not outrun the apply loops into 429s; the rare post that still
+// does drains the queues and retries.
+func BenchmarkServeFeedbackHTTP(b *testing.B) {
+	c, n := benchCorpusCfg(b, Config{Shards: 8, Seed: 1, QueueLen: 1024})
+	srv := NewServer(c)
+	body := loopFeedbackBody(n)
+	poster := func() func() {
+		post, w := reusedPost(srv, "/v1/feedback", body)
+		return func() {
+			for {
+				post()
+				switch w.code {
+				case http.StatusAccepted:
+					return
+				case http.StatusTooManyRequests:
+					c.Sync()
+				default:
+					b.Fatalf("status %d", w.code)
+				}
+			}
+		}
+	}
+	poster()() // warm the pooled buffers (see warmRank)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		post := poster()
+		for pb.Next() {
+			post()
+		}
+	})
+	// Drain inside the timed region: acceptance is asynchronous, and at a
+	// small b.N most of the apply work would otherwise fall outside it,
+	// making ns/op and allocs/op depend on the iteration count.
+	c.Sync()
 }
 
 // BenchmarkServeRankBatch measures the /v1/rank/batch binary path: one

@@ -854,15 +854,26 @@ func (c *Corpus) feedback(events []Event, admission bool) error {
 	if len(events) == 0 {
 		return nil
 	}
-	// Partition by shard, applying the provenance checks per event as
-	// the batches are built — admitted feedback only from here on.
+	// Partition by shard: a counting pass sizes each shard's batch, so
+	// the batches are carved (capacity-capped, hence disjoint for good)
+	// out of ONE backing array instead of growing a slice per shard. The
+	// provenance checks run per event as the batches are filled —
+	// admitted feedback only from here on.
 	batches := make([][]Event, len(c.shards))
+	counts := make([]int, len(c.shards))
+	for i := range events {
+		counts[ShardIndex(events[i].Page, len(c.shards))]++
+	}
+	backing := make([]Event, len(events))
+	for si, n := range counts {
+		batches[si], backing = backing[:0:n], backing[n:]
+	}
 	for _, e := range events {
 		if c.prov != nil && e.Clicks > 0 {
 			_, aware := c.pageAware(e.Page)
 			e = c.prov.admit(e, aware)
 		}
-		si := int(uint(e.Page) % uint(len(c.shards)))
+		si := ShardIndex(e.Page, len(c.shards))
 		batches[si] = append(batches[si], e)
 	}
 	// A follower shard's state may only advance through replicated

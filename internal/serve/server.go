@@ -12,11 +12,13 @@
 // {"error":{"code","message","retry_after_ms"}}. docs/api.md is the
 // full contract.
 //
-// The hot handlers (/rank, /feedback) run allocation-light: request
-// bodies are read into pooled buffers, and responses are written by an
-// append-based JSON encoder (encode.go) into a pooled buffer rather than
-// through encoding/json's reflective Encoder. Cold endpoints keep
-// encoding/json.
+// The hot handlers (/rank, /feedback and their batch forms) run
+// allocation-light and reflection-free: request bodies are read into
+// pooled buffers and decoded by a hand-written scanner (decode.go) into
+// pooled structures, and responses are written by an append-based JSON
+// encoder (encode.go) into a pooled buffer. encoding/json stays on the
+// cold endpoints, on error replies, and as the decoder of any request
+// body the scanner declines.
 package serve
 
 import (
@@ -41,16 +43,31 @@ const MaxTopN = 1000
 const maxBodyBytes = 8 << 20
 
 // connScratch is the per-request HTTP working set — body read buffer,
-// response write buffer and served results — recycled through a pool so
-// the steady-state /rank handler allocates only what net/http itself
-// does. Decoded structures are deliberately NOT pooled: json.Unmarshal
-// reuses a slice's backing array without zeroing it, so events whose
-// JSON omits a field would inherit a previous request's values.
+// response write buffer, served results and the scanner's decode
+// targets — recycled through a pool so the steady-state handlers
+// allocate little beyond what net/http itself does. The decode targets
+// are safe to reuse only because the scanner assigns every field of
+// every element it produces; json.Unmarshal does not (it reuses a
+// slice's backing array without zeroing it, so an event whose JSON omits
+// a field would inherit a previous request's value), which is why the
+// fallback path never decodes into them.
 type connScratch struct {
 	in      []byte
 	out     []byte
 	results []Result
+	events  []Event       // scanned feedback events
+	reqs    []RankRequest // scanned JSON rank batch
+	seeds   []uint64      // backing for the batch's RankRequest.Seed
+	seed    uint64        // backing for a single scanned RankRequest.Seed
 }
+
+// maxPooledEvents is the largest scanned-events slice a connScratch
+// keeps between requests: room for a full /v1/feedback/batch however
+// append rounded its growth. /v1/feedback has no event cap, so one
+// 8 MB post can scan into millions of events; that slice is dropped
+// rather than pinned in the pool. (The rank batch targets cannot
+// outgrow MaxBatchRequests — the scanner declines past it.)
+const maxPooledEvents = 2 * MaxFeedbackBatchEvents
 
 // Server wraps a Corpus with the HTTP API. Create with NewServer; it
 // implements http.Handler.
@@ -64,6 +81,10 @@ type Server struct {
 	limiter *rateLimiter
 
 	scratch sync.Pool // *connScratch
+
+	// ackHold, when set, runs between a feedback batch's commit and its
+	// 202 (see HoldFeedbackAcks).
+	ackHold func(events []Event) error
 
 	rankRequests     atomic.Uint64
 	feedbackRequests atomic.Uint64
@@ -83,14 +104,30 @@ func NewServer(c *Corpus) *Server {
 		return &connScratch{in: make([]byte, 0, 1024), out: make([]byte, 0, 4096)}
 	}
 	s.route("/rank", s.handleRank)
-	s.route("/feedback", s.handleFeedback)
+	s.route("/feedback", func(w http.ResponseWriter, r *http.Request) { s.handleFeedback(w, r, false) })
 	s.route("/stats", s.handleStats)
 	s.route("/experiment", s.handleExperiment)
 	s.route("/healthz", s.handleHealthz)
 	// Batch endpoints are new with /v1 and get no legacy alias.
 	s.mux.HandleFunc("/v1/rank/batch", s.handleRankBatch)
-	s.mux.HandleFunc("/v1/feedback/batch", s.handleFeedbackBatch)
+	s.mux.HandleFunc("/v1/feedback/batch", func(w http.ResponseWriter, r *http.Request) { s.handleFeedback(w, r, true) })
 	return s
+}
+
+// HoldFeedbackAcks installs hold between a feedback batch's commit and
+// its 202: hold receives the committed events (valid only until it
+// returns) and an error from it turns the acknowledgment into a 503
+// replication_lag. A cluster node holds acks here until a follower
+// quorum has the batch. Call before serving.
+func (s *Server) HoldFeedbackAcks(hold func(events []Event) error) { s.ackHold = hold }
+
+// putScratch returns sc to the pool, minus an events slice that
+// outgrew maxPooledEvents.
+func (s *Server) putScratch(sc *connScratch) {
+	if cap(sc.events) > maxPooledEvents {
+		sc.events = nil
+	}
+	s.scratch.Put(sc)
 }
 
 // route mounts h at /v1<path> and keeps the legacy unprefixed path as a
@@ -126,9 +163,14 @@ func readBody(dst []byte, w http.ResponseWriter, r *http.Request) ([]byte, error
 	}
 }
 
+// jsonContentType is the header value every hot JSON reply shares:
+// assigning the slice costs no allocation where Header.Set would make a
+// fresh one-element slice per response. net/http only reads it.
+var jsonContentType = []string{"application/json"}
+
 // writeRaw sends a pre-encoded JSON body.
 func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
@@ -276,7 +318,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := s.scratch.Get().(*connScratch)
-	defer s.scratch.Put(sc)
+	defer s.putScratch(sc)
 	var err error
 	sc.in, err = readBody(sc.in[:0], w, r)
 	if err != nil {
@@ -284,7 +326,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RankRequest
-	if err := json.Unmarshal(sc.in, &req); err != nil {
+	if err := decodeRankRequest(sc.in, &req, &sc.seed, s.corpus.armIdx); err != nil {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
 		return
 	}
@@ -337,7 +379,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sc := s.scratch.Get().(*connScratch)
-	defer s.scratch.Put(sc)
+	defer s.putScratch(sc)
 	var err error
 	sc.in, err = readBody(sc.in[:0], w, r)
 	if err != nil {
@@ -353,12 +395,11 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		var body RankBatchRequest
-		if err := json.Unmarshal(sc.in, &body); err != nil {
+		reqs, err = decodeRankBatch(sc.in, sc, s.corpus.armIdx)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
 			return
 		}
-		reqs = body.Requests
 	}
 	if len(reqs) == 0 {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "empty batch")
@@ -439,39 +480,96 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	writeRaw(w, http.StatusOK, out)
 }
 
-func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
+// DecodeFeedbackPost decodes and validates the body of a feedback post
+// exactly as the endpoint it arrived on does, so the cluster front door
+// can split a post by shard leader knowing each part will be accepted
+// as the whole would have been. batch selects /v1/feedback/batch's
+// rules: the binary framing when contentType is BatchContentType, a
+// non-empty batch of at most MaxFeedbackBatchEvents, and messages that
+// name the offending event's index. The events are the caller's to
+// keep; the error's text is the 400 message.
+func (s *Server) DecodeFeedbackPost(batch bool, contentType string, body []byte) ([]Event, error) {
+	var fresh []Event
+	return s.decodeFeedbackPost(batch, contentType, body, &fresh)
+}
+
+// decodeFeedbackPost is DecodeFeedbackPost for the handler: a canonical
+// JSON body is scanned into (*pool)[:0], the grown slice is left in
+// *pool for the next request, and the returned events may alias it.
+func (s *Server) decodeFeedbackPost(batch bool, contentType string, body []byte, pool *[]Event) ([]Event, error) {
+	var events []Event
+	var err error
+	if batch && contentType == BatchContentType {
+		if events, err = DecodeFeedbackBatchRequest(body); err != nil {
+			return nil, err
+		}
+	} else if events, err = decodeFeedback(body, pool, batch, s.corpus.armIdx); err != nil {
+		return nil, fmt.Errorf("bad JSON: %v", err)
+	}
+	if batch {
+		if len(events) == 0 {
+			return nil, errors.New("empty batch")
+		}
+		if len(events) > MaxFeedbackBatchEvents {
+			return nil, fmt.Errorf("batch of %d events exceeds %d", len(events), MaxFeedbackBatchEvents)
+		}
+	}
+	for i := range events {
+		e := &events[i]
+		var msg string
+		switch {
+		case e.Impressions < 0 || e.Clicks < 0:
+			msg = fmt.Sprintf("negative counts for page %d (impressions %d, clicks %d)", e.Page, e.Impressions, e.Clicks)
+		case e.Slot < 1:
+			msg = fmt.Sprintf("slot must be >= 1 for page %d, got %d", e.Page, e.Slot)
+		default:
+			continue
+		}
+		if batch {
+			msg = fmt.Sprintf("event %d: %s", i, msg)
+		}
+		return nil, errors.New(msg)
+	}
+	return events, nil
+}
+
+// handleFeedback serves POST /v1/feedback (batch false: JSON
+// {"events":[...]}, possibly empty, any size the body cap allows) and
+// POST /v1/feedback/batch (batch true: many events per round trip, JSON
+// by default or the length-prefixed binary framing when the request
+// Content-Type is BatchContentType — the 202 then uses the same
+// framing; errors are always a JSON envelope). Validation is
+// all-or-nothing — any malformed event fails the whole call before
+// admission, so a 202 means every event committed. The rate limiter
+// charges the post as ONE request, and the whole post is admitted
+// through ONE TryFeedback, which is what turns a large wire batch into
+// a large WAL group commit instead of many small ones.
+func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, batch bool) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "POST only")
 		return
 	}
 	sc := s.scratch.Get().(*connScratch)
-	defer s.scratch.Put(sc)
+	defer s.putScratch(sc)
 	var err error
 	sc.in, err = readBody(sc.in[:0], w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
+		what := "bad JSON"
+		if batch {
+			what = "bad body"
+		}
+		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%s: %v", what, err)
 		return
 	}
-	var req FeedbackRequest
-	if err := json.Unmarshal(sc.in, &req); err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
+	contentType := r.Header.Get("Content-Type")
+	events, err := s.decodeFeedbackPost(batch, contentType, sc.in, &sc.events)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%v", err)
 		return
-	}
-	for _, e := range req.Events {
-		if e.Impressions < 0 || e.Clicks < 0 {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0,
-				"negative counts for page %d (impressions %d, clicks %d)", e.Page, e.Impressions, e.Clicks)
-			return
-		}
-		if e.Slot < 1 {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "slot must be >= 1 for page %d, got %d", e.Page, e.Slot)
-			return
-		}
 	}
 	var unit string
-	for _, e := range req.Events {
-		if e.Unit != "" {
-			unit = e.Unit
+	for i := range events {
+		if unit = events[i].Unit; unit != "" {
 			break
 		}
 	}
@@ -481,8 +579,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	s.feedbackRequests.Add(1)
 	// Slot telemetry is recorded by the apply loops, so the /stats slot
 	// table only ever counts feedback that was actually folded in.
-	// Feedback copies events into per-shard batches, so the pooled slice
-	// is free for reuse as soon as it returns.
+	// TryFeedback copies events into per-shard batches, so the pooled
+	// slice is free for reuse as soon as the handler returns.
 	//
 	// The 202 is a durability promise (the batch committed on every
 	// target shard), so admission failures must be surfaced, never
@@ -490,94 +588,16 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// (429 + Retry-After, nothing was enqueued, retry the whole batch);
 	// a WAL commit failure means the shard cannot persist right now
 	// (503, the batch was nacked and /healthz reports unhealthy).
-	switch err := s.corpus.TryFeedback(req.Events); {
+	err = s.corpus.TryFeedback(events)
+	if err == nil && s.ackHold != nil {
+		if held := s.ackHold(events); held != nil {
+			httpError(w, http.StatusServiceUnavailable, ErrCodeReplLag, time.Second, "%v", held)
+			return
+		}
+	}
+	switch {
 	case err == nil:
-		sc.out = appendFeedbackResponse(sc.out[:0], len(req.Events))
-		writeRaw(w, http.StatusAccepted, sc.out)
-	case errors.Is(err, ErrOverloaded):
-		s.feedback429.Add(1)
-		httpError(w, http.StatusTooManyRequests, ErrCodeOverloaded, time.Second, "feedback queue full, retry with backoff")
-	case errors.Is(err, ErrNotLeader):
-		// 503 so generic clients back off and retry; the not_leader code
-		// tells cluster-aware clients to re-resolve the front door first.
-		s.feedback503.Add(1)
-		httpError(w, http.StatusServiceUnavailable, ErrCodeNotLeader, time.Second, "this node does not lead the target shard: %v", err)
-	default:
-		s.feedback503.Add(1)
-		httpError(w, http.StatusServiceUnavailable, ErrCodeUnavailable, 2*time.Second, "feedback not durable: %v", err)
-	}
-}
-
-// handleFeedbackBatch serves POST /v1/feedback/batch: many feedback
-// events per round trip, JSON ({"events":[...]}) by default or the
-// length-prefixed binary framing when the request Content-Type is
-// BatchContentType (the 202 acknowledgment then uses the same framing;
-// errors are always a JSON envelope). Validation is all-or-nothing —
-// any malformed event fails the whole call before admission, so a 202
-// means every event in the batch committed. The rate limiter charges
-// the batch as ONE request; the whole batch is also admitted through
-// ONE TryFeedback, which is what turns a large wire batch into a large
-// WAL group commit instead of many small ones.
-func (s *Server) handleFeedbackBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "POST only")
-		return
-	}
-	sc := s.scratch.Get().(*connScratch)
-	defer s.scratch.Put(sc)
-	var err error
-	sc.in, err = readBody(sc.in[:0], w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad body: %v", err)
-		return
-	}
-	binaryCodec := r.Header.Get("Content-Type") == BatchContentType
-	var events []Event
-	if binaryCodec {
-		events, err = DecodeFeedbackBatchRequest(sc.in)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%v", err)
-			return
-		}
-	} else {
-		var body FeedbackRequest
-		if err := json.Unmarshal(sc.in, &body); err != nil {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
-			return
-		}
-		events = body.Events
-	}
-	if len(events) == 0 {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "empty batch")
-		return
-	}
-	if len(events) > MaxFeedbackBatchEvents {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "batch of %d events exceeds %d", len(events), MaxFeedbackBatchEvents)
-		return
-	}
-	var unit string
-	for i := range events {
-		e := &events[i]
-		if e.Impressions < 0 || e.Clicks < 0 {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0,
-				"event %d: negative counts for page %d (impressions %d, clicks %d)", i, e.Page, e.Impressions, e.Clicks)
-			return
-		}
-		if e.Slot < 1 {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "event %d: slot must be >= 1 for page %d, got %d", i, e.Page, e.Slot)
-			return
-		}
-		if unit == "" {
-			unit = e.Unit
-		}
-	}
-	if !s.rateLimit(w, r, unit) {
-		return
-	}
-	s.feedbackRequests.Add(1)
-	switch err := s.corpus.TryFeedback(events); {
-	case err == nil:
-		if binaryCodec {
+		if batch && contentType == BatchContentType {
 			sc.out = AppendFeedbackBatchResponse(sc.out[:0], len(events))
 			w.Header().Set("Content-Type", BatchContentType)
 			w.WriteHeader(http.StatusAccepted)
@@ -590,6 +610,8 @@ func (s *Server) handleFeedbackBatch(w http.ResponseWriter, r *http.Request) {
 		s.feedback429.Add(1)
 		httpError(w, http.StatusTooManyRequests, ErrCodeOverloaded, time.Second, "feedback queue full, retry with backoff")
 	case errors.Is(err, ErrNotLeader):
+		// 503 so generic clients back off and retry; the not_leader code
+		// tells cluster-aware clients to re-resolve the front door first.
 		s.feedback503.Add(1)
 		httpError(w, http.StatusServiceUnavailable, ErrCodeNotLeader, time.Second, "this node does not lead the target shard: %v", err)
 	default:
@@ -735,6 +757,10 @@ const (
 	// front door (or consult /v1/healthz replication roles) and retry
 	// against the leader.
 	ErrCodeNotLeader = "not_leader"
+	// ErrCodeReplLag: a feedback batch committed on this node but a
+	// follower quorum did not acknowledge it in time (cluster nodes
+	// only); the write was NOT acknowledged, retry it.
+	ErrCodeReplLag = "replication_lag"
 )
 
 // ErrorInfo is the payload of the unified error envelope every endpoint

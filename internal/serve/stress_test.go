@@ -32,7 +32,11 @@ func TestConcurrentFeedbackConservesPopularity(t *testing.T) {
 		clicksPer  = 3
 		initialPop = 1.0
 	)
-	c := newTestCorpus(t, Config{Shards: 4, Seed: 13, QueueLen: 8})
+	// The writers never wait for the apply loops and any non-202 fails
+	// the test, so the queues hold everything one shard can be sent: a
+	// 429 here is then a leaked credit or a spurious overload, never a
+	// starved apply goroutine on a small machine.
+	c := newTestCorpus(t, Config{Shards: 4, Seed: 13, QueueLen: writers * rounds})
 	for i := 0; i < pages; i++ {
 		pop := initialPop
 		if i%4 == 0 {
@@ -158,7 +162,9 @@ func TestConcurrentRankAcrossArmsConservation(t *testing.T) {
 		readers = 6
 		rounds  = 40
 	)
-	c := newTestCorpus(t, Config{Shards: 4, Seed: 29, QueueLen: 8, Arms: []Arm{
+	// Queues sized as in TestConcurrentFeedbackConservesPopularity: a 429
+	// can only be a bug.
+	c := newTestCorpus(t, Config{Shards: 4, Seed: 29, QueueLen: writers * rounds, Arms: []Arm{
 		{Name: "control", Policy: pspec("deterministic", 0, 0, 0), Weight: 1},
 		{Name: "treatment", Policy: pspec("selective", 1, 0.3, 0), Weight: 1},
 	}})
