@@ -234,7 +234,7 @@ func TestBootGateSwapsFromRecoveringToReady(t *testing.T) {
 // plus a healthz that reflects the durable corpus.
 func TestDurableDaemonRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := serve.Config{Shards: 2, Seed: 8, DataDir: dir}
+	cfg := serve.Config{Shards: 2, Seed: 8, Durability: serve.Durability{DataDir: dir}}
 
 	run := func(drive func(base string, corpus *serve.Corpus)) {
 		corpus, err := serve.NewCorpus(cfg)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,8 +53,8 @@ func feedbackEvents(pages []int, clicks int) []serve.Event {
 func TestProtoRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := [][]byte{
-		handshake{node: "n1", shard: 3, epoch: 9, startLSN: 1234}.encode(),
-		reply{status: replySnapshot, epoch: 9, detail: "x"}.encode(),
+		handshake{node: "n1", shard: 3, epoch: 9, startLSN: 1234, minor: protoMinor}.encode(),
+		reply{status: replySnapshot, epoch: 9, detail: "x", minor: protoMinor}.encode(),
 		snapMsg{lsn: 77, data: []byte("snapbytes")}.encode(),
 		appendFrameMsg(nil, 9, 1234, []byte("payload")),
 		heartbeat{epoch: 9, commitLSN: 1300, nanos: 42}.encode(),
@@ -74,11 +75,11 @@ func TestProtoRoundTrip(t *testing.T) {
 		return b
 	}
 	hs, err := decodeHandshake(read())
-	if err != nil || hs.node != "n1" || hs.shard != 3 || hs.epoch != 9 || hs.startLSN != 1234 {
+	if err != nil || hs.node != "n1" || hs.shard != 3 || hs.epoch != 9 || hs.startLSN != 1234 || hs.minor != protoMinor {
 		t.Fatalf("handshake round trip: %+v err=%v", hs, err)
 	}
 	rp, err := decodeReply(read())
-	if err != nil || rp.status != replySnapshot || rp.epoch != 9 || rp.detail != "x" {
+	if err != nil || rp.status != replySnapshot || rp.epoch != 9 || rp.detail != "x" || rp.minor != protoMinor {
 		t.Fatalf("reply round trip: %+v err=%v", rp, err)
 	}
 	sm, err := decodeSnapMsg(read())
@@ -104,6 +105,30 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeHandshake([]byte("XXXX")); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestProtoMinorRequired pins the session-open bytes — the protocol
+// minor is the trailing field of both the handshake and its reply, with
+// no optional form — and that leaving it off, or speaking another
+// revision, is refused with an error that says so.
+func TestProtoMinorRequired(t *testing.T) {
+	hs := handshake{node: "n1", shard: 3, epoch: 9, startLSN: 1234, minor: protoMinor}.encode()
+	if want := "HSDRP\x01\x02n1\x03\x09\xd2\x09\x01"; string(hs) != want {
+		t.Fatalf("handshake bytes %q, want %q", hs, want)
+	}
+	rp := reply{status: replyFrames, epoch: 9, minor: protoMinor}.encode()
+	if want := "R\x00\x09\x00\x01"; string(rp) != want {
+		t.Fatalf("reply bytes %q, want %q", rp, want)
+	}
+	if _, err := decodeHandshake(hs[:len(hs)-1]); err == nil || !strings.Contains(err.Error(), "no protocol minor") {
+		t.Fatalf("handshake without a minor: err=%v, want one naming the missing minor", err)
+	}
+	if _, err := decodeHandshake(append(hs[:len(hs)-1:len(hs)-1], 0)); err == nil || !strings.Contains(err.Error(), "protocol minor 0") {
+		t.Fatalf("minor-0 handshake: err=%v, want one naming the revision", err)
+	}
+	if _, err := decodeReply(rp[:len(rp)-1]); err == nil {
+		t.Fatal("reply without a minor accepted")
 	}
 }
 
@@ -279,7 +304,7 @@ func TestFencingHandshake(t *testing.T) {
 	}
 	defer c.Close()
 
-	probe := func(addr string, hs handshake) reply {
+	probeRaw := func(addr string, hs []byte) reply {
 		t.Helper()
 		conn, err := net.DialTimeout("tcp", addr, time.Second)
 		if err != nil {
@@ -287,7 +312,7 @@ func TestFencingHandshake(t *testing.T) {
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(2 * time.Second))
-		if err := writeMsg(conn, hs.encode()); err != nil {
+		if err := writeMsg(conn, hs); err != nil {
 			t.Fatal(err)
 		}
 		body, err := readMsg(bufio.NewReader(conn), maxCtrlMsg)
@@ -300,6 +325,11 @@ func TestFencingHandshake(t *testing.T) {
 		}
 		return rp
 	}
+	probe := func(addr string, hs handshake) reply {
+		t.Helper()
+		hs.minor = protoMinor
+		return probeRaw(addr, hs.encode())
+	}
 
 	// A follower node does not serve the shard.
 	li := c.LeaderIndex(0)
@@ -310,6 +340,13 @@ func TestFencingHandshake(t *testing.T) {
 	rp := probe(c.Node(follower).ReplAddr(), handshake{node: "probe", shard: 0, epoch: 1, startLSN: 1})
 	if rp.status != replyNotLeader {
 		t.Fatalf("follower handshake: status %d, want replyNotLeader", rp.status)
+	}
+
+	// A handshake without the protocol minor is told why it was refused.
+	old := handshake{node: "probe", shard: 0, epoch: 1, startLSN: 1, minor: protoMinor}.encode()
+	rp = probeRaw(c.Node(li).ReplAddr(), old[:len(old)-1])
+	if rp.status != replyError || !strings.Contains(rp.detail, "no protocol minor") {
+		t.Fatalf("minor-less handshake: status %d detail %q, want replyError naming the missing minor", rp.status, rp.detail)
 	}
 
 	// A higher-epoch handshake fences the stale leader.

@@ -203,7 +203,7 @@ func NewNode(cfg NodeConfig, coord Coordinator) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("cluster: NodeConfig.ID required")
 	}
-	if cfg.Corpus.Durability.DataDir == "" && cfg.Corpus.DataDir == "" {
+	if cfg.Corpus.Durability.DataDir == "" {
 		return nil, fmt.Errorf("cluster: replication requires Durability.DataDir")
 	}
 	if cfg.Corpus.Shards <= 0 {
@@ -608,9 +608,7 @@ func (n *Node) followOnce(si int, leaderID, addr string) error {
 	default:
 		return fmt.Errorf("handshake rejected (%d): %s", rp.status, rp.detail)
 	}
-	// A pre-minor leader echoes no minor: fall back to the classic
-	// durable-frames-only stream. Otherwise run the overlapped protocol.
-	return n.followStream(si, sr, conn, br, rp.minor >= 1)
+	return n.followStream(si, sr, conn, br)
 }
 
 // replBatch is one unit of work handed from a follower session's reader
@@ -626,26 +624,24 @@ type replBatch struct {
 }
 
 // maxReplPipeline bounds how many replicated batches a follower session
-// keeps in flight through its corpus's commit pipeline at once.
+// keeps submitted to its shard's apply loop at once; the loop commits
+// whatever has queued as one group.
 const maxReplPipeline = 4
 
 // followStream applies the leader's frame/heartbeat stream until the
 // connection dies, the epoch moves on, or the node's role changes.
 //
-// In overlapped mode (protocol minor ≥ 1) frames may arrive before they
-// are durable on the leader: the reader holds them in session memory —
-// keyed by LSN, so a replacement after a leader-side rollback simply
-// overwrites — and releases contiguous runs to the applier only once a
-// durable{}/heartbeat advertises a covering position. The applier keeps
-// up to maxReplPipeline batches riding the local commit pipeline, so
-// this node's fsync of one window overlaps the application of the next,
-// and acks upstream are cumulative: one per durable advance when keeping
-// up, one per replAckEvery frames while catching up.
-func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Reader, overlapped bool) error {
+// Frames may arrive before they are durable on the leader: the reader
+// holds them in session memory — keyed by LSN, so a replacement after a
+// leader-side rollback simply overwrites — and releases contiguous runs
+// to the applier only once a durable{}/heartbeat advertises a covering
+// position. The applier keeps up to maxReplPipeline batches submitted,
+// so the next window is decoded and queued while this node's fsync of
+// the previous one is in flight, and acks upstream are cumulative: one
+// per durable advance when keeping up, one per replAckEvery frames while
+// catching up.
+func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Reader) error {
 	readTimeout := n.followReadTimeout()
-	if !overlapped {
-		return n.followStreamLegacy(si, sr, conn, br, readTimeout)
-	}
 
 	applyC := make(chan replBatch, maxReplPipeline)
 	applierDone := make(chan struct{})
@@ -700,8 +696,8 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 			}
 			harvest(maxReplPipeline - 1)
 			if len(applyC) == 0 {
-				// No more work queued: drain the pipeline so the
-				// cumulative ack below covers everything shipped so far.
+				// No more work queued: wait for every submitted batch so
+				// the cumulative ack below covers everything shipped so far.
 				harvest(0)
 			}
 			maybeAck()
@@ -831,83 +827,6 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 	}
 }
 
-// followStreamLegacy is the minor-0 stream: every shipped frame is
-// already durable on the leader, applied immediately and acked per
-// batch.
-func (n *Node) followStreamLegacy(si int, sr *shardRepl, conn net.Conn, br *bufio.Reader, readTimeout time.Duration) error {
-	var pending []serve.ReplFrame
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		var bytes int64
-		for _, f := range pending {
-			bytes += int64(len(f.Payload))
-		}
-		if err := n.corpus.ApplyReplicated(si, pending); err != nil {
-			return err
-		}
-		updateAvg(&sr.avgFrameBytes, bytes/int64(len(pending)))
-		pending = pending[:0]
-		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-		return writeMsg(conn, ack{lsn: n.corpus.CommittedLSN(si)}.encode())
-	}
-	for {
-		if !n.running() || sr.role.Load() != roleFollower {
-			return nil
-		}
-		conn.SetReadDeadline(time.Now().Add(readTimeout))
-		body, err := readMsg(br, maxFrameMsg)
-		if err != nil {
-			return err
-		}
-		switch body[0] {
-		case msgFrame:
-			f, err := decodeFrameMsg(body)
-			if err != nil {
-				return err
-			}
-			if err := n.checkEpoch(sr, f.epoch); err != nil {
-				return err
-			}
-			if f.lsn > sr.leaderCommit.Load() {
-				sr.leaderCommit.Store(f.lsn)
-			}
-			sr.lastHB.Store(time.Now().UnixNano())
-			pending = append(pending, serve.ReplFrame{LSN: f.lsn, Payload: f.payload})
-			// Batch greedily: apply once the socket has no more
-			// buffered messages (or the batch is getting big).
-			if br.Buffered() > 0 && len(pending) < 1024 {
-				continue
-			}
-			if err := flush(); err != nil {
-				return err
-			}
-		case msgHeartbeat:
-			if err := flush(); err != nil {
-				return err
-			}
-			hb, err := decodeHeartbeat(body)
-			if err != nil {
-				return err
-			}
-			if err := n.checkEpoch(sr, hb.epoch); err != nil {
-				return err
-			}
-			if hb.commitLSN > sr.leaderCommit.Load() {
-				sr.leaderCommit.Store(hb.commitLSN)
-			}
-			sr.lastHB.Store(time.Now().UnixNano())
-			conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			if err := writeMsg(conn, ack{lsn: n.corpus.CommittedLSN(si)}.encode()); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unexpected message kind %q mid-stream", body[0])
-		}
-	}
-}
-
 // checkEpoch enforces fencing on an incoming leader message: refuse
 // anything from an older epoch (a revived old leader), adopt anything
 // newer.
@@ -968,6 +887,7 @@ func (n *Node) serveSession(conn net.Conn) {
 	hs, err := decodeHandshake(body)
 	if err != nil {
 		n.cfg.Logf("cluster %s: bad handshake: %v", n.cfg.ID, err)
+		n.sendReply(conn, reply{status: replyError, detail: err.Error()})
 		return
 	}
 	si := int(hs.shard)
@@ -1020,15 +940,7 @@ func (n *Node) serveSession(conn net.Conn) {
 	if snap != nil {
 		status = replySnapshot
 	}
-	// Run the session at the lower of the two minors; echo ours only to
-	// a minor-advertising follower (a strict minor-0 decoder rejects
-	// trailing bytes).
-	minor := min(hs.minor, protoMinor)
-	rp := reply{status: status, epoch: myEpoch}
-	if hs.minor >= 1 {
-		rp.minor = protoMinor
-	}
-	if !n.sendReply(conn, rp) {
+	if !n.sendReply(conn, reply{status: status, epoch: myEpoch}) {
 		return
 	}
 	if snap != nil {
@@ -1063,12 +975,13 @@ func (n *Node) serveSession(conn net.Conn) {
 			}
 		}
 	}()
-	n.shipFrames(si, sr, conn, myEpoch, start, track, minor)
+	n.shipFrames(si, sr, conn, myEpoch, start, track)
 	conn.Close()
 	<-ackDone
 }
 
 func (n *Node) sendReply(conn net.Conn, rp reply) bool {
+	rp.minor = protoMinor
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 	return writeMsg(conn, rp.encode()) == nil
 }
@@ -1091,23 +1004,18 @@ const (
 // leading the shard at the session epoch.
 //
 // The hot path reads from the in-memory frame ring, which is fed the
-// moment each group commit's frames are WRITTEN — at minor ≥ 1 the
-// stream runs ahead of the leader's own fsync (network transfer and
-// local durability overlap), with durable{} messages advertising the
-// committed position as it advances and a rewind mark forcing re-ship
-// of any LSNs a failed commit rolled back. A follower too far behind
-// the ring is served from a (reused) WAL reader over the durable
-// prefix until it rejoins the ring. At minor 0 shipping is capped at
-// the committed position — the classic durable-frames-only stream.
-func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint64, track *followerTrack, minor uint64) {
-	overlapped := minor >= 1
+// moment each group commit's frames are WRITTEN — the stream runs ahead
+// of the leader's own fsync (network transfer and local durability
+// overlap), with durable{} messages advertising the committed position
+// as it advances and a rewind mark forcing re-ship of any LSNs a failed
+// commit rolled back. A follower too far behind the ring is served from
+// a (reused) WAL reader over the durable prefix until it rejoins the
+// ring.
+func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint64, track *followerTrack) {
 	hb := time.NewTicker(n.cfg.HeartbeatEvery)
 	defer hb.Stop()
-	var mark *rewindMark
-	if overlapped {
-		mark = sr.ring.Subscribe()
-		defer sr.ring.Unsubscribe(mark)
-	}
+	mark := sr.ring.Subscribe()
+	defer sr.ring.Unsubscribe(mark)
 	var (
 		out         bytes.Buffer
 		scratch     []byte
@@ -1144,13 +1052,11 @@ func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint6
 			return
 		}
 		wrote, acked = sr.notify.Wait(), sr.ackNotify.Wait()
-		if mark != nil {
-			if floor, ok := mark.take(); ok && floor < pos {
-				pos, rd = floor, nil
-			}
+		if floor, ok := mark.take(); ok && floor < pos {
+			pos, rd = floor, nil
 		}
 		committed := n.corpus.CommittedLSN(si)
-		if overlapped && committed > lastDurable {
+		if committed > lastDurable {
 			lastDurable = committed
 			conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 			if writeMsg(conn, durableMsg{epoch: epoch, lsn: committed}.encode()) != nil {
@@ -1158,18 +1064,16 @@ func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint6
 			}
 		}
 		limit := committed
-		if overlapped {
-			if next := sr.ring.NextLSN(); next > 0 && next-1 > limit {
-				limit = next - 1
+		if next := sr.ring.NextLSN(); next > 0 && next-1 > limit {
+			limit = next - 1
+		}
+		// Windowed credit: wait for acks once the unacked span fills the
+		// window.
+		if acked := track.acked.Load(); pos > acked && pos-acked > replWindow {
+			if !idle(committed) {
+				return
 			}
-			// Windowed credit: wait for acks once the unacked span fills
-			// the window.
-			if acked := track.acked.Load(); pos > acked && pos-acked > replWindow {
-				if !idle(committed) {
-					return
-				}
-				continue
-			}
+			continue
 		}
 		if pos > limit {
 			// Caught up: wait for the next write, commit or ack.

@@ -7,21 +7,21 @@
 // A follower dials the leader's replication listener and opens one
 // session per shard:
 //
-//	follower → leader   handshake{node, shard, epoch, startLSN[, minor]}
-//	leader   → follower handshake reply{status, epoch[, minor]}
+//	follower → leader   handshake{node, shard, epoch, startLSN, minor}
+//	leader   → follower handshake reply{status, epoch, detail, minor}
 //	leader   → follower [snapshot{lsn, bytes}]        (catch-up only)
 //	leader   → follower frame{epoch, lsn, payload}…   (the shipped WAL)
-//	leader   → follower durable{epoch, lsn}           (minor ≥ 1 only)
+//	leader   → follower durable{epoch, lsn}
 //	leader   → follower heartbeat{epoch, commitLSN, nanos}
 //	follower → leader   ack{lsn}                      (durable position)
 //
 // Frame payloads are the exact record bytes of the leader's WAL; the
 // follower re-appends them to its own log, which re-frames them
-// byte-identically (same length prefix, same CRC-32C). At minor ≥ 1
-// (see protoMinor) frames may arrive BEFORE they are durable on the
-// leader — the follower holds them until a durable{} or heartbeat
-// advertises a covering position — and acks are windowed and
-// cumulative rather than per-batch. Every leader→follower message
+// byte-identically (same length prefix, same CRC-32C). Frames may
+// arrive BEFORE they are durable on the leader — the follower holds
+// them until a durable{} or heartbeat advertises a covering position —
+// and acks are windowed and cumulative rather than per-batch. Every
+// leader→follower message
 // carries the fencing epoch; a receiver that has seen a higher epoch
 // refuses the message and drops the connection, which is what makes a
 // revived old leader harmless.
@@ -45,7 +45,7 @@ const (
 	msgFrame     = 'F' // leader → follower: one WAL record
 	msgHeartbeat = 'B' // leader → follower: liveness + commit position
 	msgAck       = 'A' // follower → leader: durable position
-	msgDurable   = 'D' // leader → follower: durable position advance (minor ≥ 1)
+	msgDurable   = 'D' // leader → follower: durable position advance
 )
 
 // Handshake verdicts.
@@ -64,19 +64,15 @@ const protoMagic = "SDRP"
 // protoVersion is bumped on any incompatible message change.
 const protoVersion = 1
 
-// protoMinor is the backward-negotiated feature revision: the follower
-// advertises its minor as an optional trailing field of the handshake,
-// and the leader echoes its own in the reply — but only when the
-// follower advertised one, so a minor-0 (strict) decoder never sees
-// trailing bytes it would reject. Both sides run at the minimum of the
-// two advertised minors.
-//
-// Minor 1 adds overlapped shipping: the leader may stream frames BEFORE
-// they are locally durable and advertises durability separately with
-// 'D' messages; the follower buffers pre-durable frames, applies them
-// on durable advance, and sends windowed cumulative acks instead of one
-// ack per applied batch. At minor 0 the stream is the classic
-// durable-frames-only protocol.
+// protoMinor is the feature revision both ends of a session must
+// speak; the handshake and its reply carry it as a required trailing
+// field. Revision 1 is overlapped shipping: the leader may stream frames
+// BEFORE they are locally durable and advertises durability separately
+// with 'D' messages; the follower buffers pre-durable frames, applies
+// them on durable advance, and sends windowed cumulative acks. Every
+// node of a cluster is built from one tree, so there is no revision-0
+// (durable-frames-only) peer left to negotiate down to: a handshake
+// without the field, or with another revision, is refused.
 const protoMinor = 1
 
 // maxCtrlMsg bounds handshake/heartbeat/ack messages; maxFrameMsg
@@ -126,7 +122,7 @@ type handshake struct {
 	shard    uint64
 	epoch    uint64 // highest epoch the follower has seen for the shard
 	startLSN uint64 // first LSN the follower needs (its committed+1)
-	minor    uint64 // follower's protoMinor (0 when absent: a pre-minor peer)
+	minor    uint64 // follower's protoMinor
 }
 
 func (h handshake) encode() []byte {
@@ -137,10 +133,7 @@ func (h handshake) encode() []byte {
 	b = binary.AppendUvarint(b, h.shard)
 	b = binary.AppendUvarint(b, h.epoch)
 	b = binary.AppendUvarint(b, h.startLSN)
-	if h.minor > 0 {
-		b = binary.AppendUvarint(b, h.minor)
-	}
-	return b
+	return binary.AppendUvarint(b, h.minor)
 }
 
 func decodeHandshake(body []byte) (handshake, error) {
@@ -159,15 +152,18 @@ func decodeHandshake(body []byte) (handshake, error) {
 	h.shard = r.Uvarint()
 	h.epoch = r.Uvarint()
 	h.startLSN = r.Uvarint()
-	if r.Err() == nil && r.Remaining() > 0 {
-		// Optional trailing minor (a pre-minor follower sends none).
-		h.minor = r.Uvarint()
+	if r.Err() == nil && r.Remaining() == 0 {
+		return h, fmt.Errorf("cluster: handshake carries no protocol minor (want %d)", protoMinor)
 	}
+	h.minor = r.Uvarint()
 	if err := r.Err(); err != nil {
 		return h, fmt.Errorf("cluster: handshake: %w", err)
 	}
 	if r.Remaining() != 0 {
 		return h, fmt.Errorf("cluster: handshake: %d trailing bytes", r.Remaining())
+	}
+	if h.minor != protoMinor {
+		return h, fmt.Errorf("cluster: protocol minor %d (want %d)", h.minor, protoMinor)
 	}
 	return h, nil
 }
@@ -177,17 +173,14 @@ type reply struct {
 	status byte
 	epoch  uint64 // the leader's current epoch for the shard
 	detail string // human-readable rejection reason
-	minor  uint64 // leader's protoMinor; sent only to a minor-advertising follower
+	minor  uint64 // leader's protoMinor
 }
 
 func (rp reply) encode() []byte {
 	b := []byte{msgReply, rp.status}
 	b = binary.AppendUvarint(b, rp.epoch)
 	b = appendString(b, rp.detail)
-	if rp.minor > 0 {
-		b = binary.AppendUvarint(b, rp.minor)
-	}
-	return b
+	return binary.AppendUvarint(b, rp.minor)
 }
 
 func decodeReply(body []byte) (reply, error) {
@@ -199,10 +192,7 @@ func decodeReply(body []byte) (reply, error) {
 	r := store.NewBinReader(body, 2)
 	rp.epoch = r.Uvarint()
 	rp.detail = r.String()
-	if r.Err() == nil && r.Remaining() > 0 {
-		// Optional trailing minor (a pre-minor leader sends none).
-		rp.minor = r.Uvarint()
-	}
+	rp.minor = r.Uvarint()
 	if err := r.Err(); err != nil {
 		return rp, fmt.Errorf("cluster: reply: %w", err)
 	}
@@ -313,8 +303,8 @@ func decodeHeartbeat(body []byte) (heartbeat, error) {
 }
 
 // durableMsg advertises the leader's durable (committed) position the
-// moment it advances — the signal a minor-1 follower applies its
-// buffered pre-durable frames on. Heartbeats still carry the position
+// moment it advances — the signal a follower applies its buffered
+// pre-durable frames on. Heartbeats still carry the position
 // for liveness, but only every HeartbeatEvery; this one is prompt.
 type durableMsg struct {
 	epoch uint64

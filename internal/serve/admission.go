@@ -35,12 +35,12 @@ type overloadState struct {
 }
 
 // DefaultDegradedHold is how long the corpus stays in degraded mode
-// after the last overload signal when Config.DegradedHold is zero.
+// after the last overload signal when Config.Limits.DegradedHold is zero.
 const DefaultDegradedHold = 3 * time.Second
 
 // noteOverload (re)starts the degraded hold window.
 func (c *Corpus) noteOverload() {
-	c.over.until.Store(time.Now().Add(c.cfg.DegradedHold).UnixNano())
+	c.over.until.Store(time.Now().Add(c.cfg.Limits.DegradedHold).UnixNano())
 }
 
 // Degraded reports whether the corpus is currently in the degraded
@@ -53,10 +53,8 @@ func (c *Corpus) Degraded() bool {
 // when the credited in-flight batches already fill the queue plus the
 // one batch the apply loop is actively committing. Credits are released
 // by the apply loop as each batch is acknowledged (or nacked), so
-// admitted-but-unresolved batches — queued, riding the commit pipeline,
-// or mid-fsync — can never exceed that bound: bounded memory under any
-// offered load, with the same cap(queue)+1 in-flight budget the serial
-// loop enforced.
+// admitted-but-unresolved batches — queued or mid-fsync — can never
+// exceed that bound: bounded memory under any offered load.
 func (sh *shard) tryAcquire() bool {
 	if sh.credits.Add(1) > int64(cap(sh.ch))+1 {
 		sh.credits.Add(-1)

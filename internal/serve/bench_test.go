@@ -381,7 +381,7 @@ func benchDurableCorpus(b *testing.B) (*Corpus, int) {
 	if testing.Short() {
 		n = 1000
 	}
-	c, err := NewCorpus(Config{Shards: 8, Seed: 1, DataDir: b.TempDir(), FsyncMode: "batch"})
+	c, err := NewCorpus(Config{Shards: 8, Seed: 1, Durability: Durability{DataDir: b.TempDir(), FsyncMode: "batch"}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -434,8 +434,8 @@ func BenchmarkServeRankOverload(b *testing.B) {
 	}
 	inject := &faultfs.Injector{}
 	c, err := NewCorpus(Config{
-		Shards: 8, Seed: 1, DataDir: b.TempDir(),
-		FsyncMode: "none", QueueLen: 1, FaultInjector: inject,
+		Shards: 8, Seed: 1, QueueLen: 1,
+		Durability: Durability{DataDir: b.TempDir(), FsyncMode: "none", FaultInjector: inject},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -270,33 +270,23 @@ const snapshotRetryBackoff = 5 * time.Second
 
 // maybeSnapshot persists the shard's state when the configured interval
 // elapsed or the un-snapshotted WAL grew past the byte trigger. Called
-// by the apply loop between batches; a negative SnapshotInterval
-// disables periodic snapshots entirely (Close still writes a final
-// one). lastSnap is the last ATTEMPT (success or failure), so both
-// triggers are debounced against a failing disk.
+// by the apply loop after each committed group; a negative
+// SnapshotInterval disables periodic snapshots entirely (Close still
+// writes a final one). lastSnap is the last ATTEMPT (success or
+// failure), so both triggers are debounced against a failing disk.
 func (sh *shard) maybeSnapshot() {
-	if sh.snapshotDue() {
-		sh.writeSnapshot()
-	}
-}
-
-// snapshotDue reports whether maybeSnapshot would act — split out so the
-// pipelined apply loop can decide cheaply when to quiesce the commit
-// pipeline for a snapshot (snapshots capture appliedLSN, which must be
-// durable, so they only happen with no flush in flight).
-func (sh *shard) snapshotDue() bool {
-	if sh.cfg.SnapshotInterval < 0 {
-		return false
+	if sh.cfg.Durability.SnapshotInterval < 0 {
+		return
 	}
 	if sh.appliedLSN.Load() == sh.snapLSN.Load() {
-		return false
+		return
 	}
 	since := time.Since(sh.lastSnap)
-	if since < sh.cfg.SnapshotInterval &&
+	if since < sh.cfg.Durability.SnapshotInterval &&
 		(sh.walLag.Load() < snapshotBytesTrigger || since < snapshotRetryBackoff) {
-		return false
+		return
 	}
-	return true
+	sh.writeSnapshot()
 }
 
 // writeSnapshot persists the state; a failure leaves the WAL
@@ -306,7 +296,7 @@ func (sh *shard) snapshotDue() bool {
 func (sh *shard) writeSnapshot() {
 	snap := sh.snapshotRecord()
 	sh.lastSnap = time.Now()
-	if err := sh.st.WriteSnapshot(snap, sh.cfg.KeepLog); err != nil {
+	if err := sh.st.WriteSnapshot(snap, sh.cfg.Durability.KeepLog); err != nil {
 		sh.snapFailures.Add(1)
 		msg := err.Error()
 		sh.snapErr.Store(&msg)
@@ -358,8 +348,8 @@ type ShardHealth struct {
 	ZAPages int64 `json:"za_pages"`
 	// Write-path telemetry over the WAL's recent commit window (durable
 	// corpora only): the commit/fsync rate, how many records one group
-	// commit covers (the batch size the pipelined commit path achieves),
-	// and dispatch-to-durable commit latency.
+	// commit covers (the group size the serial commit loop achieves), and
+	// commit latency.
 	FsyncsPerSec      float64 `json:"fsyncs_per_sec,omitempty"`
 	MeanCommitRecords float64 `json:"mean_commit_records,omitempty"`
 	P99CommitRecords  int     `json:"p99_commit_records,omitempty"`
@@ -427,7 +417,7 @@ func (c *Corpus) Health() HealthReport {
 	if c.durable {
 		// Validate already vetted the mode string; round-tripping through
 		// the wal package keeps the default mapping in one place.
-		mode, _ := wal.ParseFsyncMode(c.cfg.FsyncMode)
+		mode, _ := wal.ParseFsyncMode(c.cfg.Durability.FsyncMode)
 		h.FsyncMode = mode.String()
 	}
 	for _, sh := range c.shards {

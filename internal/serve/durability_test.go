@@ -13,10 +13,10 @@ import (
 // telemetry recovery is exercised, a single-digit seed for determinism.
 func durableConfig(dir string) Config {
 	return Config{
-		Shards:  3,
-		Seed:    7,
-		PoolCap: 4,
-		DataDir: dir,
+		Shards:     3,
+		Seed:       7,
+		PoolCap:    4,
+		Durability: Durability{DataDir: dir},
 		Arms: []Arm{
 			{Name: "control", Policy: policy.Spec{Rule: policy.RuleDeterministic}, Weight: 1},
 			{Name: "treatment", Policy: policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.3}, Weight: 1},
@@ -219,7 +219,7 @@ func TestCleanCloseRecoversFromSnapshotOnly(t *testing.T) {
 // bytes.
 func TestTornWriteRecovery(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Shards: 1, Seed: 3, DataDir: dir}
+	cfg := Config{Shards: 1, Seed: 3, Durability: Durability{DataDir: dir}}
 	c := newTestCorpusNoClose(t, cfg)
 	for i := 0; i < 10; i++ {
 		if err := c.Add(i, "torn topic page", float64(10-i)); err != nil {
@@ -273,7 +273,7 @@ func TestTornWriteRecovery(t *testing.T) {
 // deployment that ever loses power.
 func TestMissingLogResetsFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Shards: 1, Seed: 3, DataDir: dir}
+	cfg := Config{Shards: 1, Seed: 3, Durability: Durability{DataDir: dir}}
 	c := newTestCorpusNoClose(t, cfg)
 	for i := 0; i < 5; i++ {
 		if err := c.Add(i, "gap topic page", float64(i+1)); err != nil {
@@ -315,7 +315,7 @@ func TestMissingLogResetsFromSnapshot(t *testing.T) {
 // wrong popularity.
 func TestTruncatedHistoryWithoutSnapshotUnrecoverable(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Shards: 1, Seed: 3, DataDir: dir, walSegmentBytes: 64}
+	cfg := Config{Shards: 1, Seed: 3, Durability: Durability{DataDir: dir, WALSegmentBytes: 64}}
 	boot := func(events int) {
 		c := newTestCorpusNoClose(t, cfg)
 		if _, ok := c.Page(0); !ok {
@@ -381,9 +381,9 @@ func TestSnapshotLossFallsBackToFullReplay(t *testing.T) {
 // hash by shard count, so reopening with a different count must refuse.
 func TestShardCountMismatchRefused(t *testing.T) {
 	dir := t.TempDir()
-	c := newTestCorpusNoClose(t, Config{Shards: 2, DataDir: dir})
+	c := newTestCorpusNoClose(t, Config{Shards: 2, Durability: Durability{DataDir: dir}})
 	c.Close()
-	if _, err := NewCorpus(Config{Shards: 4, DataDir: dir}); err == nil {
+	if _, err := NewCorpus(Config{Shards: 4, Durability: Durability{DataDir: dir}}); err == nil {
 		t.Fatal("reopening with a different shard count must fail")
 	}
 }
@@ -399,7 +399,7 @@ func TestHealthReport(t *testing.T) {
 
 	dir := t.TempDir()
 	// Disable periodic snapshots so lag visibly accumulates.
-	c := newTestCorpusNoClose(t, Config{Shards: 2, DataDir: dir, SnapshotInterval: -1})
+	c := newTestCorpusNoClose(t, Config{Shards: 2, Durability: Durability{DataDir: dir, SnapshotInterval: -1}})
 	defer c.Close()
 	if err := c.Add(1, "health topic page", 5); err != nil {
 		t.Fatal(err)

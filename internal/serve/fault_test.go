@@ -20,10 +20,9 @@ import (
 func faultyCorpus(t *testing.T, dir string, inject *faultfs.Injector) *Corpus {
 	t.Helper()
 	c, err := NewCorpus(Config{
-		Shards:        1,
-		Seed:          7,
-		DataDir:       dir,
-		FaultInjector: inject,
+		Shards:     1,
+		Seed:       7,
+		Durability: Durability{DataDir: dir, FaultInjector: inject},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,7 @@ func TestFsyncFailureNacksFeedback(t *testing.T) {
 
 	// The acknowledged state — and nothing from the nacked attempt —
 	// must come back after a restart.
-	c2, err := NewCorpus(Config{Shards: 1, Seed: 7, DataDir: dir})
+	c2, err := NewCorpus(Config{Shards: 1, Seed: 7, Durability: Durability{DataDir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +104,12 @@ func TestFsyncFailureNacksFeedback(t *testing.T) {
 	}
 }
 
-// TestPipelinedFsyncFailureNacksBothBatches drives the pipelined commit
-// path: two feedback batches in flight concurrently against a slow,
-// failing disk, so the second is typically dispatched while the first's
-// doomed flush is still in the WAL pipeline. BOTH must be nacked (the
-// second committed behind the hole would corrupt the log), nothing from
-// either may publish, and after the fault clears retries land each
-// exactly once — surviving a restart.
-func TestPipelinedFsyncFailureNacksBothBatches(t *testing.T) {
+// TestConcurrentFsyncFailureNacksBothBatches posts two feedback batches
+// concurrently against a slow, failing disk, so the second either joins
+// the first's doomed group or queues behind it. BOTH must be nacked,
+// nothing from either may publish, and after the fault clears retries
+// land each exactly once — surviving a restart.
+func TestConcurrentFsyncFailureNacksBothBatches(t *testing.T) {
 	inject := &faultfs.Injector{}
 	dir := t.TempDir()
 	c := faultyCorpus(t, dir, inject)
@@ -157,7 +154,7 @@ func TestPipelinedFsyncFailureNacksBothBatches(t *testing.T) {
 	}
 	c.Close()
 
-	c2, err := NewCorpus(Config{Shards: 1, Seed: 7, DataDir: dir})
+	c2, err := NewCorpus(Config{Shards: 1, Seed: 7, Durability: Durability{DataDir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +164,45 @@ func TestPipelinedFsyncFailureNacksBothBatches(t *testing.T) {
 		if !ok || got.Clicks != 1 {
 			t.Fatalf("recovered page %d: ok=%v %+v, want exactly 1 click", page, ok, got)
 		}
+	}
+}
+
+// TestSerialLoopStillGroupCommits pins what the one-deep commit loop
+// must not lose: while one commit sits in a slow sync, every request
+// that arrives queues behind it and rides the NEXT commit together. N
+// concurrent callers on one shard are all acknowledged by far fewer
+// than N commits.
+func TestSerialLoopStillGroupCommits(t *testing.T) {
+	const callers = 32
+	inject := &faultfs.Injector{}
+	c := faultyCorpus(t, t.TempDir(), inject)
+	defer c.Close()
+	if err := c.Add(1, "alpha page", 5); err != nil {
+		t.Fatal(err)
+	}
+	c.Sync()
+
+	before := c.WALCounters()
+	inject.SetLatency(5 * time.Millisecond)
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() { errs <- c.TryFeedback([]Event{{Page: 1, Slot: 1, Impressions: 1, Clicks: 1}}) }()
+	}
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("caller %d not acknowledged: %v", i, err)
+		}
+	}
+	inject.SetLatency(0)
+	after := c.WALCounters()
+	if got := after.Records - before.Records; got != callers {
+		t.Fatalf("%d records committed, want %d", got, callers)
+	}
+	if commits := after.Commits - before.Commits; commits >= callers/2 {
+		t.Fatalf("%d commits for %d concurrent requests: the loop is not group-committing", commits, callers)
+	}
+	if got, _ := c.Page(1); got.Clicks != callers {
+		t.Fatalf("page after %d acked clicks: %+v", callers, got)
 	}
 }
 
@@ -200,12 +236,11 @@ func TestDiskFullNacksFeedback(t *testing.T) {
 func TestOverloadRejectsWith429(t *testing.T) {
 	inject := &faultfs.Injector{}
 	c, err := NewCorpus(Config{
-		Shards:        1,
-		QueueLen:      1,
-		Seed:          7,
-		DataDir:       t.TempDir(),
-		FaultInjector: inject,
-		DegradedHold:  time.Minute,
+		Shards:     1,
+		QueueLen:   1,
+		Seed:       7,
+		Durability: Durability{DataDir: t.TempDir(), FaultInjector: inject},
+		Limits:     Limits{DegradedHold: time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,9 +295,9 @@ func TestOverloadRejectsWith429(t *testing.T) {
 // self-click campaign) stays unexplored; distinct clickers promote it.
 func TestProvenanceQuorum(t *testing.T) {
 	c, err := NewCorpus(Config{
-		Shards:     1,
-		Seed:       7,
-		Provenance: ProvenanceConfig{MinDistinctClickers: 2},
+		Shards: 1,
+		Seed:   7,
+		Limits: Limits{Provenance: ProvenanceConfig{MinDistinctClickers: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,9 +335,9 @@ func TestProvenanceQuorum(t *testing.T) {
 // window; other units and other pages are unaffected.
 func TestProvenanceClickCap(t *testing.T) {
 	c, err := NewCorpus(Config{
-		Shards:     1,
-		Seed:       7,
-		Provenance: ProvenanceConfig{UnitPageClickCap: 3},
+		Shards: 1,
+		Seed:   7,
+		Limits: Limits{Provenance: ProvenanceConfig{UnitPageClickCap: 3}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,10 +364,12 @@ func TestProvenanceClickCap(t *testing.T) {
 // keyed by unit, and the rejection is counted in /stats.
 func TestRateLimiter(t *testing.T) {
 	c, err := NewCorpus(Config{
-		Shards:         1,
-		Seed:           7,
-		RateLimitRPS:   0.001, // effectively: burst only
-		RateLimitBurst: 2,
+		Shards: 1,
+		Seed:   7,
+		Limits: Limits{
+			RateLimitRPS:   0.001, // effectively: burst only
+			RateLimitBurst: 2,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +402,7 @@ func TestRateLimiter(t *testing.T) {
 // the page must stay gone across snapshots, crashes and replay.
 func TestRemoveSurvivesRecovery(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewCorpus(Config{Shards: 2, Seed: 7, DataDir: dir})
+	c, err := NewCorpus(Config{Shards: 2, Seed: 7, Durability: Durability{DataDir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +427,7 @@ func TestRemoveSurvivesRecovery(t *testing.T) {
 	}
 	c.Kill() // crash: recovery must replay the remove record
 
-	c2, err := NewCorpus(Config{Shards: 2, Seed: 7, DataDir: dir})
+	c2, err := NewCorpus(Config{Shards: 2, Seed: 7, Durability: Durability{DataDir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func TestLoadRunPromotesPlantedGem(t *testing.T) {
 // write-path measurements (acks/s from acknowledged events, fsync/s and
 // mean group-commit size from /v1/stats WAL-counter deltas) are live.
 func TestFeedbackBinaryModeWritePathReport(t *testing.T) {
-	c, err := serve.NewCorpus(serve.Config{Shards: 2, Seed: 3, DataDir: t.TempDir()})
+	c, err := serve.NewCorpus(serve.Config{Shards: 2, Seed: 3, Durability: serve.Durability{DataDir: t.TempDir()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,10 +363,9 @@ func TestKillAfterRestartLosesNoAcknowledgedFeedback(t *testing.T) {
 	const established = 40
 	dir := t.TempDir()
 	cfg := serve.Config{
-		Shards:  4,
-		Seed:    11,
-		DataDir: dir,
-		KeepLog: true,
+		Shards:     4,
+		Seed:       11,
+		Durability: serve.Durability{DataDir: dir, KeepLog: true},
 		Arms: []serve.Arm{
 			{Name: "control", Policy: policy.Spec{Rule: policy.RuleDeterministic}, Weight: 1},
 			{Name: "explore", Policy: policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.3}, Weight: 1},
@@ -571,10 +570,9 @@ func TestReplayReproducesLoadgenScorecard(t *testing.T) {
 	const established = 40
 	dir := t.TempDir()
 	cfg := serve.Config{
-		Shards:  4,
-		Seed:    3,
-		DataDir: dir,
-		KeepLog: true,
+		Shards:     4,
+		Seed:       3,
+		Durability: serve.Durability{DataDir: dir, KeepLog: true},
 		Arms: []serve.Arm{
 			{Name: "control", Policy: policy.Spec{Rule: policy.RuleDeterministic}, Weight: 1},
 			{Name: "explore", Policy: policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.3}, Weight: 1},

@@ -290,7 +290,7 @@ const (
 func fraudCorpus(defenses bool, seed uint64) (*serve.Corpus, error) {
 	cfg := serve.Config{Shards: 2, Seed: seed, Arms: scenarioArms()}
 	if defenses {
-		cfg.Provenance = serve.ProvenanceConfig{
+		cfg.Limits.Provenance = serve.ProvenanceConfig{
 			MinDistinctClickers: 2,
 			UnitPageClickCap:    3,
 			Window:              time.Minute,
@@ -457,12 +457,11 @@ func runFlashCrowd(opts ScenarioOptions) (*ScenarioResult, error) {
 	}
 	defer os.RemoveAll(dir)
 	c, err := serve.NewCorpus(serve.Config{
-		Shards:        2,
-		Seed:          opts.Seed,
-		Arms:          scenarioArms(),
-		DataDir:       dir,
-		QueueLen:      1, // tiny queue: the crowd must hit admission control
-		FaultInjector: inject,
+		Shards:     2,
+		Seed:       opts.Seed,
+		Arms:       scenarioArms(),
+		Durability: serve.Durability{DataDir: dir, FaultInjector: inject},
+		QueueLen:   1, // tiny queue: the crowd must hit admission control
 	})
 	if err != nil {
 		return nil, err
@@ -546,10 +545,10 @@ func runChurn(opts ScenarioOptions) (*ScenarioResult, error) {
 	}
 	defer os.RemoveAll(dir)
 	c, err := serve.NewCorpus(serve.Config{
-		Shards:  2,
-		Seed:    opts.Seed,
-		Arms:    scenarioArms(),
-		DataDir: dir,
+		Shards:     2,
+		Seed:       opts.Seed,
+		Arms:       scenarioArms(),
+		Durability: serve.Durability{DataDir: dir},
 	})
 	if err != nil {
 		return nil, err
@@ -670,12 +669,10 @@ func runDiskStorm(opts ScenarioOptions) (*ScenarioResult, error) {
 	}
 	defer os.RemoveAll(dir)
 	cfg := serve.Config{
-		Shards:        2,
-		Seed:          opts.Seed,
-		Arms:          scenarioArms(),
-		DataDir:       dir,
-		KeepLog:       true,
-		FaultInjector: inject,
+		Shards:     2,
+		Seed:       opts.Seed,
+		Arms:       scenarioArms(),
+		Durability: serve.Durability{DataDir: dir, KeepLog: true, FaultInjector: inject},
 	}
 	c, err := serve.NewCorpus(cfg)
 	if err != nil {
@@ -745,7 +742,7 @@ func runDiskStorm(opts ScenarioOptions) (*ScenarioResult, error) {
 
 	// Recovery: every acknowledged event must be present (at-least-once
 	// under multi-shard retry, so >=, never <).
-	cfg.FaultInjector = nil
+	cfg.Durability.FaultInjector = nil
 	rc, err := serve.NewCorpus(cfg)
 	if err != nil {
 		r.failf("recovery after storm failed: %v", err)
@@ -808,7 +805,7 @@ func runLeaderKill(opts ScenarioOptions) (*ScenarioResult, error) {
 		DataDir:         dir,
 		Arms:            scenarioArms(),
 		Seed:            opts.Seed,
-		Corpus:          func(i int, cfg *serve.Config) { cfg.FaultInjector = inject },
+		Corpus:          func(i int, cfg *serve.Config) { cfg.Durability.FaultInjector = inject },
 		HeartbeatEvery:  20 * time.Millisecond,
 		ElectionTimeout: 250 * time.Millisecond,
 		Logf:            opts.Log,

@@ -13,7 +13,7 @@ func replayFixture(t *testing.T) (string, []ArmReport) {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	cfg.KeepLog = true
+	cfg.Durability.KeepLog = true
 	c := newTestCorpusNoClose(t, cfg)
 	seedDurable(t, c)
 	// A second wave: reinforce one discovered gem, discover another.
@@ -119,7 +119,7 @@ func TestReplayCounterfactualSwap(t *testing.T) {
 func TestReplayFiltersPolicyInconsistentAttribution(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	cfg.KeepLog = true
+	cfg.Durability.KeepLog = true
 	c := newTestCorpusNoClose(t, cfg)
 	if err := c.Add(1, "filter topic gem", 0); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestReplayErrors(t *testing.T) {
 func TestReplayAfterKill(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	cfg.KeepLog = true
+	cfg.Durability.KeepLog = true
 	c := newTestCorpusNoClose(t, cfg)
 	seedDurable(t, c)
 	live := c.Arms()

@@ -2,7 +2,7 @@
 // uses to turn each shard's WAL into a shipped log. A leader's apply loop
 // fires Config.OnCommit after every durable group commit; a shipper
 // thread then reads the committed frames with WALReader and streams them
-// to followers, which feed them back in through ApplyReplicated — raw
+// to followers, which feed them back in through ApplyReplicatedAsync — raw
 // payloads appended to the follower's own WAL (byte-identical frames,
 // same LSNs), committed, and applied through the exact liveAdd/liveEvent
 // path that live serving and boot recovery share. A follower that is too
@@ -40,7 +40,7 @@ var errKilled = errors.New("serve: corpus killed")
 type ReplFrame struct {
 	LSN     uint64
 	Payload []byte
-	rec     walRecord // decoded by ApplyReplicated before enqueue
+	rec     walRecord // decoded by ApplyReplicatedAsync before enqueue
 }
 
 // ShardIndex is the page-to-shard hash every router must agree on: the
@@ -80,7 +80,8 @@ func (c *Corpus) SnapshotForCatchup(shard int) (*store.Snapshot, error) {
 }
 
 // SetShardWritable flips a shard between leader (local writes allowed)
-// and follower (ErrNotLeader; state advances only via ApplyReplicated).
+// and follower (ErrNotLeader; state advances only via
+// ApplyReplicatedAsync).
 func (c *Corpus) SetShardWritable(shard int, writable bool) {
 	c.shards[shard].notLeader.Store(!writable)
 }
@@ -104,33 +105,24 @@ func (c *Corpus) SetReplicationHealth(fn func() *ReplicationHealth) {
 	c.replHealth.Store(&fn)
 }
 
-// ApplyReplicated feeds frames shipped from the shard's leader through
-// the apply loop: payloads are appended to the follower's own WAL at
-// their original LSNs (frames already present are skipped), group-
-// committed, and applied with the leader's logged timestamps. Frames
-// must be strictly ascending and contiguous; if the first missing frame
-// does not extend the local log, the valid prefix still commits and the
-// returned error reports the break so the session re-syncs from
-// CommittedLSN()+1. Blocks until the batch is durable — the ack a
-// follower sends upstream is as strong as a client 202.
-func (c *Corpus) ApplyReplicated(shard int, frames []ReplFrame) error {
-	wait, err := c.ApplyReplicatedAsync(shard, frames)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
-// ApplyReplicatedAsync is ApplyReplicated split at the durability
-// barrier: it validates and submits the batch to the shard's apply loop
-// and returns without waiting for the group commit. The returned wait
-// function blocks until the batch is durable, finishes the corpus-index
-// maintenance for whatever committed, and reports the batch's outcome;
-// call it exactly once. Submitting batch N+1 before batch N's wait
-// returns is the point — the apply loop appends and applies N+1 while
-// N's fsync is still in flight, so a replication session overlaps its
-// own durability barrier with frame application instead of stalling the
-// stream once per group commit.
+// ApplyReplicatedAsync feeds frames shipped from the shard's leader
+// through the apply loop: payloads are appended to the follower's own
+// WAL at their original LSNs (frames already present are skipped),
+// group-committed, and applied with the leader's logged timestamps.
+// Frames must be strictly ascending and contiguous; if the first missing
+// frame does not extend the local log, the valid prefix still commits
+// and the wait function's error reports the break so the session
+// re-syncs from CommittedLSN()+1.
+//
+// The call validates and submits the batch and returns without waiting
+// for the group commit. The returned wait function blocks until the
+// batch is durable — the ack a follower sends upstream is as strong as
+// a client 202 — finishes the corpus-index maintenance for whatever
+// committed, and reports the batch's outcome; call it exactly once.
+// Submitting batch N+1 before batch N's wait returns is the point: N+1
+// is decoded and queued while N's fsync is in flight and joins the apply
+// loop's next group, so a replication session does not stall its stream
+// once per group commit.
 func (c *Corpus) ApplyReplicatedAsync(shard int, frames []ReplFrame) (func() error, error) {
 	if !c.durable {
 		return nil, errors.New("serve: replication requires a durable corpus")
@@ -295,7 +287,7 @@ func (sh *shard) handleSnapInstall(r *applyReq) {
 		finish(err)
 		return
 	}
-	if err := sh.st.WriteSnapshot(snap, sh.cfg.KeepLog); err != nil {
+	if err := sh.st.WriteSnapshot(snap, sh.cfg.Durability.KeepLog); err != nil {
 		finish(err)
 		return
 	}

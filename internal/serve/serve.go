@@ -27,7 +27,8 @@
 // A /rank request is therefore lock-free reads plus one
 // promotion-sampling merge pass; /feedback is a channel send per shard.
 //
-// Durability (Config.DataDir) is event sourcing under that same design:
+// Durability (Config.Durability.DataDir) is event sourcing under that
+// same design:
 // every shard mutation flows through one pure event-application path
 // (state.go), and the apply loop writes each drained group of requests
 // to a per-shard write-ahead log — one group-commit fsync per batch —
@@ -146,9 +147,7 @@ type Durability struct {
 
 // Config sizes a Corpus. The zero value of every field selects a
 // default. Admission and persistence knobs live in the Limits and
-// Durability groups; the matching flat fields remain as deprecated
-// passthroughs for one release (a set grouped field wins over its flat
-// twin).
+// Durability groups.
 type Config struct {
 	// Shards is the number of popularity shards (default 4).
 	Shards int
@@ -182,7 +181,7 @@ type Config struct {
 	Seed uint64
 
 	// Limits groups the admission-control knobs; Durability groups the
-	// persistence knobs. Prefer these over the flat twins below.
+	// persistence knobs.
 	Limits     Limits
 	Durability Durability
 
@@ -195,15 +194,15 @@ type Config struct {
 	// hangs off this hook. Ignored without Durability.DataDir.
 	OnCommit func(shard int, committedLSN uint64)
 
-	// OnWALWrite, when non-nil, receives each dispatched batch's raw WAL
+	// OnWALWrite, when non-nil, receives each group commit's raw WAL
 	// frames right after they are written to the shard's active segment
 	// but BEFORE the covering fsync (wal.Options.OnWrite). Replication
 	// uses it to overlap network shipping with the leader's sync: the
 	// receiver must treat the frames as provisional until OnCommit
 	// advertises their durability, because a failed sync voids them (see
-	// OnRollback). Runs on the shard's flush goroutine — it must copy
-	// what it keeps and return quickly. Ignored without
-	// Durability.DataDir.
+	// OnRollback). Runs on the apply goroutine, between the write and
+	// the sync — it must copy what it keeps and return quickly. Ignored
+	// without Durability.DataDir.
 	OnWALWrite func(shard int, firstLSN uint64, frames []byte)
 
 	// OnRollback, when non-nil, is invoked by a shard's apply loop after
@@ -212,95 +211,6 @@ type Config struct {
 	// announced is void and its LSN may be reused by later records.
 	// Runs on the apply goroutine. Ignored without Durability.DataDir.
 	OnRollback func(shard int, fromLSN uint64)
-
-	// DataDir enables durability from the given directory.
-	//
-	// Deprecated: set Durability.DataDir instead.
-	DataDir string
-	// SnapshotInterval is the per-shard snapshot cadence.
-	//
-	// Deprecated: set Durability.SnapshotInterval instead.
-	SnapshotInterval time.Duration
-	// FsyncMode selects the WAL durability mode.
-	//
-	// Deprecated: set Durability.FsyncMode instead.
-	FsyncMode string
-	// KeepLog retains the full WAL history behind snapshots.
-	//
-	// Deprecated: set Durability.KeepLog instead.
-	KeepLog bool
-	// walSegmentBytes overrides the WAL segment rotation size so tests
-	// can exercise multi-segment truncation without megabytes of
-	// traffic; 0 selects the wal package default.
-	walSegmentBytes int64
-	// RateLimitRPS enables per-client rate limiting.
-	//
-	// Deprecated: set Limits.RateLimitRPS instead.
-	RateLimitRPS float64
-	// RateLimitBurst is the token-bucket burst size.
-	//
-	// Deprecated: set Limits.RateLimitBurst instead.
-	RateLimitBurst int
-	// Provenance configures click-provenance defenses.
-	//
-	// Deprecated: set Limits.Provenance instead.
-	Provenance ProvenanceConfig
-	// DegradedHold is the degraded-mode hold window.
-	//
-	// Deprecated: set Limits.DegradedHold instead.
-	DegradedHold time.Duration
-	// FaultInjector routes WAL and snapshot I/O through a fault injector.
-	//
-	// Deprecated: set Durability.FaultInjector instead.
-	FaultInjector *faultfs.Injector
-}
-
-// normalized merges each grouped Limits/Durability field with its
-// deprecated flat twin — the grouped field wins when set — and mirrors
-// the result into BOTH forms, so internal readers (which use the flat
-// fields) and old callers observe the same effective configuration.
-func (c Config) normalized() Config {
-	if c.Limits.RateLimitRPS == 0 {
-		c.Limits.RateLimitRPS = c.RateLimitRPS
-	}
-	if c.Limits.RateLimitBurst == 0 {
-		c.Limits.RateLimitBurst = c.RateLimitBurst
-	}
-	if c.Limits.Provenance == (ProvenanceConfig{}) {
-		c.Limits.Provenance = c.Provenance
-	}
-	if c.Limits.DegradedHold == 0 {
-		c.Limits.DegradedHold = c.DegradedHold
-	}
-	if c.Durability.DataDir == "" {
-		c.Durability.DataDir = c.DataDir
-	}
-	if c.Durability.SnapshotInterval == 0 {
-		c.Durability.SnapshotInterval = c.SnapshotInterval
-	}
-	if c.Durability.FsyncMode == "" {
-		c.Durability.FsyncMode = c.FsyncMode
-	}
-	if !c.Durability.KeepLog {
-		c.Durability.KeepLog = c.KeepLog
-	}
-	if c.Durability.FaultInjector == nil {
-		c.Durability.FaultInjector = c.FaultInjector
-	}
-	if c.Durability.WALSegmentBytes == 0 {
-		c.Durability.WALSegmentBytes = c.walSegmentBytes
-	}
-	c.RateLimitRPS = c.Limits.RateLimitRPS
-	c.RateLimitBurst = c.Limits.RateLimitBurst
-	c.Provenance = c.Limits.Provenance
-	c.DegradedHold = c.Limits.DegradedHold
-	c.DataDir = c.Durability.DataDir
-	c.SnapshotInterval = c.Durability.SnapshotInterval
-	c.FsyncMode = c.Durability.FsyncMode
-	c.KeepLog = c.Durability.KeepLog
-	c.FaultInjector = c.Durability.FaultInjector
-	c.walSegmentBytes = c.Durability.WALSegmentBytes
-	return c
 }
 
 // Validate reports the first problem with the configuration, or nil.
@@ -310,7 +220,6 @@ func (c Config) normalized() Config {
 // Arms are declared, Policy is ignored (the arms carry the policies), so
 // it is not checked.
 func (c Config) Validate() error {
-	c = c.normalized()
 	switch {
 	case c.Shards < 0:
 		return fmt.Errorf("serve: Shards must be >= 0 (0 = default), got %d", c.Shards)
@@ -321,7 +230,7 @@ func (c Config) Validate() error {
 	case c.QueueLen < 0:
 		return fmt.Errorf("serve: QueueLen must be >= 0 (0 = default), got %d", c.QueueLen)
 	}
-	if _, err := wal.ParseFsyncMode(c.FsyncMode); err != nil {
+	if _, err := wal.ParseFsyncMode(c.Durability.FsyncMode); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	if len(c.Arms) > 0 {
@@ -339,7 +248,6 @@ func (c Config) Validate() error {
 }
 
 func (c Config) withDefaults() Config {
-	c = c.normalized()
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
@@ -355,8 +263,8 @@ func (c Config) withDefaults() Config {
 	if c.QueryCacheSize == 0 {
 		c.QueryCacheSize = 256
 	}
-	if c.SnapshotInterval == 0 {
-		c.SnapshotInterval = 30 * time.Second
+	if c.Durability.SnapshotInterval == 0 {
+		c.Durability.SnapshotInterval = 30 * time.Second
 	}
 	if c.Policy == (core.Policy{}) {
 		c.Policy = core.Recommended()
@@ -364,8 +272,8 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.DegradedHold == 0 {
-		c.DegradedHold = DefaultDegradedHold
+	if c.Limits.DegradedHold == 0 {
+		c.Limits.DegradedHold = DefaultDegradedHold
 	}
 	return c
 }
@@ -512,7 +420,7 @@ type shard struct {
 	ch  chan applyReq
 
 	// credits counts admission-controlled batches admitted but not yet
-	// acknowledged (queued OR riding the commit pipeline); TryFeedback
+	// acknowledged (queued OR in the group being committed); TryFeedback
 	// refuses (429) once it reaches cap(ch), so total in-flight work is
 	// truly bounded for admission-controlled traffic.
 	credits atomic.Int64
@@ -541,8 +449,6 @@ type shard struct {
 	st       *store.Shard
 	killed   *atomic.Bool // corpus-wide crash-simulation flag
 	recStart int          // in-place record payload start (mustBegin/mustEnd)
-	reqBuf   []applyReq   // group-commit drain scratch (in-memory path)
-	reqFree  [][]applyReq // recycled drain slices for pipelined batches
 	// pending retains additions and removals from a batch whose WAL
 	// commit failed: their index-side effects already happened (the
 	// document is in/out of the search index), so they must eventually
@@ -668,7 +574,7 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Corpus{cfg: cfg, idx: searchidx.NewIndex(), zidx: searchidx.NewIndex(), arms: arms, durable: cfg.DataDir != "", table: newPageTable()}
+	c := &Corpus{cfg: cfg, idx: searchidx.NewIndex(), zidx: searchidx.NewIndex(), arms: arms, durable: cfg.Durability.DataDir != "", table: newPageTable()}
 	// The index's posting-block bounds read popularity straight from the
 	// dense stat table: a document id IS its page's birth sequence, so a
 	// bound recompute is a slot load away and scores are never duplicated.
@@ -689,8 +595,8 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 	if cfg.QueryCacheSize > 0 {
 		c.qcache = newQueryCache(cfg.QueryCacheSize)
 	}
-	if cfg.Provenance.enabled() {
-		c.prov = newProvenanceGuard(cfg.Provenance)
+	if cfg.Limits.Provenance.enabled() {
+		c.prov = newProvenanceGuard(cfg.Limits.Provenance)
 	}
 	c.scratch.New = func() any {
 		return &reqScratch{
@@ -699,16 +605,17 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 		}
 	}
 	if c.durable {
-		fsync, _ := wal.ParseFsyncMode(cfg.FsyncMode) // Validate already vetted it
+		d := cfg.Durability
+		fsync, _ := wal.ParseFsyncMode(d.FsyncMode) // Validate already vetted it
 		// One SyncPool for the whole corpus: the shard WALs live on the
 		// same filesystem, so their group commits can share syncfs
 		// barriers instead of serializing N fdatasyncs at the device.
 		// (Injected logs bypass the pool — fault plans see every sync.)
-		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
+		if err := os.MkdirAll(d.DataDir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		c.syncPool = wal.NewSyncPool(cfg.DataDir)
-		st, err := store.Open(cfg.DataDir, storeMeta(cfg), wal.Options{Fsync: fsync, SegmentBytes: cfg.walSegmentBytes, Inject: cfg.FaultInjector, SyncPool: c.syncPool})
+		c.syncPool = wal.NewSyncPool(d.DataDir)
+		st, err := store.Open(d.DataDir, storeMeta(cfg), wal.Options{Fsync: fsync, SegmentBytes: d.WALSegmentBytes, Inject: d.FaultInjector, SyncPool: c.syncPool})
 		if err != nil {
 			c.syncPool.Close()
 			return nil, fmt.Errorf("serve: %w", err)
@@ -742,7 +649,7 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 		}
 		if cfg.OnWALWrite != nil {
 			// Per-shard write hooks must be bound before the apply loops
-			// can dispatch the first commit.
+			// start.
 			for _, sh := range c.shards {
 				shardID := sh.id
 				sh.st.Log.SetOnWrite(func(first uint64, frames []byte) {
@@ -1689,226 +1596,24 @@ func (sh *shard) run() {
 	sh.runDurable()
 }
 
-// pipeBatch is one dispatched group-commit batch flowing through the
-// durable apply loop's pipeline: its WAL flush handle plus everything
-// needed to apply, publish and acknowledge it once the flush lands.
-type pipeBatch struct {
-	flush    *wal.Flush // nil when the batch appended no frames
-	reqs     []applyReq
-	replErrs []error
-	startLSN uint64
-	endLSN   uint64
-	prevLag  int64
-	now      int64
-}
-
-// maxPipeline bounds how many dispatched batches may await durability at
-// once. Depth buys overlap — batch N+1 (and N+2...) accumulate and ship
-// while batch N's fdatasync is in flight, and the WAL coalesces whatever
-// queued behind a slow sync into one vectored write with one covering
-// sync — while the bound keeps the rollback blast radius and ack latency
-// of a failed sync small.
-const maxPipeline = 4
-
-// runDurable is the durable shard's apply loop: pipelined group commit.
-// Each drained group of requests is WAL-encoded and dispatched with
-// CommitAsync; while its fsync is in flight the loop goes straight back
-// to draining the queue and dispatching the next batch. Application,
-// publication and acks for a batch happen only when its flush completes
-// (in dispatch order) — so the acked-means-durable and PR 6 rollback
-// contracts are exactly those of the serial loop, at up to maxPipeline
-// batches of overlap.
+// runDurable is the durable shard's apply loop: serial group commit. It
+// blocks for a request, drains whatever queued behind it — that is the
+// group — encodes every record of the group into the WAL buffer, commits
+// once (one write, one sync), and only then applies, publishes once,
+// releases the admission credits and acknowledges. Requests that arrive
+// while a commit sits in its sync wait in the channel and form the next
+// group, so groups grow with sync latency on their own; overlap comes
+// from the other shards' loops, which share the disk and keep the CPU
+// busy meanwhile. The loop waits on nothing but its request channel.
 func (sh *shard) runDurable() {
-	var pipe []*pipeBatch
-	closed := false
-
-	// finish applies, publishes and acknowledges one completed batch.
-	// A non-nil return is the batch's commit failure, with the pipeline
-	// rollback left to the caller (failPipe).
-	finish := func(b *pipeBatch) error {
-		if err := sh.st.Log.Complete(b.flush); err != nil {
-			return err
-		}
-		sh.walErr.Store(nil)
-		if b.flush != nil {
-			sh.committedLSN.Store(b.endLSN)
-		}
-		// One publish per batch, not per request: the group boundary
-		// that amortizes the fsync amortizes the top-list rebuild too.
-		// It lands before the done channels close, so the Sync/ack
-		// contract (applied AND published) holds.
-		dirty := false
-		for _, r := range b.reqs {
-			for _, f := range r.repl {
-				// Replicated records apply with the timestamp the leader
-				// logged — identical to recovery replaying the same frame.
-				switch f.rec.kind {
-				case recKindAdd:
-					if sh.liveAdd(f.rec.add) {
-						dirty = true
-					}
-				case recKindEvent:
-					if sh.liveEvent(f.rec.event, f.rec.nanos) {
-						dirty = true
-					}
-				case recKindRemove:
-					if sh.applyRemove(f.rec.remove) {
-						dirty = true
-					}
-				}
-			}
-			for _, a := range r.add {
-				if sh.liveAdd(a) {
-					dirty = true
-				}
-			}
-			for _, id := range r.remove {
-				if sh.applyRemove(id) {
-					dirty = true
-				}
-			}
-			for _, e := range r.events {
-				if sh.liveEvent(e, b.now) {
-					dirty = true
-				}
-			}
-		}
-		if dirty {
-			sh.publish()
-		}
-		for ri := range b.reqs {
-			r := &b.reqs[ri]
-			if r.credited {
-				sh.credits.Add(-1)
-			}
-			if r.done == nil {
-				continue
-			}
-			if b.replErrs != nil && b.replErrs[ri] != nil {
-				// The valid prefix of the replicated batch committed and
-				// applied; the error tells the session where continuity
-				// broke so it can re-sync from committedLSN+1.
-				r.done <- b.replErrs[ri]
-			}
-			close(r.done)
-		}
-		if sh.cfg.OnCommit != nil && b.flush != nil {
-			sh.cfg.OnCommit(sh.id, b.endLSN)
-		}
-		sh.releaseReqs(b.reqs)
-		return nil
-	}
-
-	// failPipe handles a failed head-of-pipeline commit: every batch
-	// behind it fails too (the WAL cascades them — their LSNs sit above
-	// the hole), so NOTHING in the pipeline may be acknowledged or
-	// applied. All failed frames are restored by Complete and then
-	// dropped together (the WAL truncates any partial bytes and rewinds
-	// its LSN), the health counters rewind to the OLDEST batch's start,
-	// every waiter is nacked, and the sticky unhealthy state surfaces.
-	// Additions/removals are retained for the next group — their
-	// index-side effects already happened; events are the clients' to
-	// retry.
-	failPipe := func(err error) {
-		head := pipe[0]
-		sh.walFailures.Add(1)
-		msg := err.Error()
-		sh.walErr.Store(&msg)
-		for _, b := range pipe[1:] {
-			_ = sh.st.Log.Complete(b.flush) // cascade failure; frames restored for the drop below
-		}
-		if derr := sh.st.Log.DropBuffered(); derr != nil {
-			// The log could not even restore its tail; give up
-			// loudly rather than risk acknowledging over corruption.
-			panic(fmt.Sprintf("serve: shard WAL unrecoverable after failed commit: %v (commit: %v)", derr, err))
-		}
-		if head.startLSN > 0 {
-			sh.appliedLSN.Store(head.startLSN - 1)
-		}
-		sh.walLag.Store(head.prevLag)
-		for _, b := range pipe {
-			for _, r := range b.reqs {
-				if r.credited {
-					sh.credits.Add(-1)
-				}
-				if len(r.add) > 0 || len(r.remove) > 0 {
-					sh.pending = append(sh.pending, applyReq{add: r.add, remove: r.remove})
-				}
-				if r.done != nil {
-					r.done <- err
-					close(r.done)
-				}
-			}
-			sh.releaseReqs(b.reqs)
-		}
-		pipe = pipe[:0]
-		if sh.cfg.OnRollback != nil {
-			// Frames at/above the oldest failed LSN that OnWALWrite may
-			// have announced are void; their LSNs may be reused.
-			sh.cfg.OnRollback(sh.id, head.startLSN)
-		}
-	}
-
-	// completeHead blocks for the head batch's flush and retires it.
-	completeHead := func() {
-		b := pipe[0]
-		if err := finish(b); err != nil {
-			failPipe(err)
-			return
-		}
-		pipe = append(pipe[:0], pipe[1:]...)
-		if len(pipe) == 0 {
-			sh.maybeSnapshot()
-		}
-	}
-	drainPipe := func() {
-		for len(pipe) > 0 {
-			completeHead()
-		}
-	}
-
-	for {
-		// Gather the next group: block on the queue when the pipeline is
-		// empty; otherwise wait for more work OR the head flush, whichever
-		// lands first. A full pipeline (or a closed queue) waits on the
-		// head alone — that is the backpressure.
-		var reqs []applyReq
-		if len(pipe) == 0 {
-			if closed {
-				sh.shutdown()
-				return
-			}
-			r, ok := <-sh.ch
-			if !ok {
-				closed = true
-				continue
-			}
-			reqs = append(sh.takeReqs(), r)
-		} else if closed || len(pipe) >= maxPipeline || pipe[0].flush == nil {
-			if pipe[0].flush != nil {
-				<-pipe[0].flush.Done()
-			}
-			completeHead()
-			continue
-		} else {
-			select {
-			case <-pipe[0].flush.Done():
-				completeHead()
-				continue
-			case r, ok := <-sh.ch:
-				if !ok {
-					closed = true
-					continue
-				}
-				reqs = append(sh.takeReqs(), r)
-			}
-		}
+	var reqs []applyReq // the group; scratch reused across iterations
+	for r := range sh.ch {
+		reqs = append(reqs[:0], r)
 	drain:
 		for {
 			select {
 			case r, ok := <-sh.ch:
 				if !ok {
-					closed = true
 					break drain
 				}
 				reqs = append(reqs, r)
@@ -1917,18 +1622,13 @@ func (sh *shard) runDurable() {
 			}
 		}
 		// Credits are NOT released here: a credit spans admission to
-		// acknowledgment, so the pipeline's in-flight batches stay inside
-		// the queue bound TryFeedback enforces (429 past cap, even while
-		// batches ride the pipeline instead of the channel).
-		if sh.killed != nil && sh.killed.Load() {
-			// Crash simulation. Batches already dispatched race the
-			// crash: whatever the WAL makes durable completes truthfully
-			// (their acks are honest — the frames are on disk), exactly
-			// as a real crash mid-fsync would leave them. The batch being
-			// gathered was never dispatched: nack its waiters (from
-			// outside, a dying process looks like an error, not a hang)
-			// and abandon the rest as a dead process would.
-			drainPipe()
+		// acknowledgment, so a group riding its commit stays inside the
+		// queue bound TryFeedback enforces (429 past cap).
+		if sh.killed.Load() {
+			// Crash simulation. Everything acknowledged so far is on disk;
+			// the group just gathered was never logged: nack its waiters
+			// (from outside, a dying process looks like an error, not a
+			// hang) and stop as a dead process would.
 			for _, r := range reqs {
 				if r.credited {
 					sh.credits.Add(-1)
@@ -1938,35 +1638,26 @@ func (sh *shard) runDurable() {
 					close(r.done)
 				}
 			}
-			sh.shutdown()
-			return
+			break
 		}
-		// Replica snapshot installs are standalone — they reset the
-		// shard's (empty) log, which must be fully quiesced first.
+		// Replica snapshot installs are standalone: they reset the
+		// shard's log, whose buffer is empty between groups, and ack
+		// themselves.
 		for ri := range reqs {
 			if reqs[ri].snapInstall != nil {
-				drainPipe()
-				for rj := ri; rj < len(reqs); rj++ {
-					if reqs[rj].snapInstall != nil {
-						sh.handleSnapInstall(&reqs[rj])
-					}
-				}
-				break
+				sh.handleSnapInstall(&reqs[ri])
 			}
 		}
 		// Additions and removals retained from a previously failed
-		// commit lead the batch: their index-side effects are already
+		// commit lead the group: their index-side effects are already
 		// visible, so they must reach shard state (and the log) before
 		// anything newer.
 		if len(sh.pending) > 0 {
-			merged := make([]applyReq, 0, len(sh.pending)+len(reqs))
-			merged = append(append(merged, sh.pending...), reqs...)
-			sh.releaseReqs(reqs)
-			reqs = merged
+			reqs = append(sh.pending, reqs...)
 			sh.pending = nil
 		}
 		// One timestamp per group: the clock every applyEvent in the
-		// batch runs on, logged in each record so recovery and replay
+		// group runs on, logged in each record so recovery and replay
 		// reproduce time-dependent telemetry exactly.
 		now := time.Now().UnixNano()
 		// Capture the log position so a failed commit can rewind the
@@ -1998,51 +1689,127 @@ func (sh *shard) runDurable() {
 				sh.mustEnd(appendEventRecord(sh.mustBegin(), e, now))
 			}
 		}
-		flush, err := sh.st.Log.CommitAsync()
-		if err != nil {
-			// Only a read-only log refuses dispatch, and a serving shard
-			// never opens one.
-			panic(fmt.Sprintf("serve: shard WAL dispatch failed: %v", err))
+		if err := sh.st.Log.Commit(); err != nil {
+			sh.rollbackGroup(reqs, startLSN, prevLag, err)
+		} else {
+			sh.applyGroup(reqs, replErrs, startLSN, now)
 		}
-		b := &pipeBatch{flush: flush, reqs: reqs, replErrs: replErrs, startLSN: startLSN, prevLag: prevLag, now: now}
-		if flush != nil {
-			b.endLSN = flush.LastLSN()
+		// Drop the group's references so retained done channels and
+		// event slices can be collected while the loop idles.
+		clear(reqs)
+	}
+	sh.shutdown()
+}
+
+// rollbackGroup handles a failed group commit: NOTHING in the group may
+// be acknowledged or applied. The group's frames are dropped (the WAL
+// truncates any partial bytes and rewinds its LSN), the health counters
+// rewind to the group's start, every waiter is nacked, and the sticky
+// unhealthy state surfaces. Additions/removals are retained for the next
+// group — their index-side effects already happened; events are the
+// clients' to retry.
+func (sh *shard) rollbackGroup(reqs []applyReq, startLSN uint64, prevLag int64, err error) {
+	sh.walFailures.Add(1)
+	msg := err.Error()
+	sh.walErr.Store(&msg)
+	if derr := sh.st.Log.DropBuffered(); derr != nil {
+		// The log could not even restore its tail; give up loudly
+		// rather than risk acknowledging over corruption.
+		panic(fmt.Sprintf("serve: shard WAL unrecoverable after failed commit: %v (commit: %v)", derr, err))
+	}
+	sh.appliedLSN.Store(startLSN - 1)
+	sh.walLag.Store(prevLag)
+	for _, r := range reqs {
+		if r.credited {
+			sh.credits.Add(-1)
 		}
-		pipe = append(pipe, b)
-		if flush == nil {
-			// Nothing was appended (a bare Sync, or a fully-deduped
-			// replication batch): FIFO still holds — everything ahead
-			// lands first, then this acks immediately.
-			drainPipe()
-		} else if sh.snapshotDue() {
-			// Sustained load never leaves the pipeline idle on its own;
-			// force a drain when the snapshot triggers fire so WAL lag
-			// stays bounded under continuous ingestion.
-			drainPipe()
+		if len(r.add) > 0 || len(r.remove) > 0 {
+			sh.pending = append(sh.pending, applyReq{add: r.add, remove: r.remove})
 		}
+		if r.done != nil {
+			r.done <- err
+			close(r.done)
+		}
+	}
+	if sh.cfg.OnRollback != nil {
+		// Frames at/above the group's first LSN that OnWALWrite may have
+		// announced are void; their LSNs may be reused.
+		sh.cfg.OnRollback(sh.id, startLSN)
 	}
 }
 
-// takeReqs returns a recycled request slice for a new batch (the
-// pipelined counterpart of the serial loop's single reqBuf scratch).
-func (sh *shard) takeReqs() []applyReq {
-	if n := len(sh.reqFree); n > 0 {
-		s := sh.reqFree[n-1]
-		sh.reqFree = sh.reqFree[:n-1]
-		return s
+// applyGroup finishes a durably committed group: apply, publish once,
+// release credits, acknowledge — in that order, so the Sync/ack contract
+// (durable AND applied AND published) holds when a done channel closes.
+func (sh *shard) applyGroup(reqs []applyReq, replErrs []error, startLSN uint64, now int64) {
+	sh.walErr.Store(nil)
+	// A bare Sync, or a fully-deduped replication batch, appends nothing.
+	endLSN := sh.st.Log.NextLSN() - 1
+	appended := endLSN >= startLSN
+	if appended {
+		sh.committedLSN.Store(endLSN)
 	}
-	return nil
-}
-
-// releaseReqs recycles a retired batch's request slice, dropping its
-// references so retained done channels and event slices can be
-// collected.
-func (sh *shard) releaseReqs(reqs []applyReq) {
-	if cap(reqs) == 0 || cap(reqs) > 256 || len(sh.reqFree) >= maxPipeline+1 {
-		return
+	// One publish per group, not per request: the group boundary that
+	// amortizes the fsync amortizes the top-list rebuild too.
+	dirty := false
+	for _, r := range reqs {
+		for _, f := range r.repl {
+			// Replicated records apply with the timestamp the leader
+			// logged — identical to recovery replaying the same frame.
+			switch f.rec.kind {
+			case recKindAdd:
+				if sh.liveAdd(f.rec.add) {
+					dirty = true
+				}
+			case recKindEvent:
+				if sh.liveEvent(f.rec.event, f.rec.nanos) {
+					dirty = true
+				}
+			case recKindRemove:
+				if sh.applyRemove(f.rec.remove) {
+					dirty = true
+				}
+			}
+		}
+		for _, a := range r.add {
+			if sh.liveAdd(a) {
+				dirty = true
+			}
+		}
+		for _, id := range r.remove {
+			if sh.applyRemove(id) {
+				dirty = true
+			}
+		}
+		for _, e := range r.events {
+			if sh.liveEvent(e, now) {
+				dirty = true
+			}
+		}
 	}
-	clear(reqs)
-	sh.reqFree = append(sh.reqFree, reqs[:0])
+	if dirty {
+		sh.publish()
+	}
+	for ri := range reqs {
+		r := &reqs[ri]
+		if r.credited {
+			sh.credits.Add(-1)
+		}
+		if r.done == nil {
+			continue
+		}
+		if replErrs != nil && replErrs[ri] != nil {
+			// The valid prefix of the replicated batch committed and
+			// applied; the error tells the session where continuity
+			// broke so it can re-sync from committedLSN+1.
+			r.done <- replErrs[ri]
+		}
+		close(r.done)
+	}
+	if sh.cfg.OnCommit != nil && appended {
+		sh.cfg.OnCommit(sh.id, endLSN)
+	}
+	sh.maybeSnapshot()
 }
 
 // mustBegin and mustEnd bracket one in-place record write

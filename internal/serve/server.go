@@ -77,7 +77,7 @@ type Server struct {
 	start  time.Time
 
 	// limiter is the per-client token-bucket rate limiter, nil when
-	// Config.RateLimitRPS is zero (disabled).
+	// Config.Limits.RateLimitRPS is zero (disabled).
 	limiter *rateLimiter
 
 	scratch sync.Pool // *connScratch
@@ -97,8 +97,8 @@ type Server struct {
 // aliases answering byte-identical bodies plus migration headers.
 func NewServer(c *Corpus) *Server {
 	s := &Server{corpus: c, mux: http.NewServeMux(), start: time.Now()}
-	if c.cfg.RateLimitRPS > 0 {
-		s.limiter = newRateLimiter(c.cfg.RateLimitRPS, c.cfg.RateLimitBurst)
+	if c.cfg.Limits.RateLimitRPS > 0 {
+		s.limiter = newRateLimiter(c.cfg.Limits.RateLimitRPS, c.cfg.Limits.RateLimitBurst)
 	}
 	s.scratch.New = func() any {
 		return &connScratch{in: make([]byte, 0, 1024), out: make([]byte, 0, 4096)}

@@ -98,68 +98,3 @@ func BenchmarkWALAppendRecord(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkWALAppendVectored measures the pipelined commit path the
-// serving layer's apply loops run: up to 4 batches in flight through
-// CommitAsync/Complete, so the flush goroutine coalesces whatever
-// queued behind a slow fsync into one vectored write and one covering
-// sync. Same record shape and batch size as BenchmarkWALAppend — the
-// difference between the two is what pipelining buys.
-func BenchmarkWALAppendVectored(b *testing.B) {
-	const (
-		batch    = 64
-		pipeline = 4
-	)
-	payload := make([]byte, 48)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	l, _, err := Open(b.TempDir(), Options{Fsync: FsyncBatch})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < batch; i++ {
-		if _, err := l.Append(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := l.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	var inflight []*Flush
-	drainTo := func(keep int) {
-		for len(inflight) > keep {
-			if err := l.Complete(inflight[0]); err != nil {
-				b.Fatal(err)
-			}
-			inflight = inflight[1:]
-		}
-	}
-	b.SetBytes(int64(len(payload)))
-	drainOS()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(payload); err != nil {
-			b.Fatal(err)
-		}
-		if (i+1)%batch == 0 {
-			f, err := l.CommitAsync()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if f != nil {
-				inflight = append(inflight, f)
-			}
-			drainTo(pipeline - 1)
-		}
-	}
-	f, err := l.CommitAsync()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if f != nil {
-		inflight = append(inflight, f)
-	}
-	drainTo(0)
-}

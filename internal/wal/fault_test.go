@@ -2,6 +2,8 @@ package wal
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 
@@ -159,130 +161,91 @@ func TestFsyncFailureRetainsBatchUntilRetry(t *testing.T) {
 	}
 }
 
-// TestPipelinedFsyncFailureCascadesAndRestores drives the pipelined
-// commit path into a sync failure with a second batch already
-// dispatched behind the failing one: batch N's fsync fails, so batch
-// N+1 — queued while N was in flight — must fail too (committing it
-// would leave a hole at N's LSNs), and Complete must restore BOTH
-// batches to the append buffer in LSN order so one retry lands
-// everything exactly once.
-func TestPipelinedFsyncFailureCascadesAndRestores(t *testing.T) {
-	inj := &faultfs.Injector{}
-	l, _, err := Open(t.TempDir(), Options{Fsync: FsyncBatch, Inject: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, err := l.Append([]byte("base")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	inj.FailSyncs(1)
-	if _, err := l.Append([]byte("two")); err != nil {
-		t.Fatal(err)
-	}
-	f1, err := l.CommitAsync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append([]byte("three")); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := l.CommitAsync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Outstanding() != 2 {
-		t.Fatalf("outstanding = %d, want 2", l.Outstanding())
-	}
-	// Batch N fails on its injected fsync; batch N+1 fails either with
-	// the same injected error (the flush goroutine coalesced them under
-	// one sync) or with the queued-behind-failure cascade.
-	if err := l.Complete(f1); err == nil {
-		t.Fatal("first pipelined batch committed through a failed fsync")
-	}
-	if err := l.Complete(f2); err == nil {
-		t.Fatal("second pipelined batch committed behind a failed one")
-	}
-	if l.Outstanding() != 0 {
-		t.Fatalf("outstanding after completes = %d, want 0", l.Outstanding())
-	}
-
-	// Both batches restored in order: one retry commits both.
-	if err := l.Commit(); err != nil {
-		t.Fatalf("retry after pipelined failure: %v", err)
-	}
-	got := replayAll(t, l)
-	want := map[uint64]string{1: "base", 2: "two", 3: "three"}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %v, want %v", got, want)
-	}
-	for lsn, payload := range want {
-		if got[lsn] != payload {
-			t.Fatalf("lsn %d = %q, want %q", lsn, got[lsn], payload)
+// TestDirSyncFailureOnFirstCommitPublishesNothing fails the directory
+// sync that makes a new segment's entry durable — after the data write
+// and its fsync both succeeded — on a log's very first commit. Nothing
+// may have been published: a retry must land each record exactly once,
+// and DropBuffered must leave the file at the previous commit boundary
+// (empty) with the LSNs free for reuse.
+func TestDirSyncFailureOnFirstCommitPublishesNothing(t *testing.T) {
+	// The directory sync only fails when the directory cannot be opened,
+	// so the write hook moves it away between the write and the syncs.
+	open := func(t *testing.T) (l *Log, restore func()) {
+		dir := filepath.Join(t.TempDir(), "log")
+		l, _, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		moved := false
+		l.SetOnWrite(func(uint64, []byte) {
+			if !moved {
+				moved = true
+				if err := os.Rename(dir, dir+".away"); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		for _, rec := range []string{"one", "two"} {
+			if _, err := l.Append([]byte(rec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Commit(); err == nil {
+			t.Fatal("commit succeeded although the segment's directory entry could not be synced")
+		}
+		return l, func() {
+			if err := os.Rename(dir+".away", dir); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-}
-
-// TestPipelinedFailureDropBufferedRewindsBoth is the nack side of the
-// same scenario: after both in-flight batches fail, DropBuffered must
-// discard the frames of BOTH and rewind the LSN cursor to the first
-// failed slot, leaving the log clean for replacement records.
-func TestPipelinedFailureDropBufferedRewindsBoth(t *testing.T) {
-	inj := &faultfs.Injector{}
-	l, _, err := Open(t.TempDir(), Options{Fsync: FsyncBatch, Inject: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if _, err := l.Append([]byte("base")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
+	segmentSize := func(t *testing.T, l *Log) int64 {
+		fi, err := os.Stat(l.segments[0].path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
 	}
 
-	inj.FailSyncs(1)
-	if _, err := l.Append([]byte("doomed-a")); err != nil {
-		t.Fatal(err)
-	}
-	f1, err := l.CommitAsync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append([]byte("doomed-b")); err != nil {
-		t.Fatal(err)
-	}
-	f2, err := l.CommitAsync()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Complete(f1); err == nil {
-		t.Fatal("first batch should fail")
-	}
-	if err := l.Complete(f2); err == nil {
-		t.Fatal("second batch should fail")
-	}
-	if err := l.DropBuffered(); err != nil {
-		t.Fatalf("drop buffered: %v", err)
-	}
-	if got := l.NextLSN(); got != 2 {
-		t.Fatalf("next lsn after drop = %d, want 2 (both slots reused)", got)
-	}
+	t.Run("retry", func(t *testing.T) {
+		l, restore := open(t)
+		restore()
+		if err := l.Commit(); err != nil {
+			t.Fatalf("retry: %v", err)
+		}
+		got := replayAll(t, l)
+		if len(got) != 2 || got[1] != "one" || got[2] != "two" {
+			t.Fatalf("replay after retry = %v, want {1:one 2:two}", got)
+		}
+		if size, want := segmentSize(t, l), l.Size(); size != want {
+			t.Fatalf("segment is %d bytes, log accounts for %d", size, want)
+		}
+	})
 
-	if _, err := l.Append([]byte("replacement")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatalf("commit after drop: %v", err)
-	}
-	got := replayAll(t, l)
-	if got[1] != "base" || got[2] != "replacement" || len(got) != 2 {
-		t.Fatalf("replay = %v, want {1:base 2:replacement}", got)
-	}
+	t.Run("drop", func(t *testing.T) {
+		l, restore := open(t)
+		restore()
+		if err := l.DropBuffered(); err != nil {
+			t.Fatalf("drop buffered: %v", err)
+		}
+		if size := segmentSize(t, l); size != 0 {
+			t.Fatalf("segment is %d bytes after drop, want 0 (the previous commit boundary)", size)
+		}
+		if got := l.NextLSN(); got != 1 {
+			t.Fatalf("next lsn after drop = %d, want 1", got)
+		}
+		if _, err := l.Append([]byte("replacement")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(); err != nil {
+			t.Fatalf("commit after drop: %v", err)
+		}
+		got := replayAll(t, l)
+		if len(got) != 1 || got[1] != "replacement" {
+			t.Fatalf("replay after drop = %v, want {1:replacement}", got)
+		}
+	})
 }
 
 func TestDiskFullSurfacesENOSPC(t *testing.T) {

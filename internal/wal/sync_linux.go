@@ -5,7 +5,6 @@ package wal
 import (
 	"os"
 	"syscall"
-	"unsafe"
 )
 
 // fdatasync flushes f's data (and any metadata needed to find it, such as
@@ -19,56 +18,6 @@ func fdatasync(f *os.File) error {
 			return err
 		}
 	}
-}
-
-// iovMax bounds one writev call; IOV_MAX is 1024 on Linux.
-const iovMax = 1024
-
-// writeBufsFile writes every buffer to f in order with as few syscalls as
-// possible: one vectored writev per iovMax buffers, restarting after
-// partial writes. f must be in blocking mode (os.OpenFile on a regular
-// file is).
-func writeBufsFile(f *os.File, bufs [][]byte) error {
-	if len(bufs) == 1 {
-		_, err := f.Write(bufs[0])
-		return err
-	}
-	iovs := make([]syscall.Iovec, 0, len(bufs))
-	for _, b := range bufs {
-		if len(b) == 0 {
-			continue
-		}
-		iov := syscall.Iovec{Base: &b[0]}
-		iov.SetLen(len(b))
-		iovs = append(iovs, iov)
-	}
-	fd := f.Fd()
-	for len(iovs) > 0 {
-		n := len(iovs)
-		if n > iovMax {
-			n = iovMax
-		}
-		r1, _, errno := syscall.Syscall(syscall.SYS_WRITEV, fd, uintptr(unsafe.Pointer(&iovs[0])), uintptr(n))
-		if errno == syscall.EINTR {
-			continue
-		}
-		if errno != 0 {
-			return errno
-		}
-		written := int64(r1)
-		for written > 0 && len(iovs) > 0 {
-			l := int64(iovs[0].Len)
-			if written >= l {
-				written -= l
-				iovs = iovs[1:]
-				continue
-			}
-			iovs[0].Base = (*byte)(unsafe.Add(unsafe.Pointer(iovs[0].Base), written))
-			iovs[0].SetLen(int(l - written))
-			written = 0
-		}
-	}
-	return nil
 }
 
 // drainOS flushes all dirty pages system-wide. Benchmarks call it before

@@ -8,19 +8,6 @@ import "os"
 // not portable.
 func fdatasync(f *os.File) error { return f.Sync() }
 
-// writeBufsFile falls back to one Write per buffer.
-func writeBufsFile(f *os.File, bufs [][]byte) error {
-	for _, b := range bufs {
-		if len(b) == 0 {
-			continue
-		}
-		if _, err := f.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // drainOS is a no-op off Linux; benchmarks there absorb writeback skew.
 func drainOS() {}
 

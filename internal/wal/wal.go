@@ -117,8 +117,8 @@ type Options struct {
 	SegmentBytes int64
 	// ReadOnly opens the log for replay only: a torn tail is noted and
 	// skipped but NOT physically truncated, no file is opened for
-	// appending, and Append/Commit fail. The mode for offline tools
-	// reading a log they do not own.
+	// appending, and Append fails. The mode for offline tools reading a
+	// log they do not own.
 	ReadOnly bool
 	// Inject, when non-nil, routes segment writes and fsyncs through a
 	// fault injector so tests and chaos scenarios can force short
@@ -131,14 +131,14 @@ type Options struct {
 	// still issues one logical sync per group commit; the pool decides
 	// how many device round trips that costs.
 	SyncPool *SyncPool
-	// OnWrite, when non-nil, is called by the flush goroutine after a
-	// batch's frames have been written to the active segment but BEFORE
-	// the covering sync. frames is the raw frame bytes of one dispatched
-	// batch starting at LSN first; the slice is only valid during the
-	// call. Replication uses it to overlap network shipping with the
-	// leader's fsync — receivers must treat the frames as provisional
-	// until the leader advertises durability, because a failed sync
-	// rolls them back and may reuse their LSNs.
+	// OnWrite, when non-nil, is called by Commit after the batch's frames
+	// have been written to the active segment but BEFORE the covering
+	// sync. frames is the raw frame bytes of the batch starting at LSN
+	// first; the slice is only valid during the call. Replication uses
+	// it to overlap network shipping with the leader's fsync — receivers
+	// must treat the frames as provisional until the leader advertises
+	// durability, because a failed sync rolls them back and may reuse
+	// their LSNs.
 	OnWrite func(first uint64, frames []byte)
 }
 
@@ -171,18 +171,11 @@ type RecoverInfo struct {
 
 // Log is an open write-ahead log. Its mutating API is not safe for
 // concurrent use; the serving layer gives each shard its own Log owned
-// by the shard's single apply goroutine. Reader, FirstLSN, Size and
-// Stats may be called from other goroutines: replication ships committed
+// by the shard's single apply goroutine, and every call — Commit's write
+// and sync included — runs on that goroutine. Reader, FirstLSN and Stats
+// may be called from other goroutines: replication ships committed
 // frames and health endpoints read counters while the apply loop keeps
 // committing, so the metadata those read is guarded by segMu or atomics.
-//
-// Internally commits are executed by a flush goroutine (started lazily
-// at the first commit): CommitAsync hands the append buffer over and
-// installs a fresh one — double buffering — so the appender can keep
-// accumulating batch N+1 while batch N is in fdatasync. Fields below the
-// ownership comment belong to the flush goroutine whenever a dispatched
-// flush is outstanding and to the appender otherwise; the handoff points
-// (flushC send, Flush.done close) establish the happens-before edges.
 type Log struct {
 	dir  string
 	opts Options
@@ -194,50 +187,29 @@ type Log struct {
 	// on an empty log, the LSN the next record will get). Guarded by
 	// segMu so FirstLSN never touches nextLSN cross-goroutine.
 	firstRetained uint64
-	buf           []byte // frames appended since the last dispatch
+	buf           []byte // frames appended since the last successful Commit
 	bufFirst      uint64 // LSN of the first buffered frame
 	// pendingStart is the buffer offset of an open BeginRecord frame
 	// (meaningful only between BeginRecord and EndRecord).
 	pendingStart int
 	nextLSN      uint64
-	// restoreOff is where in buf the next failed flush's frames are
-	// re-inserted by Complete, so a cascade of failed batches restores
-	// in LSN order ahead of anything appended since.
-	restoreOff int
-	// outstanding is the FIFO of dispatched, not-yet-Completed flushes;
-	// Complete must be called in this order.
-	outstanding []*Flush
-	spare       []byte // recycled append buffer for double buffering
-	flushC      chan *Flush
-	workerDone  chan struct{}
-	size        atomic.Int64 // bytes across all segments, excluding buffered frames
+	size         atomic.Int64 // bytes across all segments, excluding buffered frames
 
-	// Owned by the flush goroutine while a flush is outstanding, by the
-	// appender otherwise.
 	active  *os.File
-	dirSync bool // directory fsync needed after the next rotation
-	// dirty means a failed flush may have left bytes in the active
+	dirSync bool // the active segment's directory entry is not durable yet
+	// dirty means a failed Commit may have left bytes in the active
 	// segment beyond the last durable frame (a partial write, or a full
 	// write whose fsync failed and whose pages the kernel may since have
-	// dropped). The next flush or DropBuffered truncates back to the
+	// dropped). The next Commit or DropBuffered truncates back to the
 	// last known-good size before touching the file again.
 	dirty bool
-	// failed/failedAt/failErr implement the failure cascade: once a
-	// group fails, later flushes that were already queued carry LSNs
-	// after the hole and must fail too (writing them would gap the log).
-	// A flush whose first LSN is back at or before failedAt proves the
-	// appender has restored or dropped the failed frames, and clears the
-	// cascade.
-	failed   bool
-	failedAt uint64
-	failErr  error
 
 	stats logStats
 }
 
-// logStats accumulates group-commit telemetry. The flush goroutine
-// writes, health endpoints read; everything behind one small mutex since
-// a commit already costs an fsync.
+// logStats accumulates group-commit telemetry. The appender writes,
+// health endpoints read; everything behind one small mutex since a
+// commit already costs an fsync.
 type logStats struct {
 	mu      sync.Mutex
 	commits uint64 // successful group commits (syncs when fsync is on)
@@ -250,7 +222,7 @@ type logStats struct {
 
 type commitSample struct {
 	records int32
-	nanos   int64 // dispatch-to-durable latency of the oldest batch in the group
+	nanos   int64 // Commit-call-to-durable latency
 	at      int64 // wall clock (UnixNano) when the commit became durable
 }
 
@@ -265,7 +237,7 @@ type LogStats struct {
 	// sync covers, over a recent window — the group-commit batch size.
 	MeanBatchRecords float64
 	P99BatchRecords  int
-	// MeanCommitNanos and P99CommitNanos are dispatch-to-durable commit
+	// MeanCommitNanos and P99CommitNanos are Commit-call-to-durable
 	// latencies over the same window.
 	MeanCommitNanos int64
 	P99CommitNanos  int64
@@ -569,182 +541,29 @@ func (l *Log) EndRecord(buf []byte) (uint64, error) {
 	return lsn, nil
 }
 
-// Flush is the handle of one dispatched group-commit batch. The
-// appender obtains it from CommitAsync, may select on Done to learn when
-// the batch has been flushed, and MUST eventually call Complete exactly
-// once — in dispatch order — to collect the result and return buffer
-// ownership to the log.
-type Flush struct {
-	done    chan struct{}
-	err     error
-	first   uint64 // LSN of the first frame in the batch
-	last    uint64
-	buf     []byte // the batch's frames; flush-goroutine-owned until done
-	restore bool   // Complete must re-buffer the frames (failed batch)
-	start   time.Time
-}
-
-// Done is closed when the batch has been flushed (successfully or not).
-// Complete reports the outcome.
-func (f *Flush) Done() <-chan struct{} { return f.done }
-
-// FirstLSN returns the LSN of the first record in the batch.
-func (f *Flush) FirstLSN() uint64 { return f.first }
-
-// LastLSN returns the LSN of the last record in the batch.
-func (f *Flush) LastLSN() uint64 { return f.last }
-
 // Commit writes every record appended since the last Commit and makes
-// the batch durable per the fsync mode — the group-commit boundary.
+// the batch durable per the fsync mode — the group-commit boundary. It
+// runs on the caller's goroutine: write, OnWrite, sync, then publish.
 //
 // Commit is transactional about the log's own state: nothing (segment
 // bounds, sizes, the append buffer) is updated until the batch has been
-// fully written AND synced. On failure the buffered frames are retained
-// and the log stays usable — the caller can retry Commit (which first
-// truncates away any partial bytes the failed attempt left behind) or
-// call DropBuffered to nack the batch. A failed fsync is treated like a
-// failed write: the kernel may drop the dirty pages after reporting the
-// error, so a bare re-fsync could silently "succeed" over lost data —
-// the retry rewrites the batch from the beginning instead.
+// fully written AND synced — and, for the first batch of a new segment,
+// until the segment's directory entry is durable too. On failure the
+// buffered frames are retained and the log stays usable — the caller can
+// retry Commit (which first truncates away any partial bytes the failed
+// attempt left behind) or call DropBuffered to nack the batch. A failed
+// fsync is treated like a failed write: the kernel may drop the dirty
+// pages after reporting the error, so a bare re-fsync could silently
+// "succeed" over lost data — the retry rewrites the batch from the
+// beginning instead.
 func (l *Log) Commit() error {
-	f, err := l.CommitAsync()
-	if err != nil {
-		return err
-	}
-	return l.Complete(f)
-}
-
-// CommitAsync dispatches every record appended since the last dispatch
-// to the flush goroutine as one batch and returns immediately with the
-// batch's handle (nil when nothing is buffered — Complete accepts nil).
-// The appender may keep appending the next batch while this one flushes:
-// that is the pipelined group commit. Acks and state publication must
-// wait for Complete, which is where durability is decided.
-//
-// Multiple batches may be in flight; the flush goroutine coalesces
-// whatever has queued behind a slow fsync into one vectored write and
-// one covering sync, so pipelining deepens group commit instead of
-// multiplying fsyncs. Complete must be called in dispatch order.
-func (l *Log) CommitAsync() (*Flush, error) {
-	if l.opts.ReadOnly {
-		return nil, fmt.Errorf("wal: log opened read-only")
-	}
 	if len(l.buf) == 0 {
-		return nil, nil
-	}
-	f := &Flush{
-		done:  make(chan struct{}),
-		first: l.bufFirst,
-		last:  l.nextLSN - 1,
-		buf:   l.buf,
-		start: time.Now(),
-	}
-	l.buf = l.spare[:0]
-	l.spare = nil
-	l.bufFirst = l.nextLSN
-	l.restoreOff = 0
-	l.outstanding = append(l.outstanding, f)
-	if l.flushC == nil {
-		l.flushC = make(chan *Flush, 64)
-		l.workerDone = make(chan struct{})
-		go l.flushLoop()
-	}
-	l.flushC <- f
-	return f, nil
-}
-
-// Complete collects the result of a dispatched batch, blocking until its
-// flush has finished. On success the batch's records are durable. On
-// failure the batch's frames are re-inserted into the append buffer —
-// in LSN order, ahead of anything appended since — so the caller can
-// retry Commit (rewriting every failed batch) or DropBuffered to nack
-// them all; this mirrors the single-batch retry contract.
-func (l *Log) Complete(f *Flush) error {
-	if f == nil {
+		// Also every Commit on a read-only log: Append refuses there, so
+		// nothing is ever buffered.
 		return nil
 	}
-	if len(l.outstanding) == 0 || l.outstanding[0] != f {
-		panic("wal: Complete called out of dispatch order")
-	}
-	l.outstanding = l.outstanding[:copy(l.outstanding, l.outstanding[1:])]
-	<-f.done
-	if f.err != nil {
-		if f.restore {
-			l.buf = slices.Insert(l.buf, l.restoreOff, f.buf...)
-			if l.restoreOff == 0 {
-				l.bufFirst = f.first
-			}
-			l.restoreOff += len(f.buf)
-		}
-		f.buf = nil
-		return f.err
-	}
-	if l.spare == nil && cap(f.buf) <= maxSpareBuf {
-		l.spare = f.buf[:0]
-	}
-	f.buf = nil
-	return nil
-}
-
-// maxSpareBuf caps the recycled append buffer so one oversized batch
-// does not pin memory forever.
-const maxSpareBuf = 1 << 20
-
-// Outstanding reports how many dispatched batches have not been
-// Completed yet.
-func (l *Log) Outstanding() int { return len(l.outstanding) }
-
-// flushLoop is the flush goroutine: it drains whatever batches have
-// queued into one group, writes them with a single vectored write, syncs
-// once, and publishes the results. It exits when flushC closes.
-func (l *Log) flushLoop() {
-	defer close(l.workerDone)
-	for f := range l.flushC {
-		group := []*Flush{f}
-	drain:
-		for {
-			select {
-			case g, ok := <-l.flushC:
-				if !ok {
-					break drain
-				}
-				group = append(group, g)
-			default:
-				break drain
-			}
-		}
-		l.flushGroup(group)
-	}
-}
-
-// flushGroup executes one coalesced group of batches and resolves their
-// handles. A failed group arms the cascade: batches already queued
-// behind it carry LSNs after the hole and fail without touching the
-// file, until the appender (who learns of the failure via Complete)
-// redispatches from the failed position.
-func (l *Log) flushGroup(group []*Flush) {
-	var err error
-	if l.failed && group[0].first > l.failedAt {
-		err = fmt.Errorf("wal: commit queued behind failed batch at lsn %d: %w", l.failedAt, l.failErr)
-	} else {
-		l.failed = false
-		err = l.doFlush(group)
-		if err != nil {
-			l.failed = true
-			l.failedAt = group[0].first
-			l.failErr = err
-		}
-	}
-	for _, f := range group {
-		f.err = err
-		f.restore = err != nil
-		close(f.done)
-	}
-}
-
-// doFlush writes and syncs one group. Runs on the flush goroutine.
-func (l *Log) doFlush(group []*Flush) error {
-	if err := l.ensureActive(group[0].first); err != nil {
+	start := time.Now()
+	if err := l.ensureActive(l.bufFirst); err != nil {
 		return err
 	}
 	if l.dirty {
@@ -752,51 +571,46 @@ func (l *Log) doFlush(group []*Flush) error {
 			return err
 		}
 	}
-	bufs := make([][]byte, len(group))
-	total := 0
-	records := 0
-	for i, f := range group {
-		bufs[i] = f.buf
-		total += len(f.buf)
-		records += int(f.last - f.first + 1)
-	}
-	if err := l.write(bufs); err != nil {
-		l.dirty = true
+	// Anything past this point may leave bytes in the segment that the
+	// published bounds do not cover.
+	l.dirty = true
+	if err := l.write(l.buf); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	if fn := l.opts.OnWrite; fn != nil {
 		// Ship before the sync: receivers treat these frames as
 		// provisional until durability is advertised, so overlapping the
 		// network hop with the fsync below is safe.
-		for _, f := range group {
-			fn(f.first, f.buf)
-		}
+		fn(l.bufFirst, l.buf)
 	}
 	if l.opts.Fsync != FsyncNone {
 		if err := l.sync(); err != nil {
-			l.dirty = true
 			return fmt.Errorf("wal: %w", err)
 		}
 		l.stats.noteSync()
 	}
-	l.segMu.Lock()
-	seg := &l.segments[len(l.segments)-1]
-	seg.size += int64(total)
-	seg.last = group[len(group)-1].last
-	segSize := seg.size
-	l.segMu.Unlock()
-	l.size.Add(int64(total))
-	l.stats.note(records, time.Since(group[0].start).Nanoseconds())
 	if l.dirSync {
 		if err := SyncDir(l.dir); err != nil {
 			return err
 		}
 		l.dirSync = false
 	}
-	if segSize >= l.opts.SegmentBytes {
-		if err := l.active.Close(); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
+	l.dirty = false
+	n := int64(len(l.buf))
+	last := l.nextLSN - 1
+	l.segMu.Lock()
+	seg := &l.segments[len(l.segments)-1]
+	seg.size += n
+	seg.last = last
+	full := seg.size >= l.opts.SegmentBytes
+	l.segMu.Unlock()
+	l.size.Add(n)
+	l.stats.note(int(last-l.bufFirst+1), time.Since(start).Nanoseconds())
+	l.buf = l.buf[:0]
+	if full {
+		// Rotate: the next Commit opens a fresh segment. The batch is
+		// already durable, so a close error cannot take it back.
+		_ = l.active.Close()
 		l.active = nil
 	}
 	return nil
@@ -806,18 +620,12 @@ func (l *Log) doFlush(group []*Flush) error {
 // Commit, rewinding the next LSN to reuse their slots, and truncates
 // away any partial bytes a failed Commit left in the active segment.
 // The nack path: after a Commit error the caller either retries Commit
-// or calls this to give up on the batch. Dispatched batches must be
-// Completed first — their frames are either durable or restored into
-// the buffer this call drops.
+// or calls this to give up on the batch.
 func (l *Log) DropBuffered() error {
-	if len(l.outstanding) > 0 {
-		panic("wal: DropBuffered with dispatched batches outstanding")
-	}
 	if len(l.buf) > 0 {
 		l.nextLSN = l.bufFirst
 		l.buf = l.buf[:0]
 	}
-	l.restoreOff = 0
 	if l.dirty {
 		return l.rollback()
 	}
@@ -839,20 +647,15 @@ func (l *Log) rollback() error {
 	return nil
 }
 
-// write appends every buffer to the active segment in order — one
-// vectored writev when no injector is configured, one injected Write per
-// buffer otherwise (the injector's torn-write and disk-full plans are
-// per-call, and fault tests inject against single-batch commits).
-func (l *Log) write(bufs [][]byte) error {
+// write appends the batch to the active segment with one Write call,
+// through the injector when one is configured.
+func (l *Log) write(p []byte) error {
 	if in := l.opts.Inject; in != nil {
-		for _, b := range bufs {
-			if _, err := in.Write(l.active, b); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, err := in.Write(l.active, p)
+		return err
 	}
-	return writeBufsFile(l.active, bufs)
+	_, err := l.active.Write(p)
+	return err
 }
 
 // sync makes the active segment's written frames durable: through the
@@ -893,19 +696,17 @@ func (l *Log) ensureActive(first uint64) error {
 	// zero), so commits append into preallocated blocks instead of taking
 	// block-allocation stalls on the fsync path. Best-effort.
 	preallocate(f, l.opts.SegmentBytes)
-	// Make the new directory entry durable with the first commit that
-	// lands in it.
+	// The first commit that lands in the segment makes its directory
+	// entry durable before publishing anything.
 	l.dirSync = true
 	return nil
 }
 
-// SetOnWrite installs (or replaces) the Options.OnWrite hook. It may
-// only be called before the log's first commit is dispatched — the
-// owner wires per-shard hooks up after Open, before serving starts.
+// SetOnWrite installs (or replaces) the Options.OnWrite hook. Like the
+// rest of the mutating API it belongs to the appender: the owner wires
+// per-shard hooks up after Open, before the goroutine that commits
+// starts.
 func (l *Log) SetOnWrite(fn func(first uint64, frames []byte)) {
-	if l.flushC != nil {
-		panic("wal: SetOnWrite after commits began")
-	}
 	l.opts.OnWrite = fn
 }
 
@@ -923,9 +724,8 @@ func (l *Log) FirstLSN() uint64 {
 	return l.firstRetained
 }
 
-// Size returns the total bytes across all retained segments, including
-// the appender's buffered-but-undispatched frames. Callers other than
-// the appender see the committed size only.
+// Size returns the total bytes across all retained segments plus the
+// frames buffered for the next Commit. Appender-only, like the buffer.
 func (l *Log) Size() int64 { return l.size.Load() + int64(len(l.buf)) }
 
 // ResetTo discards every retained segment and repositions the log so
@@ -937,9 +737,6 @@ func (l *Log) Size() int64 { return l.size.Load() + int64(len(l.buf)) }
 func (l *Log) ResetTo(lsn uint64) error {
 	if l.opts.ReadOnly {
 		return fmt.Errorf("wal: log opened read-only")
-	}
-	if len(l.outstanding) > 0 {
-		panic("wal: ResetTo with dispatched batches outstanding")
 	}
 	if l.active != nil {
 		if err := l.active.Close(); err != nil {
@@ -957,7 +754,6 @@ func (l *Log) ResetTo(lsn uint64) error {
 	l.firstRetained = lsn
 	l.segMu.Unlock()
 	l.buf = l.buf[:0]
-	l.restoreOff = 0
 	l.size.Store(0)
 	l.dirty = false
 	l.nextLSN = lsn
@@ -1107,23 +903,9 @@ func (r *Reader) Next() (lsn uint64, payload []byte, ok bool, err error) {
 	}
 }
 
-// Close completes any dispatched batches, commits buffered records,
-// stops the flush goroutine and closes the active segment.
+// Close commits buffered records and closes the active segment.
 func (l *Log) Close() error {
-	var err error
-	for len(l.outstanding) > 0 {
-		if cerr := l.Complete(l.outstanding[0]); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	if cerr := l.Commit(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if l.flushC != nil {
-		close(l.flushC)
-		<-l.workerDone
-		l.flushC = nil
-	}
+	err := l.Commit()
 	if l.active != nil {
 		if cerr := l.active.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("wal: %w", cerr)

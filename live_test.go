@@ -77,7 +77,7 @@ func TestLiveRejectsBadPolicy(t *testing.T) {
 // popularity, awareness and telemetry intact, reporting the recovery.
 func TestLiveDurableRestart(t *testing.T) {
 	dir := t.TempDir()
-	opts := shuffledeck.LiveOptions{Shards: 2, Seed: 5, DataDir: dir}
+	opts := shuffledeck.LiveOptions{Shards: 2, Seed: 5, Durability: shuffledeck.LiveDurability{DataDir: dir}}
 	live, err := shuffledeck.NewLive(opts)
 	if err != nil {
 		t.Fatal(err)

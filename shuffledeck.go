@@ -27,7 +27,6 @@ package shuffledeck
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/analytic"
 	"repro/internal/community"
@@ -374,8 +373,7 @@ type LiveDurability = serve.Durability
 // LiveOptions sizes a Live corpus. The zero value of every field selects
 // a default (4 shards, top-128 snapshots, the recommended policy).
 // Admission and persistence knobs live in the Limits and Durability
-// groups; the flat fields below them remain as deprecated passthroughs
-// for one release (a set grouped field wins over its flat twin).
+// groups.
 type LiveOptions struct {
 	// Shards is the number of popularity shards pages hash into.
 	Shards int
@@ -394,35 +392,9 @@ type LiveOptions struct {
 	Seed uint64
 
 	// Limits groups the admission-control knobs; Durability groups the
-	// persistence knobs. Prefer these over the flat twins below.
+	// persistence knobs.
 	Limits     LiveLimits
 	Durability LiveDurability
-
-	// DataDir enables durability: every shard mutation is written to a
-	// per-shard write-ahead log before it applies, periodic snapshots
-	// bound recovery time, and NewLive recovers the previous state from
-	// the directory at boot. Empty keeps the corpus in-memory only.
-	//
-	// Deprecated: set Durability.DataDir instead.
-	DataDir string
-	// SnapshotInterval is the per-shard snapshot cadence (0 = 30s
-	// default, negative disables periodic snapshots; Close always writes
-	// a final one). Ignored without DataDir.
-	//
-	// Deprecated: set Durability.SnapshotInterval instead.
-	SnapshotInterval time.Duration
-	// FsyncMode selects WAL durability: "batch" (default; one fsync per
-	// group-committed feedback batch), "always" or "none". Ignored
-	// without DataDir.
-	//
-	// Deprecated: set Durability.FsyncMode instead.
-	FsyncMode string
-	// KeepLog retains the full WAL history behind snapshots, enabling
-	// offline counterfactual replay over the complete event stream.
-	// Ignored without DataDir.
-	//
-	// Deprecated: set Durability.KeepLog instead.
-	KeepLog bool
 }
 
 // LiveArm declares one experiment arm of a Live corpus.
@@ -464,21 +436,15 @@ type Live struct {
 // NewLive builds an empty live corpus and starts its shard apply loops.
 // Close it when done.
 func NewLive(opts LiveOptions) (*Live, error) {
-	// Grouped and flat fields are both passed through; serve.Config
-	// normalizes them (grouped wins) with the same deprecation contract.
 	c, err := serve.NewCorpus(serve.Config{
-		Shards:           opts.Shards,
-		TopK:             opts.TopK,
-		PoolCap:          opts.PoolCap,
-		Policy:           opts.Policy,
-		Arms:             opts.Arms,
-		Seed:             opts.Seed,
-		Limits:           opts.Limits,
-		Durability:       opts.Durability,
-		DataDir:          opts.DataDir,
-		SnapshotInterval: opts.SnapshotInterval,
-		FsyncMode:        opts.FsyncMode,
-		KeepLog:          opts.KeepLog,
+		Shards:     opts.Shards,
+		TopK:       opts.TopK,
+		PoolCap:    opts.PoolCap,
+		Policy:     opts.Policy,
+		Arms:       opts.Arms,
+		Seed:       opts.Seed,
+		Limits:     opts.Limits,
+		Durability: opts.Durability,
 	})
 	if err != nil {
 		return nil, err
