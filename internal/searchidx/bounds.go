@@ -9,24 +9,25 @@
 // bound, once correct, can only be invalidated by a popularity INCREASE —
 // and the writer that applies the increase raises the covering bounds
 // with a lock-free atomic max (RaiseBound). Bounds are recomputed exactly
-// — tightened — whenever a posting list is rebuilt anyway: on
-// mid-list inserts, on deletes, and when the delta overlay folds into the
-// base map.
+// — tightened — whenever a posting list is rebuilt anyway: on mid-list
+// inserts and on deletes. Nothing else needs to tighten them: with
+// monotone popularity every raise is to a value some document in the
+// block really has.
 //
 // Soundness contract. A raise is issued AFTER the new popularity value is
 // visible to the index's popularity source (Index.SetPopFunc), and
 // RaiseBound serializes with mutations on ix.mu while every rebuild
-// publishes its snapshot before releasing the mutex; together these
-// guarantee that once RaiseBound returns, the current snapshot's bound
-// covers the new value permanently. In the nanosecond window between the
-// popularity store and the raise a concurrent pruned reader may still
-// skip the block — it then serves results as if the click had not yet
-// been applied, the same bounded staleness an epoch-swapped snapshot
-// already exhibits. A skipped block never hides a document at its OLD
-// popularity: bounds are upper bounds of the pre-raise values, and rank
-// ties break toward smaller (earlier) document ids, so a block whose
-// bound cannot beat the current heap minimum contains nothing the full
-// scan would have kept (see Snapshot.RetrievePruned).
+// stores its cells before releasing the mutex; together these guarantee
+// that once RaiseBound returns, the live list's bound covers the new
+// value permanently. In the nanosecond window between the popularity
+// store and the raise a concurrent pruned reader may still skip the
+// block — it then serves results as if the click had not yet been
+// applied, the same bounded staleness a reader that loaded the list a
+// moment earlier exhibits. A skipped block never hides a document at its
+// OLD popularity: bounds are upper bounds of the pre-raise values, and
+// rank ties break toward smaller (earlier) document ids, so a block
+// whose bound cannot beat the current heap minimum contains nothing the
+// full scan would have kept (see Snapshot.RetrievePruned).
 package searchidx
 
 import (
@@ -41,11 +42,10 @@ import (
 const BlockStride = 128
 
 // posting is one term's posting list: the sorted document ids plus the
-// per-block popularity upper bounds. An empty (non-nil) ids slice in a
-// delta overlay is a tombstone hiding the base list; every posting with
-// len(ids) > 0 has non-nil bounds. The bounds array is shared by every
-// snapshot whose ids share a backing array, so an atomic raise is
-// visible to all of them at once.
+// per-block popularity upper bounds. Every header stored in a term cell
+// has len(ids) > 0 and non-nil bounds. The bounds array is shared by
+// every header whose ids share a backing array, so an atomic raise is
+// visible to readers of all of them at once.
 type posting struct {
 	ids []uint32
 	b   *blockBounds
@@ -74,8 +74,8 @@ func newBlockBounds(capEntries int) *blockBounds {
 
 // grow returns bounds covering at least capEntries posting slots,
 // carrying the current values over. The receiver is left untouched:
-// snapshots already holding it keep raising and reading it; only
-// postings published after the grow reference the copy.
+// readers already holding it keep reading it; only headers stored after
+// the grow reference the copy.
 func (b *blockBounds) grow(capEntries int) *blockBounds {
 	nb := newBlockBounds(capEntries)
 	for i := range b.max {
@@ -130,10 +130,10 @@ func (ix *Index) computeBounds(ids []uint32) *blockBounds {
 
 // insertPosting returns p with id inserted in sorted position and the
 // covering block bound raised to the document's current popularity. The
-// common append-at-end case reuses spare ids capacity (published
-// snapshots only ever cover the prefix that existed when they were
-// taken) and keeps the shared bounds array, growing it — copy-on-grow,
-// old snapshots keep theirs — only when a new block opens past its
+// common append-at-end case reuses spare ids capacity (a published
+// header only ever covers the prefix that existed when it was stored)
+// and keeps the shared bounds array, growing it — copy-on-grow, readers
+// of older headers keep theirs — only when a new block opens past its
 // capacity. Mid-list inserts rebuild ids and recompute bounds exactly.
 // Callers hold ix.mu.
 func (ix *Index) insertPosting(p posting, id uint32) posting {
@@ -145,9 +145,9 @@ func (ix *Index) insertPosting(p posting, id uint32) posting {
 		ids := append(p.ids, id)
 		b := p.b
 		if b == nil {
-			// Fresh or previously tombstoned term: exact from scratch. No
-			// rebuild marker — no document carried this term, so no cached
-			// bound reference can point into the new list.
+			// Fresh term: exact from scratch. No rebuild marker — no
+			// document carried this term, so no cached bound reference can
+			// point into the new list.
 			return posting{ids: ids, b: ix.computeBounds(ids)}
 		}
 		if nb := nblocks(len(ids)); nb > len(b.max) {
@@ -166,10 +166,10 @@ func (ix *Index) insertPosting(p posting, id uint32) posting {
 }
 
 // SetPopFunc installs the popularity source consulted when block bounds
-// are computed exactly (inserts, deletes, delta folds). The serving
-// layer points this at its dense page-stat table so the index never
-// duplicates scores. Must be installed before the first Add; documents
-// indexed earlier keep bounds computed from the internal score map.
+// are computed exactly (inserts, deletes). The serving layer points this
+// at its dense page-stat table so the index never duplicates scores.
+// Must be installed before the first Add; documents indexed earlier keep
+// bounds computed from the internal score map.
 func (ix *Index) SetPopFunc(f func(id uint32) float64) {
 	ix.mu.Lock()
 	ix.popOf = f
@@ -179,7 +179,7 @@ func (ix *Index) SetPopFunc(f func(id uint32) float64) {
 // beginRebuild makes rebuildSeq odd: a mutation is about to replace
 // posting arrays or bounds, so lock-free cached raises must stand down
 // until it publishes. Idempotent within one mutation. Callers hold
-// ix.mu; endRebuild closes the window after the snapshot is published.
+// ix.mu; endRebuild closes the window after the cells are stored.
 //
 // The ordering argument for why a successful RaiseCached can never be
 // lost to a concurrent rebuild: the raiser stores the new popularity,
@@ -235,40 +235,18 @@ func (ix *Index) RaiseCached(refs []BoundRef, e uint64, pop float64) bool {
 // frames before indexing); callers must not cache that outcome, since
 // appends do not advance the seqlock.
 func (ix *Index) ResolveRaise(id int, pop float64, refs []BoundRef) (_ []BoundRef, epoch uint64, ok bool) {
-	refs = refs[:0]
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	doc, found := ix.docs[id]
 	if !found {
-		return refs, 0, false
+		return refs[:0], 0, false
 	}
-	s := ix.snap.Load()
-	qs := queryScratchPool.Get().(*queryScratch)
-	terms := appendTokens(qs.terms[:0], doc.Text)
-	qs.terms = terms
-	for ti, t := range terms {
-		if containsTerm(terms[:ti], t) {
-			continue
-		}
-		p := s.postings(t)
-		if p.b == nil {
-			continue
-		}
-		pos := searchU32(p.ids, uint32(id))
-		if pos == len(p.ids) || p.ids[pos] != uint32(id) {
-			continue
-		}
-		bi := pos / BlockStride
-		p.b.raise(bi, pop)
-		refs = append(refs, BoundRef{b: p.b, bi: bi})
-	}
-	qs.release()
-	return refs, ix.rebuildSeq.Load(), true
+	return ix.raiseLocked(doc.text, uint32(id), pop, refs[:0]), ix.rebuildSeq.Load(), true
 }
 
 // RaiseBound lifts the posting-block upper bounds covering the document
-// to at least pop, in every term of the document, in the current
-// snapshot (shared bounds arrays propagate the raise to older snapshots
+// to at least pop, in every term of the document, in the live lists
+// (shared bounds arrays propagate the raise to readers of older headers
 // of the same lists). Call it AFTER the new popularity is visible to
 // the installed popularity source — see the package soundness contract
 // at the top of this file. Unknown documents and non-positive pops are
@@ -285,23 +263,23 @@ func (ix *Index) RaiseBound(id int, pop float64) {
 	if !ok {
 		return
 	}
-	ix.raiseLocked(doc, uint32(id), pop)
+	ix.raiseLocked(doc.text, uint32(id), pop, nil)
 }
 
-// raiseLocked raises the bounds of every term of doc. Callers hold
+// raiseLocked raises the bounds covering document id in every term of
+// its text and appends a ref to each raised bound to refs. Callers hold
 // ix.mu — serializing raises with posting rebuilds is what makes a
 // completed raise permanent (the rebuild either read the new popularity
-// or published before the raise loaded the snapshot).
-func (ix *Index) raiseLocked(doc Document, id uint32, pop float64) {
-	s := ix.snap.Load()
+// or stored its cells before the raise loaded them).
+func (ix *Index) raiseLocked(text string, id uint32, pop float64, refs []BoundRef) []BoundRef {
 	qs := queryScratchPool.Get().(*queryScratch)
-	terms := appendTokens(qs.terms[:0], doc.Text)
+	terms := appendTokens(qs.terms[:0], text)
 	qs.terms = terms
 	for ti, t := range terms {
 		if containsTerm(terms[:ti], t) {
 			continue
 		}
-		p := s.postings(t)
+		p := ix.postings(t)
 		if p.b == nil {
 			continue
 		}
@@ -309,7 +287,10 @@ func (ix *Index) raiseLocked(doc Document, id uint32, pop float64) {
 		if pos == len(p.ids) || p.ids[pos] != id {
 			continue
 		}
-		p.b.raise(pos/BlockStride, pop)
+		bi := pos / BlockStride
+		p.b.raise(bi, pop)
+		refs = append(refs, BoundRef{b: p.b, bi: bi})
 	}
 	qs.release()
+	return refs
 }

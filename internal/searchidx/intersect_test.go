@@ -2,7 +2,9 @@ package searchidx
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/randutil"
@@ -157,12 +159,14 @@ func TestGallopGalloping(t *testing.T) {
 	}
 }
 
-// TestConcurrentRetrieveDuringMutation hammers lock-free Retrieve from
+// TestConcurrentRetrieveDuringMutation hammers lock-free retrieval from
 // several goroutines while a writer continuously deletes and re-adds
-// documents, republishing snapshots. Run under -race this exercises the
-// epoch swap, the delta overlay and the shared posting arrays; the
-// assertions check every retrieval is a well-formed sorted id set drawn
-// from the known universe.
+// documents and adds new ones. Run under -race this exercises the term
+// cells, the epoch and the shared posting arrays; the assertions check
+// every retrieval is a well-formed sorted id set drawn from the known
+// universe, and the freshness rule: a reader that loads the epoch and
+// then the lists sees every document whose Add had returned before the
+// epoch load (the writer stores cells, then the epoch).
 func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 	const (
 		docs    = 300
@@ -178,6 +182,9 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 		if i%3 == 0 {
 			s += " third"
 		}
+		if i >= docs {
+			s += " fresh"
+		}
 		return fmt.Sprintf("%s doc%d", s, i)
 	}
 	for i := 0; i < docs; i++ {
@@ -186,6 +193,9 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 		}
 	}
 
+	// fresh counts the never-deleted documents docs, docs+1, ... whose
+	// Add has returned.
+	var fresh atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -197,10 +207,13 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 				t.Errorf("doc %d missing at delete", id)
 				return
 			}
-			if err := ix.Add(Document{ID: id, Text: text(id)}); err != nil {
-				t.Error(err)
-				return
+			for _, id := range []int{id, docs + r} {
+				if err := ix.Add(Document{ID: id, Text: text(id)}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
+			fresh.Store(int64(r + 1))
 		}
 	}()
 	queries := []string{"alpha shared", "alpha even", "shared third even", "alpha missingterm"}
@@ -209,7 +222,9 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var lastEpoch uint64
+			var buf []uint32
 			for r := 0; r < rounds; r++ {
+				returned := int(fresh.Load())
 				snap := ix.Snapshot()
 				if e := snap.Epoch(); e < lastEpoch {
 					t.Errorf("epoch went backwards: %d then %d", lastEpoch, e)
@@ -217,9 +232,33 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 				} else {
 					lastEpoch = e
 				}
+				// The writer's mutations are numbered: the initial adds,
+				// then three a round, the round's fresh Add last. So the
+				// epoch alone also says which fresh docs must be visible.
+				if floor := uint64(docs + 3*returned); snap.Epoch() < floor {
+					t.Errorf("epoch %d after %d mutations had returned", snap.Epoch(), floor)
+					return
+				}
+				returned = int(snap.Epoch()-docs) / 3
+				buf = snap.RetrieveInto(buf[:0], "fresh alpha doc"+strconv.Itoa(docs+returned-1))
+				if returned > 0 && (len(buf) != 1 || int(buf[0]) != docs+returned-1) {
+					t.Errorf("doc %d was added at or before epoch %d, but its own terms retrieve %v", docs+returned-1, snap.Epoch(), buf)
+					return
+				}
+				buf = snap.RetrieveInto(buf[:0], "fresh shared")
+				if len(buf) < returned {
+					t.Errorf("%d fresh docs were added at or before epoch %d, only %d retrieved", returned, snap.Epoch(), len(buf))
+					return
+				}
+				for i := 0; i < returned; i++ {
+					if int(buf[i]) != docs+i {
+						t.Errorf("fresh doc %d missing from %v", docs+i, buf[:returned])
+						return
+					}
+				}
 				ids := ix.Retrieve(queries[(g+r)%len(queries)])
 				for i, id := range ids {
-					if id < 0 || id >= docs {
+					if id < 0 || id >= docs+rounds {
 						t.Errorf("retrieved unknown doc %d", id)
 						return
 					}
@@ -234,10 +273,10 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 	wg.Wait()
 
 	// Quiescent again: full-universe queries must see every doc.
-	if got := len(ix.Retrieve("alpha shared")); got != docs {
-		t.Fatalf("after churn, alpha shared matched %d docs, want %d", got, docs)
+	if got := len(ix.Retrieve("alpha shared")); got != docs+rounds {
+		t.Fatalf("after churn, alpha shared matched %d docs, want %d", got, docs+rounds)
 	}
-	if ix.Len() != docs {
-		t.Fatalf("Len = %d after churn, want %d", ix.Len(), docs)
+	if ix.Len() != docs+rounds {
+		t.Fatalf("Len = %d after churn, want %d", ix.Len(), docs+rounds)
 	}
 }

@@ -68,9 +68,11 @@ func TestRetrieveEarlyExitAllocs(t *testing.T) {
 	}
 }
 
-// TestSnapshotEpochAndVisibility checks the RCU contract: every mutation
-// publishes exactly one new epoch, and retrieval against an old snapshot
-// keeps seeing the old postings while the index has moved on.
+// TestSnapshotEpochAndVisibility checks the read contract: every mutation
+// advances the epoch by exactly one, a Snapshot is at least as fresh as
+// its epoch (a document is retrievable under every one of its terms once
+// Add has returned), a list a reader already copied out is never written
+// again, and a term whose last document leaves is gone from the table.
 func TestSnapshotEpochAndVisibility(t *testing.T) {
 	ix := NewIndex()
 	e0 := ix.Snapshot().Epoch()
@@ -81,18 +83,27 @@ func TestSnapshotEpochAndVisibility(t *testing.T) {
 	if old.Epoch() != e0+1 {
 		t.Fatalf("epoch after Add = %d, want %d", old.Epoch(), e0+1)
 	}
-	if err := ix.Add(Document{ID: 2, Text: "stable doc"}); err != nil {
+	// dst aliases nothing the index owns: filled before the mutations
+	// below, it must read the same after them. The live list's backing
+	// array (spare capacity included) is kept to check the published
+	// prefix itself is never written either.
+	before := old.RetrieveInto(nil, "stable")
+	if len(before) != 1 || before[0] != 1 {
+		t.Fatalf("snapshot after first Add sees %v, want [1]", before)
+	}
+	held := ix.postings("stable").ids
+	if err := ix.Add(Document{ID: 2, Text: "stable doc fresh"}); err != nil {
 		t.Fatal(err)
 	}
 	cur := ix.Snapshot()
 	if cur.Epoch() != e0+2 {
 		t.Fatalf("epoch after second Add = %d, want %d", cur.Epoch(), e0+2)
 	}
-	if got := old.RetrieveInto(nil, "stable"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("old snapshot sees %v, want [1]", got)
-	}
-	if got := cur.RetrieveInto(nil, "stable"); len(got) != 2 {
-		t.Fatalf("new snapshot sees %v, want two docs", got)
+	for _, term := range []string{"stable", "doc", "fresh", "stable doc fresh"} {
+		got := cur.RetrieveInto(nil, term)
+		if len(got) == 0 || got[len(got)-1] != 2 {
+			t.Fatalf("snapshot taken after Add returned sees %v under %q, want doc 2", got, term)
+		}
 	}
 	if !ix.Delete(1) {
 		t.Fatal("delete failed")
@@ -100,17 +111,53 @@ func TestSnapshotEpochAndVisibility(t *testing.T) {
 	if got := ix.Snapshot().Epoch(); got != e0+3 {
 		t.Fatalf("epoch after Delete = %d, want %d", got, e0+3)
 	}
-	if got := cur.RetrieveInto(nil, "stable"); len(got) != 2 {
-		t.Fatalf("pre-delete snapshot now sees %v, want still two docs", got)
+	if len(before) != 1 || before[0] != 1 || len(held) != 1 || held[0] != 1 {
+		t.Fatalf("lists read before the mutations changed: dst %v, published prefix %v", before, held)
+	}
+	if got := ix.Snapshot().RetrieveInto(nil, "stable"); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("after Delete, stable matches %v, want [2]", got)
+	}
+
+	// Delete everything, re-add, twice over: emptied terms retrieve nil,
+	// leave the table, and come back as fresh cells.
+	liveCells := func() int {
+		n := 0
+		ix.terms.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	for cycle := 0; cycle < 2; cycle++ {
+		if !ix.Delete(2) {
+			t.Fatal("delete failed")
+		}
+		for _, term := range []string{"stable", "doc", "fresh"} {
+			if got := ix.Snapshot().RetrieveInto(nil, term); got != nil {
+				t.Fatalf("emptied term %q retrieves %v, want nil", term, got)
+			}
+			if ix.cell(term) != nil {
+				t.Fatalf("emptied term %q still has a cell", term)
+			}
+		}
+		if ix.Terms() != 0 || liveCells() != 0 {
+			t.Fatalf("after delete-everything: Terms = %d, live cells = %d, want 0", ix.Terms(), liveCells())
+		}
+		if err := ix.Add(Document{ID: 2, Text: "stable doc fresh"}); err != nil {
+			t.Fatal(err)
+		}
+		if ix.Terms() != 3 || liveCells() != 3 {
+			t.Fatalf("after re-add: Terms = %d, live cells = %d, want 3", ix.Terms(), liveCells())
+		}
+	}
+	if got, want := ix.Snapshot().Epoch(), e0+3+4; got != want {
+		t.Fatalf("epoch after the churn cycles = %d, want %d", got, want)
 	}
 }
 
-// TestDeltaFoldKeepsPostings pushes enough distinct terms through the
-// delta overlay to force base folds and checks nothing is lost or
-// resurrected across them.
-func TestDeltaFoldKeepsPostings(t *testing.T) {
+// TestManyTermsKeepPostings pushes several hundred distinct terms through
+// the table, then deletes every seventh document, and checks nothing is
+// lost or resurrected.
+func TestManyTermsKeepPostings(t *testing.T) {
 	ix := NewIndex()
-	n := deltaFoldThreshold*3 + 17
+	n := 256*3 + 17
 	for i := 0; i < n; i++ {
 		if err := ix.Add(Document{ID: i, Text: "common term" + string(rune('a'+i%26)) + " uniq" + strconv.Itoa(i)}); err != nil {
 			t.Fatal(err)

@@ -10,11 +10,14 @@
 // promotion policy applied — the component a real engine would deploy.
 //
 // Concurrency. Mutations (Add, Delete, SetPopularity) are serialized by an
-// internal mutex and publish each change as a new immutable epoch-tagged
-// Snapshot (an RCU swap, the same pattern the serving layer uses for its
-// popularity shards). Retrieval — Retrieve, or Snapshot.RetrieveInto on
-// the hot path — reads the current snapshot with a single atomic load, so
-// concurrent readers never take a lock and never contend with writers.
+// internal mutex. Postings live in one term table owned by the Index —
+// term → cell, each cell an atomically replaced immutable posting header
+// — so a mutation touches only the cells of the document's own terms and
+// nothing is ever cloned or folded. Retrieval — Retrieve, or
+// Snapshot.RetrieveInto on the hot path — takes no lock. The one ordering
+// rule: a writer stores cells, then the epoch; a reader loads the epoch,
+// then cells. A query therefore sees everything up to the epoch it read
+// (and possibly more), each list an immutable sorted prefix.
 package searchidx
 
 import (
@@ -37,17 +40,29 @@ type Document struct {
 	Text string
 }
 
+// docEntry is what the index retains of a document: its text (re-tokenized
+// on delete and on bound raises) and its insertion sequence, for age
+// tie-breaks. One map entry per document: every map the write path must
+// probe is a cache miss or two on a large corpus.
+type docEntry struct {
+	text  string
+	birth int
+}
+
 // Index is an inverted index over documents with per-document popularity
 // scores. All methods are safe for concurrent use; retrieval is lock-free
 // (see the package comment).
 type Index struct {
 	mu     sync.Mutex // serializes mutations and guards the maps below
-	docs   map[int]Document
+	docs   map[int]docEntry
 	pop    map[int]float64 // popularity score per doc
-	birth  map[int]int     // insertion sequence, for age tie-breaks
 	seq    int
 	nterms int
-	snap   atomicSnapshot
+	// terms is the live term table: string → *termCell. Written under mu
+	// (a cell is removed when its last document leaves), read lock-free.
+	terms sync.Map
+	// epoch counts mutations; bumped after the mutation's cells are stored.
+	epoch atomic.Uint64
 	// popOf, when set, is the external popularity source consulted for
 	// exact posting-block bound computation (see bounds.go).
 	popOf func(id uint32) float64
@@ -61,13 +76,10 @@ type Index struct {
 
 // NewIndex creates an empty index.
 func NewIndex() *Index {
-	ix := &Index{
-		docs:  make(map[int]Document),
-		pop:   make(map[int]float64),
-		birth: make(map[int]int),
+	return &Index{
+		docs: make(map[int]docEntry),
+		pop:  make(map[int]float64),
 	}
-	ix.snap.Store(&Snapshot{})
-	return ix
 }
 
 // Tokenize lower-cases and splits text into alphanumeric terms.
@@ -98,13 +110,16 @@ func appendTokens(dst []string, text string) []string {
 }
 
 // Add indexes a document. Re-adding an existing ID is an error: documents
-// are immutable once indexed (delete and re-add to change). The change is
-// visible to retrieval as soon as Add returns (a new snapshot epoch).
+// are immutable once indexed (delete and re-add to change). The document
+// is retrievable under every one of its terms by the time Add returns.
 func (ix *Index) Add(doc Document) error {
 	if doc.ID < 0 || int64(doc.ID) > math.MaxUint32 {
 		return fmt.Errorf("searchidx: document id %d outside uint32 range", doc.ID)
 	}
-	terms := Tokenize(doc.Text)
+	qs := queryScratchPool.Get().(*queryScratch)
+	defer qs.release()
+	terms := appendTokens(qs.terms[:0], doc.Text)
+	qs.terms = terms
 	if len(terms) == 0 {
 		return fmt.Errorf("searchidx: document %d has no indexable terms", doc.ID)
 	}
@@ -113,23 +128,29 @@ func (ix *Index) Add(doc Document) error {
 	if _, ok := ix.docs[doc.ID]; ok {
 		return fmt.Errorf("searchidx: document %d already indexed", doc.ID)
 	}
-	ix.docs[doc.ID] = doc
-	ix.birth[doc.ID] = ix.seq
+	ix.docs[doc.ID] = docEntry{text: doc.Text, birth: ix.seq}
 	ix.seq++
 	id := uint32(doc.ID)
-	cur := ix.snap.Load()
-	delta := cloneDelta(cur.delta, len(terms))
 	for ti, t := range terms {
 		if containsTerm(terms[:ti], t) {
 			continue
 		}
-		p := lookupPostings(cur.base, delta, t)
-		if len(p.ids) == 0 {
+		// One table probe per term: the header is replaced through the
+		// cell. The key of a new cell is a substring of the retained
+		// document text, not a copy.
+		c := ix.cell(t)
+		if c == nil {
+			c = new(termCell)
+			p := ix.insertPosting(posting{}, id)
+			c.Store(&p)
+			ix.terms.Store(t, c)
 			ix.nterms++
+			continue
 		}
-		delta[t] = ix.insertPosting(p, id)
+		p := ix.insertPosting(*c.Load(), id)
+		c.Store(&p)
 	}
-	ix.publish(cur, delta)
+	ix.epoch.Add(1)
 	ix.endRebuild()
 	return nil
 }
@@ -142,28 +163,32 @@ func (ix *Index) Delete(id int) bool {
 	if !ok {
 		return false
 	}
-	terms := Tokenize(doc.Text)
-	cur := ix.snap.Load()
-	delta := cloneDelta(cur.delta, len(terms))
+	qs := queryScratchPool.Get().(*queryScratch)
+	defer qs.release()
+	terms := appendTokens(qs.terms[:0], doc.text)
+	qs.terms = terms
 	// Every touched posting list is rebuilt below: stand cached bound
 	// references down for the duration.
 	ix.beginRebuild()
 	delete(ix.docs, id)
 	delete(ix.pop, id)
-	delete(ix.birth, id)
 	for ti, t := range terms {
 		if containsTerm(terms[:ti], t) {
 			continue
 		}
-		p := lookupPostings(cur.base, delta, t)
-		ids := p.ids
+		c := ix.cell(t)
+		if c == nil {
+			continue
+		}
+		ids := c.Load().ids
 		pos := searchU32(ids, uint32(id))
 		if pos == len(ids) || ids[pos] != uint32(id) {
 			continue
 		}
 		if len(ids) == 1 {
-			// Tombstone: an empty (non-nil) delta entry hides the base list.
-			delta[t] = posting{ids: []uint32{}}
+			// Last document of the term: the cell leaves the table, so the
+			// dictionary does not grow under churn.
+			ix.terms.Delete(t)
 			ix.nterms--
 			continue
 		}
@@ -173,9 +198,9 @@ func (ix *Index) Delete(id int) bool {
 		// Rebuilt list: recompute the block bounds exactly — the deleted
 		// document may have been a block's maximum, and this is the one
 		// moment tightening is free.
-		delta[t] = posting{ids: trimmed, b: ix.computeBounds(trimmed)}
+		c.Store(&posting{ids: trimmed, b: ix.computeBounds(trimmed)})
 	}
-	ix.publish(cur, delta)
+	ix.epoch.Add(1)
 	ix.endRebuild()
 	return true
 }
@@ -226,7 +251,7 @@ func (ix *Index) SetPopularity(id int, score float64) error {
 	// Keep the block bounds sound: raise the covering bounds to the new
 	// score (lowering a score leaves them valid but loose; the next
 	// rebuild tightens them).
-	ix.raiseLocked(doc, uint32(id), score)
+	ix.raiseLocked(doc.text, uint32(id), score, nil)
 	return nil
 }
 
@@ -247,9 +272,8 @@ func (ix *Index) Popularity(id int) float64 {
 // on a per-request hot path should prefer Snapshot().RetrieveInto, which
 // reuses a caller-owned buffer.
 func (ix *Index) Retrieve(query string) []int {
-	s := ix.snap.Load()
 	bufp := idsPool.Get().(*[]uint32)
-	ids := s.RetrieveInto((*bufp)[:0], query)
+	ids := ix.Snapshot().RetrieveInto((*bufp)[:0], query)
 	if len(ids) == 0 {
 		*bufp = ids
 		idsPool.Put(bufp)
@@ -297,7 +321,7 @@ func (ix *Index) Search(query string, policy core.Policy, rng *randutil.RNG) ([]
 		if pa != pb {
 			return pa > pb
 		}
-		ba, bb := ix.birth[ids[a]], ix.birth[ids[b]]
+		ba, bb := ix.docs[ids[a]].birth, ix.docs[ids[b]].birth
 		if ba != bb {
 			return ba < bb
 		}

@@ -1,7 +1,8 @@
-// Snapshot publication and lock-free conjunctive retrieval: the index's
-// postings live in immutable epoch-swapped snapshots, and queries resolve
-// by rarest-first galloping (exponential-search) intersection of compact
-// sorted []uint32 posting arrays, into caller- or pool-owned scratch.
+// The live term table and lock-free conjunctive retrieval: every term
+// owns one cell holding its current immutable posting header, and queries
+// resolve by rarest-first galloping (exponential-search) intersection of
+// compact sorted []uint32 posting arrays, into caller- or pool-owned
+// scratch.
 package searchidx
 
 import (
@@ -11,86 +12,51 @@ import (
 	"unicode"
 )
 
-// atomicSnapshot is the RCU publication point for the index.
-type atomicSnapshot = atomic.Pointer[Snapshot]
+// termCell is one term's slot in the index's table: the current posting
+// header, replaced whole by the (mutex-serialized) writer and loaded
+// once per query by readers. A header is immutable once stored — an
+// append writes only into ids capacity beyond every published length —
+// so a loaded list is a sorted prefix paired with its own bounds.
+type termCell = atomic.Pointer[posting]
 
-// Snapshot is an immutable point-in-time view of the index's postings.
-// Postings are held two-level: a large base map plus a small delta overlay
-// carrying every term touched since the last fold, so each mutation clones
-// only the overlay (O(delta), not O(terms)) and readers pay at most two
-// map probes per term. An empty (non-nil) delta entry is a tombstone
-// hiding a deleted base term.
+// Snapshot is a read handle on the index, at least as fresh as Epoch():
+// every mutation numbered Epoch() or below is visible through it, and a
+// later one may be. The writer stores a mutation's cells first and the
+// epoch last; Index.Snapshot loads the epoch first and each retrieval
+// loads each term's cell once afterwards. A result cached under Epoch()
+// can therefore be newer than its tag but never older. What a Snapshot
+// does not give is point-in-time isolation across terms when it is held
+// over a later mutation.
 type Snapshot struct {
 	epoch uint64
-	base  map[string]posting
-	delta map[string]posting
+	ix    *Index
 }
 
-// deltaFoldThreshold is the overlay size at which a mutation folds the
-// delta into a fresh base map. Small enough that per-mutation clones stay
-// cheap, large enough that the O(terms) fold is rare.
-const deltaFoldThreshold = 256
+// Epoch returns the index epoch loaded when the handle was taken. The
+// epoch increases by exactly one per index mutation, so it keys caches of
+// retrieval results.
+func (s Snapshot) Epoch() uint64 { return s.epoch }
 
-// Epoch returns the snapshot's publication epoch. It increases by exactly
-// one per index mutation, so it keys caches of retrieval results.
-func (s *Snapshot) Epoch() uint64 { return s.epoch }
+// Snapshot returns a read handle tagged with the current epoch: a single
+// atomic load, safe to call concurrently with any mutation.
+func (ix *Index) Snapshot() Snapshot { return Snapshot{epoch: ix.epoch.Load(), ix: ix} }
 
-// postings returns the term's posting list in this snapshot (zero-value
-// or empty when the term matches no document).
-func (s *Snapshot) postings(term string) posting {
-	if p, ok := s.delta[term]; ok {
-		return p
+// cell returns the term's live cell, or nil when no document carries the
+// term.
+func (ix *Index) cell(term string) *termCell {
+	if v, ok := ix.terms.Load(term); ok {
+		return v.(*termCell)
 	}
-	return s.base[term]
+	return nil
 }
 
-// Snapshot returns the current immutable index view: a single atomic
-// load, safe to call concurrently with any mutation.
-func (ix *Index) Snapshot() *Snapshot { return ix.snap.Load() }
-
-// cloneDelta copies the overlay so the published snapshot stays immutable
-// while the writer applies its updates.
-func cloneDelta(delta map[string]posting, extra int) map[string]posting {
-	out := make(map[string]posting, len(delta)+extra)
-	for k, v := range delta {
-		out[k] = v
+// postings returns the term's current posting list (the zero value when
+// the term matches no document).
+func (ix *Index) postings(term string) posting {
+	if c := ix.cell(term); c != nil {
+		return *c.Load()
 	}
-	return out
-}
-
-// lookupPostings is the writer-side view of a term across base and a
-// working delta.
-func lookupPostings(base, delta map[string]posting, term string) posting {
-	if p, ok := delta[term]; ok {
-		return p
-	}
-	return base[term]
-}
-
-// publish swaps in the next snapshot, folding the delta into a new base
-// map once it outgrows the threshold. The fold recomputes each folded
-// term's block bounds exactly — the periodic tightening that sheds any
-// looseness accumulated by monotone raises. Callers hold ix.mu.
-func (ix *Index) publish(cur *Snapshot, delta map[string]posting) {
-	ns := &Snapshot{epoch: cur.epoch + 1, base: cur.base, delta: delta}
-	if len(delta) > deltaFoldThreshold {
-		// Folded terms get freshly computed bounds arrays; cached bound
-		// references into the old ones must be re-resolved.
-		ix.beginRebuild()
-		base := make(map[string]posting, len(cur.base)+len(delta))
-		for k, v := range cur.base {
-			base[k] = v
-		}
-		for k, v := range delta {
-			if len(v.ids) == 0 {
-				delete(base, k)
-			} else {
-				base[k] = posting{ids: v.ids, b: ix.computeBounds(v.ids)}
-			}
-		}
-		ns.base, ns.delta = base, nil
-	}
-	ix.snap.Store(ns)
+	return posting{}
 }
 
 // queryScratch is the per-retrieval working set, pooled so a steady-state
@@ -119,7 +85,7 @@ func (qs *queryScratch) release() {
 // from a sync.Pool, so the only allocation is dst growth. When any term
 // has no postings, or the query tokenizes to zero terms, dst is returned
 // unchanged without allocating.
-func (s *Snapshot) RetrieveInto(dst []uint32, query string) []uint32 {
+func (s Snapshot) RetrieveInto(dst []uint32, query string) []uint32 {
 	qs := queryScratchPool.Get().(*queryScratch)
 	defer qs.release()
 	terms := appendTokens(qs.terms[:0], query)
@@ -145,13 +111,13 @@ func (s *Snapshot) RetrieveInto(dst []uint32, query string) []uint32 {
 // gatherLists resolves the deduplicated query terms' postings into
 // qs.lists, rarest first. ok is false when any term has no postings —
 // the conjunction is empty.
-func (s *Snapshot) gatherLists(qs *queryScratch, terms []string) (lists []posting, ok bool) {
+func (s Snapshot) gatherLists(qs *queryScratch, terms []string) (lists []posting, ok bool) {
 	lists = qs.lists[:0]
 	for ti, t := range terms {
 		if containsTerm(terms[:ti], t) {
 			continue
 		}
-		p := s.postings(t)
+		p := s.ix.postings(t)
 		if len(p.ids) == 0 {
 			qs.lists = lists
 			return lists, false
@@ -226,7 +192,7 @@ type PruneStats struct {
 // A nil skip never prunes (the plain full intersection). The per-call
 // scratch comes from the shared pool, so steady-state calls allocate
 // nothing.
-func (s *Snapshot) RetrievePruned(query string, skip func(upper float64) bool, emit func(ids []uint32)) PruneStats {
+func (s Snapshot) RetrievePruned(query string, skip func(upper float64) bool, emit func(ids []uint32)) PruneStats {
 	var st PruneStats
 	qs := queryScratchPool.Get().(*queryScratch)
 	defer qs.release()

@@ -17,7 +17,7 @@
 //     stale) under a gated p99, and every refused feedback batch must
 //     have gotten a 429 — acked events equal applied events exactly.
 //   - churn: pages are added and removed against the search index's
-//     delta overlay while traffic flows; removed pages must stay gone.
+//     live term table while traffic flows; removed pages must stay gone.
 //   - disk-storm: a mid-run fsync-error + disk-full storm, then a crash;
 //     recovery must hold every acknowledged event (at-least-once).
 //   - leader-kill: a 3-node replicated cluster loses a shard leader to
@@ -571,8 +571,8 @@ func runChurn(opts ScenarioOptions) (*ScenarioResult, error) {
 	defer srv.Close()
 
 	// The churner: adds fresh pages and removes existing ones against
-	// the search index's delta overlay while traffic flows.
-	opts.logf("churn: add/remove against the delta overlay under load")
+	// the search index's live term table while traffic flows.
+	opts.logf("churn: add/remove against the live term table under load")
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
 	var mu sync.Mutex

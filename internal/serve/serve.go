@@ -16,10 +16,11 @@
 // deterministic top-K list and a bounded sample of the zero-awareness
 // pool, republished atomically after every batch that changes ranking
 // state, and a sync.Map of immutable per-page Stat values replaced (never
-// mutated) by the apply loop. The search index publishes its postings the
-// same way (an immutable epoch-swapped snapshot inside searchidx), so the
-// query path holds no lock either: conjunctive retrieval gallops over the
-// index snapshot into pooled scratch, top-K selection runs a bounded heap
+// mutated) by the apply loop. The search index keeps its postings in
+// atomically replaced immutable per-term cells (searchidx: a reader that
+// loads the index epoch and then the cells sees everything up to that
+// epoch), so the query path holds no lock either: conjunctive retrieval
+// gallops over the posting lists into pooled scratch, top-K selection runs a bounded heap
 // over the candidate stream, and a hot-query cache keyed by (normalized
 // query, index epoch, corpus epoch) reuses the deterministic candidate
 // assembly across requests — the randomized promotion draw stays
@@ -862,9 +863,10 @@ func (c *Corpus) pageAware(id int) (exists, aware bool) {
 	return false, false
 }
 
-// Remove deletes a page: it is tombstoned in the search index
-// immediately (queries stop matching it at the next index snapshot) and
-// the shard-state removal is enqueued on its apply loop, logged like
+// Remove deletes a page: it leaves the search index immediately (the
+// cells of its terms are rewritten, then the index epoch advances, so a
+// query that loads the epoch after Remove returns no longer matches it)
+// and the shard-state removal is enqueued on its apply loop, logged like
 // every other mutation. Returns false when the page is not indexed.
 func (c *Corpus) Remove(id int) bool {
 	if c.shardFor(id).notLeader.Load() {

@@ -309,7 +309,7 @@ func (st *shardState) applyRemove(id int) bool {
 // raisePop raises the search index's block bounds covering the page to
 // at least pop. The fast path raises through cached bound references
 // with two atomic seqlock loads and no locks; a posting rebuild since
-// the refs were resolved (delete, mid-list insert, delta fold — never
+// the refs were resolved (delete, mid-list insert, bounds growth — never
 // the common append) falls back to a full mutex-guarded resolution and
 // refreshes the cache. Callers must store pop into the page slot first
 // and hold st.bounds non-nil.
