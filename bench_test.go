@@ -15,8 +15,8 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/community"
-	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/policy"
 	"repro/internal/quality"
 	"repro/internal/randutil"
 	"repro/internal/sim"
@@ -140,7 +140,7 @@ func BenchmarkRecommendationCheck(b *testing.B) { runFigure(b, "rec") }
 func BenchmarkSimulatedDayDefaultCommunity(b *testing.B) {
 	comm := community.Default()
 	qs := quality.DeterministicWithTop(quality.Default(), comm.Pages)
-	s, err := sim.New(comm, core.Recommended(), qs, sim.Options{Seed: 1})
+	s, err := sim.New(comm, policy.Recommended(), qs, sim.Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,15 +192,15 @@ func BenchmarkFootnote1Ablation(b *testing.B) { runFigure(b, "fn1") }
 // BenchmarkAblationLazyResolver measures resolving one day's worth of
 // monitored visit positions through the O(1) lazy resolver.
 func BenchmarkAblationLazyResolver(b *testing.B) {
-	det := make(core.Slice, 10000)
-	pool := make(core.Slice, 500)
+	det := make(policy.Slice, 10000)
+	pool := make(policy.Slice, 500)
 	for i := range det {
 		det[i] = i
 	}
 	for i := range pool {
 		pool[i] = 100000 + i
 	}
-	res, err := core.NewResolver(det, pool, 1, 0.1)
+	res, err := policy.NewResolver(det, pool, 1, 0.1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -218,8 +218,8 @@ func BenchmarkAblationLazyResolver(b *testing.B) {
 // fresh full-list materialization per query — what the lazy resolver
 // replaces. Expect roughly two orders of magnitude more work per day.
 func BenchmarkAblationMaterializedResolver(b *testing.B) {
-	det := make(core.Slice, 10000)
-	pool := make(core.Slice, 500)
+	det := make(policy.Slice, 10000)
+	pool := make(policy.Slice, 500)
 	for i := range det {
 		det[i] = i
 	}
@@ -232,7 +232,7 @@ func BenchmarkAblationMaterializedResolver(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for v := 0; v < 100; v++ {
-			buf = core.Merge(det, pool, 1, 0.1, rng, buf[:0])
+			buf = policy.Merge(det, pool, 1, 0.1, rng, buf[:0])
 			_ = buf[att.SampleRank(rng)-1]
 		}
 	}

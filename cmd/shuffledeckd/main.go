@@ -1,8 +1,7 @@
 // Command shuffledeckd runs the online ranking service: a live sharded
 // corpus served over HTTP/JSON, with feedback-driven rank promotion.
 //
-// Endpoints (versioned under /v1; the unprefixed legacy paths remain as
-// byte-identical aliases answering with a Deprecation header):
+// Endpoints (all under /v1; any other path is a 404):
 //
 //	POST /v1/rank        {"query":"...","n":10}        → randomized result list
 //	POST /v1/rank/batch  many rank requests per call — JSON
@@ -24,8 +23,10 @@
 //	-shards      popularity shards (default 4)
 //	-topk        per-shard deterministic top-list length (default 128)
 //	-poolcap     per-shard zero-awareness sample per epoch (default 128)
-//	-rule        promotion rule: selective, uniform or none (default selective)
-//	-k           protected prefix length k (default 1)
+//	-rule        promotion rule: selective, uniform, none, deterministic or
+//	             epsilon-decay (default selective; epsilon-decay anneals to
+//	             rmin 0 — declare an -arm for another floor)
+//	-k           protected prefix length k (default 1; none ignores it)
 //	-r           degree of randomization r (default 0.1)
 //	-arm         experiment arm "name=rule:k:r[:rmin][@weight]"; repeatable.
 //	             When given, -rule/-k/-r are ignored and requests are
@@ -107,7 +108,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/serve"
 )
@@ -146,6 +146,20 @@ func (a *armFlags) Set(v string) error {
 	return nil
 }
 
+// ruleSpec builds the default arm's policy from -rule/-k/-r and validates
+// it through the same Spec.Compile every -arm spec passes in
+// policy.ParseSpec, so the two flags accept and refuse the same policies.
+func ruleSpec(rule string, k int, r float64) (policy.Spec, error) {
+	if rule == "" {
+		return policy.Spec{}, fmt.Errorf("-rule is empty")
+	}
+	spec := policy.Spec{Rule: rule, K: k, R: r}
+	if _, err := spec.Compile(); err != nil {
+		return policy.Spec{}, err
+	}
+	return spec, nil
+}
+
 // cutLast splits s at the last occurrence of sep.
 func cutLast(s, sep string) (before, after string, found bool) {
 	if i := strings.LastIndex(s, sep); i >= 0 {
@@ -159,7 +173,7 @@ func main() {
 	shards := flag.Int("shards", 4, "popularity shards")
 	topk := flag.Int("topk", 128, "per-shard deterministic top-list length")
 	poolcap := flag.Int("poolcap", 128, "per-shard zero-awareness sample per epoch")
-	rule := flag.String("rule", "selective", "promotion rule: selective, uniform or none")
+	rule := flag.String("rule", "selective", "promotion rule: selective, uniform, none, deterministic or epsilon-decay")
 	k := flag.Int("k", 1, "protected prefix length k")
 	r := flag.Float64("r", 0.1, "degree of randomization r")
 	var arms armFlags
@@ -210,18 +224,8 @@ func main() {
 	if *rateRPS < 0 || *rateBurst < 0 {
 		fail("-rate-limit and -rate-burst must be >= 0")
 	}
-	pol := core.Policy{K: *k, R: *r}
-	switch *rule {
-	case "selective":
-		pol.Rule = core.RuleSelective
-	case "uniform":
-		pol.Rule = core.RuleUniform
-	case "none":
-		pol.Rule = core.RuleNone
-	default:
-		fail("-rule must be selective, uniform or none, got %q", *rule)
-	}
-	if err := pol.Validate(); err != nil {
+	pol, err := ruleSpec(*rule, *k, *r)
+	if err != nil {
 		fail("%v", err)
 	}
 
@@ -475,8 +479,8 @@ func (g *bootGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // recoveringHandler is the boot placeholder: everything — including
 // the health endpoint — answers 503 so probes that key on the status
 // code (k8s httpGet readiness, LB health checks) hold traffic until the
-// swap; /healthz and /v1/healthz additionally carry the
-// machine-readable recovery state for operators who look at the body.
+// swap; /v1/healthz additionally carries the machine-readable recovery
+// state for operators who look at the body.
 // Every other path gets the structured error envelope with a retry
 // hint, so /v1 clients (loadgen among them) back off instead of
 // hammering a recovering instance.
@@ -484,7 +488,7 @@ func recoveringHandler(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Retry-After", "1")
 	w.WriteHeader(http.StatusServiceUnavailable)
-	if r.URL.Path == "/healthz" || r.URL.Path == "/v1/healthz" {
+	if r.URL.Path == "/v1/healthz" {
 		fmt.Fprintln(w, `{"status":"recovering","ready":false}`)
 		return
 	}

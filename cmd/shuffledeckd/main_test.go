@@ -53,6 +53,44 @@ func TestArmFlagParsing(t *testing.T) {
 	}
 }
 
+// TestRuleAndArmFlagsAgree: the default arm's -rule/-k/-r and an -arm
+// spec validate through the same Compile, so the two flags accept and
+// refuse the same policies and build the same Spec from them.
+func TestRuleAndArmFlagsAgree(t *testing.T) {
+	cases := []struct {
+		rule string
+		k    int
+		r    float64
+		ok   bool
+	}{
+		{"selective", 1, 0.1, true},
+		{"uniform", 2, 0.25, true},
+		{"none", 0, 0, true}, // the deterministic rule never reads k
+		{"none", 1, 0.1, true},
+		{"deterministic", 0, 0, true},
+		{"epsilon-decay", 1, 0.2, true},
+		{"selective", 0, 0.1, false},
+		{"uniform", 1, 1.5, false},
+		{"selective", 1, -0.1, false},
+		{"epsilon-decay", 0, 0.2, false},
+		{"mystery", 1, 0.1, false},
+		{"", 1, 0.1, false},
+	}
+	for _, tc := range cases {
+		spec, ruleErr := ruleSpec(tc.rule, tc.k, tc.r)
+		var arms armFlags
+		armErr := arms.Set(fmt.Sprintf("a=%s:%d:%g", tc.rule, tc.k, tc.r))
+		if (ruleErr == nil) != tc.ok || (armErr == nil) != tc.ok {
+			t.Errorf("%s:%d:%g: -rule err %v, -arm err %v, want accepted=%v",
+				tc.rule, tc.k, tc.r, ruleErr, armErr, tc.ok)
+			continue
+		}
+		if tc.ok && arms[0].Policy != spec {
+			t.Errorf("%s:%d:%g: -rule built %+v, -arm built %+v", tc.rule, tc.k, tc.r, spec, arms[0].Policy)
+		}
+	}
+}
+
 func TestBootstrapFreshFraction(t *testing.T) {
 	c, err := serve.NewCorpus(serve.Config{Shards: 2, Seed: 3})
 	if err != nil {
@@ -101,7 +139,7 @@ func TestGracefulShutdownFlushesFeedback(t *testing.T) {
 
 	// The server must be up: rank something.
 	body, _ := json.Marshal(serve.RankRequest{N: 5})
-	resp, err := http.Post(base+"/rank", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/rank", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("server not serving: %v", err)
 	}
@@ -114,7 +152,7 @@ func TestGracefulShutdownFlushesFeedback(t *testing.T) {
 		{Page: 99, Slot: 2, Impressions: 1, Clicks: 3},
 		{Page: 0, Slot: 1, Impressions: 1, Clicks: 1},
 	}})
-	resp, err = http.Post(base+"/feedback", "application/json", bytes.NewReader(fb))
+	resp, err = http.Post(base+"/v1/feedback", "application/json", bytes.NewReader(fb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +185,7 @@ func TestGracefulShutdownFlushesFeedback(t *testing.T) {
 		t.Fatal("corpus unreadable after shutdown")
 	}
 	// The listener is really closed.
-	if _, err := http.Post(base+"/rank", "application/json", bytes.NewReader(body)); err == nil {
+	if _, err := http.Post(base+"/v1/rank", "application/json", bytes.NewReader(body)); err == nil {
 		t.Fatal("listener still accepting after shutdown")
 	}
 }
@@ -168,7 +206,7 @@ func TestBootGateSwapsFromRecoveringToReady(t *testing.T) {
 	srv := httptest.NewServer(gate)
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +224,7 @@ func TestBootGateSwapsFromRecoveringToReady(t *testing.T) {
 		t.Fatalf("recovering healthz = %d %+v", resp.StatusCode, hz)
 	}
 	body, _ := json.Marshal(serve.RankRequest{N: 3})
-	resp, err = http.Post(srv.URL+"/rank", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(srv.URL+"/v1/rank", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +244,7 @@ func TestBootGateSwapsFromRecoveringToReady(t *testing.T) {
 	corpus.Sync()
 	gate.Ready(serve.NewServer(corpus))
 
-	resp, err = http.Get(srv.URL + "/healthz")
+	resp, err = http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +256,7 @@ func TestBootGateSwapsFromRecoveringToReady(t *testing.T) {
 	if ready.Status != "ready" || !ready.Ready {
 		t.Fatalf("post-swap healthz = %+v", ready)
 	}
-	resp, err = http.Post(srv.URL+"/rank", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(srv.URL+"/v1/rank", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +311,7 @@ func TestDurableDaemonRoundTrip(t *testing.T) {
 		fb, _ := json.Marshal(serve.FeedbackRequest{Events: []serve.Event{
 			{Page: 99, Slot: 2, Impressions: 1, Clicks: 3},
 		}})
-		resp, err := http.Post(base+"/feedback", "application/json", bytes.NewReader(fb))
+		resp, err := http.Post(base+"/v1/feedback", "application/json", bytes.NewReader(fb))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +328,7 @@ func TestDurableDaemonRoundTrip(t *testing.T) {
 		if gem, _ := corpus.Page(99); !gem.Aware || gem.Popularity != 3 {
 			t.Fatalf("gem state lost across daemon restart: %+v", gem)
 		}
-		resp, err := http.Get(base + "/healthz")
+		resp, err := http.Get(base + "/v1/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}

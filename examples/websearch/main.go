@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	shuffledeck "repro"
 	"repro/internal/pagerank"
 	"repro/internal/randutil"
 	"repro/internal/searchidx"
@@ -46,9 +46,6 @@ func main() {
 		if err := ix.Add(searchidx.Document{ID: id, Text: text}); err != nil {
 			log.Fatal(err)
 		}
-		if err := ix.SetPopularity(id, pr.Ranks[id]); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	// 3. Add brand-new pages: indexed, but with no in-links and no
@@ -61,37 +58,53 @@ func main() {
 	fmt.Printf("indexed %d documents, %d terms (5 brand-new pages with zero PageRank)\n\n",
 		ix.Len(), ix.Terms())
 
-	show := func(name string, pol core.Policy) {
-		res, err := ix.Search("gophers", pol, rng)
+	// 4. Rank: the index retrieves the query's matches, and the public
+	// Ranker orders them by PageRank and merges in the promotion pool —
+	// the pages with zero PageRank, which no user has found yet.
+	pagerankOf := func(id int) float64 {
+		if id < len(pr.Ranks) {
+			return pr.Ranks[id]
+		}
+		return 0
+	}
+	var matches []shuffledeck.PageStat
+	for _, id := range ix.Retrieve("gophers") {
+		p := pagerankOf(id)
+		matches = append(matches, shuffledeck.PageStat{ID: id, Popularity: p, Unexplored: p == 0})
+	}
+	newRanker := func(pol shuffledeck.Policy) *shuffledeck.Ranker {
+		r, err := shuffledeck.NewRanker(pol, 99)
 		if err != nil {
 			log.Fatal(err)
 		}
+		return r
+	}
+
+	show := func(name string, pol shuffledeck.Policy) {
+		res := newRanker(pol).Rank(matches)
 		fmt.Printf("%s — top 10 of %d results:\n", name, len(res))
 		for i := 0; i < 10 && i < len(res); i++ {
 			tag := ""
-			if res[i].Promoted {
+			if pagerankOf(res[i]) == 0 {
 				tag = "  <- promoted new page"
 			}
-			fmt.Printf("  %2d. page %-4d pagerank %.5f%s\n", i+1, res[i].ID, res[i].Popularity, tag)
+			fmt.Printf("  %2d. page %-4d pagerank %.5f%s\n", i+1, res[i], pagerankOf(res[i]), tag)
 		}
 		fmt.Println()
 	}
 
-	show("deterministic popularity ranking", core.Policy{Rule: core.RuleNone, K: 1})
-	show("recommended promotion (selective, k=2, r=0.1)", core.RecommendedSafe())
-	show("aggressive promotion (selective, k=2, r=0.5)", core.Policy{Rule: core.RuleSelective, K: 2, R: 0.5})
+	show("deterministic popularity ranking", shuffledeck.Policy{Rule: shuffledeck.RuleNone, K: 1})
+	show("recommended promotion (selective, k=2, r=0.1)", shuffledeck.RecommendedSafe())
+	show("aggressive promotion (selective, k=2, r=0.5)", shuffledeck.Policy{Rule: shuffledeck.RuleSelective, K: 2, R: 0.5})
 
-	// 4. Where do the new pages land on average under the recommendation?
+	// 5. Where do the new pages land on average under the recommendation?
 	const trials = 2000
+	ranker := newRanker(shuffledeck.RecommendedSafe())
 	sum := 0
 	count := 0
 	for t := 0; t < trials; t++ {
-		res, err := ix.Search("gophers", core.RecommendedSafe(), rng)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for pos, r := range res {
-			if r.Promoted {
+		for pos, id := range ranker.Rank(matches) {
+			if pagerankOf(id) == 0 {
 				sum += pos + 1
 				count++
 			}

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/policy"
 )
 
@@ -24,13 +23,12 @@ func goldenPages() []PageStat {
 	return ps
 }
 
-// goldenPolicies maps the golden table's policy names to their offline
-// struct form.
-var goldenPolicies = map[string]core.Policy{
-	"selective_k1_r03": {Rule: core.RuleSelective, K: 1, R: 0.3},
-	"selective_k2_r01": {Rule: core.RuleSelective, K: 2, R: 0.1},
-	"uniform_k1_r03":   {Rule: core.RuleUniform, K: 1, R: 0.3},
-	"none":             {Rule: core.RuleNone, K: 1},
+// goldenPolicies maps the golden table's policy names to their specs.
+var goldenPolicies = map[string]Policy{
+	"selective_k1_r03": {Rule: RuleSelective, K: 1, R: 0.3},
+	"selective_k2_r01": {Rule: RuleSelective, K: 2, R: 0.1},
+	"uniform_k1_r03":   {Rule: RuleUniform, K: 1, R: 0.3},
+	"none":             {Rule: RuleNone, K: 1},
 }
 
 // rankerGoldens are Ranker.Rank outputs recorded from the pre-refactor
@@ -103,9 +101,10 @@ func TestRankerGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestRankerPolicyMatchesStructForm: a Ranker built from the compiled
-// policy directly (NewRankerPolicy) draws the same stream as one built
-// from the offline struct form.
+// TestRankerPolicyMatchesStructForm: a Ranker built from the spec a
+// compiled policy reports back (Policy.Spec — the form telemetry carries,
+// "deterministic" for "none" and no k) draws the same stream as one built
+// from the declared spec.
 func TestRankerPolicyMatchesStructForm(t *testing.T) {
 	pages := goldenPages()
 	for name, spec := range goldenPolicies {
@@ -117,7 +116,7 @@ func TestRankerPolicyMatchesStructForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewRankerPolicy(compiled, 7)
+		b, err := NewRanker(compiled.Spec(), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +132,7 @@ func TestRankerPolicyMatchesStructForm(t *testing.T) {
 // selective at full r while everything is unexplored and converges on the
 // deterministic order once nothing is.
 func TestRankerEpsilonDecayAnneals(t *testing.T) {
-	pol, err := policy.EpsilonDecay(1, 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRankerPolicy(pol, 3)
+	r, err := NewRanker(Policy{Rule: policy.RuleEpsilonDecay, K: 1, R: 0.5}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

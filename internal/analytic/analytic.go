@@ -26,7 +26,7 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/community"
-	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/quality"
 	"repro/internal/stats"
 )
@@ -65,7 +65,10 @@ func (o Options) withDefaults() Options {
 // Model is a solved analytical model for one community and policy.
 type Model struct {
 	comm    community.Config
-	policy  core.Policy
+	spec    policy.Spec
+	sel     policy.Selection // pool rule of the compiled spec
+	k       int              // protected prefix, from the compiled Params
+	r       float64          // degree of randomization, likewise
 	buckets []quality.Bucket
 	att     *attention.Model
 	opts    Options
@@ -95,14 +98,22 @@ type Model struct {
 
 // Solve builds and solves the model. buckets describe the community's
 // quality multiset (see quality.Buckets); their counts must sum to
-// comm.Pages.
-func Solve(comm community.Config, policy core.Policy, buckets []quality.Bucket, opts Options) (*Model, error) {
+// comm.Pages. The policy's k and r are its compiled Params, so the
+// deterministic rule solves as (1, 0). Epsilon-decay is refused: the
+// steady state below assumes a constant r, and its r moves with the
+// zero-awareness fraction.
+func Solve(comm community.Config, spec policy.Spec, buckets []quality.Bucket, opts Options) (*Model, error) {
 	if err := comm.Validate(); err != nil {
 		return nil, err
 	}
-	if err := policy.Validate(); err != nil {
+	pol, err := spec.Compile()
+	if err != nil {
 		return nil, err
 	}
+	if spec.Rule == policy.RuleEpsilonDecay {
+		return nil, fmt.Errorf("analytic: %s has a state-dependent r; the §5 steady state needs a constant one", spec.Rule)
+	}
+	k, r := pol.Params(policy.State{})
 	if len(buckets) == 0 {
 		return nil, fmt.Errorf("analytic: no quality buckets")
 	}
@@ -127,7 +138,10 @@ func Solve(comm community.Config, policy core.Policy, buckets []quality.Bucket, 
 	}
 	mdl := &Model{
 		comm:    comm,
-		policy:  policy,
+		spec:    spec,
+		sel:     pol.Selection(),
+		k:       k,
+		r:       r,
 		buckets: buckets,
 		att:     att,
 		opts:    opts,
@@ -250,10 +264,10 @@ func (mdl *Model) f1At(x float64, suffix [][]float64) float64 {
 // adjustedRank applies the policy's promotion displacement to a raw
 // expected rank.
 func (mdl *Model) adjustedRank(rank float64) float64 {
-	k := float64(mdl.policy.K)
-	r := mdl.policy.R
-	switch mdl.policy.Rule {
-	case core.RuleSelective:
+	k := float64(mdl.k)
+	r := mdl.r
+	switch mdl.sel {
+	case policy.SelectUnexplored:
 		if rank >= k {
 			var shift float64
 			if r >= 1 {
@@ -264,7 +278,7 @@ func (mdl *Model) adjustedRank(rank float64) float64 {
 			rank += shift
 		}
 		return rank
-	case core.RuleUniform:
+	case policy.SelectCoin:
 		return mdl.uniformDetPosition(rank)
 	default:
 		return rank
@@ -288,8 +302,8 @@ func (mdl *Model) ExactF(x float64) float64 {
 	}
 	rank := mdl.adjustedRank(mdl.f1At(x, mdl.suffix))
 	det := mdl.att.VisitRateAt(rank)
-	if mdl.policy.Rule == core.RuleUniform {
-		return mdl.policy.R*mdl.poolVisitRateUniform() + (1-mdl.policy.R)*det
+	if mdl.sel == policy.SelectCoin {
+		return mdl.r*mdl.poolVisitRateUniform() + (1-mdl.r)*det
 	}
 	return det
 }
@@ -297,11 +311,11 @@ func (mdl *Model) ExactF(x float64) float64 {
 // zeroPopVisitRate evaluates the rule-specific expected visit rate of a
 // zero-popularity page given a pool of z such pages.
 func (mdl *Model) zeroPopVisitRate(z float64) float64 {
-	switch mdl.policy.Rule {
-	case core.RuleSelective:
+	switch mdl.sel {
+	case policy.SelectUnexplored:
 		return mdl.poolVisitRateSelective(z)
-	case core.RuleUniform:
-		r := mdl.policy.R
+	case policy.SelectCoin:
+		r := mdl.r
 		f10 := float64(mdl.n) - (z-1)/2
 		det0 := mdl.att.VisitRateAt(mdl.uniformDetPosition(f10))
 		return r*mdl.poolVisitRateUniform() + (1-r)*det0
@@ -415,7 +429,7 @@ func (mdl *Model) Iterations() int { return mdl.iterations }
 func (mdl *Model) Converged() bool { return mdl.converged }
 
 // Policy returns the policy the model was solved for.
-func (mdl *Model) Policy() core.Policy { return mdl.policy }
+func (mdl *Model) Policy() policy.Spec { return mdl.spec }
 
 // awarenessChain fills dist[i] with f(a_i|q) for i = 0..m: the
 // steady-state awareness distribution of Theorem 1.
@@ -483,15 +497,15 @@ func (mdl *Model) ExpectedZeroAware() float64 {
 func (mdl *Model) recompute() (newGrid []float64) {
 	suffix := mdl.buildSuffixes()
 	newGrid = make([]float64, len(mdl.grid))
-	r := mdl.policy.R
+	r := mdl.r
 	poolRate := 0.0
-	if mdl.policy.Rule == core.RuleUniform {
+	if mdl.sel == policy.SelectCoin {
 		poolRate = mdl.poolVisitRateUniform()
 	}
 	for gi, x := range mdl.grid {
 		rank := mdl.adjustedRank(mdl.f1At(x, suffix))
 		det := mdl.att.VisitRateAt(rank)
-		if mdl.policy.Rule == core.RuleUniform {
+		if mdl.sel == policy.SelectCoin {
 			det = r*poolRate + (1-r)*det
 		}
 		// Keep strictly positive for log-space fitting.
@@ -519,8 +533,8 @@ func (mdl *Model) zeroPopVisitRateNone(z float64) float64 {
 // is exhausted, so the pool's visit mass is r·Σ F2(i) over roughly z/r
 // slots starting at k.
 func (mdl *Model) poolVisitRateSelective(z float64) float64 {
-	r := mdl.policy.R
-	k := mdl.policy.K
+	r := mdl.r
+	k := mdl.k
 	if z < 1e-9 {
 		return mdl.zeroPopVisitRateNone(1)
 	}
@@ -544,9 +558,9 @@ func (mdl *Model) poolVisitRateSelective(z float64) float64 {
 // promoted slots carry probability r from position k onward, so the pool
 // mass is r·TailMass(k) spread over r·n pages.
 func (mdl *Model) poolVisitRateUniform() float64 {
-	k := mdl.policy.K
+	k := mdl.k
 	n := float64(mdl.n)
-	if mdl.policy.R <= 0 {
+	if mdl.r <= 0 {
 		return 0
 	}
 	return mdl.att.TailMass(k) / n
@@ -559,8 +573,8 @@ func (mdl *Model) poolVisitRateUniform() float64 {
 // past the protected prefix dilate by 1/(1−r) because each presented slot
 // draws from Ld with probability 1−r.
 func (mdl *Model) uniformDetPosition(f1 float64) float64 {
-	r := mdl.policy.R
-	k := float64(mdl.policy.K)
+	r := mdl.r
+	k := float64(mdl.k)
 	if r >= 1 {
 		return float64(mdl.n)
 	}

@@ -2,10 +2,11 @@ package analytic
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/community"
-	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/quality"
 )
 
@@ -16,7 +17,7 @@ func testBuckets(t testing.TB, n int) []quality.Bucket {
 	return quality.Buckets(qs, 40)
 }
 
-func solveFor(t testing.TB, pol core.Policy) *Model {
+func solveFor(t testing.TB, pol policy.Spec) *Model {
 	t.Helper()
 	comm := community.Default()
 	mdl, err := Solve(comm, pol, testBuckets(t, comm.Pages), Options{})
@@ -29,33 +30,33 @@ func solveFor(t testing.TB, pol core.Policy) *Model {
 func TestSolveValidation(t *testing.T) {
 	comm := community.Default()
 	buckets := testBuckets(t, comm.Pages)
-	if _, err := Solve(community.Config{}, core.Recommended(), buckets, Options{}); err == nil {
+	if _, err := Solve(community.Config{}, policy.Recommended(), buckets, Options{}); err == nil {
 		t.Error("invalid community accepted")
 	}
-	if _, err := Solve(comm, core.Policy{Rule: core.RuleSelective, K: 0, R: 0.1}, buckets, Options{}); err == nil {
+	if _, err := Solve(comm, policy.Spec{Rule: policy.RuleSelective, K: 0, R: 0.1}, buckets, Options{}); err == nil {
 		t.Error("invalid policy accepted")
 	}
-	if _, err := Solve(comm, core.Recommended(), nil, Options{}); err == nil {
+	if _, err := Solve(comm, policy.Recommended(), nil, Options{}); err == nil {
 		t.Error("empty buckets accepted")
 	}
-	if _, err := Solve(comm, core.Recommended(), buckets[:len(buckets)-1], Options{}); err == nil {
+	if _, err := Solve(comm, policy.Recommended(), buckets[:len(buckets)-1], Options{}); err == nil {
 		t.Error("bucket count mismatch accepted")
 	}
 	bad := append([]quality.Bucket(nil), buckets...)
 	bad[0].Q = -0.5
-	if _, err := Solve(comm, core.Recommended(), bad, Options{}); err == nil {
+	if _, err := Solve(comm, policy.Recommended(), bad, Options{}); err == nil {
 		t.Error("negative quality accepted")
 	}
 }
 
 func TestSolveConverges(t *testing.T) {
-	for _, pol := range []core.Policy{
-		{Rule: core.RuleNone, K: 1},
-		{Rule: core.RuleSelective, K: 1, R: 0.1},
-		{Rule: core.RuleSelective, K: 1, R: 0.2},
-		{Rule: core.RuleSelective, K: 2, R: 0.1},
-		{Rule: core.RuleUniform, K: 1, R: 0.1},
-		{Rule: core.RuleUniform, K: 1, R: 0.2},
+	for _, pol := range []policy.Spec{
+		{Rule: policy.RuleNone, K: 1},
+		{Rule: policy.RuleSelective, K: 1, R: 0.1},
+		{Rule: policy.RuleSelective, K: 1, R: 0.2},
+		{Rule: policy.RuleSelective, K: 2, R: 0.1},
+		{Rule: policy.RuleUniform, K: 1, R: 0.1},
+		{Rule: policy.RuleUniform, K: 1, R: 0.2},
 	} {
 		mdl := solveFor(t, pol)
 		if !mdl.Converged() {
@@ -65,7 +66,7 @@ func TestSolveConverges(t *testing.T) {
 }
 
 func TestAwarenessDistributionIsDistribution(t *testing.T) {
-	mdl := solveFor(t, core.Recommended())
+	mdl := solveFor(t, policy.Recommended())
 	for _, q := range []float64{0.001, 0.05, 0.4} {
 		dist := mdl.AwarenessDistribution(q)
 		if len(dist) != community.Default().MonitoredUsers+1 {
@@ -89,8 +90,8 @@ func TestAwarenessDistributionIsDistribution(t *testing.T) {
 // selective promotion (r=0.2, k=1) most sit at near-full awareness, and
 // under both schemes little mass sits mid-scale.
 func TestFigure3Shapes(t *testing.T) {
-	none := solveFor(t, core.Policy{Rule: core.RuleNone, K: 1})
-	sel := solveFor(t, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2})
+	none := solveFor(t, policy.Spec{Rule: policy.RuleNone, K: 1})
+	sel := solveFor(t, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2})
 
 	massBelow := func(m *Model, q, cut float64) float64 {
 		dist := m.AwarenessDistribution(q)
@@ -122,7 +123,7 @@ func TestFigure3Shapes(t *testing.T) {
 }
 
 func TestFMonotoneOnGrid(t *testing.T) {
-	mdl := solveFor(t, core.Recommended())
+	mdl := solveFor(t, policy.Recommended())
 	prev := mdl.F(0.0001)
 	for _, x := range []float64{0.001, 0.01, 0.1, 0.4} {
 		cur := mdl.F(x)
@@ -141,9 +142,9 @@ func TestFMonotoneOnGrid(t *testing.T) {
 
 func TestZeroAwareCountSelfConsistent(t *testing.T) {
 	// z from the awareness chains must equal n·λ/(λ+F0).
-	for _, pol := range []core.Policy{
-		{Rule: core.RuleNone, K: 1},
-		{Rule: core.RuleSelective, K: 1, R: 0.1},
+	for _, pol := range []policy.Spec{
+		{Rule: policy.RuleNone, K: 1},
+		{Rule: policy.RuleSelective, K: 1, R: 0.1},
 	} {
 		mdl := solveFor(t, pol)
 		comm := community.Default()
@@ -160,12 +161,12 @@ func TestZeroAwareCountSelfConsistent(t *testing.T) {
 // with r, and selective promotion beats uniform promotion at equal r.
 func TestTBPOrdering(t *testing.T) {
 	q := 0.4
-	tbpNone := solveFor(t, core.Policy{Rule: core.RuleNone, K: 1}).TBP(q)
-	tbpSel05 := solveFor(t, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.05}).TBP(q)
-	tbpSel10 := solveFor(t, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.1}).TBP(q)
-	tbpSel20 := solveFor(t, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2}).TBP(q)
-	tbpUni10 := solveFor(t, core.Policy{Rule: core.RuleUniform, K: 1, R: 0.1}).TBP(q)
-	tbpUni20 := solveFor(t, core.Policy{Rule: core.RuleUniform, K: 1, R: 0.2}).TBP(q)
+	tbpNone := solveFor(t, policy.Spec{Rule: policy.RuleNone, K: 1}).TBP(q)
+	tbpSel05 := solveFor(t, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.05}).TBP(q)
+	tbpSel10 := solveFor(t, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.1}).TBP(q)
+	tbpSel20 := solveFor(t, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2}).TBP(q)
+	tbpUni10 := solveFor(t, policy.Spec{Rule: policy.RuleUniform, K: 1, R: 0.1}).TBP(q)
+	tbpUni20 := solveFor(t, policy.Spec{Rule: policy.RuleUniform, K: 1, R: 0.2}).TBP(q)
 
 	if !(tbpNone > tbpSel05 && tbpSel05 > tbpSel10 && tbpSel10 > tbpSel20) {
 		t.Errorf("selective TBP not decreasing in r: none=%.0f r05=%.0f r10=%.0f r20=%.0f",
@@ -185,10 +186,10 @@ func TestTBPOrdering(t *testing.T) {
 // TestQPCOrdering checks Figure 5's qualitative content: QPC rises with
 // moderate r and selective promotion beats uniform at r=0.2.
 func TestQPCOrdering(t *testing.T) {
-	qpcNone := solveFor(t, core.Policy{Rule: core.RuleNone, K: 1}).QPC()
-	qpcSel10 := solveFor(t, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.1}).QPC()
-	qpcSel20 := solveFor(t, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2}).QPC()
-	qpcUni20 := solveFor(t, core.Policy{Rule: core.RuleUniform, K: 1, R: 0.2}).QPC()
+	qpcNone := solveFor(t, policy.Spec{Rule: policy.RuleNone, K: 1}).QPC()
+	qpcSel10 := solveFor(t, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.1}).QPC()
+	qpcSel20 := solveFor(t, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2}).QPC()
+	qpcUni20 := solveFor(t, policy.Spec{Rule: policy.RuleUniform, K: 1, R: 0.2}).QPC()
 
 	if !(qpcNone < qpcSel10 && qpcSel10 < qpcSel20) {
 		t.Errorf("QPC not increasing: none=%.3f sel10=%.3f sel20=%.3f",
@@ -205,7 +206,7 @@ func TestQPCOrdering(t *testing.T) {
 }
 
 func TestIdealQPCBounds(t *testing.T) {
-	mdl := solveFor(t, core.Recommended())
+	mdl := solveFor(t, policy.Recommended())
 	ideal := mdl.IdealQPC()
 	// The ideal engine's QPC must be at least the best page's share and
 	// at most the best quality.
@@ -218,7 +219,7 @@ func TestIdealQPCBounds(t *testing.T) {
 }
 
 func TestPopularityTrajectoryShape(t *testing.T) {
-	mdl := solveFor(t, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2})
+	mdl := solveFor(t, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2})
 	traj := mdl.PopularityTrajectory(0.4, 500)
 	if len(traj) != 501 {
 		t.Fatalf("trajectory length %d", len(traj))
@@ -245,7 +246,7 @@ func TestPopularityTrajectoryShape(t *testing.T) {
 }
 
 func TestVisitTrajectoryMatchesF(t *testing.T) {
-	mdl := solveFor(t, core.Recommended())
+	mdl := solveFor(t, policy.Recommended())
 	pop := mdl.PopularityTrajectory(0.4, 50)
 	vis := mdl.VisitTrajectory(0.4, 50)
 	for i := range pop {
@@ -260,8 +261,8 @@ func TestVisitTrajectoryMatchesF(t *testing.T) {
 // some back once both pages are popular (loss > 0), with net benefit for
 // a high-quality page over its lifetime in the default community.
 func TestFigure2Tradeoff(t *testing.T) {
-	none := solveFor(t, core.Policy{Rule: core.RuleNone, K: 1})
-	sel := solveFor(t, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2})
+	none := solveFor(t, policy.Spec{Rule: policy.RuleNone, K: 1})
+	sel := solveFor(t, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2})
 	days := int(community.Default().LifetimeDays)
 	benefit, loss := sel.TradeoffAreas(none, 0.4, days)
 	if benefit <= 0 {
@@ -273,7 +274,7 @@ func TestFigure2Tradeoff(t *testing.T) {
 }
 
 func TestTBPDecreasesWithQuality(t *testing.T) {
-	mdl := solveFor(t, core.Recommended())
+	mdl := solveFor(t, policy.Recommended())
 	hi := mdl.TBP(0.4)
 	lo := mdl.TBP(0.05)
 	if hi >= lo {
@@ -293,9 +294,55 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestPolicyAccessor(t *testing.T) {
-	mdl := solveFor(t, core.RecommendedSafe())
-	if mdl.Policy() != core.RecommendedSafe() {
+	mdl := solveFor(t, policy.RecommendedSafe())
+	if mdl.Policy() != policy.RecommendedSafe() {
 		t.Fatal("Policy() does not round-trip")
+	}
+}
+
+// TestSolveRuleTable: Solve reads k and r from the compiled policy, so
+// every spelling of the deterministic rule solves to the same model as
+// none at (1, 0), and epsilon-decay, whose r moves with the corpus state,
+// is refused even when its floor equals its start.
+func TestSolveRuleTable(t *testing.T) {
+	comm := community.Config{
+		Pages: 100, Users: 10, MonitoredUsers: 5,
+		TotalVisitsPerDay: 10, LifetimeDays: 60,
+	}
+	buckets := quality.Buckets(quality.DeterministicWithTop(quality.Default(), comm.Pages), 10)
+	ref, err := Solve(comm, policy.Spec{Rule: policy.RuleNone, K: 1}, buckets, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		spec    policy.Spec
+		wantErr string
+	}{
+		{"deterministic", policy.Spec{Rule: policy.RuleDeterministic}, ""},
+		{"none without k", policy.Spec{Rule: policy.RuleNone}, ""},
+		{"none ignores k and r", policy.Spec{Rule: policy.RuleNone, K: 5, R: 0.3}, ""},
+		{"epsilon-decay", policy.Spec{Rule: policy.RuleEpsilonDecay, K: 1, R: 0.2, RMin: 0.02}, "state-dependent"},
+		{"epsilon-decay at its floor", policy.Spec{Rule: policy.RuleEpsilonDecay, K: 1, R: 0.2, RMin: 0.2}, "state-dependent"},
+	}
+	for _, tc := range cases {
+		mdl, err := Solve(comm, tc.spec, buckets, Options{})
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if mdl.QPC() != ref.QPC() || mdl.ExpectedZeroAware() != ref.ExpectedZeroAware() ||
+			mdl.TBP(0.4) != ref.TBP(0.4) || mdl.Iterations() != ref.Iterations() {
+			t.Errorf("%s: solved to QPC %v z %v TBP %v in %d rounds, none gives %v %v %v in %d",
+				tc.name, mdl.QPC(), mdl.ExpectedZeroAware(), mdl.TBP(0.4), mdl.Iterations(),
+				ref.QPC(), ref.ExpectedZeroAware(), ref.TBP(0.4), ref.Iterations())
+		}
 	}
 }
 
@@ -306,7 +353,7 @@ func TestSmallCommunity(t *testing.T) {
 	}
 	qs := quality.DeterministicWithTop(quality.Default(), comm.Pages)
 	buckets := quality.Buckets(qs, 10)
-	mdl, err := Solve(comm, core.Recommended(), buckets, Options{})
+	mdl, err := Solve(comm, policy.Recommended(), buckets, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +369,7 @@ func TestSmallCommunity(t *testing.T) {
 // TestQPCBoundedQuick solves the model across random small communities
 // and policies, checking the invariants 0 < QPC ≤ 1 and z ∈ (0, n].
 func TestQPCBoundedQuick(t *testing.T) {
-	rules := []core.Rule{core.RuleNone, core.RuleUniform, core.RuleSelective}
+	rules := []string{policy.RuleNone, policy.RuleUniform, policy.RuleSelective}
 	for i := 0; i < 12; i++ {
 		n := 200 + 150*i
 		comm := community.Config{
@@ -332,7 +379,7 @@ func TestQPCBoundedQuick(t *testing.T) {
 			TotalVisitsPerDay: float64(n / 10),
 			LifetimeDays:      float64(60 + 40*i),
 		}
-		pol := core.Policy{Rule: rules[i%3], K: 1 + i%3, R: 0.05 * float64(i%5)}
+		pol := policy.Spec{Rule: rules[i%3], K: 1 + i%3, R: 0.05 * float64(i%5)}
 		qs := quality.DeterministicWithTop(quality.Default(), comm.Pages)
 		mdl, err := Solve(comm, pol, quality.Buckets(qs, 25), Options{})
 		if err != nil {

@@ -56,7 +56,7 @@ func NewFrontDoor(n *Node) *FrontDoor {
 func (fd *FrontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p := r.URL.Path
 	switch {
-	case r.Method == http.MethodPost && (p == "/feedback" || p == "/v1/feedback"):
+	case r.Method == http.MethodPost && p == "/v1/feedback":
 		fd.serveFeedback(w, r, false)
 	case r.Method == http.MethodPost && p == "/v1/feedback/batch":
 		fd.serveFeedback(w, r, true)

@@ -1244,7 +1244,7 @@ func (n *Node) WaitReplicated(shard int, lsn uint64, need int, timeout time.Dura
 // rankPath reports whether the request is a rank read subject to the
 // staleness bound.
 func rankPath(p string) bool {
-	return p == "/rank" || p == "/v1/rank" || p == "/v1/rank/batch"
+	return p == "/v1/rank" || p == "/v1/rank/batch"
 }
 
 // guardHandler puts the stale-read guard in front of the API: rank

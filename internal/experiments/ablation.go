@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
@@ -19,13 +19,13 @@ func Footnote1(o Options) (*Table, error) {
 	qs := defaultQualities(comm.Pages)
 	cases := []struct {
 		name      string
-		pol       core.Policy
+		pol       policy.Spec
 		longevity float64
 	}{
-		{"no randomization, independent lifetimes", core.Policy{Rule: core.RuleNone, K: 1}, 0},
-		{"no randomization, popular live 5x longer", core.Policy{Rule: core.RuleNone, K: 1}, 5},
-		{"recommended, independent lifetimes", core.Recommended(), 0},
-		{"recommended, popular live 5x longer", core.Recommended(), 5},
+		{"no randomization, independent lifetimes", policy.Spec{Rule: policy.RuleNone, K: 1}, 0},
+		{"no randomization, popular live 5x longer", policy.Spec{Rule: policy.RuleNone, K: 1}, 5},
+		{"recommended, independent lifetimes", policy.Recommended(), 0},
+		{"recommended, popular live 5x longer", policy.Recommended(), 5},
 	}
 	t := &Table{
 		ID:      "fn1",

@@ -11,8 +11,8 @@ import (
 
 	"repro/internal/ascii"
 	"repro/internal/community"
-	"repro/internal/core"
 	"repro/internal/parexec"
+	"repro/internal/policy"
 	"repro/internal/quality"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -171,36 +171,28 @@ func (o Options) grid() parexec.Options {
 // longevity ablations).
 type simSpec struct {
 	comm   community.Config
-	pol    core.Policy
+	pol    policy.Spec
 	qs     []float64
 	mutate func(*sim.Options)
 }
 
 // runSpecGrid fans every (spec × seed) simulation out on the parallel
-// grid and returns results[spec][seed]. Each spec's offline policy struct
-// is compiled once into the pluggable internal/policy engine — the same
-// merge implementation the online service runs — and every replication
-// simulates through it. Each job derives all randomness from its own seed
+// grid and returns results[spec][seed]. Every replication simulates
+// through the spec's compiled policy — the same merge implementation the
+// online service runs. Each job derives all randomness from its own seed
 // (o.Seed + replication index), so the grid is bit-identical to a serial
 // loop over the same jobs at any worker count.
 func runSpecGrid(specs []simSpec, o Options) ([][]*sim.Result, error) {
 	jobs := make([]func() (*sim.Result, error), 0, len(specs)*o.Seeds)
 	for _, sp := range specs {
 		sp := sp
-		if err := sp.pol.Validate(); err != nil {
-			return nil, err
-		}
-		compiled, err := sp.pol.Compile()
-		if err != nil {
-			return nil, err
-		}
 		for i := 0; i < o.Seeds; i++ {
 			opts := simOptions(sp.comm, o, o.Seed+uint64(i))
 			if sp.mutate != nil {
 				sp.mutate(&opts)
 			}
 			jobs = append(jobs, func() (*sim.Result, error) {
-				s, err := sim.NewWithPolicy(sp.comm, compiled, sp.qs, opts)
+				s, err := sim.New(sp.comm, sp.pol, sp.qs, opts)
 				if err != nil {
 					return nil, err
 				}

@@ -7,16 +7,16 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/ascii"
 	"repro/internal/community"
-	"repro/internal/core"
 	"repro/internal/livestudy"
 	"repro/internal/parexec"
+	"repro/internal/policy"
 	"repro/internal/quality"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // solveAnalytic builds the §5 model for the community and policy.
-func solveAnalytic(comm community.Config, pol core.Policy) (*analytic.Model, error) {
+func solveAnalytic(comm community.Config, pol policy.Spec) (*analytic.Model, error) {
 	qs := defaultQualities(comm.Pages)
 	buckets := quality.Buckets(qs, 40)
 	return analytic.Solve(comm, pol, buckets, analytic.Options{})
@@ -24,7 +24,7 @@ func solveAnalytic(comm community.Config, pol core.Policy) (*analytic.Model, err
 
 // solveAnalyticBatch solves the §5 model for several policies on the
 // parallel grid, returning models in input order.
-func solveAnalyticBatch(comm community.Config, pols []core.Policy, o Options) ([]*analytic.Model, error) {
+func solveAnalyticBatch(comm community.Config, pols []policy.Spec, o Options) ([]*analytic.Model, error) {
 	jobs := make([]func() (*analytic.Model, error), len(pols))
 	for i, p := range pols {
 		p := p
@@ -93,11 +93,11 @@ func Figure1(o Options) (*Table, error) {
 func Figure2(o Options) (*Table, error) {
 	o = o.withDefaults()
 	comm := baseCommunity(o)
-	none, err := solveAnalytic(comm, core.Policy{Rule: core.RuleNone, K: 1})
+	none, err := solveAnalytic(comm, policy.Spec{Rule: policy.RuleNone, K: 1})
 	if err != nil {
 		return nil, err
 	}
-	promo, err := solveAnalytic(comm, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2})
+	promo, err := solveAnalytic(comm, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2})
 	if err != nil {
 		return nil, err
 	}
@@ -161,11 +161,11 @@ func Figure2(o Options) (*Table, error) {
 func Figure3(o Options) (*Table, error) {
 	o = o.withDefaults()
 	comm := baseCommunity(o)
-	none, err := solveAnalytic(comm, core.Policy{Rule: core.RuleNone, K: 1})
+	none, err := solveAnalytic(comm, policy.Spec{Rule: policy.RuleNone, K: 1})
 	if err != nil {
 		return nil, err
 	}
-	sel, err := solveAnalytic(comm, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2})
+	sel, err := solveAnalytic(comm, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2})
 	if err != nil {
 		return nil, err
 	}
@@ -226,11 +226,11 @@ func Figure4a(o Options) (*Table, error) {
 	q := quality.DefaultMax
 	policies := []struct {
 		name string
-		pol  core.Policy
+		pol  policy.Spec
 	}{
-		{"no randomization", core.Policy{Rule: core.RuleNone, K: 1}},
-		{"uniform randomization (r=0.2)", core.Policy{Rule: core.RuleUniform, K: 1, R: 0.2}},
-		{"selective randomization (r=0.2)", core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2}},
+		{"no randomization", policy.Spec{Rule: policy.RuleNone, K: 1}},
+		{"uniform randomization (r=0.2)", policy.Spec{Rule: policy.RuleUniform, K: 1, R: 0.2}},
+		{"selective randomization (r=0.2)", policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2}},
 	}
 	t := &Table{
 		ID:      "fig4a",
@@ -276,7 +276,7 @@ func Figure4a(o Options) (*Table, error) {
 
 // tbpSpec builds the grid spec measuring simulated TBP for one policy
 // via an immortal recycled probe.
-func tbpSpec(comm community.Config, pol core.Policy, qs []float64, o Options) simSpec {
+func tbpSpec(comm community.Config, pol policy.Spec, qs []float64, o Options) simSpec {
 	return simSpec{comm: comm, pol: pol, qs: qs, mutate: func(opts *sim.Options) {
 		opts.TrackTBP = true
 		opts.RecycleProbe = true
@@ -325,11 +325,11 @@ func Figure4b(o Options) (*Table, error) {
 	// The 2·len(rs) analytic solves run as one parallel batch, then
 	// every (r × rule × seed) probe simulation fans out in a second
 	// grid submission.
-	var pols []core.Policy
+	var pols []policy.Spec
 	var specs []simSpec
 	for _, r := range rs {
-		selPol := core.Policy{Rule: core.RuleSelective, K: 1, R: r}
-		uniPol := core.Policy{Rule: core.RuleUniform, K: 1, R: r}
+		selPol := policy.Spec{Rule: policy.RuleSelective, K: 1, R: r}
+		uniPol := policy.Spec{Rule: policy.RuleUniform, K: 1, R: r}
 		pols = append(pols, selPol, uniPol)
 		specs = append(specs, tbpSpec(comm, selPol, qs, o), tbpSpec(comm, uniPol, qs, o))
 	}
@@ -406,9 +406,9 @@ func Figure5(o Options) (*Table, error) {
 	// submission covers every (r × rule × seed) simulation. Policies are
 	// deduplicated (at r=0 selective and uniform collapse to RuleNone),
 	// so no worker slot repeats an identical job.
-	var pols []core.Policy
-	polIdx := map[core.Policy]int{}
-	idxOf := func(p core.Policy) int {
+	var pols []policy.Spec
+	polIdx := map[policy.Spec]int{}
+	idxOf := func(p policy.Spec) int {
 		if i, ok := polIdx[p]; ok {
 			return i
 		}
@@ -418,10 +418,10 @@ func Figure5(o Options) (*Table, error) {
 	}
 	cells := make([][2]int, len(rs)) // per r: indexes of (selective, uniform)
 	for ri, r := range rs {
-		selPol := core.Policy{Rule: core.RuleSelective, K: 1, R: r}
-		uniPol := core.Policy{Rule: core.RuleUniform, K: 1, R: r}
+		selPol := policy.Spec{Rule: policy.RuleSelective, K: 1, R: r}
+		uniPol := policy.Spec{Rule: policy.RuleUniform, K: 1, R: r}
 		if r == 0 {
-			selPol = core.Policy{Rule: core.RuleNone, K: 1}
+			selPol = policy.Spec{Rule: policy.RuleNone, K: 1}
 			uniPol = selPol
 		}
 		cells[ri] = [2]int{idxOf(selPol), idxOf(uniPol)}
@@ -494,14 +494,14 @@ func Figure6(o Options) (*Table, error) {
 	// duplicate policies collapsed (every k shares the single RuleNone
 	// run at r=0).
 	var specs []simSpec
-	polIdx := map[core.Policy]int{}
+	polIdx := map[policy.Spec]int{}
 	cells := make([][]int, len(rs))
 	for ri, r := range rs {
 		cells[ri] = make([]int, len(ks))
 		for i, k := range ks {
-			pol := core.Policy{Rule: core.RuleSelective, K: k, R: r}
+			pol := policy.Spec{Rule: policy.RuleSelective, K: k, R: r}
 			if r == 0 {
-				pol = core.Policy{Rule: core.RuleNone, K: 1}
+				pol = policy.Spec{Rule: policy.RuleNone, K: 1}
 			}
 			idx, ok := polIdx[pol]
 			if !ok {

@@ -5,22 +5,22 @@ import (
 
 	"repro/internal/ascii"
 	"repro/internal/community"
-	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/sim"
 )
 
 // robustnessPolicies are the three ranking methods of Section 7.
 func robustnessPolicies() []struct {
 	name string
-	pol  core.Policy
+	pol  policy.Spec
 } {
 	return []struct {
 		name string
-		pol  core.Policy
+		pol  policy.Spec
 	}{
-		{"no randomization", core.Policy{Rule: core.RuleNone, K: 1}},
-		{"selective (k=1, r=0.1)", core.Recommended()},
-		{"selective (k=2, r=0.1)", core.RecommendedSafe()},
+		{"no randomization", policy.Spec{Rule: policy.RuleNone, K: 1}},
+		{"selective (k=1, r=0.1)", policy.Recommended()},
+		{"selective (k=2, r=0.1)", policy.RecommendedSafe()},
 	}
 }
 
@@ -262,12 +262,12 @@ func Recommendation(o Options) (*Table, error) {
 	qs := defaultQualities(comm.Pages)
 	cases := []struct {
 		name string
-		pol  core.Policy
+		pol  policy.Spec
 	}{
-		{"no randomization", core.Policy{Rule: core.RuleNone, K: 1}},
-		{"selective r=0.1 k=1 (recommended)", core.Recommended()},
-		{"selective r=0.1 k=2 (recommended, safe top)", core.RecommendedSafe()},
-		{"selective r=0.2 k=1 (more aggressive)", core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2}},
+		{"no randomization", policy.Spec{Rule: policy.RuleNone, K: 1}},
+		{"selective r=0.1 k=1 (recommended)", policy.Recommended()},
+		{"selective r=0.1 k=2 (recommended, safe top)", policy.RecommendedSafe()},
+		{"selective r=0.2 k=1 (more aggressive)", policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2}},
 	}
 	t := &Table{
 		ID:      "rec",

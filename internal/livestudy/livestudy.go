@@ -21,7 +21,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/quality"
 	"repro/internal/randutil"
 	"repro/internal/stats"
@@ -60,7 +60,7 @@ type Config struct {
 	MaxSessionPages int
 	// Promotion is the treatment group's policy (default selective,
 	// k=21, r=1 — the paper's variant).
-	Promotion core.Policy
+	Promotion policy.Spec
 	// Funniness is the item quality distribution (default the
 	// PageRank-shaped power law).
 	Funniness quality.Distribution
@@ -90,8 +90,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxSessionPages <= 0 {
 		c.MaxSessionPages = 10
 	}
-	if c.Promotion == (core.Policy{}) {
-		c.Promotion = core.Policy{Rule: core.RuleSelective, K: 21, R: 1}
+	if c.Promotion == (policy.Spec{}) {
+		c.Promotion = policy.Spec{Rule: policy.RuleSelective, K: 21, R: 1}
 	}
 	if c.Funniness == nil {
 		c.Funniness = DefaultFunniness()
@@ -117,7 +117,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("livestudy: measurement window %d exceeds duration %d",
 			c.MeasureLastDays, c.DurationDays)
 	}
-	return c.Promotion.Validate()
+	return nil
 }
 
 // GroupResult reports one user group's outcome.
@@ -178,7 +178,7 @@ type group struct {
 	birth  []int
 	seen   []bitset // per-user viewed-item sets
 	ranked []int    // yesterday's ranking (item indices)
-	pol    core.Policy
+	pol    policy.Policy
 
 	funny, total int
 	visitsByRank []int
@@ -204,6 +204,10 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	promotion, err := cfg.Promotion.Compile()
+	if err != nil {
+		return nil, err
+	}
 	n := cfg.Items
 	rng := randutil.New(cfg.Seed)
 
@@ -218,8 +222,8 @@ func Run(cfg Config) (*Result, error) {
 		expiry[i] = 1 + rng.Intn(cfg.ItemLifetimeDays)
 	}
 
-	control := newGroup(cfg, n, core.Policy{Rule: core.RuleNone, K: 1})
-	treatment := newGroup(cfg, n, cfg.Promotion)
+	control := newGroup(cfg, n, policy.Deterministic())
+	treatment := newGroup(cfg, n, promotion)
 
 	for day := 0; day < cfg.DurationDays; day++ {
 		measuring := day >= cfg.DurationDays-cfg.MeasureLastDays
@@ -245,7 +249,7 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func newGroup(cfg Config, n int, pol core.Policy) *group {
+func newGroup(cfg Config, n int, pol policy.Policy) *group {
 	g := &group{
 		votes:        make([]int, n),
 		viewed:       make([]int, n),
@@ -302,7 +306,7 @@ func (g *group) stepDay(cfg Config, funniness []float64,
 	rng *randutil.RNG, day int, measuring bool) {
 	// Build today's presentation from yesterday's votes.
 	var det, pool []int
-	if g.pol.Rule == core.RuleSelective {
+	if g.pol.Selection() == policy.SelectUnexplored {
 		for _, it := range g.ranked {
 			if g.viewed[it] == 0 {
 				pool = append(pool, it)
@@ -313,7 +317,8 @@ func (g *group) stepDay(cfg Config, funniness []float64,
 	} else {
 		det = g.ranked
 	}
-	res, err := core.NewResolver(core.Slice(det), core.Slice(pool), g.pol.K, g.pol.R)
+	k, r := g.pol.Params(policy.State{Pages: len(g.ranked), ZeroAware: len(pool)})
+	res, err := policy.NewResolver(policy.Slice(det), policy.Slice(pool), k, r)
 	if err != nil {
 		panic("livestudy: resolver: " + err.Error())
 	}

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/quality"
 	"repro/internal/randutil"
 	"repro/internal/stats"
@@ -16,7 +16,7 @@ func TestDefaultsApplied(t *testing.T) {
 		c.MeasureLastDays != 15 || c.ItemLifetimeDays != 30 {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
-	if c.Promotion.Rule != core.RuleSelective || c.Promotion.K != 21 || c.Promotion.R != 1 {
+	if c.Promotion.Rule != policy.RuleSelective || c.Promotion.K != 21 || c.Promotion.R != 1 {
 		t.Fatalf("default promotion %+v, want the paper's k=21 r=1 variant", c.Promotion)
 	}
 	if c.Funniness == nil || c.MaxSessionPages != 10 {
@@ -28,7 +28,7 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(Config{DurationDays: 10, MeasureLastDays: 20}); err == nil {
 		t.Error("measurement window longer than study accepted")
 	}
-	if _, err := Run(Config{Promotion: core.Policy{Rule: core.RuleSelective, K: -1, R: 1}}); err == nil {
+	if _, err := Run(Config{Promotion: policy.Spec{Rule: policy.RuleSelective, K: -1, R: 1}}); err == nil {
 		t.Error("invalid promotion accepted")
 	}
 }

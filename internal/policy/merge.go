@@ -1,9 +1,21 @@
 // The merge engine: the single implementation of the paper's §4
 // randomized rank-promotion merge, shared by every ranking surface in the
 // repository — the offline Ranker, the community simulator's resolver,
-// and the online serving path. It was extracted verbatim from
-// internal/core so that the RNG draw sequence of every fixed-seed
-// experiment and golden test is unchanged.
+// and the online serving path. The RNG draw sequence is pinned by every
+// fixed-seed experiment and golden test.
+//
+// A query's n result pages are split into a promotion pool Pp (selected by
+// the policy's rule) and the remaining pages, which are ranked
+// deterministically by popularity into a list Ld. The pool is randomly
+// shuffled into a list Lp, and the two lists are merged into the final
+// result list L:
+//
+//  1. The top k−1 elements of Ld are placed first, preserving order
+//     (these pages are "exploited unconditionally" — protected from any
+//     rank demotion).
+//  2. Each remaining position is filled by a biased coin flip: with
+//     probability r the next element of Lp, otherwise the next element of
+//     Ld. When either list empties, the other is drained.
 package policy
 
 import "repro/internal/randutil"

@@ -2,9 +2,10 @@
 // pluggable abstraction. The paper's contribution is a *comparison* of
 // ranking rules — pure deterministic, uniform random, and partially
 // randomized (selective) ranking — and every surface that ranks (the
-// offline Ranker, the §6 community simulator, the figure experiments and
-// the online serving path) now expresses its rule as a Policy and runs
-// the same scratch-reusing, zero-alloc merge engine (merge.go).
+// offline Ranker, the §6 community simulator, the §5 analytical model,
+// the figure experiments and the online serving path) names its rule as a
+// Spec, compiles it once into a Policy and runs the same scratch-reusing,
+// zero-alloc merge engine (merge.go) or its lazy twin (resolver.go).
 //
 // A Policy answers three questions per request:
 //
@@ -87,8 +88,14 @@ type Spec struct {
 	RMin float64 `json:"rmin,omitempty"`
 }
 
-// String renders the spec for telemetry and experiment tables, matching
-// the offline core.Policy rendering for the shared rules.
+// Recommended is the paper's §6.4 recipe: selective promotion, 10%
+// randomization, starting at the top rank position.
+func Recommended() Spec { return Spec{Rule: RuleSelective, K: 1, R: 0.1} }
+
+// RecommendedSafe is the variant that never perturbs the top result (k=2).
+func RecommendedSafe() Spec { return Spec{Rule: RuleSelective, K: 2, R: 0.1} }
+
+// String renders the spec for telemetry and experiment tables.
 func (s Spec) String() string {
 	switch s.Rule {
 	case RuleDeterministic, RuleNone, "":
@@ -170,7 +177,7 @@ func ParseSpec(s string) (Spec, error) {
 	return spec, nil
 }
 
-// validateKR is the shared parameter check, matching core.Policy.Validate.
+// validateKR is the shared parameter check of the rules that read k and r.
 func validateKR(rule string, k int, r float64) error {
 	if k < 1 {
 		return fmt.Errorf("policy: %s starting point k must be >= 1, got %d", rule, k)

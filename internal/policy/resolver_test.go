@@ -1,4 +1,4 @@
-package core
+package policy
 
 import (
 	"math"
@@ -18,38 +18,40 @@ func seq(lo, n int) Slice {
 }
 
 func TestRuleString(t *testing.T) {
-	if RuleNone.String() != "none" || RuleUniform.String() != "uniform" ||
-		RuleSelective.String() != "selective" {
+	if (Spec{Rule: RuleNone}).String() != "none" ||
+		(Spec{Rule: RuleUniform, K: 1, R: 0.5}).String() != "uniform(k=1,r=0.5)" ||
+		(Spec{Rule: RuleSelective, K: 2, R: 0.1}).String() != "selective(k=2,r=0.1)" {
 		t.Fatal("rule names wrong")
 	}
-	if Rule(99).String() == "" {
+	if (Spec{Rule: "rule(99)"}).String() == "" {
 		t.Fatal("unknown rule should still render")
 	}
 }
 
 func TestPolicyValidate(t *testing.T) {
-	good := []Policy{
-		{RuleNone, 1, 0},
-		{RuleSelective, 1, 0.1},
-		{RuleSelective, 2, 1},
-		{RuleUniform, 21, 0.5},
+	good := []Spec{
+		{Rule: RuleNone, K: 1},
+		{Rule: RuleNone}, // the deterministic rule never reads k
+		{Rule: RuleSelective, K: 1, R: 0.1},
+		{Rule: RuleSelective, K: 2, R: 1},
+		{Rule: RuleUniform, K: 21, R: 0.5},
 		Recommended(),
 		RecommendedSafe(),
 	}
 	for _, p := range good {
-		if err := p.Validate(); err != nil {
+		if _, err := p.Compile(); err != nil {
 			t.Errorf("%v rejected: %v", p, err)
 		}
 	}
-	bad := []Policy{
-		{Rule(9), 1, 0.1},
-		{RuleSelective, 0, 0.1},
-		{RuleSelective, -1, 0.1},
-		{RuleSelective, 1, -0.1},
-		{RuleSelective, 1, 1.5},
+	bad := []Spec{
+		{Rule: "rule(9)", K: 1, R: 0.1},
+		{Rule: RuleSelective, K: 0, R: 0.1},
+		{Rule: RuleSelective, K: -1, R: 0.1},
+		{Rule: RuleSelective, K: 1, R: -0.1},
+		{Rule: RuleSelective, K: 1, R: 1.5},
 	}
 	for _, p := range bad {
-		if err := p.Validate(); err == nil {
+		if _, err := p.Compile(); err == nil {
 			t.Errorf("invalid policy %+v accepted", p)
 		}
 	}

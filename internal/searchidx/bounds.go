@@ -109,13 +109,13 @@ func (b *blockBounds) raise(bi int, pop float64) {
 }
 
 // popAt resolves a document's current popularity for exact bound
-// computation: the installed popularity source, or the index's own
-// score map. Callers hold ix.mu.
+// computation: the installed popularity source, else 0. Callers hold
+// ix.mu.
 func (ix *Index) popAt(id uint32) float64 {
 	if ix.popOf != nil {
 		return ix.popOf(id)
 	}
-	return ix.pop[int(id)]
+	return 0
 }
 
 // computeBounds builds exact per-block bounds for ids from the current
@@ -169,7 +169,7 @@ func (ix *Index) insertPosting(p posting, id uint32) posting {
 // are computed exactly (inserts, deletes). The serving layer points this
 // at its dense page-stat table so the index never duplicates scores.
 // Must be installed before the first Add; documents indexed earlier keep
-// bounds computed from the internal score map.
+// zero bounds until a raise.
 func (ix *Index) SetPopFunc(f func(id uint32) float64) {
 	ix.mu.Lock()
 	ix.popOf = f
@@ -237,11 +237,11 @@ func (ix *Index) RaiseCached(refs []BoundRef, e uint64, pop float64) bool {
 func (ix *Index) ResolveRaise(id int, pop float64, refs []BoundRef) (_ []BoundRef, epoch uint64, ok bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	doc, found := ix.docs[id]
+	text, found := ix.docs[id]
 	if !found {
 		return refs[:0], 0, false
 	}
-	return ix.raiseLocked(doc.text, uint32(id), pop, refs[:0]), ix.rebuildSeq.Load(), true
+	return ix.raiseLocked(text, uint32(id), pop, refs[:0]), ix.rebuildSeq.Load(), true
 }
 
 // RaiseBound lifts the posting-block upper bounds covering the document
@@ -259,11 +259,11 @@ func (ix *Index) RaiseBound(id int, pop float64) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	doc, ok := ix.docs[id]
+	text, ok := ix.docs[id]
 	if !ok {
 		return
 	}
-	ix.raiseLocked(doc.text, uint32(id), pop, nil)
+	ix.raiseLocked(text, uint32(id), pop, nil)
 }
 
 // raiseLocked raises the bounds covering document id in every term of

@@ -1,16 +1,17 @@
-// Package searchidx is a minimal search-engine substrate: a tokenizer, an
-// in-memory inverted index with conjunctive (AND) retrieval, and
-// popularity-ordered result ranking with a randomized rank-promotion hook.
+// Package searchidx is a minimal search-engine substrate: a tokenizer and
+// an in-memory inverted index with conjunctive (AND) retrieval and
+// per-block popularity bounds for pruned top-K selection.
 //
 // The paper's model assumes a one-to-one correspondence between queries
 // and topics, each query returning exactly the pages of one community
 // (§1.4). This package realizes that abstraction concretely: documents
-// tagged with topic terms are indexed, a query retrieves the matching
-// community, and results are ordered by popularity with the configured
-// promotion policy applied — the component a real engine would deploy.
+// tagged with topic terms are indexed and a query retrieves the matching
+// community. Ranking the retrieved ids is the caller's job — the serving
+// layer and the public Ranker both run them through the §4 merge in
+// internal/policy.
 //
-// Concurrency. Mutations (Add, Delete, SetPopularity) are serialized by an
-// internal mutex. Postings live in one term table owned by the Index —
+// Concurrency. Mutations (Add, Delete) are serialized by an internal
+// mutex. Postings live in one term table owned by the Index —
 // term → cell, each cell an atomically replaced immutable posting header
 // — so a mutation touches only the cells of the document's own terms and
 // nothing is ever cloned or folded. Retrieval — Retrieve, or
@@ -23,14 +24,10 @@ package searchidx
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"unicode"
-
-	"repro/internal/core"
-	"repro/internal/randutil"
 )
 
 // Document is an indexable page. IDs must fit in a uint32: postings are
@@ -40,23 +37,15 @@ type Document struct {
 	Text string
 }
 
-// docEntry is what the index retains of a document: its text (re-tokenized
-// on delete and on bound raises) and its insertion sequence, for age
-// tie-breaks. One map entry per document: every map the write path must
-// probe is a cache miss or two on a large corpus.
-type docEntry struct {
-	text  string
-	birth int
-}
-
-// Index is an inverted index over documents with per-document popularity
-// scores. All methods are safe for concurrent use; retrieval is lock-free
-// (see the package comment).
+// Index is an inverted index over documents. Popularity lives with the
+// caller and is read through SetPopFunc for block bounds. All methods are
+// safe for concurrent use; retrieval is lock-free (see the package
+// comment).
 type Index struct {
-	mu     sync.Mutex // serializes mutations and guards the maps below
-	docs   map[int]docEntry
-	pop    map[int]float64 // popularity score per doc
-	seq    int
+	mu sync.Mutex // serializes mutations and guards the fields below
+	// docs is each document's text, re-tokenized on delete and on bound
+	// raises.
+	docs   map[int]string
 	nterms int
 	// terms is the live term table: string → *termCell. Written under mu
 	// (a cell is removed when its last document leaves), read lock-free.
@@ -76,10 +65,7 @@ type Index struct {
 
 // NewIndex creates an empty index.
 func NewIndex() *Index {
-	return &Index{
-		docs: make(map[int]docEntry),
-		pop:  make(map[int]float64),
-	}
+	return &Index{docs: make(map[int]string)}
 }
 
 // Tokenize lower-cases and splits text into alphanumeric terms.
@@ -128,8 +114,7 @@ func (ix *Index) Add(doc Document) error {
 	if _, ok := ix.docs[doc.ID]; ok {
 		return fmt.Errorf("searchidx: document %d already indexed", doc.ID)
 	}
-	ix.docs[doc.ID] = docEntry{text: doc.Text, birth: ix.seq}
-	ix.seq++
+	ix.docs[doc.ID] = doc.Text
 	id := uint32(doc.ID)
 	for ti, t := range terms {
 		if containsTerm(terms[:ti], t) {
@@ -159,19 +144,18 @@ func (ix *Index) Add(doc Document) error {
 func (ix *Index) Delete(id int) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	doc, ok := ix.docs[id]
+	text, ok := ix.docs[id]
 	if !ok {
 		return false
 	}
 	qs := queryScratchPool.Get().(*queryScratch)
 	defer qs.release()
-	terms := appendTokens(qs.terms[:0], doc.text)
+	terms := appendTokens(qs.terms[:0], text)
 	qs.terms = terms
 	// Every touched posting list is rebuilt below: stand cached bound
 	// references down for the duration.
 	ix.beginRebuild()
 	delete(ix.docs, id)
-	delete(ix.pop, id)
 	for ti, t := range terms {
 		if containsTerm(terms[:ti], t) {
 			continue
@@ -238,30 +222,6 @@ func (ix *Index) Len() int {
 	return len(ix.docs)
 }
 
-// SetPopularity records a document's current popularity score (in-link
-// count, PageRank, visit count — whatever measure the engine uses).
-func (ix *Index) SetPopularity(id int, score float64) error {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	doc, ok := ix.docs[id]
-	if !ok {
-		return fmt.Errorf("searchidx: unknown document %d", id)
-	}
-	ix.pop[id] = score
-	// Keep the block bounds sound: raise the covering bounds to the new
-	// score (lowering a score leaves them valid but loose; the next
-	// rebuild tightens them).
-	ix.raiseLocked(doc.text, uint32(id), score, nil)
-	return nil
-}
-
-// Popularity returns a document's score (zero if never set).
-func (ix *Index) Popularity(id int) float64 {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.pop[id]
-}
-
 // Retrieve returns the ids of the documents matching every query term
 // (conjunctive AND), in ascending id order, without ranking them. It is
 // the candidate-set hook for callers that keep popularity elsewhere — the
@@ -289,76 +249,6 @@ func (ix *Index) Retrieve(query string) []int {
 }
 
 var idsPool = sync.Pool{New: func() any { return new([]uint32) }}
-
-// Result is one ranked search hit.
-type Result struct {
-	ID         int
-	Popularity float64
-	Promoted   bool // true when placed by the promotion pool
-}
-
-// Search retrieves documents matching all query terms and ranks them by
-// popularity descending (ties: older document first), applying the given
-// rank-promotion policy. Under core.RuleSelective the promotion pool is
-// the zero-popularity matches; under core.RuleUniform each match joins
-// the pool with probability policy.R. rng drives the randomized merge.
-func (ix *Index) Search(query string, policy core.Policy, rng *randutil.RNG) ([]Result, error) {
-	if err := policy.Validate(); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("searchidx: nil rng")
-	}
-	ids := ix.Retrieve(query)
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	// Rank deterministically.
-	sort.Slice(ids, func(a, b int) bool {
-		pa, pb := ix.pop[ids[a]], ix.pop[ids[b]]
-		if pa != pb {
-			return pa > pb
-		}
-		ba, bb := ix.docs[ids[a]].birth, ix.docs[ids[b]].birth
-		if ba != bb {
-			return ba < bb
-		}
-		return ids[a] < ids[b]
-	})
-	var det, pool []int
-	switch policy.Rule {
-	case core.RuleSelective:
-		for _, id := range ids {
-			if ix.pop[id] == 0 {
-				pool = append(pool, id)
-			} else {
-				det = append(det, id)
-			}
-		}
-	case core.RuleUniform:
-		for _, id := range ids {
-			if rng.Bernoulli(policy.R) {
-				pool = append(pool, id)
-			} else {
-				det = append(det, id)
-			}
-		}
-	default:
-		det = ids
-	}
-	poolSet := make(map[int]bool, len(pool))
-	for _, id := range pool {
-		poolSet[id] = true
-	}
-	merged := core.Merge(core.Slice(det), core.Slice(pool), policy.K, policy.R, rng, nil)
-	out := make([]Result, len(merged))
-	for i, id := range merged {
-		out[i] = Result{ID: id, Popularity: ix.pop[id], Promoted: poolSet[id]}
-	}
-	return out, nil
-}
 
 // Terms returns the number of distinct indexed terms.
 func (ix *Index) Terms() int {

@@ -1,12 +1,8 @@
 package searchidx
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/randutil"
 )
 
 func TestTokenize(t *testing.T) {
@@ -45,27 +41,19 @@ func TestAddAndRetrieve(t *testing.T) {
 	if ix.Terms() == 0 {
 		t.Fatal("no terms indexed")
 	}
-	rng := randutil.New(1)
-	res, err := ix.Search("swimming", core.Policy{Rule: core.RuleNone, K: 1}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("swimming matched %d docs, want 3", len(res))
+	if ids := ix.Retrieve("swimming"); len(ids) != 3 {
+		t.Fatalf("swimming matched %d docs, want 3", len(ids))
 	}
 	// Conjunctive retrieval.
-	res, _ = ix.Search("swimming linux", core.Policy{Rule: core.RuleNone, K: 1}, rng)
-	if len(res) != 1 || res[0].ID != 4 {
-		t.Fatalf("conjunctive query = %+v, want doc 4", res)
+	if ids := ix.Retrieve("swimming linux"); !reflect.DeepEqual(ids, []int{4}) {
+		t.Fatalf("conjunctive query = %v, want doc 4", ids)
 	}
 	// Unknown term.
-	res, _ = ix.Search("quantum", core.Policy{Rule: core.RuleNone, K: 1}, rng)
-	if res != nil {
-		t.Fatalf("unknown term matched %v", res)
+	if ids := ix.Retrieve("quantum"); ids != nil {
+		t.Fatalf("unknown term matched %v", ids)
 	}
 	// Empty query.
-	res, _ = ix.Search("  ", core.Policy{Rule: core.RuleNone, K: 1}, rng)
-	if res != nil {
+	if ids := ix.Retrieve("  "); ids != nil {
 		t.Fatal("empty query matched documents")
 	}
 }
@@ -91,145 +79,14 @@ func TestDelete(t *testing.T) {
 	if ix.Delete(2) {
 		t.Fatal("double delete returned true")
 	}
-	rng := randutil.New(2)
-	res, _ := ix.Search("swimming", core.Policy{Rule: core.RuleNone, K: 1}, rng)
-	if len(res) != 2 {
-		t.Fatalf("after delete, swimming matched %d", len(res))
+	ids := ix.Retrieve("swimming")
+	if len(ids) != 2 {
+		t.Fatalf("after delete, swimming matched %d", len(ids))
 	}
-	for _, r := range res {
-		if r.ID == 2 {
+	for _, id := range ids {
+		if id == 2 {
 			t.Fatal("deleted doc still retrieved")
 		}
-	}
-}
-
-func TestPopularityRanking(t *testing.T) {
-	ix := buildIndex(t)
-	if err := ix.SetPopularity(1, 0.2); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SetPopularity(2, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SetPopularity(4, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.SetPopularity(99, 1); err == nil {
-		t.Error("unknown doc accepted popularity")
-	}
-	rng := randutil.New(3)
-	res, _ := ix.Search("swimming", core.Policy{Rule: core.RuleNone, K: 1}, rng)
-	wantOrder := []int{2, 4, 1}
-	for i, want := range wantOrder {
-		if res[i].ID != want {
-			t.Fatalf("rank %d = doc %d, want %d (full: %+v)", i+1, res[i].ID, want, res)
-		}
-	}
-	if ix.Popularity(2) != 0.9 {
-		t.Fatal("Popularity getter wrong")
-	}
-}
-
-func TestAgeTieBreak(t *testing.T) {
-	ix := NewIndex()
-	for i := 1; i <= 3; i++ {
-		if err := ix.Add(Document{i, "topic"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := randutil.New(4)
-	res, _ := ix.Search("topic", core.Policy{Rule: core.RuleNone, K: 1}, rng)
-	// All zero popularity: insertion (age) order wins, oldest first.
-	for i, want := range []int{1, 2, 3} {
-		if res[i].ID != want {
-			t.Fatalf("tie order %+v", res)
-		}
-	}
-}
-
-func TestSelectivePromotionInSearch(t *testing.T) {
-	ix := NewIndex()
-	for i := 1; i <= 30; i++ {
-		if err := ix.Add(Document{i, "news article"}); err != nil {
-			t.Fatal(err)
-		}
-		if i <= 25 {
-			if err := ix.SetPopularity(i, float64(30-i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Docs 26..30 have zero popularity: the selective pool.
-	rng := randutil.New(5)
-	promotedSeen := 0
-	const trials = 400
-	for trial := 0; trial < trials; trial++ {
-		res, err := ix.Search("news", core.Policy{Rule: core.RuleSelective, K: 2, R: 0.3}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != 30 {
-			t.Fatalf("got %d results", len(res))
-		}
-		// K=2 protects the top result.
-		if res[0].ID != 1 || res[0].Promoted {
-			t.Fatalf("top result perturbed: %+v", res[0])
-		}
-		// Promoted flags must identify exactly the zero-popularity docs.
-		for _, r := range res {
-			if r.Promoted != (r.ID > 25) {
-				t.Fatalf("promoted flag wrong: %+v", r)
-			}
-		}
-		if res[1].Promoted {
-			promotedSeen++
-		}
-	}
-	// Position 2 should hold a promoted page roughly r = 30% of the time.
-	frac := float64(promotedSeen) / trials
-	if frac < 0.18 || frac > 0.45 {
-		t.Fatalf("promoted fraction at position 2 = %v, want ~0.3", frac)
-	}
-}
-
-func TestUniformPromotionInSearch(t *testing.T) {
-	ix := NewIndex()
-	for i := 1; i <= 20; i++ {
-		if err := ix.Add(Document{i, "blog"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := ix.SetPopularity(i, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rng := randutil.New(6)
-	sawPromoted := false
-	for trial := 0; trial < 100; trial++ {
-		res, err := ix.Search("blog", core.Policy{Rule: core.RuleUniform, K: 1, R: 0.4}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != 20 {
-			t.Fatalf("got %d results", len(res))
-		}
-		for _, r := range res {
-			if r.Promoted {
-				sawPromoted = true
-			}
-		}
-	}
-	if !sawPromoted {
-		t.Fatal("uniform rule never promoted anything at r=0.4")
-	}
-}
-
-func TestSearchValidation(t *testing.T) {
-	ix := buildIndex(t)
-	if _, err := ix.Search("swimming", core.Policy{Rule: core.RuleSelective, K: 0, R: 1}, randutil.New(1)); err == nil {
-		t.Error("invalid policy accepted")
-	}
-	if _, err := ix.Search("swimming", core.Recommended(), nil); err == nil {
-		t.Error("nil rng accepted")
 	}
 }
 
@@ -244,8 +101,7 @@ func TestLargeIndexIntersection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rng := randutil.New(7)
-	res, _ := ix.Search("common rare", core.Policy{Rule: core.RuleNone, K: 1}, rng)
+	res := ix.Retrieve("common rare")
 	want := 0
 	for i := 0; i < 500; i++ {
 		if i%7 == 0 {
@@ -254,21 +110,5 @@ func TestLargeIndexIntersection(t *testing.T) {
 	}
 	if len(res) != want {
 		t.Fatalf("intersection size %d, want %d", len(res), want)
-	}
-}
-
-func BenchmarkSearch(b *testing.B) {
-	ix := NewIndex()
-	for i := 0; i < 10000; i++ {
-		if err := ix.Add(Document{i, fmt.Sprintf("topic%d shared words here", i%50)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rng := randutil.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.Search("topic7 shared", core.Recommended(), rng); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

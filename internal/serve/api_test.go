@@ -1,6 +1,6 @@
-// Contract tests for the versioned /v1 API surface: legacy aliases stay
-// byte-identical to their /v1 successors (plus migration headers), every
-// failure path answers the structured error envelope, the batch endpoint
+// Contract tests for the versioned /v1 API surface: the unversioned paths
+// answer 404 like any unknown path, every failure path answers the
+// structured error envelope, the batch endpoint
 // serves both codecs equivalently, and the dense page table survives a
 // concurrent add/feedback/rank storm with exact popularity conservation.
 package serve
@@ -47,29 +47,16 @@ func decodeEnvelope(t *testing.T, w *httptest.ResponseRecorder) ErrorInfo {
 	return env.Error
 }
 
-// TestV1AliasByteIdentity pins the migration contract: every legacy
-// unprefixed route answers the byte-identical body and status of its
-// /v1 successor, plus the Deprecation and successor-version Link
-// headers; the /v1 route itself carries neither.
-func TestV1AliasByteIdentity(t *testing.T) {
-	c := newTestCorpus(t, Config{Shards: 2, Seed: 5, Arms: []Arm{
-		{Name: "control", Policy: pspec("deterministic", 0, 0, 0), Weight: 1},
-		{Name: "explore", Policy: pspec("selective", 1, 0.3, 0), Weight: 1},
-	}})
-	for i := 0; i < 20; i++ {
-		pop := float64(20 - i)
-		if i%5 == 0 {
-			pop = 0
-		}
-		if err := c.Add(i, fmt.Sprintf("alias topic page%d", i), pop); err != nil {
-			t.Fatal(err)
-		}
+// TestLegacyPathsAre404: the unversioned aliases are gone. Each old
+// path gets exactly the mux's answer to any unknown path — status, body,
+// and no migration headers — while its /v1 successor still serves.
+func TestLegacyPathsAre404(t *testing.T) {
+	srv := NewServer(newTestCorpus(t, Config{Shards: 1, Seed: 5}))
+	unknown := do(t, srv, http.MethodGet, "/no-such-path", "", nil)
+	if unknown.Code != http.StatusNotFound {
+		t.Fatalf("unknown path answered %d, want 404", unknown.Code)
 	}
-	c.Sync()
-	srv := NewServer(c)
-
-	seed := uint64(42)
-	rankBody, _ := json.Marshal(RankRequest{Query: "alias topic", N: 10, Unit: "u1", Seed: &seed})
+	rankBody, _ := json.Marshal(RankRequest{N: 3})
 	fbBody, _ := json.Marshal(FeedbackRequest{Events: []Event{{Page: 1, Slot: 1, Impressions: 1}}})
 	cases := []struct {
 		method, path string
@@ -77,60 +64,22 @@ func TestV1AliasByteIdentity(t *testing.T) {
 	}{
 		{http.MethodPost, "/rank", rankBody},
 		{http.MethodPost, "/feedback", fbBody},
-		{http.MethodGet, "/healthz", nil},
+		{http.MethodGet, "/stats", nil},
 		{http.MethodGet, "/experiment", nil},
-		// Error paths must be identical too.
-		{http.MethodGet, "/rank", nil},
-		{http.MethodPost, "/rank", []byte("{not json")},
+		{http.MethodGet, "/healthz", nil},
 	}
 	for _, tc := range cases {
-		// Quiesce async feedback application so state-reading pairs
-		// (healthz, stats) compare a stable corpus.
-		c.Sync()
-		legacy := do(t, srv, tc.method, tc.path, "application/json", tc.body)
-		v1 := do(t, srv, tc.method, "/v1"+tc.path, "application/json", tc.body)
-		if legacy.Code != v1.Code {
-			t.Fatalf("%s %s: legacy status %d, /v1 status %d", tc.method, tc.path, legacy.Code, v1.Code)
+		w := do(t, srv, tc.method, tc.path, "application/json", tc.body)
+		if w.Code != unknown.Code || !bytes.Equal(w.Body.Bytes(), unknown.Body.Bytes()) {
+			t.Errorf("%s %s: answered %d %q, want the unknown-path %d %q",
+				tc.method, tc.path, w.Code, w.Body.String(), unknown.Code, unknown.Body.String())
 		}
-		if !bytes.Equal(legacy.Body.Bytes(), v1.Body.Bytes()) {
-			t.Fatalf("%s %s: legacy body %q differs from /v1 body %q",
-				tc.method, tc.path, legacy.Body.String(), v1.Body.String())
+		if w.Header().Get("Deprecation") != "" || w.Header().Get("Link") != "" {
+			t.Errorf("%s %s: still carries migration headers", tc.method, tc.path)
 		}
-		if dep := legacy.Header().Get("Deprecation"); dep != "true" {
-			t.Fatalf("%s %s: legacy Deprecation header = %q, want \"true\"", tc.method, tc.path, dep)
+		if v1 := do(t, srv, tc.method, "/v1"+tc.path, "application/json", tc.body); v1.Code/100 != 2 {
+			t.Errorf("%s /v1%s: answered %d %q", tc.method, tc.path, v1.Code, v1.Body.String())
 		}
-		wantLink := "</v1" + tc.path + `>; rel="successor-version"`
-		if link := legacy.Header().Get("Link"); link != wantLink {
-			t.Fatalf("%s %s: legacy Link header = %q, want %q", tc.method, tc.path, link, wantLink)
-		}
-		if v1.Header().Get("Deprecation") != "" || v1.Header().Get("Link") != "" {
-			t.Fatalf("%s /v1%s: versioned route carries migration headers", tc.method, tc.path)
-		}
-	}
-
-	// /stats carries a wall-clock uptime, so compare it field-wise with
-	// uptime masked instead of byte-wise.
-	legacy := do(t, srv, http.MethodGet, "/stats", "", nil)
-	v1 := do(t, srv, http.MethodGet, "/v1/stats", "", nil)
-	var ls, vs map[string]any
-	if err := json.Unmarshal(legacy.Body.Bytes(), &ls); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(v1.Body.Bytes(), &vs); err != nil {
-		t.Fatal(err)
-	}
-	delete(ls, "uptime_seconds")
-	delete(vs, "uptime_seconds")
-	if !reflect.DeepEqual(ls, vs) {
-		t.Fatalf("stats differ:\nlegacy %v\n/v1    %v", ls, vs)
-	}
-	if legacy.Header().Get("Deprecation") != "true" {
-		t.Fatal("legacy /stats missing Deprecation header")
-	}
-
-	// The batch endpoint is new with /v1: no legacy alias exists.
-	if w := do(t, srv, http.MethodPost, "/rank/batch", "application/json", []byte(`{"requests":[{}]}`)); w.Code != http.StatusNotFound {
-		t.Fatalf("legacy /rank/batch answered %d, want 404 (new endpoint, no alias)", w.Code)
 	}
 }
 

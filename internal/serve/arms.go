@@ -15,7 +15,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/randutil"
 )
@@ -106,8 +105,7 @@ const DefaultArmName = "default"
 func buildArms(cfg Config) ([]*armState, error) {
 	decls := cfg.Arms
 	if len(decls) == 0 {
-		spec := policySpec(cfg)
-		decls = []Arm{{Name: DefaultArmName, Policy: spec, Weight: 1}}
+		decls = []Arm{{Name: DefaultArmName, Policy: cfg.Policy, Weight: 1}}
 	}
 	arms := make([]*armState, 0, len(decls))
 	seen := make(map[string]bool, len(decls))
@@ -154,23 +152,6 @@ func buildArms(cfg Config) ([]*armState, error) {
 	// point in [0,1) lands in some arm.
 	arms[len(arms)-1].cum = 1
 	return arms, nil
-}
-
-// policySpec converts the offline struct policy in Config into its
-// declarative spec form for the implicit default arm.
-func policySpec(cfg Config) policy.Spec {
-	p := cfg.Policy
-	spec := policy.Spec{K: p.K, R: p.R}
-	switch p.Rule {
-	case core.RuleUniform:
-		spec.Rule = policy.RuleUniform
-	case core.RuleSelective:
-		spec.Rule = policy.RuleSelective
-	default:
-		spec.Rule = policy.RuleDeterministic
-		spec.K, spec.R = 0, 0
-	}
-	return spec
 }
 
 // unitPoint hashes a unit ID to a deterministic point in [0,1):

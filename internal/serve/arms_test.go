@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/policy"
 )
 
@@ -34,8 +33,8 @@ func TestConfigValidate(t *testing.T) {
 		{"negative poolcap", Config{PoolCap: -2}, "PoolCap"},
 		{"negative queuelen", Config{QueueLen: -1}, "QueueLen"},
 		{"negative cache size disables, not errors", Config{QueryCacheSize: -1}, ""},
-		{"bad policy k", Config{Policy: coreTestPolicy(0, 0.1)}, "k must be"},
-		{"bad policy r", Config{Policy: coreTestPolicy(1, 1.5)}, "r must be"},
+		{"bad policy k", Config{Policy: selectiveSpec(0, 0.1)}, "k must be"},
+		{"bad policy r", Config{Policy: selectiveSpec(1, 1.5)}, "r must be"},
 		{"unnamed arm", Config{Arms: []Arm{{Policy: policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.1}, Weight: 1}}}, "no name"},
 		{"duplicate arm names", Config{Arms: []Arm{
 			{Name: "a", Policy: policy.Spec{Rule: policy.RuleDeterministic}, Weight: 1},
@@ -64,7 +63,7 @@ func TestConfigValidate(t *testing.T) {
 		{"two valid arms", Config{Arms: twoArmConfig()}, ""},
 		// Arms take precedence: a garbage Policy must not reject a config
 		// whose declared arms are valid, because the Policy is ignored.
-		{"arms override invalid policy", Config{Arms: twoArmConfig(), Policy: coreTestPolicy(0, 9)}, ""},
+		{"arms override invalid policy", Config{Arms: twoArmConfig(), Policy: selectiveSpec(0, 9)}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,10 +86,10 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// coreTestPolicy builds an offline struct policy with the given k and r
-// under the selective rule (the validation targets the parameter range).
-func coreTestPolicy(k int, r float64) core.Policy {
-	return core.Policy{Rule: core.RuleSelective, K: k, R: r}
+// selectiveSpec builds a selective policy spec with the given k and r
+// (the validation targets the parameter range).
+func selectiveSpec(k int, r float64) policy.Spec {
+	return policy.Spec{Rule: policy.RuleSelective, K: k, R: r}
 }
 
 // TestStableUnitBucketing: the same unit always lands on the same arm,
@@ -305,7 +304,7 @@ func TestRankHandlerArms(t *testing.T) {
 	seedCorpus(t, c, 8, 650)
 	srv := NewServer(c)
 
-	w := postJSON(t, srv, "/rank", RankRequest{N: 5, Unit: "alice"})
+	w := postJSON(t, srv, "/v1/rank", RankRequest{N: 5, Unit: "alice"})
 	if w.Code != http.StatusOK {
 		t.Fatalf("/rank status %d: %s", w.Code, w.Body)
 	}
@@ -318,7 +317,7 @@ func TestRankHandlerArms(t *testing.T) {
 	}
 	// Same unit → same arm, over the wire.
 	for i := 0; i < 5; i++ {
-		w2 := postJSON(t, srv, "/rank", RankRequest{N: 5, Unit: "alice"})
+		w2 := postJSON(t, srv, "/v1/rank", RankRequest{N: 5, Unit: "alice"})
 		var r2 RankResponse
 		if err := json.Unmarshal(w2.Body.Bytes(), &r2); err != nil {
 			t.Fatal(err)
@@ -329,7 +328,7 @@ func TestRankHandlerArms(t *testing.T) {
 	}
 
 	for _, forced := range []string{"treatment", "control"} {
-		w = postJSON(t, srv, "/rank", RankRequest{N: 5, Arm: forced})
+		w = postJSON(t, srv, "/v1/rank", RankRequest{N: 5, Arm: forced})
 		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -338,12 +337,12 @@ func TestRankHandlerArms(t *testing.T) {
 		}
 	}
 
-	if w = postJSON(t, srv, "/rank", RankRequest{N: 5, Arm: "nope"}); w.Code != http.StatusBadRequest {
+	if w = postJSON(t, srv, "/v1/rank", RankRequest{N: 5, Arm: "nope"}); w.Code != http.StatusBadRequest {
 		t.Fatalf("unknown arm: status %d, want 400", w.Code)
 	}
 
 	// Feedback with arm attribution, then /experiment reflects it.
-	w = postJSON(t, srv, "/feedback", FeedbackRequest{Events: []Event{
+	w = postJSON(t, srv, "/v1/feedback", FeedbackRequest{Events: []Event{
 		{Page: 650, Slot: 3, Impressions: 1, Clicks: 1, Arm: "treatment"},
 	}})
 	if w.Code != http.StatusAccepted {
@@ -351,7 +350,7 @@ func TestRankHandlerArms(t *testing.T) {
 	}
 	c.Sync()
 
-	req := httptest.NewRequest(http.MethodGet, "/experiment", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/experiment", nil)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -378,7 +377,7 @@ func TestRankHandlerArms(t *testing.T) {
 		t.Fatalf("control requests not counted: %+v", ctl)
 	}
 
-	req = httptest.NewRequest(http.MethodPost, "/experiment", nil)
+	req = httptest.NewRequest(http.MethodPost, "/v1/experiment", nil)
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {

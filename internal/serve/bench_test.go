@@ -223,7 +223,7 @@ func BenchmarkServeRankHTTP(b *testing.B) {
 	}
 	// One untimed request warms the handler's pooled buffers (see
 	// warmRank).
-	req := httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/rank", bytes.NewReader(body))
 	w := httptest.NewRecorder()
 	srv.ServeHTTP(w, req)
 	if w.Code != http.StatusOK {
@@ -232,7 +232,7 @@ func BenchmarkServeRankHTTP(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			req := httptest.NewRequest(http.MethodPost, "/rank", bytes.NewReader(body))
+			req := httptest.NewRequest(http.MethodPost, "/v1/rank", bytes.NewReader(body))
 			w := httptest.NewRecorder()
 			srv.ServeHTTP(w, req)
 			if w.Code != http.StatusOK {

@@ -5,20 +5,20 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/policy"
 )
 
 // twinCorpora builds two identically seeded corpora, one with the
 // hot-query cache enabled and one with it disabled, and loads both with
 // the same mixed aware/zero-awareness pages.
-func twinCorpora(t *testing.T, pages int, policy core.Policy, poolCap int) (cached, uncached *Corpus) {
+func twinCorpora(t *testing.T, pages int, pol policy.Spec, poolCap int) (cached, uncached *Corpus) {
 	t.Helper()
 	build := func(cacheSize int) *Corpus {
 		c := newTestCorpus(t, Config{
 			Shards:         4,
 			Seed:           33,
 			PoolCap:        poolCap,
-			Policy:         policy,
+			Policy:         pol,
 			QueryCacheSize: cacheSize,
 		})
 		for i := 0; i < pages; i++ {
@@ -43,8 +43,8 @@ func twinCorpora(t *testing.T, pages int, policy core.Policy, poolCap int) (cach
 // promotion reservoir overflows and actually consumes RNG draws, so a
 // single skipped or reordered draw would diverge the lists.
 func TestQueryCacheIdentity(t *testing.T) {
-	policy := core.Policy{Rule: core.RuleSelective, K: 2, R: 0.4}
-	cached, uncached := twinCorpora(t, 60, policy, 2)
+	pol := policy.Spec{Rule: policy.RuleSelective, K: 2, R: 0.4}
+	cached, uncached := twinCorpora(t, 60, pol, 2)
 
 	for seed := uint64(1); seed <= 30; seed++ {
 		a, err := cached.RankSeeded("cache topic", 15, seed)
@@ -89,7 +89,7 @@ func TestQueryCacheIdentity(t *testing.T) {
 // TestQueryCacheIdentityRuleNone covers the promotion-free rule, whose
 // entries cache the entire deterministic ranking.
 func TestQueryCacheIdentityRuleNone(t *testing.T) {
-	cached, uncached := twinCorpora(t, 40, core.Policy{Rule: core.RuleNone, K: 1}, 8)
+	cached, uncached := twinCorpora(t, 40, policy.Spec{Rule: policy.RuleNone, K: 1}, 8)
 	for seed := uint64(1); seed <= 5; seed++ {
 		a, _ := cached.RankSeeded("cache topic", 10, seed)
 		b, _ := uncached.RankSeeded("cache topic", 10, seed)
@@ -106,7 +106,7 @@ func TestQueryCacheIdentityRuleNone(t *testing.T) {
 // candidate, so its assembly is inherently per-request; the cache must
 // stay out of the way and record no activity.
 func TestQueryCacheUniformRuleBypassed(t *testing.T) {
-	cached, uncached := twinCorpora(t, 40, core.Policy{Rule: core.RuleUniform, K: 1, R: 0.3}, 8)
+	cached, uncached := twinCorpora(t, 40, policy.Spec{Rule: policy.RuleUniform, K: 1, R: 0.3}, 8)
 	for seed := uint64(1); seed <= 10; seed++ {
 		a, _ := cached.RankSeeded("cache topic", 12, seed)
 		b, _ := uncached.RankSeeded("cache topic", 12, seed)
@@ -123,7 +123,7 @@ func TestQueryCacheUniformRuleBypassed(t *testing.T) {
 // must not serve a longer request; asking for more results after a
 // cached short request still yields the full deterministic ranking.
 func TestQueryCacheCoverageGrows(t *testing.T) {
-	cached, uncached := twinCorpora(t, 50, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2}, 4)
+	cached, uncached := twinCorpora(t, 50, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2}, 4)
 	if _, err := cached.RankSeeded("cache topic", 3, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestQueryCacheCoverageGrows(t *testing.T) {
 // TestQueryCacheNormalization: queries differing only in case, separators
 // or spacing share one cache entry and one candidate assembly.
 func TestQueryCacheNormalization(t *testing.T) {
-	cached, _ := twinCorpora(t, 30, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2}, 8)
+	cached, _ := twinCorpora(t, 30, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2}, 8)
 	variants := []string{"cache topic", "  Cache   TOPIC!!", "cache-topic", "CACHE topic"}
 	var want []Result
 	for i, q := range variants {

@@ -58,7 +58,7 @@ func TestFsyncFailureNacksFeedback(t *testing.T) {
 
 	inject.FailSyncs(-1) // every fsync fails until cleared
 	ev := []Event{{Page: 1, Slot: 1, Impressions: 1, Clicks: 1}}
-	w := postJSON(t, srv, "/feedback", FeedbackRequest{Events: ev})
+	w := postJSON(t, srv, "/v1/feedback", FeedbackRequest{Events: ev})
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("feedback during fsync failure: code %d body %s, want 503", w.Code, w.Body.String())
 	}
@@ -68,7 +68,7 @@ func TestFsyncFailureNacksFeedback(t *testing.T) {
 	if got, _ := c.Page(1); got.Clicks != 0 {
 		t.Fatalf("nacked click was applied: %+v", got)
 	}
-	hw, hb := getJSON(t, srv, "/healthz")
+	hw, hb := getJSON(t, srv, "/v1/healthz")
 	if hw.Code != http.StatusServiceUnavailable || hb["status"] != "unhealthy" {
 		t.Fatalf("healthz during WAL failure: code %d status %v, want 503 unhealthy", hw.Code, hb["status"])
 	}
@@ -77,11 +77,11 @@ func TestFsyncFailureNacksFeedback(t *testing.T) {
 	}
 
 	inject.Clear()
-	w = postJSON(t, srv, "/feedback", FeedbackRequest{Events: ev})
+	w = postJSON(t, srv, "/v1/feedback", FeedbackRequest{Events: ev})
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("feedback after fault cleared: code %d body %s, want 202", w.Code, w.Body.String())
 	}
-	hw, hb = getJSON(t, srv, "/healthz")
+	hw, hb = getJSON(t, srv, "/v1/healthz")
 	if hw.Code != http.StatusOK || hb["status"] != "ready" {
 		t.Fatalf("healthz after recovery: code %d status %v, want 200 ready", hw.Code, hb["status"])
 	}
@@ -259,7 +259,7 @@ func TestOverloadRejectsWith429(t *testing.T) {
 		go func() { release <- c.TryFeedback([]Event{{Page: 1, Slot: 1, Impressions: 1}}) }()
 		time.Sleep(50 * time.Millisecond) // let it enqueue / start committing
 	}
-	w := postJSON(t, srv, "/feedback", FeedbackRequest{Events: []Event{{Page: 1, Slot: 1, Impressions: 1}}})
+	w := postJSON(t, srv, "/v1/feedback", FeedbackRequest{Events: []Event{{Page: 1, Slot: 1, Impressions: 1}}})
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("feedback into full queue: code %d body %s, want 429", w.Code, w.Body.String())
 	}
@@ -285,7 +285,7 @@ func TestOverloadRejectsWith429(t *testing.T) {
 		t.Fatal("overload did not enter degraded mode")
 	}
 	// Degraded is a serving mode, not an outage: /healthz stays 200.
-	hw, hb := getJSON(t, srv, "/healthz")
+	hw, hb := getJSON(t, srv, "/v1/healthz")
 	if hw.Code != http.StatusOK || hb["status"] != "degraded" {
 		t.Fatalf("healthz while degraded: code %d status %v, want 200 degraded", hw.Code, hb["status"])
 	}
@@ -383,16 +383,16 @@ func TestRateLimiter(t *testing.T) {
 
 	codes := make([]int, 3)
 	for i := range codes {
-		codes[i] = postJSON(t, srv, "/rank", RankRequest{Unit: "u1"}).Code
+		codes[i] = postJSON(t, srv, "/v1/rank", RankRequest{Unit: "u1"}).Code
 	}
 	if codes[0] != 200 || codes[1] != 200 || codes[2] != http.StatusTooManyRequests {
 		t.Fatalf("rank codes %v, want [200 200 429]", codes)
 	}
 	// A different unit owns a different bucket.
-	if code := postJSON(t, srv, "/rank", RankRequest{Unit: "u2"}).Code; code != 200 {
+	if code := postJSON(t, srv, "/v1/rank", RankRequest{Unit: "u2"}).Code; code != 200 {
 		t.Fatalf("distinct unit was limited: %d", code)
 	}
-	_, stats := getJSON(t, srv, "/stats")
+	_, stats := getJSON(t, srv, "/v1/stats")
 	if stats["rate_limited_429"].(float64) < 1 {
 		t.Fatalf("rate_limited_429 = %v, want >= 1", stats["rate_limited_429"])
 	}

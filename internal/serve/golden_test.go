@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/policy"
 )
 
 // serveGoldenSlot is one expected served slot of the golden table.
@@ -15,18 +15,18 @@ type serveGoldenSlot struct {
 }
 
 // serveGoldenPolicies maps the golden table's policy names to the
-// offline struct form the pre-refactor corpus was configured with.
-var serveGoldenPolicies = map[string]core.Policy{
-	"selective_k1_r03": {Rule: core.RuleSelective, K: 1, R: 0.3},
-	"selective_k2_r01": {Rule: core.RuleSelective, K: 2, R: 0.1},
-	"uniform_k1_r03":   {Rule: core.RuleUniform, K: 1, R: 0.3},
-	"none":             {Rule: core.RuleNone, K: 1},
+// policies the pre-refactor corpus was configured with.
+var serveGoldenPolicies = map[string]policy.Spec{
+	"selective_k1_r03": {Rule: policy.RuleSelective, K: 1, R: 0.3},
+	"selective_k2_r01": {Rule: policy.RuleSelective, K: 2, R: 0.1},
+	"uniform_k1_r03":   {Rule: policy.RuleUniform, K: 1, R: 0.3},
+	"none":             {Rule: policy.RuleNone, K: 1},
 }
 
 // goldenServeCorpus builds the golden table's fixed corpus: 3 shards,
 // seed 5, PoolCap 4, 40 pages with descending popularity and every
 // fourth page zero-awareness.
-func goldenServeCorpus(t *testing.T, pol core.Policy) *Corpus {
+func goldenServeCorpus(t *testing.T, pol policy.Spec) *Corpus {
 	t.Helper()
 	c := newTestCorpus(t, Config{Shards: 3, Seed: 5, PoolCap: 4, Policy: pol})
 	for i := 0; i < 40; i++ {
@@ -118,10 +118,9 @@ func TestServeGoldenDeterminism(t *testing.T) {
 // RNG draws on the single-arm path.
 func TestServeGoldenViaSingleArm(t *testing.T) {
 	for name, pol := range serveGoldenPolicies {
-		spec := policySpec(Config{Policy: pol})
 		c := newTestCorpus(t, Config{
 			Shards: 3, Seed: 5, PoolCap: 4,
-			Arms: []Arm{{Name: "solo", Policy: spec, Weight: 3}},
+			Arms: []Arm{{Name: "solo", Policy: pol, Weight: 3}},
 		})
 		for i := 0; i < 40; i++ {
 			pop := float64(40 - i)

@@ -49,7 +49,7 @@ func (a *AckRecorder) Wrap(inner http.Handler) http.Handler {
 }
 
 func (a *AckRecorder) serveVia(inner http.Handler, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost || (r.URL.Path != "/feedback" && r.URL.Path != "/v1/feedback") {
+	if r.Method != http.MethodPost || r.URL.Path != "/v1/feedback" {
 		inner.ServeHTTP(w, r)
 		return
 	}

@@ -220,7 +220,7 @@ func fetchRanking(client *http.Client, baseURL, query, arm string, n int, seed u
 	if err != nil {
 		return nil, err
 	}
-	resp, err := client.Post(baseURL+"/rank", "application/json", bytes.NewReader(body))
+	resp, err := client.Post(baseURL+"/v1/rank", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +267,7 @@ func postFeedback(client *http.Client, baseURL string, events []serve.Event) int
 	if err != nil {
 		return 0
 	}
-	resp, err := client.Post(baseURL+"/feedback", "application/json", bytes.NewReader(body))
+	resp, err := client.Post(baseURL+"/v1/feedback", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return 0
 	}

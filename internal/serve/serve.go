@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/faultfs"
 	"repro/internal/policy"
 	"repro/internal/randutil"
@@ -170,8 +169,8 @@ type Config struct {
 	// unchanged; promotion randomness stays per-request either way.
 	QueryCacheSize int
 	// Policy is the promotion policy applied per query when no Arms are
-	// declared. The zero Policy is replaced by core.Recommended().
-	Policy core.Policy
+	// declared. The zero Spec is replaced by policy.Recommended().
+	Policy policy.Spec
 	// Arms declares named experiment arms served side by side; requests
 	// are assigned an arm by deterministic hash of their unit ID (or by a
 	// weighted per-request draw without one). When non-empty, Arms takes
@@ -219,7 +218,7 @@ type Config struct {
 // QueryCacheSize disables the cache; any other negative size is an
 // error, caught here rather than panicking deep in shard setup. When
 // Arms are declared, Policy is ignored (the arms carry the policies), so
-// it is not checked.
+// it is not checked; otherwise it is the implicit default arm's policy.
 func (c Config) Validate() error {
 	switch {
 	case c.Shards < 0:
@@ -234,18 +233,10 @@ func (c Config) Validate() error {
 	if _, err := wal.ParseFsyncMode(c.Durability.FsyncMode); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	if len(c.Arms) > 0 {
-		// Arm names, weights and policy specs are validated by the single
-		// arm-construction path.
-		_, err := buildArms(c.withDefaults())
-		return err
-	}
-	if p := c.Policy; p != (core.Policy{}) {
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-	}
-	return nil
+	// Arm names, weights and policy specs are validated by the single
+	// arm-construction path.
+	_, err := buildArms(c.withDefaults())
+	return err
 }
 
 func (c Config) withDefaults() Config {
@@ -267,8 +258,8 @@ func (c Config) withDefaults() Config {
 	if c.Durability.SnapshotInterval == 0 {
 		c.Durability.SnapshotInterval = 30 * time.Second
 	}
-	if c.Policy == (core.Policy{}) {
-		c.Policy = core.Recommended()
+	if c.Policy == (policy.Spec{}) {
+		c.Policy = policy.Recommended()
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -564,9 +555,9 @@ type Corpus struct {
 // serving; Recovery reports what it found. Callers must Close it to
 // stop the apply loops.
 func NewCorpus(cfg Config) (*Corpus, error) {
-	// Validate is the only gate: sizing fields, then either the arm
-	// declarations (via buildArms) or the single Policy — never both, so
-	// a pre-checked config cannot fail construction.
+	// Validate is the only gate: sizing fields, then the arms (the
+	// declared ones or the implicit default arm) via buildArms, so a
+	// pre-checked config cannot fail construction.
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -676,7 +667,7 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 func storeMeta(cfg Config) store.Meta {
 	m := store.Meta{Shards: cfg.Shards}
 	if len(cfg.Arms) == 0 {
-		m.Arms = []store.ArmMeta{{Name: DefaultArmName, Spec: policySpec(cfg).Compact()}}
+		m.Arms = []store.ArmMeta{{Name: DefaultArmName, Spec: cfg.Policy.Compact()}}
 		return m
 	}
 	for _, a := range cfg.Arms {

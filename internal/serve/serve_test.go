@@ -3,7 +3,7 @@ package serve
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/policy"
 )
 
 func newTestCorpus(t *testing.T, cfg Config) *Corpus {
@@ -108,7 +108,7 @@ func TestClickPromotesOutOfZeroAwareness(t *testing.T) {
 }
 
 func TestRankBrowseSelective(t *testing.T) {
-	c := newTestCorpus(t, Config{Shards: 4, Seed: 5, Policy: core.Policy{Rule: core.RuleSelective, K: 2, R: 0.5}})
+	c := newTestCorpus(t, Config{Shards: 4, Seed: 5, Policy: policy.Spec{Rule: policy.RuleSelective, K: 2, R: 0.5}})
 	seedCorpus(t, c, 30, 500)
 	res, err := c.RankSeeded("", 10, 11)
 	if err != nil {
@@ -171,7 +171,7 @@ func TestRankQueryPath(t *testing.T) {
 }
 
 func TestRankRuleNoneIsDeterministic(t *testing.T) {
-	c := newTestCorpus(t, Config{Shards: 3, Seed: 2, Policy: core.Policy{Rule: core.RuleNone, K: 1}})
+	c := newTestCorpus(t, Config{Shards: 3, Seed: 2, Policy: policy.Spec{Rule: policy.RuleNone, K: 1}})
 	seedCorpus(t, c, 12, 300)
 	a, err := c.RankSeeded("", 12, 4)
 	if err != nil {
@@ -281,7 +281,7 @@ func TestQueryPoolCapBoundsRequestWork(t *testing.T) {
 func TestTopKSnapshotBoundsServing(t *testing.T) {
 	// TopK=4 per shard, 1 shard: the deterministic list a request can see
 	// is the snapshot, so asking for 10 yields only the snapshot's 4.
-	c := newTestCorpus(t, Config{Shards: 1, TopK: 4, Policy: core.Policy{Rule: core.RuleNone, K: 1}})
+	c := newTestCorpus(t, Config{Shards: 1, TopK: 4, Policy: policy.Spec{Rule: policy.RuleNone, K: 1}})
 	for i := 0; i < 9; i++ {
 		if err := c.Add(i, "bounded topic", float64(9-i)); err != nil {
 			t.Fatal(err)

@@ -6,8 +6,6 @@
 // evaluable online (position-bias measurement needs impression/click
 // counts per presented position), and GET /v1/healthz is the readiness
 // probe: recovery state, per-shard feedback-queue depth and WAL lag.
-// The original unprefixed paths remain as byte-identical deprecated
-// aliases (they answer with a Deprecation header naming the successor).
 // Every failure, on every endpoint, is the structured envelope
 // {"error":{"code","message","retry_after_ms"}}. docs/api.md is the
 // full contract.
@@ -93,8 +91,7 @@ type Server struct {
 }
 
 // NewServer builds the HTTP front end for the corpus. Every endpoint is
-// mounted under /v1; the original unprefixed paths stay as deprecated
-// aliases answering byte-identical bodies plus migration headers.
+// mounted under /v1; any other path is the mux's 404.
 func NewServer(c *Corpus) *Server {
 	s := &Server{corpus: c, mux: http.NewServeMux(), start: time.Now()}
 	if c.cfg.Limits.RateLimitRPS > 0 {
@@ -103,12 +100,11 @@ func NewServer(c *Corpus) *Server {
 	s.scratch.New = func() any {
 		return &connScratch{in: make([]byte, 0, 1024), out: make([]byte, 0, 4096)}
 	}
-	s.route("/rank", s.handleRank)
-	s.route("/feedback", func(w http.ResponseWriter, r *http.Request) { s.handleFeedback(w, r, false) })
-	s.route("/stats", s.handleStats)
-	s.route("/experiment", s.handleExperiment)
-	s.route("/healthz", s.handleHealthz)
-	// Batch endpoints are new with /v1 and get no legacy alias.
+	s.mux.HandleFunc("/v1/rank", s.handleRank)
+	s.mux.HandleFunc("/v1/feedback", func(w http.ResponseWriter, r *http.Request) { s.handleFeedback(w, r, false) })
+	s.mux.HandleFunc("/v1/stats", s.handleStats)
+	s.mux.HandleFunc("/v1/experiment", s.handleExperiment)
+	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/rank/batch", s.handleRankBatch)
 	s.mux.HandleFunc("/v1/feedback/batch", func(w http.ResponseWriter, r *http.Request) { s.handleFeedback(w, r, true) })
 	return s
@@ -128,20 +124,6 @@ func (s *Server) putScratch(sc *connScratch) {
 		sc.events = nil
 	}
 	s.scratch.Put(sc)
-}
-
-// route mounts h at /v1<path> and keeps the legacy unprefixed path as a
-// deprecated alias: the same handler (so responses stay byte-identical
-// with the versioned route), plus the Deprecation and
-// successor-version Link headers that tell clients where to migrate.
-func (s *Server) route(path string, h http.HandlerFunc) {
-	s.mux.HandleFunc("/v1"+path, h)
-	successor := "</v1" + path + `>; rel="successor-version"`
-	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", successor)
-		h(w, r)
-	})
 }
 
 // readBody reads the request body (bounded by maxBodyBytes) into dst,

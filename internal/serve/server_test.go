@@ -32,7 +32,7 @@ func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.Res
 func TestRankHandlerRoundTrip(t *testing.T) {
 	srv, _ := newTestServer(t)
 	seed := uint64(21)
-	w := postJSON(t, srv, "/rank", RankRequest{N: 10, Seed: &seed})
+	w := postJSON(t, srv, "/v1/rank", RankRequest{N: 10, Seed: &seed})
 	if w.Code != http.StatusOK {
 		t.Fatalf("/rank status %d: %s", w.Code, w.Body)
 	}
@@ -49,7 +49,7 @@ func TestRankHandlerRoundTrip(t *testing.T) {
 		}
 	}
 	// Same seed, same corpus epoch → identical list.
-	w2 := postJSON(t, srv, "/rank", RankRequest{N: 10, Seed: &seed})
+	w2 := postJSON(t, srv, "/v1/rank", RankRequest{N: 10, Seed: &seed})
 	var resp2 RankResponse
 	if err := json.Unmarshal(w2.Body.Bytes(), &resp2); err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestRankHandlerRoundTrip(t *testing.T) {
 
 func TestRankHandlerQueryAndValidation(t *testing.T) {
 	srv, _ := newTestServer(t)
-	w := postJSON(t, srv, "/rank", RankRequest{Query: "testing topic", N: 50})
+	w := postJSON(t, srv, "/v1/rank", RankRequest{Query: "testing topic", N: 50})
 	if w.Code != http.StatusOK {
 		t.Fatalf("/rank status %d: %s", w.Code, w.Body)
 	}
@@ -76,19 +76,19 @@ func TestRankHandlerQueryAndValidation(t *testing.T) {
 		t.Fatalf("query served %d results, want 16", len(resp.Results))
 	}
 
-	w = postJSON(t, srv, "/rank", RankRequest{N: -3})
+	w = postJSON(t, srv, "/v1/rank", RankRequest{N: -3})
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("negative n: status %d, want 400", w.Code)
 	}
 
-	req := httptest.NewRequest(http.MethodPost, "/rank", strings.NewReader("{not json"))
+	req := httptest.NewRequest(http.MethodPost, "/v1/rank", strings.NewReader("{not json"))
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad JSON: status %d, want 400", rec.Code)
 	}
 
-	req = httptest.NewRequest(http.MethodGet, "/rank", nil)
+	req = httptest.NewRequest(http.MethodGet, "/v1/rank", nil)
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
@@ -98,7 +98,7 @@ func TestRankHandlerQueryAndValidation(t *testing.T) {
 
 func TestFeedbackHandlerRoundTrip(t *testing.T) {
 	srv, c := newTestServer(t)
-	w := postJSON(t, srv, "/feedback", FeedbackRequest{Events: []Event{
+	w := postJSON(t, srv, "/v1/feedback", FeedbackRequest{Events: []Event{
 		{Page: 900, Slot: 4, Impressions: 1, Clicks: 1},
 		{Page: 0, Slot: 1, Impressions: 1},
 	}})
@@ -117,12 +117,12 @@ func TestFeedbackHandlerRoundTrip(t *testing.T) {
 		t.Fatalf("feedback not applied: %+v", st)
 	}
 
-	w = postJSON(t, srv, "/feedback", FeedbackRequest{Events: []Event{{Page: 1, Slot: 1, Clicks: -2}}})
+	w = postJSON(t, srv, "/v1/feedback", FeedbackRequest{Events: []Event{{Page: 1, Slot: 1, Clicks: -2}}})
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("negative clicks: status %d, want 400", w.Code)
 	}
 
-	w = postJSON(t, srv, "/feedback", FeedbackRequest{Events: []Event{{Page: 1, Slot: 0, Clicks: 1}}})
+	w = postJSON(t, srv, "/v1/feedback", FeedbackRequest{Events: []Event{{Page: 1, Slot: 0, Clicks: 1}}})
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("slot 0: status %d, want 400", w.Code)
 	}
@@ -130,14 +130,14 @@ func TestFeedbackHandlerRoundTrip(t *testing.T) {
 
 func TestStatsAndHealthz(t *testing.T) {
 	srv, c := newTestServer(t)
-	postJSON(t, srv, "/rank", RankRequest{})
-	postJSON(t, srv, "/feedback", FeedbackRequest{Events: []Event{
+	postJSON(t, srv, "/v1/rank", RankRequest{})
+	postJSON(t, srv, "/v1/feedback", FeedbackRequest{Events: []Event{
 		{Page: 0, Slot: 1, Impressions: 3, Clicks: 1},
 		{Page: 1, Slot: 2, Impressions: 3},
 	}})
 	c.Sync()
 
-	req := httptest.NewRequest(http.MethodGet, "/stats", nil)
+	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -158,7 +158,7 @@ func TestStatsAndHealthz(t *testing.T) {
 		t.Fatalf("slot telemetry = %+v", st.Slots)
 	}
 
-	req = httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	req = httptest.NewRequest(http.MethodGet, "/v1/healthz", nil)
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {

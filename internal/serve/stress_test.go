@@ -69,7 +69,7 @@ func TestConcurrentFeedbackConservesPopularity(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				resp, err := http.Post(srv.URL+"/feedback", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(srv.URL+"/v1/feedback", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return
@@ -92,7 +92,7 @@ func TestConcurrentFeedbackConservesPopularity(t *testing.T) {
 					query = "stress topic"
 				}
 				body, _ := json.Marshal(RankRequest{Query: query, N: 20})
-				resp, err := http.Post(srv.URL+"/rank", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(srv.URL+"/v1/rank", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return
@@ -210,7 +210,7 @@ func TestConcurrentRankAcrossArmsConservation(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				resp, err := http.Post(srv.URL+"/feedback", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(srv.URL+"/v1/feedback", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return
@@ -233,7 +233,7 @@ func TestConcurrentRankAcrossArmsConservation(t *testing.T) {
 					query = "armstress topic"
 				}
 				body, _ := json.Marshal(RankRequest{Query: query, N: 20, Unit: fmt.Sprintf("unit-%d-%d", g, i)})
-				resp, err := http.Post(srv.URL+"/rank", "application/json", bytes.NewReader(body))
+				resp, err := http.Post(srv.URL+"/v1/rank", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return

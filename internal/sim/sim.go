@@ -14,7 +14,7 @@
 // popularity is zero exactly when awareness is zero, so under selective
 // promotion the deterministic list is the treap's top block and the
 // promotion pool is its bottom block — no per-day list building is needed,
-// and the core.Resolver answers position lookups in O(1) without
+// and the policy.Resolver answers position lookups in O(1) without
 // materializing result lists, with a fresh randomization per query.
 // Uniform promotion resamples pool membership once per day (a documented
 // simplification; expectations are unchanged versus per-query pools) but
@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/attention"
 	"repro/internal/community"
-	"repro/internal/core"
 	"repro/internal/fenwick"
 	"repro/internal/policy"
 	"repro/internal/randutil"
@@ -202,30 +201,18 @@ type Simulator struct {
 	poolBuf     []int
 }
 
-// New validates the configuration and builds a simulator for the offline
-// struct form of a policy. qualities must contain exactly comm.Pages
-// values in (0, 1].
-func New(comm community.Config, pol core.Policy, qualities []float64, opts Options) (*Simulator, error) {
-	if err := pol.Validate(); err != nil {
+// New validates the configuration and builds a simulator driven by the
+// compiled form of pol — the same engine the online serving path runs.
+// State-dependent policies (epsilon-decay) see a fresh State{Pages,
+// ZeroAware} at the start of every simulated day. qualities must contain
+// exactly comm.Pages values in (0, 1].
+func New(comm community.Config, pol policy.Spec, qualities []float64, opts Options) (*Simulator, error) {
+	if err := comm.Validate(); err != nil {
 		return nil, err
 	}
 	compiled, err := pol.Compile()
 	if err != nil {
 		return nil, err
-	}
-	return NewWithPolicy(comm, compiled, qualities, opts)
-}
-
-// NewWithPolicy builds a simulator driven by a pluggable ranking policy
-// from internal/policy — the same engine the online serving path runs.
-// State-dependent policies (epsilon-decay) see a fresh State{Pages,
-// ZeroAware} at the start of every simulated day.
-func NewWithPolicy(comm community.Config, pol policy.Policy, qualities []float64, opts Options) (*Simulator, error) {
-	if err := comm.Validate(); err != nil {
-		return nil, err
-	}
-	if pol == nil {
-		return nil, fmt.Errorf("sim: nil policy")
 	}
 	if len(qualities) != comm.Pages {
 		return nil, fmt.Errorf("sim: %d qualities for %d pages", len(qualities), comm.Pages)
@@ -244,7 +231,7 @@ func NewWithPolicy(comm community.Config, pol policy.Policy, qualities []float64
 	}
 	s := &Simulator{
 		comm:   comm,
-		policy: pol,
+		policy: compiled,
 		opts:   opts.withDefaults(comm),
 		rng:    randutil.New(opts.Seed),
 		att:    att,
@@ -316,7 +303,7 @@ func (s *Simulator) popularity(idx int) float64 {
 	return float64(s.aware[idx]) / float64(s.m) * s.quality[idx]
 }
 
-// treapWindow adapts a contiguous rank range of the treap to core.Source.
+// treapWindow adapts a contiguous rank range of the treap to policy.Source.
 type treapWindow struct {
 	t      *rankengine.Treap
 	offset int // 0-based start rank
@@ -340,7 +327,7 @@ type presenter interface {
 	materialize(rng *randutil.RNG, dst, scratch []int) (merged, scratchOut []int)
 }
 
-type resolverPresenter struct{ res *core.Resolver }
+type resolverPresenter struct{ res *policy.Resolver }
 
 func (p resolverPresenter) pageAt(pos int, rng *randutil.RNG) int { return p.res.PageAt(pos, rng) }
 func (p resolverPresenter) materialize(rng *randutil.RNG, dst, scratch []int) (merged, scratchOut []int) {
@@ -360,7 +347,7 @@ func (s *Simulator) buildPresenter() presenter {
 		// block and the promotion pool its bottom block.
 		det := treapWindow{t: s.treap, length: s.n - s.zero}
 		pool := treapWindow{t: s.treap, offset: s.n - s.zero, length: s.zero}
-		res, err := core.NewResolver(det, pool, k, r)
+		res, err := policy.NewResolver(det, pool, k, r)
 		if err != nil {
 			panic("sim: resolver construction failed: " + err.Error())
 		}
@@ -384,14 +371,14 @@ func (s *Simulator) buildPresenter() presenter {
 			}
 		}
 		s.detBuf, s.poolBuf = det, pool
-		res, err := core.NewResolver(core.Slice(det), core.Slice(pool), k, r)
+		res, err := policy.NewResolver(policy.Slice(det), policy.Slice(pool), k, r)
 		if err != nil {
 			panic("sim: resolver construction failed: " + err.Error())
 		}
 		return resolverPresenter{res}
 	default: // SelectNone
 		det := treapWindow{t: s.treap, length: s.n}
-		res, err := core.NewResolver(det, nil, 1, 0)
+		res, err := policy.NewResolver(det, nil, 1, 0)
 		if err != nil {
 			panic("sim: resolver construction failed: " + err.Error())
 		}

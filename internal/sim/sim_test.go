@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/community"
-	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/quality"
 	"repro/internal/stats"
 )
@@ -29,28 +29,28 @@ func testQualities(n int) []float64 {
 func TestNewValidation(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	if _, err := New(community.Config{}, core.Recommended(), qs, Options{}); err == nil {
+	if _, err := New(community.Config{}, policy.Recommended(), qs, Options{}); err == nil {
 		t.Error("invalid community accepted")
 	}
-	if _, err := New(comm, core.Policy{Rule: core.RuleSelective, K: 0}, qs, Options{}); err == nil {
+	if _, err := New(comm, policy.Spec{Rule: policy.RuleSelective, K: 0}, qs, Options{}); err == nil {
 		t.Error("invalid policy accepted")
 	}
-	if _, err := New(comm, core.Recommended(), qs[:10], Options{}); err == nil {
+	if _, err := New(comm, policy.Recommended(), qs[:10], Options{}); err == nil {
 		t.Error("quality count mismatch accepted")
 	}
 	bad := append([]float64(nil), qs...)
 	bad[0] = 0
-	if _, err := New(comm, core.Recommended(), bad, Options{}); err == nil {
+	if _, err := New(comm, policy.Recommended(), bad, Options{}); err == nil {
 		t.Error("zero quality accepted")
 	}
 	bad[0] = 1.5
-	if _, err := New(comm, core.Recommended(), bad, Options{}); err == nil {
+	if _, err := New(comm, policy.Recommended(), bad, Options{}); err == nil {
 		t.Error("quality > 1 accepted")
 	}
-	if _, err := New(comm, core.Recommended(), qs, Options{Mixed: &MixedSurfing{X: 1.5}}); err == nil {
+	if _, err := New(comm, policy.Recommended(), qs, Options{Mixed: &MixedSurfing{X: 1.5}}); err == nil {
 		t.Error("invalid surf fraction accepted")
 	}
-	if _, err := New(comm, core.Recommended(), qs, Options{Mixed: &MixedSurfing{X: 0.5, C: -0.1}}); err == nil {
+	if _, err := New(comm, policy.Recommended(), qs, Options{Mixed: &MixedSurfing{X: 0.5, C: -0.1}}); err == nil {
 		t.Error("invalid teleport accepted")
 	}
 }
@@ -59,11 +59,11 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
 	opts := Options{Seed: 99, WarmupDays: 50, MeasureDays: 50}
-	a, err := New(comm, core.Recommended(), qs, opts)
+	a, err := New(comm, policy.Recommended(), qs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := New(comm, core.Recommended(), qs, opts)
+	b, _ := New(comm, policy.Recommended(), qs, opts)
 	ra, rb := a.Run(), b.Run()
 	if ra.QPC != rb.QPC || ra.QPCRealized != rb.QPCRealized || ra.MeanZeroAware != rb.MeanZeroAware {
 		t.Fatalf("same seed diverged: %+v vs %+v", ra, rb)
@@ -73,8 +73,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 func TestDifferentSeedsDiffer(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	a, _ := New(comm, core.Recommended(), qs, Options{Seed: 1, WarmupDays: 50, MeasureDays: 50})
-	b, _ := New(comm, core.Recommended(), qs, Options{Seed: 2, WarmupDays: 50, MeasureDays: 50})
+	a, _ := New(comm, policy.Recommended(), qs, Options{Seed: 1, WarmupDays: 50, MeasureDays: 50})
+	b, _ := New(comm, policy.Recommended(), qs, Options{Seed: 2, WarmupDays: 50, MeasureDays: 50})
 	if a.Run().QPCRealized == b.Run().QPCRealized {
 		t.Fatal("different seeds produced identical realized QPC")
 	}
@@ -83,7 +83,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 func TestAwarenessInvariants(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	s, err := New(comm, core.Recommended(), qs, Options{Seed: 3})
+	s, err := New(comm, policy.Recommended(), qs, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ func TestAwarenessInvariants(t *testing.T) {
 func TestQPCWithinBounds(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	for _, pol := range []core.Policy{
-		{Rule: core.RuleNone, K: 1},
-		core.Recommended(),
-		{Rule: core.RuleUniform, K: 1, R: 0.2},
+	for _, pol := range []policy.Spec{
+		{Rule: policy.RuleNone, K: 1},
+		policy.Recommended(),
+		{Rule: policy.RuleUniform, K: 1, R: 0.2},
 	} {
 		s, err := New(comm, pol, qs, Options{Seed: 11})
 		if err != nil {
@@ -138,7 +138,7 @@ func TestQPCWithinBounds(t *testing.T) {
 func TestSelectivePromotionBeatsNone(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	avgQPC := func(pol core.Policy) float64 {
+	avgQPC := func(pol policy.Spec) float64 {
 		var vals []float64
 		for seed := uint64(0); seed < 5; seed++ {
 			s, err := New(comm, pol, qs, Options{Seed: seed, MeasureDays: 600})
@@ -149,8 +149,8 @@ func TestSelectivePromotionBeatsNone(t *testing.T) {
 		}
 		return stats.Summarize(vals).Mean
 	}
-	none := avgQPC(core.Policy{Rule: core.RuleNone, K: 1})
-	sel := avgQPC(core.Recommended())
+	none := avgQPC(policy.Spec{Rule: policy.RuleNone, K: 1})
+	sel := avgQPC(policy.Recommended())
 	if sel <= none {
 		t.Fatalf("selective QPC %v should beat nonrandomized %v", sel, none)
 	}
@@ -164,12 +164,12 @@ func TestZeroAwareMatchesAnalyticOrder(t *testing.T) {
 	// More randomization → fewer undiscovered pages.
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	meanZ := func(pol core.Policy) float64 {
+	meanZ := func(pol policy.Spec) float64 {
 		s, _ := New(comm, pol, qs, Options{Seed: 17, MeasureDays: 400})
 		return s.Run().MeanZeroAware
 	}
-	zNone := meanZ(core.Policy{Rule: core.RuleNone, K: 1})
-	zSel := meanZ(core.Policy{Rule: core.RuleSelective, K: 1, R: 0.2})
+	zNone := meanZ(policy.Spec{Rule: policy.RuleNone, K: 1})
+	zSel := meanZ(policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2})
 	if zSel >= zNone {
 		t.Fatalf("selective z %v should be below nonrandomized z %v", zSel, zNone)
 	}
@@ -178,7 +178,7 @@ func TestZeroAwareMatchesAnalyticOrder(t *testing.T) {
 func TestTBPProbes(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	s, err := New(comm, core.Policy{Rule: core.RuleSelective, K: 1, R: 0.3}, qs,
+	s, err := New(comm, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.3}, qs,
 		Options{Seed: 5, TrackTBP: true, RecycleProbe: true, ImmortalProbe: true,
 			WarmupDays: 100, MeasureDays: 2000})
 	if err != nil {
@@ -200,7 +200,7 @@ func TestTBPFasterWithMoreRandomization(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
 	meanTBP := func(r float64) float64 {
-		s, _ := New(comm, core.Policy{Rule: core.RuleSelective, K: 1, R: r}, qs,
+		s, _ := New(comm, policy.Spec{Rule: policy.RuleSelective, K: 1, R: r}, qs,
 			Options{Seed: 23, TrackTBP: true, RecycleProbe: true, ImmortalProbe: true,
 				WarmupDays: 100, MeasureDays: 4000})
 		res := s.Run()
@@ -219,7 +219,7 @@ func TestTBPFasterWithMoreRandomization(t *testing.T) {
 func TestImmortalProbeNeverDies(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	s, _ := New(comm, core.Policy{Rule: core.RuleNone, K: 1}, qs,
+	s, _ := New(comm, policy.Spec{Rule: policy.RuleNone, K: 1}, qs,
 		Options{Seed: 7, TrackTBP: true, ImmortalProbe: true, WarmupDays: 10, MeasureDays: 600})
 	probe := s.ProbePage()
 	res := s.Run()
@@ -235,7 +235,7 @@ func TestImmortalProbeNeverDies(t *testing.T) {
 func TestVisitCountsAccumulate(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	s, _ := New(comm, core.Recommended(), qs, Options{Seed: 9})
+	s, _ := New(comm, policy.Recommended(), qs, Options{Seed: 9})
 	days := 100
 	for d := 0; d < days; d++ {
 		s.StepDay()
@@ -253,7 +253,7 @@ func TestVisitCountsAccumulate(t *testing.T) {
 func TestSelectiveExploresMoreThanNone(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	explore := func(pol core.Policy) float64 {
+	explore := func(pol policy.Spec) float64 {
 		s, _ := New(comm, pol, qs, Options{Seed: 31})
 		for d := 0; d < 400; d++ {
 			s.StepDay()
@@ -261,7 +261,7 @@ func TestSelectiveExploresMoreThanNone(t *testing.T) {
 		total, toZero := s.VisitCounts()
 		return float64(toZero) / float64(total)
 	}
-	if en, es := explore(core.Policy{Rule: core.RuleNone, K: 1}), explore(core.Recommended()); es <= en {
+	if en, es := explore(policy.Spec{Rule: policy.RuleNone, K: 1}), explore(policy.Recommended()); es <= en {
 		t.Fatalf("selective exploration share %v should beat none %v", es, en)
 	}
 }
@@ -272,7 +272,7 @@ func TestMixedSurfingPureSurfIgnoresPolicy(t *testing.T) {
 	// produce identical results.
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	run := func(pol core.Policy) *Result {
+	run := func(pol policy.Spec) *Result {
 		s, err := New(comm, pol, qs,
 			Options{Seed: 13, Mixed: &MixedSurfing{X: 1}, WarmupDays: 150, MeasureDays: 150})
 		if err != nil {
@@ -280,8 +280,8 @@ func TestMixedSurfingPureSurfIgnoresPolicy(t *testing.T) {
 		}
 		return s.Run()
 	}
-	a := run(core.Policy{Rule: core.RuleNone, K: 1})
-	b := run(core.Recommended())
+	a := run(policy.Spec{Rule: policy.RuleNone, K: 1})
+	b := run(policy.Recommended())
 	if a.AbsoluteQPC != b.AbsoluteQPC || a.MeanZeroAware != b.MeanZeroAware {
 		t.Fatalf("pure surfing should be policy-independent: %+v vs %+v", a, b)
 	}
@@ -296,9 +296,9 @@ func TestMixedSurfingTeleportExplores(t *testing.T) {
 	// that random surfing reduces entrenchment, §8).
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	surf, _ := New(comm, core.Policy{Rule: core.RuleNone, K: 1}, qs,
+	surf, _ := New(comm, policy.Spec{Rule: policy.RuleNone, K: 1}, qs,
 		Options{Seed: 13, Mixed: &MixedSurfing{X: 1}, WarmupDays: 200, MeasureDays: 200})
-	search, _ := New(comm, core.Policy{Rule: core.RuleNone, K: 1}, qs,
+	search, _ := New(comm, policy.Spec{Rule: policy.RuleNone, K: 1}, qs,
 		Options{Seed: 13, WarmupDays: 200, MeasureDays: 200})
 	zSurf := surf.Run().MeanZeroAware
 	zSearch := search.Run().MeanZeroAware
@@ -321,7 +321,7 @@ func TestMixedSurfingDefaults(t *testing.T) {
 func TestCountAbovePopularity(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	s, _ := New(comm, core.Recommended(), qs, Options{Seed: 19})
+	s, _ := New(comm, policy.Recommended(), qs, Options{Seed: 19})
 	if got := s.CountAbovePopularity(0); got != 0 {
 		t.Fatalf("before any visits, %d pages above popularity 0", got)
 	}
@@ -340,7 +340,7 @@ func TestCountAbovePopularity(t *testing.T) {
 func TestRunDayAccounting(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	s, _ := New(comm, core.Recommended(), qs, Options{Seed: 1, WarmupDays: 30, MeasureDays: 40})
+	s, _ := New(comm, policy.Recommended(), qs, Options{Seed: 1, WarmupDays: 30, MeasureDays: 40})
 	res := s.Run()
 	if res.Days != 70 {
 		t.Fatalf("Days = %d, want 70", res.Days)
@@ -357,7 +357,7 @@ func TestFractionalVisitBudget(t *testing.T) {
 	}
 	// v = 5 * 1/10 = 0.5 visits/day: stochastic rounding must average out.
 	qs := testQualities(comm.Pages)
-	s, err := New(comm, core.Recommended(), qs, Options{Seed: 3})
+	s, err := New(comm, policy.Recommended(), qs, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestFractionalVisitBudget(t *testing.T) {
 func TestUniformRuleRuns(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
-	s, err := New(comm, core.Policy{Rule: core.RuleUniform, K: 2, R: 0.15}, qs,
+	s, err := New(comm, policy.Spec{Rule: policy.RuleUniform, K: 2, R: 0.15}, qs,
 		Options{Seed: 41, WarmupDays: 100, MeasureDays: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +389,7 @@ func TestUniformRuleRuns(t *testing.T) {
 func BenchmarkStepDayDefaultCommunity(b *testing.B) {
 	comm := community.Default()
 	qs := quality.DeterministicWithTop(quality.Default(), comm.Pages)
-	s, err := New(comm, core.Recommended(), qs, Options{Seed: 1})
+	s, err := New(comm, policy.Recommended(), qs, Options{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestPopularLongevityReducesChurn(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
 	run := func(g float64) int64 {
-		s, err := New(comm, core.Recommended(), qs, Options{Seed: 55, PopularLongevity: g})
+		s, err := New(comm, policy.Recommended(), qs, Options{Seed: 55, PopularLongevity: g})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +429,7 @@ func TestPopularLongevityProtectsPopularPages(t *testing.T) {
 	comm := testCommunity()
 	qs := testQualities(comm.Pages)
 	meanTopAge := func(g float64) float64 {
-		s, err := New(comm, core.Policy{Rule: core.RuleNone, K: 1}, qs,
+		s, err := New(comm, policy.Spec{Rule: policy.RuleNone, K: 1}, qs,
 			Options{Seed: 77, PopularLongevity: g})
 		if err != nil {
 			t.Fatal(err)

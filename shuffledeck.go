@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/community"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/livestudy"
 	"repro/internal/policy"
@@ -40,29 +39,27 @@ import (
 	"repro/internal/sim"
 )
 
-// Rule selects the promotion pool (§4 of the paper).
-type Rule = core.Rule
-
-// Promotion pool rules.
+// Promotion pool rules (§4 of the paper), the values of Policy.Rule.
 const (
 	// RuleNone disables promotion (pure popularity ranking).
-	RuleNone = core.RuleNone
+	RuleNone = policy.RuleNone
 	// RuleUniform pools every page independently with probability r.
-	RuleUniform = core.RuleUniform
+	RuleUniform = policy.RuleUniform
 	// RuleSelective pools exactly the unexplored (zero-awareness) pages.
-	RuleSelective = core.RuleSelective
+	RuleSelective = policy.RuleSelective
 )
 
 // Policy is a rank-promotion configuration: a pool rule, the protected
-// prefix length k, and the degree of randomization r.
-type Policy = core.Policy
+// prefix length k, and the degree of randomization r. It is the one value
+// every surface — Ranker, Simulate, Predict, Live — names a policy by.
+type Policy = policy.Spec
 
 // Recommended returns the paper's §6.4 recipe: selective promotion with
 // 10% randomization starting at the top position.
-func Recommended() Policy { return core.Recommended() }
+func Recommended() Policy { return policy.Recommended() }
 
 // RecommendedSafe returns the variant that never perturbs the top result.
-func RecommendedSafe() Policy { return core.RecommendedSafe() }
+func RecommendedSafe() Policy { return policy.RecommendedSafe() }
 
 // Community describes a topic community: page count, user population,
 // monitored-user sample, visit budget and page lifetime (§3).
@@ -108,44 +105,11 @@ type Ranker struct {
 // NewRanker validates the policy and creates a ranker seeded
 // deterministically.
 func NewRanker(pol Policy, seed uint64) (*Ranker, error) {
-	if err := pol.Validate(); err != nil {
-		return nil, err
-	}
 	compiled, err := pol.Compile()
 	if err != nil {
 		return nil, err
 	}
 	return &Ranker{policy: pol, pol: compiled, rng: randutil.New(seed)}, nil
-}
-
-// NewRankerPolicy creates a ranker driven directly by a pluggable
-// internal/policy policy — the same engine the online service runs —
-// including variants the offline struct form cannot express (the
-// epsilon-decay annealing schedule).
-func NewRankerPolicy(pol policy.Policy, seed uint64) (*Ranker, error) {
-	if pol == nil {
-		return nil, fmt.Errorf("shuffledeck: nil policy")
-	}
-	spec := pol.Spec()
-	return &Ranker{
-		policy: Policy{Rule: ruleFromSpec(spec), K: spec.K, R: spec.R},
-		pol:    pol,
-		rng:    randutil.New(seed),
-	}, nil
-}
-
-// ruleFromSpec maps a policy spec back to the offline rule enum for
-// Policy() reporting; the epsilon-decay variant reports as selective
-// (its selection rule).
-func ruleFromSpec(spec policy.Spec) Rule {
-	switch spec.Rule {
-	case policy.RuleUniform:
-		return RuleUniform
-	case policy.RuleSelective, policy.RuleEpsilonDecay:
-		return RuleSelective
-	default:
-		return RuleNone
-	}
 }
 
 // Policy returns the ranker's policy.
@@ -210,7 +174,7 @@ func (r *Ranker) rankInto(pages []PageStat, dst []int) []int {
 		}
 	}
 	r.det, r.pool = det, pool
-	dst, r.shuffle = core.MergeScratch(core.Slice(det), core.Slice(pool),
+	dst, r.shuffle = policy.MergeScratch(policy.Slice(det), policy.Slice(pool),
 		k, rr, r.rng, dst, r.shuffle)
 	return dst
 }
@@ -256,7 +220,7 @@ type SimReport struct {
 
 // Simulate runs the §6 Web-community simulator for the given community
 // and promotion policy.
-func Simulate(comm Community, policy Policy, opts SimOptions) (*SimReport, error) {
+func Simulate(comm Community, pol Policy, opts SimOptions) (*SimReport, error) {
 	qs := opts.Qualities
 	if qs == nil {
 		qs = quality.DeterministicWithTop(quality.Default(), comm.Pages)
@@ -274,7 +238,7 @@ func Simulate(comm Community, policy Policy, opts SimOptions) (*SimReport, error
 		so.RecycleProbe = true
 		so.ImmortalProbe = true
 	}
-	s, err := sim.New(comm, policy, qs, so)
+	s, err := sim.New(comm, pol, qs, so)
 	if err != nil {
 		return nil, err
 	}
@@ -307,10 +271,10 @@ type Prediction struct {
 
 // Predict solves the §5 analytical model for the community and policy
 // under the paper's default quality distribution.
-func Predict(comm Community, policy Policy) (*Prediction, error) {
+func Predict(comm Community, pol Policy) (*Prediction, error) {
 	qs := quality.DeterministicWithTop(quality.Default(), comm.Pages)
 	buckets := quality.Buckets(qs, 40)
-	mdl, err := analytic.Solve(comm, policy, buckets, analytic.Options{})
+	mdl, err := analytic.Solve(comm, pol, buckets, analytic.Options{})
 	if err != nil {
 		return nil, err
 	}
