@@ -8,26 +8,28 @@
 // popularity is monotone non-decreasing (clicks only ever add), so a
 // bound, once correct, can only be invalidated by a popularity INCREASE —
 // and the writer that applies the increase raises the covering bounds
-// with a lock-free atomic max (RaiseBound). Bounds are recomputed exactly
-// — tightened — whenever a posting list is rebuilt anyway: on mid-list
-// inserts and on deletes. Nothing else needs to tighten them: with
-// monotone popularity every raise is to a value some document in the
-// block really has.
+// with an atomic max, through the document's BoundRefs. Bounds are
+// recomputed exactly — tightened — whenever a posting list is rebuilt
+// anyway: on mid-list inserts and on deletes. Nothing else needs to
+// tighten them: with monotone popularity every raise is to a value some
+// document in the block really has.
 //
 // Soundness contract. A raise is issued AFTER the new popularity value is
-// visible to the index's popularity source (Index.SetPopFunc), and
-// RaiseBound serializes with mutations on ix.mu while every rebuild
-// stores its cells before releasing the mutex; together these guarantee
-// that once RaiseBound returns, the live list's bound covers the new
-// value permanently. In the nanosecond window between the popularity
-// store and the raise a concurrent pruned reader may still skip the
-// block — it then serves results as if the click had not yet been
-// applied, the same bounded staleness a reader that loaded the list a
-// moment earlier exhibits. A skipped block never hides a document at its
-// OLD popularity: bounds are upper bounds of the pre-raise values, and
-// rank ties break toward smaller (earlier) document ids, so a block
-// whose bound cannot beat the current heap minimum contains nothing the
-// full scan would have kept (see Snapshot.RetrievePruned).
+// visible to the index's popularity source (Index.SetPopFunc). It goes
+// through RaiseCached, lock-free, while the refs it holds are current,
+// and otherwise through ResolveRaise, which serializes with mutations on
+// ix.mu while every rebuild stores its cells before releasing the mutex.
+// Either way, once the call that reports success returns, the live
+// list's bound covers the new value permanently. In the nanosecond window
+// between the popularity store and the raise a concurrent pruned reader
+// may still skip the block — it then serves results as if the click had
+// not yet been applied, the same bounded staleness a reader that loaded
+// the list a moment earlier exhibits. A skipped block never hides a
+// document at its OLD popularity: bounds are upper bounds of the
+// pre-raise values, and rank ties break toward smaller (earlier) document
+// ids, so a block whose bound cannot beat the current heap minimum
+// contains nothing the full scan would have kept (see
+// Snapshot.RetrievePruned).
 package searchidx
 
 import (
@@ -128,18 +130,18 @@ func (ix *Index) computeBounds(ids []uint32) *blockBounds {
 	return b
 }
 
-// insertPosting returns p with id inserted in sorted position and the
-// covering block bound raised to the document's current popularity. The
-// common append-at-end case reuses spare ids capacity (a published
-// header only ever covers the prefix that existed when it was stored)
-// and keeps the shared bounds array, growing it — copy-on-grow, readers
-// of older headers keep theirs — only when a new block opens past its
-// capacity. Mid-list inserts rebuild ids and recompute bounds exactly.
-// Callers hold ix.mu.
-func (ix *Index) insertPosting(p posting, id uint32) posting {
+// insertPosting returns p with id inserted in sorted position, and that
+// position, with the covering block bound raised to the document's
+// current popularity. The common append-at-end case reuses spare ids
+// capacity (a published header only ever covers the prefix that existed
+// when it was stored) and keeps the shared bounds array, growing it —
+// copy-on-grow, readers of older headers keep theirs — only when a new
+// block opens past its capacity. Mid-list inserts rebuild ids and
+// recompute bounds exactly. Callers hold ix.mu.
+func (ix *Index) insertPosting(p posting, id uint32) (posting, int) {
 	pos := searchU32(p.ids, id)
 	if pos < len(p.ids) && p.ids[pos] == id {
-		return p
+		return p, pos
 	}
 	if pos == len(p.ids) {
 		ids := append(p.ids, id)
@@ -148,21 +150,21 @@ func (ix *Index) insertPosting(p posting, id uint32) posting {
 			// Fresh term: exact from scratch. No rebuild marker — no
 			// document carried this term, so no cached bound reference can
 			// point into the new list.
-			return posting{ids: ids, b: ix.computeBounds(ids)}
+			return posting{ids: ids, b: ix.computeBounds(ids)}, pos
 		}
 		if nb := nblocks(len(ids)); nb > len(b.max) {
 			ix.beginRebuild()
 			b = b.grow(cap(ids))
 		}
 		b.raise((len(ids)-1)/BlockStride, ix.popAt(id))
-		return posting{ids: ids, b: b}
+		return posting{ids: ids, b: b}, pos
 	}
 	ix.beginRebuild()
 	grown := make([]uint32, len(p.ids)+1)
 	copy(grown, p.ids[:pos])
 	grown[pos] = id
 	copy(grown[pos+1:], p.ids[pos:])
-	return posting{ids: grown, b: ix.computeBounds(grown)}
+	return posting{ids: grown, b: ix.computeBounds(grown)}, pos
 }
 
 // SetPopFunc installs the popularity source consulted when block bounds
@@ -202,95 +204,67 @@ func (ix *Index) endRebuild() {
 	}
 }
 
-// BoundRef is an opaque handle to the block bound covering one document
-// in one of its terms' posting lists, resolved by ResolveRaise and
-// raisable lock-free by RaiseCached while the index's rebuild seqlock
-// is unchanged.
-type BoundRef struct {
-	b  *blockBounds
-	bi int
+// BoundRef names the block covering one document in one of its terms'
+// posting lists: the term's dense id in the high 32 bits, the block
+// index in the low 32. Add records one per distinct term; the block
+// index stays valid while the index's rebuild seqlock is unchanged.
+type BoundRef uint64
+
+func newBoundRef(term uint32, block int) BoundRef {
+	return BoundRef(uint64(term)<<32 | uint64(uint32(block)))
 }
 
+func (r BoundRef) term() uint32 { return uint32(r >> 32) }
+func (r BoundRef) block() int   { return int(uint32(r)) }
+
 // RaiseCached raises pop through refs resolved at seqlock value e —
-// the lock-free fast path for the click-apply loop. It reports whether
-// the raise is guaranteed to have landed on the current posting
-// arrays; false (a rebuild raced or invalidated the refs — raising a
-// superseded array is harmless, only omission is not) means the caller
-// must fall back to ResolveRaise. Callers store the new popularity
-// before raising, as with RaiseBound.
+// the lock-free fast path for the click-apply loop. Each ref reaches
+// its term's current posting header through the id directory. It
+// reports whether the raise is guaranteed to have landed on the current
+// posting arrays; false (a rebuild raced or invalidated the refs —
+// raising a superseded array is harmless, only omission is not) means
+// the caller must fall back to ResolveRaise. Callers store the new
+// popularity before raising.
 func (ix *Index) RaiseCached(refs []BoundRef, e uint64, pop float64) bool {
 	if ix.rebuildSeq.Load() != e {
 		return false
 	}
 	for _, r := range refs {
-		r.b.raise(r.bi, pop)
+		if c := ix.terms.byID(r.term()); c != nil {
+			c.p.Load().b.raise(r.block(), pop)
+		}
 	}
 	return ix.rebuildSeq.Load() == e
 }
 
 // ResolveRaise raises the bounds covering the document under the
-// mutation lock and returns refs to them plus the seqlock value they
-// are valid for, reusing the refs slice's capacity. ok is false when
-// the document is not indexed (yet — replication followers apply
-// frames before indexing); callers must not cache that outcome, since
-// appends do not advance the seqlock.
-func (ix *Index) ResolveRaise(id int, pop float64, refs []BoundRef) (_ []BoundRef, epoch uint64, ok bool) {
+// mutation lock — serializing the raise with posting rebuilds is what
+// makes it permanent — and returns the document's refs plus the seqlock
+// value they are valid for, ready for RaiseCached. It re-resolves the
+// block indexes by binary search only when the seqlock has moved since
+// the record's were. The returned slice is the document's record
+// itself, re-resolved in place by a later ResolveRaise: callers
+// serialize the raises of one document (the serving layer's shard
+// applier owns its pages' raises). ok is false when the document is not
+// indexed (yet — replication followers apply frames before indexing);
+// callers must not cache that outcome, since appends do not advance the
+// seqlock. Callers store the new popularity first.
+func (ix *Index) ResolveRaise(id int, pop float64) (refs []BoundRef, epoch uint64, ok bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	text, found := ix.docs[id]
-	if !found {
-		return refs[:0], 0, false
-	}
-	return ix.raiseLocked(text, uint32(id), pop, refs[:0]), ix.rebuildSeq.Load(), true
-}
-
-// RaiseBound lifts the posting-block upper bounds covering the document
-// to at least pop, in every term of the document, in the live lists
-// (shared bounds arrays propagate the raise to readers of older headers
-// of the same lists). Call it AFTER the new popularity is visible to
-// the installed popularity source — see the package soundness contract
-// at the top of this file. Unknown documents and non-positive pops are
-// ignored, which makes the call a no-op on paths (recovery replay,
-// replication apply) that index the document afterwards: the insert
-// then computes the exact bound itself.
-func (ix *Index) RaiseBound(id int, pop float64) {
-	if pop <= 0 {
-		return
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	text, ok := ix.docs[id]
+	rec, ok := ix.docs[id]
 	if !ok {
-		return
+		return nil, 0, false
 	}
-	ix.raiseLocked(text, uint32(id), pop, nil)
-}
-
-// raiseLocked raises the bounds covering document id in every term of
-// its text and appends a ref to each raised bound to refs. Callers hold
-// ix.mu — serializing raises with posting rebuilds is what makes a
-// completed raise permanent (the rebuild either read the new popularity
-// or stored its cells before the raise loaded them).
-func (ix *Index) raiseLocked(text string, id uint32, pop float64, refs []BoundRef) []BoundRef {
-	qs := queryScratchPool.Get().(*queryScratch)
-	terms := appendTokens(qs.terms[:0], text)
-	qs.terms = terms
-	for ti, t := range terms {
-		if containsTerm(terms[:ti], t) {
-			continue
+	if seq := ix.rebuildSeq.Load(); rec.seq != seq {
+		for i, r := range rec.refs {
+			ids := ix.terms.byID(r.term()).p.Load().ids
+			rec.refs[i] = newBoundRef(r.term(), searchU32(ids, uint32(id))/BlockStride)
 		}
-		p := ix.postings(t)
-		if p.b == nil {
-			continue
-		}
-		pos := searchU32(p.ids, id)
-		if pos == len(p.ids) || p.ids[pos] != id {
-			continue
-		}
-		bi := pos / BlockStride
-		p.b.raise(bi, pop)
-		refs = append(refs, BoundRef{b: p.b, bi: bi})
+		rec.seq = seq
 	}
-	qs.release()
-	return refs
+	for _, r := range rec.refs {
+		ix.terms.byID(r.term()).p.Load().b.raise(r.block(), pop)
+	}
+	return rec.refs, rec.seq, true
 }

@@ -162,7 +162,8 @@ func TestGallopGalloping(t *testing.T) {
 // TestConcurrentRetrieveDuringMutation hammers lock-free retrieval from
 // several goroutines while a writer continuously deletes and re-adds
 // documents and adds new ones. Run under -race this exercises the term
-// cells, the epoch and the shared posting arrays; the assertions check
+// cells, table resizes, the epoch and the shared posting arrays; the
+// assertions check
 // every retrieval is a well-formed sorted id set drawn from the known
 // universe, and the freshness rule: a reader that loads the epoch and
 // then the lists sees every document whose Add had returned before the
@@ -183,7 +184,9 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 			s += " third"
 		}
 		if i >= docs {
-			s += " fresh"
+			// Four more terms no other document has: the table grows, and
+			// is resized under the readers, every few dozen rounds.
+			s += fmt.Sprintf(" fresh a%d b%d c%d d%d", i, i, i, i)
 		}
 		return fmt.Sprintf("%s doc%d", s, i)
 	}
@@ -192,6 +195,7 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	slotsBefore := ix.terms.slots.Load()
 
 	// fresh counts the never-deleted documents docs, docs+1, ... whose
 	// Add has returned.
@@ -271,6 +275,9 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	if ix.terms.slots.Load() == slotsBefore {
+		t.Fatal("the term table was never resized while readers ran")
+	}
 
 	// Quiescent again: full-universe queries must see every doc.
 	if got := len(ix.Retrieve("alpha shared")); got != docs+rounds {

@@ -10,15 +10,16 @@ import (
 )
 
 // indexModel is the reference the live term table is checked against: a
-// map of sorted posting slices, maintained the obvious way.
+// map of sorted posting slices, maintained the obvious way. The texts it
+// is fed never repeat a term.
 type indexModel struct {
 	lists map[string][]uint32
-	texts map[int]string
+	terms map[int][]string
 }
 
 func (m *indexModel) add(id int, text string) {
-	m.texts[id] = text
-	for _, t := range strings.Fields(text) {
+	m.terms[id] = strings.Fields(text)
+	for _, t := range m.terms[id] {
 		l := m.lists[t]
 		pos, found := slices.BinarySearch(l, uint32(id))
 		if !found {
@@ -28,7 +29,7 @@ func (m *indexModel) add(id int, text string) {
 }
 
 func (m *indexModel) remove(id int) {
-	for _, t := range strings.Fields(m.texts[id]) {
+	for _, t := range m.terms[id] {
 		l := m.lists[t]
 		if pos, found := slices.BinarySearch(l, uint32(id)); found {
 			l = slices.Delete(l, pos, pos+1)
@@ -39,7 +40,7 @@ func (m *indexModel) remove(id int) {
 			m.lists[t] = l
 		}
 	}
-	delete(m.texts, id)
+	delete(m.terms, id)
 }
 
 func (m *indexModel) retrieve(query string) []uint32 {
@@ -79,12 +80,21 @@ func offerTop(top []scoredDoc, k int, c scoredDoc) []scoredDoc {
 // 1-, 2- and 3-term queries; the unpruned RetrievePruned ≡ RetrieveInto;
 // top-K under the serving layer's skip rule ≡ full-scan top-K (block
 // bounds stay sound with no periodic re-tightening); the dictionary
-// holds exactly the model's terms; and the epoch counts the mutations.
+// holds exactly the model's terms; the epoch counts the mutations; and
+// every live document's refs name a block holding it in each of its
+// terms.
 func TestIndexMatchesModel(t *testing.T) {
 	const (
 		ops  = 3000
 		topN = 5
 	)
+	// The ref check dominates the test's cost, and the test runs on one
+	// goroutine: under -race, where it is several times slower and the
+	// detector has nothing to find, check every eighth op.
+	refsEvery := 1
+	if raceEnabled {
+		refsEvery = 8
+	}
 	head := []string{"h0", "h1", "h2", "h3", "h4", "h5", "h6", "h7"}
 	rare := []string{"r0", "r1", "r2", "r3", "r4", "r5"}
 	for _, seed := range []uint64{1, 2, 3} {
@@ -92,13 +102,13 @@ func TestIndexMatchesModel(t *testing.T) {
 		ix := NewIndex()
 		pop := make([]float64, 0, ops)
 		ix.SetPopFunc(func(id uint32) float64 { return pop[id] })
-		m := &indexModel{lists: map[string][]uint32{}, texts: map[int]string{}}
+		m := &indexModel{lists: map[string][]uint32{}, terms: map[int][]string{}}
 		var live, free []int
 		type cachedRefs struct {
 			refs  []BoundRef
 			epoch uint64
 		}
-		braise := map[int]cachedRefs{}
+		cached := map[int]cachedRefs{}
 		var wantEpoch uint64
 		skipped := 0
 		maxPop := 0.0
@@ -156,15 +166,37 @@ func TestIndexMatchesModel(t *testing.T) {
 		raise := func(id int, by float64) {
 			pop[id] += by
 			maxPop = max(maxPop, pop[id])
-			bc, ok := braise[id]
+			bc, ok := cached[id]
 			if ok && ix.RaiseCached(bc.refs, bc.epoch, pop[id]) {
 				return
 			}
-			refs, epoch, found := ix.ResolveRaise(id, pop[id], bc.refs)
+			refs, epoch, found := ix.ResolveRaise(id, pop[id])
 			if !found || len(refs) == 0 {
 				t.Fatalf("seed %d: live doc %d resolved no bounds", seed, id)
 			}
-			braise[id] = cachedRefs{refs: refs, epoch: epoch}
+			cached[id] = cachedRefs{refs: refs, epoch: epoch}
+		}
+		// checkRefs asserts that ResolveRaise hands out, for a live
+		// document, one ref per term of its text in text order, each
+		// naming a block of that term's list that holds the document. A
+		// zero pop raises nothing, so the check leaves the bounds alone.
+		checkRefs := func(ctx string, id int) {
+			refs, _, found := ix.ResolveRaise(id, 0)
+			terms := m.terms[id]
+			if !found || len(refs) != len(terms) {
+				t.Fatalf("%s: live doc %d (terms %v) has record %v, %d refs", ctx, id, terms, found, len(refs))
+			}
+			for i, r := range refs {
+				c := ix.terms.byID(r.term())
+				if c == nil || c.term != terms[i] {
+					t.Fatalf("%s: doc %d ref %d names term id %d (cell %v), want %q", ctx, id, i, r.term(), c, terms[i])
+				}
+				ids := c.p.Load().ids
+				lo := min(r.block()*BlockStride, len(ids))
+				if _, in := slices.BinarySearch(ids[lo:min(lo+BlockStride, len(ids))], uint32(id)); !in {
+					t.Fatalf("%s: doc %d ref names block %d of %q, which does not hold it", ctx, id, r.block(), c.term)
+				}
+			}
 		}
 
 		for op := 0; op < ops; op++ {
@@ -181,8 +213,8 @@ func TestIndexMatchesModel(t *testing.T) {
 				for _, id := range slices.Clone(m.lists[term]) {
 					remove(int(id))
 				}
-				if got := ix.Retrieve(term); got != nil || ix.cell(term) != nil {
-					t.Fatalf("seed %d op %d: emptied term %q retrieves %v, cell %v", seed, op, term, got, ix.cell(term))
+				if got := ix.Retrieve(term); got != nil || ix.terms.lookup(term) != nil {
+					t.Fatalf("seed %d op %d: emptied term %q retrieves %v, cell %v", seed, op, term, got, ix.terms.lookup(term))
 				}
 				add(randomText(term), rng.Bernoulli(0.5))
 			}
@@ -221,6 +253,11 @@ func TestIndexMatchesModel(t *testing.T) {
 			}
 			if ix.Terms() != len(m.lists) {
 				t.Fatalf("%s: Terms = %d, model has %d", ctx, ix.Terms(), len(m.lists))
+			}
+			if op%refsEvery == 0 {
+				for _, id := range live {
+					checkRefs(ctx, id)
+				}
 			}
 			vocab := append(slices.Clone(head), "all", rare[rng.Intn(len(rare))])
 			for nterms := 1; nterms <= 3; nterms++ {

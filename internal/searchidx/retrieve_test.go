@@ -122,7 +122,12 @@ func TestSnapshotEpochAndVisibility(t *testing.T) {
 	// leave the table, and come back as fresh cells.
 	liveCells := func() int {
 		n := 0
-		ix.terms.Range(func(_, _ any) bool { n++; return true })
+		s := *ix.terms.slots.Load()
+		for i := range s {
+			if c := s[i].Load(); c != nil && c != tombstone {
+				n++
+			}
+		}
 		return n
 	}
 	for cycle := 0; cycle < 2; cycle++ {
@@ -133,7 +138,7 @@ func TestSnapshotEpochAndVisibility(t *testing.T) {
 			if got := ix.Snapshot().RetrieveInto(nil, term); got != nil {
 				t.Fatalf("emptied term %q retrieves %v, want nil", term, got)
 			}
-			if ix.cell(term) != nil {
+			if ix.terms.lookup(term) != nil {
 				t.Fatalf("emptied term %q still has a cell", term)
 			}
 		}

@@ -19,6 +19,9 @@
 // rule: a writer stores cells, then the epoch; a reader loads the epoch,
 // then cells. A query therefore sees everything up to the epoch it read
 // (and possibly more), each list an immutable sorted prefix.
+//
+// The index keeps no document text: Add tokenizes once and records one
+// BoundRef per distinct term, which Delete and the bound raises walk.
 package searchidx
 
 import (
@@ -43,13 +46,12 @@ type Document struct {
 // comment).
 type Index struct {
 	mu sync.Mutex // serializes mutations and guards the fields below
-	// docs is each document's text, re-tokenized on delete and on bound
-	// raises.
-	docs   map[int]string
-	nterms int
-	// terms is the live term table: string → *termCell. Written under mu
-	// (a cell is removed when its last document leaves), read lock-free.
-	terms sync.Map
+	// docs is each document's record: its bound refs, walked on delete
+	// and on bound raises.
+	docs map[int]*docRec
+	// terms is the live term table. Written under mu (a cell leaves when
+	// its last document does), read lock-free.
+	terms termTable
 	// epoch counts mutations; bumped after the mutation's cells are stored.
 	epoch atomic.Uint64
 	// popOf, when set, is the external popularity source consulted for
@@ -63,9 +65,20 @@ type Index struct {
 	rebuilding bool // rebuildSeq is odd; guarded by mu
 }
 
+// docRec is what the index keeps of a document: one BoundRef per
+// distinct term, and the rebuildSeq value their block indexes are valid
+// for. Written under mu; ResolveRaise hands refs out and re-resolves it
+// in place.
+type docRec struct {
+	refs []BoundRef
+	seq  uint64
+}
+
 // NewIndex creates an empty index.
 func NewIndex() *Index {
-	return &Index{docs: make(map[int]string)}
+	ix := &Index{docs: make(map[int]*docRec)}
+	ix.terms.init()
+	return ix
 }
 
 // Tokenize lower-cases and splits text into alphanumeric terms.
@@ -114,29 +127,32 @@ func (ix *Index) Add(doc Document) error {
 	if _, ok := ix.docs[doc.ID]; ok {
 		return fmt.Errorf("searchidx: document %d already indexed", doc.ID)
 	}
-	ix.docs[doc.ID] = doc.Text
 	id := uint32(doc.ID)
+	refs := make([]BoundRef, 0, len(terms))
 	for ti, t := range terms {
 		if containsTerm(terms[:ti], t) {
 			continue
 		}
-		// One table probe per term: the header is replaced through the
-		// cell. The key of a new cell is a substring of the retained
-		// document text, not a copy.
-		c := ix.cell(t)
-		if c == nil {
-			c = new(termCell)
-			p := ix.insertPosting(posting{}, id)
-			c.Store(&p)
-			ix.terms.Store(t, c)
-			ix.nterms++
-			continue
+		// One table probe per known term: the header is replaced through
+		// the cell.
+		var cur posting
+		c := ix.terms.lookup(t)
+		if c != nil {
+			cur = *c.p.Load()
 		}
-		p := ix.insertPosting(*c.Load(), id)
-		c.Store(&p)
+		p, pos := ix.insertPosting(cur, id)
+		if c == nil {
+			c = ix.terms.insert(t, p)
+		} else {
+			c.p.Store(&p)
+		}
+		refs = append(refs, newBoundRef(c.id, pos/BlockStride))
 	}
 	ix.epoch.Add(1)
 	ix.endRebuild()
+	// The document's positions are final now: later mutations that move
+	// them also move rebuildSeq past this value.
+	ix.docs[doc.ID] = &docRec{refs: refs, seq: ix.rebuildSeq.Load()}
 	return nil
 }
 
@@ -144,36 +160,25 @@ func (ix *Index) Add(doc Document) error {
 func (ix *Index) Delete(id int) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	text, ok := ix.docs[id]
+	rec, ok := ix.docs[id]
 	if !ok {
 		return false
 	}
-	qs := queryScratchPool.Get().(*queryScratch)
-	defer qs.release()
-	terms := appendTokens(qs.terms[:0], text)
-	qs.terms = terms
 	// Every touched posting list is rebuilt below: stand cached bound
 	// references down for the duration.
 	ix.beginRebuild()
 	delete(ix.docs, id)
-	for ti, t := range terms {
-		if containsTerm(terms[:ti], t) {
-			continue
-		}
-		c := ix.cell(t)
-		if c == nil {
-			continue
-		}
-		ids := c.Load().ids
+	for _, r := range rec.refs {
+		c := ix.terms.byID(r.term())
+		ids := c.p.Load().ids
 		pos := searchU32(ids, uint32(id))
 		if pos == len(ids) || ids[pos] != uint32(id) {
 			continue
 		}
 		if len(ids) == 1 {
-			// Last document of the term: the cell leaves the table, so the
-			// dictionary does not grow under churn.
-			ix.terms.Delete(t)
-			ix.nterms--
+			// Last document of the term: the cell leaves the table and its
+			// id is reissued, so neither grows under churn.
+			ix.terms.remove(c)
 			continue
 		}
 		trimmed := make([]uint32, len(ids)-1)
@@ -182,7 +187,7 @@ func (ix *Index) Delete(id int) bool {
 		// Rebuilt list: recompute the block bounds exactly — the deleted
 		// document may have been a block's maximum, and this is the one
 		// moment tightening is free.
-		c.Store(&posting{ids: trimmed, b: ix.computeBounds(trimmed)})
+		c.p.Store(&posting{ids: trimmed, b: ix.computeBounds(trimmed)})
 	}
 	ix.epoch.Add(1)
 	ix.endRebuild()
@@ -254,5 +259,5 @@ var idsPool = sync.Pool{New: func() any { return new([]uint32) }}
 func (ix *Index) Terms() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.nterms
+	return ix.terms.live
 }

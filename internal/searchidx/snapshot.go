@@ -1,23 +1,15 @@
-// The live term table and lock-free conjunctive retrieval: every term
-// owns one cell holding its current immutable posting header, and queries
-// resolve by rarest-first galloping (exponential-search) intersection of
-// compact sorted []uint32 posting arrays, into caller- or pool-owned
-// scratch.
+// Lock-free conjunctive retrieval: every term owns one cell of the term
+// table (terms.go) holding its current immutable posting header, and
+// queries resolve by rarest-first galloping (exponential-search)
+// intersection of compact sorted []uint32 posting arrays, into caller-
+// or pool-owned scratch.
 package searchidx
 
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unicode"
 )
-
-// termCell is one term's slot in the index's table: the current posting
-// header, replaced whole by the (mutex-serialized) writer and loaded
-// once per query by readers. A header is immutable once stored — an
-// append writes only into ids capacity beyond every published length —
-// so a loaded list is a sorted prefix paired with its own bounds.
-type termCell = atomic.Pointer[posting]
 
 // Snapshot is a read handle on the index, at least as fresh as Epoch():
 // every mutation numbered Epoch() or below is visible through it, and a
@@ -41,20 +33,11 @@ func (s Snapshot) Epoch() uint64 { return s.epoch }
 // atomic load, safe to call concurrently with any mutation.
 func (ix *Index) Snapshot() Snapshot { return Snapshot{epoch: ix.epoch.Load(), ix: ix} }
 
-// cell returns the term's live cell, or nil when no document carries the
-// term.
-func (ix *Index) cell(term string) *termCell {
-	if v, ok := ix.terms.Load(term); ok {
-		return v.(*termCell)
-	}
-	return nil
-}
-
 // postings returns the term's current posting list (the zero value when
 // the term matches no document).
 func (ix *Index) postings(term string) posting {
-	if c := ix.cell(term); c != nil {
-		return *c.Load()
+	if c := ix.terms.lookup(term); c != nil {
+		return *c.p.Load()
 	}
 	return posting{}
 }

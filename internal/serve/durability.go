@@ -211,8 +211,8 @@ func (c *Corpus) rebuildIndex() error {
 	}
 	var docs []docRec
 	for _, sh := range c.shards {
-		for id, seq := range sh.seqOf {
-			docs = append(docs, docRec{id: id, birth: seq, text: sh.texts[id]})
+		for id, ref := range sh.seqOf {
+			docs = append(docs, docRec{id: id, birth: ref.seq, text: sh.texts[id]})
 		}
 		if sh.maxBirth > c.seq {
 			c.seq = sh.maxBirth

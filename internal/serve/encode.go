@@ -116,8 +116,8 @@ func appendJSONString(b []byte, s string) []byte {
 // appendJSONFloat appends f in encoding/json's float format: %g-style
 // with the exponent form only outside [1e-6, 1e21) and the exponent's
 // leading zero trimmed. Non-finite values (which valid corpus state never
-// produces — popularity is validated non-negative) encode as 0 rather
-// than emitting invalid JSON.
+// produces — Corpus.Add refuses a popularity that is negative or not
+// finite) encode as 0 rather than emitting invalid JSON.
 func appendJSONFloat(b []byte, f float64) []byte {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return append(b, '0')

@@ -701,6 +701,11 @@ func (c *Corpus) Add(id int, text string, popularity float64) error {
 	if popularity < 0 {
 		return fmt.Errorf("serve: negative popularity %v for page %d", popularity, id)
 	}
+	// NaN would break the treap's order and, compared as bits, win every
+	// bound raise; +Inf would pin its blocks' bounds for good.
+	if math.IsNaN(popularity) || math.IsInf(popularity, 1) {
+		return fmt.Errorf("serve: non-finite popularity %v for page %d", popularity, id)
+	}
 	sh := c.shardFor(id)
 	if sh.notLeader.Load() {
 		return ErrNotLeader

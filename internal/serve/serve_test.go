@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/policy"
@@ -62,8 +63,28 @@ func TestDuplicateAddRejected(t *testing.T) {
 	if err := c.Add(1, "other words", 2); err == nil {
 		t.Fatal("duplicate Add accepted")
 	}
-	if err := c.Add(2, "neg", -1); err == nil {
-		t.Fatal("negative popularity accepted")
+}
+
+func TestAddValidatesPopularity(t *testing.T) {
+	c := newTestCorpus(t, Config{})
+	for i, tc := range []struct {
+		pop float64
+		ok  bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{-1, false},
+		{0, true},
+		{1e300, true},
+	} {
+		if err := c.Add(i, "topic page", tc.pop); (err == nil) != tc.ok {
+			t.Errorf("Add with popularity %v: err = %v, want accepted = %v", tc.pop, err, tc.ok)
+		}
+	}
+	c.Sync()
+	if got := c.Stats().Pages; got != 2 {
+		t.Fatalf("%d pages served, want the 2 accepted", got)
 	}
 }
 

@@ -67,8 +67,8 @@ type shardState struct {
 	table *pageTable
 
 	// Owned exclusively by the applier:
-	seqOf    map[int]int // page id -> slot (birth sequence)
-	maxBirth int         // highest birth ever applied + 1 (seq watermark)
+	seqOf    map[int]pageRef // page id -> slot and bound refs
+	maxBirth int             // highest birth ever applied + 1 (seq watermark)
 	treap    *rankengine.Treap
 	poolSeqs []int       // zero-awareness page slots, swap-remove order
 	poolPos  map[int]int // seq -> index in poolSeqs
@@ -92,11 +92,6 @@ type shardState struct {
 	// path — the offline replay evaluator.
 	bounds *searchidx.Index
 	za     *searchidx.Index
-	// braise caches, per page slot, direct references to the block
-	// bounds covering the page, so the click-hot raise skips the index
-	// mutex and term resolution entirely while the index's rebuild
-	// seqlock holds still. Applier-owned, like seqOf.
-	braise map[int]boundCache
 
 	// impressions, clicks and dropped count feedback folded into (or
 	// rejected by) this shard, read lock-free by Stats.
@@ -105,9 +100,14 @@ type shardState struct {
 	dropped     atomic.Uint64
 }
 
-// boundCache is one page's resolved bound references plus the index
-// rebuild-seqlock value they are valid for.
-type boundCache struct {
+// pageRef is the applier's entry for one page: its slot (birth
+// sequence), and the search-index bound refs its click raises go through
+// with the rebuild-seqlock value they are valid for. refs is nil until
+// the page's first raise resolves it; the slice is the index's own
+// record, so holding it costs no copy, and the index re-resolves it in
+// place only inside this applier's own ResolveRaise calls.
+type pageRef struct {
+	seq   int
 	refs  []searchidx.BoundRef
 	epoch uint64
 }
@@ -118,10 +118,7 @@ func (st *shardState) init(treapSeed uint64, retainText bool, pages, zeroAware *
 	st.table = table
 	st.bounds = bounds
 	st.za = za
-	if bounds != nil {
-		st.braise = make(map[int]boundCache)
-	}
-	st.seqOf = make(map[int]int)
+	st.seqOf = make(map[int]pageRef)
 	st.treap = rankengine.New(treapSeed)
 	st.poolPos = make(map[int]int)
 	if retainText {
@@ -163,7 +160,7 @@ func (st *shardState) applyAdd(a AddRecord) bool {
 	}
 	aware := a.Popularity > 0
 	st.fillSlot(a.Birth, a.ID, a.Popularity, 0, 0, 0, aware)
-	st.seqOf[a.ID] = a.Birth
+	st.seqOf[a.ID] = pageRef{seq: a.Birth}
 	if st.texts != nil {
 		st.texts[a.ID] = a.Text
 	}
@@ -177,7 +174,7 @@ func (st *shardState) applyAdd(a AddRecord) bool {
 			// replication follower the document is indexed after the
 			// frames apply, so this is a no-op there and the insert
 			// computes the exact bound itself.
-			st.raisePop(a.Birth, a.Popularity)
+			st.raisePop(a.ID, pageRef{seq: a.Birth}, a.Popularity)
 		}
 	} else {
 		st.zeroAware.Add(1)
@@ -202,11 +199,12 @@ func (st *shardState) applyAdd(a AddRecord) bool {
 // time. Events with a slot below 1, negative counts or an unknown page
 // are dropped.
 func (st *shardState) applyEvent(e Event, nanos int64) outcome {
-	seq, ok := st.seqOf[e.Page]
+	ref, ok := st.seqOf[e.Page]
 	if !ok {
 		st.dropped.Add(1)
 		return outcome{}
 	}
+	seq := ref.seq
 	// A slot below 1 has no presented position to attribute the counts
 	// to; dropping (rather than applying without telemetry) keeps the
 	// slot table summing to ImpressionsApplied/ClicksApplied.
@@ -251,7 +249,7 @@ func (st *shardState) applyEvent(e Event, nanos int64) outcome {
 			// contract). Until it lands a pruned reader may serve this
 			// page at its pre-click rank — the same bounded staleness a
 			// not-yet-applied event exhibits.
-			st.raisePop(seq, pop)
+			st.raisePop(e.Page, ref, pop)
 		}
 		out.rankChanged = true
 	}
@@ -262,11 +260,11 @@ func (st *shardState) applyEvent(e Event, nanos int64) outcome {
 // been promoted out of the zero-awareness pool. Applier-side read (the
 // replay evaluator's pre-event eligibility check).
 func (st *shardState) awareOf(id int) (exists, aware bool) {
-	seq, ok := st.seqOf[id]
+	ref, ok := st.seqOf[id]
 	if !ok {
 		return false, false
 	}
-	return true, slotAt(st.table.view(), seq).meta.Load()&slotAware != 0
+	return true, slotAt(st.table.view(), ref.seq).meta.Load()&slotAware != 0
 }
 
 // applyRemove deletes one page from the shard state: its slot is
@@ -276,16 +274,16 @@ func (st *shardState) awareOf(id int) (exists, aware bool) {
 // replayed logs may still carry them). Returns true when the servable
 // view changed and needs republishing.
 func (st *shardState) applyRemove(id int) bool {
-	seq, ok := st.seqOf[id]
+	ref, ok := st.seqOf[id]
 	if !ok {
 		st.dropped.Add(1)
 		return false
 	}
+	seq := ref.seq
 	slot := slotAt(st.table.view(), seq)
 	aware := slot.meta.Load()&slotAware != 0
 	slot.meta.Store(slotDead)
 	delete(st.seqOf, id)
-	delete(st.braise, seq)
 	if st.texts != nil {
 		delete(st.texts, id)
 	}
@@ -306,28 +304,21 @@ func (st *shardState) applyRemove(id int) bool {
 	return true
 }
 
-// raisePop raises the search index's block bounds covering the page to
-// at least pop. The fast path raises through cached bound references
-// with two atomic seqlock loads and no locks; a posting rebuild since
-// the refs were resolved (delete, mid-list insert, bounds growth — never
-// the common append) falls back to a full mutex-guarded resolution and
-// refreshes the cache. Callers must store pop into the page slot first
-// and hold st.bounds non-nil.
-func (st *shardState) raisePop(seq int, pop float64) {
-	bc, ok := st.braise[seq]
-	if ok && st.bounds.RaiseCached(bc.refs, bc.epoch, pop) {
+// raisePop raises the search index's block bounds covering page id
+// (entry ref) to at least pop. The fast path raises through the entry's
+// refs with two atomic seqlock loads and no locks; a page without refs
+// yet, or a posting rebuild since they were resolved (delete, mid-list
+// insert, bounds growth — never the common append), falls back to the
+// index's mutex-guarded raise, whose refs the entry then keeps. A page
+// the index does not hold (yet — a replication follower indexes it
+// after this apply) keeps no refs. Callers must store pop into the page
+// slot first and hold st.bounds non-nil.
+func (st *shardState) raisePop(id int, ref pageRef, pop float64) {
+	if ref.refs != nil && st.bounds.RaiseCached(ref.refs, ref.epoch, pop) {
 		return
 	}
-	refs, epoch, found := st.bounds.ResolveRaise(seq, pop, bc.refs)
-	if found && len(refs) > 0 {
-		st.braise[seq] = boundCache{refs: refs, epoch: epoch}
-		return
-	}
-	// Never cache a not-found document: a replication follower indexes
-	// the page after this apply, and a later append does not advance the
-	// seqlock — a cached empty set would silently drop its raises.
-	if ok {
-		delete(st.braise, seq)
+	if refs, epoch, found := st.bounds.ResolveRaise(ref.seq, pop); found {
+		st.seqOf[id] = pageRef{seq: ref.seq, refs: refs, epoch: epoch}
 	}
 }
 
@@ -348,7 +339,7 @@ func (st *shardState) removeFromPool(seq int) {
 // path (the snapshot already folded its history in).
 func (st *shardState) loadPage(p store.PageRecord) {
 	st.fillSlot(p.Birth, p.ID, p.Popularity, p.Impressions, p.Clicks, p.FirstImpNanos, p.Aware)
-	st.seqOf[p.ID] = p.Birth
+	st.seqOf[p.ID] = pageRef{seq: p.Birth}
 	if st.texts != nil {
 		st.texts[p.ID] = p.Text
 	}
@@ -374,12 +365,12 @@ func (st *shardState) loadPage(p store.PageRecord) {
 func (st *shardState) pageRecords() []store.PageRecord {
 	out := make([]store.PageRecord, 0, len(st.seqOf))
 	view := st.table.view()
-	for id, seq := range st.seqOf {
-		s := slotAt(view, seq).stat(seq)
+	for id, ref := range st.seqOf {
+		s := slotAt(view, ref.seq).stat(ref.seq)
 		rec := store.PageRecord{
 			ID:            id,
 			Popularity:    s.Popularity,
-			Birth:         seq,
+			Birth:         ref.seq,
 			Aware:         s.Aware,
 			Impressions:   s.Impressions,
 			Clicks:        s.Clicks,
