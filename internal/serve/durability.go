@@ -5,13 +5,13 @@
 //
 // Recovery per shard is: load the newest readable snapshot into the
 // shard's event-sourced state, replay the WAL tail above its LSN through
-// the exact same liveAdd/liveEvent path the online apply loop runs, then
-// verify nothing is missing (a WAL whose first retained record is above
-// snapshotLSN+1 means truncated history without a covering snapshot —
-// unrecoverable, fail loudly rather than serve silently wrong
-// popularity). The search index is rebuilt from the recovered pages in
-// birth order, so postings, birth sequence and query results come back
-// exactly as a never-crashed corpus would serve them.
+// applyRecord (the apply loop runs replicated frames through it too),
+// then verify nothing is missing (a WAL whose first retained record is
+// above snapshotLSN+1 means truncated history without a covering
+// snapshot — unrecoverable, fail loudly rather than serve silently
+// wrong popularity). The search index is rebuilt from the recovered
+// pages in birth order, so postings, birth sequence and query results
+// come back exactly as a never-crashed corpus would serve them.
 package serve
 
 import (
@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/searchidx"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -138,16 +137,9 @@ func (sh *shard) recoverFromStore(idx int) (ShardRecovery, error) {
 		if err != nil {
 			return fmt.Errorf("serve: shard %d lsn %d: %w", idx, lsn, err)
 		}
-		switch r.kind {
-		case recKindAdd:
-			sh.liveAdd(r.add)
-		case recKindEvent:
-			sh.liveEvent(r.event, r.nanos)
-		case recKindRemove:
-			sh.applyRemove(r.remove)
-		}
+		sh.applyRecord(r)
 		sh.appliedLSN.Store(lsn)
-		sh.walLag.Add(int64(len(payload)))
+		sh.walLag.Add(int64(len(payload)) + wal.FrameOverhead)
 		rec.RecordsReplayed++
 		return nil
 	})
@@ -173,7 +165,7 @@ func (sh *shard) recoverFromStore(idx int) (ShardRecovery, error) {
 // historical telemetry).
 func (sh *shard) restoreSnapshot(snap *store.Snapshot) {
 	for _, p := range snap.Pages {
-		sh.shardState.loadPage(p)
+		sh.placePage(p)
 	}
 	sh.impressions.Store(snap.Impressions)
 	sh.clicks.Store(snap.Clicks)
@@ -220,14 +212,13 @@ func (c *Corpus) rebuildIndex() error {
 	}
 	sort.Slice(docs, func(i, j int) bool { return docs[i].birth < docs[j].birth })
 	for _, d := range docs {
-		if err := c.idx.Add(searchidx.Document{ID: d.birth, Text: d.text}); err != nil {
+		// indexPage also raises the strided allocation counters past
+		// every recovered birth (legacy globally-sequential births
+		// included): a future Add may never re-issue a slot already
+		// taken.
+		if err := c.indexPage(d.id, d.birth, d.text); err != nil {
 			return fmt.Errorf("serve: rebuilding index: %w", err)
 		}
-		c.byID.Store(d.id, int64(d.birth)<<1)
-		// Raise the strided allocation counters past every recovered
-		// birth (legacy globally-sequential births included): a future
-		// Add may never re-issue a slot that is already taken.
-		c.noteBirth(d.birth)
 	}
 	return nil
 }
@@ -270,12 +261,13 @@ const snapshotRetryBackoff = 5 * time.Second
 
 // maybeSnapshot persists the shard's state when the configured interval
 // elapsed or the un-snapshotted WAL grew past the byte trigger. Called
-// by the apply loop after each committed group; a negative
-// SnapshotInterval disables periodic snapshots entirely (Close still
-// writes a final one). lastSnap is the last ATTEMPT (success or
-// failure), so both triggers are debounced against a failing disk.
+// by the apply loop after each committed group (a shard without a log
+// has nothing to snapshot); a negative SnapshotInterval disables
+// periodic snapshots entirely (Close still writes a final one).
+// lastSnap is the last ATTEMPT (success or failure), so both triggers
+// are debounced against a failing disk.
 func (sh *shard) maybeSnapshot() {
-	if sh.cfg.Durability.SnapshotInterval < 0 {
+	if sh.st == nil || sh.cfg.Durability.SnapshotInterval < 0 {
 		return
 	}
 	if sh.appliedLSN.Load() == sh.snapLSN.Load() {
@@ -306,14 +298,16 @@ func (sh *shard) writeSnapshot() {
 	sh.walLag.Store(0)
 }
 
-// shutdown finishes a durable shard's apply loop. A clean Close writes a
-// final snapshot so the next boot recovers instantly; the Kill path
-// skips it, leaving snapshot + WAL tail exactly as a crash would.
+// shutdown finishes a shard's apply loop; an in-memory shard has nothing
+// to finish. A clean Close writes a final snapshot so the next boot
+// recovers instantly; the Kill path skips it, leaving snapshot + WAL
+// tail exactly as a crash would.
 func (sh *shard) shutdown() {
-	if sh.killed == nil || !sh.killed.Load() {
-		if sh.appliedLSN.Load() != sh.snapLSN.Load() {
-			sh.writeSnapshot()
-		}
+	if sh.st == nil {
+		return
+	}
+	if !sh.killed.Load() && sh.appliedLSN.Load() != sh.snapLSN.Load() {
+		sh.writeSnapshot()
 	}
 	_ = sh.st.Log.Close()
 }
@@ -325,7 +319,9 @@ type ShardHealth struct {
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap"`
 	// WALLagBytes is how many log bytes are not yet covered by a
-	// snapshot — the work a crash right now would replay at boot.
+	// snapshot — the work a crash right now would replay at boot. It
+	// counts on-disk bytes (payload plus frame header) on every path, so
+	// a leader and its follower at the same LSN report the same lag.
 	WALLagBytes int64 `json:"wal_lag_bytes"`
 	// SnapshotLSN and AppliedLSN are the shard's last snapshotted and
 	// last applied record positions (both 0 on an in-memory corpus).

@@ -94,18 +94,23 @@ func AppendFeedbackBatchResponse(b []byte, accepted int) []byte {
 }
 
 // DecodeFeedbackBatchResponse decodes a binary feedback batch
-// acknowledgment — the client half loadgen's batch driver runs.
+// acknowledgment — the client half loadgen's batch driver runs. A count
+// above MaxFeedbackBatchEvents acknowledges more events than any request
+// may carry, so it is an error like any other oversized count.
 func DecodeFeedbackBatchResponse(data []byte) (accepted int, err error) {
 	r := store.NewBinReader(data, 0)
 	if v := r.Uvarint(); r.Err() != nil || v != batchVersion {
 		return 0, fmt.Errorf("%w: bad version", errBatch)
 	}
-	accepted = int(r.Uvarint())
+	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return 0, fmt.Errorf("%w: %v", errBatch, err)
+	}
+	if n > MaxFeedbackBatchEvents {
+		return 0, fmt.Errorf("%w: bad accepted count", errBatch)
 	}
 	if r.Remaining() != 0 {
 		return 0, fmt.Errorf("%w: %d trailing bytes", errBatch, r.Remaining())
 	}
-	return accepted, nil
+	return int(n), nil
 }

@@ -74,12 +74,37 @@ func TestFeedbackBatchDecodeStrictness(t *testing.T) {
 		{"bad version", append([]byte{9}, validResp[1:]...)},
 		{"truncated", validResp[:len(validResp)-1]},
 		{"trailing bytes", append(append([]byte{}, validResp...), 7)},
+		{"count above batch bound", AppendFeedbackBatchResponse(nil, MaxFeedbackBatchEvents+1)},
+		{"count wraps negative", []byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}},
 	}
 	for _, tc := range respCases {
 		if _, err := DecodeFeedbackBatchResponse(tc.frame); err == nil {
 			t.Errorf("response decode accepted %s frame", tc.name)
 		}
 	}
+}
+
+// FuzzDecodeFeedbackBatchResponse throws arbitrary bytes at the
+// acknowledgment decoder: it must never panic, every count it accepts
+// lies in [0, MaxFeedbackBatchEvents], and the canonical re-encode of an
+// accepted frame decodes to the same count.
+func FuzzDecodeFeedbackBatchResponse(f *testing.F) {
+	f.Add(AppendFeedbackBatchResponse(nil, 0))
+	f.Add(AppendFeedbackBatchResponse(nil, MaxFeedbackBatchEvents))
+	f.Add([]byte{1, 0x80, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		accepted, err := DecodeFeedbackBatchResponse(data)
+		if err != nil {
+			return
+		}
+		if accepted < 0 || accepted > MaxFeedbackBatchEvents {
+			t.Fatalf("accepted count %d outside [0, %d]", accepted, MaxFeedbackBatchEvents)
+		}
+		again, err := DecodeFeedbackBatchResponse(AppendFeedbackBatchResponse(nil, accepted))
+		if err != nil || again != accepted {
+			t.Fatalf("canonical re-encode of %d decoded to %d, %v", accepted, again, err)
+		}
+	})
 }
 
 // FuzzDecodeFeedbackBatchRequest throws arbitrary bytes at the request

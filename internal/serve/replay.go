@@ -211,7 +211,7 @@ func Replay(dataDir string, overrides map[string]string) (*ReplayReport, error) 
 				return nil, fmt.Errorf("serve: shard %d: WAL starts at lsn %d with no covering snapshot — record with KeepLog for full-history replay", i, info.FirstLSN)
 			}
 			for _, p := range snap.Pages {
-				states[i].loadPage(p)
+				states[i].placePage(p)
 			}
 			report.BaselinePages += len(snap.Pages)
 			from = snap.LSN + 1

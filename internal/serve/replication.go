@@ -4,10 +4,10 @@
 // thread then reads the committed frames with WALReader and streams them
 // to followers, which feed them back in through ApplyReplicatedAsync — raw
 // payloads appended to the follower's own WAL (byte-identical frames,
-// same LSNs), committed, and applied through the exact liveAdd/liveEvent
-// path that live serving and boot recovery share. A follower that is too
-// far behind a truncated log instead receives a store snapshot and
-// installs it with InstallReplicaSnapshot.
+// same LSNs), committed, and applied through applyRecord, the path boot
+// recovery replays through. A follower that is too far behind a
+// truncated log instead receives a store snapshot and installs it with
+// InstallReplicaSnapshot.
 //
 // The serving layer stays cluster-agnostic: it knows "this shard takes
 // local writes" (leader) or "this shard advances only via replicated
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/searchidx"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -158,21 +157,15 @@ func (c *Corpus) ApplyReplicatedAsync(shard int, frames []ReplFrame) (func() err
 			switch f.rec.kind {
 			case recKindAdd:
 				a := f.rec.add
-				if v, ok := c.byID.Load(a.ID); ok && v.(int64)&1 == 0 {
+				if _, dup := c.birthOf(a.ID); dup {
 					continue // duplicate frame, already indexed
 				}
-				if ierr := c.idx.Add(searchidx.Document{ID: a.Birth, Text: a.Text}); ierr != nil {
+				if ierr := c.indexPage(a.ID, a.Birth, a.Text); ierr != nil {
 					c.idxMu.Unlock()
 					return fmt.Errorf("serve: indexing replicated page %d: %w", a.ID, ierr)
 				}
-				c.byID.Store(a.ID, int64(a.Birth)<<1)
-				c.noteBirth(a.Birth)
 			case recKindRemove:
-				if v, ok := c.byID.Load(f.rec.remove); ok && v.(int64)&1 == 0 {
-					c.idx.Delete(int(v.(int64) >> 1))
-					c.zidx.Delete(int(v.(int64) >> 1))
-					c.byID.Store(f.rec.remove, v.(int64)|1)
-				}
+				c.unindexPage(f.rec.remove)
 			}
 		}
 		c.idxMu.Unlock()
@@ -203,37 +196,22 @@ func (c *Corpus) InstallReplicaSnapshot(shard int, snap *store.Snapshot) error {
 	c.idxMu.Lock()
 	defer c.idxMu.Unlock()
 	for _, p := range snap.Pages {
-		if v, ok := c.byID.Load(p.ID); ok && v.(int64)&1 == 0 {
+		if _, dup := c.birthOf(p.ID); dup {
 			continue
 		}
-		if err := c.idx.Add(searchidx.Document{ID: p.Birth, Text: p.Text}); err != nil {
+		if err := c.indexPage(p.ID, p.Birth, p.Text); err != nil {
 			return fmt.Errorf("serve: indexing snapshot page %d: %w", p.ID, err)
 		}
-		c.byID.Store(p.ID, int64(p.Birth)<<1)
-		c.noteBirth(p.Birth)
 	}
 	return nil
-}
-
-// noteBirth raises the birth allocation watermarks past an externally
-// observed birth (replication, snapshot install, recovery), keyed by its
-// stride residue so future local allocations can never collide with it.
-// Caller holds idxMu.
-func (c *Corpus) noteBirth(birth int) {
-	if birth+1 > c.seq {
-		c.seq = birth + 1
-	}
-	s := len(c.shards)
-	if k := birth/s + 1; k > c.nextBirth[birth%s] {
-		c.nextBirth[birth%s] = k
-	}
 }
 
 // appendRepl appends a replicated batch's raw payloads to the shard's
 // WAL at their original LSNs. Runs on the apply loop between mustBegin
 // groups; duplicates (frames at LSNs already present) are trimmed off
 // the head, and a gap truncates the batch to the valid prefix and
-// reports the break. Bookkeeping mirrors mustEnd.
+// reports the break. Bookkeeping mirrors mustEnd: the lag grows by the
+// on-disk frame, payload plus header.
 func (sh *shard) appendRepl(r *applyReq) error {
 	fs := r.repl
 	next := sh.st.Log.NextLSN()

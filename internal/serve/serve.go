@@ -381,8 +381,8 @@ type applyReq struct {
 	// repl carries replicated WAL frames from a leader (pre-decoded,
 	// strictly ascending LSNs): the follower appends the raw payloads to
 	// its own log — producing byte-identical frames — commits, and
-	// applies them through the same liveAdd/liveEvent path as local
-	// traffic. Mutually exclusive with add/events/remove in one request.
+	// applies them through applyRecord, the path boot recovery replays
+	// through. Mutually exclusive with add/events/remove in one request.
 	repl []ReplFrame
 	// snapInstall replaces an EMPTY shard's state with a leader-shipped
 	// snapshot (catch-up when the leader's WAL tail was truncated): the
@@ -437,10 +437,11 @@ type shard struct {
 	// consistently with the shard's LSN.
 	slots slotCounters
 
+	killed *atomic.Bool // corpus-wide crash-simulation flag
+
 	// Durability (nil/zero when the corpus is in-memory):
 	st       *store.Shard
-	killed   *atomic.Bool // corpus-wide crash-simulation flag
-	recStart int          // in-place record payload start (mustBegin/mustEnd)
+	recStart int // in-place record's frame start (mustBegin/mustEnd)
 	// pending retains additions and removals from a batch whose WAL
 	// commit failed: their index-side effects already happened (the
 	// document is in/out of the search index), so they must eventually
@@ -624,11 +625,11 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 			tallies:  make([]armTally, len(arms)),
 			ch:       make(chan applyReq, cfg.QueueLen),
 			rng:      randutil.New(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15 + 1),
+			killed:   &c.killed,
 		}
 		sh.shardState.init(cfg.Seed+uint64(i)*2654435761, c.durable, &c.pages, &c.zeroAware, c.table, c.idx, c.zidx)
 		if c.durable {
 			sh.st = c.st.Shard(i)
-			sh.killed = &c.killed
 		}
 		sh.snap.Store(&snapshot{})
 		c.shards[i] = sh
@@ -711,36 +712,32 @@ func (c *Corpus) Add(id int, text string, popularity float64) error {
 		return ErrNotLeader
 	}
 	c.idxMu.Lock()
-	if v, ok := c.byID.Load(id); ok && v.(int64)&1 == 0 {
+	if _, ok := c.birthOf(id); ok {
 		c.idxMu.Unlock()
 		return fmt.Errorf("serve: page %d already indexed", id)
 	}
 	birth := c.nextBirth[sh.id]*len(c.shards) + sh.id
-	if err := c.idx.Add(searchidx.Document{ID: birth, Text: text}); err != nil {
+	if err := c.indexPage(id, birth, text); err != nil {
 		c.idxMu.Unlock()
 		return fmt.Errorf("serve: page %d: %w", id, err)
 	}
-	c.nextBirth[sh.id]++
-	if birth+1 > c.seq {
-		c.seq = birth + 1
-	}
-	c.byID.Store(id, int64(birth)<<1)
 	c.idxMu.Unlock()
 	sh.ch <- applyReq{add: []AddRecord{{ID: id, Text: text, Popularity: popularity, Birth: birth}}}
 	return nil
 }
 
 // Feedback partitions the events by shard and enqueues them on the
-// single-writer apply loops. In-memory it blocks only when a shard queue
-// is full (backpressure); on a durable corpus it returns only after
-// every event has been group-committed to the WAL and applied, so a nil
-// return — an acknowledgement, e.g. the HTTP 202 — is a promise the
-// events survive a crash. A non-nil error means the WAL commit failed
-// and the batch was NOT applied (never a silent ack); the shard stays
-// serving and reports unhealthy until a commit succeeds. On a
-// multi-shard corpus a failed batch may have applied on shards whose
-// commits succeeded, so retrying a failed batch is at-least-once.
-// Events for unknown pages are counted and dropped at apply time.
+// single-writer apply loops. In-memory it returns once the events are
+// queued, blocking only when a shard queue is full (backpressure); on a
+// durable corpus it returns only after every event has been
+// group-committed to the WAL and applied, so a nil return — an
+// acknowledgement, e.g. the HTTP 202 — is a promise the events survive
+// a crash. A non-nil error means the WAL commit failed and the batch
+// was NOT applied (never a silent ack); the shard stays serving and
+// reports unhealthy until a commit succeeds. On a multi-shard corpus a
+// failed batch may have applied on shards whose commits succeeded, so
+// retrying a failed batch is at-least-once. Events for unknown pages
+// are counted and dropped at apply time.
 func (c *Corpus) Feedback(events []Event) error {
 	return c.feedback(events, false)
 }
@@ -748,7 +745,10 @@ func (c *Corpus) Feedback(events []Event) error {
 // TryFeedback is the admission-controlled Feedback: it reserves a queue
 // credit on every target shard before enqueuing anything, and returns
 // ErrOverloaded — with NOTHING enqueued — when any reservation fails.
-// The HTTP layer maps that to 429 + Retry-After; any other error is a
+// A credit spans admission to the apply loop's acknowledgment — after
+// the commit on a durable corpus, after the apply in memory — so queued
+// and in-flight batches together stay within the bound. The HTTP layer
+// maps ErrOverloaded to 429 + Retry-After; any other error is a
 // durability failure as in Feedback.
 func (c *Corpus) TryFeedback(events []Event) error {
 	return c.feedback(events, true)
@@ -834,15 +834,10 @@ func (c *Corpus) feedback(events []Event, admission bool) error {
 // sequence, lock-free; slot is nil when the page is unknown, removed,
 // or its addition has not applied yet.
 func (c *Corpus) liveSlot(id int) (*pageSlot, int) {
-	v, ok := c.byID.Load(id)
+	seq, ok := c.birthOf(id)
 	if !ok {
 		return nil, 0
 	}
-	enc := v.(int64)
-	if enc&1 != 0 {
-		return nil, 0
-	}
-	seq := int(enc >> 1)
 	slot := slotAt(c.table.view(), seq)
 	if slot == nil || !liveMeta(slot.meta.Load()) {
 		return nil, 0
@@ -869,20 +864,61 @@ func (c *Corpus) Remove(id int) bool {
 		return false
 	}
 	c.idxMu.Lock()
-	v, ok := c.byID.Load(id)
-	if !ok || v.(int64)&1 != 0 {
-		c.idxMu.Unlock()
+	ok := c.unindexPage(id)
+	c.idxMu.Unlock()
+	if ok {
+		c.shardFor(id).ch <- applyReq{remove: []int{id}}
+	}
+	return ok
+}
+
+// birthOf returns the birth sequence of an indexed page, read
+// lock-free; ok is false when the page is unknown or was removed.
+func (c *Corpus) birthOf(id int) (birth int, ok bool) {
+	v, found := c.byID.Load(id)
+	if !found || v.(int64)&1 != 0 {
+		return 0, false
+	}
+	return int(v.(int64) >> 1), true
+}
+
+// indexPage is the one way a page enters the corpus index — local adds,
+// boot recovery, replicated adds and replica snapshot installs all go
+// through it: the document is indexed under its birth, byID records the
+// pairing, and the birth watermarks move past it, keyed by its stride
+// residue so a future local allocation can never collide with it (for
+// a local add, exactly one step of its shard's counter). Caller holds
+// idxMu.
+func (c *Corpus) indexPage(id, birth int, text string) error {
+	if err := c.idx.Add(searchidx.Document{ID: birth, Text: text}); err != nil {
+		return err
+	}
+	c.byID.Store(id, int64(birth)<<1)
+	if birth+1 > c.seq {
+		c.seq = birth + 1
+	}
+	s := len(c.shards)
+	if k := birth/s + 1; k > c.nextBirth[birth%s] {
+		c.nextBirth[birth%s] = k
+	}
+	return nil
+}
+
+// unindexPage is the one way a page leaves the corpus index — local and
+// replicated removals alike. The zero-awareness sub-index is tombstoned
+// in the same critical section as the main index, so a pool-eligible
+// page stops matching pool enumeration the moment it stops matching
+// deterministic retrieval (a no-op for promoted pages, which left the
+// sub-index at first click); byID keeps the birth with the removed bit
+// set. Reports false when the page is not indexed. Caller holds idxMu.
+func (c *Corpus) unindexPage(id int) bool {
+	birth, ok := c.birthOf(id)
+	if !ok {
 		return false
 	}
-	c.idx.Delete(int(v.(int64) >> 1))
-	// Tombstone the zero-awareness sub-index in the same critical
-	// section, so a pool-eligible page stops matching pool enumeration
-	// the moment it stops matching deterministic retrieval (a no-op for
-	// promoted pages, which left the sub-index at first click).
-	c.zidx.Delete(int(v.(int64) >> 1))
-	c.byID.Store(id, v.(int64)|1)
-	c.idxMu.Unlock()
-	c.shardFor(id).ch <- applyReq{remove: []int{id}}
+	c.idx.Delete(birth)
+	c.zidx.Delete(birth)
+	c.byID.Store(id, int64(birth)<<1|1)
 	return true
 }
 
@@ -1544,66 +1580,21 @@ func (c *Corpus) Top(n int) []Stat {
 	return out
 }
 
-// run is a shard's apply loop: the only goroutine that touches the
-// shard's mutable ranking state. The in-memory path applies each request
-// exactly as the pre-durability service did — one request, one optional
-// republish — keeping its RNG draw sequence byte-identical to the golden
-// fixtures. The durable path adds group commit underneath: it drains
-// every queued request, logs all their records with one WAL append
-// batch, fsyncs once (per FsyncMode), and only then applies,
-// republishes, and acknowledges — so an acknowledged batch is on disk
-// before anyone learns it was applied, at one fsync per group rather
-// than per event.
+// run is a shard's apply loop — the only goroutine that touches the
+// shard's mutable ranking state — and every shard, in-memory or durable,
+// runs it: serial group commit. It blocks for a request, drains whatever
+// queued behind it — that is the group — commits the group's records
+// once (one write, one sync) when the shard has a log, and only then
+// applies, publishes once, releases the admission credits and
+// acknowledges, so an acknowledged batch is on disk before anyone learns
+// it was applied. Requests that arrive while a commit sits in its sync
+// wait in the channel and form the next group, so groups grow with sync
+// latency on their own; overlap comes from the other shards' loops,
+// which share the disk and keep the CPU busy meanwhile. An in-memory
+// shard has no log: commitGroup, maybeSnapshot and shutdown skip their
+// log steps and the rest of the loop is the same. The loop waits on
+// nothing but its request channel.
 func (sh *shard) run() {
-	if sh.st == nil {
-		for req := range sh.ch {
-			if req.credited {
-				sh.credits.Add(-1)
-			}
-			dirty := false
-			for _, a := range req.add {
-				if sh.liveAdd(a) {
-					dirty = true
-				}
-			}
-			for _, id := range req.remove {
-				if sh.applyRemove(id) {
-					dirty = true
-				}
-			}
-			// One clock read per request, mirroring the durable branch's
-			// one stamp per group.
-			var now int64
-			if len(req.events) > 0 {
-				now = time.Now().UnixNano()
-			}
-			for _, e := range req.events {
-				if sh.liveEvent(e, now) {
-					dirty = true
-				}
-			}
-			if dirty {
-				sh.publish()
-			}
-			if req.done != nil {
-				close(req.done)
-			}
-		}
-		return
-	}
-	sh.runDurable()
-}
-
-// runDurable is the durable shard's apply loop: serial group commit. It
-// blocks for a request, drains whatever queued behind it — that is the
-// group — encodes every record of the group into the WAL buffer, commits
-// once (one write, one sync), and only then applies, publishes once,
-// releases the admission credits and acknowledges. Requests that arrive
-// while a commit sits in its sync wait in the channel and form the next
-// group, so groups grow with sync latency on their own; overlap comes
-// from the other shards' loops, which share the disk and keep the CPU
-// busy meanwhile. The loop waits on nothing but its request channel.
-func (sh *shard) runDurable() {
 	var reqs []applyReq // the group; scratch reused across iterations
 	for r := range sh.ch {
 		reqs = append(reqs[:0], r)
@@ -1658,45 +1649,64 @@ func (sh *shard) runDurable() {
 		// group runs on, logged in each record so recovery and replay
 		// reproduce time-dependent telemetry exactly.
 		now := time.Now().UnixNano()
-		// Capture the log position so a failed commit can rewind the
-		// health counters along with the log's own rollback.
-		startLSN := sh.st.Log.NextLSN()
-		prevLag := sh.walLag.Load()
-		var replErrs []error
-		for ri := range reqs {
-			r := &reqs[ri]
-			if r.snapInstall != nil {
-				continue // handled above
-			}
-			if len(r.repl) > 0 {
-				if err := sh.appendRepl(r); err != nil {
-					if replErrs == nil {
-						replErrs = make([]error, len(reqs))
-					}
-					replErrs[ri] = err
-				}
-				continue
-			}
-			for _, a := range r.add {
-				sh.mustEnd(appendAddRecord(sh.mustBegin(), a, now))
-			}
-			for _, id := range r.remove {
-				sh.mustEnd(appendRemoveRecord(sh.mustBegin(), id, now))
-			}
-			for _, e := range r.events {
-				sh.mustEnd(appendEventRecord(sh.mustBegin(), e, now))
-			}
-		}
-		if err := sh.st.Log.Commit(); err != nil {
-			sh.rollbackGroup(reqs, startLSN, prevLag, err)
-		} else {
-			sh.applyGroup(reqs, replErrs, startLSN, now)
+		if replErrs, endLSN, ok := sh.commitGroup(reqs, now); ok {
+			sh.applyGroup(reqs, replErrs, endLSN, now)
 		}
 		// Drop the group's references so retained done channels and
 		// event slices can be collected while the loop idles.
 		clear(reqs)
 	}
 	sh.shutdown()
+}
+
+// commitGroup encodes every record of the group into the WAL buffer and
+// commits it. endLSN is the group's last LSN, 0 when it appended nothing
+// (a bare Sync, a fully deduped replication batch, or an in-memory
+// shard, which has no log and commits nothing). A failed commit is
+// rolled back (rollbackGroup) and reports !ok: nothing in the group may
+// be applied or acknowledged.
+func (sh *shard) commitGroup(reqs []applyReq, now int64) (replErrs []error, endLSN uint64, ok bool) {
+	if sh.st == nil {
+		return nil, 0, true
+	}
+	// Capture the log position so a failed commit can rewind the health
+	// counters along with the log's own rollback.
+	startLSN := sh.st.Log.NextLSN()
+	prevLag := sh.walLag.Load()
+	for ri := range reqs {
+		r := &reqs[ri]
+		if r.snapInstall != nil {
+			continue // handled by the loop
+		}
+		if len(r.repl) > 0 {
+			if err := sh.appendRepl(r); err != nil {
+				if replErrs == nil {
+					replErrs = make([]error, len(reqs))
+				}
+				replErrs[ri] = err
+			}
+			continue
+		}
+		for _, a := range r.add {
+			sh.mustEnd(appendAddRecord(sh.mustBegin(), a, now))
+		}
+		for _, id := range r.remove {
+			sh.mustEnd(appendRemoveRecord(sh.mustBegin(), id, now))
+		}
+		for _, e := range r.events {
+			sh.mustEnd(appendEventRecord(sh.mustBegin(), e, now))
+		}
+	}
+	if err := sh.st.Log.Commit(); err != nil {
+		sh.rollbackGroup(reqs, startLSN, prevLag, err)
+		return nil, 0, false
+	}
+	sh.walErr.Store(nil)
+	if end := sh.st.Log.NextLSN() - 1; end >= startLSN {
+		sh.committedLSN.Store(end)
+		endLSN = end
+	}
+	return replErrs, endLSN, true
 }
 
 // rollbackGroup handles a failed group commit: NOTHING in the group may
@@ -1736,41 +1746,21 @@ func (sh *shard) rollbackGroup(reqs []applyReq, startLSN uint64, prevLag int64, 
 	}
 }
 
-// applyGroup finishes a durably committed group: apply, publish once,
-// release credits, acknowledge — in that order, so the Sync/ack contract
+// applyGroup finishes a committed group: apply, publish once, release
+// credits, acknowledge — in that order, so the Sync/ack contract
 // (durable AND applied AND published) holds when a done channel closes.
-func (sh *shard) applyGroup(reqs []applyReq, replErrs []error, startLSN uint64, now int64) {
-	sh.walErr.Store(nil)
-	// A bare Sync, or a fully-deduped replication batch, appends nothing.
-	endLSN := sh.st.Log.NextLSN() - 1
-	appended := endLSN >= startLSN
-	if appended {
-		sh.committedLSN.Store(endLSN)
-	}
+func (sh *shard) applyGroup(reqs []applyReq, replErrs []error, endLSN uint64, now int64) {
 	// One publish per group, not per request: the group boundary that
 	// amortizes the fsync amortizes the top-list rebuild too.
 	dirty := false
 	for _, r := range reqs {
 		for _, f := range r.repl {
-			// Replicated records apply with the timestamp the leader
-			// logged — identical to recovery replaying the same frame.
-			switch f.rec.kind {
-			case recKindAdd:
-				if sh.liveAdd(f.rec.add) {
-					dirty = true
-				}
-			case recKindEvent:
-				if sh.liveEvent(f.rec.event, f.rec.nanos) {
-					dirty = true
-				}
-			case recKindRemove:
-				if sh.applyRemove(f.rec.remove) {
-					dirty = true
-				}
+			if sh.applyRecord(f.rec) {
+				dirty = true
 			}
 		}
 		for _, a := range r.add {
-			if sh.liveAdd(a) {
+			if sh.applyAdd(a) {
 				dirty = true
 			}
 		}
@@ -1804,10 +1794,26 @@ func (sh *shard) applyGroup(reqs []applyReq, replErrs []error, startLSN uint64, 
 		}
 		close(r.done)
 	}
-	if sh.cfg.OnCommit != nil && appended {
+	if sh.cfg.OnCommit != nil && endLSN != 0 {
 		sh.cfg.OnCommit(sh.id, endLSN)
 	}
 	sh.maybeSnapshot()
+}
+
+// applyRecord applies one decoded WAL record — a frame replicated from
+// the leader or a record replayed at boot — with the timestamp it was
+// logged at, so a follower and a recovering shard reach exactly the
+// state the logging shard did. Reports whether the servable view changed.
+func (sh *shard) applyRecord(r walRecord) bool {
+	switch r.kind {
+	case recKindAdd:
+		return sh.applyAdd(r.add)
+	case recKindEvent:
+		return sh.liveEvent(r.event, r.nanos)
+	case recKindRemove:
+		return sh.applyRemove(r.remove)
+	}
+	return false
 }
 
 // mustBegin and mustEnd bracket one in-place record write
@@ -1815,13 +1821,14 @@ func (sh *shard) applyGroup(reqs []applyReq, replErrs []error, startLSN uint64, 
 // directly into the log's commit buffer, so logging a batch costs zero
 // intermediate copies. Neither call does I/O and neither can fail short
 // of a programming error; Commit is where injected and real disk faults
-// surface, and they are handled there.
+// surface, and they are handled there. The WAL lag grows by the whole
+// frame, header included: on-disk bytes, the unit every path counts.
 func (sh *shard) mustBegin() []byte {
 	buf, err := sh.st.Log.BeginRecord()
 	if err != nil {
 		panic(fmt.Sprintf("serve: shard WAL begin failed: %v", err))
 	}
-	sh.recStart = len(buf)
+	sh.recStart = len(buf) - int(wal.FrameOverhead)
 	return buf
 }
 
@@ -1832,11 +1839,6 @@ func (sh *shard) mustEnd(buf []byte) {
 	}
 	sh.appliedLSN.Store(lsn)
 	sh.walLag.Add(int64(len(buf) - sh.recStart))
-}
-
-// liveAdd applies one addition through the shared event-application path.
-func (sh *shard) liveAdd(a AddRecord) bool {
-	return sh.shardState.applyAdd(a)
 }
 
 // liveEvent applies one event through the shared event-application path

@@ -159,34 +159,15 @@ func (st *shardState) applyAdd(a AddRecord) bool {
 		return false
 	}
 	aware := a.Popularity > 0
-	st.fillSlot(a.Birth, a.ID, a.Popularity, 0, 0, 0, aware)
-	st.seqOf[a.ID] = pageRef{seq: a.Birth}
-	if st.texts != nil {
-		st.texts[a.ID] = a.Text
-	}
-	st.pages.Add(1)
-	if aware {
-		st.treap.Insert(rankengine.Entry{ID: a.ID, Popularity: a.Popularity, BirthDay: a.Birth})
-		if st.bounds != nil {
-			// The slot is live (fillSlot above), so the popularity is
-			// visible to the index's popularity source — raising now makes
-			// the covering block bounds permanently sound for it. On a
-			// replication follower the document is indexed after the
-			// frames apply, so this is a no-op there and the insert
-			// computes the exact bound itself.
-			st.raisePop(a.ID, pageRef{seq: a.Birth}, a.Popularity)
-		}
-	} else {
-		st.zeroAware.Add(1)
-		st.zaPages.Add(1)
-		st.poolPos[a.Birth] = len(st.poolSeqs)
-		st.poolSeqs = append(st.poolSeqs, a.Birth)
-		if st.za != nil {
-			// Mirror pool membership in the zero-awareness sub-index; the
-			// error return is vacuous here (Birth is unique and the text
-			// tokenized when the page was first indexed).
-			_ = st.za.Add(searchidx.Document{ID: a.Birth, Text: a.Text})
-		}
+	st.placePage(store.PageRecord{ID: a.ID, Text: a.Text, Popularity: a.Popularity, Birth: a.Birth, Aware: aware})
+	if aware && st.bounds != nil {
+		// The slot is live (placePage above), so the popularity is
+		// visible to the index's popularity source — raising now makes
+		// the covering block bounds permanently sound for it. On a
+		// replication follower the document is indexed after the frames
+		// apply, so this is a no-op there and the insert computes the
+		// exact bound itself.
+		st.raisePop(a.ID, pageRef{seq: a.Birth}, a.Popularity)
 	}
 	return true
 }
@@ -335,9 +316,13 @@ func (st *shardState) removeFromPool(seq int) {
 	delete(st.poolPos, seq)
 }
 
-// loadPage restores one page from a snapshot record, bypassing the WAL
-// path (the snapshot already folded its history in).
-func (st *shardState) loadPage(p store.PageRecord) {
+// placePage puts one page into the state — its slot, the id map, the
+// retained text, the population counters, and the treap or the
+// zero-awareness pool (mirrored in the sub-index) — with the counters
+// the record carries. A new page (applyAdd) and a page restored from a
+// snapshot, whose history the snapshot already folded in, both enter
+// here.
+func (st *shardState) placePage(p store.PageRecord) {
 	st.fillSlot(p.Birth, p.ID, p.Popularity, p.Impressions, p.Clicks, p.FirstImpNanos, p.Aware)
 	st.seqOf[p.ID] = pageRef{seq: p.Birth}
 	if st.texts != nil {
@@ -352,9 +337,9 @@ func (st *shardState) loadPage(p store.PageRecord) {
 		st.poolPos[p.Birth] = len(st.poolSeqs)
 		st.poolSeqs = append(st.poolSeqs, p.Birth)
 		if st.za != nil {
-			// Snapshot records always carry the text when a search index
-			// exists (snapshots are written by durable corpora, which
-			// retain it).
+			// The error return is vacuous here: Birth is unique, and the
+			// record carries the text whenever a search index exists
+			// (snapshots are written by durable corpora, which retain it).
 			_ = st.za.Add(searchidx.Document{ID: p.Birth, Text: p.Text})
 		}
 	}
