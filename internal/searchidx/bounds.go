@@ -15,12 +15,13 @@
 // document in the block really has.
 //
 // Soundness contract. A raise is issued AFTER the new popularity value is
-// visible to the index's popularity source (Index.SetPopFunc). It goes
-// through RaiseCached, lock-free, while the refs it holds are current,
-// and otherwise through ResolveRaise, which serializes with mutations on
-// ix.mu while every rebuild stores its cells before releasing the mutex.
-// Either way, once the call that reports success returns, the live
-// list's bound covers the new value permanently. In the nanosecond window
+// visible to the index's popularity source (Index.SetPopFunc), and it
+// goes through Index.Raise, which holds ix.mu like every mutation. A
+// rebuild that runs before it has stored its cells, so the raise lands
+// on the live arrays; one that runs after it reads the stored popularity
+// when it recomputes. Either way, once Raise returns, the live list's
+// bound covers the new value permanently. Bounds stay atomic because
+// pruned readers load them without the lock. In the nanosecond window
 // between the popularity store and the raise a concurrent pruned reader
 // may still skip the block — it then serves results as if the click had
 // not yet been applied, the same bounded staleness a reader that loaded
@@ -147,19 +148,18 @@ func (ix *Index) insertPosting(p posting, id uint32) (posting, int) {
 		ids := append(p.ids, id)
 		b := p.b
 		if b == nil {
-			// Fresh term: exact from scratch. No rebuild marker — no
-			// document carried this term, so no cached bound reference can
-			// point into the new list.
+			// Fresh term: exact from scratch.
 			return posting{ids: ids, b: ix.computeBounds(ids)}, pos
 		}
 		if nb := nblocks(len(ids)); nb > len(b.max) {
-			ix.beginRebuild()
 			b = b.grow(cap(ids))
 		}
 		b.raise((len(ids)-1)/BlockStride, ix.popAt(id))
 		return posting{ids: ids, b: b}, pos
 	}
-	ix.beginRebuild()
+	// Every document after pos moves up one place, some into the next
+	// block.
+	ix.rebuildSeq++
 	grown := make([]uint32, len(p.ids)+1)
 	copy(grown, p.ids[:pos])
 	grown[pos] = id
@@ -178,36 +178,10 @@ func (ix *Index) SetPopFunc(f func(id uint32) float64) {
 	ix.mu.Unlock()
 }
 
-// beginRebuild makes rebuildSeq odd: a mutation is about to replace
-// posting arrays or bounds, so lock-free cached raises must stand down
-// until it publishes. Idempotent within one mutation. Callers hold
-// ix.mu; endRebuild closes the window after the cells are stored.
-//
-// The ordering argument for why a successful RaiseCached can never be
-// lost to a concurrent rebuild: the raiser stores the new popularity,
-// raises, then re-loads rebuildSeq; seeing it unchanged (even) means
-// beginRebuild had not yet happened at that load, so this rebuild's
-// exact recomputation — which starts after beginRebuild — reads the
-// already-stored popularity and folds it into the fresh bounds itself.
-func (ix *Index) beginRebuild() {
-	if !ix.rebuilding {
-		ix.rebuilding = true
-		ix.rebuildSeq.Add(1)
-	}
-}
-
-// endRebuild reopens the lock-free raise fast path (rebuildSeq even).
-func (ix *Index) endRebuild() {
-	if ix.rebuilding {
-		ix.rebuilding = false
-		ix.rebuildSeq.Add(1)
-	}
-}
-
 // BoundRef names the block covering one document in one of its terms'
 // posting lists: the term's dense id in the high 32 bits, the block
 // index in the low 32. Add records one per distinct term; the block
-// index stays valid while the index's rebuild seqlock is unchanged.
+// index stays valid while the index's rebuildSeq is unchanged.
 type BoundRef uint64
 
 func newBoundRef(term uint32, block int) BoundRef {
@@ -217,54 +191,30 @@ func newBoundRef(term uint32, block int) BoundRef {
 func (r BoundRef) term() uint32 { return uint32(r >> 32) }
 func (r BoundRef) block() int   { return int(uint32(r)) }
 
-// RaiseCached raises pop through refs resolved at seqlock value e —
-// the lock-free fast path for the click-apply loop. Each ref reaches
-// its term's current posting header through the id directory. It
-// reports whether the raise is guaranteed to have landed on the current
-// posting arrays; false (a rebuild raced or invalidated the refs —
-// raising a superseded array is harmless, only omission is not) means
-// the caller must fall back to ResolveRaise. Callers store the new
-// popularity before raising.
-func (ix *Index) RaiseCached(refs []BoundRef, e uint64, pop float64) bool {
-	if ix.rebuildSeq.Load() != e {
-		return false
-	}
-	for _, r := range refs {
-		if c := ix.terms.byID(r.term()); c != nil {
-			c.p.Load().b.raise(r.block(), pop)
-		}
-	}
-	return ix.rebuildSeq.Load() == e
-}
-
-// ResolveRaise raises the bounds covering the document under the
-// mutation lock — serializing the raise with posting rebuilds is what
-// makes it permanent — and returns the document's refs plus the seqlock
-// value they are valid for, ready for RaiseCached. It re-resolves the
-// block indexes by binary search only when the seqlock has moved since
-// the record's were. The returned slice is the document's record
-// itself, re-resolved in place by a later ResolveRaise: callers
-// serialize the raises of one document (the serving layer's shard
-// applier owns its pages' raises). ok is false when the document is not
-// indexed (yet — replication followers apply frames before indexing);
-// callers must not cache that outcome, since appends do not advance the
-// seqlock. Callers store the new popularity first.
-func (ix *Index) ResolveRaise(id int, pop float64) (refs []BoundRef, epoch uint64, ok bool) {
+// Raise lifts the bounds covering document id to at least pop, through
+// the document's record, under the mutation lock — serializing the
+// raise with posting rebuilds is what makes it permanent. It
+// re-resolves the record's block indexes by binary search only when
+// rebuildSeq has moved since they were. It reports false when the
+// document is not indexed (yet — replication followers apply frames
+// before indexing, and the insert then computes the bound itself).
+// Callers store the new popularity first.
+func (ix *Index) Raise(id int, pop float64) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	rec, ok := ix.docs[id]
 	if !ok {
-		return nil, 0, false
+		return false
 	}
-	if seq := ix.rebuildSeq.Load(); rec.seq != seq {
+	if rec.seq != ix.rebuildSeq {
 		for i, r := range rec.refs {
 			ids := ix.terms.byID(r.term()).p.Load().ids
 			rec.refs[i] = newBoundRef(r.term(), searchU32(ids, uint32(id))/BlockStride)
 		}
-		rec.seq = seq
+		rec.seq = ix.rebuildSeq
 	}
 	for _, r := range rec.refs {
 		ix.terms.byID(r.term()).p.Load().b.raise(r.block(), pop)
 	}
-	return rec.refs, rec.seq, true
+	return true
 }

@@ -104,11 +104,6 @@ func TestIndexMatchesModel(t *testing.T) {
 		ix.SetPopFunc(func(id uint32) float64 { return pop[id] })
 		m := &indexModel{lists: map[string][]uint32{}, terms: map[int][]string{}}
 		var live, free []int
-		type cachedRefs struct {
-			refs  []BoundRef
-			epoch uint64
-		}
-		cached := map[int]cachedRefs{}
 		var wantEpoch uint64
 		skipped := 0
 		maxPop := 0.0
@@ -161,27 +156,24 @@ func TestIndexMatchesModel(t *testing.T) {
 			wantEpoch++
 		}
 		// raise is the serving layer's click: store the popularity, then
-		// raise the covering bounds through cached refs, resolving them
-		// again when a rebuild has invalidated the cache.
+		// raise the covering bounds through the document's record.
 		raise := func(id int, by float64) {
 			pop[id] += by
 			maxPop = max(maxPop, pop[id])
-			bc, ok := cached[id]
-			if ok && ix.RaiseCached(bc.refs, bc.epoch, pop[id]) {
-				return
+			if !ix.Raise(id, pop[id]) {
+				t.Fatalf("seed %d: live doc %d is not indexed", seed, id)
 			}
-			refs, epoch, found := ix.ResolveRaise(id, pop[id])
-			if !found || len(refs) == 0 {
-				t.Fatalf("seed %d: live doc %d resolved no bounds", seed, id)
-			}
-			cached[id] = cachedRefs{refs: refs, epoch: epoch}
 		}
-		// checkRefs asserts that ResolveRaise hands out, for a live
-		// document, one ref per term of its text in text order, each
-		// naming a block of that term's list that holds the document. A
-		// zero pop raises nothing, so the check leaves the bounds alone.
+		// checkRefs asserts that Raise leaves, for a live document, one
+		// ref per term of its text in text order, each naming a block of
+		// that term's list that holds the document. A zero pop raises
+		// nothing, so the check leaves the bounds alone.
 		checkRefs := func(ctx string, id int) {
-			refs, _, found := ix.ResolveRaise(id, 0)
+			found := ix.Raise(id, 0)
+			var refs []BoundRef
+			if rec := ix.docs[id]; rec != nil {
+				refs = rec.refs
+			}
 			terms := m.terms[id]
 			if !found || len(refs) != len(terms) {
 				t.Fatalf("%s: live doc %d (terms %v) has record %v, %d refs", ctx, id, terms, found, len(refs))
@@ -221,7 +213,7 @@ func TestIndexMatchesModel(t *testing.T) {
 			// Clicks concentrate on a few old documents, as popularity
 			// does — that is what lets a full selection rule out whole
 			// blocks. The rest go to the youngest (the last blocks, through
-			// refs cached since their previous click) or anywhere, and one
+			// refs resolved at their previous click) or anywhere, and one
 			// in four of those overtakes every other page: the raise a
 			// stale or unraised bound would hide.
 			for range 2 {

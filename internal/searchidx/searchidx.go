@@ -57,18 +57,16 @@ type Index struct {
 	// popOf, when set, is the external popularity source consulted for
 	// exact posting-block bound computation (see bounds.go).
 	popOf func(id uint32) float64
-	// rebuildSeq is the bound-invalidation seqlock: odd while a mutation
-	// that rebuilds posting arrays (or their bounds) is in flight, bumped
-	// even when it publishes. Cached BoundRefs resolved at an even value
-	// stay raisable lock-free until the value changes (see bounds.go).
-	rebuildSeq atomic.Uint64
-	rebuilding bool // rebuildSeq is odd; guarded by mu
+	// rebuildSeq counts the mutations that move documents to other
+	// blocks: mid-list inserts and deletes. A docRec whose seq still
+	// equals it holds current block indexes. Guarded by mu.
+	rebuildSeq uint64
 }
 
 // docRec is what the index keeps of a document: one BoundRef per
 // distinct term, and the rebuildSeq value their block indexes are valid
-// for. Written under mu; ResolveRaise hands refs out and re-resolves it
-// in place.
+// for. Written under mu; Raise re-resolves it in place when rebuildSeq
+// has moved since.
 type docRec struct {
 	refs []BoundRef
 	seq  uint64
@@ -149,10 +147,9 @@ func (ix *Index) Add(doc Document) error {
 		refs = append(refs, newBoundRef(c.id, pos/BlockStride))
 	}
 	ix.epoch.Add(1)
-	ix.endRebuild()
 	// The document's positions are final now: later mutations that move
 	// them also move rebuildSeq past this value.
-	ix.docs[doc.ID] = &docRec{refs: refs, seq: ix.rebuildSeq.Load()}
+	ix.docs[doc.ID] = &docRec{refs: refs, seq: ix.rebuildSeq}
 	return nil
 }
 
@@ -164,9 +161,9 @@ func (ix *Index) Delete(id int) bool {
 	if !ok {
 		return false
 	}
-	// Every touched posting list is rebuilt below: stand cached bound
-	// references down for the duration.
-	ix.beginRebuild()
+	// Every touched posting list is rebuilt below, shifting the documents
+	// after this one.
+	ix.rebuildSeq++
 	delete(ix.docs, id)
 	for _, r := range rec.refs {
 		c := ix.terms.byID(r.term())
@@ -190,7 +187,6 @@ func (ix *Index) Delete(id int) bool {
 		c.p.Store(&posting{ids: trimmed, b: ix.computeBounds(trimmed)})
 	}
 	ix.epoch.Add(1)
-	ix.endRebuild()
 	return true
 }
 

@@ -97,10 +97,9 @@ func (t *termTable) lookup(term string) *termCell {
 	}
 }
 
-// byID returns the cell holding term id, or nil when the id is free. A
-// raiser holding refs a concurrent delete has invalidated may ask for
-// a freed or reissued id: nil then, or another term's cell — raising a
-// bound too high is harmless, the seqlock re-check sends it back.
+// byID returns the cell holding term id, or nil when the id is free.
+// Callers hold ix.mu and ask for the terms of an indexed document's
+// refs, whose cells stay in the table while the document does.
 func (t *termTable) byID(id uint32) *termCell {
 	d := *t.dir.Load()
 	ci := int(id >> dirChunkBits)

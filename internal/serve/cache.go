@@ -44,10 +44,11 @@ func (e *queryCacheEntry) covers(m int, idxEpoch, srvEpoch uint64) bool {
 }
 
 // queryCache is a bounded map from (arm, normalized query) to its
-// candidate entry. Reads take a shared lock (no allocation — a sync.Map
-// would box the key per lookup); writes replace whole entries. When full,
-// an arbitrary entry is evicted (map iteration order), which is cheap and
-// unbiased enough for a hot-query set that is much smaller than the cap.
+// candidate entry. Reads take a shared lock (no allocation — an
+// interface-keyed map would box the key per lookup); writes replace
+// whole entries. When full, an arbitrary entry is evicted (map iteration
+// order), which is cheap and unbiased enough for a hot-query set that is
+// much smaller than the cap.
 type queryCache struct {
 	mu sync.RWMutex
 	n  int // capacity in entries

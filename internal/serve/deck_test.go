@@ -68,9 +68,10 @@ func liveHeap() uint64 {
 }
 
 // TestDeckHeapPerPage pins what a page costs to keep: a 20,000-page
-// deck, in memory over 8 shards, may hold at most 1,000 bytes of heap
-// per page once built. The search index keeps no page text and the
-// applier shares the index's bound refs instead of copying them.
+// deck, in memory over 8 shards, may hold at most 780 bytes of heap per
+// page once built. The search index keeps no page text, and both id →
+// birth maps (the corpus's byID, each applier's seqOf) are pointer-free
+// map[int]int.
 func TestDeckHeapPerPage(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("builds a 20,000-page corpus; the race detector's shadow memory skews the heap")
@@ -83,8 +84,43 @@ func TestDeckHeapPerPage(t *testing.T) {
 	perPage := float64(liveHeap()-before) / pages
 	runtime.KeepAlive(c)
 	t.Logf("%.0f bytes of heap per page", perPage)
-	if perPage > 1000 {
-		t.Fatalf("the deck holds %.0f bytes of heap per page, want at most 1,000", perPage)
+	if perPage > 780 {
+		t.Fatalf("the deck holds %.0f bytes of heap per page, want at most 780", perPage)
+	}
+}
+
+// TestChurnLeavesNoByIDEntries: add→remove cycles of fresh ids leave
+// byID and the appliers' seqOf maps holding exactly the live pages — a
+// removed id keeps no entry — and a removed id can be added again.
+func TestChurnLeavesNoByIDEntries(t *testing.T) {
+	c := newTestCorpus(t, Config{Shards: 4, Seed: 1})
+	for id := 0; id < 20; id++ {
+		if err := c.Add(id, "base page", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := 1000; id < 1500; id++ {
+		if err := c.Add(id, "churn page", float64(id%2)); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Remove(id) {
+			t.Fatalf("remove %d failed", id)
+		}
+	}
+	if err := c.Add(1000, "churn page again", 2); err != nil {
+		t.Fatal(err)
+	}
+	c.Sync()
+	pages := c.Stats().Pages
+	applied := 0
+	for _, sh := range c.shards {
+		applied += len(sh.seqOf)
+	}
+	if pages != 21 || len(c.byID) != pages || applied != pages {
+		t.Fatalf("%d live pages, byID holds %d, seqOf maps %d", pages, len(c.byID), applied)
+	}
+	if s, ok := c.Page(1000); !ok || s.Popularity != 2 {
+		t.Fatalf("re-added page 1000 reads %+v, %v", s, ok)
 	}
 }
 

@@ -203,8 +203,8 @@ func (c *Corpus) rebuildIndex() error {
 	}
 	var docs []docRec
 	for _, sh := range c.shards {
-		for id, ref := range sh.seqOf {
-			docs = append(docs, docRec{id: id, birth: ref.seq, text: sh.texts[id]})
+		for id, birth := range sh.seqOf {
+			docs = append(docs, docRec{id: id, birth: birth, text: sh.texts[id]})
 		}
 		if sh.maxBirth > c.seq {
 			c.seq = sh.maxBirth

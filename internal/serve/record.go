@@ -67,9 +67,11 @@ func appendEventRecord(dst []byte, e Event, nanos int64) []byte {
 // decodeWALRecord parses one frame payload with the same strict cursor
 // (store.BinReader) the snapshot decoder uses. The WAL layer already
 // CRC-verified the payload, so a parse failure means a version skew or
-// a bug, not bit rot — callers treat it as unrecoverable. Strings are
-// copied out by the reader, so the decoded record does not alias the
-// caller's buffer.
+// a bug, not bit rot — callers treat it as unrecoverable. An add whose
+// birth or popularity the corpus could not place fails here too
+// (store.CheckPage), so replication refuses it before it is logged.
+// Strings are copied out by the reader, so the decoded record does not
+// alias the caller's buffer.
 func decodeWALRecord(p []byte) (walRecord, error) {
 	if len(p) == 0 {
 		return walRecord{}, fmt.Errorf("serve: empty WAL record")
@@ -102,6 +104,11 @@ func decodeWALRecord(p []byte) (walRecord, error) {
 	}
 	if d.Remaining() != 0 {
 		return walRecord{}, fmt.Errorf("serve: %d trailing bytes in WAL record", d.Remaining())
+	}
+	if rec.kind == recKindAdd {
+		if err := store.CheckPage(rec.add.ID, rec.add.Birth, rec.add.Popularity); err != nil {
+			return walRecord{}, fmt.Errorf("serve: WAL add record: %w", err)
+		}
 	}
 	return rec, nil
 }

@@ -15,11 +15,12 @@
 // structures: an epoch-swapped (RCU-style) snapshot holding the
 // deterministic top-K list and a bounded sample of the zero-awareness
 // pool, republished atomically after every batch that changes ranking
-// state, and a sync.Map of immutable per-page Stat values replaced (never
-// mutated) by the apply loop. The search index keeps its postings in
-// atomically replaced immutable per-term cells (searchidx: a reader that
-// loads the index epoch and then the cells sees everything up to that
-// epoch), so the query path holds no lock either: conjunctive retrieval
+// state, and a dense page table indexed by birth sequence whose per-page
+// fields are atomics the apply loop stores, the live flag last (table.go).
+// The search index keeps its postings in atomically replaced immutable
+// per-term cells (searchidx: a reader that loads the index epoch and then
+// the cells sees everything up to that epoch), so the query path holds
+// no lock either: conjunctive retrieval
 // gallops over the posting lists into pooled scratch, top-K selection runs a bounded heap
 // over the candidate stream, and a hot-query cache keyed by (normalized
 // query, index epoch, corpus epoch) reuses the deterministic candidate
@@ -499,11 +500,19 @@ type Corpus struct {
 	zeroAware atomic.Int64
 
 	// table is the dense page-stat array every shard writes its slots
-	// into; byID maps page id -> encoded birth sequence (seq<<1, low bit
-	// set once the page was removed) for the cold by-id read paths.
-	// byID is written only under idxMu; reads are lock-free.
-	table *pageTable
-	byID  sync.Map // int -> int64
+	// into. byID maps each indexed page id to its birth sequence, in index
+	// order: Add and Remove write it synchronously (under idxMu, through
+	// indexPage and unindexPage), so Add's duplicate check sees adds still
+	// queued for their applier. It cannot stand in for the appliers' seqOf
+	// maps, which are in apply order: a follower applies replicated adds
+	// before indexing them, recovery replays before rebuildIndex, offline
+	// replay has no corpus, and a Remove then re-Add of one id rewrites
+	// byID before the applier reaches the events queued ahead of the
+	// Remove. byIDMu is held only around the map operation; the by-id
+	// reads (Page, the provenance check) take it shared.
+	table  *pageTable
+	byIDMu sync.RWMutex
+	byID   map[int]int
 
 	idxMu sync.Mutex // serializes Add's index insert + birth-seq pairing
 	idx   *searchidx.Index
@@ -567,7 +576,7 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Corpus{cfg: cfg, idx: searchidx.NewIndex(), zidx: searchidx.NewIndex(), arms: arms, durable: cfg.Durability.DataDir != "", table: newPageTable()}
+	c := &Corpus{cfg: cfg, idx: searchidx.NewIndex(), zidx: searchidx.NewIndex(), arms: arms, durable: cfg.Durability.DataDir != "", table: newPageTable(), byID: make(map[int]int)}
 	// The index's posting-block bounds read popularity straight from the
 	// dense stat table: a document id IS its page's birth sequence, so a
 	// bound recompute is a slot load away and scores are never duplicated.
@@ -831,8 +840,8 @@ func (c *Corpus) feedback(events []Event, admission bool) error {
 }
 
 // liveSlot resolves a page id to its live table slot and birth
-// sequence, lock-free; slot is nil when the page is unknown, removed,
-// or its addition has not applied yet.
+// sequence; slot is nil when the page is unknown, removed, or its
+// addition has not applied yet.
 func (c *Corpus) liveSlot(id int) (*pageSlot, int) {
 	seq, ok := c.birthOf(id)
 	if !ok {
@@ -846,7 +855,7 @@ func (c *Corpus) liveSlot(id int) (*pageSlot, int) {
 }
 
 // pageAware reports whether the page exists and has been promoted out
-// of the zero-awareness pool, read lock-free.
+// of the zero-awareness pool.
 func (c *Corpus) pageAware(id int) (exists, aware bool) {
 	if slot, _ := c.liveSlot(id); slot != nil {
 		return true, slot.meta.Load()&slotAware != 0
@@ -872,14 +881,13 @@ func (c *Corpus) Remove(id int) bool {
 	return ok
 }
 
-// birthOf returns the birth sequence of an indexed page, read
-// lock-free; ok is false when the page is unknown or was removed.
+// birthOf returns the birth sequence of an indexed page; ok is false
+// when the page is unknown or was removed.
 func (c *Corpus) birthOf(id int) (birth int, ok bool) {
-	v, found := c.byID.Load(id)
-	if !found || v.(int64)&1 != 0 {
-		return 0, false
-	}
-	return int(v.(int64) >> 1), true
+	c.byIDMu.RLock()
+	birth, ok = c.byID[id]
+	c.byIDMu.RUnlock()
+	return birth, ok
 }
 
 // indexPage is the one way a page enters the corpus index — local adds,
@@ -893,7 +901,9 @@ func (c *Corpus) indexPage(id, birth int, text string) error {
 	if err := c.idx.Add(searchidx.Document{ID: birth, Text: text}); err != nil {
 		return err
 	}
-	c.byID.Store(id, int64(birth)<<1)
+	c.byIDMu.Lock()
+	c.byID[id] = birth
+	c.byIDMu.Unlock()
 	if birth+1 > c.seq {
 		c.seq = birth + 1
 	}
@@ -909,8 +919,8 @@ func (c *Corpus) indexPage(id, birth int, text string) error {
 // in the same critical section as the main index, so a pool-eligible
 // page stops matching pool enumeration the moment it stops matching
 // deterministic retrieval (a no-op for promoted pages, which left the
-// sub-index at first click); byID keeps the birth with the removed bit
-// set. Reports false when the page is not indexed. Caller holds idxMu.
+// sub-index at first click); the byID entry goes. Reports false when the
+// page is not indexed. Caller holds idxMu.
 func (c *Corpus) unindexPage(id int) bool {
 	birth, ok := c.birthOf(id)
 	if !ok {
@@ -918,7 +928,9 @@ func (c *Corpus) unindexPage(id int) bool {
 	}
 	c.idx.Delete(birth)
 	c.zidx.Delete(birth)
-	c.byID.Store(id, int64(birth)<<1|1)
+	c.byIDMu.Lock()
+	delete(c.byID, id)
+	c.byIDMu.Unlock()
 	return true
 }
 

@@ -67,8 +67,8 @@ type shardState struct {
 	table *pageTable
 
 	// Owned exclusively by the applier:
-	seqOf    map[int]pageRef // page id -> slot and bound refs
-	maxBirth int             // highest birth ever applied + 1 (seq watermark)
+	seqOf    map[int]int // page id -> slot (birth sequence), in apply order
+	maxBirth int         // highest birth ever applied + 1 (seq watermark)
 	treap    *rankengine.Treap
 	poolSeqs []int       // zero-awareness page slots, swap-remove order
 	poolPos  map[int]int // seq -> index in poolSeqs
@@ -100,25 +100,13 @@ type shardState struct {
 	dropped     atomic.Uint64
 }
 
-// pageRef is the applier's entry for one page: its slot (birth
-// sequence), and the search-index bound refs its click raises go through
-// with the rebuild-seqlock value they are valid for. refs is nil until
-// the page's first raise resolves it; the slice is the index's own
-// record, so holding it costs no copy, and the index re-resolves it in
-// place only inside this applier's own ResolveRaise calls.
-type pageRef struct {
-	seq   int
-	refs  []searchidx.BoundRef
-	epoch uint64
-}
-
 // init prepares the state. retainText must be set for durable corpora.
 // bounds and za may be nil (offline replay — no query path to serve).
 func (st *shardState) init(treapSeed uint64, retainText bool, pages, zeroAware *atomic.Int64, table *pageTable, bounds, za *searchidx.Index) {
 	st.table = table
 	st.bounds = bounds
 	st.za = za
-	st.seqOf = make(map[int]pageRef)
+	st.seqOf = make(map[int]int)
 	st.treap = rankengine.New(treapSeed)
 	st.poolPos = make(map[int]int)
 	if retainText {
@@ -167,7 +155,7 @@ func (st *shardState) applyAdd(a AddRecord) bool {
 		// replication follower the document is indexed after the frames
 		// apply, so this is a no-op there and the insert computes the
 		// exact bound itself.
-		st.raisePop(a.ID, pageRef{seq: a.Birth}, a.Popularity)
+		st.bounds.Raise(a.Birth, a.Popularity)
 	}
 	return true
 }
@@ -180,12 +168,11 @@ func (st *shardState) applyAdd(a AddRecord) bool {
 // time. Events with a slot below 1, negative counts or an unknown page
 // are dropped.
 func (st *shardState) applyEvent(e Event, nanos int64) outcome {
-	ref, ok := st.seqOf[e.Page]
+	seq, ok := st.seqOf[e.Page]
 	if !ok {
 		st.dropped.Add(1)
 		return outcome{}
 	}
-	seq := ref.seq
 	// A slot below 1 has no presented position to attribute the counts
 	// to; dropping (rather than applying without telemetry) keeps the
 	// slot table summing to ImpressionsApplied/ClicksApplied.
@@ -230,7 +217,7 @@ func (st *shardState) applyEvent(e Event, nanos int64) outcome {
 			// contract). Until it lands a pruned reader may serve this
 			// page at its pre-click rank — the same bounded staleness a
 			// not-yet-applied event exhibits.
-			st.raisePop(e.Page, ref, pop)
+			st.bounds.Raise(seq, pop)
 		}
 		out.rankChanged = true
 	}
@@ -241,11 +228,11 @@ func (st *shardState) applyEvent(e Event, nanos int64) outcome {
 // been promoted out of the zero-awareness pool. Applier-side read (the
 // replay evaluator's pre-event eligibility check).
 func (st *shardState) awareOf(id int) (exists, aware bool) {
-	ref, ok := st.seqOf[id]
+	seq, ok := st.seqOf[id]
 	if !ok {
 		return false, false
 	}
-	return true, slotAt(st.table.view(), ref.seq).meta.Load()&slotAware != 0
+	return true, slotAt(st.table.view(), seq).meta.Load()&slotAware != 0
 }
 
 // applyRemove deletes one page from the shard state: its slot is
@@ -255,12 +242,11 @@ func (st *shardState) awareOf(id int) (exists, aware bool) {
 // replayed logs may still carry them). Returns true when the servable
 // view changed and needs republishing.
 func (st *shardState) applyRemove(id int) bool {
-	ref, ok := st.seqOf[id]
+	seq, ok := st.seqOf[id]
 	if !ok {
 		st.dropped.Add(1)
 		return false
 	}
-	seq := ref.seq
 	slot := slotAt(st.table.view(), seq)
 	aware := slot.meta.Load()&slotAware != 0
 	slot.meta.Store(slotDead)
@@ -285,24 +271,6 @@ func (st *shardState) applyRemove(id int) bool {
 	return true
 }
 
-// raisePop raises the search index's block bounds covering page id
-// (entry ref) to at least pop. The fast path raises through the entry's
-// refs with two atomic seqlock loads and no locks; a page without refs
-// yet, or a posting rebuild since they were resolved (delete, mid-list
-// insert, bounds growth — never the common append), falls back to the
-// index's mutex-guarded raise, whose refs the entry then keeps. A page
-// the index does not hold (yet — a replication follower indexes it
-// after this apply) keeps no refs. Callers must store pop into the page
-// slot first and hold st.bounds non-nil.
-func (st *shardState) raisePop(id int, ref pageRef, pop float64) {
-	if ref.refs != nil && st.bounds.RaiseCached(ref.refs, ref.epoch, pop) {
-		return
-	}
-	if refs, epoch, found := st.bounds.ResolveRaise(ref.seq, pop); found {
-		st.seqOf[id] = pageRef{seq: ref.seq, refs: refs, epoch: epoch}
-	}
-}
-
 func (st *shardState) removeFromPool(seq int) {
 	pos, ok := st.poolPos[seq]
 	if !ok {
@@ -324,7 +292,7 @@ func (st *shardState) removeFromPool(seq int) {
 // here.
 func (st *shardState) placePage(p store.PageRecord) {
 	st.fillSlot(p.Birth, p.ID, p.Popularity, p.Impressions, p.Clicks, p.FirstImpNanos, p.Aware)
-	st.seqOf[p.ID] = pageRef{seq: p.Birth}
+	st.seqOf[p.ID] = p.Birth
 	if st.texts != nil {
 		st.texts[p.ID] = p.Text
 	}
@@ -350,12 +318,12 @@ func (st *shardState) placePage(p store.PageRecord) {
 func (st *shardState) pageRecords() []store.PageRecord {
 	out := make([]store.PageRecord, 0, len(st.seqOf))
 	view := st.table.view()
-	for id, ref := range st.seqOf {
-		s := slotAt(view, ref.seq).stat(ref.seq)
+	for id, seq := range st.seqOf {
+		s := slotAt(view, seq).stat(seq)
 		rec := store.PageRecord{
 			ID:            id,
 			Popularity:    s.Popularity,
-			Birth:         ref.seq,
+			Birth:         seq,
 			Aware:         s.Aware,
 			Impressions:   s.Impressions,
 			Clicks:        s.Clicks,

@@ -2,7 +2,7 @@
 // time, indexed by its global birth sequence, in a chunked contiguous
 // array shared by all shards. The search index keys its postings by the
 // same sequence, so the cold-query scan — the path that used to chase a
-// sync.Map pointer per candidate — is a linear walk that indexes
+// hash-map pointer per candidate — is a linear walk that indexes
 // stats[slot] directly.
 //
 // Concurrency. The chunk directory is epoch-swapped (RCU): growth

@@ -521,12 +521,29 @@ func appendString(b []byte, s string) []byte {
 // errSnap wraps every decode failure.
 var errSnap = errors.New("corrupt snapshot")
 
+// CheckPage vets a decoded page's birth and popularity, so that corrupt
+// or hostile bytes fail the decode rather than crash the applier that
+// places the page: the birth must lie in the search index's document-id
+// range [0, MaxUint32], and the popularity must be finite and
+// non-negative. The snapshot decoder and the serving layer's WAL record
+// decoder both apply it.
+func CheckPage(id, birth int, pop float64) error {
+	if birth < 0 || int64(birth) > math.MaxUint32 {
+		return fmt.Errorf("page %d: birth %d outside [0, %d]", id, birth, uint32(math.MaxUint32))
+	}
+	if !(pop >= 0) || math.IsInf(pop, 1) {
+		return fmt.Errorf("page %d: popularity %v is negative or non-finite", id, pop)
+	}
+	return nil
+}
+
 // BinReader is a strict little-endian cursor over a length-checked
 // binary payload: (u)varints, fixed 8-byte IEEE-754 floats and
 // length-prefixed strings, with a sticky error on the first malformed
-// field. It decodes both the snapshot bodies here and the serving
-// layer's WAL record payloads — one cursor implementation, one place to
-// fix a bounds bug.
+// field. Varints must be minimally encoded, so whatever it accepts
+// re-encodes to the same bytes. It decodes both the snapshot bodies here
+// and the serving layer's WAL record payloads — one cursor
+// implementation, one place to fix a bounds bug.
 type BinReader struct {
 	data []byte
 	off  int
@@ -556,12 +573,19 @@ func (r *BinReader) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
+	r.advance(n)
+	return v
+}
+
+// advance moves past a varint of n bytes (n <= 0: malformed). A
+// multi-byte varint whose last byte is zero carries a redundant high
+// group: not the minimal encoding, so it is refused too.
+func (r *BinReader) advance(n int) {
+	if n <= 0 || (n > 1 && r.data[r.off+n-1] == 0) {
 		r.fail()
-		return 0
+		return
 	}
 	r.off += n
-	return v
 }
 
 // Varint decodes one zig-zag signed varint.
@@ -570,11 +594,7 @@ func (r *BinReader) Varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
+	r.advance(n)
 	return v
 }
 
@@ -644,17 +664,31 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if r.Err() == nil && nPages > uint64(len(body)) {
 		r.fail() // cheap plausibility bound: each page costs >= 1 byte
 	}
+	seen := make(map[int]struct{})
 	for i := uint64(0); i < nPages && r.Err() == nil; i++ {
-		s.Pages = append(s.Pages, PageRecord{
-			ID:            int(r.Varint()),
-			Text:          r.String(),
-			Popularity:    r.Float64(),
-			Birth:         int(r.Varint()),
-			Aware:         r.Byte() != 0,
-			Impressions:   r.Varint(),
-			Clicks:        r.Varint(),
-			FirstImpNanos: r.Varint(),
-		})
+		p := PageRecord{
+			ID:         int(r.Varint()),
+			Text:       r.String(),
+			Popularity: r.Float64(),
+			Birth:      int(r.Varint()),
+		}
+		aware := r.Byte()
+		p.Aware = aware == 1
+		p.Impressions, p.Clicks, p.FirstImpNanos = r.Varint(), r.Varint(), r.Varint()
+		if r.Err() != nil {
+			break
+		}
+		if aware > 1 {
+			return nil, fmt.Errorf("%w: page %d: aware byte %d", errSnap, p.ID, aware)
+		}
+		if err := CheckPage(p.ID, p.Birth, p.Popularity); err != nil {
+			return nil, fmt.Errorf("%w: %w", errSnap, err)
+		}
+		if _, dup := seen[p.ID]; dup {
+			return nil, fmt.Errorf("%w: page %d appears twice", errSnap, p.ID)
+		}
+		seen[p.ID] = struct{}{}
+		s.Pages = append(s.Pages, p)
 	}
 	nSlots := r.Uvarint()
 	if r.Err() == nil && nSlots > uint64(len(body)) {
