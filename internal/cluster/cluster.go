@@ -262,9 +262,17 @@ func (c *Cluster) WaitForLeaderChange(shard int, oldLeader string, timeout time.
 }
 
 // WaitConverged blocks until every live follower's committed position
-// matches its leader's on every shard (replication fully drained).
+// matches its leader's on every shard and the follower has indexed what
+// it committed (replication fully drained). It first syncs every live
+// node: Add only enqueues, so without the sync every node could compare
+// equal before the leader had logged any of its adds.
 func (c *Cluster) WaitConverged(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
+	for i, n := range c.nodes {
+		if !c.killed[i] {
+			n.Corpus().Sync()
+		}
+	}
 	for {
 		lagged := c.lagDescription()
 		if lagged == "" {
@@ -291,6 +299,9 @@ func (c *Cluster) lagDescription() string {
 			}
 			if got := n.Corpus().CommittedLSN(si); got != want {
 				return fmt.Sprintf("shard %d: %s at %d, leader %s at %d", si, n.ID(), got, c.nodes[li].ID(), want)
+			}
+			if n.Corpus().Indexing(si) {
+				return fmt.Sprintf("shard %d: %s still indexing", si, n.ID())
 			}
 		}
 	}

@@ -31,6 +31,38 @@ func fastOpts(t *testing.T) Options {
 	}
 }
 
+// TestWaitConvergedCoversQueuedAdds: Cluster.Add only enqueues, so
+// WaitConverged must sync the leaders before comparing positions —
+// otherwise it can pass with every node still at LSN 0 — and once it
+// returns every node holds every page, in its shard state and in its
+// index (a follower indexes a replicated add after committing it).
+func TestWaitConvergedCoversQueuedAdds(t *testing.T) {
+	c, err := New(fastOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const pages = 40
+	for id := 0; id < pages; id++ {
+		if err := c.Add(id, fmt.Sprintf("page %d", id), float64(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.Len(); i++ {
+		if got := c.Node(i).Corpus().Stats().Pages; got != pages {
+			t.Errorf("node %d holds %d of %d pages after WaitConverged", i, got, pages)
+		}
+		for id := 0; id < pages; id++ {
+			if _, ok := c.Node(i).Corpus().Page(id); !ok {
+				t.Errorf("node %d has not indexed page %d after WaitConverged", i, id)
+			}
+		}
+	}
+}
+
 func postFeedback(t *testing.T, url string, events []serve.Event) int {
 	t.Helper()
 	body, _ := json.Marshal(serve.FeedbackRequest{Events: events})

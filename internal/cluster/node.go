@@ -418,6 +418,7 @@ func (n *Node) electionLoop() {
 	}
 	t := time.NewTicker(tick)
 	defer t.Stop()
+	fenced := make([]bool, len(n.shards)) // closed below for want of a lease check
 	for {
 		select {
 		case <-n.stop:
@@ -426,16 +427,32 @@ func (n *Node) electionLoop() {
 		}
 		if n.partitioned.Load() {
 			// A partitioned node can reach neither the coordinator
-			// nor its peers: no lease checks, no candidacies.
+			// nor its peers: no lease checks, no candidacies, and no
+			// writes on the shards it leads — a successor may already
+			// own their next LSNs — until a check reopens or demotes.
+			for si, sr := range n.shards {
+				if sr.role.Load() == roleLeader && n.corpus.ShardWritable(si) {
+					n.corpus.SetShardWritable(si, false)
+					fenced[si] = true
+				}
+			}
 			continue
 		}
 		for si, sr := range n.shards {
+			wasFenced := fenced[si]
+			fenced[si] = false
 			if sr.role.Load() == roleLeader {
 				// Lease check: if the coordinator has moved the shard
 				// to someone else at a higher epoch, we are the
 				// zombie — fence down before accepting more writes.
 				if id, epoch := n.coord.Leader(si); id != n.cfg.ID && epoch > sr.epoch.Load() {
 					n.demote(si, epoch)
+				} else if wasFenced {
+					// Lease held: reopen, unless a demotion raced in.
+					n.corpus.SetShardWritable(si, true)
+					if sr.role.Load() != roleLeader {
+						n.corpus.SetShardWritable(si, false)
+					}
 				}
 				continue
 			}

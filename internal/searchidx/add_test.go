@@ -103,6 +103,58 @@ func TestIndexAddAllocatesO1(t *testing.T) {
 	}
 }
 
+// strideOrder returns n document ids in the order a replica indexes
+// them: streams interleaved stride streams (stream s's k-th id is
+// k*streams+s), the last of them lag adds behind the rest, so each of
+// its ids lands mid-list, a few dozen entries from the tail of every
+// list it joins.
+func strideOrder(n, streams, lag int) []int {
+	order := make([]int, 0, n+streams*lag)
+	for k := 0; len(order) < n; k++ {
+		for s := 0; s < streams-1; s++ {
+			order = append(order, k*streams+s)
+		}
+		if k >= lag {
+			order = append(order, (k-lag)*streams+streams-1)
+		}
+	}
+	return order[:n]
+}
+
+// TestMidListInsertLoadsO1 pins a mid-list insert's cost to the blocks
+// it shifts, not the list, by a count rather than a clock: eight stride
+// streams, one lagging 64 adds behind, go through Add with a counting
+// popularity source, and the loads per insert over the last 1,000 adds
+// of a 20,000-document index stay within 1.5x of those of a 2,000-
+// document one. (Recomputing a rebuilt list's bounds from every entry
+// costs ~13x here.)
+func TestMidListInsertLoadsO1(t *testing.T) {
+	const batch = 1000
+	loadsPerInsert := func(n int) float64 {
+		d := newDeckAdder()
+		loads := 0
+		d.ix.SetPopFunc(func(id uint32) float64 {
+			loads++
+			return float64(id % 97)
+		})
+		order := strideOrder(n, 8, 64)
+		for i, id := range order {
+			if i == n-batch {
+				loads = 0
+			}
+			if err := d.ix.Add(Document{ID: id, Text: deckText(d.rng, d.head, id)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return float64(loads) / batch
+	}
+	small, large := loadsPerInsert(2000), loadsPerInsert(20000)
+	t.Logf("popularity loads per insert: %.1f on 2,000 documents, %.1f on 20,000 (x%.2f)", small, large, large/small)
+	if large > 1.5*small {
+		t.Fatalf("an insert loads %.1f popularities on 20,000 documents but %.1f on 2,000: mid-list inserts are not O(blocks)", large, small)
+	}
+}
+
 // BenchmarkIndexAdd times one Add of a deck-shaped document on top of a
 // pre-filled index (the fill is untimed). CI gates n=200k at no more
 // than twice n=20k: the write path is linear in the corpus.

@@ -8,18 +8,22 @@
 // popularity is monotone non-decreasing (clicks only ever add), so a
 // bound, once correct, can only be invalidated by a popularity INCREASE —
 // and the writer that applies the increase raises the covering bounds
-// with an atomic max, through the document's BoundRefs. Bounds are
-// recomputed exactly — tightened — whenever a posting list is rebuilt
-// anyway: on mid-list inserts and on deletes. Nothing else needs to
-// tighten them: with monotone popularity every raise is to a value some
-// document in the block really has.
+// with an atomic max, through the document's BoundRefs. An insert raises
+// its block by the newcomer; a mid-list one also carries the old bounds
+// over and raises each later block by the one entry that shifted into
+// it — O(blocks) popularity loads, not O(list). A block may then keep
+// the bound of a member that moved on: loose, never unsound. Only a
+// delete, whose document may have been a block's maximum, recomputes
+// its lists exactly; with monotone popularity nothing else needs
+// tightening.
 //
 // Soundness contract. A raise is issued AFTER the new popularity value is
 // visible to the index's popularity source (Index.SetPopFunc), and it
 // goes through Index.Raise, which holds ix.mu like every mutation. A
 // rebuild that runs before it has stored its cells, so the raise lands
-// on the live arrays; one that runs after it reads the stored popularity
-// when it recomputes. Either way, once Raise returns, the live list's
+// on the live arrays; one that runs after it either carries the raised
+// bound over (an insert) or reads the stored popularity when it
+// recomputes (a delete). Either way, once Raise returns, the live list's
 // bound covers the new value permanently. Bounds stay atomic because
 // pruned readers load them without the lock. In the nanosecond window
 // between the popularity store and the raise a concurrent pruned reader
@@ -75,13 +79,13 @@ func newBlockBounds(capEntries int) *blockBounds {
 	return &blockBounds{max: make([]atomic.Uint64, nb)}
 }
 
-// grow returns bounds covering at least capEntries posting slots,
-// carrying the current values over. The receiver is left untouched:
-// readers already holding it keep reading it; only headers stored after
-// the grow reference the copy.
-func (b *blockBounds) grow(capEntries int) *blockBounds {
+// resize returns a copy of the bounds sized for capEntries posting
+// slots, carrying over the values of the blocks both cover. The
+// receiver is left untouched: readers already holding it keep reading
+// it; only headers stored after the resize reference the copy.
+func (b *blockBounds) resize(capEntries int) *blockBounds {
 	nb := newBlockBounds(capEntries)
-	for i := range b.max {
+	for i := range min(len(b.max), len(nb.max)) {
 		nb.max[i].Store(b.max[i].Load())
 	}
 	return nb
@@ -133,38 +137,48 @@ func (ix *Index) computeBounds(ids []uint32) *blockBounds {
 
 // insertPosting returns p with id inserted in sorted position, and that
 // position, with the covering block bound raised to the document's
-// current popularity. The common append-at-end case reuses spare ids
-// capacity (a published header only ever covers the prefix that existed
-// when it was stored) and keeps the shared bounds array, growing it —
-// copy-on-grow, readers of older headers keep theirs — only when a new
-// block opens past its capacity. Mid-list inserts rebuild ids and
-// recompute bounds exactly. Callers hold ix.mu.
-func (ix *Index) insertPosting(p posting, id uint32) (posting, int) {
-	pos := searchU32(p.ids, id)
-	if pos < len(p.ids) && p.ids[pos] == id {
-		return p, pos
-	}
-	if pos == len(p.ids) {
+// current popularity; present reports that id was already there (the
+// document repeats the term), and p comes back unchanged. The common
+// append-at-end case reuses spare ids capacity (a published header only
+// ever covers the prefix that existed when it was stored) and keeps the
+// shared bounds array, growing it — copy-on-grow, readers of older
+// headers keep theirs — only when a new block opens past its capacity.
+// Callers hold ix.mu.
+func (ix *Index) insertPosting(p posting, id uint32) (np posting, pos int, present bool) {
+	n := len(p.ids)
+	if n == 0 || p.ids[n-1] < id {
 		ids := append(p.ids, id)
 		b := p.b
 		if b == nil {
 			// Fresh term: exact from scratch.
-			return posting{ids: ids, b: ix.computeBounds(ids)}, pos
+			return posting{ids: ids, b: ix.computeBounds(ids)}, n, false
 		}
 		if nb := nblocks(len(ids)); nb > len(b.max) {
-			b = b.grow(cap(ids))
+			b = b.resize(cap(ids))
 		}
-		b.raise((len(ids)-1)/BlockStride, ix.popAt(id))
-		return posting{ids: ids, b: b}, pos
+		b.raise(n/BlockStride, ix.popAt(id))
+		return posting{ids: ids, b: b}, n, false
+	}
+	pos = searchU32(p.ids, id)
+	if p.ids[pos] == id {
+		return p, pos, true
 	}
 	// Every document after pos moves up one place, some into the next
-	// block.
+	// block. Blocks before pos's keep their members and bounds; pos's is
+	// raised by the newcomer, and each later one by the entry that
+	// shifted in from the block before. No raise lands on p.b once it is
+	// copied: raises hold ix.mu too.
 	ix.rebuildSeq++
-	grown := make([]uint32, len(p.ids)+1)
+	grown := make([]uint32, n+1)
 	copy(grown, p.ids[:pos])
 	grown[pos] = id
 	copy(grown[pos+1:], p.ids[pos:])
-	return posting{ids: grown, b: ix.computeBounds(grown)}, pos
+	b := p.b.resize(cap(grown))
+	b.raise(pos/BlockStride, ix.popAt(id))
+	for k := pos/BlockStride + 1; k < nblocks(n+1); k++ {
+		b.raise(k, ix.popAt(grown[k*BlockStride]))
+	}
+	return posting{ids: grown, b: b}, pos, false
 }
 
 // SetPopFunc installs the popularity source consulted when block bounds

@@ -80,9 +80,11 @@ func offerTop(top []scoredDoc, k int, c scoredDoc) []scoredDoc {
 // 1-, 2- and 3-term queries; the unpruned RetrievePruned ≡ RetrieveInto;
 // top-K under the serving layer's skip rule ≡ full-scan top-K (block
 // bounds stay sound with no periodic re-tightening); the dictionary
-// holds exactly the model's terms; the epoch counts the mutations; and
+// holds exactly the model's terms; the epoch counts the mutations;
 // every live document's refs name a block holding it in each of its
-// terms.
+// terms; and every block's bound is at least the popularity of each
+// entry it covers (a mid-list insert shifts bounds instead of
+// recomputing them, so this is the check that the shift is sound).
 func TestIndexMatchesModel(t *testing.T) {
 	const (
 		ops  = 3000
@@ -191,6 +193,19 @@ func TestIndexMatchesModel(t *testing.T) {
 			}
 		}
 
+		// checkBounds asserts that every block of every list bounds the
+		// popularity of each entry in it.
+		checkBounds := func(ctx string) {
+			for term := range m.lists {
+				p := ix.terms.lookup(term).p.Load()
+				for i, id := range p.ids {
+					if up := p.b.upper(i / BlockStride); up < pop[id] {
+						t.Fatalf("%s: block %d of %q bounds %v, but entry %d (doc %d) is at %v", ctx, i/BlockStride, term, up, i, id, pop[id])
+					}
+				}
+			}
+		}
+
 		for op := 0; op < ops; op++ {
 			switch r := rng.Float64(); {
 			case op < 400 || r < 0.35 || len(live) == 0:
@@ -250,6 +265,7 @@ func TestIndexMatchesModel(t *testing.T) {
 				for _, id := range live {
 					checkRefs(ctx, id)
 				}
+				checkBounds(ctx)
 			}
 			vocab := append(slices.Clone(head), "all", rare[rng.Intn(len(rare))])
 			for nterms := 1; nterms <= 3; nterms++ {

@@ -127,18 +127,19 @@ func (ix *Index) Add(doc Document) error {
 	}
 	id := uint32(doc.ID)
 	refs := make([]BoundRef, 0, len(terms))
-	for ti, t := range terms {
-		if containsTerm(terms[:ti], t) {
-			continue
-		}
+	for _, t := range terms {
 		// One table probe per known term: the header is replaced through
-		// the cell.
+		// the cell. A repeated term finds the document already in its
+		// list.
 		var cur posting
 		c := ix.terms.lookup(t)
 		if c != nil {
 			cur = *c.p.Load()
 		}
-		p, pos := ix.insertPosting(cur, id)
+		p, pos, present := ix.insertPosting(cur, id)
+		if present {
+			continue
+		}
 		if c == nil {
 			c = ix.terms.insert(t, p)
 		} else {
@@ -191,8 +192,8 @@ func (ix *Index) Delete(id int) bool {
 }
 
 // containsTerm reports whether t already occurred among the earlier terms
-// of a document or query; a linear scan beats a map for the handful of
-// terms a document carries, and allocates nothing.
+// of a query; a linear scan beats a map for the handful of terms a query
+// carries, and allocates nothing.
 func containsTerm(terms []string, t string) bool {
 	for _, u := range terms {
 		if u == t {

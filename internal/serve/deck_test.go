@@ -18,6 +18,15 @@ type deckGen struct {
 	head []int
 	n    int
 	sb   strings.Builder
+	ids  []int // page i's id when set, else i
+}
+
+// id returns page i's id.
+func (d *deckGen) id(i int) int {
+	if d.ids != nil {
+		return d.ids[i]
+	}
+	return i
 }
 
 func newDeckGen(n int) *deckGen {
@@ -51,7 +60,7 @@ func (d *deckGen) page(i int) (string, float64) {
 func addDeck(tb testing.TB, c *Corpus, d *deckGen, from, to int) {
 	for i := from; i < to; i++ {
 		text, pop := d.page(i)
-		if err := c.Add(i, text, pop); err != nil {
+		if err := c.Add(d.id(i), text, pop); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -128,38 +137,54 @@ func TestChurnLeavesNoByIDEntries(t *testing.T) {
 // Corpus.Add's index insert and the shard applier's slot fill, treap
 // insert and first bound raise — on top of an untimed deck of n pages.
 // The closing Sync is inside the timer, so the applier's share counts.
+// Deck ids 0, 1, 2, ... round-robin over the shards, so births arrive
+// in order and every posting insert is an append. With ids=shuffled
+// they are drawn through a fixed permutation of an id space four times
+// wider: the shards' births interleave as a replica's shard streams do,
+// and most inserts land mid-list. CI gates its ratio to n=20k.
 func BenchmarkCorpusAdd(b *testing.B) {
-	b.Run("n=20k", func(b *testing.B) {
-		n := 20000
-		if testing.Short() {
-			n /= 10
-		}
-		c, err := NewCorpus(Config{Shards: 8, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(c.Close)
-		d := newDeckGen(n)
-		// As in BenchmarkIndexAdd: collect the fill's garbage before its
-		// last thousand adds, so the timed adds neither share the CPU
-		// with a cycle the fill left running nor start on cold lists.
-		addDeck(b, c, d, 0, n-1000)
-		c.Sync()
-		runtime.GC()
-		addDeck(b, c, d, n-1000, n)
-		c.Sync()
-		texts := make([]string, b.N)
-		pops := make([]float64, b.N)
-		for i := range texts {
-			texts[i], pops[i] = d.page(n + i)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := range texts {
-			if err := c.Add(n+i, texts[i], pops[i]); err != nil {
+	for _, bc := range []struct {
+		name     string
+		shuffled bool
+	}{{"n=20k", false}, {"n=20k,ids=shuffled", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			n := 20000
+			if testing.Short() {
+				n /= 10
+			}
+			c, err := NewCorpus(Config{Shards: 8, Seed: 1})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		c.Sync()
-	})
+			b.Cleanup(c.Close)
+			d := newDeckGen(n)
+			if bc.shuffled {
+				d.ids = randutil.New(7).Perm(4 * (n + b.N))
+			}
+			// As in BenchmarkIndexAdd: collect the fill's garbage before
+			// its last thousand adds, so the timed adds neither share the
+			// CPU with a cycle the fill left running nor start on cold
+			// lists.
+			addDeck(b, c, d, 0, n-1000)
+			c.Sync()
+			runtime.GC()
+			addDeck(b, c, d, n-1000, n)
+			c.Sync()
+			ids := make([]int, b.N)
+			texts := make([]string, b.N)
+			pops := make([]float64, b.N)
+			for i := range texts {
+				ids[i] = d.id(n + i)
+				texts[i], pops[i] = d.page(n + i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range texts {
+				if err := c.Add(ids[i], texts[i], pops[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			c.Sync()
+		})
+	}
 }

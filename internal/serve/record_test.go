@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -58,6 +59,39 @@ func TestFollowerRefusesUnplaceableAdd(t *testing.T) {
 		t.Fatal("a replicated add born at -8 was accepted")
 	}
 	follower.Sync()
+	if lsn := follower.CommittedLSN(shard); lsn != 0 {
+		t.Fatalf("the refused frame reached the follower's log (committed lsn %d)", lsn)
+	}
+}
+
+// TestFollowerRefusesFarFutureBirth: a replicated add born far past the
+// follower's birth watermark is refused before it is logged. Applied, a
+// birth of 1<<22 would make the page table allocate every chunk up to it
+// — about 200 MB — for one page.
+func TestFollowerRefusesFarFutureBirth(t *testing.T) {
+	cfg := applyConfig()
+	cfg.Durability = Durability{DataDir: t.TempDir(), FsyncMode: "none", SnapshotInterval: -1}
+	follower := newTestCorpus(t, cfg)
+	for i := 0; i < follower.Shards(); i++ {
+		follower.SetShardWritable(i, false)
+	}
+	a := AddRecord{ID: 5, Text: "far future page", Popularity: 1, Birth: 1 << 22}
+	shard := follower.ShardOf(a.ID)
+	frames := []ReplFrame{{LSN: 1, Payload: appendAddRecord(nil, a, 1)}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	wait, err := follower.ApplyReplicatedAsync(shard, frames)
+	if err == nil {
+		err = wait()
+	}
+	follower.Sync()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("one replicated add allocated %d MB", grew>>20)
+	}
+	if err == nil {
+		t.Fatal("a replicated add born at 1<<22 on an empty follower was accepted")
+	}
 	if lsn := follower.CommittedLSN(shard); lsn != 0 {
 		t.Fatalf("the refused frame reached the follower's log (committed lsn %d)", lsn)
 	}

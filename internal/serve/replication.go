@@ -55,6 +55,11 @@ func (c *Corpus) CommittedLSN(shard int) uint64 {
 	return c.shards[shard].committedLSN.Load()
 }
 
+// Indexing reports whether replicated state submitted on the shard — a
+// batch whose wait has not returned, or a snapshot being installed —
+// has yet to be indexed.
+func (c *Corpus) Indexing(shard int) bool { return c.shards[shard].indexing.Load() > 0 }
+
 // WALReader returns a cursor over the shard's committed frames with
 // LSN >= from. The cursor snapshots the log's committed extent at the
 // call, so a shipper creates a fresh one per commit notification. Safe
@@ -104,6 +109,14 @@ func (c *Corpus) SetReplicationHealth(fn func() *ReplicationHealth) {
 	c.replHealth.Store(&fn)
 }
 
+// replBirthLead is how many of its shard's adds past the birth watermark
+// a replicated add may be born; ApplyReplicatedAsync refuses a later
+// one, whose apply would allocate every page-table chunk up to it. A
+// session keeps at most 4 batches of 512 frames unindexed, so a real
+// add lies within 2,048; twice that caps a hostile one at 4,096·Shards
+// slots.
+const replBirthLead = 4096
+
 // ApplyReplicatedAsync feeds frames shipped from the shard's leader
 // through the apply loop: payloads are appended to the follower's own
 // WAL at their original LSNs (frames already present are skipped),
@@ -130,10 +143,18 @@ func (c *Corpus) ApplyReplicatedAsync(shard int, frames []ReplFrame) (func() err
 		return func() error { return nil }, nil
 	}
 	sh := c.shards[shard]
+	c.idxMu.Lock()
+	watermark := c.seq
+	c.idxMu.Unlock()
+	lead := replBirthLead * len(c.shards)
 	for i := range frames {
 		rec, err := decodeWALRecord(frames[i].Payload)
 		if err != nil {
 			return nil, fmt.Errorf("serve: replicated frame lsn %d: %w", frames[i].LSN, err)
+		}
+		if rec.kind == recKindAdd && rec.add.Birth >= watermark+lead {
+			return nil, fmt.Errorf("serve: replicated frame lsn %d: page %d born at %d, %d or more past the birth watermark %d",
+				frames[i].LSN, rec.add.ID, rec.add.Birth, lead, watermark)
 		}
 		if i > 0 && frames[i].LSN != frames[i-1].LSN+1 {
 			return nil, fmt.Errorf("serve: replicated frames not contiguous at lsn %d", frames[i].LSN)
@@ -141,8 +162,10 @@ func (c *Corpus) ApplyReplicatedAsync(shard int, frames []ReplFrame) (func() err
 		frames[i].rec = rec
 	}
 	done := make(chan error, 1)
+	sh.indexing.Add(1)
 	sh.ch <- applyReq{repl: frames, done: done}
 	return func() error {
+		defer sh.indexing.Add(-1)
 		err := <-done
 		// Index-side effects for whatever actually committed: the corpus
 		// index and id map are rebuilt from shard state at boot, so they
@@ -188,6 +211,8 @@ func (c *Corpus) InstallReplicaSnapshot(shard int, snap *store.Snapshot) error {
 		return errors.New("serve: nil snapshot")
 	}
 	sh := c.shards[shard]
+	sh.indexing.Add(1)
+	defer sh.indexing.Add(-1)
 	done := make(chan error, 1)
 	sh.ch <- applyReq{snapInstall: snap, done: done}
 	if err := <-done; err != nil {

@@ -469,6 +469,7 @@ type shard struct {
 	// replica snapshot install). Replication ships frames up to here and
 	// followers report it as their ack position.
 	committedLSN atomic.Uint64
+	indexing     atomic.Int64 // replicated batches or snapshots not yet indexed
 	// notLeader, when set, refuses local writes (Add/Feedback/Remove)
 	// with ErrNotLeader: the shard is a replication follower and its
 	// state may only advance through frames shipped from the leader —
