@@ -95,11 +95,20 @@ func writeMsg(w io.Writer, body []byte) error {
 	return err
 }
 
-// readMsg reads one length-prefixed message of at most max bytes.
+// readMsg reads one length-prefixed message of at most max bytes. The
+// length must be minimally encoded, as every store.BinReader varint is.
 func readMsg(br *bufio.Reader, max int) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, err
+	}
+	// A minimal uvarint ends in a zero byte only when it is the one-byte
+	// zero, which is refused below as an empty message; any other prefix
+	// ending in zero carries a redundant high group. ReadUvarint's last
+	// call was ReadByte, so the reader can step back over that byte.
+	_ = br.UnreadByte()
+	if last, _ := br.ReadByte(); last == 0 && n != 0 {
+		return nil, fmt.Errorf("cluster: padded message length")
 	}
 	if n == 0 || n > uint64(max) {
 		return nil, fmt.Errorf("cluster: message of %d bytes (max %d)", n, max)
@@ -109,11 +118,6 @@ func readMsg(br *bufio.Reader, max int) ([]byte, error) {
 		return nil, err
 	}
 	return body, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 // handshake is the session-open message.
@@ -129,7 +133,7 @@ func (h handshake) encode() []byte {
 	b := []byte{msgHandshake}
 	b = append(b, protoMagic...)
 	b = binary.AppendUvarint(b, protoVersion)
-	b = appendString(b, h.node)
+	b = store.AppendString(b, h.node)
 	b = binary.AppendUvarint(b, h.shard)
 	b = binary.AppendUvarint(b, h.epoch)
 	b = binary.AppendUvarint(b, h.startLSN)
@@ -179,7 +183,7 @@ type reply struct {
 func (rp reply) encode() []byte {
 	b := []byte{msgReply, rp.status}
 	b = binary.AppendUvarint(b, rp.epoch)
-	b = appendString(b, rp.detail)
+	b = store.AppendString(b, rp.detail)
 	return binary.AppendUvarint(b, rp.minor)
 }
 

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -426,6 +427,74 @@ func TestRankBatchAccounting(t *testing.T) {
 	// must be the one that trips the limiter.
 	if w := do(t, srv, http.MethodPost, "/v1/rank/batch", "application/json", body); w.Code != http.StatusTooManyRequests {
 		t.Fatalf("second batch: %d, want 429 (one token per batch)", w.Code)
+	}
+}
+
+// TestRankBatchThroughputMultiple pins the batch endpoint's reason to
+// exist: the same budget of rank requests pushed over HTTP through
+// /v1/rank/batch in the binary codec must finish far faster than one
+// JSON round trip per request. An idle machine shows ≥10×; the bar
+// keeps headroom for noisy CI machines and the test logs the multiple.
+func TestRankBatchThroughputMultiple(t *testing.T) {
+	if testing.Short() {
+		t.Skip("throughput comparison is wall-clock bound")
+	}
+	const (
+		requests = 4000
+		batch    = 64
+	)
+	c := newTestCorpus(t, Config{Shards: 4, Seed: 23})
+	for i := 0; i < 50; i++ {
+		if err := c.Add(i, fmt.Sprintf("gadgets review page%d", i), float64(50-i)*0.05); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Sync()
+	srv := httptest.NewServer(NewServer(c))
+	defer srv.Close()
+	client := &http.Client{Timeout: 10 * time.Second}
+	post := func(path, contentType string, body []byte) []byte {
+		t.Helper()
+		resp, err := client.Post(srv.URL+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s (err %v)", path, resp.StatusCode, out, err)
+		}
+		return out
+	}
+	// Top-1 keeps each response small, so the comparison measures the
+	// round trips the batch protocol amortizes.
+	req := RankRequest{Query: "gadgets review", N: 1}
+
+	start := time.Now()
+	body, _ := json.Marshal(req)
+	for i := 0; i < requests; i++ {
+		post("/v1/rank", "application/json", body)
+	}
+	single := time.Since(start)
+
+	reqs := make([]RankRequest, batch)
+	for i := range reqs {
+		reqs[i] = req
+	}
+	body = AppendRankBatchRequest(nil, reqs)
+	start = time.Now()
+	for done := 0; done < requests; done += batch {
+		resps, err := DecodeRankBatchResponse(post("/v1/rank/batch", BatchContentType, body))
+		if err != nil || len(resps) != batch || len(resps[0].Results) != 1 {
+			t.Fatalf("batch response: %d responses, err %v", len(resps), err)
+		}
+	}
+	batched := time.Since(start)
+
+	multiple := single.Seconds() / batched.Seconds()
+	t.Logf("%d ranks: single %v, batched %v: %.1fx", requests, single, batched, multiple)
+	if multiple < 4 {
+		t.Fatalf("batched throughput only %.1fx single-request (%v vs %v)", multiple, batched, single)
 	}
 }
 

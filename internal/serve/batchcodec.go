@@ -1,7 +1,7 @@
 // The binary batch wire codec for POST /v1/rank/batch: length-prefixed
 // varint framing next to the JSON codec, so a driver pushing thousands
-// of rank calls per second (loadgen, embedded clients) spends its
-// cycles on ranking, not on JSON.
+// of rank calls per second (the bench harness, embedded clients)
+// spends its cycles on ranking, not on JSON.
 //
 // Framing (all integers little-endian; "string" is a uvarint byte
 // length followed by raw bytes):
@@ -59,11 +59,6 @@ type RankBatchResponse struct {
 // errBatch wraps every binary batch decode failure.
 var errBatch = errors.New("malformed binary batch")
 
-func appendBinString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // AppendRankBatchRequest encodes reqs in the binary batch request
 // framing — the client half of the codec.
 func AppendRankBatchRequest(b []byte, reqs []RankRequest) []byte {
@@ -71,10 +66,10 @@ func AppendRankBatchRequest(b []byte, reqs []RankRequest) []byte {
 	b = binary.AppendUvarint(b, uint64(len(reqs)))
 	for i := range reqs {
 		req := &reqs[i]
-		b = appendBinString(b, req.Query)
+		b = store.AppendString(b, req.Query)
 		b = binary.AppendVarint(b, int64(req.N))
-		b = appendBinString(b, req.Unit)
-		b = appendBinString(b, req.Arm)
+		b = store.AppendString(b, req.Unit)
+		b = store.AppendString(b, req.Arm)
 		if req.Seed != nil {
 			b = append(b, batchFlagSeed)
 			b = binary.AppendUvarint(b, *req.Seed)
@@ -127,7 +122,7 @@ func DecodeRankBatchRequest(data []byte) ([]RankRequest, error) {
 // streaming half of the response codec (the header uvarints are written
 // by the handler before the first item).
 func appendBinRankItem(b []byte, arm string, epoch uint64, results []Result) []byte {
-	b = appendBinString(b, arm)
+	b = store.AppendString(b, arm)
 	b = binary.AppendUvarint(b, epoch)
 	b = binary.AppendUvarint(b, uint64(len(results)))
 	for _, res := range results {
@@ -150,7 +145,7 @@ func AppendRankBatchResponse(b []byte, resps []RankResponse) []byte {
 	b = binary.AppendUvarint(b, uint64(len(resps)))
 	for i := range resps {
 		resp := &resps[i]
-		b = appendBinString(b, resp.Arm)
+		b = store.AppendString(b, resp.Arm)
 		b = binary.AppendUvarint(b, resp.Epoch)
 		b = binary.AppendUvarint(b, uint64(len(resp.Results)))
 		for _, it := range resp.Results {
@@ -167,8 +162,8 @@ func AppendRankBatchResponse(b []byte, resps []RankResponse) []byte {
 }
 
 // DecodeRankBatchResponse decodes a binary batch response frame — the
-// client half loadgen's batch driver runs. Queries are not on the wire,
-// so RankResponse.Query stays empty; slots are restored from position.
+// client half of the codec. Queries are not on the wire, so
+// RankResponse.Query stays empty; slots are restored from position.
 func DecodeRankBatchResponse(data []byte) ([]RankResponse, error) {
 	r := store.NewBinReader(data, 0)
 	if v := r.Uvarint(); r.Err() != nil || v != batchVersion {

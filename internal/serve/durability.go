@@ -383,8 +383,7 @@ type HealthReport struct {
 // across shards: how many group commits happened, how many durability
 // barriers (fsyncs) they issued, and how many records they covered.
 // Deltas between two samples give exact rates over an interval — the
-// loadgen report computes fsync/s and the achieved mean group-commit
-// size this way.
+// bench harness computes syncs/s and records per commit this way.
 type WALCounters struct {
 	Commits uint64 `json:"commits"`
 	Syncs   uint64 `json:"syncs"`

@@ -42,8 +42,8 @@ func AppendFeedbackBatchRequest(b []byte, events []Event) []byte {
 		b = binary.AppendVarint(b, int64(e.Slot))
 		b = binary.AppendVarint(b, int64(e.Impressions))
 		b = binary.AppendVarint(b, int64(e.Clicks))
-		b = appendBinString(b, e.Arm)
-		b = appendBinString(b, e.Unit)
+		b = store.AppendString(b, e.Arm)
+		b = store.AppendString(b, e.Unit)
 	}
 	return b
 }
@@ -94,7 +94,7 @@ func AppendFeedbackBatchResponse(b []byte, accepted int) []byte {
 }
 
 // DecodeFeedbackBatchResponse decodes a binary feedback batch
-// acknowledgment — the client half loadgen's batch driver runs. A count
+// acknowledgment — the client half of the codec. A count
 // above MaxFeedbackBatchEvents acknowledges more events than any request
 // may carry, so it is an error like any other oversized count.
 func DecodeFeedbackBatchResponse(data []byte) (accepted int, err error) {

@@ -1,7 +1,9 @@
 // Package loadgen drives the ranking service's HTTP API with simulated
-// users and measures it: sustained QPS and p50/p90/p99 rank latency,
-// optionally split between the id-ranking (browse) path and the
-// search-query path when a mixed workload is configured (Config.Queries).
+// users: the closed loop the chaos scenarios run their traffic through.
+// A run reports what the clients saw: completed requests, acknowledged
+// feedback, every retry, refusal, reconnect and failover, and one
+// p50/p90/p99 rank latency summary. Layer-by-layer performance is
+// measured by the bench harness, not here.
 //
 // Each simulated user issues POST /v1/rank, scans the returned list with
 // the paper's rank-bias attention law (§5.3: position i draws attention
@@ -11,12 +13,6 @@
 // closed loop reproduces the paper's dynamic online: promoted
 // zero-awareness pages of high quality accumulate clicks and rise into
 // the deterministic ranking.
-//
-// Config.Batch switches the driver to the binary batch protocol: each
-// HTTP call carries Batch rank sub-requests framed in the
-// serve.BatchContentType codec on POST /v1/rank/batch — the
-// amortized-framing mode for measuring the service's ranking throughput
-// rather than its HTTP/JSON overhead.
 package loadgen
 
 import (
@@ -25,7 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -40,24 +36,17 @@ import (
 type Config struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Client overrides the HTTP client (default: a dedicated one with a
-	// 10 s timeout).
-	Client *http.Client
 	// Workers is the number of concurrent simulated users (default 4).
 	Workers int
 	// Requests is the total number of rank requests to issue (default 400).
 	Requests int
 	// Query is sent with every rank request ("" ranks the whole corpus).
 	Query string
-	// Queries enables a mixed workload: with probability QueryFraction a
-	// rank request takes the query path using a query drawn uniformly
-	// from Queries; otherwise it sends Query (usually "", the id-ranking
-	// browse path). The report then carries per-path latency percentiles
-	// alongside the overall ones.
+	// Queries enables a mixed workload: half the rank requests (drawn at
+	// random) take the query path with a query drawn uniformly from
+	// Queries; the rest send Query (usually "", the id-ranking browse
+	// path).
 	Queries []string
-	// QueryFraction is the probability a request uses Queries (default
-	// 0.5 when Queries is non-empty, ignored otherwise).
-	QueryFraction float64
 	// N is the result-list length requested (default serve.DefaultTopN).
 	N int
 	// Units is how many distinct experiment units (simulated users) each
@@ -72,13 +61,6 @@ type Config struct {
 	// FeedbackBatch is how many events a worker accumulates before
 	// flushing to /feedback (default 20; remainder flushes at the end).
 	FeedbackBatch int
-	// FeedbackBinary switches feedback flushes to POST
-	// /v1/feedback/batch with the binary codec — the amortized-framing
-	// mode for measuring ingestion throughput. The report then carries
-	// the write path's acks/s, fsync/s and achieved mean group-commit
-	// size (the latter two from /v1/stats WAL-counter deltas, so they
-	// need the service to run durable).
-	FeedbackBinary bool
 	// Retries is how many times a worker retries a request the service
 	// refused with 429/503 or that failed in transport, with jittered
 	// exponential backoff between attempts (default 3; negative
@@ -92,12 +74,6 @@ type Config struct {
 	// adversarial or misconfigured server cannot stall a load run for
 	// minutes.
 	RetryBackoff time.Duration
-	// Batch switches the workers to POST /v1/rank/batch with the binary
-	// codec, carrying this many rank sub-requests per HTTP call (0 or 1
-	// keeps the one-JSON-request-per-call driver). Each sub-request
-	// counts as one completed rank request in the report and contributes
-	// its batch's wall-clock latency as its sample.
-	Batch int
 	// Resolve, when non-nil, names the current front door: before each
 	// retry the worker re-resolves and switches to the returned base URL
 	// when it differs from the one that just failed. Without it a worker
@@ -109,10 +85,14 @@ type Config struct {
 	Seed uint64
 }
 
+// queryFraction is the probability a rank request of a mixed workload
+// (Config.Queries) takes the query path.
+const queryFraction = 0.5
+
+// client carries every request loadgen makes.
+var client = &http.Client{Timeout: 10 * time.Second}
+
 func (c Config) withDefaults() Config {
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 10 * time.Second}
-	}
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
@@ -139,19 +119,7 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if len(c.Queries) > 0 && c.QueryFraction == 0 {
-		c.QueryFraction = 0.5
-	}
 	return c
-}
-
-// PathReport carries one request path's (or experiment arm's) request
-// count, throughput share and latency percentiles.
-type PathReport struct {
-	Requests      int
-	QPS           float64
-	P50, P90, P99 time.Duration
-	Max           time.Duration
 }
 
 // Report is the outcome of a load run.
@@ -172,37 +140,6 @@ type Report struct {
 	QPS            float64       // completed rank requests per second
 	P50, P90, P99  time.Duration // rank request latency percentiles
 	Max            time.Duration
-	// Browse and Query split the latency measurements by request path
-	// when a mixed workload (Config.Queries) runs: Browse covers the
-	// id-ranking path (Config.Query, usually the whole corpus), Query
-	// covers the search-query path.
-	Browse, Query PathReport
-	// Arms splits the measurements by the experiment arm that served each
-	// request (from the rank response), so a multi-arm service shows
-	// arm-level p50/p90/p99 and QPS. Single implicit-arm services report
-	// one entry.
-	Arms map[string]PathReport
-	// Write-path measurements: AcksPerSec is acknowledged feedback
-	// events per second over the run; FsyncsPerSec and
-	// MeanCommitRecords come from the service's /v1/stats WAL-counter
-	// deltas between the run's start and end (zero when the service is
-	// not durable or /v1/stats was unreachable). MeanCommitRecords is
-	// the achieved group-commit batch size — records made durable per
-	// fsync.
-	AcksPerSec        float64
-	FsyncsPerSec      float64
-	MeanCommitRecords float64
-	// Cold-path measurements from the same /v1/stats deltas: ColdQueries
-	// counts uncached candidate rebuilds the service performed during
-	// the run (query-cache misses), BlocksSkipped and CandidatesPruned
-	// the posting blocks (and the driving-list entries inside them) the
-	// block-max bounds let those rebuilds skip, and ZACandidates the
-	// pool-eligible candidates enumerated from the zero-awareness
-	// sub-index instead of filtered out of full scans.
-	ColdQueries      uint64
-	BlocksSkipped    uint64
-	CandidatesPruned uint64
-	ZACandidates     uint64
 }
 
 // String renders the report as a compact human-readable block.
@@ -218,50 +155,19 @@ func (r *Report) String() string {
 	if r.Reconnects > 0 || r.Failovers > 0 {
 		s += fmt.Sprintf("\nreconnects %d, failovers %d", r.Reconnects, r.Failovers)
 	}
-	if r.Query.Requests > 0 {
-		s += fmt.Sprintf(
-			"\nbrowse path (%d): p50 %v  p99 %v  max %v\nquery path  (%d): p50 %v  p99 %v  max %v",
-			r.Browse.Requests, r.Browse.P50, r.Browse.P99, r.Browse.Max,
-			r.Query.Requests, r.Query.P50, r.Query.P99, r.Query.Max)
-	}
-	if len(r.Arms) > 1 {
-		names := make([]string, 0, len(r.Arms))
-		for name := range r.Arms {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			a := r.Arms[name]
-			s += fmt.Sprintf("\narm %-12s (%d, %.0f QPS): p50 %v  p90 %v  p99 %v  max %v",
-				name, a.Requests, a.QPS, a.P50, a.P90, a.P99, a.Max)
-		}
-	}
 	s += fmt.Sprintf("\nfeedback: %d posts, %d impressions, %d clicks",
 		r.FeedbackPosts, r.Impressions, r.Clicks)
-	if r.AcksPerSec > 0 || r.FsyncsPerSec > 0 {
-		s += fmt.Sprintf("\nwrite path: %.0f acks/s, %.0f fsyncs/s, %.1f records/commit",
-			r.AcksPerSec, r.FsyncsPerSec, r.MeanCommitRecords)
-	}
-	if r.ColdQueries > 0 {
-		s += fmt.Sprintf("\ncold path: %d uncached rebuilds, %d blocks skipped (%d candidates pruned), %d za candidates",
-			r.ColdQueries, r.BlocksSkipped, r.CandidatesPruned, r.ZACandidates)
-	}
 	return s
 }
 
 type worker struct {
-	cfg      Config
-	idx      int
-	base     string // current front-door base URL (moves on failover)
-	rng      *randutil.RNG
-	att      *attention.Model
-	pending  []serve.Event
-	batchBuf []byte // reused binary rank batch request frame
-	fbBuf    []byte // reused binary feedback batch request frame
-
-	latencies []time.Duration            // browse-path samples
-	queryLats []time.Duration            // query-path samples
-	armLats   map[string][]time.Duration // per-serving-arm samples
+	cfg       Config
+	idx       int
+	base      string // current front-door base URL (moves on failover)
+	rng       *randutil.RNG
+	att       *attention.Model
+	pending   []serve.Event
+	latencies []time.Duration // one per completed rank request
 	report    Report
 }
 
@@ -280,16 +186,14 @@ func Run(cfg Config) (*Report, error) {
 	}
 	workers := make([]*worker, cfg.Workers)
 	var wg sync.WaitGroup
-	before := sampleStats(cfg)
 	start := time.Now()
 	for i := range workers {
 		w := &worker{
-			cfg:     cfg,
-			idx:     i,
-			base:    cfg.BaseURL,
-			rng:     randutil.New(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15),
-			att:     att,
-			armLats: map[string][]time.Duration{},
+			cfg:  cfg,
+			idx:  i,
+			base: cfg.BaseURL,
+			rng:  randutil.New(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15),
+			att:  att,
 		}
 		workers[i] = w
 		// Split the request budget evenly; the first workers take the
@@ -305,10 +209,8 @@ func Run(cfg Config) (*Report, error) {
 		}()
 	}
 	wg.Wait()
-	total := &Report{Duration: time.Since(start), Arms: map[string]PathReport{}}
-	after := sampleStats(cfg)
-	var browse, query []time.Duration
-	armLats := map[string][]time.Duration{}
+	total := &Report{Duration: time.Since(start)}
+	var all []time.Duration
 	for _, w := range workers {
 		total.Requests += w.report.Requests
 		total.Errors += w.report.Errors
@@ -322,97 +224,30 @@ func Run(cfg Config) (*Report, error) {
 		total.Unavailable503 += w.report.Unavailable503
 		total.Reconnects += w.report.Reconnects
 		total.Failovers += w.report.Failovers
-		browse = append(browse, w.latencies...)
-		query = append(query, w.queryLats...)
-		for arm, lats := range w.armLats {
-			armLats[arm] = append(armLats[arm], lats...)
-		}
+		all = append(all, w.latencies...)
 	}
 	if total.Duration > 0 {
 		total.QPS = float64(total.Requests) / total.Duration.Seconds()
 	}
-	all := make([]time.Duration, 0, len(browse)+len(query))
-	all = append(all, browse...)
-	all = append(all, query...)
 	if len(all) > 0 {
-		overall := pathStats(all)
-		total.P50, total.P90, total.P99, total.Max = overall.P50, overall.P90, overall.P99, overall.Max
-	}
-	secs := total.Duration.Seconds()
-	withQPS := func(pr PathReport) PathReport {
-		if secs > 0 {
-			pr.QPS = float64(pr.Requests) / secs
-		}
-		return pr
-	}
-	total.Browse = withQPS(pathStats(browse))
-	total.Query = withQPS(pathStats(query))
-	for arm, lats := range armLats {
-		total.Arms[arm] = withQPS(pathStats(lats))
-	}
-	if secs > 0 {
-		total.AcksPerSec = float64(total.FeedbackEvents) / secs
-		if before != nil && after != nil && before.WAL != nil && after.WAL != nil {
-			total.FsyncsPerSec = float64(after.WAL.Syncs-before.WAL.Syncs) / secs
-			if commits := after.WAL.Commits - before.WAL.Commits; commits > 0 {
-				total.MeanCommitRecords = float64(after.WAL.Records-before.WAL.Records) / float64(commits)
-			}
-		}
-	}
-	if before != nil && after != nil {
-		total.ColdQueries = after.QueryCacheMisses - before.QueryCacheMisses
-		total.BlocksSkipped = after.BlocksSkipped - before.BlocksSkipped
-		total.CandidatesPruned = after.CandidatesPruned - before.CandidatesPruned
-		total.ZACandidates = after.ZACandidates - before.ZACandidates
+		slices.Sort(all)
+		total.P50 = percentile(all, 0.50)
+		total.P90 = percentile(all, 0.90)
+		total.P99 = percentile(all, 0.99)
+		total.Max = all[len(all)-1]
 	}
 	return total, nil
 }
 
-// sampleStats reads the service's process-lifetime counters from
-// /v1/stats — the WAL group-commit totals and the cold-path pruning
-// counters, whose before/after deltas give exact per-run measurements.
-// Nil when the endpoint is unreachable or answers malformed.
-func sampleStats(cfg Config) *serve.StatsResponse {
-	resp, err := cfg.Client.Get(cfg.BaseURL + "/v1/stats")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	var stats serve.StatsResponse
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&stats) != nil {
-		return nil
-	}
-	return &stats
-}
-
-// pathStats sorts the samples in place and summarizes them.
-func pathStats(lat []time.Duration) PathReport {
-	pr := PathReport{Requests: len(lat)}
-	if len(lat) == 0 {
-		return pr
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pr.P50 = percentile(lat, 0.50)
-	pr.P90 = percentile(lat, 0.90)
-	pr.P99 = percentile(lat, 0.99)
-	pr.Max = lat[len(lat)-1]
-	return pr
-}
-
 // percentile reads the p-quantile from an ascending-sorted sample.
 func percentile(sorted []time.Duration, p float64) time.Duration {
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	return sorted[int(p*float64(len(sorted)-1))]
 }
 
 func (w *worker) run(requests int) {
-	if w.cfg.Batch > 1 {
-		w.runBatched(requests)
-		return
-	}
 	for i := 0; i < requests; i++ {
-		query, unit, isQuery := w.draw()
-		items, arm, err := w.rank(query, unit, isQuery)
+		query, unit := w.draw()
+		items, arm, err := w.rank(query, unit)
 		if err != nil {
 			w.report.Errors++
 			continue
@@ -427,45 +262,18 @@ func (w *worker) run(requests int) {
 }
 
 // draw picks the next simulated request: the query path with probability
-// QueryFraction, and a stable simulated-user identity so the service's
+// queryFraction, and a stable simulated-user identity so the service's
 // deterministic unit bucketing keeps every user on one arm across the
 // run.
-func (w *worker) draw() (query, unit string, isQuery bool) {
+func (w *worker) draw() (query, unit string) {
 	query = w.cfg.Query
-	if len(w.cfg.Queries) > 0 && w.rng.Bernoulli(w.cfg.QueryFraction) {
-		query, isQuery = w.cfg.Queries[w.rng.Intn(len(w.cfg.Queries))], true
+	if len(w.cfg.Queries) > 0 && w.rng.Bernoulli(queryFraction) {
+		query = w.cfg.Queries[w.rng.Intn(len(w.cfg.Queries))]
 	}
 	if w.cfg.Units > 0 {
 		unit = fmt.Sprintf("w%d-u%d", w.idx, w.rng.Intn(w.cfg.Units))
 	}
-	return query, unit, isQuery
-}
-
-// runBatched is the binary batch driver: the worker's request budget is
-// consumed Batch sub-requests per HTTP call against /v1/rank/batch.
-func (w *worker) runBatched(requests int) {
-	reqs := make([]serve.RankRequest, 0, w.cfg.Batch)
-	isQuery := make([]bool, 0, w.cfg.Batch)
-	for done := 0; done < requests; {
-		n := min(w.cfg.Batch, requests-done)
-		reqs, isQuery = reqs[:0], isQuery[:0]
-		for i := 0; i < n; i++ {
-			query, unit, q := w.draw()
-			reqs = append(reqs, serve.RankRequest{Query: query, N: w.cfg.N, Unit: unit})
-			isQuery = append(isQuery, q)
-		}
-		done += n
-		if err := w.rankBatch(reqs, isQuery); err != nil {
-			// The whole batch failed together; each sub-request is one
-			// error, mirroring the per-request driver's accounting.
-			w.report.Errors += n
-			continue
-		}
-		if len(w.pending) >= w.cfg.FeedbackBatch {
-			w.flush()
-		}
-	}
-	w.flush()
+	return query, unit
 }
 
 // retryHint extracts the service's backoff hint from a refused
@@ -494,10 +302,10 @@ func retryHint(resp *http.Response, body []byte) time.Duration {
 // Backoff time is accounted separately from request latency, which
 // callers measure per attempt. The returned response (when non-nil) has
 // status 2xx and an open body the caller must close.
-func (w *worker) post(path, contentType string, body []byte) (*http.Response, error) {
+func (w *worker) post(path string, body []byte) (*http.Response, error) {
 	backoff := w.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
-		resp, err := w.cfg.Client.Post(w.base+path, contentType, bytes.NewReader(body))
+		resp, err := client.Post(w.base+path, "application/json", bytes.NewReader(body))
 		retryAfter := time.Duration(0)
 		if err == nil {
 			switch resp.StatusCode {
@@ -543,14 +351,14 @@ func (w *worker) post(path, contentType string, body []byte) (*http.Response, er
 	}
 }
 
-func (w *worker) rank(query, unit string, isQuery bool) ([]serve.RankedItem, string, error) {
+func (w *worker) rank(query, unit string) ([]serve.RankedItem, string, error) {
 	body, err := json.Marshal(serve.RankRequest{Query: query, N: w.cfg.N, Unit: unit})
 	if err != nil {
 		return nil, "", err
 	}
 	start := time.Now()
 	backoffBefore := w.report.BackoffTime
-	resp, err := w.post("/v1/rank", "application/json", body)
+	resp, err := w.post("/v1/rank", body)
 	if err != nil {
 		return nil, "", err
 	}
@@ -568,63 +376,8 @@ func (w *worker) rank(query, unit string, isQuery bool) ([]serve.RankedItem, str
 	// subtracted out — it is reported as BackoffTime, not smeared into
 	// the service's latency percentiles.
 	lat := time.Since(start) - (w.report.BackoffTime - backoffBefore)
-	if lat < 0 {
-		lat = 0
-	}
-	if isQuery {
-		w.queryLats = append(w.queryLats, lat)
-	} else {
-		w.latencies = append(w.latencies, lat)
-	}
-	w.armLats[rr.Arm] = append(w.armLats[rr.Arm], lat)
+	w.latencies = append(w.latencies, max(lat, 0))
 	return rr.Results, rr.Arm, nil
-}
-
-// rankBatch issues one binary-framed batch call and feeds every
-// sub-response through the same observation loop as the per-request
-// driver. The batch's wall-clock latency (minus retry backoff) is
-// recorded once per sub-request, so percentiles stay comparable across
-// driver modes at equal batch cost.
-func (w *worker) rankBatch(reqs []serve.RankRequest, isQuery []bool) error {
-	body := serve.AppendRankBatchRequest(w.batchBuf[:0], reqs)
-	w.batchBuf = body
-	start := time.Now()
-	backoffBefore := w.report.BackoffTime
-	resp, err := w.post("/v1/rank/batch", serve.BatchContentType, body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return fmt.Errorf("loadgen: /v1/rank/batch status %d", resp.StatusCode)
-	}
-	frame, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	resps, err := serve.DecodeRankBatchResponse(frame)
-	if err != nil {
-		return err
-	}
-	if len(resps) != len(reqs) {
-		return fmt.Errorf("loadgen: batch returned %d responses for %d requests", len(resps), len(reqs))
-	}
-	lat := time.Since(start) - (w.report.BackoffTime - backoffBefore)
-	if lat < 0 {
-		lat = 0
-	}
-	for i, rr := range resps {
-		w.report.Requests++
-		if isQuery[i] {
-			w.queryLats = append(w.queryLats, lat)
-		} else {
-			w.latencies = append(w.latencies, lat)
-		}
-		w.armLats[rr.Arm] = append(w.armLats[rr.Arm], lat)
-		w.observe(rr.Results, rr.Arm, reqs[i].Unit)
-	}
-	return nil
 }
 
 // observe simulates one user on one result list: every served slot is an
@@ -654,27 +407,17 @@ func (w *worker) flush() {
 		return
 	}
 	n := len(w.pending)
-	path, contentType := "/v1/feedback", "application/json"
-	var body []byte
-	if w.cfg.FeedbackBinary {
-		path, contentType = "/v1/feedback/batch", serve.BatchContentType
-		body = serve.AppendFeedbackBatchRequest(w.fbBuf[:0], w.pending)
-		w.fbBuf = body
-	} else {
-		var err error
-		body, err = json.Marshal(serve.FeedbackRequest{Events: w.pending})
-		if err != nil {
-			w.pending = w.pending[:0]
-			w.report.Errors++
-			return
-		}
-	}
+	body, err := json.Marshal(serve.FeedbackRequest{Events: w.pending})
 	w.pending = w.pending[:0]
+	if err != nil {
+		w.report.Errors++
+		return
+	}
 	// post retries 429 (queue full, rate limited) and 503 (durability
 	// failure) with backoff: under a flash crowd the events eventually
 	// land — or the run honestly reports them as errors, never as
 	// silently dropped acks.
-	resp, err := w.post(path, contentType, body)
+	resp, err := w.post("/v1/feedback", body)
 	if err != nil {
 		w.report.Errors++
 		return

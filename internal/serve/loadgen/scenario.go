@@ -215,7 +215,7 @@ func (r *ScenarioResult) fillCounters(c *serve.Corpus, rec *AckRecorder) {
 
 // fetchRanking fetches one seeded, arm-forced ranking and returns the
 // result ids in served order.
-func fetchRanking(client *http.Client, baseURL, query, arm string, n int, seed uint64) ([]int, error) {
+func fetchRanking(baseURL, query, arm string, n int, seed uint64) ([]int, error) {
 	body, err := json.Marshal(serve.RankRequest{Query: query, N: n, Arm: arm, Seed: &seed})
 	if err != nil {
 		return nil, err
@@ -243,15 +243,14 @@ func fetchRanking(client *http.Client, baseURL, query, arm string, n int, seed u
 // shared seed per pair, so both rank the same corpus state with the
 // same randomness budget) and aggregates their rank divergence.
 func probeDivergence(baseURL, query string, n, probes int, seed uint64) (*DivergenceReport, error) {
-	client := &http.Client{Timeout: 10 * time.Second}
 	as := make([][]int, 0, probes)
 	bs := make([][]int, 0, probes)
 	for p := 0; p < probes; p++ {
-		a, err := fetchRanking(client, baseURL, query, "control", n, seed+uint64(p))
+		a, err := fetchRanking(baseURL, query, "control", n, seed+uint64(p))
 		if err != nil {
 			return nil, err
 		}
-		b, err := fetchRanking(client, baseURL, query, "explore", n, seed+uint64(p))
+		b, err := fetchRanking(baseURL, query, "explore", n, seed+uint64(p))
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +261,7 @@ func probeDivergence(baseURL, query string, n, probes int, seed uint64) (*Diverg
 
 // postFeedback posts one raw feedback batch, returning the HTTP status
 // (0 on transport error).
-func postFeedback(client *http.Client, baseURL string, events []serve.Event) int {
+func postFeedback(baseURL string, events []serve.Event) int {
 	body, err := json.Marshal(serve.FeedbackRequest{Events: events})
 	if err != nil {
 		return 0
@@ -391,14 +390,13 @@ func runClickFraud(opts ScenarioOptions) (*ScenarioResult, error) {
 	attack.Add(1)
 	go func() {
 		defer attack.Done()
-		client := &http.Client{Timeout: 10 * time.Second}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			postFeedback(client, srv.URL, []serve.Event{
+			postFeedback(srv.URL, []serve.Event{
 				{Page: fraudJunkID, Slot: 1, Impressions: 1, Clicks: 1, Unit: "fraud-bot"},
 				{Page: fraudJunkID, Slot: 1, Impressions: 1, Clicks: 1}, // anonymous
 			})
@@ -839,7 +837,6 @@ func runLeaderKill(opts ScenarioOptions) (*ScenarioResult, error) {
 		probePage++
 	}
 
-	client := &http.Client{Timeout: 10 * time.Second}
 	const divProbes = 6
 
 	// Honest traffic in the background, resolving the front door afresh
@@ -876,7 +873,7 @@ func runLeaderKill(opts ScenarioOptions) (*ScenarioResult, error) {
 	// the run's own feedback did.
 	pre := make([][]int, 0, divProbes)
 	for p := 0; p < divProbes; p++ {
-		ids, err := fetchRanking(client, baseURL, "", "control", 12, opts.Seed+uint64(p))
+		ids, err := fetchRanking(baseURL, "", "control", 12, opts.Seed+uint64(p))
 		if err != nil {
 			return nil, err
 		}
@@ -898,7 +895,7 @@ func runLeaderKill(opts ScenarioOptions) (*ScenarioResult, error) {
 	// door acks a shard-0 write again.
 	surv := cl.FirstAliveFrontDoor()
 	probe := []serve.Event{{Page: probePage, Slot: 1, Impressions: 1, Unit: "outage-probe"}}
-	for postFeedback(client, surv, probe) != http.StatusAccepted {
+	for postFeedback(surv, probe) != http.StatusAccepted {
 		if time.Since(killAt) > 15*time.Second {
 			break
 		}
@@ -909,7 +906,7 @@ func runLeaderKill(opts ScenarioOptions) (*ScenarioResult, error) {
 	// Post-failover rankings, same seeds, from a surviving door.
 	post := make([][]int, 0, divProbes)
 	for p := 0; p < divProbes; p++ {
-		ids, err := fetchRanking(client, surv, "", "control", 12, opts.Seed+uint64(p))
+		ids, err := fetchRanking(surv, "", "control", 12, opts.Seed+uint64(p))
 		if err != nil {
 			return nil, err
 		}

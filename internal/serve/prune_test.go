@@ -70,9 +70,10 @@ func assertSameInts(t *testing.T, got, want []int, context string) {
 // and queries, the pruned top-K assembly must equal the full-scan
 // reference id for id — deterministic side AND pool-eligible side.
 // Every corpus indexes more than 256 distinct terms (each page carries
-// a unique term), so the delta overlay folds mid-history and the
-// property covers bounds recomputed at folds, bounds raised through the
-// cached-ref fast path between folds, and tombstoned terms.
+// a unique term), so the property covers many short posting lists
+// beside long ones, bounds raised by clicks through Index.Raise, bounds
+// recomputed exactly when a removal deletes from a block, and terms
+// whose last document was removed.
 func TestPrunedQueryMatchesFullScanProperty(t *testing.T) {
 	rng := randutil.New(20250808)
 	for trial := 0; trial < 12; trial++ {
@@ -104,11 +105,10 @@ func TestPrunedQueryMatchesFullScanProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Interleave click history, removals and late additions so the
-		// scan races through every bound regime: exact bounds computed at
-		// insert, bounds raised monotonically by clicks (promotions flip
-		// pool membership), tombstones from removals, and fold-tightened
-		// bounds once the overlay spills.
+		// Interleave click history and removals so the scan races
+		// through every bound regime: exact bounds computed at insert,
+		// bounds raised monotonically by clicks (promotions flip pool
+		// membership), and bounds recomputed by removals.
 		removed := make(map[int]bool)
 		for round := 0; round < 4; round++ {
 			events := make([]Event, 0, 64)
@@ -155,13 +155,12 @@ func TestPrunedQueryMatchesFullScanProperty(t *testing.T) {
 }
 
 // TestConcurrentBoundRaisesDuringRank hammers the pruned rank path
-// while click feedback concurrently raises block bounds through the
-// cached-ref fast path and late adds rebuild posting lists (growing
-// bounds arrays and folding the delta overlay). Run under -race this
-// exercises the rebuild seqlock, the atomic bound raises and the shared
-// bounds arrays; the assertions check every response stays well-formed
-// and the deterministic results non-pool pages, while quiescent checks
-// pin final exactness.
+// while click feedback concurrently raises block bounds through
+// Index.Raise and late adds append to posting lists (growing their
+// bounds arrays). Run under -race this exercises bound raises and list
+// growth racing readers of the published term table and bounds arrays;
+// the assertions check every response stays well-formed, while
+// quiescent checks pin final exactness.
 func TestConcurrentBoundRaisesDuringRank(t *testing.T) {
 	const (
 		nDocs   = 800
@@ -205,7 +204,7 @@ func TestConcurrentBoundRaisesDuringRank(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // adder: posting rebuilds, bounds growth, delta folds
+	go func() { // adder: posting appends, bounds growth
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			id := nDocs + i
@@ -237,8 +236,8 @@ func TestConcurrentBoundRaisesDuringRank(t *testing.T) {
 	c.Sync()
 
 	// Quiescent: the pruned assembly must again match the reference
-	// exactly, bounds having been raised only through the concurrent
-	// fast path above.
+	// exactly, bounds having been raised only by the concurrent clicks
+	// above.
 	for _, q := range queries {
 		wantDet, wantPool := refQueryCandidates(c, q, 10, true)
 		gotDet, gotPool := prunedQueryCandidates(c, q, 10)

@@ -37,8 +37,7 @@ func appendAddRecord(dst []byte, a AddRecord, nanos int64) []byte {
 	dst = binary.AppendVarint(dst, int64(a.ID))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Popularity))
 	dst = binary.AppendVarint(dst, int64(a.Birth))
-	dst = binary.AppendUvarint(dst, uint64(len(a.Text)))
-	return append(dst, a.Text...)
+	return store.AppendString(dst, a.Text)
 }
 
 // appendRemoveRecord encodes a page removal stamped at nanos.
@@ -60,8 +59,7 @@ func appendEventRecord(dst []byte, e Event, nanos int64) []byte {
 	dst = binary.AppendVarint(dst, int64(e.Slot))
 	dst = binary.AppendVarint(dst, int64(e.Impressions))
 	dst = binary.AppendVarint(dst, int64(e.Clicks))
-	dst = binary.AppendUvarint(dst, uint64(len(e.Arm)))
-	return append(dst, e.Arm...)
+	return store.AppendString(dst, e.Arm)
 }
 
 // decodeWALRecord parses one frame payload with the same strict cursor

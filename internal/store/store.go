@@ -483,7 +483,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 	for i := range s.Pages {
 		p := &s.Pages[i]
 		b = binary.AppendVarint(b, int64(p.ID))
-		b = appendString(b, p.Text)
+		b = AppendString(b, p.Text)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Popularity))
 		b = binary.AppendVarint(b, int64(p.Birth))
 		if p.Aware {
@@ -503,7 +503,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Arms)))
 	for _, a := range s.Arms {
-		b = appendString(b, a.Name)
+		b = AppendString(b, a.Name)
 		b = binary.AppendUvarint(b, a.Impressions)
 		b = binary.AppendUvarint(b, a.Clicks)
 		b = binary.AppendUvarint(b, a.Discoveries)
@@ -511,11 +511,6 @@ func encodeSnapshot(s *Snapshot) []byte {
 		b = binary.AppendUvarint(b, a.TTFCCount)
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
 }
 
 // errSnap wraps every decode failure.
@@ -624,6 +619,13 @@ func (r *BinReader) Byte() byte {
 	v := r.data[r.off]
 	r.off++
 	return v
+}
+
+// AppendString appends s as a uvarint length followed by its bytes:
+// the writer twin of BinReader.String.
+func AppendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // String decodes one uvarint-length-prefixed string (copied out, so it
