@@ -90,8 +90,8 @@ type leaderVerdict struct {
 }
 
 // serveFeedback decodes and validates a feedback post ONCE, exactly as
-// the endpoint it arrived on would (batch: /v1/feedback/batch, either
-// codec), splits the events by shard leader and forwards every
+// the endpoint it arrived on would (batch: /v1/feedback/batch, binary
+// framing only), splits the events by shard leader and forwards every
 // sub-batch at the same time, one post per leader (postFeedback: the
 // binary batch framing), so the post costs the slowest leader's
 // commit-and-quorum wait rather than the sum of them, and each leader
@@ -154,7 +154,7 @@ func (fd *FrontDoor) serveFeedback(w http.ResponseWriter, r *http.Request, batch
 			return
 		}
 	}
-	if batch && contentType == serve.BatchContentType {
+	if batch {
 		w.Header().Set("Content-Type", serve.BatchContentType)
 		w.WriteHeader(http.StatusAccepted)
 		_, _ = w.Write(serve.AppendFeedbackBatchResponse(nil, len(events)))

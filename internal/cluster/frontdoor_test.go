@@ -59,11 +59,16 @@ func TestFrontDoorRoutesBinaryBatch(t *testing.T) {
 	if n, err := serve.DecodeFeedbackBatchResponse(reply); err != nil || n != pages {
 		t.Fatalf("binary ack: accepted %d, %v; want %d", n, err, pages)
 	}
-	// The JSON flavour of the same endpoint takes the same road.
-	if status, ct, reply = post([]byte(`{"events":[{"page":1,"slot":1,"impressions":1,"clicks":1},{"page":2,"slot":1,"impressions":1,"clicks":1}]}`), "application/json"); status != http.StatusAccepted || string(reply) != "{\"accepted\":2}\n" {
-		t.Fatalf("JSON batch: status %d (%s): %s", status, ct, reply)
+	// A batch on fewer leaders takes the same road.
+	status, ct, reply = post(serve.AppendFeedbackBatchRequest(nil, feedbackEvents([]int{1, 2}, 1)), serve.BatchContentType)
+	if n, err := serve.DecodeFeedbackBatchResponse(reply); status != http.StatusAccepted || ct != serve.BatchContentType || err != nil || n != 2 {
+		t.Fatalf("two-event batch: status %d (%s), accepted %d, %v: %s", status, ct, n, err, reply)
 	}
-	// Its own validation, worded by the endpoint it arrived on.
+	// Its own validation, worded by the endpoint it arrived on: the
+	// binary framing only, non-empty, and errors naming the event.
+	if status, _, reply = post([]byte(`{"events":[{"page":1,"slot":1}]}`), "application/json"); status != http.StatusBadRequest || !bytes.Contains(reply, []byte(serve.BatchContentType)) {
+		t.Fatalf("JSON batch: status %d: %s", status, reply)
+	}
 	if status, _, reply = post(serve.AppendFeedbackBatchRequest(nil, nil), serve.BatchContentType); status != http.StatusBadRequest || !bytes.Contains(reply, []byte("empty batch")) {
 		t.Fatalf("empty binary batch: status %d: %s", status, reply)
 	}

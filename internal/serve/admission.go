@@ -1,8 +1,7 @@
 // Admission control and abuse defenses for the serving path: bounded
-// feedback admission with overload (degraded-mode) tracking, per-client
-// token-bucket rate limiting, and click-provenance checks that keep
-// coordinated click fraud from laundering junk pages out of the
-// zero-awareness pool.
+// feedback admission, per-client token-bucket rate limiting, and
+// click-provenance checks that keep coordinated click fraud from
+// laundering junk pages out of the zero-awareness pool.
 //
 // Everything here runs BEFORE the write-ahead log: a rejected request is
 // never logged, a provenance-stripped click never reaches a shard, so
@@ -22,32 +21,6 @@ import (
 // nothing was enqueued (admission is all-or-nothing across shards), so
 // the client may retry the whole batch.
 var ErrOverloaded = errors.New("serve: feedback queue full")
-
-// overloadState tracks the corpus's degraded mode and its counters.
-// Degraded mode is a hold window extended by every overload signal
-// (a shed feedback batch): while it lasts, the query path prefers the
-// last-epoch cached candidates over cold rebuilds — stale-but-fast.
-type overloadState struct {
-	until        atomic.Int64  // unix nanos the degraded hold expires at
-	rejected     atomic.Uint64 // feedback batches refused with ErrOverloaded
-	staleServed  atomic.Uint64 // rank requests served from a stale cache entry
-	shedRebuilds atomic.Uint64 // cold rebuilds skipped while degraded
-}
-
-// DefaultDegradedHold is how long the corpus stays in degraded mode
-// after the last overload signal when Config.Limits.DegradedHold is zero.
-const DefaultDegradedHold = 3 * time.Second
-
-// noteOverload (re)starts the degraded hold window.
-func (c *Corpus) noteOverload() {
-	c.over.until.Store(time.Now().Add(c.cfg.Limits.DegradedHold).UnixNano())
-}
-
-// Degraded reports whether the corpus is currently in the degraded
-// (load-shedding, stale-serving) mode.
-func (c *Corpus) Degraded() bool {
-	return time.Now().UnixNano() < c.over.until.Load()
-}
 
 // tryAcquire reserves one feedback-queue credit on the shard, failing
 // when the credited in-flight batches already fill the queue plus the

@@ -98,7 +98,8 @@ func TestErrorEnvelopeRoundTrips(t *testing.T) {
 	srv := NewServer(c)
 
 	longBatch, _ := json.Marshal(RankBatchRequest{Requests: make([]RankRequest, MaxBatchRequests+1)})
-	longFeedbackBatch, _ := json.Marshal(FeedbackRequest{Events: make([]Event, MaxFeedbackBatchEvents+1)})
+	longFeedbackBatch := AppendFeedbackBatchRequest(nil, make([]Event, MaxFeedbackBatchEvents+1))
+	badEventBatch := AppendFeedbackBatchRequest(nil, []Event{{Page: 1, Slot: 1}, {Page: 2, Slot: 0}})
 	cases := []struct {
 		name, method, path, contentType string
 		body                            []byte
@@ -125,11 +126,9 @@ func TestErrorEnvelopeRoundTrips(t *testing.T) {
 			[]byte(`{"requests":[{"n":5},{"n":-1}]}`), 400, ErrCodeBadRequest},
 		{"batch bad binary frame", http.MethodPost, "/v1/rank/batch", BatchContentType, []byte{0xff, 0x01, 0x02}, 400, ErrCodeBadRequest},
 		{"feedback batch method", http.MethodGet, "/v1/feedback/batch", "", nil, 405, ErrCodeMethodNotAllowed},
-		{"feedback batch bad json", http.MethodPost, "/v1/feedback/batch", "application/json", []byte("{not json"), 400, ErrCodeBadRequest},
-		{"feedback batch empty", http.MethodPost, "/v1/feedback/batch", "application/json", []byte(`{"events":[]}`), 400, ErrCodeBadRequest},
-		{"feedback batch oversized", http.MethodPost, "/v1/feedback/batch", "application/json", longFeedbackBatch, 400, ErrCodeBadRequest},
-		{"feedback batch bad event", http.MethodPost, "/v1/feedback/batch", "application/json",
-			[]byte(`{"events":[{"page":1,"slot":1},{"page":2,"slot":0}]}`), 400, ErrCodeBadRequest},
+		{"feedback batch empty", http.MethodPost, "/v1/feedback/batch", BatchContentType, AppendFeedbackBatchRequest(nil, nil), 400, ErrCodeBadRequest},
+		{"feedback batch oversized", http.MethodPost, "/v1/feedback/batch", BatchContentType, longFeedbackBatch, 400, ErrCodeBadRequest},
+		{"feedback batch bad event", http.MethodPost, "/v1/feedback/batch", BatchContentType, badEventBatch, 400, ErrCodeBadRequest},
 		{"feedback batch bad binary frame", http.MethodPost, "/v1/feedback/batch", BatchContentType, []byte{0xff, 0x01}, 400, ErrCodeBadRequest},
 	}
 	for _, tc := range cases {
@@ -154,10 +153,16 @@ func TestErrorEnvelopeRoundTrips(t *testing.T) {
 	if info := decodeEnvelope(t, w); !strings.Contains(info.Message, "request 1") {
 		t.Fatalf("batch error message %q does not name the sub-request", info.Message)
 	}
-	w = do(t, srv, http.MethodPost, "/v1/feedback/batch", "application/json",
-		[]byte(`{"events":[{"page":1,"slot":1},{"page":2,"slot":0}]}`))
+	w = do(t, srv, http.MethodPost, "/v1/feedback/batch", BatchContentType, badEventBatch)
 	if info := decodeEnvelope(t, w); !strings.Contains(info.Message, "event 1") {
 		t.Fatalf("feedback batch error message %q does not name the event", info.Message)
+	}
+	// The feedback batch endpoint takes only the binary framing: a JSON
+	// body, however valid, is refused with a message naming the type.
+	w = do(t, srv, http.MethodPost, "/v1/feedback/batch", "application/json",
+		[]byte(`{"events":[{"page":1,"slot":1}]}`))
+	if info := decodeEnvelope(t, w); w.Code != http.StatusBadRequest || info.Code != ErrCodeBadRequest || !strings.Contains(info.Message, BatchContentType) {
+		t.Fatalf("JSON feedback batch: status %d envelope %+v, want 400 bad_request naming %s", w.Code, info, BatchContentType)
 	}
 }
 
@@ -335,9 +340,10 @@ func TestRankBatchJSONBinaryEquivalence(t *testing.T) {
 }
 
 // TestFeedbackBatchJSONBinaryEquivalence ingests the same events through
-// both feedback batch codecs: both 202, both fold every event into the
-// corpus, the binary acknowledgment is byte-identical to the package
-// encoder, and the endpoint has no legacy alias.
+// both feedback codecs — JSON /v1/feedback and binary
+// /v1/feedback/batch: both 202, both fold every event into the corpus,
+// the binary acknowledgment is byte-identical to the package encoder,
+// and the batch endpoint has no legacy alias.
 func TestFeedbackBatchJSONBinaryEquivalence(t *testing.T) {
 	c := newTestCorpus(t, Config{Shards: 2, Seed: 13})
 	for i := 0; i < 8; i++ {
@@ -354,16 +360,16 @@ func TestFeedbackBatchJSONBinaryEquivalence(t *testing.T) {
 		{Page: 2, Slot: 1, Impressions: 3, Clicks: 3},
 	}
 	jsonBody, _ := json.Marshal(FeedbackRequest{Events: events})
-	jw := do(t, srv, http.MethodPost, "/v1/feedback/batch", "application/json", jsonBody)
+	jw := do(t, srv, http.MethodPost, "/v1/feedback", "application/json", jsonBody)
 	if jw.Code != http.StatusAccepted {
-		t.Fatalf("JSON feedback batch: %d %s", jw.Code, jw.Body.String())
+		t.Fatalf("JSON feedback: %d %s", jw.Code, jw.Body.String())
 	}
 	var jresp FeedbackResponse
 	if err := json.Unmarshal(jw.Body.Bytes(), &jresp); err != nil {
 		t.Fatal(err)
 	}
 	if jresp.Accepted != len(events) {
-		t.Fatalf("JSON feedback batch accepted %d, want %d", jresp.Accepted, len(events))
+		t.Fatalf("JSON feedback accepted %d, want %d", jresp.Accepted, len(events))
 	}
 
 	binBody := AppendFeedbackBatchRequest(nil, events)
@@ -386,7 +392,7 @@ func TestFeedbackBatchJSONBinaryEquivalence(t *testing.T) {
 			bw.Body.Bytes(), want)
 	}
 
-	// Both batches folded in: every impression and click applied, twice.
+	// Both posts folded in: every impression and click applied, twice.
 	c.Sync()
 	stats := c.Stats()
 	if stats.ImpressionsApplied != 2*(5+7+3) || stats.ClicksApplied != 2*(1+0+3) {
@@ -395,7 +401,7 @@ func TestFeedbackBatchJSONBinaryEquivalence(t *testing.T) {
 	}
 
 	// The batch endpoint is new with /v1: no legacy alias exists.
-	if w := do(t, srv, http.MethodPost, "/feedback/batch", "application/json", jsonBody); w.Code != http.StatusNotFound {
+	if w := do(t, srv, http.MethodPost, "/feedback/batch", BatchContentType, binBody); w.Code != http.StatusNotFound {
 		t.Fatalf("legacy /feedback/batch answered %d, want 404 (new endpoint, no alias)", w.Code)
 	}
 }

@@ -32,7 +32,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative topk", Config{TopK: -8}, "TopK"},
 		{"negative poolcap", Config{PoolCap: -2}, "PoolCap"},
 		{"negative queuelen", Config{QueueLen: -1}, "QueueLen"},
-		{"negative cache size disables, not errors", Config{QueryCacheSize: -1}, ""},
 		{"bad policy k", Config{Policy: selectiveSpec(0, 0.1)}, "k must be"},
 		{"bad policy r", Config{Policy: selectiveSpec(1, 1.5)}, "r must be"},
 		{"unnamed arm", Config{Arms: []Arm{{Policy: policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.1}, Weight: 1}}}, "no name"},

@@ -19,13 +19,7 @@ import (
 // the rest with Zipf-shaped popularity — the serving benchmark's steady
 // state.
 func benchCorpus(b *testing.B) (*Corpus, int) {
-	return benchCorpusCache(b, 0)
-}
-
-// benchCorpusCache is benchCorpus with an explicit query-cache size
-// (0 = default on, negative = disabled).
-func benchCorpusCache(b *testing.B, cacheSize int) (*Corpus, int) {
-	return benchCorpusCfg(b, Config{Shards: 8, Seed: 1, QueryCacheSize: cacheSize})
+	return benchCorpusCfg(b, Config{Shards: 8, Seed: 1})
 }
 
 // benchCorpusCfg is the benchCorpus page set under an explicit Config.
@@ -163,7 +157,8 @@ func BenchmarkServeRankArms(b *testing.B) {
 // query pays. CI pins it to within 15x of the cached hot path
 // (BenchmarkServeRankQuery).
 func BenchmarkServeRankQueryUncached(b *testing.B) {
-	c, _ := benchCorpusCache(b, -1)
+	c, _ := benchCorpus(b)
+	c.qcache = nil
 	warmRank(b, c, "bench topic")
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -186,11 +181,12 @@ func BenchmarkServeRankQueryUncachedMatches(b *testing.B) {
 		n    int
 	}{{"n=1k", 1000}, {"n=10k", 10000}, {"n=100k", 100000}} {
 		b.Run(bc.name, func(b *testing.B) {
-			c, err := NewCorpus(Config{Shards: 8, Seed: 1, QueryCacheSize: -1})
+			c, err := NewCorpus(Config{Shards: 8, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.Cleanup(c.Close)
+			c.qcache = nil
 			for i := 0; i < bc.n; i++ {
 				pop := 0.0
 				if i%50 != 0 {
@@ -425,8 +421,8 @@ func BenchmarkServeRankDurable(b *testing.B) {
 // write plus single-batch shard queues keeps the apply loops pinned and
 // admission control shedding flooder batches with ErrOverloaded the
 // whole run. Rank reads lock-free snapshots and must stay at the
-// uncontended durable corpus's cost — this bench gates the isolation
-// claim behind graceful degradation.
+// uncontended durable corpus's cost — this bench gates the rank path's
+// isolation from write overload.
 func BenchmarkServeRankOverload(b *testing.B) {
 	n := 10000
 	if testing.Short() {

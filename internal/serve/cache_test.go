@@ -13,14 +13,16 @@ import (
 // the same mixed aware/zero-awareness pages.
 func twinCorpora(t *testing.T, pages int, pol policy.Spec, poolCap int) (cached, uncached *Corpus) {
 	t.Helper()
-	build := func(cacheSize int) *Corpus {
+	build := func(cache bool) *Corpus {
 		c := newTestCorpus(t, Config{
-			Shards:         4,
-			Seed:           33,
-			PoolCap:        poolCap,
-			Policy:         pol,
-			QueryCacheSize: cacheSize,
+			Shards:  4,
+			Seed:    33,
+			PoolCap: poolCap,
+			Policy:  pol,
 		})
+		if !cache {
+			c.qcache = nil
+		}
 		for i := 0; i < pages; i++ {
 			pop := float64(pages - i)
 			if i%3 == 0 {
@@ -33,7 +35,7 @@ func twinCorpora(t *testing.T, pages int, pol policy.Spec, poolCap int) (cached,
 		c.Sync()
 		return c
 	}
-	return build(0), build(-1)
+	return build(true), build(false)
 }
 
 // TestQueryCacheIdentity is the tentpole's semantics gate: at the same
@@ -168,7 +170,8 @@ func TestQueryCacheNormalization(t *testing.T) {
 // TestQueryCacheEviction keeps the cache bounded under many distinct
 // queries.
 func TestQueryCacheEviction(t *testing.T) {
-	c := newTestCorpus(t, Config{Shards: 1, Seed: 5, QueryCacheSize: 4})
+	c := newTestCorpus(t, Config{Shards: 1, Seed: 5})
+	c.qcache = newQueryCache(4)
 	for i := 0; i < 20; i++ {
 		if err := c.Add(i, fmt.Sprintf("evict shared term%d", i), float64(i+1)); err != nil {
 			t.Fatal(err)

@@ -328,18 +328,12 @@ func scanRankBatch(data []byte, reqs []RankRequest, seeds []uint64, arms map[str
 }
 
 // scanFeedback decodes a canonical feedback body, appending the events
-// to dst[:0]; false declines. batch is /v1/feedback/batch, which
-// refuses more than MaxFeedbackBatchEvents whatever they hold: past the
-// cap the scan declines, like scanRankBatch, and the fallback counts
-// them for the 400.
-func scanFeedback(data []byte, dst []Event, batch bool, arms map[string]*armState) ([]Event, bool) {
+// to dst[:0]; false declines.
+func scanFeedback(data []byte, dst []Event, arms map[string]*armState) ([]Event, bool) {
 	s := scanner{data: data}
 	dst = dst[:0]
 	none := Event{}
 	ok := s.wrapped("events", func() bool {
-		if batch && len(dst) > MaxFeedbackBatchEvents {
-			return false
-		}
 		prev := &none
 		if n := len(dst); n > 0 {
 			prev = &dst[n-1]
@@ -378,9 +372,9 @@ func decodeRankBatch(data []byte, sc *connScratch, arms map[string]*armState) ([
 // *pool (kept for the next request), or json.Unmarshal into a fresh
 // slice — never into the pool, whose stale elements Unmarshal would not
 // zero.
-func decodeFeedback(data []byte, pool *[]Event, batch bool, arms map[string]*armState) ([]Event, error) {
+func decodeFeedback(data []byte, pool *[]Event, arms map[string]*armState) ([]Event, error) {
 	var ok bool
-	if *pool, ok = scanFeedback(data, *pool, batch, arms); ok {
+	if *pool, ok = scanFeedback(data, *pool, arms); ok {
 		return *pool, nil
 	}
 	var body FeedbackRequest

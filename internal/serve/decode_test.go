@@ -140,16 +140,10 @@ func checkScanFeedback(t *testing.T, data []byte) bool {
 	var want FeedbackRequest
 	err := json.Unmarshal(data, &want)
 	body := bytes.Clone(data)
-	got, ok := scanFeedback(body, nil, false, testArms)
-	capped, okCapped := scanFeedback(body, nil, true, testArms)
+	got, ok := scanFeedback(body, nil, testArms)
 	scribble(body)
 	if ok && (err != nil || !sameList(got, want.Events)) {
 		t.Fatalf("feedback scanner took %q as %+v; encoding/json: %+v, %v", data, got, want.Events, err)
-	}
-	// The batch endpoint's scan differs in one way only: it declines a
-	// body past the event cap.
-	if okCapped != (ok && len(got) <= MaxFeedbackBatchEvents) || (okCapped && !sameList(capped, got)) {
-		t.Fatalf("batch feedback scanner: took=%v %d events, plain scanner took=%v %d events", okCapped, len(capped), ok, len(got))
 	}
 	return ok
 }
@@ -195,7 +189,7 @@ func TestScannerDeclinesTheRest(t *testing.T) {
 // consecutive events is one string, not one per event.
 func TestScannerInternsStrings(t *testing.T) {
 	body := []byte(`{"events":[{"arm":"treatment","unit":"u1"},{"arm":"treatment","unit":"u1"},{"arm":"x","unit":"u2"},{"arm":"x","unit":"u2"}]}`)
-	events, ok := scanFeedback(body, nil, false, testArms)
+	events, ok := scanFeedback(body, nil, testArms)
 	if !ok || len(events) != 4 {
 		t.Fatalf("declined: %v %d", ok, len(events))
 	}
@@ -206,7 +200,7 @@ func TestScannerInternsStrings(t *testing.T) {
 	if !same(events[1].Unit, events[0].Unit) || !same(events[3].Unit, events[2].Unit) || !same(events[3].Arm, events[2].Arm) {
 		t.Error("repeated arm/unit not shared with the previous event")
 	}
-	if n := testing.AllocsPerRun(100, func() { events, _ = scanFeedback(body, events, false, testArms) }); n > 3 {
+	if n := testing.AllocsPerRun(100, func() { events, _ = scanFeedback(body, events, testArms) }); n > 3 {
 		t.Errorf("scan into a warm pool allocates %v times, want <= 3 (u1, x, u2)", n)
 	}
 }
@@ -226,11 +220,11 @@ func TestScanIntoReusedPoolLeaksNothing(t *testing.T) {
 		`{"events":[]}`,
 		`{}`,
 	} {
-		pool, ok := scanFeedback([]byte(full), nil, false, testArms)
+		pool, ok := scanFeedback([]byte(full), nil, testArms)
 		if !ok {
 			t.Fatal("declined the full body")
 		}
-		got, ok := scanFeedback([]byte(second), pool, false, testArms)
+		got, ok := scanFeedback([]byte(second), pool, testArms)
 		var want FeedbackRequest
 		if err := json.Unmarshal([]byte(second), &want); err != nil || !ok {
 			t.Fatalf("%q: scanner %v, encoding/json %v", second, ok, err)
@@ -280,24 +274,20 @@ func TestScanIntoReusedPoolLeaksNothing(t *testing.T) {
 }
 
 // TestOversizedFeedbackIsNotPooled: an over-cap /v1/feedback/batch body
-// is counted by the fallback, never scanned in full, and answers the
-// same 400 as ever; an uncapped /v1/feedback post of the same size is
-// accepted, and the slice it scanned into is dropped when the scratch
-// goes back to the pool instead of staying there at that size.
+// is refused with a 400; an uncapped /v1/feedback post of the same size
+// is accepted, and the slice it scanned into is dropped when the
+// scratch goes back to the pool instead of staying there at that size.
 func TestOversizedFeedbackIsNotPooled(t *testing.T) {
 	const n = maxPooledEvents + 1
 	body := append([]byte(`{"events":[`), bytes.Repeat([]byte(`{"page":1,"slot":1},`), n)...)
 	body = append(body[:len(body)-1], "]}"...)
-	if got, ok := scanFeedback(body, nil, true, testArms); ok || len(got) > MaxFeedbackBatchEvents+1 {
-		t.Fatalf("batch scan: took=%v after %d events, want a decline at the cap", ok, len(got))
-	}
 
 	c := newTestCorpus(t, Config{Shards: 1, Seed: 1})
 	seedCorpus(t, c, 15, 900)
 	srv := NewServer(c)
-	w := do(t, srv, http.MethodPost, "/v1/feedback/batch", "application/json", body)
-	if want := fmt.Sprintf("batch of %d events exceeds %d", n, MaxFeedbackBatchEvents); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), want) {
-		t.Fatalf("over-cap batch: status %d %s, want 400 %q", w.Code, w.Body, want)
+	over := AppendFeedbackBatchRequest(nil, make([]Event, n))
+	if w := do(t, srv, http.MethodPost, "/v1/feedback/batch", BatchContentType, over); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "bad event count") {
+		t.Fatalf("over-cap batch: status %d %s, want 400 bad event count", w.Code, w.Body)
 	}
 	if w := do(t, srv, http.MethodPost, "/v1/feedback", "application/json", body); w.Code != http.StatusAccepted {
 		t.Fatalf("uncapped post: status %d %s", w.Code, w.Body)
@@ -382,7 +372,7 @@ func FuzzDecodeRankRequest(f *testing.F) {
 }
 
 // FuzzDecodeFeedbackRequest is the same for the feedback scanner, on
-// /v1/feedback and the JSON flavour of /v1/feedback/batch.
+// /v1/feedback.
 func FuzzDecodeFeedbackRequest(f *testing.F) {
 	for _, seeds := range [][]string{feedbackAccepted, feedbackDeclined} {
 		for _, s := range seeds {
@@ -395,7 +385,6 @@ func FuzzDecodeFeedbackRequest(f *testing.F) {
 			return
 		}
 		diffHandler(t, srv, "/v1/feedback", data)
-		diffHandler(t, srv, "/v1/feedback/batch", data)
 		c.Sync() // drain, so no run of accepted posts fills a queue into 429s
 	})
 }
@@ -437,7 +426,7 @@ func BenchmarkDecodeFeedback(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var ok bool
-			if pool, ok = scanFeedback(body, pool, false, arms); !ok || len(pool) != 20 {
+			if pool, ok = scanFeedback(body, pool, arms); !ok || len(pool) != 20 {
 				b.Fatal("declined")
 			}
 		}

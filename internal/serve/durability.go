@@ -363,10 +363,6 @@ type HealthReport struct {
 	Durable bool `json:"durable"`
 	// FsyncMode is the WAL durability mode in effect ("" in-memory).
 	FsyncMode string `json:"fsync_mode,omitempty"`
-	// Degraded reports overload mode: the corpus is shedding cold-query
-	// rebuilds and serving last-epoch candidates (stale-but-fast). Still
-	// a 200 at /healthz — degraded is a serving mode, not an outage.
-	Degraded bool `json:"degraded"`
 	// WALFailing reports that at least one shard's last WAL commit
 	// failed: feedback to it is being nacked, /healthz returns 503.
 	WALFailing bool `json:"wal_failing"`
@@ -408,7 +404,7 @@ func (c *Corpus) WALCounters() WALCounters {
 
 // Health reports queue depths and WAL lag per shard, read lock-free.
 func (c *Corpus) Health() HealthReport {
-	h := HealthReport{Ready: true, Durable: c.durable, Degraded: c.Degraded()}
+	h := HealthReport{Ready: true, Durable: c.durable}
 	if c.durable {
 		// Validate already vetted the mode string; round-tripping through
 		// the wal package keeps the default mapping in one place.

@@ -13,9 +13,9 @@
 //     on, the junk page's discovery count must stay 0 while honest
 //     discoveries stay within 10% of the no-attack baseline.
 //   - flash-crowd: a traffic spike hammers one query. Memory must stay
-//     bounded (admission control), /rank must keep serving (possibly
-//     stale) under a gated p99, and every refused feedback batch must
-//     have gotten a 429 — acked events equal applied events exactly.
+//     bounded (admission control), /rank must keep serving under a
+//     gated p99, and every refused feedback batch must have gotten a
+//     429 — acked events equal applied events exactly.
 //   - churn: pages are added and removed against the search index's
 //     live term table while traffic flows; removed pages must stay gone.
 //   - disk-storm: a mid-run fsync-error + disk-full storm, then a crash;
@@ -95,12 +95,9 @@ type ScenarioResult struct {
 
 	// Shed / overload / fault counters from the service.
 	FeedbackRejected uint64 // batches refused with 429 (queue full)
-	StaleServed      uint64 // rank requests served stale while degraded
-	ShedRebuilds     uint64 // cold rebuilds skipped while degraded
 	WALFailures      uint64 // nacked WAL commits
 	ProvenanceHeld   uint64 // clicks held awaiting quorum
 	ProvenanceCapped uint64 // clicks dropped by the per-unit cap
-	Degraded         bool   // degraded mode at run end
 
 	// Click-fraud accounting.
 	JunkDiscovered      bool  // junk page laundered into the ranking
@@ -143,8 +140,7 @@ func (r *ScenarioResult) String() string {
 	}
 	fmt.Fprintf(&b, "acked %d imp / %d clk, applied %d imp / %d clk\n",
 		r.AckedImpressions, r.AckedClicks, r.AppliedImpressions, r.AppliedClicks)
-	fmt.Fprintf(&b, "shed: rejected %d, stale served %d, rebuilds shed %d, wal failures %d, degraded %v\n",
-		r.FeedbackRejected, r.StaleServed, r.ShedRebuilds, r.WALFailures, r.Degraded)
+	fmt.Fprintf(&b, "shed: rejected %d, wal failures %d\n", r.FeedbackRejected, r.WALFailures)
 	if r.ProvenanceHeld > 0 || r.ProvenanceCapped > 0 {
 		fmt.Fprintf(&b, "provenance: held %d, capped %d\n", r.ProvenanceHeld, r.ProvenanceCapped)
 	}
@@ -202,12 +198,9 @@ func (r *ScenarioResult) fillCounters(c *serve.Corpus, rec *AckRecorder) {
 	st := c.Stats()
 	r.AppliedImpressions, r.AppliedClicks = st.ImpressionsApplied, st.ClicksApplied
 	r.FeedbackRejected = st.FeedbackRejected
-	r.StaleServed = st.StaleServed
-	r.ShedRebuilds = st.ShedRebuilds
 	r.WALFailures = st.WALFailures
 	r.ProvenanceHeld = st.ProvenanceHeld
 	r.ProvenanceCapped = st.ProvenanceCapped
-	r.Degraded = st.Degraded
 	if rec != nil {
 		r.AckedImpressions, r.AckedClicks = rec.Totals()
 	}

@@ -85,14 +85,14 @@ func TestPrunedQueryMatchesFullScanProperty(t *testing.T) {
 		nDocs := 300 + rng.Intn(400)
 		topics := 6 + rng.Intn(10)
 		c, err := NewCorpus(Config{
-			Shards:         1 + rng.Intn(4),
-			Seed:           rng.Uint64(),
-			QueryCacheSize: -1,
-			Arms:           []Arm{{Name: "t", Policy: pspec(rule, 4, 0.2, 0), Weight: 1}},
+			Shards: 1 + rng.Intn(4),
+			Seed:   rng.Uint64(),
+			Arms:   []Arm{{Name: "t", Policy: pspec(rule, 4, 0.2, 0), Weight: 1}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.qcache = nil
 		text := func(i int) string {
 			return fmt.Sprintf("common t%d t%d page%d", i%topics, (i/3)%topics, i)
 		}
@@ -168,13 +168,14 @@ func TestConcurrentBoundRaisesDuringRank(t *testing.T) {
 		rounds  = 300
 	)
 	c, err := NewCorpus(Config{
-		Shards: 4, Seed: 7, QueryCacheSize: -1,
+		Shards: 4, Seed: 7,
 		Arms: []Arm{{Name: "t", Policy: pspec("selective", 8, 0.3, 0), Weight: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.qcache = nil
 	text := func(i int) string { return fmt.Sprintf("common t%d page%d", i%7, i) }
 	for i := 0; i < nDocs; i++ {
 		pop := 0.0

@@ -87,8 +87,10 @@ func (sc *slotCounters) record(e Event) {
 	sc.clk[slot-1].Add(uint64(e.Clicks))
 }
 
-// Limits groups the admission-control and overload knobs: rate
-// limiting, click-provenance defenses, and degraded-mode behavior.
+// Limits groups the admission-control knobs: rate limiting and
+// click-provenance defenses. Feedback overload needs no knob: a batch
+// that finds a target shard's queue full is refused whole
+// (ErrOverloaded), and ranking always serves the current state.
 type Limits struct {
 	// RateLimitRPS enables per-client token-bucket rate limiting on the
 	// HTTP front end at this many requests per second per client (the
@@ -102,10 +104,6 @@ type Limits struct {
 	// admission path (see ProvenanceConfig). The zero value disables
 	// them.
 	Provenance ProvenanceConfig
-	// DegradedHold is how long the corpus stays in degraded
-	// (stale-serving, rebuild-shedding) mode after an overload signal
-	// (default DefaultDegradedHold; negative disables degraded mode).
-	DegradedHold time.Duration
 }
 
 // Durability groups the persistence knobs: the data directory, snapshot
@@ -164,11 +162,6 @@ type Config struct {
 	// QueueLen is each shard's feedback-queue capacity in batches
 	// (default 64). Senders block when it fills: backpressure, not loss.
 	QueueLen int
-	// QueryCacheSize bounds the hot-query candidate cache in entries
-	// (default 256). Negative disables the cache. The cache reuses a
-	// query's deterministic candidate assembly while the corpus is
-	// unchanged; promotion randomness stays per-request either way.
-	QueryCacheSize int
 	// Policy is the promotion policy applied per query when no Arms are
 	// declared. The zero Spec is replaced by policy.Recommended().
 	Policy policy.Spec
@@ -215,9 +208,8 @@ type Config struct {
 }
 
 // Validate reports the first problem with the configuration, or nil.
-// Zero sizing fields are legal (they select defaults) and a negative
-// QueryCacheSize disables the cache; any other negative size is an
-// error, caught here rather than panicking deep in shard setup. When
+// Zero sizing fields are legal (they select defaults); a negative size
+// is an error, caught here rather than panicking deep in shard setup. When
 // Arms are declared, Policy is ignored (the arms carry the policies), so
 // it is not checked; otherwise it is the implicit default arm's policy.
 func (c Config) Validate() error {
@@ -253,9 +245,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueLen <= 0 {
 		c.QueueLen = 64
 	}
-	if c.QueryCacheSize == 0 {
-		c.QueryCacheSize = 256
-	}
 	if c.Durability.SnapshotInterval == 0 {
 		c.Durability.SnapshotInterval = 30 * time.Second
 	}
@@ -264,9 +253,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Limits.DegradedHold == 0 {
-		c.Limits.DegradedHold = DefaultDegradedHold
 	}
 	return c
 }
@@ -321,52 +307,47 @@ type Result struct {
 	Promoted bool
 }
 
-// Stats is a corpus-wide accounting snapshot.
+// Stats is a corpus-wide accounting snapshot. GET /v1/stats serves it
+// (embedded in StatsResponse) under these JSON names.
 type Stats struct {
-	Pages           int
-	Aware           int
-	ZeroAware       int
-	TotalPopularity float64
+	Pages           int     `json:"pages"`
+	Aware           int     `json:"aware"`
+	ZeroAware       int     `json:"zero_aware"`
+	TotalPopularity float64 `json:"total_popularity"`
 	// ImpressionsApplied and ClicksApplied count feedback actually folded
 	// into shard state; Dropped counts events for unknown pages.
-	ImpressionsApplied uint64
-	ClicksApplied      uint64
-	Dropped            uint64
+	ImpressionsApplied uint64 `json:"impressions_applied"`
+	ClicksApplied      uint64 `json:"clicks_applied"`
+	Dropped            uint64 `json:"dropped"`
 	// Epochs holds each shard's snapshot epoch (how many times its
 	// top-list has been republished).
-	Epochs []uint64
+	Epochs []uint64 `json:"epochs"`
 	// QueryCacheHits, QueryCacheMisses and QueryCacheEntries describe the
-	// hot-query candidate cache (all zero when it is disabled). A miss is
-	// any cacheable query request that had to rebuild its candidates.
-	QueryCacheHits    uint64
-	QueryCacheMisses  uint64
-	QueryCacheEntries int
+	// hot-query candidate cache. A miss is any cacheable query request
+	// that had to rebuild its candidates.
+	QueryCacheHits    uint64 `json:"query_cache_hits"`
+	QueryCacheMisses  uint64 `json:"query_cache_misses"`
+	QueryCacheEntries int    `json:"query_cache_entries"`
 	// Arms is each experiment arm's accounting, in declaration order (a
 	// single implicit arm when Config.Arms was empty).
-	Arms []ArmReport
+	Arms []ArmReport `json:"arms"`
 	// Overload & defense accounting: FeedbackRejected counts batches
-	// refused with ErrOverloaded, StaleServed counts rank requests
-	// served from a stale cache entry while degraded, ShedRebuilds
-	// counts the cold rebuilds those requests skipped, ProvenanceHeld
-	// and ProvenanceCapped count clicks stripped by the provenance
-	// checks, and WALFailures counts failed (nacked) WAL commits.
-	// Degraded reports the current degraded-mode state.
-	FeedbackRejected uint64
-	StaleServed      uint64
-	ShedRebuilds     uint64
-	ProvenanceHeld   uint64
-	ProvenanceCapped uint64
-	WALFailures      uint64
-	Degraded         bool
+	// refused with ErrOverloaded, ProvenanceHeld and ProvenanceCapped
+	// count clicks stripped by the provenance checks, and WALFailures
+	// counts failed (nacked) WAL commits.
+	FeedbackRejected uint64 `json:"feedback_rejected"`
+	ProvenanceHeld   uint64 `json:"provenance_held"`
+	ProvenanceCapped uint64 `json:"provenance_capped"`
+	WALFailures      uint64 `json:"wal_failures"`
 	// Cold-query pruning telemetry: BlocksSkipped counts posting blocks
 	// the block-max bounds let uncached top-K scans skip,
 	// CandidatesPruned the driving-list entries inside them (an upper
 	// bound on the slot loads and heap comparisons avoided), and
 	// ZACandidates the pool-eligible candidates enumerated from the
 	// zero-awareness sub-index instead of filtered out of full scans.
-	BlocksSkipped    uint64
-	CandidatesPruned uint64
-	ZACandidates     uint64
+	BlocksSkipped    uint64 `json:"blocks_skipped"`
+	CandidatesPruned uint64 `json:"candidates_pruned"`
+	ZACandidates     uint64 `json:"za_candidates"`
 }
 
 // applyReq is one message to a shard's apply loop. done, when non-nil,
@@ -537,7 +518,7 @@ type Corpus struct {
 	// replication roles and lag (the /v1/healthz surface).
 	replHealth atomic.Pointer[func() *ReplicationHealth]
 
-	qcache      *queryCache // nil when disabled
+	qcache      *queryCache // nil only where a test ranks uncached
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 
@@ -549,10 +530,10 @@ type Corpus struct {
 	candidatesPruned atomic.Uint64
 	zaCandidates     atomic.Uint64
 
-	// over tracks degraded mode; prov applies the click-provenance
-	// checks (nil when disabled).
-	over overloadState
-	prov *provenanceGuard
+	// rejected counts feedback batches refused with ErrOverloaded; prov
+	// applies the click-provenance checks (nil when disabled).
+	rejected atomic.Uint64
+	prov     *provenanceGuard
 
 	reqSeq  atomic.Uint64
 	scratch sync.Pool // *reqScratch
@@ -595,9 +576,7 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 	for _, a := range arms {
 		c.armIdx[a.name] = a
 	}
-	if cfg.QueryCacheSize > 0 {
-		c.qcache = newQueryCache(cfg.QueryCacheSize)
-	}
+	c.qcache = newQueryCache(queryCacheEntries)
 	if cfg.Limits.Provenance.enabled() {
 		c.prov = newProvenanceGuard(cfg.Limits.Provenance)
 	}
@@ -812,8 +791,7 @@ func (c *Corpus) feedback(events []Event, admission bool) error {
 				for _, a := range acquired {
 					a.credits.Add(-1)
 				}
-				c.over.rejected.Add(1)
-				c.noteOverload()
+				c.rejected.Add(1)
 				return ErrOverloaded
 			}
 			acquired = append(acquired, sh)
@@ -1006,10 +984,7 @@ func (c *Corpus) Stats() Stats {
 	if c.qcache != nil {
 		s.QueryCacheEntries = c.qcache.len()
 	}
-	s.FeedbackRejected = c.over.rejected.Load()
-	s.StaleServed = c.over.staleServed.Load()
-	s.ShedRebuilds = c.over.shedRebuilds.Load()
-	s.Degraded = c.Degraded()
+	s.FeedbackRejected = c.rejected.Load()
 	s.BlocksSkipped = c.blocksSkipped.Load()
 	s.CandidatesPruned = c.candidatesPruned.Load()
 	s.ZACandidates = c.zaCandidates.Load()
@@ -1421,19 +1396,6 @@ func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, 
 			return det, pool
 		}
 		c.cacheMisses.Add(1)
-		if c.Degraded() {
-			// Overload: shed the cold rebuild and serve the last built
-			// candidate assembly for this query, stale epochs and all —
-			// stale-but-fast, surfaced in /stats and /healthz. The
-			// promotion draw stays per-request, identical to a cache hit.
-			if e := c.qcache.getStale(key, n); e != nil {
-				c.over.staleServed.Add(1)
-				c.over.shedRebuilds.Add(1)
-				det = append(det, e.det[:min(n, len(e.det))]...)
-				pool = reservoirInto(pool, e.pool, poolCap, rng)
-				return det, pool
-			}
-		}
 	}
 	// Record the epochs before scanning: if the index or any shard
 	// changes mid-build, the stored entry is already stale and the next

@@ -60,11 +60,12 @@ type connScratch struct {
 }
 
 // maxPooledEvents is the largest scanned-events slice a connScratch
-// keeps between requests: room for a full /v1/feedback/batch however
-// append rounded its growth. /v1/feedback has no event cap, so one
-// 8 MB post can scan into millions of events; that slice is dropped
-// rather than pinned in the pool. (The rank batch targets cannot
-// outgrow MaxBatchRequests — the scanner declines past it.)
+// keeps between requests: room for a JSON /v1/feedback post as large as
+// a full binary batch however append rounded its growth. /v1/feedback
+// has no event cap, so one 8 MB post can scan into millions of events;
+// that slice is dropped rather than pinned in the pool. (The rank batch
+// targets cannot outgrow MaxBatchRequests — the scanner declines past
+// it.)
 const maxPooledEvents = 2 * MaxFeedbackBatchEvents
 
 // Server wraps a Corpus with the HTTP API. Create with NewServer; it
@@ -244,41 +245,20 @@ type ExperimentResponse struct {
 	Arms []ArmReport `json:"arms"`
 }
 
-// StatsResponse is the GET /stats reply.
+// StatsResponse is the GET /stats reply: the corpus Stats plus what
+// only the server or the WAL knows.
 type StatsResponse struct {
-	UptimeSeconds      float64 `json:"uptime_seconds"`
-	Shards             int     `json:"shards"`
-	Policy             string  `json:"policy"`
-	RankRequests       uint64  `json:"rank_requests"`
-	FeedbackRequests   uint64  `json:"feedback_requests"`
-	Pages              int     `json:"pages"`
-	Aware              int     `json:"aware"`
-	ZeroAware          int     `json:"zero_aware"`
-	TotalPopularity    float64 `json:"total_popularity"`
-	ImpressionsApplied uint64  `json:"impressions_applied"`
-	ClicksApplied      uint64  `json:"clicks_applied"`
-	Dropped            uint64  `json:"dropped"`
-	QueryCacheHits     uint64  `json:"query_cache_hits"`
-	QueryCacheMisses   uint64  `json:"query_cache_misses"`
-	QueryCacheEntries  int     `json:"query_cache_entries"`
-	// Overload & defense telemetry (see Stats for semantics).
-	Degraded         bool   `json:"degraded"`
-	Feedback429      uint64 `json:"feedback_429"`
-	Feedback503      uint64 `json:"feedback_503"`
-	RateLimited429   uint64 `json:"rate_limited_429"`
-	FeedbackRejected uint64 `json:"feedback_rejected"`
-	StaleServed      uint64 `json:"stale_served"`
-	ShedRebuilds     uint64 `json:"shed_rebuilds"`
-	ProvenanceHeld   uint64 `json:"provenance_held"`
-	ProvenanceCapped uint64 `json:"provenance_capped"`
-	WALFailures      uint64 `json:"wal_failures"`
-	// Cold-query pruning telemetry: posting blocks skipped by the
-	// block-max bounds, driving-list entries inside them, and
-	// pool-eligible candidates enumerated from the zero-awareness
-	// sub-index (see Stats for semantics).
-	BlocksSkipped    uint64 `json:"blocks_skipped"`
-	CandidatesPruned uint64 `json:"candidates_pruned"`
-	ZACandidates     uint64 `json:"za_candidates"`
+	UptimeSeconds    float64 `json:"uptime_seconds"`
+	Shards           int     `json:"shards"`
+	Policy           string  `json:"policy"`
+	RankRequests     uint64  `json:"rank_requests"`
+	FeedbackRequests uint64  `json:"feedback_requests"`
+	Stats
+	// HTTP overload telemetry: 429s and 503s answered to feedback posts
+	// and requests refused by the rate limiter.
+	Feedback429    uint64 `json:"feedback_429"`
+	Feedback503    uint64 `json:"feedback_503"`
+	RateLimited429 uint64 `json:"rate_limited_429"`
 	// Write-path telemetry (durable corpora only): windowed fsync rate,
 	// mean group-commit batch size, p99 commit latency, plus the
 	// process-lifetime WAL counters whose deltas give exact rates over
@@ -289,9 +269,7 @@ type StatsResponse struct {
 	P99CommitMicros   int64        `json:"p99_commit_micros,omitempty"`
 	WAL               *WALCounters `json:"wal,omitempty"`
 
-	Epochs []uint64    `json:"epochs"`
-	Slots  []SlotStats `json:"slots"`
-	Arms   []ArmReport `json:"arms"`
+	Slots []SlotStats `json:"slots"`
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
@@ -466,10 +444,10 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 // exactly as the endpoint it arrived on does, so the cluster front door
 // can split a post by shard leader knowing each part will be accepted
 // as the whole would have been. batch selects /v1/feedback/batch's
-// rules: the binary framing when contentType is BatchContentType, a
-// non-empty batch of at most MaxFeedbackBatchEvents, and messages that
-// name the offending event's index. The events are the caller's to
-// keep; the error's text is the 400 message.
+// rules: only the binary framing (contentType must be BatchContentType),
+// a non-empty batch of at most MaxFeedbackBatchEvents, and messages
+// that name the offending event's index. The events are the caller's
+// to keep; the error's text is the 400 message.
 func (s *Server) DecodeFeedbackPost(batch bool, contentType string, body []byte) ([]Event, error) {
 	var fresh []Event
 	return s.decodeFeedbackPost(batch, contentType, body, &fresh)
@@ -481,19 +459,20 @@ func (s *Server) DecodeFeedbackPost(batch bool, contentType string, body []byte)
 func (s *Server) decodeFeedbackPost(batch bool, contentType string, body []byte, pool *[]Event) ([]Event, error) {
 	var events []Event
 	var err error
-	if batch && contentType == BatchContentType {
+	switch {
+	case !batch:
+		if events, err = decodeFeedback(body, pool, s.corpus.armIdx); err != nil {
+			return nil, fmt.Errorf("bad JSON: %v", err)
+		}
+	case contentType != BatchContentType:
+		return nil, fmt.Errorf("/v1/feedback/batch takes only %s bodies, got %q", BatchContentType, contentType)
+	default:
+		// The decoder refuses counts above MaxFeedbackBatchEvents.
 		if events, err = DecodeFeedbackBatchRequest(body); err != nil {
 			return nil, err
 		}
-	} else if events, err = decodeFeedback(body, pool, batch, s.corpus.armIdx); err != nil {
-		return nil, fmt.Errorf("bad JSON: %v", err)
-	}
-	if batch {
 		if len(events) == 0 {
 			return nil, errors.New("empty batch")
-		}
-		if len(events) > MaxFeedbackBatchEvents {
-			return nil, fmt.Errorf("batch of %d events exceeds %d", len(events), MaxFeedbackBatchEvents)
 		}
 	}
 	for i := range events {
@@ -517,15 +496,14 @@ func (s *Server) decodeFeedbackPost(batch bool, contentType string, body []byte,
 
 // handleFeedback serves POST /v1/feedback (batch false: JSON
 // {"events":[...]}, possibly empty, any size the body cap allows) and
-// POST /v1/feedback/batch (batch true: many events per round trip, JSON
-// by default or the length-prefixed binary framing when the request
-// Content-Type is BatchContentType — the 202 then uses the same
-// framing; errors are always a JSON envelope). Validation is
-// all-or-nothing — any malformed event fails the whole call before
-// admission, so a 202 means every event committed. The rate limiter
-// charges the post as ONE request, and the whole post is admitted
-// through ONE TryFeedback, which is what turns a large wire batch into
-// a large WAL group commit instead of many small ones.
+// POST /v1/feedback/batch (batch true: many events per round trip in
+// the length-prefixed binary framing, Content-Type BatchContentType —
+// the 202 uses the same framing; errors are always a JSON envelope).
+// Validation is all-or-nothing — any malformed event fails the whole
+// call before admission, so a 202 means every event committed. The rate
+// limiter charges the post as ONE request, and the whole post is
+// admitted through ONE TryFeedback, which is what turns a large wire
+// batch into a large WAL group commit instead of many small ones.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, batch bool) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "POST only")
@@ -579,7 +557,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, batch bo
 	}
 	switch {
 	case err == nil:
-		if batch && contentType == BatchContentType {
+		if batch {
 			sc.out = AppendFeedbackBatchResponse(sc.out[:0], len(events))
 			w.Header().Set("Content-Type", BatchContentType)
 			w.WriteHeader(http.StatusAccepted)
@@ -607,37 +585,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "GET only")
 		return
 	}
-	cs := s.corpus.Stats()
 	resp := StatsResponse{
-		UptimeSeconds:      time.Since(s.start).Seconds(),
-		Shards:             s.corpus.Shards(),
-		Policy:             s.corpus.PolicyLabel(),
-		RankRequests:       s.rankRequests.Load(),
-		FeedbackRequests:   s.feedbackRequests.Load(),
-		Pages:              cs.Pages,
-		Aware:              cs.Aware,
-		ZeroAware:          cs.ZeroAware,
-		TotalPopularity:    cs.TotalPopularity,
-		ImpressionsApplied: cs.ImpressionsApplied,
-		ClicksApplied:      cs.ClicksApplied,
-		Dropped:            cs.Dropped,
-		QueryCacheHits:     cs.QueryCacheHits,
-		QueryCacheMisses:   cs.QueryCacheMisses,
-		QueryCacheEntries:  cs.QueryCacheEntries,
-		Degraded:           cs.Degraded,
-		Feedback429:        s.feedback429.Load(),
-		Feedback503:        s.feedback503.Load(),
-		FeedbackRejected:   cs.FeedbackRejected,
-		StaleServed:        cs.StaleServed,
-		ShedRebuilds:       cs.ShedRebuilds,
-		ProvenanceHeld:     cs.ProvenanceHeld,
-		ProvenanceCapped:   cs.ProvenanceCapped,
-		WALFailures:        cs.WALFailures,
-		BlocksSkipped:      cs.BlocksSkipped,
-		CandidatesPruned:   cs.CandidatesPruned,
-		ZACandidates:       cs.ZACandidates,
-		Epochs:             cs.Epochs,
-		Arms:               cs.Arms,
+		UptimeSeconds:    time.Since(s.start).Seconds(),
+		Shards:           s.corpus.Shards(),
+		Policy:           s.corpus.PolicyLabel(),
+		RankRequests:     s.rankRequests.Load(),
+		FeedbackRequests: s.feedbackRequests.Load(),
+		Stats:            s.corpus.Stats(),
+		Feedback429:      s.feedback429.Load(),
+		Feedback503:      s.feedback503.Load(),
 	}
 	// Write-path rates are transient telemetry, not recoverable state,
 	// so they come from the health surface rather than Corpus.Stats.
@@ -692,19 +648,14 @@ type HealthzResponse struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	h := s.corpus.Health()
-	// Degraded mode still answers 200: the corpus IS serving (stale
-	// candidates beat no candidates), and a 503 here would get a loaded
-	// instance pulled from rotation — exactly when shedding load onto
-	// its peers makes everything worse. 503 is reserved for states where
-	// the instance genuinely should not receive traffic: recovery in
-	// progress (the daemon's placeholder handler) and a failing WAL
-	// (feedback is being nacked).
+	// 503 is reserved for states where the instance should not receive
+	// traffic: recovery in progress (the daemon's placeholder handler)
+	// and a failing WAL (feedback is being nacked). Feedback overload is
+	// not one: it is answered per request with 429, and the rank path
+	// keeps serving the current state.
 	status, code := "ready", http.StatusOK
-	switch {
-	case h.WALFailing:
+	if h.WALFailing {
 		status, code = "unhealthy", http.StatusServiceUnavailable
-	case h.Degraded:
-		status = "degraded"
 	}
 	writeJSON(w, code, HealthzResponse{Status: status, HealthReport: h})
 }

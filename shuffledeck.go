@@ -326,7 +326,7 @@ func Figures() []string {
 }
 
 // LiveLimits groups a Live corpus's admission-control knobs: rate
-// limiting, click-provenance defenses, degraded-mode behavior.
+// limiting and click-provenance defenses.
 type LiveLimits = serve.Limits
 
 // LiveDurability groups a Live corpus's persistence knobs: data
