@@ -1283,28 +1283,25 @@ func (n *Node) guardHandler(inner http.Handler) http.Handler {
 }
 
 // holdForQuorum runs between a feedback batch's local commit and its
-// 202 (serve.Server.HoldFeedbackAcks), on the events the handler
-// already decoded: the acknowledgment is withheld until every touched
-// shard's commit position is on a quorum of followers (semi-synchronous
-// replication — the property the leader-kill chaos gate asserts). A
-// timeout turns the 202 into a 503 replication_lag: the batch is
+// 202 (serve.Server.HoldFeedbackAcks), on the end LSN of the group
+// commit that made the batch durable on each shard it touched: the
+// acknowledgment is withheld until each of those positions is on a
+// quorum of followers (semi-synchronous replication — the property the
+// leader-kill chaos gate asserts). A shard's later groups are not waited
+// for. A timeout turns the 202 into a 503 replication_lag: the batch is
 // locally durable but unacknowledged, so the client retries
 // (at-least-once) rather than trusting an ack that one disk failure
 // could erase.
-func (n *Node) holdForQuorum(events []serve.Event) error {
+func (n *Node) holdForQuorum(lsns []uint64) error {
 	need := n.quorumFollowerAcks()
 	if need == 0 {
 		return nil
 	}
-	touched := make([]bool, len(n.shards))
-	for i := range events {
-		touched[serve.ShardIndex(events[i].Page, len(n.shards))] = true
-	}
-	for si, hit := range touched {
-		if !hit {
+	for si, lsn := range lsns {
+		if lsn == 0 {
 			continue
 		}
-		if err := n.WaitReplicated(si, n.corpus.CommittedLSN(si), need, n.cfg.ReplAckTimeout); err != nil {
+		if err := n.WaitReplicated(si, lsn, need, n.cfg.ReplAckTimeout); err != nil {
 			return err
 		}
 	}

@@ -155,6 +155,44 @@ func TestMidListInsertLoadsO1(t *testing.T) {
 	}
 }
 
+// TestMidListInsertCopiesO1 pins a mid-list insert's copying to the
+// chunk it lands in, not the list, by a count rather than a clock: the
+// stride streams of TestMidListInsertLoadsO1 go through Add, and the
+// heap bytes allocated per insert over the last 1,000 adds of a
+// 20,000-document index stay within 1.5x of those of a 2,000-document
+// one. (Copying each list's ids on a mid-list insert costs ~10x here.)
+func TestMidListInsertCopiesO1(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops items, so the pooled scratch is allocated per add")
+	}
+	const batch = 1000
+	bytesPerInsert := func(n int) float64 {
+		d := newDeckAdder()
+		d.ix.SetPopFunc(func(id uint32) float64 { return float64(id % 97) })
+		order := strideOrder(n, 8, 64)
+		texts := make([]string, n)
+		for i, id := range order {
+			texts[i] = deckText(d.rng, d.head, id)
+		}
+		var before, after runtime.MemStats
+		for i, id := range order {
+			if i == n-batch {
+				runtime.ReadMemStats(&before)
+			}
+			if err := d.ix.Add(Document{ID: id, Text: texts[i]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / batch
+	}
+	small, large := bytesPerInsert(2000), bytesPerInsert(20000)
+	t.Logf("heap bytes per insert: %.0f on 2,000 documents, %.0f on 20,000 (x%.2f)", small, large, large/small)
+	if large > 1.5*small {
+		t.Fatalf("an insert allocates %.0f bytes on 20,000 documents but %.0f on 2,000: mid-list inserts copy more than their chunk", large, small)
+	}
+}
+
 // BenchmarkIndexAdd times one Add of a deck-shaped document on top of a
 // pre-filled index (the fill is untimed). CI gates n=200k at no more
 // than twice n=20k: the write path is linear in the corpus.

@@ -2,6 +2,7 @@ package searchidx
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -65,11 +66,25 @@ func runIntersect(lists [][]uint32) []uint32 {
 			return nil
 		}
 	}
-	ps := make([]posting, len(lists))
+	// Chunk sizes vary with the list, as splits leave them, so cursors
+	// cross part-full chunks.
+	ps := make([]*posting, len(lists))
 	for i, l := range lists {
-		ps[i] = posting{ids: l}
+		ps[i] = chunked(l, 1+(len(l)+i)%8)
 	}
-	return intersectLists(nil, ps, make([]int, len(lists)))
+	return intersectLists(nil, ps, new(queryScratch).resetCursors(ps))
+}
+
+// chunked returns a posting list holding ids in chunks of size (the
+// tail holds the rest).
+func chunked(ids []uint32, size int) *posting {
+	p := &posting{n: len(ids)}
+	for len(ids) > size {
+		p.spine = append(p.spine, chunk{ids: ids[:size:size]})
+		ids = ids[size:]
+	}
+	p.tail.ids = ids
+	return p
 }
 
 func assertSameIDs(t *testing.T, got, want []uint32, context string) {
@@ -161,13 +176,15 @@ func TestGallopGalloping(t *testing.T) {
 
 // TestConcurrentRetrieveDuringMutation hammers lock-free retrieval from
 // several goroutines while a writer continuously deletes and re-adds
-// documents and adds new ones. Run under -race this exercises the term
-// cells, table resizes, the epoch and the shared posting arrays; the
-// assertions check
-// every retrieval is a well-formed sorted id set drawn from the known
-// universe, and the freshness rule: a reader that loads the epoch and
-// then the lists sees every document whose Add had returned before the
-// epoch load (the writer stores cells, then the epoch).
+// documents, adds new ones, and weaves late ones into the middle of
+// lists, splitting full chunks under RetrieveInto and RetrievePruned
+// readers. Run under -race this exercises the term cells, table resizes,
+// the epoch, the shared spines and the tails grown in place; the
+// assertions check every retrieval is a well-formed sorted id set drawn
+// from the known universe, and the freshness rule: a reader that loads
+// the epoch and then the lists sees every document whose Add had
+// returned before the epoch load (the writer stores cells, then the
+// epoch).
 func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 	const (
 		docs    = 300
@@ -196,6 +213,13 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 		}
 	}
 	slotsBefore := ix.terms.slots.Load()
+	// Round r also adds woven document wovenBase+weave[r]: four stride
+	// streams, one lagging 64 rounds, so one in four lands a chunk or two
+	// short of the tail of "woven" and "alpha", where full chunks pass
+	// documents on or split.
+	wovenBase := docs + rounds
+	weave := strideOrder(rounds, 4, 64)
+	universe := wovenBase + slices.Max(weave) + 1
 
 	// fresh counts the never-deleted documents docs, docs+1, ... whose
 	// Add has returned.
@@ -211,11 +235,17 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 				t.Errorf("doc %d missing at delete", id)
 				return
 			}
-			for _, id := range []int{id, docs + r} {
-				if err := ix.Add(Document{ID: id, Text: text(id)}); err != nil {
-					t.Error(err)
-					return
-				}
+			if err := ix.Add(Document{ID: id, Text: text(id)}); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := ix.Add(Document{ID: wovenBase + weave[r], Text: "alpha woven"}); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := ix.Add(Document{ID: docs + r, Text: text(docs + r)}); err != nil {
+				t.Error(err)
+				return
 			}
 			fresh.Store(int64(r + 1))
 		}
@@ -237,13 +267,14 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 					lastEpoch = e
 				}
 				// The writer's mutations are numbered: the initial adds,
-				// then three a round, the round's fresh Add last. So the
-				// epoch alone also says which fresh docs must be visible.
-				if floor := uint64(docs + 3*returned); snap.Epoch() < floor {
+				// then four a round, the round's fresh Add last. So the
+				// epoch alone also says which fresh and woven docs must be
+				// visible.
+				if floor := uint64(docs + 4*returned); snap.Epoch() < floor {
 					t.Errorf("epoch %d after %d mutations had returned", snap.Epoch(), floor)
 					return
 				}
-				returned = int(snap.Epoch()-docs) / 3
+				returned = int(snap.Epoch()-docs) / 4
 				buf = snap.RetrieveInto(buf[:0], "fresh alpha doc"+strconv.Itoa(docs+returned-1))
 				if returned > 0 && (len(buf) != 1 || int(buf[0]) != docs+returned-1) {
 					t.Errorf("doc %d was added at or before epoch %d, but its own terms retrieve %v", docs+returned-1, snap.Epoch(), buf)
@@ -260,9 +291,29 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 						return
 					}
 				}
+				// Every woven doc of the returned rounds streams out of a
+				// pruned scan, in order, however the chunks were split; a
+				// skipping scan is checked for order alone.
+				var woven []uint32
+				snap.RetrievePruned("woven alpha", nil, func(ids []uint32) { woven = append(woven, ids...) })
+				for _, w := range weave[:returned] {
+					if _, in := slices.BinarySearch(woven, uint32(wovenBase+w)); !in {
+						t.Errorf("woven doc %d was added at or before epoch %d, but the pruned scan streams %v", wovenBase+w, snap.Epoch(), woven)
+						return
+					}
+				}
+				odd := false
+				var skipped []uint32
+				snap.RetrievePruned("alpha woven", func(float64) bool { odd = !odd; return odd }, func(ids []uint32) { skipped = append(skipped, ids...) })
+				for _, ids := range [][]uint32{woven, skipped} {
+					if !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+						t.Errorf("pruned scan ids not strictly ascending: %v", ids)
+						return
+					}
+				}
 				ids := ix.Retrieve(queries[(g+r)%len(queries)])
 				for i, id := range ids {
-					if id < 0 || id >= docs+rounds {
+					if id < 0 || id >= universe {
 						t.Errorf("retrieved unknown doc %d", id)
 						return
 					}
@@ -283,7 +334,17 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 	if got := len(ix.Retrieve("alpha shared")); got != docs+rounds {
 		t.Fatalf("after churn, alpha shared matched %d docs, want %d", got, docs+rounds)
 	}
-	if ix.Len() != docs+rounds {
-		t.Fatalf("Len = %d after churn, want %d", ix.Len(), docs+rounds)
+	if got := len(ix.Retrieve("woven")); got != rounds {
+		t.Fatalf("after churn, woven matched %d docs, want %d", got, rounds)
+	}
+	woven, split := ix.postings("woven"), false
+	for ci := range woven.spine {
+		split = split || len(woven.spine[ci].ids) < BlockStride
+	}
+	if !split {
+		t.Fatal("no woven chunk was ever split")
+	}
+	if ix.Len() != docs+2*rounds {
+		t.Fatalf("Len = %d after churn, want %d", ix.Len(), docs+2*rounds)
 	}
 }

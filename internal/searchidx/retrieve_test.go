@@ -91,7 +91,7 @@ func TestSnapshotEpochAndVisibility(t *testing.T) {
 	if len(before) != 1 || before[0] != 1 {
 		t.Fatalf("snapshot after first Add sees %v, want [1]", before)
 	}
-	held := ix.postings("stable").ids
+	held := ix.postings("stable").tail.ids
 	if err := ix.Add(Document{ID: 2, Text: "stable doc fresh"}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package searchidx is a minimal search-engine substrate: a tokenizer and
 // an in-memory inverted index with conjunctive (AND) retrieval and
-// per-block popularity bounds for pruned top-K selection.
+// per-chunk popularity bounds for pruned top-K selection.
 //
 // The paper's model assumes a one-to-one correspondence between queries
 // and topics, each query returning exactly the pages of one community
@@ -18,7 +18,8 @@
 // Snapshot.RetrieveInto on the hot path — takes no lock. The one ordering
 // rule: a writer stores cells, then the epoch; a reader loads the epoch,
 // then cells. A query therefore sees everything up to the epoch it read
-// (and possibly more), each list an immutable sorted prefix.
+// (and possibly more), each list an immutable sorted sequence of chunks
+// (bounds.go): an insert copies at most the one chunk it lands in.
 //
 // The index keeps no document text: Add tokenizes once and records one
 // BoundRef per distinct term, which Delete and the bound raises walk.
@@ -34,14 +35,14 @@ import (
 )
 
 // Document is an indexable page. IDs must fit in a uint32: postings are
-// stored as compact sorted []uint32 arrays.
+// stored as sorted []uint32 chunks of at most BlockStride ids.
 type Document struct {
 	ID   int
 	Text string
 }
 
 // Index is an inverted index over documents. Popularity lives with the
-// caller and is read through SetPopFunc for block bounds. All methods are
+// caller and is read through SetPopFunc for chunk bounds. All methods are
 // safe for concurrent use; retrieval is lock-free (see the package
 // comment).
 type Index struct {
@@ -55,16 +56,18 @@ type Index struct {
 	// epoch counts mutations; bumped after the mutation's cells are stored.
 	epoch atomic.Uint64
 	// popOf, when set, is the external popularity source consulted for
-	// exact posting-block bound computation (see bounds.go).
+	// chunk bound computation (see bounds.go).
 	popOf func(id uint32) float64
 	// rebuildSeq counts the mutations that move documents to other
-	// blocks: mid-list inserts and deletes. A docRec whose seq still
-	// equals it holds current block indexes. Guarded by mu.
+	// chunk indexes: inserts into full chunks (a split, or a document
+	// passed to the next chunk) and spine chunks that empty. A docRec
+	// whose seq still equals it holds current chunk indexes. Guarded by
+	// mu.
 	rebuildSeq uint64
 }
 
 // docRec is what the index keeps of a document: one BoundRef per
-// distinct term, and the rebuildSeq value their block indexes are valid
+// distinct term, and the rebuildSeq value their chunk indexes are valid
 // for. Written under mu; Raise re-resolves it in place when rebuildSeq
 // has moved since.
 type docRec struct {
@@ -131,21 +134,21 @@ func (ix *Index) Add(doc Document) error {
 		// One table probe per known term: the header is replaced through
 		// the cell. A repeated term finds the document already in its
 		// list.
-		var cur posting
+		var cur *posting
 		c := ix.terms.lookup(t)
 		if c != nil {
-			cur = *c.p.Load()
+			cur = c.p.Load()
 		}
-		p, pos, present := ix.insertPosting(cur, id)
+		p, ci, present := ix.insertPosting(cur, id)
 		if present {
 			continue
 		}
 		if c == nil {
 			c = ix.terms.insert(t, p)
 		} else {
-			c.p.Store(&p)
+			c.p.Store(p)
 		}
-		refs = append(refs, newBoundRef(c.id, pos/BlockStride))
+		refs = append(refs, newBoundRef(c.id, ci))
 	}
 	ix.epoch.Add(1)
 	// The document's positions are final now: later mutations that move
@@ -162,30 +165,16 @@ func (ix *Index) Delete(id int) bool {
 	if !ok {
 		return false
 	}
-	// Every touched posting list is rebuilt below, shifting the documents
-	// after this one.
-	ix.rebuildSeq++
 	delete(ix.docs, id)
 	for _, r := range rec.refs {
 		c := ix.terms.byID(r.term())
-		ids := c.p.Load().ids
-		pos := searchU32(ids, uint32(id))
-		if pos == len(ids) || ids[pos] != uint32(id) {
-			continue
-		}
-		if len(ids) == 1 {
+		if p := ix.deletePosting(c.p.Load(), uint32(id)); p != nil {
+			c.p.Store(p)
+		} else {
 			// Last document of the term: the cell leaves the table and its
 			// id is reissued, so neither grows under churn.
 			ix.terms.remove(c)
-			continue
 		}
-		trimmed := make([]uint32, len(ids)-1)
-		copy(trimmed, ids[:pos])
-		copy(trimmed[pos:], ids[pos+1:])
-		// Rebuilt list: recompute the block bounds exactly — the deleted
-		// document may have been a block's maximum, and this is the one
-		// moment tightening is free.
-		c.p.Store(&posting{ids: trimmed, b: ix.computeBounds(trimmed)})
 	}
 	ix.epoch.Add(1)
 	return true

@@ -1,8 +1,8 @@
 // Lock-free conjunctive retrieval: every term owns one cell of the term
 // table (terms.go) holding its current immutable posting header, and
 // queries resolve by rarest-first galloping (exponential-search)
-// intersection of compact sorted []uint32 posting arrays, into caller-
-// or pool-owned scratch.
+// intersection of chunked sorted []uint32 posting lists (bounds.go),
+// into caller- or pool-owned scratch.
 package searchidx
 
 import (
@@ -33,31 +33,32 @@ func (s Snapshot) Epoch() uint64 { return s.epoch }
 // atomic load, safe to call concurrently with any mutation.
 func (ix *Index) Snapshot() Snapshot { return Snapshot{epoch: ix.epoch.Load(), ix: ix} }
 
-// postings returns the term's current posting list (the zero value when
-// the term matches no document).
-func (ix *Index) postings(term string) posting {
+// postings returns the term's current posting list, nil when the term
+// matches no document.
+func (ix *Index) postings(term string) *posting {
 	if c := ix.terms.lookup(term); c != nil {
-		return *c.p.Load()
+		return c.p.Load()
 	}
-	return posting{}
+	return nil
 }
 
 // queryScratch is the per-retrieval working set, pooled so a steady-state
 // retrieval allocates nothing.
 type queryScratch struct {
 	terms   []string
-	lists   []posting
-	cursors []int
-	block   []uint32 // per-block intersection buffer for RetrievePruned
+	lists   []*posting
+	cursors []cursor
+	block   []uint32 // per-chunk intersection buffer for RetrievePruned
 }
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 func (qs *queryScratch) release() {
 	// Drop references so the pool does not pin query strings or whole
-	// posting arrays between requests.
+	// posting lists between requests.
 	clear(qs.terms)
 	clear(qs.lists)
+	clear(qs.cursors)
 	queryScratchPool.Put(qs)
 }
 
@@ -81,27 +82,31 @@ func (s Snapshot) RetrieveInto(dst []uint32, query string) []uint32 {
 		return dst
 	}
 	if len(lists) == 1 {
-		return append(dst, lists[0].ids...)
+		return lists[0].appendTo(dst)
 	}
-	cursors := qs.cursors[:0]
-	for range lists {
-		cursors = append(cursors, 0)
+	return intersectLists(dst, lists, qs.resetCursors(lists))
+}
+
+// resetCursors returns one cursor at the start of each list.
+func (qs *queryScratch) resetCursors(lists []*posting) []cursor {
+	qs.cursors = qs.cursors[:0]
+	for _, p := range lists {
+		qs.cursors = append(qs.cursors, cursor{ids: p.chunk(0).ids})
 	}
-	qs.cursors = cursors
-	return intersectLists(dst, lists, cursors)
+	return qs.cursors
 }
 
 // gatherLists resolves the deduplicated query terms' postings into
 // qs.lists, rarest first. ok is false when any term has no postings —
 // the conjunction is empty.
-func (s Snapshot) gatherLists(qs *queryScratch, terms []string) (lists []posting, ok bool) {
+func (s Snapshot) gatherLists(qs *queryScratch, terms []string) (lists []*posting, ok bool) {
 	lists = qs.lists[:0]
 	for ti, t := range terms {
 		if containsTerm(terms[:ti], t) {
 			continue
 		}
 		p := s.ix.postings(t)
-		if len(p.ids) == 0 {
+		if p == nil {
 			qs.lists = lists
 			return lists, false
 		}
@@ -112,7 +117,7 @@ func (s Snapshot) gatherLists(qs *queryScratch, terms []string) (lists []posting
 	// cursor only ever gallops forward. Insertion sort — term counts are
 	// tiny and sort.Slice would allocate.
 	for i := 1; i < len(lists); i++ {
-		for j := i; j > 0 && len(lists[j].ids) < len(lists[j-1].ids); j-- {
+		for j := i; j > 0 && lists[j].n < lists[j-1].n; j-- {
 			lists[j], lists[j-1] = lists[j-1], lists[j]
 		}
 	}
@@ -123,23 +128,13 @@ func (s Snapshot) gatherLists(qs *queryScratch, terms []string) (lists []posting
 // dst. lists[0] (the rarest) drives: each of its ids is located in every
 // other list by galloping from that list's cursor, so the total work is
 // O(Σ log(gap)) — bounded by the rarest list, not the largest.
-func intersectLists(dst []uint32, lists []posting, cursors []int) []uint32 {
-	rare := lists[0].ids
-outer:
-	for _, v := range rare {
-		for li := 1; li < len(lists); li++ {
-			l := lists[li].ids
-			j := gallop(l, cursors[li], v)
-			cursors[li] = j
-			if j == len(l) {
-				// This list is exhausted; no larger id can match.
-				return dst
-			}
-			if l[j] != v {
-				continue outer
-			}
+func intersectLists(dst []uint32, lists []*posting, cursors []cursor) []uint32 {
+	rare := lists[0]
+	for ci := range rare.chunks() {
+		var done bool
+		if dst, done = intersectChunk(dst, rare.chunk(ci).ids, lists, cursors); done {
+			break
 		}
-		dst = append(dst, v)
 	}
 	return dst
 }
@@ -148,26 +143,26 @@ outer:
 type PruneStats struct {
 	// Candidates counts the matching ids streamed to emit.
 	Candidates int
-	// BlocksSkipped counts driving-list blocks the skip callback pruned.
+	// BlocksSkipped counts driving-list chunks the skip callback pruned.
 	BlocksSkipped int
 	// CandidatesPruned counts the driving-list entries inside skipped
-	// blocks — an upper bound on the matches pruning suppressed (a
+	// chunks — an upper bound on the matches pruning suppressed (a
 	// skipped entry need not have matched the other terms).
 	CandidatesPruned int
 }
 
 // RetrievePruned streams the conjunctive matches of query in ascending
-// id order through emit, giving skip a chance to prune each block of
-// the driving (rarest) posting list first: skip receives the block's
-// popularity upper bound and returns true to drop the whole block —
+// id order through emit, giving skip a chance to prune each chunk of
+// the driving (rarest) posting list first: skip receives the chunk's
+// popularity upper bound and returns true to drop the whole chunk —
 // its galloping work, its matches, and the per-candidate work the
 // caller would have done. emit may be called many times, once per
-// surviving block, with a scratch slice valid only for the call.
+// surviving chunk, with a scratch slice valid only for the call.
 //
 // The pruned scan is exact for bounded top-K selection: candidates
 // stream in ascending id order, so every unseen candidate is younger
 // than everything a caller's heap already holds, and rank ties break
-// toward older documents — a block whose upper bound cannot BEAT the
+// toward older documents — a chunk whose upper bound cannot BEAT the
 // caller's current threshold (upper <= min kept popularity) contains
 // nothing the full scan would have kept. Callers must only skip when
 // their selection is already full; see serve.queryCandidates.
@@ -189,65 +184,84 @@ func (s Snapshot) RetrievePruned(query string, skip func(upper float64) bool, em
 		return st
 	}
 	rare := lists[0]
-	cursors := qs.cursors[:0]
-	for range lists {
-		cursors = append(cursors, 0)
-	}
-	qs.cursors = cursors
+	cursors := qs.resetCursors(lists)
 	buf := qs.block
-	for lo := 0; lo < len(rare.ids); lo += BlockStride {
-		hi := min(lo+BlockStride, len(rare.ids))
-		if skip != nil && skip(rare.b.upper(lo/BlockStride)) {
+	for ci := range rare.chunks() {
+		c := rare.chunk(ci)
+		if skip != nil && skip(c.upper()) {
 			st.BlocksSkipped++
-			st.CandidatesPruned += hi - lo
+			st.CandidatesPruned += len(c.ids)
 			// The other lists' cursors stay put; the next surviving
-			// block gallops over the gap in O(log distance).
+			// chunk gallops over the gap.
 			continue
 		}
-		block := rare.ids[lo:hi]
 		if len(lists) == 1 {
-			st.Candidates += len(block)
-			emit(block)
+			st.Candidates += len(c.ids)
+			emit(c.ids)
 			continue
 		}
-		buf = intersectBlock(buf[:0], block, lists, cursors)
+		var done bool
+		buf, done = intersectChunk(buf[:0], c.ids, lists, cursors)
 		if len(buf) > 0 {
 			st.Candidates += len(buf)
 			emit(buf)
 		}
 		// An exhausted other list ends the whole scan: no larger id can
-		// match, so the remaining driver blocks are not "pruned", they
+		// match, so the remaining driver chunks are not "pruned", they
 		// are simply past the last possible match.
-		for li := 1; li < len(lists); li++ {
-			if cursors[li] == len(lists[li].ids) {
-				qs.block = buf
-				return st
-			}
+		if done {
+			break
 		}
 	}
 	qs.block = buf
 	return st
 }
 
-// intersectBlock appends to dst the ids of one driving-list block that
-// match every other list, galloping each other-list cursor forward.
-func intersectBlock(dst []uint32, block []uint32, lists []posting, cursors []int) []uint32 {
+// intersectChunk appends to dst the ids of one driving-list chunk that
+// match every other list, moving each other-list cursor forward; done
+// reports that some other list is exhausted, so no later id can match.
+func intersectChunk(dst, ids []uint32, lists []*posting, cursors []cursor) (out []uint32, done bool) {
 outer:
-	for _, v := range block {
+	for _, v := range ids {
 		for li := 1; li < len(lists); li++ {
-			l := lists[li].ids
-			j := gallop(l, cursors[li], v)
-			cursors[li] = j
-			if j == len(l) {
-				return dst
+			c := &cursors[li]
+			j := gallop(c.ids, c.off, v)
+			if j == len(c.ids) {
+				if !lists[li].advance(c, v) {
+					return dst, true
+				}
+				j = gallop(c.ids, 0, v)
 			}
-			if l[j] != v {
+			c.off = j
+			if c.ids[j] != v {
 				continue outer
 			}
 		}
 		dst = append(dst, v)
 	}
-	return dst
+	return dst, false
+}
+
+// cursor is a read position in a posting list: entry off of chunk ci,
+// whose ids it holds.
+type cursor struct {
+	ids     []uint32
+	ci, off int
+}
+
+// advance moves c past its chunk, whose ids are all below target, to
+// the next chunk whose last id is at least target, reporting false when
+// no chunk of p has one.
+func (p *posting) advance(c *cursor, target uint32) bool {
+	for {
+		if c.ci == len(p.spine) {
+			return false
+		}
+		c.ci++
+		if c.ids = p.chunk(c.ci).ids; c.ids[len(c.ids)-1] >= target {
+			return true
+		}
+	}
 }
 
 // gallop returns the smallest index j in [lo, len(list)] with

@@ -111,12 +111,12 @@ func (t *termTable) byID(id uint32) *termCell {
 
 // insert publishes a cell for term, which must be absent, holding p. The
 // key is cloned so the table pins no document text. Callers hold ix.mu.
-func (t *termTable) insert(term string, p posting) *termCell {
+func (t *termTable) insert(term string, p *posting) *termCell {
 	if (t.used+1)*2 > len(*t.slots.Load()) {
 		t.resize()
 	}
 	c := &termCell{term: strings.Clone(term), id: t.issueID()}
-	c.p.Store(&p)
+	c.p.Store(p)
 	t.setDir(c.id, c)
 	s := *t.slots.Load()
 	for i := t.home(term, len(s)); ; {

@@ -80,21 +80,37 @@ func liveHeap() uint64 {
 // deck, in memory over 8 shards, may hold at most 780 bytes of heap per
 // page once built. The search index keeps no page text, and both id →
 // birth maps (the corpus's byID, each applier's seqOf) are pointer-free
-// map[int]int.
+// map[int]int. With ids=shuffled the deck's ids go through the fixed
+// permutation BenchmarkCorpusAdd's ids=shuffled case uses, so most
+// posting inserts land mid-list and split chunks, leaving them
+// part-full: out-of-order births may not pay for their speed in heap.
 func TestDeckHeapPerPage(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("builds a 20,000-page corpus; the race detector's shadow memory skews the heap")
 	}
 	const pages = 20000
-	before := liveHeap()
-	c := newTestCorpus(t, Config{Shards: 8, Seed: 1})
-	addDeck(t, c, newDeckGen(pages), 0, pages)
-	c.Sync()
-	perPage := float64(liveHeap()-before) / pages
-	runtime.KeepAlive(c)
-	t.Logf("%.0f bytes of heap per page", perPage)
-	if perPage > 780 {
-		t.Fatalf("the deck holds %.0f bytes of heap per page, want at most 780", perPage)
+	for _, shuffled := range []bool{false, true} {
+		name := "ids=ordered"
+		if shuffled {
+			name = "ids=shuffled"
+		}
+		t.Run(name, func(t *testing.T) {
+			d := newDeckGen(pages)
+			if shuffled {
+				d.ids = randutil.New(7).Perm(4 * pages)
+			}
+			before := liveHeap()
+			c := newTestCorpus(t, Config{Shards: 8, Seed: 1})
+			addDeck(t, c, d, 0, pages)
+			c.Sync()
+			perPage := (float64(liveHeap()) - float64(before)) / pages
+			runtime.KeepAlive(c)
+			runtime.KeepAlive(d)
+			t.Logf("%.0f bytes of heap per page", perPage)
+			if perPage > 780 {
+				t.Fatalf("the deck holds %.0f bytes of heap per page, want at most 780", perPage)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/policy"
@@ -434,4 +436,89 @@ func newTestCorpusNoClose(t *testing.T, cfg Config) *Corpus {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestFeedbackReportsCommitLSN pins the LSNs a held 202 waits on
+// (Server.HoldFeedbackAcks): batches from concurrent writers interleave
+// in each shard's group commits, and for every batch each touched
+// shard's reported LSN covers every one of the batch's events in that
+// shard's WAL and is no later than the shard's committed position. A
+// shard the batch did not touch reports 0. (Re-reading CommittedLSN
+// after the commit returned instead waits on groups the batch does not
+// depend on.)
+func TestFeedbackReportsCommitLSN(t *testing.T) {
+	c := newTestCorpus(t, durableConfig(t.TempDir()))
+	const pages, writers, batches = 24, 4, 30
+	for i := 0; i < pages; i++ {
+		if err := c.Add(i, "lsn page", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Sync()
+	shards := len(c.shards)
+	// Batch b's events carry b+1 impressions, which tells them apart in
+	// the WAL.
+	reported := make([][]uint64, writers*batches)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < batches; k++ {
+				b := w*batches + k
+				var events []Event
+				for j := 0; j < 1+b%5; j++ {
+					events = append(events, Event{Page: (b*7 + j*5) % pages, Slot: 1, Impressions: b + 1})
+				}
+				lsns := make([]uint64, shards)
+				if err := c.feedback(events, false, lsns); err != nil {
+					t.Error(err)
+					return
+				}
+				for si, lsn := range lsns {
+					touched := slices.ContainsFunc(events, func(e Event) bool { return c.ShardOf(e.Page) == si })
+					if committed := c.CommittedLSN(si); touched != (lsn > 0) || lsn > committed {
+						t.Errorf("batch %d: shard %d (touched %v) reports LSN %d, committed %d", b, si, touched, lsn, committed)
+						return
+					}
+				}
+				reported[b] = lsns
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	seen := 0
+	for si := 0; si < shards; si++ {
+		r := c.WALReader(si, c.WALFirstLSN(si))
+		for {
+			lsn, payload, ok, err := r.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			rec, err := decodeWALRecord(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.kind != recKindEvent {
+				continue
+			}
+			seen++
+			if b := rec.event.Impressions - 1; lsn > reported[b][si] {
+				t.Fatalf("batch %d's event for page %d is at LSN %d of shard %d, past the reported %d", b, rec.event.Page, lsn, si, reported[b][si])
+			}
+		}
+	}
+	want := 0
+	for b := 0; b < writers*batches; b++ {
+		want += 1 + b%5
+	}
+	if seen != want {
+		t.Fatalf("the WALs hold %d event records, want %d", seen, want)
+	}
 }

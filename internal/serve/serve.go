@@ -372,6 +372,9 @@ type applyReq struct {
 	// persisted locally before the state loads.
 	snapInstall *store.Snapshot
 	done        chan error
+	// lsn, when set, receives the end LSN of the group commit that made
+	// the request durable, stored before done closes.
+	lsn *uint64
 }
 
 // snapshot is a shard's immutable published view. pool carries birth
@@ -728,7 +731,7 @@ func (c *Corpus) Add(id int, text string, popularity float64) error {
 // retrying a failed batch is at-least-once. Events for unknown pages
 // are counted and dropped at apply time.
 func (c *Corpus) Feedback(events []Event) error {
-	return c.feedback(events, false)
+	return c.feedback(events, false, nil)
 }
 
 // TryFeedback is the admission-controlled Feedback: it reserves a queue
@@ -740,10 +743,16 @@ func (c *Corpus) Feedback(events []Event) error {
 // maps ErrOverloaded to 429 + Retry-After; any other error is a
 // durability failure as in Feedback.
 func (c *Corpus) TryFeedback(events []Event) error {
-	return c.feedback(events, true)
+	return c.feedback(events, true, nil)
 }
 
-func (c *Corpus) feedback(events []Event, admission bool) error {
+// feedback is Feedback, or TryFeedback with admission. When lsns is
+// non-nil (one entry per shard) and the corpus is durable, a nil return
+// leaves in lsns[si] the end LSN of the group commit that made the
+// batch durable on shard si, and 0 for shards the batch did not touch:
+// every one of its events there is logged at or below it.
+func (c *Corpus) feedback(events []Event, admission bool, lsns []uint64) error {
+	clear(lsns)
 	if len(events) == 0 {
 		return nil
 	}
@@ -806,6 +815,9 @@ func (c *Corpus) feedback(events []Event, admission bool) error {
 		if c.durable {
 			req.done = make(chan error, 1)
 			acks = append(acks, req.done)
+			if lsns != nil {
+				req.lsn = &lsns[si]
+			}
 		}
 		c.shards[si].ch <- req
 	}
@@ -1357,12 +1369,12 @@ func heapSort(best []candRef) {
 // scratch are bounded by n + the pool cap, not by match count.
 //
 // The deterministic scan is block-max pruned: posting lists carry a
-// popularity upper bound per fixed-stride block (searchidx bounds.go),
-// and once the heap holds n candidates, whole blocks whose bound cannot
-// beat the heap minimum are skipped — the galloping work, the slot
-// loads and the heap comparisons all vanish with them — so the cold
-// path's cost scales with the answer, not the match count. The pruned
-// result is identical to the full scan's: candidates stream in
+// popularity upper bound per chunk of at most 128 entries (searchidx
+// bounds.go), and once the heap holds n candidates, whole chunks whose
+// bound cannot beat the heap minimum are skipped — the galloping work,
+// the slot loads and the heap comparisons all vanish with them — so
+// the cold path's cost scales with the answer, not the match count. The
+// pruned result is identical to the full scan's: candidates stream in
 // ascending birth order, rank ties break older-first, and the bounds
 // stay sound under the monotone click invariant (see the property test
 // in prune_test.go). The promotion reservoir's candidates come from the
@@ -1760,6 +1772,9 @@ func (sh *shard) applyGroup(reqs []applyReq, replErrs []error, endLSN uint64, no
 		}
 		if r.done == nil {
 			continue
+		}
+		if r.lsn != nil {
+			*r.lsn = endLSN
 		}
 		if replErrs != nil && replErrs[ri] != nil {
 			// The valid prefix of the replicated batch committed and

@@ -27,6 +27,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -57,6 +58,7 @@ type connScratch struct {
 	reqs    []RankRequest // scanned JSON rank batch
 	seeds   []uint64      // backing for the batch's RankRequest.Seed
 	seed    uint64        // backing for a single scanned RankRequest.Seed
+	lsns    []uint64      // per-shard commit LSNs of a held feedback post
 }
 
 // maxPooledEvents is the largest scanned-events slice a connScratch
@@ -83,7 +85,7 @@ type Server struct {
 
 	// ackHold, when set, runs between a feedback batch's commit and its
 	// 202 (see HoldFeedbackAcks).
-	ackHold func(events []Event) error
+	ackHold func(lsns []uint64) error
 
 	rankRequests     atomic.Uint64
 	feedbackRequests atomic.Uint64
@@ -112,11 +114,12 @@ func NewServer(c *Corpus) *Server {
 }
 
 // HoldFeedbackAcks installs hold between a feedback batch's commit and
-// its 202: hold receives the committed events (valid only until it
-// returns) and an error from it turns the acknowledgment into a 503
-// replication_lag. A cluster node holds acks here until a follower
-// quorum has the batch. Call before serving.
-func (s *Server) HoldFeedbackAcks(hold func(events []Event) error) { s.ackHold = hold }
+// its 202: hold receives, per shard, the end LSN of the group commit
+// that made the batch durable there — 0 for shards it did not touch —
+// valid only until it returns, and an error from it turns the
+// acknowledgment into a 503 replication_lag. A cluster node holds acks
+// here until a follower quorum has those LSNs. Call before serving.
+func (s *Server) HoldFeedbackAcks(hold func(lsns []uint64) error) { s.ackHold = hold }
 
 // putScratch returns sc to the pool, minus an events slice that
 // outgrew maxPooledEvents.
@@ -539,8 +542,10 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, batch bo
 	s.feedbackRequests.Add(1)
 	// Slot telemetry is recorded by the apply loops, so the /stats slot
 	// table only ever counts feedback that was actually folded in.
-	// TryFeedback copies events into per-shard batches, so the pooled
-	// slice is free for reuse as soon as the handler returns.
+	// The post is admitted as TryFeedback admits it, which copies events
+	// into per-shard batches, so the pooled slice is free for reuse as
+	// soon as the handler returns. A held ack also collects each
+	// touched shard's commit LSN for the hold to wait on.
 	//
 	// The 202 is a durability promise (the batch committed on every
 	// target shard), so admission failures must be surfaced, never
@@ -548,9 +553,14 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, batch bo
 	// (429 + Retry-After, nothing was enqueued, retry the whole batch);
 	// a WAL commit failure means the shard cannot persist right now
 	// (503, the batch was nacked and /healthz reports unhealthy).
-	err = s.corpus.TryFeedback(events)
+	var lsns []uint64
+	if s.ackHold != nil {
+		sc.lsns = slices.Grow(sc.lsns[:0], len(s.corpus.shards))[:len(s.corpus.shards)]
+		lsns = sc.lsns
+	}
+	err = s.corpus.feedback(events, true, lsns)
 	if err == nil && s.ackHold != nil {
-		if held := s.ackHold(events); held != nil {
+		if held := s.ackHold(lsns); held != nil {
 			httpError(w, http.StatusServiceUnavailable, ErrCodeReplLag, time.Second, "%v", held)
 			return
 		}
