@@ -8,10 +8,13 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/faultfs"
 	"repro/internal/serve"
 )
 
@@ -143,21 +146,25 @@ func TestProtoRoundTrip(t *testing.T) {
 // TestProtoMinorRequired pins the session-open bytes — the protocol
 // minor is the trailing field of both the handshake and its reply, with
 // no optional form — and that leaving it off, or speaking another
-// revision, is refused with an error that says so.
+// revision, is refused with an error that says so. Revision 1 (frames
+// shipped before the leader's fsync) is refused like any other.
 func TestProtoMinorRequired(t *testing.T) {
 	hs := handshake{node: "n1", shard: 3, epoch: 9, startLSN: 1234, minor: protoMinor}.encode()
-	if want := "HSDRP\x01\x02n1\x03\x09\xd2\x09\x01"; string(hs) != want {
+	if want := "HSDRP\x01\x02n1\x03\x09\xd2\x09\x02"; string(hs) != want {
 		t.Fatalf("handshake bytes %q, want %q", hs, want)
 	}
 	rp := reply{status: replyFrames, epoch: 9, minor: protoMinor}.encode()
-	if want := "R\x00\x09\x00\x01"; string(rp) != want {
+	if want := "R\x00\x09\x00\x02"; string(rp) != want {
 		t.Fatalf("reply bytes %q, want %q", rp, want)
 	}
 	if _, err := decodeHandshake(hs[:len(hs)-1]); err == nil || !strings.Contains(err.Error(), "no protocol minor") {
 		t.Fatalf("handshake without a minor: err=%v, want one naming the missing minor", err)
 	}
-	if _, err := decodeHandshake(append(hs[:len(hs)-1:len(hs)-1], 0)); err == nil || !strings.Contains(err.Error(), "protocol minor 0") {
-		t.Fatalf("minor-0 handshake: err=%v, want one naming the revision", err)
+	for _, minor := range []byte{0, 1} {
+		_, err := decodeHandshake(append(hs[:len(hs)-1:len(hs)-1], minor))
+		if want := fmt.Sprintf("protocol minor %d", minor); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("minor-%d handshake: err=%v, want one naming the revision", minor, err)
+		}
 	}
 	if _, err := decodeReply(rp[:len(rp)-1]); err == nil {
 		t.Fatal("reply without a minor accepted")
@@ -252,6 +259,115 @@ func TestClusterReplicatesFeedback(t *testing.T) {
 				t.Fatalf("follower %s accepted write for shard %d: %v", c.Node(i).ID(), si, err)
 			}
 			break
+		}
+	}
+}
+
+// TestFailedLeaderCommitNeverReachesFollowers fails the fsync of one
+// feedback group commit on a shard leader. The client gets its nack,
+// and the group's LSNs are reused by the next batch. Nothing of the
+// failed group may reach a follower: once the retry converges, every
+// node has applied exactly the acknowledged events, and the shard's WAL
+// is byte-identical on every node.
+func TestFailedLeaderCommitNeverReachesFollowers(t *testing.T) {
+	opts := fastOpts(t)
+	injectors := make([]*faultfs.Injector, opts.Nodes)
+	for i := range injectors {
+		injectors[i] = &faultfs.Injector{}
+	}
+	opts.Corpus = func(i int, cfg *serve.Config) { cfg.Durability.FaultInjector = injectors[i] }
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const shard, pages = 1, 24
+	var mine []int // the pages of the faulted shard
+	for id := 0; id < pages; id++ {
+		if err := c.Add(id, fmt.Sprintf("page %d", id), 1); err != nil {
+			t.Fatal(err)
+		}
+		if serve.ShardIndex(id, opts.Shards) == shard {
+			mine = append(mine, id)
+		}
+	}
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	li := c.LeaderIndex(shard)
+	leader := c.Node(li).Corpus()
+	before := leader.CommittedLSN(shard)
+
+	injectors[li].FailSyncs(1)
+	if st := postFeedback(t, c.APIURL(li), feedbackEvents(mine, 1)); st != http.StatusServiceUnavailable {
+		t.Fatalf("feedback through a failed fsync: status %d, want 503", st)
+	}
+	if got := injectors[li].SyncFailures(); got != 1 {
+		t.Fatalf("%d injected sync failures, want 1", got)
+	}
+	if got := leader.CommittedLSN(shard); got != before {
+		t.Fatalf("leader committed LSN moved %d -> %d through a failed commit", before, got)
+	}
+	// Give a shipper a few heartbeats to leak the failed group.
+	time.Sleep(5 * opts.HeartbeatEvery)
+	for i := 0; i < c.Len(); i++ {
+		if got := c.Node(i).Corpus().CommittedLSN(shard); got != before {
+			t.Fatalf("node %d at LSN %d after the failed commit, want %d", i, got, before)
+		}
+	}
+
+	injectors[li].Clear()
+	const clicks = 2
+	if st := postFeedback(t, c.APIURL(li), feedbackEvents(mine, clicks)); st != http.StatusAccepted {
+		t.Fatalf("feedback after the fault cleared: status %d", st)
+	}
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.Len(); i++ {
+		corpus := c.Node(i).Corpus()
+		for _, id := range mine {
+			got, ok := corpus.Page(id)
+			if !ok || got.Clicks != clicks || got.Impressions != 1 {
+				t.Fatalf("node %d page %d: %+v ok=%v, want only the acked %d clicks on 1 impression", i, id, got, ok, clicks)
+			}
+		}
+		if st := corpus.Stats(); st.ClicksApplied != uint64(clicks*len(mine)) || st.ImpressionsApplied != uint64(len(mine)) {
+			t.Fatalf("node %d applied %d clicks on %d impressions, want %d on %d",
+				i, st.ClicksApplied, st.ImpressionsApplied, clicks*len(mine), len(mine))
+		}
+	}
+
+	readWAL := func(i int) map[string][]byte {
+		t.Helper()
+		dir := filepath.Join(opts.DataDir, c.Node(i).ID(), fmt.Sprintf("shard-%03d", shard), "wal")
+		files, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("node %d: no WAL segments in %s (err=%v)", i, dir, err)
+		}
+		out := make(map[string][]byte, len(files))
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(f)] = data
+		}
+		return out
+	}
+	want := readWAL(li)
+	for i := 0; i < c.Len(); i++ {
+		if i == li {
+			continue
+		}
+		got := readWAL(i)
+		if len(got) != len(want) {
+			t.Fatalf("node %d holds %d WAL segments for shard %d, leader %d", i, len(got), shard, len(want))
+		}
+		for name, data := range want {
+			if !bytes.Equal(got[name], data) {
+				t.Fatalf("node %d: shard %d WAL segment %s differs from the leader's (%d vs %d bytes)", i, shard, name, len(got[name]), len(data))
+			}
 		}
 	}
 }

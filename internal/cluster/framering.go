@@ -1,22 +1,15 @@
 // The leader-side frame ring: an in-memory tail of one shard's WAL, fed
-// by the serving layer's OnWALWrite hook as each group commit's frames
-// are written (before they are fsynced). Shipper sessions stream from
-// the ring instead of re-reading segment files from disk on every
-// commit notification — the hot path never touches the filesystem, and
-// a follower keeping up costs the leader O(frames) instead of the
-// O(frames²) a fresh wal.Reader per notification used to.
-//
-// Because the ring holds frames that are not yet durable, a failed group
-// commit invalidates a suffix of it: DropFrom truncates the ring and
-// floors a rewind mark on every subscribed shipper, which re-ships the
-// replaced LSNs. Marks accumulate the MINIMUM floor between reads, so a
-// shipper that missed several rollbacks still rewinds far enough.
+// by the serving layer's OnCommit hook with each group commit's frames
+// once they are durable. Shipper sessions stream from the ring instead
+// of re-reading segment files from disk on every commit — the hot path
+// never touches the filesystem, and a follower keeping up costs the
+// leader O(frames) instead of the O(frames²) a fresh wal.Reader per
+// commit used to. Every frame in the ring is durable, so whatever a
+// shipper reads from it is final: a failed commit never reaches it.
 package cluster
 
 import (
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/wal"
 )
@@ -26,27 +19,12 @@ import (
 // itself and rejoins the ring when it catches back up.
 const ringMaxBytes = 8 << 20
 
-// rewindMark is one shipper's pending-rollback cell: DropFrom floors it,
-// the shipper takes (and resets) it before every shipping step.
-type rewindMark struct{ floor atomic.Uint64 }
-
-// take returns the lowest rollback LSN recorded since the last take.
-func (m *rewindMark) take() (uint64, bool) {
-	v := m.floor.Swap(math.MaxUint64)
-	return v, v != math.MaxUint64
-}
-
 type frameRing struct {
 	mu       sync.Mutex
 	first    uint64   // LSN of payloads[0] when non-empty
 	next     uint64   // LSN the next appended frame will carry (0 before first feed)
 	payloads [][]byte // contiguous: payloads[i] is LSN first+i
 	bytes    int64
-	subs     map[*rewindMark]struct{}
-}
-
-func newFrameRing() *frameRing {
-	return &frameRing{subs: make(map[*rewindMark]struct{})}
 }
 
 // Append feeds one group commit's raw encoded frames, starting at
@@ -58,14 +36,9 @@ func (rg *frameRing) Append(firstLSN uint64, frames []byte) {
 	copy(blob, frames)
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
-	if rg.next == 0 || firstLSN != rg.next {
-		// First feed, or a discontinuity (hook attached mid-stream, or a
-		// log reset): restart the ring here. A backwards jump means the
-		// old frames at these LSNs were replaced, so force subscribers
-		// through the rewind mark.
-		if rg.next != 0 && firstLSN < rg.next {
-			rg.markRewind(firstLSN)
-		}
+	if firstLSN != rg.next {
+		// First feed, or a discontinuity (a log reset under a snapshot
+		// install): restart the ring here.
 		rg.payloads = rg.payloads[:0]
 		rg.bytes = 0
 		rg.first = firstLSN
@@ -86,57 +59,18 @@ func (rg *frameRing) Append(firstLSN uint64, frames []byte) {
 	}
 }
 
-// DropFrom invalidates every frame at or above lsn (a failed group
-// commit rolled them back; their LSNs may be reused with different
-// contents) and floors every subscriber's rewind mark.
-func (rg *frameRing) DropFrom(lsn uint64) {
-	rg.mu.Lock()
-	defer rg.mu.Unlock()
-	if rg.next == 0 || lsn >= rg.next {
-		return
-	}
-	if lsn <= rg.first {
-		rg.payloads = rg.payloads[:0]
-		rg.bytes = 0
-		rg.first = lsn
-	} else {
-		for _, p := range rg.payloads[lsn-rg.first:] {
-			rg.bytes -= int64(len(p))
-		}
-		rg.payloads = rg.payloads[:lsn-rg.first]
-	}
-	rg.next = lsn
-	rg.markRewind(lsn)
-}
-
-// markRewind floors every subscriber's pending rewind. Caller holds mu.
-func (rg *frameRing) markRewind(lsn uint64) {
-	for m := range rg.subs {
-		for {
-			cur := m.floor.Load()
-			if lsn >= cur || m.floor.CompareAndSwap(cur, lsn) {
-				break
-			}
-		}
-	}
-}
-
 // Read copies out up to budget payload bytes of contiguous frames
-// starting at pos, none beyond limit (at least one frame regardless of
-// budget). ok=false when the ring cannot serve pos — empty, evicted
-// below pos, or pos not yet appended.
-func (rg *frameRing) Read(pos, limit uint64, budget int) (payloads [][]byte, ok bool) {
+// starting at pos (at least one frame regardless of budget). ok=false
+// when the ring cannot serve pos — empty, evicted below pos, or pos not
+// yet appended.
+func (rg *frameRing) Read(pos uint64, budget int) (payloads [][]byte, ok bool) {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	if len(rg.payloads) == 0 || pos < rg.first || pos >= rg.next {
 		return nil, false
 	}
 	total := 0
-	for i := int(pos - rg.first); i < len(rg.payloads); i++ {
-		if pos+uint64(len(payloads)) > limit {
-			break
-		}
-		p := rg.payloads[i]
+	for _, p := range rg.payloads[pos-rg.first:] {
 		if total > 0 && total+len(p) > budget {
 			break
 		}
@@ -152,21 +86,4 @@ func (rg *frameRing) NextLSN() uint64 {
 	rg.mu.Lock()
 	defer rg.mu.Unlock()
 	return rg.next
-}
-
-// Subscribe registers a rewind mark for one shipper session.
-func (rg *frameRing) Subscribe() *rewindMark {
-	m := &rewindMark{}
-	m.floor.Store(math.MaxUint64)
-	rg.mu.Lock()
-	rg.subs[m] = struct{}{}
-	rg.mu.Unlock()
-	return m
-}
-
-// Unsubscribe removes a mark registered by Subscribe.
-func (rg *frameRing) Unsubscribe(m *rewindMark) {
-	rg.mu.Lock()
-	delete(rg.subs, m)
-	rg.mu.Unlock()
 }

@@ -222,8 +222,8 @@ func TestFrontDoorRelaysLowestLeaderVerdict(t *testing.T) {
 // with nothing else going on, a one-shard post is acknowledged as soon
 // as a follower has it, in well under a millisecond of waiting. A missed
 // wake-up anywhere on the path — the shipper arming its waits after
-// sampling the log, the follower dropping the ack a durable advance
-// asked for — parks the post until the next heartbeat instead, so over
+// sampling the log, the follower holding back the ack for a batch it
+// has applied — parks the post until the next heartbeat instead, so over
 // many posts the slowest one gives it away. The heartbeat is set far
 // above scheduling noise to keep the two apart.
 func TestOneShardAckNeverWaitsForHeartbeat(t *testing.T) {

@@ -119,14 +119,13 @@ type shardRepl struct {
 	// bytes is reported as frames×avg (an estimate — the WAL keeps no
 	// per-LSN byte index).
 	avgFrameBytes atomic.Int64
-	// notify wakes shipper sessions after each WAL write, group
-	// commit, or rollback; ackNotify wakes writers blocked on quorum
-	// replication after each follower ack.
+	// notify wakes shipper sessions after each group commit; ackNotify
+	// wakes writers blocked on quorum replication after each follower
+	// ack.
 	notify    *commitNotify
 	ackNotify *commitNotify
-	// ring is the in-memory tail of the shard's WAL (framering.go):
-	// the shipping hot path, fed by OnWALWrite before frames are even
-	// durable so network transfer overlaps the leader's own fsync.
+	// ring is the in-memory tail of the shard's durable WAL
+	// (framering.go): the shipping hot path, fed by OnCommit.
 	ring *frameRing
 	// followers maps follower node ID → track, leader side. Tracks
 	// persist across disconnects: a registered follower that goes away
@@ -217,24 +216,13 @@ func NewNode(cfg NodeConfig, coord Coordinator) (*Node, error) {
 		shards: make([]*shardRepl, cfg.Corpus.Shards),
 	}
 	for i := range n.shards {
-		n.shards[i] = &shardRepl{notify: newCommitNotify(), ackNotify: newCommitNotify(), ring: newFrameRing()}
+		n.shards[i] = &shardRepl{notify: newCommitNotify(), ackNotify: newCommitNotify(), ring: &frameRing{}}
 	}
-	cfg.Corpus.OnCommit = func(shard int, _ uint64) {
-		n.shards[shard].notify.Signal()
-	}
-	// Feed the frame ring as each group commit is written — before its
-	// fsync — so shippers put frames on the wire while the leader's own
-	// durability barrier is still in flight. A failed commit voids the
-	// shipped suffix: DropFrom rewinds the ring and every subscribed
-	// shipper re-ships the replaced LSNs.
-	cfg.Corpus.OnWALWrite = func(shard int, firstLSN uint64, frames []byte) {
+	// Feed the frame ring with each group commit once it is durable, and
+	// wake the shard's shippers.
+	cfg.Corpus.OnCommit = func(shard int, firstLSN uint64, frames []byte) {
 		sr := n.shards[shard]
 		sr.ring.Append(firstLSN, frames)
-		sr.notify.Signal()
-	}
-	cfg.Corpus.OnRollback = func(shard int, fromLSN uint64) {
-		sr := n.shards[shard]
-		sr.ring.DropFrom(fromLSN)
 		sr.notify.Signal()
 	}
 	corpus, err := serve.NewCorpus(cfg.Corpus)
@@ -629,34 +617,33 @@ func (n *Node) followOnce(si int, leaderID, addr string) error {
 }
 
 // replBatch is one unit of work handed from a follower session's reader
-// to its applier: a contiguous run of leader-durable frames, plus ack
-// triggers. ackNow asks for a cumulative ack once the applier drains
-// (set on durable advances); hb asks for one even if the position did
-// not move (heartbeat liveness — the leader's ack reader times out on a
-// silent follower).
+// to its applier: a contiguous run of leader-durable frames. hb asks for
+// an ack even if the position did not move (heartbeat liveness — the
+// leader's ack reader times out on a silent follower).
 type replBatch struct {
 	frames []serve.ReplFrame
-	ackNow bool
 	hb     bool
 }
 
 // maxReplPipeline bounds how many replicated batches a follower session
 // keeps submitted to its shard's apply loop at once; the loop commits
-// whatever has queued as one group.
-const maxReplPipeline = 4
+// whatever has queued as one group. maxReplBatch bounds the frames of
+// one batch.
+const (
+	maxReplPipeline = 4
+	maxReplBatch    = 512
+)
 
 // followStream applies the leader's frame/heartbeat stream until the
 // connection dies, the epoch moves on, or the node's role changes.
 //
-// Frames may arrive before they are durable on the leader: the reader
-// holds them in session memory — keyed by LSN, so a replacement after a
-// leader-side rollback simply overwrites — and releases contiguous runs
-// to the applier only once a durable{}/heartbeat advertises a covering
-// position. The applier keeps up to maxReplPipeline batches submitted,
-// so the next window is decoded and queued while this node's fsync of
-// the previous one is in flight, and acks upstream are cumulative: one
-// per durable advance when keeping up, one per replAckEvery frames while
-// catching up.
+// Frames arrive durable on the leader and in LSN order, so the reader
+// hands them to the applier in batches as they are read, cutting a batch
+// when the socket goes quiet or it reaches maxReplBatch frames. The
+// applier keeps up to maxReplPipeline batches submitted, so the next
+// batch is decoded and queued while this node's fsync of the previous
+// one is in flight, and acks upstream are cumulative: one whenever the
+// pipeline drains, one per replAckEvery frames while catching up.
 func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Reader) error {
 	readTimeout := n.followReadTimeout()
 
@@ -666,7 +653,7 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 		defer close(applierDone)
 		var outstanding []func() error
 		lastAcked := n.corpus.CommittedLSN(si)
-		ackPending, hbPending := false, false
+		hbPending := false
 		broken := false
 		fail := func() {
 			broken = true
@@ -688,7 +675,7 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 			}
 			committed := n.corpus.CommittedLSN(si)
 			due := committed-lastAcked >= replAckEvery ||
-				(len(outstanding) == 0 && (hbPending || (ackPending && committed > lastAcked)))
+				(len(outstanding) == 0 && (hbPending || committed > lastAcked))
 			if !due {
 				return
 			}
@@ -698,10 +685,9 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 				return
 			}
 			lastAcked = committed
-			ackPending, hbPending = false, false
+			hbPending = false
 		}
 		for b := range applyC {
-			ackPending = ackPending || b.ackNow
 			hbPending = hbPending || b.hb
 			if len(b.frames) > 0 && !broken {
 				if w, err := n.corpus.ApplyReplicatedAsync(si, b.frames); err != nil {
@@ -727,51 +713,17 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 		<-applierDone
 	}()
 
-	held := make(map[uint64][]byte) // pre-durable frames, keyed by LSN
-	applied := n.corpus.CommittedLSN(si)
-	leaderDurable := applied
-	// ackOwed remembers that a durable advance asked for an ack until a
-	// flush carries the request to the applier. The advance itself may
-	// skip its flush (more of the burst is buffered behind it), and the
-	// message that flushes next may be a frame, which asks for nothing:
-	// without the memory the request is dropped there and the leader's
-	// quorum wait sits until the next heartbeat's ack.
-	ackOwed := false
-	// flushReady hands every held frame the leader has advertised as
-	// durable to the applier, in contiguous chunks.
-	flushReady := func(hb bool) {
-		ackNow := ackOwed
-		ackOwed = false
-		for {
-			var frames []serve.ReplFrame
-			var frameBytes int64
-			for len(frames) < 512 && applied < leaderDurable {
-				p, ok := held[applied+1]
-				if !ok {
-					break
-				}
-				applied++
-				delete(held, applied)
-				frames = append(frames, serve.ReplFrame{LSN: applied, Payload: p})
-				frameBytes += int64(len(p))
-			}
-			if len(frames) == 0 {
-				if ackNow || hb {
-					applyC <- replBatch{ackNow: ackNow, hb: hb}
-				}
-				return
-			}
-			updateAvg(&sr.avgFrameBytes, frameBytes/int64(len(frames)))
-			b := replBatch{frames: frames}
-			if len(frames) < 512 {
-				// Final chunk: the ack triggers ride it.
-				b.ackNow, b.hb = ackNow, hb
-			}
-			applyC <- b
-			if len(frames) < 512 {
-				return
-			}
+	read := n.corpus.CommittedLSN(si) // last LSN handed to the applier
+	var batch []serve.ReplFrame
+	var batchBytes int64
+	flush := func(hb bool) {
+		if len(batch) > 0 {
+			updateAvg(&sr.avgFrameBytes, batchBytes/int64(len(batch)))
 		}
+		if len(batch) > 0 || hb {
+			applyC <- replBatch{frames: batch, hb: hb}
+		}
+		batch, batchBytes = nil, 0
 	}
 	for {
 		if !n.running() || sr.role.Load() != roleFollower {
@@ -792,36 +744,20 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 				return err
 			}
 			sr.lastHB.Store(time.Now().UnixNano())
-			if f.lsn > applied {
-				// Provisional until a durable advance covers it; a
-				// replacement for a rolled-back LSN overwrites here.
-				held[f.lsn] = f.payload
+			if f.lsn != read+1 {
+				return fmt.Errorf("frame at LSN %d, want %d", f.lsn, read+1)
 			}
+			read = f.lsn
+			if f.lsn > sr.leaderCommit.Load() {
+				sr.leaderCommit.Store(f.lsn)
+			}
+			batch = append(batch, serve.ReplFrame{LSN: f.lsn, Payload: f.payload})
+			batchBytes += int64(len(f.payload))
 			// Batch greedily: release once the socket goes quiet.
-			if br.Buffered() > 0 && len(held) < 8192 {
+			if br.Buffered() > 0 && len(batch) < maxReplBatch {
 				continue
 			}
-			flushReady(false)
-		case msgDurable:
-			d, err := decodeDurableMsg(body)
-			if err != nil {
-				return err
-			}
-			if err := n.checkEpoch(sr, d.epoch); err != nil {
-				return err
-			}
-			sr.lastHB.Store(time.Now().UnixNano())
-			if d.lsn > leaderDurable {
-				leaderDurable = d.lsn
-			}
-			if d.lsn > sr.leaderCommit.Load() {
-				sr.leaderCommit.Store(d.lsn)
-			}
-			ackOwed = true
-			if br.Buffered() > 0 {
-				continue // more of the burst is right behind; flush once
-			}
-			flushReady(false)
+			flush(false)
 		case msgHeartbeat:
 			hb, err := decodeHeartbeat(body)
 			if err != nil {
@@ -831,13 +767,10 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 				return err
 			}
 			sr.lastHB.Store(time.Now().UnixNano())
-			if hb.commitLSN > leaderDurable {
-				leaderDurable = hb.commitLSN
-			}
 			if hb.commitLSN > sr.leaderCommit.Load() {
 				sr.leaderCommit.Store(hb.commitLSN)
 			}
-			flushReady(true)
+			flush(true)
 		default:
 			return fmt.Errorf("unexpected message kind %q mid-stream", body[0])
 		}
@@ -1020,43 +953,36 @@ const (
 // heartbeating while idle, until the connection dies or this node stops
 // leading the shard at the session epoch.
 //
-// The hot path reads from the in-memory frame ring, which is fed the
-// moment each group commit's frames are WRITTEN — the stream runs ahead
-// of the leader's own fsync (network transfer and local durability
-// overlap), with durable{} messages advertising the committed position
-// as it advances and a rewind mark forcing re-ship of any LSNs a failed
-// commit rolled back. A follower too far behind the ring is served from
-// a (reused) WAL reader over the durable prefix until it rejoins the
-// ring.
+// The hot path reads from the in-memory frame ring, which is fed each
+// group commit's frames once they are durable, so every frame shipped is
+// final. A follower too far behind the ring is served from a (reused)
+// WAL reader until it rejoins the ring.
 func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint64, track *followerTrack) {
 	hb := time.NewTicker(n.cfg.HeartbeatEvery)
 	defer hb.Stop()
-	mark := sr.ring.Subscribe()
-	defer sr.ring.Unsubscribe(mark)
 	var (
-		out         bytes.Buffer
-		scratch     []byte
-		rd          *wal.Reader
-		rdPos       uint64
-		lastDurable uint64
+		out     bytes.Buffer
+		scratch []byte
+		rd      *wal.Reader
+		rdPos   uint64
 	)
 	sendHB := func(committed uint64) bool {
 		msg := heartbeat{epoch: epoch, commitLSN: committed, nanos: uint64(time.Now().UnixNano())}
 		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		return writeMsg(conn, msg.encode()) == nil
 	}
-	// wrote and acked are this iteration's wake-up edges, armed at the
-	// top of the loop BEFORE the log and ack positions are sampled (the
-	// order WaitReplicated keeps, for the same reason): a write, commit
-	// or ack that lands after the sample has then already closed the
-	// channel idle selects on, instead of signalling a channel nobody
-	// holds yet and leaving the session asleep until the heartbeat.
-	var wrote, acked <-chan struct{}
+	// committedC and acked are this iteration's wake-up edges, armed at
+	// the top of the loop BEFORE the log and ack positions are sampled
+	// (the order WaitReplicated keeps, for the same reason): a commit or
+	// ack that lands after the sample has then already closed the channel
+	// idle selects on, instead of signalling a channel nobody holds yet
+	// and leaving the session asleep until the heartbeat.
+	var committedC, acked <-chan struct{}
 	idle := func(committed uint64) bool {
 		select {
 		case <-n.stop:
 			return false
-		case <-wrote:
+		case <-committedC:
 			return true
 		case <-acked:
 			return true
@@ -1068,18 +994,12 @@ func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint6
 		if !n.running() || sr.role.Load() != roleLeader || sr.epoch.Load() != epoch {
 			return
 		}
-		wrote, acked = sr.notify.Wait(), sr.ackNotify.Wait()
-		if floor, ok := mark.take(); ok && floor < pos {
-			pos, rd = floor, nil
-		}
+		committedC, acked = sr.notify.Wait(), sr.ackNotify.Wait()
 		committed := n.corpus.CommittedLSN(si)
-		if committed > lastDurable {
-			lastDurable = committed
-			conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			if writeMsg(conn, durableMsg{epoch: epoch, lsn: committed}.encode()) != nil {
-				return
-			}
-		}
+		// Every LSN up to limit is durable and in the WAL's published
+		// extent: the ring is fed after a commit's segment accounting, and
+		// the committed position is stored after that, so a WAL reader
+		// made below covers both.
 		limit := committed
 		if next := sr.ring.NextLSN(); next > 0 && next-1 > limit {
 			limit = next - 1
@@ -1093,13 +1013,13 @@ func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint6
 			continue
 		}
 		if pos > limit {
-			// Caught up: wait for the next write, commit or ack.
+			// Caught up: wait for the next commit or ack.
 			if !idle(committed) {
 				return
 			}
 			continue
 		}
-		if payloads, ok := sr.ring.Read(pos, limit, shipBatchBytes); ok {
+		if payloads, ok := sr.ring.Read(pos, shipBatchBytes); ok {
 			rd = nil
 			out.Reset()
 			var frameBytes int64
@@ -1120,23 +1040,16 @@ func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint6
 			}
 			continue
 		}
-		// The ring cannot serve pos. Frames past the durable prefix will
-		// land in the ring (or roll back) shortly — wait; durable frames
-		// evicted from the ring stream from the WAL itself through a
-		// reader reused until it is exhausted.
-		if pos > committed {
-			if !idle(committed) {
-				return
-			}
-			continue
-		}
+		// The ring cannot serve pos (evicted, or fed only from a later
+		// commit on): stream from the WAL itself through a reader reused
+		// until it is exhausted.
 		fresh := false
 		if rd == nil || rdPos != pos {
 			rd, rdPos, fresh = n.corpus.WALReader(si, pos), pos, true
 		}
 		out.Reset()
 		var frames, frameBytes int64
-		for pos <= committed && out.Len() < shipBatchBytes {
+		for pos <= limit && out.Len() < shipBatchBytes {
 			lsn, payload, ok, err := rd.Next()
 			if err != nil || (ok && lsn != pos) {
 				// Reader raced truncation or hit a gap; the follower
@@ -1147,7 +1060,7 @@ func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint6
 			}
 			if !ok {
 				// The reader's snapshot of the log ran out. A fresh one
-				// must cover pos ≤ committed; a stale one just needs
+				// must cover pos ≤ limit; a stale one just needs
 				// recreating.
 				if fresh {
 					n.cfg.Logf("cluster %s: shard %d: ship read at %d: log ends early", n.cfg.ID, si, pos)

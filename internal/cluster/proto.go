@@ -11,20 +11,18 @@
 //	leader   → follower handshake reply{status, epoch, detail, minor}
 //	leader   → follower [snapshot{lsn, bytes}]        (catch-up only)
 //	leader   → follower frame{epoch, lsn, payload}…   (the shipped WAL)
-//	leader   → follower durable{epoch, lsn}
 //	leader   → follower heartbeat{epoch, commitLSN, nanos}
 //	follower → leader   ack{lsn}                      (durable position)
 //
 // Frame payloads are the exact record bytes of the leader's WAL; the
 // follower re-appends them to its own log, which re-frames them
-// byte-identically (same length prefix, same CRC-32C). Frames may
-// arrive BEFORE they are durable on the leader — the follower holds
-// them until a durable{} or heartbeat advertises a covering position —
-// and acks are windowed and cumulative rather than per-batch. Every
-// leader→follower message
-// carries the fencing epoch; a receiver that has seen a higher epoch
-// refuses the message and drops the connection, which is what makes a
-// revived old leader harmless.
+// byte-identically (same length prefix, same CRC-32C). The leader ships
+// a frame only once it is durable there, in LSN order, so the follower
+// applies frames as they arrive; acks are windowed and cumulative rather
+// than per-batch. Every leader→follower message carries the fencing
+// epoch; a receiver that has seen a higher epoch refuses the message and
+// drops the connection, which is what makes a revived old leader
+// harmless.
 package cluster
 
 import (
@@ -45,7 +43,6 @@ const (
 	msgFrame     = 'F' // leader → follower: one WAL record
 	msgHeartbeat = 'B' // leader → follower: liveness + commit position
 	msgAck       = 'A' // follower → leader: durable position
-	msgDurable   = 'D' // leader → follower: durable position advance
 )
 
 // Handshake verdicts.
@@ -66,14 +63,12 @@ const protoVersion = 1
 
 // protoMinor is the feature revision both ends of a session must
 // speak; the handshake and its reply carry it as a required trailing
-// field. Revision 1 is overlapped shipping: the leader may stream frames
-// BEFORE they are locally durable and advertises durability separately
-// with 'D' messages; the follower buffers pre-durable frames, applies
-// them on durable advance, and sends windowed cumulative acks. Every
-// node of a cluster is built from one tree, so there is no revision-0
-// (durable-frames-only) peer left to negotiate down to: a handshake
-// without the field, or with another revision, is refused.
-const protoMinor = 1
+// field. Revision 2 ships frames only once they are durable on the
+// leader; a revision-1 follower would wait for the 'D' durability
+// messages revision 2 no longer sends. Every node of a cluster is built
+// from one tree, so there is no older peer to negotiate down to: a
+// handshake without the field, or with another revision, is refused.
+const protoMinor = 2
 
 // maxCtrlMsg bounds handshake/heartbeat/ack messages; maxFrameMsg
 // bounds a frame (a WAL record plus header slack); maxSnapMsg bounds a
@@ -304,39 +299,6 @@ func decodeHeartbeat(body []byte) (heartbeat, error) {
 		return hb, fmt.Errorf("cluster: heartbeat: %d trailing bytes", r.Remaining())
 	}
 	return hb, nil
-}
-
-// durableMsg advertises the leader's durable (committed) position the
-// moment it advances — the signal a follower applies its buffered
-// pre-durable frames on. Heartbeats still carry the position
-// for liveness, but only every HeartbeatEvery; this one is prompt.
-type durableMsg struct {
-	epoch uint64
-	lsn   uint64
-}
-
-func (d durableMsg) encode() []byte {
-	b := []byte{msgDurable}
-	b = binary.AppendUvarint(b, d.epoch)
-	b = binary.AppendUvarint(b, d.lsn)
-	return b
-}
-
-func decodeDurableMsg(body []byte) (durableMsg, error) {
-	var d durableMsg
-	if len(body) < 1 || body[0] != msgDurable {
-		return d, fmt.Errorf("cluster: not a durable advance")
-	}
-	r := store.NewBinReader(body, 1)
-	d.epoch = r.Uvarint()
-	d.lsn = r.Uvarint()
-	if err := r.Err(); err != nil {
-		return d, fmt.Errorf("cluster: durable advance: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return d, fmt.Errorf("cluster: durable advance: %d trailing bytes", r.Remaining())
-	}
-	return d, nil
 }
 
 // ack reports the follower's durable position upstream.

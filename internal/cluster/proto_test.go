@@ -74,9 +74,6 @@ func reencodeSDRP(body []byte) ([]byte, error) {
 	case msgHeartbeat:
 		hb, err := decodeHeartbeat(body)
 		return hb.encode(), err
-	case msgDurable:
-		d, err := decodeDurableMsg(body)
-		return d.encode(), err
 	case msgAck:
 		a, err := decodeAck(body)
 		return a.encode(), err

@@ -1,12 +1,12 @@
 // Replication support under the serving layer: the hooks internal/cluster
 // uses to turn each shard's WAL into a shipped log. A leader's apply loop
-// fires Config.OnCommit after every durable group commit; a shipper
-// thread then reads the committed frames with WALReader and streams them
-// to followers, which feed them back in through ApplyReplicatedAsync — raw
-// payloads appended to the follower's own WAL (byte-identical frames,
-// same LSNs), committed, and applied through applyRecord, the path boot
-// recovery replays through. A follower that is too far behind a
-// truncated log instead receives a store snapshot and installs it with
+// hands every durable group commit's frames to Config.OnCommit; a shipper
+// thread streams them to followers (reading older frames with WALReader),
+// which feed them back in through ApplyReplicatedAsync — raw payloads
+// appended to the follower's own WAL (byte-identical frames, same LSNs),
+// committed, and applied through applyRecord, the path boot recovery
+// replays through. A follower that is too far behind a truncated log
+// instead receives a store snapshot and installs it with
 // InstallReplicaSnapshot.
 //
 // The serving layer stays cluster-agnostic: it knows "this shard takes
@@ -62,8 +62,8 @@ func (c *Corpus) Indexing(shard int) bool { return c.shards[shard].indexing.Load
 
 // WALReader returns a cursor over the shard's committed frames with
 // LSN >= from. The cursor snapshots the log's committed extent at the
-// call, so a shipper creates a fresh one per commit notification. Safe
-// to call concurrently with the apply loop.
+// call: frames committed later need a fresh one. Safe to call
+// concurrently with the apply loop.
 func (c *Corpus) WALReader(shard int, from uint64) *wal.Reader {
 	return c.shards[shard].st.Log.Reader(from)
 }

@@ -179,32 +179,13 @@ type Config struct {
 	Limits     Limits
 	Durability Durability
 
-	// OnCommit, when non-nil, is invoked by a shard's apply loop after
-	// every successful WAL group commit that appended at least one frame,
-	// with the shard index and the LSN of the last frame now durable. It
-	// runs on the apply goroutine — the one place a wal.Reader over the
-	// freshly committed frames is safe to hand off — so it must return
-	// quickly (signal a channel, bump an atomic); replication shipping
-	// hangs off this hook. Ignored without Durability.DataDir.
-	OnCommit func(shard int, committedLSN uint64)
-
-	// OnWALWrite, when non-nil, receives each group commit's raw WAL
-	// frames right after they are written to the shard's active segment
-	// but BEFORE the covering fsync (wal.Options.OnWrite). Replication
-	// uses it to overlap network shipping with the leader's sync: the
-	// receiver must treat the frames as provisional until OnCommit
-	// advertises their durability, because a failed sync voids them (see
-	// OnRollback). Runs on the apply goroutine, between the write and
-	// the sync — it must copy what it keeps and return quickly. Ignored
-	// without Durability.DataDir.
-	OnWALWrite func(shard int, firstLSN uint64, frames []byte)
-
-	// OnRollback, when non-nil, is invoked by a shard's apply loop after
-	// a failed WAL commit rolled the log back, with the first LSN that
-	// was invalidated: every frame at or above fromLSN that OnWALWrite
-	// announced is void and its LSN may be reused by later records.
-	// Runs on the apply goroutine. Ignored without Durability.DataDir.
-	OnRollback func(shard int, fromLSN uint64)
+	// OnCommit, when non-nil, receives each successful WAL group commit
+	// of a shard: its first LSN and raw frame bytes, once they are
+	// durable (wal.Options.OnCommit). A failed commit never reaches it.
+	// It runs on the shard's apply goroutine, inside the commit, so it
+	// must copy what it keeps and return quickly; replication feeds its
+	// ship queue from it. Ignored without Durability.DataDir.
+	OnCommit func(shard int, firstLSN uint64, frames []byte)
 }
 
 // Validate reports the first problem with the configuration, or nil.
@@ -632,13 +613,13 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 			c.syncPool.Close()
 			return nil, err
 		}
-		if cfg.OnWALWrite != nil {
-			// Per-shard write hooks must be bound before the apply loops
+		if cfg.OnCommit != nil {
+			// Per-shard commit hooks must be bound before the apply loops
 			// start.
 			for _, sh := range c.shards {
 				shardID := sh.id
-				sh.st.Log.SetOnWrite(func(first uint64, frames []byte) {
-					cfg.OnWALWrite(shardID, first, frames)
+				sh.st.Log.SetOnCommit(func(first uint64, frames []byte) {
+					cfg.OnCommit(shardID, first, frames)
 				})
 			}
 		}
@@ -1726,11 +1707,6 @@ func (sh *shard) rollbackGroup(reqs []applyReq, startLSN uint64, prevLag int64, 
 			close(r.done)
 		}
 	}
-	if sh.cfg.OnRollback != nil {
-		// Frames at/above the group's first LSN that OnWALWrite may have
-		// announced are void; their LSNs may be reused.
-		sh.cfg.OnRollback(sh.id, startLSN)
-	}
 }
 
 // applyGroup finishes a committed group: apply, publish once, release
@@ -1783,9 +1759,6 @@ func (sh *shard) applyGroup(reqs []applyReq, replErrs []error, endLSN uint64, no
 			r.done <- replErrs[ri]
 		}
 		close(r.done)
-	}
-	if sh.cfg.OnCommit != nil && endLSN != 0 {
-		sh.cfg.OnCommit(sh.id, endLSN)
 	}
 	sh.maybeSnapshot()
 }

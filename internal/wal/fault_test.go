@@ -161,6 +161,62 @@ func TestFsyncFailureRetainsBatchUntilRetry(t *testing.T) {
 	}
 }
 
+// TestOnCommitSeesOnlyDurableBatches: the commit hook never sees a
+// batch whose fsync failed, and when the retry succeeds it gets the
+// whole batch once, with a Reader already covering it.
+func TestOnCommitSeesOnlyDurableBatches(t *testing.T) {
+	inj := &faultfs.Injector{}
+	l, _, err := Open(t.TempDir(), Options{Inject: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	type call struct {
+		first    uint64
+		payloads []string
+		readable uint64 // last LSN a Reader made inside the hook returns
+	}
+	var calls []call
+	l.SetOnCommit(func(first uint64, frames []byte) {
+		c := call{first: first}
+		ForEachFrame(frames, func(p []byte) bool {
+			c.payloads = append(c.payloads, string(p))
+			return true
+		})
+		r := l.Reader(first)
+		for {
+			lsn, _, ok, err := r.Next()
+			if err != nil {
+				t.Error(err)
+			}
+			if !ok {
+				break
+			}
+			c.readable = lsn
+		}
+		calls = append(calls, c)
+	})
+	inj.FailSyncs(1)
+	for _, rec := range []string{"one", "two"} {
+		if _, err := l.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Commit(); !errors.Is(err, faultfs.ErrInjectedSync) {
+		t.Fatalf("commit error = %v, want injected sync", err)
+	}
+	if len(calls) != 0 {
+		t.Fatalf("hook saw a failed commit: %+v", calls)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if len(calls) != 1 || calls[0].first != 1 || len(calls[0].payloads) != 2 ||
+		calls[0].payloads[0] != "one" || calls[0].payloads[1] != "two" || calls[0].readable != 2 {
+		t.Fatalf("hook calls = %+v, want one call at LSN 1 with [one two], readable through 2", calls)
+	}
+}
+
 // TestDirSyncFailureOnFirstCommitPublishesNothing fails the directory
 // sync that makes a new segment's entry durable — after the data write
 // and its fsync both succeeded — on a log's very first commit. Nothing
@@ -169,7 +225,8 @@ func TestFsyncFailureRetainsBatchUntilRetry(t *testing.T) {
 // (empty) with the LSNs free for reuse.
 func TestDirSyncFailureOnFirstCommitPublishesNothing(t *testing.T) {
 	// The directory sync only fails when the directory cannot be opened,
-	// so the write hook moves it away between the write and the syncs.
+	// so the segment is opened first and the directory moved away before
+	// Commit: the open fd still takes the write and the data fsync.
 	open := func(t *testing.T) (l *Log, restore func()) {
 		dir := filepath.Join(t.TempDir(), "log")
 		l, _, err := Open(dir, Options{})
@@ -177,19 +234,16 @@ func TestDirSyncFailureOnFirstCommitPublishesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		moved := false
-		l.SetOnWrite(func(uint64, []byte) {
-			if !moved {
-				moved = true
-				if err := os.Rename(dir, dir+".away"); err != nil {
-					t.Error(err)
-				}
-			}
-		})
 		for _, rec := range []string{"one", "two"} {
 			if _, err := l.Append([]byte(rec)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := l.ensureActive(l.bufFirst); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(dir, dir+".away"); err != nil {
+			t.Fatal(err)
 		}
 		if err := l.Commit(); err == nil {
 			t.Fatal("commit succeeded although the segment's directory entry could not be synced")

@@ -131,15 +131,14 @@ type Options struct {
 	// still issues one logical sync per group commit; the pool decides
 	// how many device round trips that costs.
 	SyncPool *SyncPool
-	// OnWrite, when non-nil, is called by Commit after the batch's frames
-	// have been written to the active segment but BEFORE the covering
-	// sync. frames is the raw frame bytes of the batch starting at LSN
-	// first; the slice is only valid during the call. Replication uses
-	// it to overlap network shipping with the leader's fsync — receivers
-	// must treat the frames as provisional until the leader advertises
-	// durability, because a failed sync rolls them back and may reuse
-	// their LSNs.
-	OnWrite func(first uint64, frames []byte)
+	// OnCommit, when non-nil, is called by Commit once the batch is
+	// durable and published: after the sync, the directory sync and the
+	// segment accounting, so a Reader created inside the call already
+	// covers the batch. frames is the raw frame bytes of the batch
+	// starting at LSN first; the slice is only valid during the call. A
+	// failed Commit never reaches it. Replication feeds its in-memory
+	// ship queue from it.
+	OnCommit func(first uint64, frames []byte)
 }
 
 func (o Options) withDefaults() Options {
@@ -429,7 +428,7 @@ func validateSegment(path string) (records uint64, validBytes, tornBytes int64, 
 	}
 }
 
-// ForEachFrame walks a raw run of encoded frames (the bytes an OnWrite
+// ForEachFrame walks a raw run of encoded frames (the bytes an OnCommit
 // hook receives) and yields each record payload in order, stopping early
 // when fn returns false or a frame fails validation. It returns the
 // number of complete frames yielded — for hook input that is always the
@@ -543,7 +542,7 @@ func (l *Log) EndRecord(buf []byte) (uint64, error) {
 
 // Commit writes every record appended since the last Commit and makes
 // the batch durable per the fsync mode — the group-commit boundary. It
-// runs on the caller's goroutine: write, OnWrite, sync, then publish.
+// runs on the caller's goroutine: write, sync, publish, then OnCommit.
 //
 // Commit is transactional about the log's own state: nothing (segment
 // bounds, sizes, the append buffer) is updated until the batch has been
@@ -577,12 +576,6 @@ func (l *Log) Commit() error {
 	if err := l.write(l.buf); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if fn := l.opts.OnWrite; fn != nil {
-		// Ship before the sync: receivers treat these frames as
-		// provisional until durability is advertised, so overlapping the
-		// network hop with the fsync below is safe.
-		fn(l.bufFirst, l.buf)
-	}
 	if l.opts.Fsync != FsyncNone {
 		if err := l.sync(); err != nil {
 			return fmt.Errorf("wal: %w", err)
@@ -606,6 +599,9 @@ func (l *Log) Commit() error {
 	l.segMu.Unlock()
 	l.size.Add(n)
 	l.stats.note(int(last-l.bufFirst+1), time.Since(start).Nanoseconds())
+	if fn := l.opts.OnCommit; fn != nil {
+		fn(l.bufFirst, l.buf)
+	}
 	l.buf = l.buf[:0]
 	if full {
 		// Rotate: the next Commit opens a fresh segment. The batch is
@@ -702,12 +698,12 @@ func (l *Log) ensureActive(first uint64) error {
 	return nil
 }
 
-// SetOnWrite installs (or replaces) the Options.OnWrite hook. Like the
+// SetOnCommit installs (or replaces) the Options.OnCommit hook. Like the
 // rest of the mutating API it belongs to the appender: the owner wires
 // per-shard hooks up after Open, before the goroutine that commits
 // starts.
-func (l *Log) SetOnWrite(fn func(first uint64, frames []byte)) {
-	l.opts.OnWrite = fn
+func (l *Log) SetOnCommit(fn func(first uint64, frames []byte)) {
+	l.opts.OnCommit = fn
 }
 
 // NextLSN returns the LSN the next appended record will get.
@@ -786,51 +782,20 @@ func (l *Log) TruncateBefore(lsn uint64) error {
 }
 
 // Replay streams every committed record with LSN >= from, in order, to
-// fn. It reads the segment files as they are on disk; call it before
-// appending (recovery) or after Commit.
+// fn, through a Reader: reads stop at the sizes validated at Open or
+// published by Commit, so a torn tail a read-only open left in place is
+// never parsed. Call it before appending (recovery) or after Commit.
 func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
-	for _, seg := range l.segments {
-		if seg.last < from {
-			continue
+	r := l.Reader(from)
+	for {
+		lsn, payload, ok, err := r.Next()
+		if err != nil || !ok {
+			return err
 		}
-		if err := replaySegment(seg, from, fn); err != nil {
+		if err := fn(lsn, payload); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// replaySegment streams one segment's records with LSN >= from. Reads
-// are bounded by the validated size recorded at Open, so a torn tail
-// left in place by a read-only open — or bytes another writer appended
-// after Open — are never parsed.
-func replaySegment(seg segment, from uint64, fn func(lsn uint64, payload []byte) error) error {
-	data, err := os.ReadFile(seg.path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	limit := seg.size
-	if limit > int64(len(data)) {
-		limit = int64(len(data))
-	}
-	off := int64(0)
-	lsn := seg.first
-	for off < limit {
-		n, ok := frameAt(data[:limit], off)
-		if !ok {
-			// Open validated every frame; anything unreadable now is new
-			// corruption.
-			return fmt.Errorf("%w: frame at %d of %s", ErrCorrupt, off, filepath.Base(seg.path))
-		}
-		if lsn >= from {
-			if err := fn(lsn, data[off+frameHeader:off+n]); err != nil {
-				return err
-			}
-		}
-		lsn++
-		off += n
-	}
-	return nil
 }
 
 // Reader is a pull-style cursor over the log's committed records,
