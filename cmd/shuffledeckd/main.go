@@ -21,8 +21,9 @@
 //
 //	-addr        listen address (default :8080)
 //	-shards      popularity shards (default 4)
-//	-topk        per-shard deterministic top-list length (default 128)
-//	-poolcap     per-shard zero-awareness sample per epoch (default 128)
+//	-topk        per-shard deterministic top-list length (default 128);
+//	             promotion has no size knob: every request draws its
+//	             promoted pages uniformly from all zero-awareness pages
 //	-rule        promotion rule: selective, uniform, none, deterministic or
 //	             epsilon-decay (default selective; epsilon-decay anneals to
 //	             rmin 0 — declare an -arm for another floor)
@@ -172,7 +173,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 4, "popularity shards")
 	topk := flag.Int("topk", 128, "per-shard deterministic top-list length")
-	poolcap := flag.Int("poolcap", 128, "per-shard zero-awareness sample per epoch")
 	rule := flag.String("rule", "selective", "promotion rule: selective, uniform, none, deterministic or epsilon-decay")
 	k := flag.Int("k", 1, "protected prefix length k")
 	r := flag.Float64("r", 0.1, "degree of randomization r")
@@ -209,9 +209,6 @@ func main() {
 	if *topk <= 0 {
 		fail("-topk must be >= 1, got %d", *topk)
 	}
-	if *poolcap <= 0 {
-		fail("-poolcap must be >= 1, got %d", *poolcap)
-	}
 	if *pages < 0 {
 		fail("-pages must be >= 0, got %d", *pages)
 	}
@@ -230,12 +227,11 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Shards:  *shards,
-		TopK:    *topk,
-		PoolCap: *poolcap,
-		Policy:  pol,
-		Arms:    arms,
-		Seed:    *seed,
+		Shards: *shards,
+		TopK:   *topk,
+		Policy: pol,
+		Arms:   arms,
+		Seed:   *seed,
 		Limits: serve.Limits{
 			RateLimitRPS:   *rateRPS,
 			RateLimitBurst: *rateBurst,

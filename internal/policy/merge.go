@@ -1,8 +1,10 @@
 // The merge engine: the single implementation of the paper's §4
-// randomized rank-promotion merge, shared by every ranking surface in the
-// repository — the offline Ranker, the community simulator's resolver,
-// and the online serving path. The RNG draw sequence is pinned by every
-// fixed-seed experiment and golden test.
+// randomized rank-promotion merge, shared by the offline ranking
+// surfaces — the Ranker and the community simulator's resolver — and the
+// executable specification its two twins are tested against: the lazy
+// resolver (resolver.go) and the bounded merge the online service runs
+// (bounded.go). The RNG draw sequence is pinned by every fixed-seed
+// experiment and golden test.
 //
 // A query's n result pages are split into a promotion pool Pp (selected by
 // the policy's rule) and the remaining pages, which are ranked
@@ -123,14 +125,16 @@ func mergeImpl(det, pool Source, k int, r float64, rng *randutil.RNG, dst []int,
 }
 
 // Scratch bundles the reusable buffers of a repeated merge — the result
-// list, the pool-shuffle buffer and the optional provenance tags — for
-// callers that merge on a hot path (the serving layer runs one merge per
-// /rank request). The zero value is ready to use; a Scratch is not safe
-// for concurrent use, so pool or per-goroutine them.
+// list, the pool-shuffle buffer, the bounded merge's lazy shuffle and the
+// optional provenance tags — for callers that merge on a hot path (the
+// serving layer runs one bounded merge per /rank request). The zero
+// value is ready to use; a Scratch is not safe for concurrent use, so
+// pool or per-goroutine them.
 type Scratch struct {
 	dst     []int
 	tags    []bool
 	shuffle []int
+	draw    lazyShuffle
 }
 
 // Merge runs the §4 merge procedure with the scratch's buffers. The

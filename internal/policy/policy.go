@@ -5,7 +5,10 @@
 // offline Ranker, the §6 community simulator, the §5 analytical model,
 // the figure experiments and the online serving path) names its rule as a
 // Spec, compiles it once into a Policy and runs the same scratch-reusing,
-// zero-alloc merge engine (merge.go) or its lazy twin (resolver.go).
+// zero-alloc merge engine (merge.go) or one of its twins: the lazy
+// position resolver (resolver.go) for the simulator, and the bounded
+// merge (bounded.go), which fills only the n served positions and draws
+// each promoted page lazily, for the online service.
 //
 // A Policy answers three questions per request:
 //

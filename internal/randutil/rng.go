@@ -102,6 +102,26 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
+// Geometric returns the number of failures before the first success in
+// independent Bernoulli(p) trials, by inversion from one uniform draw:
+// P(Geometric(p) >= k) = (1−p)^k. It returns 0 for p >= 1 and
+// math.MaxInt for p <= 0 (a success that never comes), drawing nothing
+// in either case, like Bernoulli.
+func (r *RNG) Geometric(p float64) int {
+	if p >= 1 {
+		return 0
+	}
+	if p <= 0 {
+		return math.MaxInt
+	}
+	// 1−u is in (0, 1], so the log is finite and the quotient >= 0.
+	g := math.Floor(math.Log(1-r.Float64()) / math.Log1p(-p))
+	if g >= math.MaxInt {
+		return math.MaxInt
+	}
+	return int(g)
+}
+
 // Exp returns an exponentially distributed value with the given rate
 // (mean 1/rate). It panics if rate <= 0.
 func (r *RNG) Exp(rate float64) float64 {

@@ -91,6 +91,39 @@ func TestIntnUniform(t *testing.T) {
 	}
 }
 
+// TestGeometricLaw checks P(Geometric(p) = k) = (1−p)^k·p cell by cell
+// (with a tail cell) and the no-draw edges p = 0 and p = 1.
+func TestGeometricLaw(t *testing.T) {
+	r := New(11)
+	for _, p := range []float64{0.05, 0.3, 0.9} {
+		const cells, trials = 12, 200000
+		counts := make([]int, cells+1)
+		for i := 0; i < trials; i++ {
+			counts[min(r.Geometric(p), cells)]++
+		}
+		for k, c := range counts {
+			prob := math.Pow(1-p, float64(k)) // the tail cell: P(>= cells)
+			if k < cells {
+				prob *= p
+			}
+			want := prob * trials
+			if math.Abs(float64(c)-want) > 5*math.Sqrt(want)+1 {
+				t.Errorf("p=%v cell %d: count %d, want ~%.0f", p, k, c, want)
+			}
+		}
+	}
+	before := *r
+	if g := r.Geometric(1); g != 0 {
+		t.Fatalf("Geometric(1) = %d, want 0", g)
+	}
+	if g := r.Geometric(0); g != math.MaxInt {
+		t.Fatalf("Geometric(0) = %d, want MaxInt", g)
+	}
+	if *r != before {
+		t.Fatal("Geometric(0) or Geometric(1) consumed a draw")
+	}
+}
+
 func TestIntnPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

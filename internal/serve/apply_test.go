@@ -11,14 +11,12 @@ import (
 )
 
 // applyConfig is the shape the apply-loop tests share: two arms so arm
-// attribution runs, and a PoolCap above any shard's pool, so publish
-// copies the pool instead of sampling it — the only RNG draw whose count
-// depends on how requests group, which nothing here may depend on.
+// attribution runs. Publishing draws nothing, so how requests group
+// into commits cannot change what a seeded rank serves.
 func applyConfig() Config {
 	return Config{
-		Shards:  3,
-		Seed:    17,
-		PoolCap: 1 << 12,
+		Shards: 3,
+		Seed:   17,
 		Arms: []Arm{
 			{Name: "control", Policy: policy.Spec{Rule: policy.RuleDeterministic}, Weight: 1},
 			{Name: "treatment", Policy: policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.3}, Weight: 1},

@@ -30,7 +30,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero value selects defaults", Config{}, ""},
 		{"negative shards", Config{Shards: -1}, "Shards"},
 		{"negative topk", Config{TopK: -8}, "TopK"},
-		{"negative poolcap", Config{PoolCap: -2}, "PoolCap"},
 		{"negative queuelen", Config{QueueLen: -1}, "QueueLen"},
 		{"bad policy k", Config{Policy: selectiveSpec(0, 0.1)}, "k must be"},
 		{"bad policy r", Config{Policy: selectiveSpec(1, 1.5)}, "r must be"},

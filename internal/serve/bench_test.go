@@ -60,7 +60,7 @@ func warmRank(b *testing.B, c *Corpus, query string) {
 
 // BenchmarkServeRank measures the /rank hot path end to end on the
 // in-process corpus: lock-free snapshot reads plus one
-// promotion-sampling merge pass, concurrent across GOMAXPROCS
+// bounded merge, concurrent across GOMAXPROCS
 // goroutines the way a server's handler pool would run it. It reports
 // sustained QPS alongside ns/op.
 func BenchmarkServeRank(b *testing.B) {
@@ -84,9 +84,81 @@ func BenchmarkServeRank(b *testing.B) {
 	}
 }
 
+// BenchmarkServeRankPool measures one browse rank (n = 10, the
+// recommended selective policy) on 8 shards as the zero-awareness pool
+// grows from none to 1,000 pages beside 2,000 aware ones. A rank draws
+// at most n promoted pages lazily from the shards' published pools, so
+// the two cases should cost about the same; copying and shuffling the
+// pool per request made zero=1000 several times zero=0. CI's -ratio
+// gate holds that.
+func BenchmarkServeRankPool(b *testing.B) {
+	for _, zero := range []int{0, 1000} {
+		b.Run(fmt.Sprintf("zero=%d", zero), func(b *testing.B) {
+			c, err := NewCorpus(Config{Shards: 8, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(c.Close)
+			for i := 0; i < 2000+zero; i++ {
+				pop := float64(2000 - i)
+				if i >= 2000 {
+					pop = 0
+				}
+				if err := c.Add(i, fmt.Sprintf("pool topic page%d", i), pop); err != nil {
+					b.Fatal(err)
+				}
+			}
+			c.Sync()
+			warmRank(b, c, "")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Rank("", 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServeFeedbackPool measures what one rank-changing click costs
+// a shard as its zero-awareness pool grows: a 1-event feedback batch on
+// an aware page plus Sync, on one in-memory shard holding 100 or 50,000
+// pool pages. The apply loop republishes the shard after the click; the
+// publish shares the pool's chunks instead of copying or sampling the
+// pool, so CI's -ratio gate holds pool=50000 within 1.3x of pool=100.
+func BenchmarkServeFeedbackPool(b *testing.B) {
+	for _, pool := range []int{100, 50000} {
+		b.Run(fmt.Sprintf("pool=%d", pool), func(b *testing.B) {
+			c, err := NewCorpus(Config{Shards: 1, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(c.Close)
+			for i := 0; i < pool; i++ {
+				if err := c.Add(i, "pool page", 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			const anchor = -1
+			if err := c.Add(anchor, "anchor page", 1); err != nil {
+				b.Fatal(err)
+			}
+			c.Sync()
+			click := []Event{{Page: anchor, Slot: 1, Impressions: 1, Clicks: 1}}
+			c.Feedback(click)
+			c.Sync()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Feedback(click)
+				c.Sync()
+			}
+		})
+	}
+}
+
 // BenchmarkServeRankQuery measures the steady-state query path: a hot
 // query served from the epoch-keyed candidate cache, plus the
-// per-request promotion reservoir and randomized merge.
+// per-request bounded merge drawing from the cached pool matches.
 func BenchmarkServeRankQuery(b *testing.B) {
 	c, _ := benchCorpus(b)
 	warmRank(b, c, "bench topic")

@@ -11,14 +11,13 @@ import (
 // twinCorpora builds two identically seeded corpora, one with the
 // hot-query cache enabled and one with it disabled, and loads both with
 // the same mixed aware/zero-awareness pages.
-func twinCorpora(t *testing.T, pages int, pol policy.Spec, poolCap int) (cached, uncached *Corpus) {
+func twinCorpora(t *testing.T, pages int, pol policy.Spec) (cached, uncached *Corpus) {
 	t.Helper()
 	build := func(cache bool) *Corpus {
 		c := newTestCorpus(t, Config{
-			Shards:  4,
-			Seed:    33,
-			PoolCap: poolCap,
-			Policy:  pol,
+			Shards: 4,
+			Seed:   33,
+			Policy: pol,
 		})
 		if !cache {
 			c.qcache = nil
@@ -41,12 +40,12 @@ func twinCorpora(t *testing.T, pages int, pol policy.Spec, poolCap int) (cached,
 // TestQueryCacheIdentity is the tentpole's semantics gate: at the same
 // RNG seed, the cached query path must produce byte-identical rankings to
 // the uncached path — the cache reuses deterministic candidate assembly
-// only, never a promotion draw. PoolCap is set small enough that the
-// promotion reservoir overflows and actually consumes RNG draws, so a
-// single skipped or reordered draw would diverge the lists.
+// only, never a promotion draw. A third of the pages are zero-awareness
+// and r is 0.4, so every ranking draws several promoted pages from the
+// pool list: a single skipped or reordered draw would diverge the lists.
 func TestQueryCacheIdentity(t *testing.T) {
 	pol := policy.Spec{Rule: policy.RuleSelective, K: 2, R: 0.4}
-	cached, uncached := twinCorpora(t, 60, pol, 2)
+	cached, uncached := twinCorpora(t, 60, pol)
 
 	for seed := uint64(1); seed <= 30; seed++ {
 		a, err := cached.RankSeeded("cache topic", 15, seed)
@@ -91,7 +90,7 @@ func TestQueryCacheIdentity(t *testing.T) {
 // TestQueryCacheIdentityRuleNone covers the promotion-free rule, whose
 // entries cache the entire deterministic ranking.
 func TestQueryCacheIdentityRuleNone(t *testing.T) {
-	cached, uncached := twinCorpora(t, 40, policy.Spec{Rule: policy.RuleNone, K: 1}, 8)
+	cached, uncached := twinCorpora(t, 40, policy.Spec{Rule: policy.RuleNone, K: 1})
 	for seed := uint64(1); seed <= 5; seed++ {
 		a, _ := cached.RankSeeded("cache topic", 10, seed)
 		b, _ := uncached.RankSeeded("cache topic", 10, seed)
@@ -108,7 +107,7 @@ func TestQueryCacheIdentityRuleNone(t *testing.T) {
 // candidate, so its assembly is inherently per-request; the cache must
 // stay out of the way and record no activity.
 func TestQueryCacheUniformRuleBypassed(t *testing.T) {
-	cached, uncached := twinCorpora(t, 40, policy.Spec{Rule: policy.RuleUniform, K: 1, R: 0.3}, 8)
+	cached, uncached := twinCorpora(t, 40, policy.Spec{Rule: policy.RuleUniform, K: 1, R: 0.3})
 	for seed := uint64(1); seed <= 10; seed++ {
 		a, _ := cached.RankSeeded("cache topic", 12, seed)
 		b, _ := uncached.RankSeeded("cache topic", 12, seed)
@@ -125,7 +124,7 @@ func TestQueryCacheUniformRuleBypassed(t *testing.T) {
 // must not serve a longer request; asking for more results after a
 // cached short request still yields the full deterministic ranking.
 func TestQueryCacheCoverageGrows(t *testing.T) {
-	cached, uncached := twinCorpora(t, 50, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2}, 4)
+	cached, uncached := twinCorpora(t, 50, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2})
 	if _, err := cached.RankSeeded("cache topic", 3, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestQueryCacheCoverageGrows(t *testing.T) {
 // TestQueryCacheNormalization: queries differing only in case, separators
 // or spacing share one cache entry and one candidate assembly.
 func TestQueryCacheNormalization(t *testing.T) {
-	cached, _ := twinCorpora(t, 30, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2}, 8)
+	cached, _ := twinCorpora(t, 30, policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.2})
 	variants := []string{"cache topic", "  Cache   TOPIC!!", "cache-topic", "CACHE topic"}
 	var want []Result
 	for i, q := range variants {

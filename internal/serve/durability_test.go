@@ -17,7 +17,6 @@ func durableConfig(dir string) Config {
 	return Config{
 		Shards:     3,
 		Seed:       7,
-		PoolCap:    4,
 		Durability: Durability{DataDir: dir},
 		Arms: []Arm{
 			{Name: "control", Policy: policy.Spec{Rule: policy.RuleDeterministic}, Weight: 1},

@@ -24,11 +24,11 @@ var serveGoldenPolicies = map[string]policy.Spec{
 }
 
 // goldenServeCorpus builds the golden table's fixed corpus: 3 shards,
-// seed 5, PoolCap 4, 40 pages with descending popularity and every
+// seed 5, 40 pages with descending popularity and every
 // fourth page zero-awareness.
 func goldenServeCorpus(t *testing.T, pol policy.Spec) *Corpus {
 	t.Helper()
-	c := newTestCorpus(t, Config{Shards: 3, Seed: 5, PoolCap: 4, Policy: pol})
+	c := newTestCorpus(t, Config{Shards: 3, Seed: 5, Policy: pol})
 	for i := 0; i < 40; i++ {
 		pop := float64(40 - i)
 		if i%4 == 0 {
@@ -42,36 +42,40 @@ func goldenServeCorpus(t *testing.T, pol policy.Spec) *Corpus {
 	return c
 }
 
-// serveGoldens are RankSeeded outputs recorded from the pre-refactor
-// serving path (its own promotion-sampling merge, before the rank path
-// was rebuilt on internal/policy) at fixed seeds, covering both the
-// browse (empty query) and query paths under every rule. A single
-// skipped, added or reordered RNG draw anywhere in candidate assembly,
-// reservoir sampling or the merge breaks these rows.
+// serveGoldens are RankSeeded outputs at fixed seeds, covering both the
+// browse (empty query) and query paths under every rule. The rows that
+// promote nothing (every "none" row and two selective_k2_r01 seeds)
+// date from the serving path before it was rebuilt on internal/policy;
+// the rows that promote were re-recorded when ranking moved to the
+// bounded merge, whose lazy pool draws (and the coin rule's geometric
+// skips) consume the RNG in a different order for the same law — the
+// exactness tests in pool_test.go and internal/policy's bounded_test.go
+// pin that law. A single skipped, added or reordered RNG draw anywhere
+// in candidate assembly or the merge breaks these rows.
 var serveGoldens = []struct {
 	policy string
 	query  string
 	seed   uint64
 	want   []serveGoldenSlot
 }{
-	{"selective_k1_r03", "", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {36, 0, true}, {10, 30, false}, {28, 0, true}, {12, 0, true}, {11, 29, false}}},
-	{"selective_k1_r03", "golden topic", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {12, 0, true}, {10, 30, false}, {24, 0, true}, {4, 0, true}, {11, 29, false}}},
-	{"selective_k1_r03", "", 2, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {36, 0, true}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {20, 0, true}}},
-	{"selective_k1_r03", "golden topic", 2, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {12, 0, true}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {32, 0, true}}},
-	{"selective_k1_r03", "", 3, []serveGoldenSlot{{32, 0, true}, {1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {4, 0, true}, {20, 0, true}, {0, 0, true}, {7, 33, false}, {9, 31, false}, {10, 30, false}}},
-	{"selective_k1_r03", "golden topic", 3, []serveGoldenSlot{{36, 0, true}, {1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {16, 0, true}, {32, 0, true}, {0, 0, true}, {7, 33, false}, {9, 31, false}, {10, 30, false}}},
-	{"selective_k2_r01", "", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {36, 0, true}, {11, 29, false}, {28, 0, true}, {12, 0, true}}},
-	{"selective_k2_r01", "golden topic", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {12, 0, true}, {11, 29, false}, {24, 0, true}, {4, 0, true}}},
+	{"selective_k1_r03", "", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {0, 0, true}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}}},
+	{"selective_k1_r03", "golden topic", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {0, 0, true}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}}},
+	{"selective_k1_r03", "", 2, []serveGoldenSlot{{8, 0, true}, {0, 0, true}, {1, 39, false}, {12, 0, true}, {24, 0, true}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {20, 0, true}}},
+	{"selective_k1_r03", "golden topic", 2, []serveGoldenSlot{{28, 0, true}, {0, 0, true}, {1, 39, false}, {4, 0, true}, {8, 0, true}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {32, 0, true}}},
+	{"selective_k1_r03", "", 3, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {16, 0, true}, {3, 37, false}, {5, 35, false}, {8, 0, true}, {6, 34, false}, {32, 0, true}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}}},
+	{"selective_k1_r03", "golden topic", 3, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {20, 0, true}, {3, 37, false}, {5, 35, false}, {28, 0, true}, {6, 34, false}, {36, 0, true}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}}},
+	{"selective_k2_r01", "", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {36, 0, true}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}}},
+	{"selective_k2_r01", "golden topic", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {12, 0, true}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}}},
 	{"selective_k2_r01", "", 2, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}, {15, 25, false}}},
 	{"selective_k2_r01", "golden topic", 2, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}, {15, 25, false}}},
 	{"selective_k2_r01", "", 3, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}, {15, 25, false}}},
 	{"selective_k2_r01", "golden topic", 3, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}, {15, 25, false}}},
-	{"uniform_k1_r03", "", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {4, 0, true}, {6, 34, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {7, 33, true}, {8, 0, true}, {14, 26, false}}},
-	{"uniform_k1_r03", "golden topic", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {35, 5, true}, {3, 37, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {16, 0, true}, {11, 29, false}, {25, 15, true}, {13, 27, false}, {14, 26, false}}},
-	{"uniform_k1_r03", "", 2, []serveGoldenSlot{{36, 0, true}, {2, 38, false}, {5, 35, false}, {6, 34, false}, {9, 31, false}, {11, 29, false}, {13, 27, false}, {1, 39, true}, {14, 26, false}, {20, 0, true}, {15, 25, false}, {0, 0, false}}},
-	{"uniform_k1_r03", "golden topic", 2, []serveGoldenSlot{{1, 39, false}, {2, 38, true}, {3, 37, false}, {27, 13, true}, {26, 14, true}, {6, 34, false}, {9, 31, false}, {10, 30, false}, {0, 0, true}, {39, 1, true}, {11, 29, false}, {13, 27, false}}},
-	{"uniform_k1_r03", "", 3, []serveGoldenSlot{{1, 39, false}, {4, 0, true}, {2, 38, false}, {9, 31, true}, {5, 35, false}, {6, 34, false}, {13, 27, true}, {7, 33, false}, {10, 30, false}, {11, 29, false}, {14, 26, false}, {16, 0, true}}},
-	{"uniform_k1_r03", "golden topic", 3, []serveGoldenSlot{{2, 38, true}, {1, 39, false}, {3, 37, false}, {17, 23, true}, {5, 35, false}, {7, 33, false}, {23, 17, true}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}, {18, 22, false}}},
+	{"uniform_k1_r03", "", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {9, 31, true}, {7, 33, true}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {10, 30, false}, {11, 29, false}, {8, 0, true}, {13, 27, false}, {14, 26, false}}},
+	{"uniform_k1_r03", "golden topic", 1, []serveGoldenSlot{{5, 35, true}, {1, 39, false}, {2, 38, false}, {3, 37, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {30, 10, true}, {14, 26, false}, {15, 25, false}}},
+	{"uniform_k1_r03", "", 2, []serveGoldenSlot{{2, 38, false}, {10, 30, true}, {5, 35, false}, {6, 34, false}, {9, 31, false}, {7, 33, true}, {1, 39, true}, {11, 29, false}, {13, 27, false}, {3, 37, true}, {14, 26, false}, {15, 25, false}}},
+	{"uniform_k1_r03", "golden topic", 2, []serveGoldenSlot{{1, 39, false}, {3, 37, false}, {26, 14, true}, {6, 34, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {36, 0, true}, {27, 13, true}, {22, 18, true}, {20, 0, true}, {13, 27, false}}},
+	{"uniform_k1_r03", "", 3, []serveGoldenSlot{{3, 37, true}, {28, 0, true}, {1, 39, false}, {2, 38, false}, {5, 35, false}, {6, 34, false}, {9, 31, true}, {7, 33, false}, {10, 30, false}, {11, 29, false}, {24, 0, true}, {13, 27, true}}},
+	{"uniform_k1_r03", "golden topic", 3, []serveGoldenSlot{{17, 23, true}, {1, 39, false}, {3, 37, false}, {5, 35, false}, {7, 33, false}, {10, 30, false}, {2, 38, true}, {11, 29, false}, {28, 0, true}, {13, 27, false}, {33, 7, true}, {14, 26, false}}},
 	{"none", "", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}, {15, 25, false}}},
 	{"none", "golden topic", 1, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}, {15, 25, false}}},
 	{"none", "", 2, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}, {15, 25, false}}},
@@ -80,10 +84,10 @@ var serveGoldens = []struct {
 	{"none", "golden topic", 3, []serveGoldenSlot{{1, 39, false}, {2, 38, false}, {3, 37, false}, {5, 35, false}, {6, 34, false}, {7, 33, false}, {9, 31, false}, {10, 30, false}, {11, 29, false}, {13, 27, false}, {14, 26, false}, {15, 25, false}}},
 }
 
-// TestServeGoldenDeterminism asserts the rebuilt rank path — candidate
-// assembly through the arm's policy selection, promotion reservoir, and
-// the shared internal/policy merge — reproduces the pre-refactor serve
-// outputs byte-for-byte at fixed seeds, browse and query paths alike.
+// TestServeGoldenDeterminism asserts the rank path — candidate assembly
+// through the arm's policy selection and internal/policy's bounded
+// merge — reproduces the recorded serve outputs byte-for-byte at fixed
+// seeds, browse and query paths alike.
 func TestServeGoldenDeterminism(t *testing.T) {
 	corpora := map[string]*Corpus{}
 	for _, g := range serveGoldens {
@@ -119,7 +123,7 @@ func TestServeGoldenDeterminism(t *testing.T) {
 func TestServeGoldenViaSingleArm(t *testing.T) {
 	for name, pol := range serveGoldenPolicies {
 		c := newTestCorpus(t, Config{
-			Shards: 3, Seed: 5, PoolCap: 4,
+			Shards: 3, Seed: 5,
 			Arms: []Arm{{Name: "solo", Policy: pol, Weight: 3}},
 		})
 		for i := 0; i < 40; i++ {

@@ -43,14 +43,14 @@ func refQueryCandidates(c *Corpus, query string, n int, unexplored bool) (det, p
 }
 
 // prunedQueryCandidates drives the production assembly path directly,
-// returning the deterministic top-n and the pre-reservoir pool
-// candidate set it produced.
+// returning the deterministic top-n and the pool candidate set it
+// produced.
 func prunedQueryCandidates(c *Corpus, query string, n int) (det, poolAll []int) {
 	rs := c.scratch.Get().(*reqScratch)
 	defer c.scratch.Put(rs)
-	rng := randutil.New(1)
-	det, _ = c.queryCandidates(c.arms[0], 0.1, query, n, nil, nil, rng, rs)
-	return det, append([]int(nil), rs.poolAll...)
+	rs.det, rs.pool = rs.det[:0], rs.pool[:0]
+	c.queryCandidates(c.arms[0], 0.1, query, n, randutil.New(1), rs)
+	return append([]int(nil), rs.det...), append([]int(nil), rs.poolAll...)
 }
 
 func assertSameInts(t *testing.T, got, want []int, context string) {

@@ -13,10 +13,11 @@
 // drains batched feedback from a channel; nothing else ever touches it, so
 // the writer needs no locks. Readers see the shard through two lock-free
 // structures: an epoch-swapped (RCU-style) snapshot holding the
-// deterministic top-K list and a bounded sample of the zero-awareness
-// pool, republished atomically after every batch that changes ranking
-// state, and a dense page table indexed by birth sequence whose per-page
-// fields are atomics the apply loop stores, the live flag last (table.go).
+// deterministic top-K list and the whole zero-awareness pool as shared
+// copy-on-write chunks (pool.go), republished atomically after every
+// batch that changes ranking state, and a dense page table indexed by
+// birth sequence whose per-page fields are atomics the apply loop
+// stores, the live flag last (table.go).
 // The search index keeps its postings in atomically replaced immutable
 // per-term cells (searchidx: a reader that loads the index epoch and then
 // the cells sees everything up to that epoch), so the query path holds
@@ -26,8 +27,10 @@
 // query, index epoch, corpus epoch) reuses the deterministic candidate
 // assembly across requests — the randomized promotion draw stays
 // per-request, with an RNG draw sequence identical to the uncached path.
-// A /rank request is therefore lock-free reads plus one
-// promotion-sampling merge pass; /feedback is a channel send per shard.
+// A /rank request is therefore lock-free reads plus one bounded merge
+// (policy.Scratch.MergeBounded) that fills only the n served slots and
+// draws each promoted page lazily and uniformly from every shard's pool;
+// /feedback is a channel send per shard.
 //
 // Durability (Config.Durability.DataDir) is event sourcing under that
 // same design:
@@ -154,11 +157,6 @@ type Config struct {
 	// (default 128). The global deterministic ranking a request can see is
 	// the merge of these, so Shards×TopK bounds the servable list.
 	TopK int
-	// PoolCap bounds the zero-awareness sample carried by each shard
-	// snapshot (default 128). When a shard holds more zero-awareness pages
-	// than PoolCap, each epoch publishes a fresh uniform sample, so every
-	// unexplored page keeps a chance of promotion across epochs.
-	PoolCap int
 	// QueueLen is each shard's feedback-queue capacity in batches
 	// (default 64). Senders block when it fills: backpressure, not loss.
 	QueueLen int
@@ -170,8 +168,8 @@ type Config struct {
 	// weighted per-request draw without one). When non-empty, Arms takes
 	// precedence over Policy.
 	Arms []Arm
-	// Seed drives all service randomness (per-request merge RNGs, pool
-	// sampling). Zero means seed 1.
+	// Seed drives all service randomness (per-request merge RNGs and
+	// arm draws). Zero means seed 1.
 	Seed uint64
 
 	// Limits groups the admission-control knobs; Durability groups the
@@ -199,8 +197,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("serve: Shards must be >= 0 (0 = default), got %d", c.Shards)
 	case c.TopK < 0:
 		return fmt.Errorf("serve: TopK must be >= 0 (0 = default), got %d", c.TopK)
-	case c.PoolCap < 0:
-		return fmt.Errorf("serve: PoolCap must be >= 0 (0 = default), got %d", c.PoolCap)
 	case c.QueueLen < 0:
 		return fmt.Errorf("serve: QueueLen must be >= 0 (0 = default), got %d", c.QueueLen)
 	}
@@ -219,9 +215,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TopK <= 0 {
 		c.TopK = 128
-	}
-	if c.PoolCap <= 0 {
-		c.PoolCap = 128
 	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 64
@@ -364,7 +357,7 @@ type applyReq struct {
 type snapshot struct {
 	epoch uint64
 	top   []rankengine.Entry // deterministic top-K, best rank first
-	pool  []int              // zero-awareness sample (uniform when capped)
+	pool  poolView           // every zero-awareness page of the shard
 }
 
 type shard struct {
@@ -391,10 +384,6 @@ type shard struct {
 	arms     map[string]*armState
 	armOrder []*armState
 	tallies  []armTally
-
-	// Owned exclusively by the apply loop:
-	rng     *randutil.RNG
-	scratch []int // pool-sampling buffer
 
 	snap atomic.Pointer[snapshot]
 
@@ -485,8 +474,8 @@ type Corpus struct {
 	// zidx is the zero-awareness sub-index: per-term postings of only
 	// the pool-eligible (live, never-clicked) pages, grown by the apply
 	// loops as zero-popularity pages land and shrunk on promotion or
-	// removal — so a query's randomized promotion reservoir enumerates
-	// exactly today's candidate set without scanning aware pages.
+	// removal — so a query's promotion pool enumerates exactly today's
+	// candidate set without scanning aware pages.
 	zidx *searchidx.Index
 	seq  int // birth watermark (highest birth ever seen + 1), guarded by idxMu
 	// nextBirth is the per-shard stride counter: shard si's k-th page is
@@ -597,7 +586,6 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 			armOrder: arms,
 			tallies:  make([]armTally, len(arms)),
 			ch:       make(chan applyReq, cfg.QueueLen),
-			rng:      randutil.New(cfg.Seed + uint64(i)*0x9e3779b97f4a7c15 + 1),
 			killed:   &c.killed,
 		}
 		sh.shardState.init(cfg.Seed+uint64(i)*2654435761, c.durable, &c.pages, &c.zeroAware, c.table, c.idx, c.zidx)
@@ -1040,12 +1028,18 @@ func (c *Corpus) Epoch() uint64 {
 }
 
 // reqScratch is the per-request working set, recycled through a pool so a
-// steady-state Rank call allocates only its result slice.
+// steady-state Rank call allocates only its result slice. A request's
+// promotion pool is one of three sources: pool, the pages the coin rule
+// pooled; matches, a read-only view of a query's zero-awareness matches
+// (rs.poolAll's or a cache entry's, never appended to); or global, every
+// shard's published pool.
 type reqScratch struct {
 	rng     *randutil.RNG
 	sc      policy.Scratch
 	det     []int
 	pool    []int
+	matches policy.Slice
+	global  globalPool
 	ids     []int
 	poolAll []int
 	u32     []uint32
@@ -1054,10 +1048,10 @@ type reqScratch struct {
 	snaps   []*snapshot
 }
 
-// Rank serves one query: lock-free candidate assembly, one
-// promotion-sampling merge pass under the assigned arm's policy, at most
-// n results. An empty query ranks the whole corpus by merging the shard
-// top-list snapshots; a non-empty query ranks the conjunctive matches
+// Rank serves one query: lock-free candidate assembly, one bounded
+// merge under the assigned arm's policy, at most n results. An empty
+// query ranks the whole corpus by merging the shard top-list
+// snapshots; a non-empty query ranks the conjunctive matches
 // from the search index. Each call randomizes independently, the way
 // every user query sees a fresh merge. With multiple arms and no unit
 // ID, the arm is drawn by weight per request.
@@ -1116,20 +1110,17 @@ func (c *Corpus) rank(arm *armState, query string, n int, rng *randutil.RNG, rs 
 		Pages:     int(c.pages.Load()),
 		ZeroAware: int(c.zeroAware.Load()),
 	})
-	det, pool := rs.det[:0], rs.pool[:0]
+	rs.det, rs.pool = rs.det[:0], rs.pool[:0]
+	var pool policy.Source
 	if query == "" {
-		det, pool = c.browseCandidates(arm.sel, r, n, det, pool, rng, rs)
+		pool = c.browseCandidates(arm.sel, r, n, rng, rs)
 	} else {
-		det, pool = c.queryCandidates(arm, r, query, n, det, pool, rng, rs)
+		pool = c.queryCandidates(arm, r, query, n, rng, rs)
 	}
-	rs.det, rs.pool = det, pool
-	// Pointer sources box without allocating, so the merge pass costs no
-	// per-request interface conversions.
-	merged, fromPool := rs.sc.MergeTagged(
-		(*policy.Slice)(&rs.det), (*policy.Slice)(&rs.pool), k, r, rng)
-	if len(merged) > n {
-		merged, fromPool = merged[:n], fromPool[:n]
-	}
+	// The sources are pointers into rs, which box without allocating. The
+	// bounded merge fills only the n served slots, reading at most n
+	// pool pages however many the source holds.
+	merged, fromPool := rs.sc.MergeBounded((*policy.Slice)(&rs.det), pool, n, k, r, rng)
 	if cap(dst) < len(merged) {
 		dst = make([]Result, 0, len(merged))
 	} else {
@@ -1192,15 +1183,19 @@ func (c *Corpus) loadSnapshots(rs *reqScratch) []*snapshot {
 }
 
 // browseCandidates assembles the det/pool split for the whole-corpus
-// ranking from the shard snapshots: a k-way merge of the deterministic
-// top-lists (stopping once n det entries are in hand — promotion can only
-// shorten the deterministic need) and the concatenated zero-awareness
-// samples, split per the arm policy's selection rule at degree of
-// randomization r. Entirely lock-free. Candidates are birth sequences
-// (Entry.BirthDay is exactly the page's dense slot); the result
-// assembly converts back to page ids.
-func (c *Corpus) browseCandidates(sel policy.Selection, r float64, n int, det, pool []int, rng *randutil.RNG, rs *reqScratch) (detOut, poolOut []int) {
+// ranking from the shard snapshots into rs.det and returns the promotion
+// pool's source: a k-way merge of the deterministic top-lists (stopping
+// once n det entries are in hand — promotion can only shorten the
+// deterministic need) and the shards' published zero-awareness pools,
+// split per the arm policy's selection rule at degree of randomization
+// r. Entirely lock-free. Candidates are birth sequences (Entry.BirthDay
+// is exactly the page's dense slot); the result assembly converts back
+// to page ids. Per request the work is O(n) under the selective and
+// promotion-free rules and O(n + r·pool) under the coin rule, never a
+// pass over the pool.
+func (c *Corpus) browseCandidates(sel policy.Selection, r float64, n int, rng *randutil.RNG, rs *reqScratch) policy.Source {
 	snaps := c.loadSnapshots(rs)
+	rs.global.reset(snaps)
 	appendRanked := func(dst []int, limit int) []int {
 		mergeSnapshotTops(snaps, rs.heads, func(e rankengine.Entry) bool {
 			dst = append(dst, e.BirthDay)
@@ -1208,20 +1203,17 @@ func (c *Corpus) browseCandidates(sel policy.Selection, r float64, n int, det, p
 		})
 		return dst
 	}
+	det, pool := rs.det, rs.pool
+	var src policy.Source = (*policy.Slice)(&rs.pool)
 	switch sel {
 	case policy.SelectUnexplored:
 		det = appendRanked(det, n)
-		for _, sn := range snaps {
-			pool = append(pool, sn.pool...)
-		}
+		src = &rs.global
 	case policy.SelectCoin:
 		// The uniform rule pools every result page independently with
 		// probability r; zero-awareness pages are ordinary bottom-ranked
-		// candidates here.
+		// candidates after the ranked ones, in global pool order.
 		ranked := appendRanked(rs.ids[:0], n)
-		for _, sn := range snaps {
-			ranked = append(ranked, sn.pool...)
-		}
 		rs.ids = ranked
 		for _, id := range ranked {
 			if rng.Bernoulli(r) {
@@ -1230,21 +1222,15 @@ func (c *Corpus) browseCandidates(sel policy.Selection, r float64, n int, det, p
 				det = append(det, id)
 			}
 		}
+		det, pool = splitCoinPool(&rs.global, r, n, det, pool, rng)
 	default: // SelectNone: pure popularity order, unexplored tail last.
 		det = appendRanked(det, n)
-		for _, sn := range snaps {
-			if len(det) >= n {
-				break
-			}
-			for _, id := range sn.pool {
-				det = append(det, id)
-				if len(det) >= n {
-					break
-				}
-			}
+		for i := 0; i < rs.global.n && len(det) < n; i++ {
+			det = append(det, rs.global.At(i))
 		}
 	}
-	return det, pool
+	rs.det, rs.pool = det, pool
+	return src
 }
 
 // candRef is one candidate in the query scan's bounded top-n heap: its
@@ -1311,24 +1297,6 @@ func heapFix(best []candRef) {
 // uncached rather than pinning unbounded memory per entry.
 const maxCachedPool = 4096
 
-// reservoirInto fills pool with a uniform poolCap-sample of all
-// (Algorithm R): every pooled match ends up in the merge's promotion
-// sample with equal probability poolCap/len(all). The draw sequence is a
-// pure function of all's order, so replaying it from a cached candidate
-// list consumes exactly the RNG draws the uncached scan would.
-func reservoirInto(pool, all []int, poolCap int, rng *randutil.RNG) []int {
-	for i, id := range all {
-		if i < poolCap {
-			pool = append(pool, id)
-			continue
-		}
-		if j := rng.Intn(i + 1); j < poolCap {
-			pool[j] = id
-		}
-	}
-	return pool
-}
-
 // heapSort sorts best (a worst-at-root heap maintained by heapPush and
 // heapFix) into rank order, best first, in place: repeatedly swap the
 // worst to the end and re-fix the shrunken heap. Replaces sort.Slice,
@@ -1340,14 +1308,15 @@ func heapSort(best []candRef) {
 	}
 }
 
-// queryCandidates assembles the det/pool split for a query: lock-free
-// conjunctive retrieval from the index snapshot (rarest-first galloping
-// intersection into pooled scratch), lock-free stat lookups, then a
-// single pass that keeps only the best n deterministic candidates via a
-// bounded heap (the merge can never consume more) and a bounded uniform
-// reservoir of the pooled ones — mirroring the browse path's
-// Shards×PoolCap promotion sample — so per-request work and retained
-// scratch are bounded by n + the pool cap, not by match count.
+// queryCandidates assembles the det/pool split for a query into rs.det
+// and returns the promotion pool's source: lock-free conjunctive
+// retrieval from the index snapshot (rarest-first galloping intersection
+// into pooled scratch), lock-free stat lookups, then a single pass that
+// keeps only the best n deterministic candidates via a bounded heap (the
+// merge can never consume more). The selective rule's pool is the
+// query's zero-awareness matches themselves, handed to the bounded merge
+// as they are (no copy, no sample); the coin rule's pooled matches go
+// through a uniform reservoir of at most n, all the merge can draw.
 //
 // The deterministic scan is block-max pruned: posting lists carry a
 // popularity upper bound per chunk of at most 128 entries (searchidx
@@ -1358,7 +1327,7 @@ func heapSort(best []candRef) {
 // pruned result is identical to the full scan's: candidates stream in
 // ascending birth order, rank ties break older-first, and the bounds
 // stay sound under the monotone click invariant (see the property test
-// in prune_test.go). The promotion reservoir's candidates come from the
+// in prune_test.go). The selective pool's candidates come from the
 // zero-awareness sub-index, which holds exactly the pool-eligible
 // pages, rather than from an aware-filter over the full match set. The
 // coin rule draws a Bernoulli per candidate by construction, so it
@@ -1369,24 +1338,25 @@ func heapSort(best []candRef) {
 // (arm, normalized query): arms rank the same candidates under different
 // policies, so the arm name prefixes every key and hot-query memoization
 // applies per arm. A hit skips retrieval, stat loads and top-K selection
-// entirely, then replays the promotion reservoir and the merge with
+// entirely and runs the merge over the entry's det list and pool with
 // fresh per-request randomness — byte-identical to the uncached path at
 // the same RNG seed. The coin selection rule (uniform) draws per
 // candidate to form the pool, so its assembly is inherently per-request
 // and bypasses the cache.
-func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, det, pool []int, rng *randutil.RNG, rs *reqScratch) (detOut, poolOut []int) {
+func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, rng *randutil.RNG, rs *reqScratch) policy.Source {
 	snap := c.idx.Snapshot()
 	sel := arm.sel
-	poolCap := c.cfg.PoolCap * len(c.shards)
+	det, pool := rs.det, rs.pool
+	coinPool := (*policy.Slice)(&rs.pool)
 	cacheable := c.qcache != nil && sel != policy.SelectCoin
 	var key cacheKey
 	if cacheable {
 		key = cacheKey{arm: arm.name, query: searchidx.NormalizeQuery(query)}
 		if e := c.qcache.get(key, n, snap.Epoch(), c.Epoch()); e != nil {
 			c.cacheHits.Add(1)
-			det = append(det, e.det[:min(n, len(e.det))]...)
-			pool = reservoirInto(pool, e.pool, poolCap, rng)
-			return det, pool
+			rs.det = append(det, e.det[:min(n, len(e.det))]...)
+			rs.matches = e.pool
+			return &rs.matches
 		}
 		c.cacheMisses.Add(1)
 	}
@@ -1404,7 +1374,7 @@ func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, 
 		seqs := snap.RetrieveInto(rs.u32[:0], query)
 		rs.u32 = seqs
 		if len(seqs) == 0 {
-			return det, pool
+			return coinPool
 		}
 		poolSeen := 0
 		for _, seq32 := range seqs {
@@ -1420,11 +1390,14 @@ func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, 
 			switch {
 			case rng.Bernoulli(r):
 				// Algorithm R, interleaved with the coin flips exactly as
-				// the candidates stream by.
+				// the candidates stream by: a uniform min(n, pooled)
+				// subset. The merge draws at most n pool pages, so
+				// drawing them from a uniform n-subset is the same law
+				// as drawing from every pooled match.
 				poolSeen++
-				if len(pool) < poolCap {
+				if len(pool) < n {
 					pool = append(pool, seq)
-				} else if j := rng.Intn(poolSeen); j < poolCap {
+				} else if j := rng.Intn(poolSeen); j < n {
 					pool[j] = seq
 				}
 			case len(best) < n:
@@ -1501,30 +1474,30 @@ func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, 
 			// Nothing matched at all — same early exit (and same
 			// don't-cache-empties behavior) as an empty retrieval.
 			rs.poolAll = poolAll
-			return det, pool
+			return coinPool
 		}
 	}
 	heapSort(best)
 	rs.cand = best
-	detStart := len(det)
 	for _, cr := range best {
 		det = append(det, cr.seq)
 	}
-	rs.poolAll = poolAll
-	if sel != policy.SelectCoin {
-		pool = reservoirInto(pool, poolAll, poolCap, rng)
-		if cacheable && len(poolAll) <= maxCachedPool {
-			c.qcache.put(key, &queryCacheEntry{
-				idxEpoch: idxEpoch,
-				srvEpoch: srvEpoch,
-				n:        n,
-				full:     len(det)-detStart < n,
-				det:      append([]int(nil), det[detStart:]...),
-				pool:     append([]int(nil), poolAll...),
-			})
-		}
+	rs.det, rs.pool, rs.poolAll = det, pool, poolAll
+	if sel == policy.SelectCoin {
+		return coinPool
 	}
-	return det, pool
+	if cacheable && len(poolAll) <= maxCachedPool {
+		c.qcache.put(key, &queryCacheEntry{
+			idxEpoch: idxEpoch,
+			srvEpoch: srvEpoch,
+			n:        n,
+			full:     len(det) < n,
+			det:      append([]int(nil), det...),
+			pool:     append([]int(nil), poolAll...),
+		})
+	}
+	rs.matches = poolAll
+	return &rs.matches
 }
 
 // Top returns the deterministic (promotion-free) global top-n explored
@@ -1835,29 +1808,13 @@ func (sh *shard) liveEvent(e Event, nanos int64) bool {
 }
 
 // publish rebuilds and atomically swaps the shard's snapshot: the treap's
-// top-K in rank order plus a zero-awareness sample. Readers holding the
+// top-K in rank order plus the zero-awareness pool's chunks, shared as
+// they stand (O(1) in the pool's size; see cowPool). Readers holding the
 // old snapshot keep a consistent view; new readers see the new epoch.
 func (sh *shard) publish() {
-	old := sh.snap.Load()
-	ns := &snapshot{epoch: old.epoch + 1}
-	ns.top = sh.treap.TopK(sh.cfg.TopK, make([]rankengine.Entry, 0, sh.cfg.TopK))
-	n := len(sh.poolSeqs)
-	if n <= sh.cfg.PoolCap {
-		ns.pool = append([]int(nil), sh.poolSeqs...)
-	} else {
-		// Partial Fisher–Yates over a scratch copy: a fresh uniform
-		// PoolCap-sample each epoch, so capping never starves a page.
-		if cap(sh.scratch) < n {
-			sh.scratch = make([]int, n)
-		}
-		buf := sh.scratch[:n]
-		copy(buf, sh.poolSeqs)
-		k := sh.cfg.PoolCap
-		for i := 0; i < k; i++ {
-			j := i + sh.rng.Intn(n-i)
-			buf[i], buf[j] = buf[j], buf[i]
-		}
-		ns.pool = append([]int(nil), buf[:k]...)
-	}
-	sh.snap.Store(ns)
+	sh.snap.Store(&snapshot{
+		epoch: sh.snap.Load().epoch + 1,
+		top:   sh.treap.TopK(sh.cfg.TopK, make([]rankengine.Entry, 0, sh.cfg.TopK)),
+		pool:  sh.pool.freeze(),
+	})
 }

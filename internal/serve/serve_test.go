@@ -235,70 +235,6 @@ func TestUnknownPageFeedbackDropped(t *testing.T) {
 	}
 }
 
-func TestPoolSampleCapRotates(t *testing.T) {
-	// One shard, 40 zero-awareness pages, pool capped at 8: across many
-	// epochs every page must appear in some snapshot sample.
-	c := newTestCorpus(t, Config{Shards: 1, PoolCap: 8, Seed: 6})
-	for i := 0; i < 40; i++ {
-		if err := c.Add(i, "fresh page", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Add(1000, "anchor page", 5); err != nil {
-		t.Fatal(err)
-	}
-	c.Sync()
-	seen := map[int]bool{}
-	for round := 0; round < 200; round++ {
-		sn := c.shards[0].snap.Load()
-		if len(sn.pool) != 8 {
-			t.Fatalf("snapshot pool has %d entries, want cap 8", len(sn.pool))
-		}
-		for _, id := range sn.pool {
-			seen[id] = true
-		}
-		// Any rank-changing feedback republishes with a fresh sample.
-		c.Feedback([]Event{{Page: 1000, Slot: 1, Clicks: 1}})
-		c.Sync()
-	}
-	if len(seen) != 40 {
-		t.Fatalf("only %d/40 zero-awareness pages ever sampled into a snapshot", len(seen))
-	}
-}
-
-func TestQueryPoolCapBoundsRequestWork(t *testing.T) {
-	// One shard with PoolCap 4: a query matching 20 zero-awareness pages
-	// serves a bounded uniform promotion sample, not all of them.
-	c := newTestCorpus(t, Config{Shards: 1, PoolCap: 4, Seed: 8})
-	for i := 0; i < 2; i++ {
-		if err := c.Add(i, "capped topic", float64(2-i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 10; i < 30; i++ {
-		if err := c.Add(i, "capped topic", 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Sync()
-	res, err := c.RankSeeded("capped topic", 50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 6 {
-		t.Fatalf("served %d results, want 2 det + 4 pool-sampled = 6", len(res))
-	}
-	promoted := 0
-	for _, r := range res {
-		if r.Promoted {
-			promoted++
-		}
-	}
-	if promoted != 4 {
-		t.Fatalf("%d promoted slots, want the pool cap of 4", promoted)
-	}
-}
-
 func TestTopKSnapshotBoundsServing(t *testing.T) {
 	// TopK=4 per shard, 1 shard: the deterministic list a request can see
 	// is the snapshot, so asking for 10 yields only the snapshot's 4.

@@ -70,8 +70,7 @@ type shardState struct {
 	seqOf    map[int]int // page id -> slot (birth sequence), in apply order
 	maxBirth int         // highest birth ever applied + 1 (seq watermark)
 	treap    *rankengine.Treap
-	poolSeqs []int       // zero-awareness page slots, swap-remove order
-	poolPos  map[int]int // seq -> index in poolSeqs
+	pool     cowPool // zero-awareness page slots, copy-on-write (pool.go)
 	// texts retains each page's indexed text for snapshotting (durable
 	// corpora must be able to rebuild the search index at boot); nil when
 	// the corpus is in-memory only.
@@ -108,7 +107,7 @@ func (st *shardState) init(treapSeed uint64, retainText bool, pages, zeroAware *
 	st.za = za
 	st.seqOf = make(map[int]int)
 	st.treap = rankengine.New(treapSeed)
-	st.poolPos = make(map[int]int)
+	st.pool.pos = make(map[int]int)
 	if retainText {
 		st.texts = make(map[int]string)
 	}
@@ -202,7 +201,7 @@ func (st *shardState) applyEvent(e Event, nanos int64) outcome {
 			slot.meta.Store(m | slotAware)
 			st.zeroAware.Add(-1)
 			st.zaPages.Add(-1)
-			st.removeFromPool(seq)
+			st.pool.remove(seq)
 			st.treap.Insert(entry)
 			out.discovery = true
 			if st.za != nil {
@@ -260,7 +259,7 @@ func (st *shardState) applyRemove(id int) bool {
 	} else {
 		st.zeroAware.Add(-1)
 		st.zaPages.Add(-1)
-		st.removeFromPool(seq)
+		st.pool.remove(seq)
 		if st.za != nil {
 			// Usually a no-op: the leader tombstones the sub-index with
 			// the main index when the removal is accepted. Replayed or
@@ -269,19 +268,6 @@ func (st *shardState) applyRemove(id int) bool {
 		}
 	}
 	return true
-}
-
-func (st *shardState) removeFromPool(seq int) {
-	pos, ok := st.poolPos[seq]
-	if !ok {
-		return
-	}
-	last := len(st.poolSeqs) - 1
-	moved := st.poolSeqs[last]
-	st.poolSeqs[pos] = moved
-	st.poolPos[moved] = pos
-	st.poolSeqs = st.poolSeqs[:last]
-	delete(st.poolPos, seq)
 }
 
 // placePage puts one page into the state — its slot, the id map, the
@@ -302,8 +288,7 @@ func (st *shardState) placePage(p store.PageRecord) {
 	} else {
 		st.zeroAware.Add(1)
 		st.zaPages.Add(1)
-		st.poolPos[p.Birth] = len(st.poolSeqs)
-		st.poolSeqs = append(st.poolSeqs, p.Birth)
+		st.pool.add(p.Birth)
 		if st.za != nil {
 			// The error return is vacuous here: Birth is unique, and the
 			// record carries the text whenever a search index exists

@@ -343,8 +343,6 @@ type LiveOptions struct {
 	Shards int
 	// TopK is each shard's deterministic top-list snapshot length.
 	TopK int
-	// PoolCap bounds the zero-awareness sample per shard snapshot.
-	PoolCap int
 	// Policy is the promotion policy applied to every ranking when no
 	// Arms are declared.
 	Policy Policy
@@ -403,7 +401,6 @@ func NewLive(opts LiveOptions) (*Live, error) {
 	c, err := serve.NewCorpus(serve.Config{
 		Shards:     opts.Shards,
 		TopK:       opts.TopK,
-		PoolCap:    opts.PoolCap,
 		Policy:     opts.Policy,
 		Arms:       opts.Arms,
 		Seed:       opts.Seed,
