@@ -148,14 +148,14 @@ func (a *armFlags) Set(v string) error {
 }
 
 // ruleSpec builds the default arm's policy from -rule/-k/-r and validates
-// it through the same Spec.Compile every -arm spec passes in
+// it through the same Spec.Validate every -arm spec passes in
 // policy.ParseSpec, so the two flags accept and refuse the same policies.
 func ruleSpec(rule string, k int, r float64) (policy.Spec, error) {
 	if rule == "" {
 		return policy.Spec{}, fmt.Errorf("-rule is empty")
 	}
 	spec := policy.Spec{Rule: rule, K: k, R: r}
-	if _, err := spec.Compile(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return policy.Spec{}, err
 	}
 	return spec, nil
@@ -212,13 +212,15 @@ func main() {
 	if *pages < 0 {
 		fail("-pages must be >= 0, got %d", *pages)
 	}
-	if *fresh < 0 || *fresh > 1 {
+	// Negated so that NaN, which compares false both ways, fails too.
+	if !(*fresh >= 0 && *fresh <= 1) {
 		fail("-fresh must be in [0,1], got %v", *fresh)
 	}
 	if to.read < 0 || to.readHeader < 0 || to.write < 0 || to.idle < 0 {
 		fail("HTTP timeouts must be >= 0 (0 = unlimited)")
 	}
-	if *rateRPS < 0 || *rateBurst < 0 {
+	// Negated for NaN too: a NaN rate would silently disable limiting.
+	if !(*rateRPS >= 0) || *rateBurst < 0 {
 		fail("-rate-limit and -rate-burst must be >= 0")
 	}
 	pol, err := ruleSpec(*rule, *k, *r)

@@ -54,7 +54,7 @@ func TestArmFlagParsing(t *testing.T) {
 }
 
 // TestRuleAndArmFlagsAgree: the default arm's -rule/-k/-r and an -arm
-// spec validate through the same Compile, so the two flags accept and
+// spec validate through the same Validate, so the two flags accept and
 // refuse the same policies and build the same Spec from them.
 func TestRuleAndArmFlagsAgree(t *testing.T) {
 	cases := []struct {

@@ -101,28 +101,27 @@ func TestRankerGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestRankerPolicyMatchesStructForm: a Ranker built from the spec a
-// compiled policy reports back (Policy.Spec — the form telemetry carries,
-// "deterministic" for "none" and no k) draws the same stream as one built
-// from the declared spec.
+// TestRankerPolicyMatchesStructForm: the spellings of the promotion-free
+// rule — "none", "deterministic" and the empty rule, with and without a
+// k, which the rule never reads — build rankers that draw the same stream
+// as the golden table's none policy.
 func TestRankerPolicyMatchesStructForm(t *testing.T) {
 	pages := goldenPages()
-	for name, spec := range goldenPolicies {
-		a, err := NewRanker(spec, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compiled, err := spec.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewRanker(compiled.Spec(), 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for call := 0; call < 4; call++ {
-			if got, want := b.Rank(pages), a.Rank(pages); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s call %d: policy-built ranker diverged:\n got %v\nwant %v", name, call, got, want)
+	for _, rule := range []string{RuleNone, policy.RuleDeterministic, ""} {
+		for _, k := range []int{0, 1, 3} {
+			spec := Policy{Rule: rule, K: k}
+			a, err := NewRanker(goldenPolicies["none"], 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewRanker(spec, 7)
+			if err != nil {
+				t.Fatalf("%+v: %v", spec, err)
+			}
+			for call := 0; call < 4; call++ {
+				if got, want := b.Rank(pages), a.Rank(pages); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v call %d: diverged from none:\n got %v\nwant %v", spec, call, got, want)
+				}
 			}
 		}
 	}

@@ -66,9 +66,8 @@ func (o Options) withDefaults() Options {
 type Model struct {
 	comm    community.Config
 	spec    policy.Spec
-	sel     policy.Selection // pool rule of the compiled spec
-	k       int              // protected prefix, from the compiled Params
-	r       float64          // degree of randomization, likewise
+	k       int     // protected prefix: spec.Params, constant here
+	r       float64 // degree of randomization, likewise
 	buckets []quality.Bucket
 	att     *attention.Model
 	opts    Options
@@ -98,7 +97,7 @@ type Model struct {
 
 // Solve builds and solves the model. buckets describe the community's
 // quality multiset (see quality.Buckets); their counts must sum to
-// comm.Pages. The policy's k and r are its compiled Params, so the
+// comm.Pages. The policy's k and r are its Params, so the
 // deterministic rule solves as (1, 0). Epsilon-decay is refused: the
 // steady state below assumes a constant r, and its r moves with the
 // zero-awareness fraction.
@@ -106,14 +105,13 @@ func Solve(comm community.Config, spec policy.Spec, buckets []quality.Bucket, op
 	if err := comm.Validate(); err != nil {
 		return nil, err
 	}
-	pol, err := spec.Compile()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if spec.Rule == policy.RuleEpsilonDecay {
 		return nil, fmt.Errorf("analytic: %s has a state-dependent r; the §5 steady state needs a constant one", spec.Rule)
 	}
-	k, r := pol.Params(policy.State{})
+	k, r := spec.Params(policy.State{})
 	if len(buckets) == 0 {
 		return nil, fmt.Errorf("analytic: no quality buckets")
 	}
@@ -139,7 +137,6 @@ func Solve(comm community.Config, spec policy.Spec, buckets []quality.Bucket, op
 	mdl := &Model{
 		comm:    comm,
 		spec:    spec,
-		sel:     pol.Selection(),
 		k:       k,
 		r:       r,
 		buckets: buckets,
@@ -266,7 +263,7 @@ func (mdl *Model) f1At(x float64, suffix [][]float64) float64 {
 func (mdl *Model) adjustedRank(rank float64) float64 {
 	k := float64(mdl.k)
 	r := mdl.r
-	switch mdl.sel {
+	switch mdl.spec.Selection() {
 	case policy.SelectUnexplored:
 		if rank >= k {
 			var shift float64
@@ -302,7 +299,7 @@ func (mdl *Model) ExactF(x float64) float64 {
 	}
 	rank := mdl.adjustedRank(mdl.f1At(x, mdl.suffix))
 	det := mdl.att.VisitRateAt(rank)
-	if mdl.sel == policy.SelectCoin {
+	if mdl.spec.Selection() == policy.SelectCoin {
 		return mdl.r*mdl.poolVisitRateUniform() + (1-mdl.r)*det
 	}
 	return det
@@ -311,7 +308,7 @@ func (mdl *Model) ExactF(x float64) float64 {
 // zeroPopVisitRate evaluates the rule-specific expected visit rate of a
 // zero-popularity page given a pool of z such pages.
 func (mdl *Model) zeroPopVisitRate(z float64) float64 {
-	switch mdl.sel {
+	switch mdl.spec.Selection() {
 	case policy.SelectUnexplored:
 		return mdl.poolVisitRateSelective(z)
 	case policy.SelectCoin:
@@ -499,13 +496,13 @@ func (mdl *Model) recompute() (newGrid []float64) {
 	newGrid = make([]float64, len(mdl.grid))
 	r := mdl.r
 	poolRate := 0.0
-	if mdl.sel == policy.SelectCoin {
+	if mdl.spec.Selection() == policy.SelectCoin {
 		poolRate = mdl.poolVisitRateUniform()
 	}
 	for gi, x := range mdl.grid {
 		rank := mdl.adjustedRank(mdl.f1At(x, suffix))
 		det := mdl.att.VisitRateAt(rank)
-		if mdl.sel == policy.SelectCoin {
+		if mdl.spec.Selection() == policy.SelectCoin {
 			det = r*poolRate + (1-r)*det
 		}
 		// Keep strictly positive for log-space fitting.

@@ -300,7 +300,7 @@ func TestPolicyAccessor(t *testing.T) {
 	}
 }
 
-// TestSolveRuleTable: Solve reads k and r from the compiled policy, so
+// TestSolveRuleTable: Solve reads k and r from the spec's Params, so
 // every spelling of the deterministic rule solves to the same model as
 // none at (1, 0), and epsilon-decay, whose r moves with the corpus state,
 // is refused even when its floor equals its start.

@@ -178,8 +178,8 @@ type simSpec struct {
 
 // runSpecGrid fans every (spec × seed) simulation out on the parallel
 // grid and returns results[spec][seed]. Every replication simulates
-// through the spec's compiled policy — the same merge implementation the
-// online service runs. Each job derives all randomness from its own seed
+// through the spec's merge — the same implementation the online service
+// runs. Each job derives all randomness from its own seed
 // (o.Seed + replication index), so the grid is bit-identical to a serial
 // loop over the same jobs at any worker count.
 func runSpecGrid(specs []simSpec, o Options) ([][]*sim.Result, error) {

@@ -59,7 +59,8 @@ type Config struct {
 	// a ≈ +60–80% improvement.
 	MaxSessionPages int
 	// Promotion is the treatment group's policy (default selective,
-	// k=21, r=1 — the paper's variant).
+	// k=21, r=1 — the paper's variant). The coin rule (uniform) is
+	// refused: the study pools only zero-awareness items.
 	Promotion policy.Spec
 	// Funniness is the item quality distribution (default the
 	// PageRank-shaped power law).
@@ -116,6 +117,14 @@ func (c Config) validate() error {
 	if c.MeasureLastDays > c.DurationDays {
 		return fmt.Errorf("livestudy: measurement window %d exceeds duration %d",
 			c.MeasureLastDays, c.DurationDays)
+	}
+	if err := c.Promotion.Validate(); err != nil {
+		return err
+	}
+	// stepDay pools only zero-awareness items; a coin rule would run the
+	// treatment deterministically without a word.
+	if c.Promotion.Selection() == policy.SelectCoin {
+		return fmt.Errorf("livestudy: promotion rule %q pools by coin; the study runs only zero-awareness (selective) promotion", c.Promotion.Rule)
 	}
 	return nil
 }
@@ -178,7 +187,7 @@ type group struct {
 	birth  []int
 	seen   []bitset // per-user viewed-item sets
 	ranked []int    // yesterday's ranking (item indices)
-	pol    policy.Policy
+	pol    policy.Spec
 
 	funny, total int
 	visitsByRank []int
@@ -204,10 +213,6 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	promotion, err := cfg.Promotion.Compile()
-	if err != nil {
-		return nil, err
-	}
 	n := cfg.Items
 	rng := randutil.New(cfg.Seed)
 
@@ -222,8 +227,8 @@ func Run(cfg Config) (*Result, error) {
 		expiry[i] = 1 + rng.Intn(cfg.ItemLifetimeDays)
 	}
 
-	control := newGroup(cfg, n, policy.Deterministic())
-	treatment := newGroup(cfg, n, promotion)
+	control := newGroup(cfg, n, policy.Spec{Rule: policy.RuleNone})
+	treatment := newGroup(cfg, n, cfg.Promotion)
 
 	for day := 0; day < cfg.DurationDays; day++ {
 		measuring := day >= cfg.DurationDays-cfg.MeasureLastDays
@@ -249,7 +254,7 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func newGroup(cfg Config, n int, pol policy.Policy) *group {
+func newGroup(cfg Config, n int, pol policy.Spec) *group {
 	g := &group{
 		votes:        make([]int, n),
 		viewed:       make([]int, n),

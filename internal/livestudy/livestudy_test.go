@@ -2,6 +2,7 @@ package livestudy
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -30,6 +31,13 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Promotion: policy.Spec{Rule: policy.RuleSelective, K: -1, R: 1}}); err == nil {
 		t.Error("invalid promotion accepted")
+	}
+	// The study pools only zero-awareness items, so a coin rule would run
+	// the treatment deterministically.
+	_, err := Run(Config{Seed: 1, Items: 50, UsersPerGroup: 5, DurationDays: 2, MeasureLastDays: 1,
+		Promotion: policy.Spec{Rule: policy.RuleUniform, K: 1, R: 0.5}})
+	if err == nil || !strings.Contains(err.Error(), policy.RuleUniform) {
+		t.Errorf("uniform promotion: err = %v, want a refusal naming %q", err, policy.RuleUniform)
 	}
 }
 

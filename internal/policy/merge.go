@@ -137,18 +137,12 @@ type Scratch struct {
 	draw    lazyShuffle
 }
 
-// Merge runs the §4 merge procedure with the scratch's buffers. The
-// returned slice is owned by the Scratch and valid until the next call.
-func (s *Scratch) Merge(det, pool Source, k int, r float64, rng *randutil.RNG) []int {
-	s.dst, _, s.shuffle = mergeImpl(det, pool, k, r, rng, s.dst[:0], nil, s.shuffle, false)
-	return s.dst
-}
-
-// MergeTagged is Merge plus provenance: fromPool[i] reports whether
-// position i was filled from the promotion pool rather than the
-// deterministic list. Both returned slices are owned by the Scratch and
-// valid until the next call. The merged list is identical to what Merge
-// would produce from the same inputs and RNG state.
+// MergeTagged runs the §4 merge procedure with the scratch's buffers and
+// reports provenance: fromPool[i] reports whether position i was filled
+// from the promotion pool rather than the deterministic list. Both
+// returned slices are owned by the Scratch and valid until the next call.
+// The merged list is identical to what Merge would produce from the same
+// inputs and RNG state.
 func (s *Scratch) MergeTagged(det, pool Source, k int, r float64, rng *randutil.RNG) (merged []int, fromPool []bool) {
 	s.dst, s.tags, s.shuffle = mergeImpl(det, pool, k, r, rng, s.dst[:0], s.tags[:0], s.shuffle, true)
 	return s.dst, s.tags

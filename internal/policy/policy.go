@@ -1,16 +1,18 @@
-// Package policy unifies the repository's ranking rules behind one
-// pluggable abstraction. The paper's contribution is a *comparison* of
-// ranking rules — pure deterministic, uniform random, and partially
-// randomized (selective) ranking — and every surface that ranks (the
-// offline Ranker, the §6 community simulator, the §5 analytical model,
-// the figure experiments and the online serving path) names its rule as a
-// Spec, compiles it once into a Policy and runs the same scratch-reusing,
-// zero-alloc merge engine (merge.go) or one of its twins: the lazy
-// position resolver (resolver.go) for the simulator, and the bounded
-// merge (bounded.go), which fills only the n served positions and draws
-// each promoted page lazily, for the online service.
+// Package policy holds the repository's ranking rules as one value. The
+// paper's contribution is a *comparison* of ranking rules — pure
+// deterministic, uniform random, and partially randomized (selective)
+// ranking — and every surface that ranks (the offline Ranker, the §6
+// community simulator, the §5 analytical model, the figure experiments
+// and the online serving path) names its rule as a Spec, validates it
+// once and runs the same scratch-reusing, zero-alloc merge engine
+// (merge.go) or one of its twins: the lazy position resolver
+// (resolver.go) for the simulator, and the bounded merge (bounded.go),
+// which fills only the n served positions and draws each promoted page
+// lazily, for the online service.
 //
-// A Policy answers three questions per request:
+// A Spec is the §4 policy's three numbers — a pool rule, the protected
+// prefix k and the degree of randomization r — plus the epsilon-decay
+// floor, and it answers the two questions a request asks of it:
 //
 //   - Selection: how candidates split into the deterministic list and the
 //     promotion pool (never, by an r-biased coin per candidate, or by
@@ -20,12 +22,12 @@
 //     randomization r) for a request observing the given corpus State —
 //     constant for the paper's rules, state-dependent for the
 //     epsilon-decay variant that anneals randomization as awareness
-//     grows;
-//   - Spec: the declarative form, for telemetry, flags and JSON.
+//     grows.
 package policy
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -55,18 +57,6 @@ type State struct {
 	ZeroAware int
 }
 
-// Policy is one complete rank-promotion configuration.
-type Policy interface {
-	// Spec returns the policy's declarative form.
-	Spec() Spec
-	// Selection reports how pool membership is decided.
-	Selection() Selection
-	// Params returns the §4 merge parameters — protected prefix k and
-	// degree of randomization r — for a request observing st. It must not
-	// consume randomness; the same st always yields the same parameters.
-	Params(st State) (k int, r float64)
-}
-
 // Rule names accepted by Spec and ParseSpec.
 const (
 	RuleDeterministic = "deterministic"
@@ -76,7 +66,9 @@ const (
 	RuleEpsilonDecay  = "epsilon-decay"
 )
 
-// Spec is the declarative, flag- and JSON-friendly form of a policy.
+// Spec is one complete rank-promotion policy, in the form flags, JSON
+// and on-disk metadata carry. Holders keep the spec itself and call
+// Validate once before asking it for Selection and Params.
 type Spec struct {
 	// Rule is one of the Rule* names above.
 	Rule string `json:"rule"`
@@ -110,19 +102,71 @@ func (s Spec) String() string {
 	}
 }
 
-// Compile validates the spec and returns the runnable policy.
-func (s Spec) Compile() (Policy, error) {
+// Validate reports whether the spec names a known rule whose
+// parameters are in range: k >= 1 and r a probability for the rules that
+// read them, and 0 <= rmin <= r for epsilon-decay. Selection and Params
+// answer for validated specs only.
+func (s Spec) Validate() error {
 	switch s.Rule {
 	case RuleDeterministic, RuleNone, "":
-		return Deterministic(), nil
-	case RuleUniform:
-		return Uniform(s.K, s.R)
-	case RuleSelective:
-		return Selective(s.K, s.R)
+		return nil
+	case RuleUniform, RuleSelective:
+		return validateKR(s.Rule, s.K, s.R)
 	case RuleEpsilonDecay:
-		return EpsilonDecay(s.K, s.R, s.RMin)
+		if err := validateKR(s.Rule, s.K, s.R); err != nil {
+			return err
+		}
+		// Written so that a NaN floor fails: it compares false both ways.
+		if !(s.RMin >= 0 && s.RMin <= s.R) {
+			return fmt.Errorf("policy: epsilon-decay floor rmin must be in [0,r=%g], got %v", s.R, s.RMin)
+		}
+		return nil
 	default:
-		return nil, fmt.Errorf("policy: unknown rule %q", s.Rule)
+		return fmt.Errorf("policy: unknown rule %q", s.Rule)
+	}
+}
+
+// Selection reports how the spec decides pool membership.
+func (s Spec) Selection() Selection {
+	switch s.Rule {
+	case RuleUniform:
+		return SelectCoin
+	case RuleSelective, RuleEpsilonDecay:
+		return SelectUnexplored
+	default:
+		return SelectNone
+	}
+}
+
+// Params returns the §4 merge parameters — protected prefix k and degree
+// of randomization r — for a request observing st. It consumes no
+// randomness; the same st always yields the same parameters. The
+// deterministic rule answers (1, 0) whatever its K.
+//
+// Epsilon-decay interpolates linearly in the zero-awareness fraction: a
+// corpus that is all undiscovered pages explores at the full R, a fully
+// explored one at the RMin floor — exploration fades as discovery
+// completes, the epsilon-greedy schedule of the bandit literature applied
+// to the paper's §4 merge. With no population signal (Pages <= 0) it
+// behaves like plain selective at R: over-exploring an unknown corpus is
+// the safe direction, and an empty pool makes r moot anyway.
+func (s Spec) Params(st State) (k int, r float64) {
+	switch s.Rule {
+	case RuleUniform, RuleSelective:
+		return s.K, s.R
+	case RuleEpsilonDecay:
+		if st.Pages <= 0 {
+			return s.K, s.R
+		}
+		frac := float64(st.ZeroAware) / float64(st.Pages)
+		if frac < 0 {
+			frac = 0
+		} else if frac > 1 {
+			frac = 1
+		}
+		return s.K, s.RMin + (s.R-s.RMin)*frac
+	default:
+		return 1, 0
 	}
 }
 
@@ -153,13 +197,16 @@ func ParseSpec(s string) (Spec, error) {
 	bad := func(err error) (Spec, error) {
 		return Spec{}, fmt.Errorf("policy: bad spec %q: %w", s, err)
 	}
+	// strconv, not fmt.Sscanf: Sscanf stops at the first bad character,
+	// which would read "1x" as 1.
+	var err error
 	if len(parts) > 1 {
-		if _, err := fmt.Sscanf(parts[1], "%d", &spec.K); err != nil {
+		if spec.K, err = strconv.Atoi(strings.TrimSpace(parts[1])); err != nil {
 			return bad(fmt.Errorf("k %q: %v", parts[1], err))
 		}
 	}
 	if len(parts) > 2 {
-		if _, err := fmt.Sscanf(parts[2], "%g", &spec.R); err != nil {
+		if spec.R, err = strconv.ParseFloat(strings.TrimSpace(parts[2]), 64); err != nil {
 			return bad(fmt.Errorf("r %q: %v", parts[2], err))
 		}
 	}
@@ -167,14 +214,14 @@ func ParseSpec(s string) (Spec, error) {
 		if spec.Rule != RuleEpsilonDecay {
 			return bad(fmt.Errorf("rule %q takes at most rule:k:r", spec.Rule))
 		}
-		if _, err := fmt.Sscanf(parts[3], "%g", &spec.RMin); err != nil {
+		if spec.RMin, err = strconv.ParseFloat(strings.TrimSpace(parts[3]), 64); err != nil {
 			return bad(fmt.Errorf("rmin %q: %v", parts[3], err))
 		}
 	}
 	if len(parts) > 4 {
 		return bad(fmt.Errorf("too many fields"))
 	}
-	if _, err := spec.Compile(); err != nil {
+	if err = spec.Validate(); err != nil {
 		return Spec{}, err
 	}
 	return spec, nil
@@ -185,103 +232,9 @@ func validateKR(rule string, k int, r float64) error {
 	if k < 1 {
 		return fmt.Errorf("policy: %s starting point k must be >= 1, got %d", rule, k)
 	}
-	if r < 0 || r > 1 {
+	// Written so that a NaN r fails: it compares false both ways.
+	if !(r >= 0 && r <= 1) {
 		return fmt.Errorf("policy: %s degree of randomization r must be in [0,1], got %v", rule, r)
 	}
 	return nil
-}
-
-// deterministic is the promotion-free rule.
-type deterministic struct{}
-
-func (deterministic) Spec() Spec                  { return Spec{Rule: RuleDeterministic} }
-func (deterministic) Selection() Selection        { return SelectNone }
-func (deterministic) Params(State) (int, float64) { return 1, 0 }
-
-// Deterministic returns the pure popularity-ranking policy (the paper's
-// "none" rule): nothing is pooled, nothing is perturbed.
-func Deterministic() Policy { return deterministic{} }
-
-// uniform pools every candidate independently with probability r.
-type uniform struct {
-	k int
-	r float64
-}
-
-func (u uniform) Spec() Spec                  { return Spec{Rule: RuleUniform, K: u.k, R: u.r} }
-func (uniform) Selection() Selection          { return SelectCoin }
-func (u uniform) Params(State) (int, float64) { return u.k, u.r }
-
-// Uniform returns the paper's uniform randomization rule with protected
-// prefix k and degree of randomization r.
-func Uniform(k int, r float64) (Policy, error) {
-	if err := validateKR(RuleUniform, k, r); err != nil {
-		return nil, err
-	}
-	return uniform{k: k, r: r}, nil
-}
-
-// selective pools exactly the zero-awareness candidates.
-type selective struct {
-	k int
-	r float64
-}
-
-func (s selective) Spec() Spec                  { return Spec{Rule: RuleSelective, K: s.k, R: s.r} }
-func (selective) Selection() Selection          { return SelectUnexplored }
-func (s selective) Params(State) (int, float64) { return s.k, s.r }
-
-// Selective returns the paper's recommended selective randomization rule
-// with protected prefix k and degree of randomization r.
-func Selective(k int, r float64) (Policy, error) {
-	if err := validateKR(RuleSelective, k, r); err != nil {
-		return nil, err
-	}
-	return selective{k: k, r: r}, nil
-}
-
-// epsilonDecay is selective promotion whose degree of randomization
-// anneals as awareness grows.
-type epsilonDecay struct {
-	k        int
-	r0, rMin float64
-}
-
-func (e epsilonDecay) Spec() Spec {
-	return Spec{Rule: RuleEpsilonDecay, K: e.k, R: e.r0, RMin: e.rMin}
-}
-func (epsilonDecay) Selection() Selection { return SelectUnexplored }
-
-// Params interpolates linearly in the zero-awareness fraction: a corpus
-// that is all undiscovered pages explores at the full r0, a fully
-// explored one at the rMin floor. With no population signal (Pages <= 0)
-// it behaves like plain selective at r0 — over-exploring an unknown
-// corpus is the safe direction, and an empty pool makes r moot anyway.
-func (e epsilonDecay) Params(st State) (int, float64) {
-	if st.Pages <= 0 {
-		return e.k, e.r0
-	}
-	frac := float64(st.ZeroAware) / float64(st.Pages)
-	if frac < 0 {
-		frac = 0
-	} else if frac > 1 {
-		frac = 1
-	}
-	return e.k, e.rMin + (e.r0-e.rMin)*frac
-}
-
-// EpsilonDecay returns the annealing variant of the selective rule: pool
-// membership is zero-awareness exactly as Selective, but the degree of
-// randomization decays from r (everything unexplored) to rMin (everything
-// explored) with the corpus's zero-awareness fraction — exploration fades
-// as discovery completes, the epsilon-greedy schedule of the bandit
-// literature applied to the paper's §4 merge.
-func EpsilonDecay(k int, r, rMin float64) (Policy, error) {
-	if err := validateKR(RuleEpsilonDecay, k, r); err != nil {
-		return nil, err
-	}
-	if rMin < 0 || rMin > r {
-		return nil, fmt.Errorf("policy: epsilon-decay floor rmin must be in [0,r=%g], got %v", r, rMin)
-	}
-	return epsilonDecay{k: k, r0: r, rMin: rMin}, nil
 }

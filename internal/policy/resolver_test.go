@@ -39,7 +39,7 @@ func TestPolicyValidate(t *testing.T) {
 		RecommendedSafe(),
 	}
 	for _, p := range good {
-		if _, err := p.Compile(); err != nil {
+		if err := p.Validate(); err != nil {
 			t.Errorf("%v rejected: %v", p, err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestPolicyValidate(t *testing.T) {
 		{Rule: RuleSelective, K: 1, R: 1.5},
 	}
 	for _, p := range bad {
-		if _, err := p.Compile(); err == nil {
+		if err := p.Validate(); err == nil {
 			t.Errorf("invalid policy %+v accepted", p)
 		}
 	}

@@ -6,29 +6,6 @@ import (
 	"repro/internal/randutil"
 )
 
-// TestScratchMergeMatchesMergeScratch pins the contract that the Scratch
-// fast path and the original MergeScratch draw the same RNG sequence and
-// produce the same list.
-func TestScratchMergeMatchesMergeScratch(t *testing.T) {
-	det := Slice{10, 20, 30, 40, 50, 60}
-	pool := Slice{1, 2, 3}
-	for _, k := range []int{1, 2, 4, 10} {
-		for _, r := range []float64{0, 0.1, 0.5, 1} {
-			want, _ := MergeScratch(det, pool, k, r, randutil.New(99), nil, nil)
-			var sc Scratch
-			got := sc.Merge(det, pool, k, r, randutil.New(99))
-			if len(got) != len(want) {
-				t.Fatalf("k=%d r=%v: len %d != %d", k, r, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("k=%d r=%v: slot %d = %d, want %d", k, r, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestScratchMergeTaggedProvenance checks the fromPool tags: the tagged
 // merge must produce the identical list, and the tags must exactly
 // identify pool membership.

@@ -31,7 +31,7 @@ type Arm struct {
 	Weight float64 `json:"weight"`
 }
 
-// armState is one arm's runtime: the compiled policy, its bucketing
+// armState is one arm's runtime: the validated policy, its bucketing
 // bounds and its serving-side request counter. The feedback-side
 // telemetry lives in per-shard armTally slices (indexed by idx), written
 // only by the owning apply loops — which is what lets each shard
@@ -40,8 +40,6 @@ type Arm struct {
 type armState struct {
 	name string
 	spec policy.Spec
-	pol  policy.Policy
-	sel  policy.Selection
 	// idx is the arm's position in declaration order: the index of its
 	// tally in every shard's tallies slice.
 	idx int
@@ -100,8 +98,8 @@ type ArmReport struct {
 // no Arms are declared.
 const DefaultArmName = "default"
 
-// buildArms compiles the configured arms (or the implicit single-policy
-// arm) into runtime states with normalized cumulative weights.
+// buildArms validates the configured arms (or the implicit single-policy
+// arm) and builds their runtime states with normalized cumulative weights.
 func buildArms(cfg Config) ([]*armState, error) {
 	decls := cfg.Arms
 	if len(decls) == 0 {
@@ -124,16 +122,13 @@ func buildArms(cfg Config) ([]*armState, error) {
 		if d.Weight < 0 || math.IsNaN(d.Weight) || math.IsInf(d.Weight, 0) {
 			return nil, fmt.Errorf("serve: arm %q has negative or non-finite weight %v", d.Name, d.Weight)
 		}
-		pol, err := d.Policy.Compile()
-		if err != nil {
+		if err := d.Policy.Validate(); err != nil {
 			return nil, fmt.Errorf("serve: arm %q: %w", d.Name, err)
 		}
 		total += d.Weight
 		arms = append(arms, &armState{
 			name:   d.Name,
 			spec:   d.Policy,
-			pol:    pol,
-			sel:    pol.Selection(),
 			idx:    len(arms),
 			weight: d.Weight,
 		})

@@ -33,6 +33,12 @@ func TestConfigValidate(t *testing.T) {
 		{"negative queuelen", Config{QueueLen: -1}, "QueueLen"},
 		{"bad policy k", Config{Policy: selectiveSpec(0, 0.1)}, "k must be"},
 		{"bad policy r", Config{Policy: selectiveSpec(1, 1.5)}, "r must be"},
+		// A NaN r compares false against both bounds; admitted, it
+		// would promote every browse slot past k.
+		{"NaN policy r", Config{Policy: selectiveSpec(1, math.NaN())}, "r must be"},
+		{"NaN arm policy r", Config{Arms: []Arm{
+			{Name: "a", Policy: policy.Spec{Rule: policy.RuleUniform, K: 1, R: math.NaN()}, Weight: 1},
+		}}, "r must be"},
 		{"unnamed arm", Config{Arms: []Arm{{Policy: policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.1}, Weight: 1}}}, "no name"},
 		{"duplicate arm names", Config{Arms: []Arm{
 			{Name: "a", Policy: policy.Spec{Rule: policy.RuleDeterministic}, Weight: 1},

@@ -146,7 +146,7 @@ func TestCoinRulePoolsEachPageAtRateR(t *testing.T) {
 	counts := map[int]int{}
 	for trial := 0; trial < trials; trial++ {
 		rs.det, rs.pool = rs.det[:0], rs.pool[:0]
-		c.browseCandidates(arm.sel, r, 10, rng, rs)
+		c.browseCandidates(arm.spec.Selection(), r, 10, rng, rs)
 		if len(rs.det) > 10 {
 			t.Fatalf("det holds %d candidates, want <= n", len(rs.det))
 		}

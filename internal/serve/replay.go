@@ -97,11 +97,10 @@ type ReplayReport struct {
 	Arms []ReplayArmReport `json:"arms"`
 }
 
-// replayArm is one arm's compiled evaluation state.
+// replayArm is one arm's evaluation state.
 type replayArm struct {
-	pol policy.Policy
-	sel policy.Selection
-	rep *ReplayArmReport
+	spec policy.Spec
+	rep  *ReplayArmReport
 }
 
 // shardCursor streams one shard's log lazily (one WAL segment in
@@ -174,12 +173,8 @@ func Replay(dataDir string, overrides map[string]string) (*ReplayReport, error) 
 		if err != nil {
 			return nil, fmt.Errorf("serve: arm %q: %w", am.Name, err)
 		}
-		pol, err := parsed.Compile()
-		if err != nil {
-			return nil, fmt.Errorf("serve: arm %q: %w", am.Name, err)
-		}
 		report.Arms = append(report.Arms, ReplayArmReport{Name: am.Name, Policy: spec, LoggedPolicy: am.Spec})
-		arms[am.Name] = &replayArm{pol: pol, sel: pol.Selection(), rep: &report.Arms[len(report.Arms)-1]}
+		arms[am.Name] = &replayArm{spec: parsed, rep: &report.Arms[len(report.Arms)-1]}
 	}
 	for name := range overrides {
 		if _, ok := arms[name]; !ok {
@@ -286,11 +281,11 @@ func scoreEvent(state *shardState, arms map[string]*replayArm, e Event, nanos in
 			// pool all zero-awareness pages, uniform pools by coin), must
 			// randomize at all (r > 0), and the slot must lie in the
 			// randomized region (the merge protects positions above k).
-			k, r := arm.pol.Params(policy.State{
+			k, r := arm.spec.Params(policy.State{
 				Pages:     int(pages.Load()),
 				ZeroAware: int(zeroAware.Load()),
 			})
-			eligible = arm.sel != policy.SelectNone && r > 0 && e.Slot >= k
+			eligible = arm.spec.Selection() != policy.SelectNone && r > 0 && e.Slot >= k
 		}
 	}
 	out := state.applyEvent(e, nanos)

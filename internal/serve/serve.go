@@ -1106,14 +1106,14 @@ func (c *Corpus) rank(arm *armState, query string, n int, rng *randutil.RNG, rs 
 	arm.requests.Add(1)
 	// The merge parameters are read once per request; state-dependent
 	// policies (epsilon-decay) observe the live population counters.
-	k, r := arm.pol.Params(policy.State{
+	k, r := arm.spec.Params(policy.State{
 		Pages:     int(c.pages.Load()),
 		ZeroAware: int(c.zeroAware.Load()),
 	})
 	rs.det, rs.pool = rs.det[:0], rs.pool[:0]
 	var pool policy.Source
 	if query == "" {
-		pool = c.browseCandidates(arm.sel, r, n, rng, rs)
+		pool = c.browseCandidates(arm.spec.Selection(), r, n, rng, rs)
 	} else {
 		pool = c.queryCandidates(arm, r, query, n, rng, rs)
 	}
@@ -1345,7 +1345,7 @@ func heapSort(best []candRef) {
 // and bypasses the cache.
 func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, rng *randutil.RNG, rs *reqScratch) policy.Source {
 	snap := c.idx.Snapshot()
-	sel := arm.sel
+	sel := arm.spec.Selection()
 	det, pool := rs.det, rs.pool
 	coinPool := (*policy.Slice)(&rs.pool)
 	cacheable := c.qcache != nil && sel != policy.SelectCoin

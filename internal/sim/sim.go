@@ -141,7 +141,7 @@ type Result struct {
 // with Run (or StepDay for fine-grained control).
 type Simulator struct {
 	comm   community.Config
-	policy policy.Policy
+	policy policy.Spec
 	opts   Options
 	rng    *randutil.RNG
 	// snapRng drives measurement-only randomness (snapshot merges) so
@@ -201,8 +201,8 @@ type Simulator struct {
 	poolBuf     []int
 }
 
-// New validates the configuration and builds a simulator driven by the
-// compiled form of pol — the same engine the online serving path runs.
+// New validates the configuration and builds a simulator driven by pol
+// through the same merge engine the online serving path runs.
 // State-dependent policies (epsilon-decay) see a fresh State{Pages,
 // ZeroAware} at the start of every simulated day. qualities must contain
 // exactly comm.Pages values in (0, 1].
@@ -210,8 +210,7 @@ func New(comm community.Config, pol policy.Spec, qualities []float64, opts Optio
 	if err := comm.Validate(); err != nil {
 		return nil, err
 	}
-	compiled, err := pol.Compile()
-	if err != nil {
+	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
 	if len(qualities) != comm.Pages {
@@ -231,7 +230,7 @@ func New(comm community.Config, pol policy.Spec, qualities []float64, opts Optio
 	}
 	s := &Simulator{
 		comm:   comm,
-		policy: compiled,
+		policy: pol,
 		opts:   opts.withDefaults(comm),
 		rng:    randutil.New(opts.Seed),
 		att:    att,

@@ -90,7 +90,6 @@ type PageStat struct {
 // safe for concurrent use; create one per goroutine (they are cheap).
 type Ranker struct {
 	policy Policy
-	pol    policy.Policy
 	rng    *randutil.RNG
 
 	// Reusable scratch, so steady-state Rank calls allocate only the
@@ -105,11 +104,10 @@ type Ranker struct {
 // NewRanker validates the policy and creates a ranker seeded
 // deterministically.
 func NewRanker(pol Policy, seed uint64) (*Ranker, error) {
-	compiled, err := pol.Compile()
-	if err != nil {
+	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
-	return &Ranker{policy: pol, pol: compiled, rng: randutil.New(seed)}, nil
+	return &Ranker{policy: pol, rng: randutil.New(seed)}, nil
 }
 
 // Policy returns the ranker's policy.
@@ -149,9 +147,9 @@ func (r *Ranker) rankInto(pages []PageStat, dst []int) []int {
 	}
 	// Params is read before any randomness is drawn, so state-dependent
 	// policies see this call's candidate population.
-	k, rr := r.pol.Params(policy.State{Pages: len(ordered), ZeroAware: unexplored})
+	k, rr := r.policy.Params(policy.State{Pages: len(ordered), ZeroAware: unexplored})
 	det, pool := r.det[:0], r.pool[:0]
-	switch r.pol.Selection() {
+	switch r.policy.Selection() {
 	case policy.SelectUnexplored:
 		for _, p := range ordered {
 			if p.Unexplored {
