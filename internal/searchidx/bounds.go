@@ -47,10 +47,10 @@ import (
 )
 
 // BlockStride is the most ids one chunk holds, each chunk under one
-// upper bound. Small enough that a skipped chunk saves real galloping
-// and stat-load work, and that an out-of-order insert copies little;
-// large enough that bound checks are a vanishing fraction of an
-// unpruned scan.
+// upper bound. Small enough that a skipped chunk saves real
+// intersection and stat-load work, and that an out-of-order insert
+// copies little; large enough that bound checks are a vanishing fraction
+// of an unpruned scan.
 const BlockStride = 128
 
 // chunk is one run of a posting list: 1..BlockStride sorted ids, never

@@ -2,8 +2,10 @@ package searchidx
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,9 +13,8 @@ import (
 	"repro/internal/randutil"
 )
 
-// naiveIntersect is the reference pairwise merge the galloping
-// implementation replaced: intersect lists two at a time with a linear
-// two-pointer scan.
+// naiveIntersect is the reference: intersect lists two at a time with a
+// linear two-pointer scan.
 func naiveIntersect(lists [][]uint32) []uint32 {
 	if len(lists) == 0 {
 		return nil
@@ -50,11 +51,7 @@ func randomSortedList(rng *randutil.RNG, n int, lo, hi uint32) []uint32 {
 	for id := range seen {
 		out = append(out, id)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -67,10 +64,15 @@ func runIntersect(lists [][]uint32) []uint32 {
 		}
 	}
 	// Chunk sizes vary with the list, as splits leave them, so cursors
-	// cross part-full chunks.
+	// cross part-full chunks, and one list's chunk edges fall inside the
+	// runs of another's.
 	ps := make([]*posting, len(lists))
 	for i, l := range lists {
-		ps[i] = chunked(l, 1+(len(l)+i)%8)
+		size := 1 + (len(l)+i)%8
+		if len(l) > 200 {
+			size = BlockStride/2 + (len(l)+i)%(BlockStride/2)
+		}
+		ps[i] = chunked(l, size)
 	}
 	return intersectLists(nil, ps, new(queryScratch).resetCursors(ps))
 }
@@ -99,51 +101,192 @@ func assertSameIDs(t *testing.T, got, want []uint32, context string) {
 	}
 }
 
-// TestGallopingMatchesNaiveProperty drives randomized posting lists —
-// varying counts, sizes, and overlap regimes, including empty, disjoint
-// and identical lists — through both the galloping k-way intersection
-// and the naive pairwise reference, asserting identical output.
-func TestGallopingMatchesNaiveProperty(t *testing.T) {
-	rng := randutil.New(20250728)
-	for trial := 0; trial < 400; trial++ {
-		k := 1 + rng.Intn(4)
-		lists := make([][]uint32, k)
-		regime := rng.Intn(4)
-		for i := range lists {
-			switch regime {
-			case 0: // independent random lists over a shared range
-				lists[i] = randomSortedList(rng, rng.Intn(60), 0, 200)
-			case 1: // disjoint ranges: intersection must be empty for k>1
-				lo := uint32(i * 1000)
-				lists[i] = randomSortedList(rng, 1+rng.Intn(30), lo, lo+500)
-			case 2: // fully overlapping: identical lists
-				if i == 0 {
-					lists[i] = randomSortedList(rng, 1+rng.Intn(50), 0, 5000)
-				} else {
-					lists[i] = lists[0]
-				}
-			default: // occasional empty list among dense ones
-				if i == 0 && rng.Bernoulli(0.5) {
-					lists[i] = nil
-				} else {
-					lists[i] = randomSortedList(rng, rng.Intn(80), 0, 120)
-				}
-			}
+// kernelsOf reports which kernels intersecting lists with lists[0]
+// driving reaches, from the lists' lengths alone: a later list at most
+// mergeRatio times as long as the driver is merged, a longer one
+// galloped. An empty list, or a lone one, reaches neither.
+func kernelsOf(lens []int) (merged, galloped bool) {
+	if len(lens) < 2 || slices.Contains(lens, 0) {
+		return false, false
+	}
+	for _, n := range lens[1:] {
+		if n <= mergeRatio*lens[0] {
+			merged = true
+		} else {
+			galloped = true
 		}
-		got := runIntersect(lists)
-		want := naiveIntersect(lists)
-		if len(want) == 0 {
-			want = nil
-		}
-		assertSameIDs(t, got, want, fmt.Sprintf("trial %d regime %d", trial, regime))
+	}
+	return merged, galloped
+}
 
-		// Order independence: the driver list need not be the rarest.
-		if len(lists) > 1 {
-			rev := make([][]uint32, len(lists))
-			for i := range lists {
-				rev[i] = lists[len(lists)-1-i]
+// intersectSeeds are the seeds of the intersection properties; each must
+// reach both kernels.
+var intersectSeeds = []uint64{20250728, 1, 2}
+
+// regimeLists draws the posting lists of one trial of regime 0..6. The
+// first four keep lists under 80 ids and alike in size; the last three
+// span many chunks: dense lists alike in size, lists skewed past
+// mergeRatio, and three or four lists mixing the two.
+func regimeLists(rng *randutil.RNG, regime int) [][]uint32 {
+	k := 1 + rng.Intn(4)
+	if regime == 6 {
+		k = 3 + rng.Intn(2)
+	}
+	lists := make([][]uint32, k)
+	for i := range lists {
+		switch regime {
+		case 0: // independent random lists over a shared range
+			lists[i] = randomSortedList(rng, rng.Intn(60), 0, 200)
+		case 1: // disjoint ranges: intersection must be empty for k>1
+			lo := uint32(i * 1000)
+			lists[i] = randomSortedList(rng, 1+rng.Intn(30), lo, lo+500)
+		case 2: // fully overlapping: identical lists
+			if i == 0 {
+				lists[i] = randomSortedList(rng, 1+rng.Intn(50), 0, 5000)
+			} else {
+				lists[i] = lists[0]
 			}
-			assertSameIDs(t, runIntersect(rev), want, fmt.Sprintf("trial %d reversed", trial))
+		case 3: // occasional empty list among dense ones
+			if i == 0 && rng.Bernoulli(0.5) {
+				lists[i] = nil
+			} else {
+				lists[i] = randomSortedList(rng, rng.Intn(80), 0, 120)
+			}
+		case 4: // dense, alike in size, many chunks: the merge
+			lists[i] = randomSortedList(rng, 300+rng.Intn(2700), 0, 4000)
+		case 5: // a short driver against lists past mergeRatio: the gallop
+			if i == 0 {
+				lists[i] = randomSortedList(rng, 1+rng.Intn(40), 0, 4000)
+			} else {
+				lists[i] = randomSortedList(rng, (mergeRatio+1)*len(lists[0])+rng.Intn(2000), 0, 4000)
+			}
+		default: // a driver, a list alike in size, a skewed one, and either
+			n0 := 50 + rng.Intn(150)
+			n := n0 + rng.Intn(3*n0)
+			if i == 0 {
+				n = n0
+			} else if i == 2 || (i == 3 && rng.Bernoulli(0.5)) {
+				n = (mergeRatio+1)*n0 + rng.Intn(1000)
+			}
+			lists[i] = randomSortedList(rng, n, 0, 3000)
+		}
+	}
+	return lists
+}
+
+func listLens(lists [][]uint32) []int {
+	lens := make([]int, len(lists))
+	for i, l := range lists {
+		lens[i] = len(l)
+	}
+	return lens
+}
+
+// TestIntersectMatchesNaiveProperty drives randomized posting lists —
+// varying counts, sizes, and overlap regimes, including empty, disjoint
+// and identical lists, dense lists of many chunks and lists skewed past
+// the merge/gallop switch point — through the k-way intersection and the
+// naive pairwise reference, asserting identical output, and again with
+// the lists reversed, so that a longer list drives.
+func TestIntersectMatchesNaiveProperty(t *testing.T) {
+	for _, seed := range intersectSeeds {
+		rng := randutil.New(seed)
+		var merged, galloped bool
+		for trial := 0; trial < 400; trial++ {
+			regime := rng.Intn(7)
+			lists := regimeLists(rng, regime)
+			got := runIntersect(lists)
+			want := naiveIntersect(lists)
+			if len(want) == 0 {
+				want = nil
+			}
+			assertSameIDs(t, got, want, fmt.Sprintf("seed %d trial %d regime %d", seed, trial, regime))
+			m, g := kernelsOf(listLens(lists))
+			merged, galloped = merged || m, galloped || g
+
+			// Order independence: the driver list need not be the rarest.
+			if len(lists) > 1 {
+				rev := slices.Clone(lists)
+				slices.Reverse(rev)
+				assertSameIDs(t, runIntersect(rev), want, fmt.Sprintf("seed %d trial %d reversed", seed, trial))
+				m, g := kernelsOf(listLens(rev))
+				merged, galloped = merged || m, galloped || g
+			}
+		}
+		if !merged || !galloped {
+			t.Fatalf("seed %d: merged %v, galloped %v: every seed must reach both kernels", seed, merged, galloped)
+		}
+	}
+}
+
+// TestRetrievePrunedSkipsMatchNaiveProperty indexes the multi-chunk
+// regimes' lists, in id order or shuffled so that inserts split chunks,
+// and streams their conjunction through RetrievePruned with a random
+// skip decision per driving chunk. The ids emitted must be the full
+// intersection minus the ids of the skipped chunks, in ascending order:
+// the kernel re-enters every other list correctly after a skip, however
+// far the skip moved the driver ahead of its cursor.
+func TestRetrievePrunedSkipsMatchNaiveProperty(t *testing.T) {
+	for _, seed := range intersectSeeds {
+		rng := randutil.New(seed)
+		var merged, galloped bool
+		for trial := 0; trial < 40; trial++ {
+			regime := 4 + rng.Intn(3)
+			lists := regimeLists(rng, regime)
+			ix := NewIndex()
+			terms := map[uint32][]string{}
+			query := make([]string, len(lists))
+			for i, l := range lists {
+				query[i] = "t" + strconv.Itoa(i)
+				for _, id := range l {
+					terms[id] = append(terms[id], query[i])
+				}
+			}
+			ids := slices.Sorted(maps.Keys(terms))
+			if trial%2 == 1 {
+				rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			}
+			for _, id := range ids {
+				if err := ix.Add(Document{ID: int(id), Text: strings.Join(terms[id], " ")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := ix.Snapshot()
+			ps, _ := snap.gatherLists(new(queryScratch), query)
+			lens := make([]int, len(ps))
+			for i, p := range ps {
+				lens[i] = p.n
+			}
+			m, g := kernelsOf(lens)
+			merged, galloped = merged || m, galloped || g
+
+			var skipped, got []uint32
+			ci, skips := 0, 0
+			st := snap.RetrievePruned(strings.Join(query, " "),
+				func(float64) bool {
+					skip := rng.Bernoulli(0.4)
+					if skip {
+						skips++
+						skipped = append(skipped, ps[0].chunk(ci).ids...)
+					}
+					ci++
+					return skip
+				},
+				func(ids []uint32) { got = append(got, ids...) })
+			var want []uint32
+			for _, id := range naiveIntersect(lists) {
+				if !slices.Contains(skipped, id) {
+					want = append(want, id)
+				}
+			}
+			context := fmt.Sprintf("seed %d trial %d regime %d", seed, trial, regime)
+			assertSameIDs(t, got, want, context)
+			if st != (PruneStats{Candidates: len(got), BlocksSkipped: skips, CandidatesPruned: len(skipped)}) {
+				t.Fatalf("%s: stats %+v, want %d candidates, %d chunks and %d ids pruned", context, st, len(got), skips, len(skipped))
+			}
+		}
+		if !merged || !galloped {
+			t.Fatalf("seed %d: merged %v, galloped %v: every seed must reach both kernels", seed, merged, galloped)
 		}
 	}
 }
@@ -346,5 +489,57 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 	}
 	if ix.Len() != docs+2*rounds {
 		t.Fatalf("Len = %d after churn, want %d", ix.Len(), docs+2*rounds)
+	}
+}
+
+// BenchmarkRetrieveIntersect times one two-term RetrieveInto on a
+// 20,000-document deck-shaped index. dense intersects two head terms,
+// ~3,800 ids each at 19% density: lists alike in size, the merge path.
+// skewed intersects a 60-id term with a head term: the gallop path.
+// Each op takes the next of 64 queries, as a cold query stream would,
+// so the branch predictor cannot learn one pair's interleaving; one
+// untimed pass over them warms the pooled scratch and the destination.
+// CI gates dense against skewed, which pins the kernel choice at the
+// runner's own scale.
+func BenchmarkRetrieveIntersect(b *testing.B) {
+	d := newDeckAdder()
+	rng := randutil.New(3)
+	rare := map[int]bool{}
+	for len(rare) < 60 {
+		rare[rng.Intn(20000)] = true
+	}
+	texts := d.texts(20000)
+	for i := range texts {
+		if rare[i] {
+			texts[i] += " rare"
+		}
+	}
+	d.addTexts(b, texts)
+	head := func(k int) string { return "h" + strconv.Itoa(100 + k%96)[1:] }
+	for _, bc := range []struct {
+		name  string
+		query func(k int) string
+	}{
+		{"dense", func(k int) string { return head(k) + " " + head(k+1) }},
+		{"skewed", func(k int) string { return "rare " + head(k) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			queries := make([]string, 64)
+			for k := range queries {
+				queries[k] = bc.query(k)
+			}
+			snap := d.ix.Snapshot()
+			var buf []uint32
+			for _, q := range queries {
+				if buf = snap.RetrieveInto(buf[:0], q); len(buf) == 0 {
+					b.Fatalf("%q matches nothing", q)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = snap.RetrieveInto(buf[:0], queries[i&63])
+			}
+		})
 	}
 }

@@ -222,11 +222,11 @@ func BenchmarkServeRankArms(b *testing.B) {
 }
 
 // BenchmarkServeRankQueryUncached measures the cold query path with the
-// cache disabled: block-max pruned snapshot retrieval (galloping
-// intersection that skips posting blocks whose popularity upper bound
-// cannot beat the top-K heap minimum) plus dense-slot stat loads for
-// the surviving candidates — the cost every epoch change or novel
-// query pays. CI pins it to within 15x of the cached hot path
+// cache disabled: block-max pruned snapshot retrieval (an intersection
+// that skips posting blocks whose popularity upper bound cannot beat the
+// top-K heap minimum, merging the query's two equal lists) plus
+// dense-slot stat loads for the surviving candidates — the cost every
+// epoch change or novel query pays. CI pins it to within 15x of the cached hot path
 // (BenchmarkServeRankQuery).
 func BenchmarkServeRankQueryUncached(b *testing.B) {
 	c, _ := benchCorpus(b)

@@ -156,10 +156,10 @@ func TestPrunedQueryMatchesFullScanProperty(t *testing.T) {
 
 // TestConcurrentBoundRaisesDuringRank hammers the pruned rank path
 // while click feedback concurrently raises block bounds through
-// Index.Raise and late adds append to posting lists (growing their
-// bounds arrays). Run under -race this exercises bound raises and list
-// growth racing readers of the published term table and bounds arrays;
-// the assertions check every response stays well-formed, while
+// Index.Raise and late adds append to posting lists (they append to
+// tail chunks and split full ones). Run under -race this exercises bound
+// raises and list growth racing readers of the published term table and
+// chunks; the assertions check every response stays well-formed, while
 // quiescent checks pin final exactness.
 func TestConcurrentBoundRaisesDuringRank(t *testing.T) {
 	const (

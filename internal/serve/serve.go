@@ -21,10 +21,11 @@
 // The search index keeps its postings in atomically replaced immutable
 // per-term cells (searchidx: a reader that loads the index epoch and then
 // the cells sees everything up to that epoch), so the query path holds
-// no lock either: conjunctive retrieval
-// gallops over the posting lists into pooled scratch, top-K selection runs a bounded heap
-// over the candidate stream, and a hot-query cache keyed by (normalized
-// query, index epoch, corpus epoch) reuses the deterministic candidate
+// no lock either: conjunctive retrieval intersects the posting lists
+// into pooled scratch (merging lists alike in size, galloping through
+// much longer ones), top-K selection runs a bounded heap over the
+// candidate stream, and a hot-query cache keyed by (normalized query,
+// index epoch, corpus epoch) reuses the deterministic candidate
 // assembly across requests — the randomized promotion draw stays
 // per-request, with an RNG draw sequence identical to the uncached path.
 // A /rank request is therefore lock-free reads plus one bounded merge
@@ -1310,8 +1311,8 @@ func heapSort(best []candRef) {
 
 // queryCandidates assembles the det/pool split for a query into rs.det
 // and returns the promotion pool's source: lock-free conjunctive
-// retrieval from the index snapshot (rarest-first galloping intersection
-// into pooled scratch), lock-free stat lookups, then a single pass that
+// retrieval from the index snapshot (rarest-first merge/gallop
+// intersection into pooled scratch), lock-free stat lookups, then a single pass that
 // keeps only the best n deterministic candidates via a bounded heap (the
 // merge can never consume more). The selective rule's pool is the
 // query's zero-awareness matches themselves, handed to the bounded merge
@@ -1321,8 +1322,8 @@ func heapSort(best []candRef) {
 // The deterministic scan is block-max pruned: posting lists carry a
 // popularity upper bound per chunk of at most 128 entries (searchidx
 // bounds.go), and once the heap holds n candidates, whole chunks whose
-// bound cannot beat the heap minimum are skipped — the galloping work,
-// the slot loads and the heap comparisons all vanish with them — so
+// bound cannot beat the heap minimum are skipped — the intersection
+// work, the slot loads and the heap comparisons all vanish with them — so
 // the cold path's cost scales with the answer, not the match count. The
 // pruned result is identical to the full scan's: candidates stream in
 // ascending birth order, rank ties break older-first, and the bounds
