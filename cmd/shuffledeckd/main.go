@@ -40,8 +40,8 @@
 //	-data        data directory for durability; every shard mutation is
 //	             WAL-logged before it applies and the corpus recovers from
 //	             the directory at boot (empty = in-memory only)
-//	-fsync       WAL durability mode: batch (group commit, default),
-//	             always, or none
+//	-fsync       WAL durability mode: batch (group commit, default)
+//	             or none
 //	-snapshot-interval  per-shard snapshot cadence (default 30s; negative
 //	             disables periodic snapshots — Close still snapshots)
 //	-keep-log    retain full WAL history behind snapshots, enabling
@@ -182,7 +182,7 @@ func main() {
 	pages := flag.Int("pages", 1000, "synthetic bootstrap corpus size (0 = start empty)")
 	fresh := flag.Float64("fresh", 0.1, "fraction of bootstrap pages starting at zero awareness")
 	dataDir := flag.String("data", "", "data directory for WAL+snapshot durability (empty = in-memory)")
-	fsyncMode := flag.String("fsync", "batch", "WAL fsync mode: batch, always or none")
+	fsyncMode := flag.String("fsync", "batch", "WAL fsync mode: batch or none")
 	snapInterval := flag.Duration("snapshot-interval", 0, "per-shard snapshot cadence (0 = 30s default, negative disables)")
 	keepLog := flag.Bool("keep-log", false, "retain full WAL history for offline counterfactual replay")
 	pprofAddr := flag.String("pprof", "", "net/http/pprof listen address on a separate listener (empty = disabled)")

@@ -31,8 +31,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/store"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Message kinds (the first byte of every message body).
@@ -91,7 +91,8 @@ func writeMsg(w io.Writer, body []byte) error {
 }
 
 // readMsg reads one length-prefixed message of at most max bytes. The
-// length must be minimally encoded, as every store.BinReader varint is.
+// length must be minimally encoded, as every wire.Reader varint is. It
+// reads a stream rather than a buffer, so it does not use the cursor.
 func readMsg(br *bufio.Reader, max int) ([]byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -115,6 +116,15 @@ func readMsg(br *bufio.Reader, max int) ([]byte, error) {
 	return body, nil
 }
 
+// msgDone is a message decoder's end check, naming the message in its
+// error: every field decoded, no byte left over.
+func msgDone(r *wire.Reader, what string) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("cluster: %s: %w", what, err)
+	}
+	return nil
+}
+
 // handshake is the session-open message.
 type handshake struct {
 	node     string // follower's node ID
@@ -128,7 +138,7 @@ func (h handshake) encode() []byte {
 	b := []byte{msgHandshake}
 	b = append(b, protoMagic...)
 	b = binary.AppendUvarint(b, protoVersion)
-	b = store.AppendString(b, h.node)
+	b = wire.AppendString(b, h.node)
 	b = binary.AppendUvarint(b, h.shard)
 	b = binary.AppendUvarint(b, h.epoch)
 	b = binary.AppendUvarint(b, h.startLSN)
@@ -143,7 +153,7 @@ func decodeHandshake(body []byte) (handshake, error) {
 	if string(body[1:1+len(protoMagic)]) != protoMagic {
 		return h, fmt.Errorf("cluster: bad magic")
 	}
-	r := store.NewBinReader(body, 1+len(protoMagic))
+	r := wire.NewReader(body, 1+len(protoMagic))
 	if v := r.Uvarint(); r.Err() == nil && v != protoVersion {
 		return h, fmt.Errorf("cluster: protocol version %d (want %d)", v, protoVersion)
 	}
@@ -155,11 +165,8 @@ func decodeHandshake(body []byte) (handshake, error) {
 		return h, fmt.Errorf("cluster: handshake carries no protocol minor (want %d)", protoMinor)
 	}
 	h.minor = r.Uvarint()
-	if err := r.Err(); err != nil {
-		return h, fmt.Errorf("cluster: handshake: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return h, fmt.Errorf("cluster: handshake: %d trailing bytes", r.Remaining())
+	if err := msgDone(r, "handshake"); err != nil {
+		return h, err
 	}
 	if h.minor != protoMinor {
 		return h, fmt.Errorf("cluster: protocol minor %d (want %d)", h.minor, protoMinor)
@@ -178,7 +185,7 @@ type reply struct {
 func (rp reply) encode() []byte {
 	b := []byte{msgReply, rp.status}
 	b = binary.AppendUvarint(b, rp.epoch)
-	b = store.AppendString(b, rp.detail)
+	b = wire.AppendString(b, rp.detail)
 	return binary.AppendUvarint(b, rp.minor)
 }
 
@@ -188,17 +195,11 @@ func decodeReply(body []byte) (reply, error) {
 		return rp, fmt.Errorf("cluster: not a handshake reply")
 	}
 	rp.status = body[1]
-	r := store.NewBinReader(body, 2)
+	r := wire.NewReader(body, 2)
 	rp.epoch = r.Uvarint()
 	rp.detail = r.String()
 	rp.minor = r.Uvarint()
-	if err := r.Err(); err != nil {
-		return rp, fmt.Errorf("cluster: reply: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return rp, fmt.Errorf("cluster: reply: %d trailing bytes", r.Remaining())
-	}
-	return rp, nil
+	return rp, msgDone(r, "reply")
 }
 
 // snapMsg carries a catch-up snapshot (store.EncodeSnapshot bytes — the
@@ -211,8 +212,7 @@ type snapMsg struct {
 func (s snapMsg) encode() []byte {
 	b := []byte{msgSnapshot}
 	b = binary.AppendUvarint(b, s.lsn)
-	b = binary.AppendUvarint(b, uint64(len(s.data)))
-	return append(b, s.data...)
+	return wire.AppendBytes(b, s.data)
 }
 
 func decodeSnapMsg(body []byte) (snapMsg, error) {
@@ -220,17 +220,10 @@ func decodeSnapMsg(body []byte) (snapMsg, error) {
 	if len(body) < 1 || body[0] != msgSnapshot {
 		return s, fmt.Errorf("cluster: not a snapshot message")
 	}
-	r := store.NewBinReader(body, 1)
+	r := wire.NewReader(body, 1)
 	s.lsn = r.Uvarint()
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return s, fmt.Errorf("cluster: snapshot: %w", err)
-	}
-	if uint64(r.Remaining()) != n {
-		return s, fmt.Errorf("cluster: snapshot: %d bytes declared, %d present", n, r.Remaining())
-	}
-	s.data = body[len(body)-int(n):]
-	return s, nil
+	s.data = r.Bytes()
+	return s, msgDone(r, "snapshot")
 }
 
 // frameMsg is one shipped WAL record.
@@ -244,8 +237,7 @@ func appendFrameMsg(b []byte, epoch, lsn uint64, payload []byte) []byte {
 	b = append(b, msgFrame)
 	b = binary.AppendUvarint(b, epoch)
 	b = binary.AppendUvarint(b, lsn)
-	b = binary.AppendUvarint(b, uint64(len(payload)))
-	return append(b, payload...)
+	return wire.AppendBytes(b, payload)
 }
 
 func decodeFrameMsg(body []byte) (frameMsg, error) {
@@ -253,18 +245,11 @@ func decodeFrameMsg(body []byte) (frameMsg, error) {
 	if len(body) < 1 || body[0] != msgFrame {
 		return f, fmt.Errorf("cluster: not a frame")
 	}
-	r := store.NewBinReader(body, 1)
+	r := wire.NewReader(body, 1)
 	f.epoch = r.Uvarint()
 	f.lsn = r.Uvarint()
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return f, fmt.Errorf("cluster: frame: %w", err)
-	}
-	if uint64(r.Remaining()) != n {
-		return f, fmt.Errorf("cluster: frame: %d bytes declared, %d present", n, r.Remaining())
-	}
-	f.payload = body[len(body)-int(n):]
-	return f, nil
+	f.payload = r.Bytes()
+	return f, msgDone(r, "frame")
 }
 
 // heartbeat carries liveness and the leader's committed position even
@@ -288,17 +273,11 @@ func decodeHeartbeat(body []byte) (heartbeat, error) {
 	if len(body) < 1 || body[0] != msgHeartbeat {
 		return hb, fmt.Errorf("cluster: not a heartbeat")
 	}
-	r := store.NewBinReader(body, 1)
+	r := wire.NewReader(body, 1)
 	hb.epoch = r.Uvarint()
 	hb.commitLSN = r.Uvarint()
 	hb.nanos = r.Uvarint()
-	if err := r.Err(); err != nil {
-		return hb, fmt.Errorf("cluster: heartbeat: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return hb, fmt.Errorf("cluster: heartbeat: %d trailing bytes", r.Remaining())
-	}
-	return hb, nil
+	return hb, msgDone(r, "heartbeat")
 }
 
 // ack reports the follower's durable position upstream.
@@ -316,13 +295,7 @@ func decodeAck(body []byte) (ack, error) {
 	if len(body) < 1 || body[0] != msgAck {
 		return a, fmt.Errorf("cluster: not an ack")
 	}
-	r := store.NewBinReader(body, 1)
+	r := wire.NewReader(body, 1)
 	a.lsn = r.Uvarint()
-	if err := r.Err(); err != nil {
-		return a, fmt.Errorf("cluster: ack: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return a, fmt.Errorf("cluster: ack: %d trailing bytes", r.Remaining())
-	}
-	return a, nil
+	return a, msgDone(r, "ack")
 }

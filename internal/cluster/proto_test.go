@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -79,4 +80,24 @@ func reencodeSDRP(body []byte) ([]byte, error) {
 		return a.encode(), err
 	}
 	return nil, fmt.Errorf("cluster: unknown message kind %q", body[0])
+}
+
+// TestTruncatedMessageNamesItself: a decoder's error names the message
+// that failed, not another framing's — the shared cursor's sticky
+// error once said "corrupt snapshot" for a truncated heartbeat.
+func TestTruncatedMessageNamesItself(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body []byte
+		dec  func([]byte) error
+	}{
+		{"heartbeat", heartbeat{epoch: 300, commitLSN: 7, nanos: 1 << 40}.encode(), func(b []byte) error { _, err := decodeHeartbeat(b); return err }},
+		{"frame", appendFrameMsg(nil, 1, 2, []byte("abc")), func(b []byte) error { _, err := decodeFrameMsg(b); return err }},
+		{"ack", ack{lsn: 1 << 20}.encode(), func(b []byte) error { _, err := decodeAck(b); return err }},
+	} {
+		err := tc.dec(tc.body[:len(tc.body)-2])
+		if err == nil || !strings.Contains(err.Error(), tc.name) || strings.Contains(err.Error(), "snapshot") {
+			t.Errorf("truncated %s: error %v", tc.name, err)
+		}
+	}
 }

@@ -8,18 +8,19 @@
 //
 //	request  := uvarint version(=1), uvarint count, count × {
 //	              string query, varint n, string unit, string arm,
-//	              byte flags,            // bit0: seed follows
+//	              byte flags,            // 0, or 1: seed follows
 //	              [uvarint seed] }
 //	response := uvarint version(=1), uvarint count, count × {
 //	              string arm, uvarint epoch, uvarint nresults,
 //	              nresults × { varint id, fixed64 popularity bits,
-//	                           byte promoted } }
+//	                           byte promoted (0 or 1) } }
 //
 // The response does not echo the query (the caller knows its own batch
 // order) and result slots are implied by position (1-based). Decoders
-// are strict: unknown versions, short frames, oversized counts and
-// trailing bytes are all errors — a torn or hostile frame never decodes
-// into a half-right batch.
+// are strict: unknown versions, short frames, oversized counts, flag or
+// promoted bytes outside their values and trailing bytes are all errors
+// — a torn or hostile frame never decodes into a half-right batch, and
+// every frame they accept re-encodes to the same bytes.
 package serve
 
 import (
@@ -28,7 +29,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // BatchContentType is the Content-Type that selects the binary batch
@@ -59,6 +60,28 @@ type RankBatchResponse struct {
 // errBatch wraps every binary batch decode failure.
 var errBatch = errors.New("malformed binary batch")
 
+// openBatch reads a binary batch frame's header from r: the version,
+// then the count that follows it — at most max, each counted item at
+// least minBytes long — with what naming the count in its error.
+func openBatch(r *wire.Reader, max, minBytes uint64, what string) (uint64, error) {
+	if v := r.Uvarint(); r.Err() != nil || v != batchVersion {
+		return 0, fmt.Errorf("%w: bad version", errBatch)
+	}
+	n := r.Count(max, minBytes)
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("%w: bad %s count: %w", errBatch, what, err)
+	}
+	return n, nil
+}
+
+// closeBatch is a binary batch frame's end check.
+func closeBatch(r *wire.Reader) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: %w", errBatch, err)
+	}
+	return nil
+}
+
 // AppendRankBatchRequest encodes reqs in the binary batch request
 // framing — the client half of the codec.
 func AppendRankBatchRequest(b []byte, reqs []RankRequest) []byte {
@@ -66,10 +89,10 @@ func AppendRankBatchRequest(b []byte, reqs []RankRequest) []byte {
 	b = binary.AppendUvarint(b, uint64(len(reqs)))
 	for i := range reqs {
 		req := &reqs[i]
-		b = store.AppendString(b, req.Query)
+		b = wire.AppendString(b, req.Query)
 		b = binary.AppendVarint(b, int64(req.N))
-		b = store.AppendString(b, req.Unit)
-		b = store.AppendString(b, req.Arm)
+		b = wire.AppendString(b, req.Unit)
+		b = wire.AppendString(b, req.Arm)
 		if req.Seed != nil {
 			b = append(b, batchFlagSeed)
 			b = binary.AppendUvarint(b, *req.Seed)
@@ -82,19 +105,12 @@ func AppendRankBatchRequest(b []byte, reqs []RankRequest) []byte {
 
 // DecodeRankBatchRequest decodes a binary batch request frame.
 func DecodeRankBatchRequest(data []byte) ([]RankRequest, error) {
-	r := store.NewBinReader(data, 0)
-	if v := r.Uvarint(); r.Err() != nil || v != batchVersion {
-		return nil, fmt.Errorf("%w: bad version", errBatch)
-	}
-	count := r.Uvarint()
-	if r.Err() != nil || count > MaxBatchRequests {
-		return nil, fmt.Errorf("%w: bad request count", errBatch)
-	}
-	// Every request costs at least 5 encoded bytes (three empty strings,
-	// n, flags), so a count the remaining bytes cannot hold is corrupt —
-	// checked before the allocation, not after.
-	if count*5 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("%w: truncated", errBatch)
+	r := wire.NewReader(data, 0)
+	// Every request costs at least 5 encoded bytes: three empty
+	// strings, n and the flags byte.
+	count, err := openBatch(r, MaxBatchRequests, 5, "request")
+	if err != nil {
+		return nil, err
 	}
 	reqs := make([]RankRequest, 0, count)
 	for i := uint64(0); i < count; i++ {
@@ -103,17 +119,21 @@ func DecodeRankBatchRequest(data []byte) ([]RankRequest, error) {
 		req.N = int(r.Varint())
 		req.Unit = r.String()
 		req.Arm = r.String()
-		if flags := r.Byte(); flags&batchFlagSeed != 0 {
+		flags := r.Byte()
+		if flags&^batchFlagSeed != 0 {
+			return nil, fmt.Errorf("%w: request %d: flags byte %#x", errBatch, i, flags)
+		}
+		if flags == batchFlagSeed {
 			seed := r.Uvarint()
 			req.Seed = &seed
 		}
-		if r.Err() != nil {
-			return nil, fmt.Errorf("%w: request %d", errBatch, i)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("%w: request %d: %w", errBatch, i, err)
 		}
 		reqs = append(reqs, req)
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errBatch, r.Remaining())
+	if err := closeBatch(r); err != nil {
+		return nil, err
 	}
 	return reqs, nil
 }
@@ -122,7 +142,7 @@ func DecodeRankBatchRequest(data []byte) ([]RankRequest, error) {
 // streaming half of the response codec (the header uvarints are written
 // by the handler before the first item).
 func appendBinRankItem(b []byte, arm string, epoch uint64, results []Result) []byte {
-	b = store.AppendString(b, arm)
+	b = wire.AppendString(b, arm)
 	b = binary.AppendUvarint(b, epoch)
 	b = binary.AppendUvarint(b, uint64(len(results)))
 	for _, res := range results {
@@ -139,24 +159,20 @@ func appendBinRankItem(b []byte, arm string, epoch uint64, results []Result) []b
 
 // AppendRankBatchResponse encodes resps in the binary batch response
 // framing — byte-identical to what the server streams for the same
-// responses (the equivalence the codec tests pin).
+// responses (the equivalence the codec tests pin), since each response
+// goes through the server's own item encoder.
 func AppendRankBatchResponse(b []byte, resps []RankResponse) []byte {
 	b = binary.AppendUvarint(b, batchVersion)
 	b = binary.AppendUvarint(b, uint64(len(resps)))
+	var buf [16]Result
+	results := buf[:0]
 	for i := range resps {
 		resp := &resps[i]
-		b = store.AppendString(b, resp.Arm)
-		b = binary.AppendUvarint(b, resp.Epoch)
-		b = binary.AppendUvarint(b, uint64(len(resp.Results)))
+		results = results[:0]
 		for _, it := range resp.Results {
-			b = binary.AppendVarint(b, int64(it.ID))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(it.Popularity))
-			promoted := byte(0)
-			if it.Promoted {
-				promoted = 1
-			}
-			b = append(b, promoted)
+			results = append(results, Result{ID: it.ID, Popularity: it.Popularity, Promoted: it.Promoted})
 		}
+		b = appendBinRankItem(b, resp.Arm, resp.Epoch, results)
 	}
 	return b
 }
@@ -165,42 +181,35 @@ func AppendRankBatchResponse(b []byte, resps []RankResponse) []byte {
 // client half of the codec. Queries are not on the wire, so
 // RankResponse.Query stays empty; slots are restored from position.
 func DecodeRankBatchResponse(data []byte) ([]RankResponse, error) {
-	r := store.NewBinReader(data, 0)
-	if v := r.Uvarint(); r.Err() != nil || v != batchVersion {
-		return nil, fmt.Errorf("%w: bad version", errBatch)
-	}
-	count := r.Uvarint()
-	if r.Err() != nil || count > MaxBatchRequests {
-		return nil, fmt.Errorf("%w: bad response count", errBatch)
-	}
-	if count*3 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("%w: truncated", errBatch)
+	r := wire.NewReader(data, 0)
+	// A response is at least an empty arm, an epoch and a result count;
+	// a result at least a one-byte id, eight popularity bytes and the
+	// promoted byte.
+	count, err := openBatch(r, MaxBatchRequests, 3, "response")
+	if err != nil {
+		return nil, err
 	}
 	resps := make([]RankResponse, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var resp RankResponse
 		resp.Arm = r.String()
 		resp.Epoch = r.Uvarint()
-		n := r.Uvarint()
-		if r.Err() != nil || n > MaxTopN {
-			return nil, fmt.Errorf("%w: response %d", errBatch, i)
-		}
+		n := r.Count(MaxTopN, 10)
 		resp.Results = make([]RankedItem, 0, n)
 		for j := uint64(0); j < n; j++ {
-			resp.Results = append(resp.Results, RankedItem{
-				Slot:       int(j) + 1,
-				ID:         int(r.Varint()),
-				Popularity: r.Float64(),
-				Promoted:   r.Byte() != 0,
-			})
+			id, pop, promoted := r.Varint(), r.Float64(), r.Byte()
+			if promoted > 1 {
+				return nil, fmt.Errorf("%w: response %d result %d: promoted byte %d", errBatch, i, j, promoted)
+			}
+			resp.Results = append(resp.Results, RankedItem{Slot: int(j) + 1, ID: int(id), Popularity: pop, Promoted: promoted == 1})
 		}
-		if r.Err() != nil {
-			return nil, fmt.Errorf("%w: response %d", errBatch, i)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("%w: response %d: %w", errBatch, i, err)
 		}
 		resps = append(resps, resp)
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errBatch, r.Remaining())
+	if err := closeBatch(r); err != nil {
+		return nil, err
 	}
 	return resps, nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -224,20 +225,43 @@ func BenchmarkServeRankArms(b *testing.B) {
 // BenchmarkServeRankQueryUncached measures the cold query path with the
 // cache disabled: block-max pruned snapshot retrieval (an intersection
 // that skips posting blocks whose popularity upper bound cannot beat the
-// top-K heap minimum, merging the query's two equal lists) plus
-// dense-slot stat loads for the surviving candidates — the cost every
-// epoch change or novel query pays. CI pins it to within 15x of the cached hot path
-// (BenchmarkServeRankQuery).
+// top-K heap minimum) plus dense-slot stat loads for the surviving
+// candidates — the cost every epoch change or novel query pays. The
+// corpus is a 20k-page deck (deckGen), and each op ranks the next of 64
+// distinct two-head-term queries, each pair matching 595–728 pages of
+// two ~3,760-id lists: one repeated query over two identical lists
+// would let the branch predictor learn its intersection. CI pins it
+// against the cached hot path (BenchmarkServeRankQuery).
 func BenchmarkServeRankQueryUncached(b *testing.B) {
-	c, _ := benchCorpus(b)
+	n := 20000
+	if testing.Short() {
+		n /= 10
+	}
+	c, err := NewCorpus(Config{Shards: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Close)
 	c.qcache = nil
-	warmRank(b, c, "bench topic")
+	addDeck(b, c, newDeckGen(n), 0, n)
+	c.Sync()
+	head := func(k int) string { return "h" + strconv.Itoa(100 + k%96)[1:] }
+	queries := make([]string, 64)
+	for k := range queries {
+		queries[k] = head(k) + " " + head(k+1)
+		// The untimed pass also brings pooled scratch to steady state.
+		if res, err := c.Rank(queries[k], 10); err != nil || len(res) == 0 {
+			b.Fatalf("%q: %d results, %v", queries[k], len(res), err)
+		}
+	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		i := 0
 		for pb.Next() {
-			if _, err := c.Rank("bench topic", 10); err != nil {
+			if _, err := c.Rank(queries[i&63], 10); err != nil {
 				b.Fatal(err)
 			}
+			i++
 		}
 	})
 }

@@ -24,7 +24,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // MaxFeedbackBatchEvents bounds the events one binary feedback batch
@@ -42,8 +42,8 @@ func AppendFeedbackBatchRequest(b []byte, events []Event) []byte {
 		b = binary.AppendVarint(b, int64(e.Slot))
 		b = binary.AppendVarint(b, int64(e.Impressions))
 		b = binary.AppendVarint(b, int64(e.Clicks))
-		b = store.AppendString(b, e.Arm)
-		b = store.AppendString(b, e.Unit)
+		b = wire.AppendString(b, e.Arm)
+		b = wire.AppendString(b, e.Unit)
 	}
 	return b
 }
@@ -51,19 +51,12 @@ func AppendFeedbackBatchRequest(b []byte, events []Event) []byte {
 // DecodeFeedbackBatchRequest decodes a binary feedback batch request
 // frame.
 func DecodeFeedbackBatchRequest(data []byte) ([]Event, error) {
-	r := store.NewBinReader(data, 0)
-	if v := r.Uvarint(); r.Err() != nil || v != batchVersion {
-		return nil, fmt.Errorf("%w: bad version", errBatch)
-	}
-	count := r.Uvarint()
-	if r.Err() != nil || count > MaxFeedbackBatchEvents {
-		return nil, fmt.Errorf("%w: bad event count", errBatch)
-	}
-	// Every event costs at least 6 encoded bytes (four varints, two
-	// empty strings), so a count the remaining bytes cannot hold is
-	// corrupt — checked before the allocation, not after.
-	if count*6 > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("%w: truncated", errBatch)
+	r := wire.NewReader(data, 0)
+	// Every event costs at least 6 encoded bytes: four varints and two
+	// empty strings.
+	count, err := openBatch(r, MaxFeedbackBatchEvents, 6, "event")
+	if err != nil {
+		return nil, err
 	}
 	events := make([]Event, 0, count)
 	for i := uint64(0); i < count; i++ {
@@ -74,13 +67,13 @@ func DecodeFeedbackBatchRequest(data []byte) ([]Event, error) {
 		e.Clicks = int(r.Varint())
 		e.Arm = r.String()
 		e.Unit = r.String()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("%w: event %d", errBatch, i)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("%w: event %d: %w", errBatch, i, err)
 		}
 		events = append(events, e)
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errBatch, r.Remaining())
+	if err := closeBatch(r); err != nil {
+		return nil, err
 	}
 	return events, nil
 }
@@ -98,19 +91,13 @@ func AppendFeedbackBatchResponse(b []byte, accepted int) []byte {
 // above MaxFeedbackBatchEvents acknowledges more events than any request
 // may carry, so it is an error like any other oversized count.
 func DecodeFeedbackBatchResponse(data []byte) (accepted int, err error) {
-	r := store.NewBinReader(data, 0)
-	if v := r.Uvarint(); r.Err() != nil || v != batchVersion {
-		return 0, fmt.Errorf("%w: bad version", errBatch)
+	r := wire.NewReader(data, 0)
+	n, err := openBatch(r, MaxFeedbackBatchEvents, 0, "accepted")
+	if err == nil {
+		err = closeBatch(r)
 	}
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return 0, fmt.Errorf("%w: %v", errBatch, err)
-	}
-	if n > MaxFeedbackBatchEvents {
-		return 0, fmt.Errorf("%w: bad accepted count", errBatch)
-	}
-	if r.Remaining() != 0 {
-		return 0, fmt.Errorf("%w: %d trailing bytes", errBatch, r.Remaining())
+	if err != nil {
+		return 0, err
 	}
 	return int(n), nil
 }

@@ -13,6 +13,7 @@ import (
 	"math"
 
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 const (
@@ -37,7 +38,7 @@ func appendAddRecord(dst []byte, a AddRecord, nanos int64) []byte {
 	dst = binary.AppendVarint(dst, int64(a.ID))
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(a.Popularity))
 	dst = binary.AppendVarint(dst, int64(a.Birth))
-	return store.AppendString(dst, a.Text)
+	return wire.AppendString(dst, a.Text)
 }
 
 // appendRemoveRecord encodes a page removal stamped at nanos.
@@ -59,11 +60,11 @@ func appendEventRecord(dst []byte, e Event, nanos int64) []byte {
 	dst = binary.AppendVarint(dst, int64(e.Slot))
 	dst = binary.AppendVarint(dst, int64(e.Impressions))
 	dst = binary.AppendVarint(dst, int64(e.Clicks))
-	return store.AppendString(dst, e.Arm)
+	return wire.AppendString(dst, e.Arm)
 }
 
 // decodeWALRecord parses one frame payload with the same strict cursor
-// (store.BinReader) the snapshot decoder uses. The WAL layer already
+// (wire.Reader) the snapshot decoder uses. The WAL layer already
 // CRC-verified the payload, so a parse failure means a version skew or
 // a bug, not bit rot — callers treat it as unrecoverable. An add whose
 // birth or popularity the corpus could not place fails here too
@@ -74,7 +75,7 @@ func decodeWALRecord(p []byte) (walRecord, error) {
 	if len(p) == 0 {
 		return walRecord{}, fmt.Errorf("serve: empty WAL record")
 	}
-	d := store.NewBinReader(p, 1)
+	d := wire.NewReader(p, 1)
 	rec := walRecord{kind: p[0], nanos: d.Varint()}
 	switch rec.kind {
 	case recKindAdd:
@@ -97,11 +98,8 @@ func decodeWALRecord(p []byte) (walRecord, error) {
 	default:
 		return walRecord{}, fmt.Errorf("serve: unknown WAL record kind %d", rec.kind)
 	}
-	if d.Err() != nil {
-		return walRecord{}, fmt.Errorf("serve: truncated WAL record (kind %d)", rec.kind)
-	}
-	if d.Remaining() != 0 {
-		return walRecord{}, fmt.Errorf("serve: %d trailing bytes in WAL record", d.Remaining())
+	if err := d.Done(); err != nil {
+		return walRecord{}, fmt.Errorf("serve: WAL record (kind %d): %w", rec.kind, err)
 	}
 	if rec.kind == recKindAdd {
 		if err := store.CheckPage(rec.add.ID, rec.add.Birth, rec.add.Popularity); err != nil {

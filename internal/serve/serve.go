@@ -126,8 +126,8 @@ type Durability struct {
 	// snapshot is always written on clean Close. Ignored without DataDir.
 	SnapshotInterval time.Duration
 	// FsyncMode selects the WAL durability mode: "batch" (default; one
-	// fsync per group-committed feedback batch), "always", or "none"
-	// (OS writeback). Ignored without DataDir.
+	// fsync per group-committed feedback batch) or "none" (OS
+	// writeback). Ignored without DataDir.
 	FsyncMode string
 	// KeepLog retains the full WAL history behind snapshots instead of
 	// truncating it — required for offline counterfactual replay
@@ -1251,11 +1251,11 @@ func candLess(a, b candRef) bool {
 	return a.seq < b.seq
 }
 
-// heapPush and heapFix maintain best as a bounded binary heap with the
-// worst-ranked kept candidate at the root (index 0), so selecting the
-// servable top-n from m matches is a true O(m log n) — comparisons and
-// element moves both — regardless of arrival order. The heap is
-// rank-sorted only once, after the scan.
+// offer, heapPush and heapFix maintain best as a bounded binary heap
+// with the worst-ranked kept candidate at the root (index 0), so
+// selecting the servable top-n from m matches is a true O(m log n) —
+// comparisons and element moves both — regardless of arrival order. The
+// heap is rank-sorted only once, after the scan.
 
 // heapPush appends cr and sifts it up.
 func heapPush(best []candRef, cr candRef) []candRef {
@@ -1270,6 +1270,20 @@ func heapPush(best []candRef, cr candRef) []candRef {
 		}
 		best[p], best[i] = best[i], best[p]
 		i = p
+	}
+	return best
+}
+
+// offer keeps cr among best, a heap of at most n candidates: pushed
+// while there is room, else put in place of the root if it ranks
+// better.
+func offer(best []candRef, n int, cr candRef) []candRef {
+	switch {
+	case len(best) < n:
+		return heapPush(best, cr)
+	case candLess(cr, best[0]):
+		best[0] = cr
+		heapFix(best)
 	}
 	return best
 }
@@ -1312,12 +1326,14 @@ func heapSort(best []candRef) {
 // queryCandidates assembles the det/pool split for a query into rs.det
 // and returns the promotion pool's source: lock-free conjunctive
 // retrieval from the index snapshot (rarest-first merge/gallop
-// intersection into pooled scratch), lock-free stat lookups, then a single pass that
-// keeps only the best n deterministic candidates via a bounded heap (the
-// merge can never consume more). The selective rule's pool is the
-// query's zero-awareness matches themselves, handed to the bounded merge
-// as they are (no copy, no sample); the coin rule's pooled matches go
-// through a uniform reservoir of at most n, all the merge can draw.
+// intersection into pooled scratch), lock-free stat lookups, then a
+// single pass that keeps only the best n deterministic candidates via a
+// bounded heap (the merge can never consume more). Every selection rule
+// streams its candidates through that one pass. The selective rule's
+// pool is the query's zero-awareness matches themselves, handed to the
+// bounded merge as they are (no copy, no sample); the coin rule flips
+// its coin for each candidate as it streams by, and its pooled matches
+// go through a uniform reservoir of at most n, all the merge can draw.
 //
 // The deterministic scan is block-max pruned: posting lists carry a
 // popularity upper bound per chunk of at most 128 entries (searchidx
@@ -1331,8 +1347,8 @@ func heapSort(best []candRef) {
 // in prune_test.go). The selective pool's candidates come from the
 // zero-awareness sub-index, which holds exactly the pool-eligible
 // pages, rather than from an aware-filter over the full match set. The
-// coin rule draws a Bernoulli per candidate by construction, so it
-// keeps the full unpruned scan.
+// coin rule owes every candidate its coin flip, so it passes no skip
+// and the scan visits every chunk.
 //
 // Under the unexplored-pool and promotion-free selection rules the
 // deterministic assembly is memoized in the hot-query cache, keyed by
@@ -1371,14 +1387,20 @@ func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, 
 	view := c.table.view()
 	best := rs.cand[:0]
 	poolAll := rs.poolAll[:0]
-	if sel == policy.SelectCoin {
-		seqs := snap.RetrieveInto(rs.u32[:0], query)
-		rs.u32 = seqs
-		if len(seqs) == 0 {
-			return coinPool
+	coin, unexplored := sel == policy.SelectCoin, sel == policy.SelectUnexplored
+	var skip func(upper float64) bool
+	if !coin {
+		skip = func(upper float64) bool {
+			// Skip only when the heap is full and nothing under the
+			// bound can displace its minimum: every unseen candidate is
+			// younger than every kept one and rank ties break
+			// older-first, so upper == best[0].pop cannot beat it.
+			return len(best) == n && upper <= best[0].pop
 		}
-		poolSeen := 0
-		for _, seq32 := range seqs {
+	}
+	poolSeen := 0
+	ps := snap.RetrievePruned(query, skip, func(ids []uint32) {
+		for _, seq32 := range ids {
 			seq := int(seq32)
 			slot := slotAt(view, seq)
 			if slot == nil {
@@ -1389,94 +1411,57 @@ func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, 
 				continue
 			}
 			switch {
-			case rng.Bernoulli(r):
+			case coin && rng.Bernoulli(r):
 				// Algorithm R, interleaved with the coin flips exactly as
 				// the candidates stream by: a uniform min(n, pooled)
 				// subset. The merge draws at most n pool pages, so
-				// drawing them from a uniform n-subset is the same law
-				// as drawing from every pooled match.
+				// drawing them from a uniform n-subset is the same law as
+				// drawing from every pooled match.
 				poolSeen++
 				if len(pool) < n {
 					pool = append(pool, seq)
 				} else if j := rng.Intn(poolSeen); j < n {
 					pool[j] = seq
 				}
-			case len(best) < n:
-				best = heapPush(best, candRef{pop: math.Float64frombits(slot.pop.Load()), seq: seq})
-			default:
-				if cr := (candRef{pop: math.Float64frombits(slot.pop.Load()), seq: seq}); candLess(cr, best[0]) {
-					best[0] = cr
-					heapFix(best)
-				}
+				continue
+			case unexplored && m&slotAware == 0:
+				// Pool-eligible: enumerated from the sub-index below.
+				continue
 			}
+			best = offer(best, n, candRef{pop: math.Float64frombits(slot.pop.Load()), seq: seq})
 		}
-	} else {
-		unexplored := sel == policy.SelectUnexplored
-		ps := snap.RetrievePruned(query,
-			func(upper float64) bool {
-				// Skip only when the heap is full and nothing under the
-				// bound can displace its minimum: every unseen candidate
-				// is younger than every kept one and rank ties break
-				// older-first, so upper == best[0].pop cannot beat it.
-				return len(best) == n && upper <= best[0].pop
-			},
-			func(ids []uint32) {
-				for _, seq32 := range ids {
-					seq := int(seq32)
-					slot := slotAt(view, seq)
-					if slot == nil {
-						continue
-					}
-					m := slot.meta.Load()
-					if !liveMeta(m) {
-						continue
-					}
-					if unexplored && m&slotAware == 0 {
-						// Pool-eligible: enumerated from the sub-index below.
-						continue
-					}
-					cr := candRef{pop: math.Float64frombits(slot.pop.Load()), seq: seq}
-					switch {
-					case len(best) < n:
-						best = heapPush(best, cr)
-					case candLess(cr, best[0]):
-						best[0] = cr
-						heapFix(best)
-					}
-				}
-			})
-		if ps.BlocksSkipped > 0 {
-			c.blocksSkipped.Add(uint64(ps.BlocksSkipped))
-			c.candidatesPruned.Add(uint64(ps.CandidatesPruned))
-		}
-		if unexplored {
-			// Enumerate exactly today's pool-eligible matches from the
-			// zero-awareness sub-index — the same ascending-birth stream
-			// the full scan's aware-filter produced, without touching any
-			// aware page — re-checking liveness and awareness against the
-			// slot. Promotion only ever sets the aware bit, so a page can
-			// never appear both here and in det.
-			zseqs := c.zidx.Snapshot().RetrieveInto(rs.u32[:0], query)
-			rs.u32 = zseqs
-			for _, seq32 := range zseqs {
-				seq := int(seq32)
-				slot := slotAt(view, seq)
-				if slot == nil {
-					continue
-				}
-				if m := slot.meta.Load(); !liveMeta(m) || m&slotAware != 0 {
-					continue
-				}
-				poolAll = append(poolAll, seq)
+	})
+	if ps.BlocksSkipped > 0 {
+		c.blocksSkipped.Add(uint64(ps.BlocksSkipped))
+		c.candidatesPruned.Add(uint64(ps.CandidatesPruned))
+	}
+	if unexplored {
+		// Enumerate exactly today's pool-eligible matches from the
+		// zero-awareness sub-index — the same ascending-birth stream
+		// the full scan's aware-filter produced, without touching any
+		// aware page — re-checking liveness and awareness against the
+		// slot. Promotion only ever sets the aware bit, so a page can
+		// never appear both here and in det.
+		zseqs := c.zidx.Snapshot().RetrieveInto(rs.u32[:0], query)
+		rs.u32 = zseqs
+		for _, seq32 := range zseqs {
+			seq := int(seq32)
+			slot := slotAt(view, seq)
+			if slot == nil {
+				continue
 			}
-			c.zaCandidates.Add(uint64(len(poolAll)))
+			if m := slot.meta.Load(); !liveMeta(m) || m&slotAware != 0 {
+				continue
+			}
+			poolAll = append(poolAll, seq)
 		}
-		if ps.Candidates == 0 && ps.CandidatesPruned == 0 && len(poolAll) == 0 {
-			// Nothing matched at all — same early exit (and same
-			// don't-cache-empties behavior) as an empty retrieval.
-			rs.poolAll = poolAll
-			return coinPool
-		}
+		c.zaCandidates.Add(uint64(len(poolAll)))
+	}
+	if ps.Candidates == 0 && ps.CandidatesPruned == 0 && len(poolAll) == 0 {
+		// Nothing matched at all — same early exit (and same
+		// don't-cache-empties behavior) as an empty retrieval.
+		rs.poolAll = poolAll
+		return coinPool
 	}
 	heapSort(best)
 	rs.cand = best
@@ -1484,7 +1469,7 @@ func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, 
 		det = append(det, cr.seq)
 	}
 	rs.det, rs.pool, rs.poolAll = det, pool, poolAll
-	if sel == policy.SelectCoin {
+	if coin {
 		return coinPool
 	}
 	if cacheable && len(poolAll) <= maxCachedPool {

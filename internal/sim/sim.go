@@ -318,39 +318,20 @@ func (w treapWindow) At(i int) int {
 	return e.ID
 }
 
-// presenter resolves positions of today's presented list. materialize
-// threads a caller-owned shuffle scratch so snapshots allocate nothing
-// in steady state.
-type presenter interface {
-	pageAt(pos int, rng *randutil.RNG) int
-	materialize(rng *randutil.RNG, dst, scratch []int) (merged, scratchOut []int)
-}
-
-type resolverPresenter struct{ res *policy.Resolver }
-
-func (p resolverPresenter) pageAt(pos int, rng *randutil.RNG) int { return p.res.PageAt(pos, rng) }
-func (p resolverPresenter) materialize(rng *randutil.RNG, dst, scratch []int) (merged, scratchOut []int) {
-	return p.res.MaterializeScratch(rng, dst, scratch)
-}
-
 // buildPresenter constructs the day's position resolver from the frozen
 // ranking state. The policy's merge parameters are re-read every day, so
 // state-dependent policies (epsilon-decay) anneal as the community's
 // zero-awareness count moves.
-func (s *Simulator) buildPresenter() presenter {
+func (s *Simulator) buildPresenter() *policy.Resolver {
 	k, r := s.policy.Params(policy.State{Pages: s.n, ZeroAware: s.zero})
+	var det, pool policy.Source
 	switch s.policy.Selection() {
 	case policy.SelectUnexplored:
 		// Quality is strictly positive, so popularity is zero exactly when
 		// awareness is zero: the deterministic list is the treap's top
 		// block and the promotion pool its bottom block.
-		det := treapWindow{t: s.treap, length: s.n - s.zero}
-		pool := treapWindow{t: s.treap, offset: s.n - s.zero, length: s.zero}
-		res, err := policy.NewResolver(det, pool, k, r)
-		if err != nil {
-			panic("sim: resolver construction failed: " + err.Error())
-		}
-		return resolverPresenter{res}
+		det = treapWindow{t: s.treap, length: s.n - s.zero}
+		pool = treapWindow{t: s.treap, offset: s.n - s.zero, length: s.zero}
 	case policy.SelectCoin:
 		// Pool membership is resampled once per day (a documented
 		// simplification), but the shuffle-and-merge is fresh per query
@@ -360,29 +341,25 @@ func (s *Simulator) buildPresenter() presenter {
 		// page converts a given user).
 		ranked := s.treap.AppendRanked(s.rankedBuf[:0])
 		s.rankedBuf = ranked
-		det := s.detBuf[:0]
-		pool := s.poolBuf[:0]
+		detIDs := s.detBuf[:0]
+		poolIDs := s.poolBuf[:0]
 		for _, e := range ranked {
 			if s.rng.Bernoulli(r) {
-				pool = append(pool, e.ID)
+				poolIDs = append(poolIDs, e.ID)
 			} else {
-				det = append(det, e.ID)
+				detIDs = append(detIDs, e.ID)
 			}
 		}
-		s.detBuf, s.poolBuf = det, pool
-		res, err := policy.NewResolver(policy.Slice(det), policy.Slice(pool), k, r)
-		if err != nil {
-			panic("sim: resolver construction failed: " + err.Error())
-		}
-		return resolverPresenter{res}
+		s.detBuf, s.poolBuf = detIDs, poolIDs
+		det, pool = policy.Slice(detIDs), policy.Slice(poolIDs)
 	default: // SelectNone
-		det := treapWindow{t: s.treap, length: s.n}
-		res, err := policy.NewResolver(det, nil, 1, 0)
-		if err != nil {
-			panic("sim: resolver construction failed: " + err.Error())
-		}
-		return resolverPresenter{res}
+		det, k, r = treapWindow{t: s.treap, length: s.n}, 1, 0
 	}
+	res, err := policy.NewResolver(det, pool, k, r)
+	if err != nil {
+		panic("sim: resolver construction failed: " + err.Error())
+	}
+	return res
 }
 
 // StepDay advances the simulation by one day.
@@ -415,7 +392,7 @@ func (s *Simulator) StepDay() {
 		switch {
 		case u < pSearch:
 			pos := s.att.SampleRank(s.rng)
-			idx = pres.pageAt(pos, s.rng)
+			idx = pres.PageAt(pos, s.rng)
 		case u < pSearch+pPop && popTotal > 0:
 			j, ok := s.pop.Sample(s.rng)
 			if !ok {
@@ -560,8 +537,8 @@ func (s *Simulator) stochasticRound(x float64) int {
 // takeSnapshot accumulates the expected QPC of today's presented list:
 // Σ F2(i)·Q(L[i]) / v for the search channel, blended with the
 // popularity-proportional and teleport channels under mixed surfing.
-func (s *Simulator) takeSnapshot(pres presenter) {
-	s.mergeBuf, s.shuffleBuf = pres.materialize(s.snapRng, s.mergeBuf[:0], s.shuffleBuf)
+func (s *Simulator) takeSnapshot(pres *policy.Resolver) {
+	s.mergeBuf, s.shuffleBuf = pres.MaterializeScratch(s.snapRng, s.mergeBuf[:0], s.shuffleBuf)
 	num := 0.0
 	for i, idx := range s.mergeBuf {
 		num += s.att.VisitRate(i+1) * s.quality[idx]

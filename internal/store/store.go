@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/faultfs"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // MetaVersion is the current meta.json schema version.
@@ -483,7 +484,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 	for i := range s.Pages {
 		p := &s.Pages[i]
 		b = binary.AppendVarint(b, int64(p.ID))
-		b = AppendString(b, p.Text)
+		b = wire.AppendString(b, p.Text)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Popularity))
 		b = binary.AppendVarint(b, int64(p.Birth))
 		if p.Aware {
@@ -503,7 +504,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(len(s.Arms)))
 	for _, a := range s.Arms {
-		b = AppendString(b, a.Name)
+		b = wire.AppendString(b, a.Name)
 		b = binary.AppendUvarint(b, a.Impressions)
 		b = binary.AppendUvarint(b, a.Clicks)
 		b = binary.AppendUvarint(b, a.Discoveries)
@@ -532,118 +533,6 @@ func CheckPage(id, birth int, pop float64) error {
 	return nil
 }
 
-// BinReader is a strict little-endian cursor over a length-checked
-// binary payload: (u)varints, fixed 8-byte IEEE-754 floats and
-// length-prefixed strings, with a sticky error on the first malformed
-// field. Varints must be minimally encoded, so whatever it accepts
-// re-encodes to the same bytes. It decodes both the snapshot bodies here
-// and the serving layer's WAL record payloads — one cursor
-// implementation, one place to fix a bounds bug.
-type BinReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-// NewBinReader returns a cursor positioned at off.
-func NewBinReader(data []byte, off int) *BinReader {
-	return &BinReader{data: data, off: off}
-}
-
-// Err reports the sticky decode failure, if any.
-func (r *BinReader) Err() error { return r.err }
-
-// Remaining reports how many undecoded bytes follow the cursor.
-func (r *BinReader) Remaining() int { return len(r.data) - r.off }
-
-func (r *BinReader) fail() {
-	if r.err == nil {
-		r.err = errSnap
-	}
-}
-
-// Uvarint decodes one unsigned varint.
-func (r *BinReader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	r.advance(n)
-	return v
-}
-
-// advance moves past a varint of n bytes (n <= 0: malformed). A
-// multi-byte varint whose last byte is zero carries a redundant high
-// group: not the minimal encoding, so it is refused too.
-func (r *BinReader) advance(n int) {
-	if n <= 0 || (n > 1 && r.data[r.off+n-1] == 0) {
-		r.fail()
-		return
-	}
-	r.off += n
-}
-
-// Varint decodes one zig-zag signed varint.
-func (r *BinReader) Varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.off:])
-	r.advance(n)
-	return v
-}
-
-// Float64 decodes one fixed 8-byte IEEE-754 value.
-func (r *BinReader) Float64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.data) {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off:]))
-	r.off += 8
-	return v
-}
-
-// Byte decodes one byte.
-func (r *BinReader) Byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.data) {
-		r.fail()
-		return 0
-	}
-	v := r.data[r.off]
-	r.off++
-	return v
-}
-
-// AppendString appends s as a uvarint length followed by its bytes:
-// the writer twin of BinReader.String.
-func AppendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// String decodes one uvarint-length-prefixed string (copied out, so it
-// does not alias the input buffer).
-func (r *BinReader) String() string {
-	n := r.Uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.data)-r.off) {
-		r.fail()
-		return ""
-	}
-	v := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return v
-}
-
 func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < len(snapMagic)+1+4 || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, errSnap
@@ -655,19 +544,23 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if data[len(snapMagic)] != snapVersion {
 		return nil, fmt.Errorf("%w: version %d, this build reads %d", errSnap, data[len(snapMagic)], snapVersion)
 	}
-	r := NewBinReader(body, len(snapMagic)+1)
+	r := wire.NewReader(body, len(snapMagic)+1)
 	s := &Snapshot{
 		LSN:         r.Uvarint(),
 		Impressions: r.Uvarint(),
 		Clicks:      r.Uvarint(),
 		Dropped:     r.Uvarint(),
 	}
-	nPages := r.Uvarint()
-	if r.Err() == nil && nPages > uint64(len(body)) {
-		r.fail() // cheap plausibility bound: each page costs >= 1 byte
+	// Counts are bounded by the bytes alone, at each element's smallest
+	// encoding: a page is five varints, a string, the popularity's eight
+	// bytes and the aware byte; a slot three uvarints; an arm tally a
+	// string and five varints.
+	nPages := r.Count(math.MaxUint64, 15)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: page count: %w", errSnap, err)
 	}
 	seen := make(map[int]struct{})
-	for i := uint64(0); i < nPages && r.Err() == nil; i++ {
+	for i := uint64(0); i < nPages; i++ {
 		p := PageRecord{
 			ID:         int(r.Varint()),
 			Text:       r.String(),
@@ -677,8 +570,8 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		aware := r.Byte()
 		p.Aware = aware == 1
 		p.Impressions, p.Clicks, p.FirstImpNanos = r.Varint(), r.Varint(), r.Varint()
-		if r.Err() != nil {
-			break
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("%w: page %d: %w", errSnap, i, err)
 		}
 		if aware > 1 {
 			return nil, fmt.Errorf("%w: page %d: aware byte %d", errSnap, p.ID, aware)
@@ -692,22 +585,19 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		seen[p.ID] = struct{}{}
 		s.Pages = append(s.Pages, p)
 	}
-	nSlots := r.Uvarint()
-	if r.Err() == nil && nSlots > uint64(len(body)) {
-		r.fail()
-	}
-	for i := uint64(0); i < nSlots && r.Err() == nil; i++ {
+	nSlots := r.Count(math.MaxUint64, 3)
+	for i := uint64(0); i < nSlots; i++ {
 		s.Slots = append(s.Slots, SlotRecord{
 			Slot:        int(r.Uvarint()),
 			Impressions: r.Uvarint(),
 			Clicks:      r.Uvarint(),
 		})
 	}
-	nArms := r.Uvarint()
-	if r.Err() == nil && nArms > uint64(len(body)) {
-		r.fail()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("%w: slots: %w", errSnap, err)
 	}
-	for i := uint64(0); i < nArms && r.Err() == nil; i++ {
+	nArms := r.Count(math.MaxUint64, 6)
+	for i := uint64(0); i < nArms; i++ {
 		s.Arms = append(s.Arms, ArmTallyRecord{
 			Name:         r.String(),
 			Impressions:  r.Uvarint(),
@@ -718,10 +608,10 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 		})
 	}
 	if err := r.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: arm tallies: %w", errSnap, err)
 	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errSnap, r.Remaining())
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("%w: %w", errSnap, err)
 	}
 	return s, nil
 }

@@ -16,9 +16,8 @@
 // with one Write call and makes it durable per the configured FsyncMode.
 // That shape is group commit: a caller that batches many records per
 // Commit pays one fsync for the whole batch, keeping the hot apply path
-// off the fsync critical path (FsyncBatch). FsyncAlways syncs every
-// Commit too but is meant for callers that commit per record; FsyncNone
-// never syncs and leaves durability to OS writeback.
+// off the fsync critical path (FsyncBatch). FsyncNone never syncs and
+// leaves durability to OS writeback.
 //
 // Open validates the existing log: every frame of every segment is
 // CRC-checked. A bad frame in the LAST segment is a torn write — the
@@ -53,10 +52,6 @@ type FsyncMode int
 const (
 	// FsyncBatch fsyncs once per Commit: group commit, the default.
 	FsyncBatch FsyncMode = iota
-	// FsyncAlways is Commit-synchronous too; it differs from FsyncBatch
-	// only in intent (callers commit per record, trading throughput for
-	// the smallest possible loss window).
-	FsyncAlways
 	// FsyncNone never fsyncs; durability is whatever the OS writeback
 	// provides. Fastest, loses the tail on power failure.
 	FsyncNone
@@ -68,19 +63,15 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 	switch s {
 	case "", "batch":
 		return FsyncBatch, nil
-	case "always":
-		return FsyncAlways, nil
 	case "none":
 		return FsyncNone, nil
 	}
-	return 0, fmt.Errorf("wal: unknown fsync mode %q (want batch, always or none)", s)
+	return 0, fmt.Errorf("wal: unknown fsync mode %q (want batch or none)", s)
 }
 
 // String renders the mode as its flag form.
 func (m FsyncMode) String() string {
 	switch m {
-	case FsyncAlways:
-		return "always"
 	case FsyncNone:
 		return "none"
 	default:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -300,7 +301,7 @@ func TestParseFsyncMode(t *testing.T) {
 	}{
 		{"", FsyncBatch, true},
 		{"batch", FsyncBatch, true},
-		{"always", FsyncAlways, true},
+		{"always", 0, false},
 		{"none", FsyncNone, true},
 		{"sometimes", 0, false},
 	} {
@@ -310,6 +311,9 @@ func TestParseFsyncMode(t *testing.T) {
 		}
 		if tc.ok && got.String() != FsyncMode.String(tc.want) {
 			t.Fatalf("mode %v renders %q", got, got.String())
+		}
+		if !tc.ok && !strings.Contains(err.Error(), "batch or none") {
+			t.Fatalf("ParseFsyncMode(%q) refused with %q, which does not name the modes", tc.in, err)
 		}
 	}
 }
