@@ -226,14 +226,17 @@ func BenchmarkAblationMaterializedResolver(b *testing.B) {
 	for i := range pool {
 		pool[i] = 100000 + i
 	}
+	res, err := policy.NewResolver(det, pool, 1, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rng := newBenchRNG()
 	att := newBenchAttention(b, 10500)
-	var buf []int
+	var sc policy.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for v := 0; v < 100; v++ {
-			buf = policy.Merge(det, pool, 1, 0.1, rng, buf[:0])
-			_ = buf[att.SampleRank(rng)-1]
+			_ = res.Materialize(rng, &sc)[att.SampleRank(rng)-1]
 		}
 	}
 }

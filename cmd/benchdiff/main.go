@@ -11,20 +11,22 @@
 //	-in        bench output file (default: stdin)
 //	-out       JSON record to write (required)
 //	-baseline  baseline JSON to compare against; omit to only record
-//	-tol       fractional regression tolerance on ns/op and allocs/op (default 0.25)
+//	-tol       fractional regression tolerance on ns/op (default 0.25)
 //	-floor-ns  absolute ns/op slack added to the tolerance band (default 50000)
 //	-ratio     relative constraint "A<=1.15xB" between two current-run
 //	           benchmarks (repeatable); fails when A's ns/op exceeds
 //	           1.15 times B's ns/op in THIS run
 //
 // The gate fails (exit 1) when a benchmark present in the baseline is
-// missing from the current run, or when its ns/op or allocs/op exceeds
-// baseline·(1+tol) — plus floor-ns of absolute slack for ns/op. The
-// floor absorbs scheduler/timer/GC noise of short (-benchtime=100x)
-// measurements, which is roughly constant (tens of µs amortized) rather
-// than proportional: a single-digit-µs benchmark is effectively gated on
-// allocs/op — exact once the benchmark warms its pools before the timer
-// — while ms-scale benchmarks still get a meaningful 25% ns/op gate.
+// missing from the current run, when its ns/op exceeds
+// baseline·(1+tol)+floor-ns, or when its allocs/op exceeds the
+// baseline's at all: allocation counts are machine-independent, so they
+// get no tolerance. The ns/op floor absorbs scheduler/timer/GC noise of
+// short (-benchtime=100x) measurements, which is roughly constant (tens
+// of µs amortized) rather than proportional: a single-digit-µs benchmark
+// is effectively gated on allocs/op — exact once the benchmark warms its
+// pools before the timer — while ms-scale benchmarks still get a
+// meaningful 25% ns/op gate.
 // Feed the output of several bench runs (CI uses three) into one
 // invocation: a benchmark appearing multiple times keeps its fastest
 // run, the standard noise-robust statistic. New benchmarks absent from
@@ -104,7 +106,7 @@ func main() {
 	in := flag.String("in", "", "bench output file (default: stdin)")
 	out := flag.String("out", "", "JSON record to write (required)")
 	baseline := flag.String("baseline", "", "baseline JSON to compare against")
-	tol := flag.Float64("tol", 0.25, "fractional regression tolerance")
+	tol := flag.Float64("tol", 0.25, "fractional ns/op regression tolerance")
 	floorNs := flag.Float64("floor-ns", 50000, "absolute ns/op slack")
 	var ratios ratioFlags
 	flag.Var(&ratios, "ratio", "current-run constraint NAME<=FACTORxNAME (repeatable)")
@@ -188,13 +190,13 @@ func main() {
 			b.AllocsPerOp, cur.AllocsPerOp)
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) beyond %.0f%% tolerance:\n", len(failures), *tol*100)
+		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) (ns/op beyond %.0f%%, or allocs/op above baseline):\n", len(failures), *tol*100)
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "  "+f)
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: %d benchmarks within %.0f%% of baseline\n", len(base.Benchmarks), *tol*100)
+	fmt.Printf("benchdiff: %d benchmarks within %.0f%% ns/op and at or below allocs/op of baseline\n", len(base.Benchmarks), *tol*100)
 }
 
 func pct(base, cur float64) float64 {
@@ -267,8 +269,8 @@ func Parse(r io.Reader) (map[string]Record, error) {
 }
 
 // Compare returns one message per gate violation: a baseline benchmark
-// missing from the current run, or a ns/op or allocs/op regression
-// beyond base·(1+tol) (ns/op additionally gets floorNs absolute slack).
+// missing from the current run, a ns/op regression beyond
+// base·(1+tol)+floorNs, or any allocs/op above the baseline's.
 func Compare(base, cur map[string]Record, tol, floorNs float64) []string {
 	var failures []string
 	names := make([]string, 0, len(base))
@@ -287,11 +289,9 @@ func Compare(base, cur map[string]Record, tol, floorNs float64) []string {
 			failures = append(failures, fmt.Sprintf("%s: ns/op %.0f exceeds %.0f (baseline %.0f)",
 				name, c.NsPerOp, limit, b.NsPerOp))
 		}
-		// Allocation counts are machine-independent, so no absolute slack;
-		// +0.5 forgives sub-alloc rounding only.
-		if limit := b.AllocsPerOp*(1+tol) + 0.5; c.AllocsPerOp > limit {
-			failures = append(failures, fmt.Sprintf("%s: allocs/op %.1f exceeds %.1f (baseline %.1f)",
-				name, c.AllocsPerOp, limit, b.AllocsPerOp))
+		if c.AllocsPerOp > b.AllocsPerOp {
+			failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f",
+				name, c.AllocsPerOp, b.AllocsPerOp))
 		}
 	}
 	return failures

@@ -92,6 +92,14 @@ func TestCompareGate(t *testing.T) {
 		t.Fatalf("alloc regression not caught: %v", fails)
 	}
 
+	// allocs/op is exact: one allocation above the baseline fails, -tol
+	// notwithstanding.
+	cur["BenchmarkServeRank"] = Record{NsPerOp: 50000, AllocsPerOp: 11}
+	fails = Compare(base, cur, 0.25, 200)
+	if len(fails) != 1 || !strings.Contains(fails[0], "BenchmarkServeRank: allocs/op") {
+		t.Fatalf("one extra alloc not caught: %v", fails)
+	}
+
 	// A deleted benchmark fails the gate (no silent erosion).
 	delete(cur, "BenchmarkRankerRank")
 	cur["BenchmarkServeRank"] = Record{NsPerOp: 50000, AllocsPerOp: 10}

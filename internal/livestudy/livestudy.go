@@ -191,7 +191,7 @@ type group struct {
 
 	funny, total int
 	visitsByRank []int
-	sessionBuf   []int
+	session      policy.Scratch
 
 	votesPromoted, votesRanked int
 	qualPromoted, qualRanked   float64
@@ -348,14 +348,14 @@ func (g *group) stepDay(cfg Config, funniness []float64,
 		// Session: materialize this user's presented list (the study
 		// re-shuffled promoted items per user) and read pages 1..D in
 		// order, rating every not-yet-read item.
-		g.sessionBuf = res.Materialize(rng, g.sessionBuf[:0])
+		list := res.Materialize(rng, &g.session)
 		depth := samplePageDepth(rng, maxPages)
 		limit := depth * 10
 		if limit > n {
 			limit = n
 		}
 		for pos := 1; pos <= limit; pos++ {
-			item := g.sessionBuf[pos-1]
+			item := list[pos-1]
 			if measuring {
 				g.visitsByRank[pos-1]++
 			}

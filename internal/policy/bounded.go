@@ -1,26 +1,24 @@
-// The bounded merge: the O(n) twin of the merge engine for callers that
-// serve only the first n positions. Merge shuffles the whole pool and
-// materializes every position, which the Ranker and the simulator need
-// (their goldens pin that draw order). A server showing n results needs
-// at most n promoted pages, so the bounded merge draws each one lazily,
-// without replacement, at the moment the biased coin asks for it: a
-// sparse forward Fisher–Yates over pool indices touches only the
-// positions it has displaced. Per call it reads at most n det entries
-// and at most n−min(k−1, det.Len()) pool entries, whatever the pool's
-// size. The first n positions have exactly Merge's distribution — the
-// coins are the same Bernoulli(r) walk, and the i-th lazy draw is
-// position i of a uniform shuffle — but not Merge's draw order, so the
-// same seed yields a different list (see the package tests).
+// The bounded merge: the one implementation of the §4 merge (merge.go).
+// A caller showing n results needs at most n promoted pages, so the
+// merge draws each one lazily, without replacement, at the moment the
+// biased coin asks for it: a sparse forward Fisher–Yates over pool
+// indices touches only the positions it has displaced. Per call it reads
+// at most n det entries and at most n−min(k−1, det.Len()) pool entries,
+// whatever the pool's size. With n = det.Len()+pool.Len() it builds the
+// whole list (MergeTagged, Resolver.Materialize). The package tests check
+// it against an independent oracle that shuffles the whole pool first
+// and then merges: the same law at every position, by chi-square.
 package policy
 
 import "repro/internal/randutil"
 
-// MergeBounded is MergeTagged restricted to the first n positions: the
-// returned lists have min(n, det.Len()+pool.Len()) entries, distributed
-// exactly as the first n of MergeTagged's. The pool is read only at the
-// indices drawn, so pool may be a lazy view over any number of pages;
-// det is read in order and at most n times. Both returned slices are
-// owned by the Scratch and valid until the next call.
+// MergeBounded runs the §4 merge for the first n positions: the returned
+// lists have min(n, det.Len()+pool.Len()) entries, and fromPool[i]
+// reports whether position i was filled from the promotion pool rather
+// than the deterministic list. The pool is read only at the indices
+// drawn, so pool may be a lazy view over any number of pages; det is
+// read in order and at most n times. Both returned slices are owned by
+// the Scratch and valid until the next call.
 func (s *Scratch) MergeBounded(det, pool Source, n, k int, r float64, rng *randutil.RNG) (merged []int, fromPool []bool) {
 	nd, np := det.Len(), pool.Len()
 	n = min(n, nd+np)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/stats"
 )
 
-// boundedCase is one merge shape of the bounded-twin tests.
+// boundedCase is one merge shape of the MergeBounded tests.
 type boundedCase struct {
 	nd, np, n, k int
 	r            float64
@@ -17,7 +17,9 @@ type boundedCase struct {
 
 // boundedCases covers the shapes where the first n positions of a merge
 // depend on an exhausted list or a protected prefix: nd < n, np < n−k+1,
-// k−1 ≥ nd, np = 0 and r ∈ {0, 1}, next to ordinary ones.
+// k−1 ≥ nd, np = 0 and r ∈ {0, 1}, next to ordinary ones, and the
+// full-length merges (n = nd+np) the Ranker, the simulator and the live
+// study run.
 var boundedCases = []boundedCase{
 	{nd: 12, np: 30, n: 8, k: 1, r: 0.3},  // ordinary: both lists outlast n
 	{nd: 12, np: 30, n: 8, k: 3, r: 0.5},  // protected prefix
@@ -30,6 +32,8 @@ var boundedCases = []boundedCase{
 	{nd: 10, np: 20, n: 7, k: 1, r: 0},    // r = 0: pool only after det
 	{nd: 10, np: 20, n: 7, k: 2, r: 1},    // r = 1: pool right after the prefix
 	{nd: 1, np: 40, n: 12, k: 1, r: 0.05}, // det empties early, long drain
+	{nd: 16, np: 8, n: 24, k: 1, r: 0.3},  // full length: the Ranker goldens' shape
+	{nd: 10, np: 40, n: 50, k: 2, r: 0.1}, // full length: a long pool
 }
 
 func (c boundedCase) lists() (det, pool Slice) {
@@ -74,11 +78,11 @@ func twoSampleChi2(a, b map[int]int) (float64, int) {
 	return stat, cells - 1
 }
 
-// TestMergeBoundedMatchesMerge is the bounded twin's exactness test: for
-// every case and every position p ≤ n, the page at p and whether p was
-// promoted are distributed as in Merge's first n, by a two-sample
-// chi-square test at the 99.9% level (the statistic is exact for two
-// samples, so the gate needs no slack).
+// TestMergeBoundedMatchesMerge is the merge's exactness test: for every
+// case and every position p ≤ n, the page at p and whether p was
+// promoted are distributed as in the shuffle-first oracle's first n, by
+// a two-sample chi-square test at the 99.9% level (the statistic is
+// exact for two samples, so the gate needs no slack).
 func TestMergeBoundedMatchesMerge(t *testing.T) {
 	const trials = 20000
 	for ci, c := range boundedCases {
@@ -99,12 +103,13 @@ func TestMergeBoundedMatchesMerge(t *testing.T) {
 		var sc Scratch
 		full := randutil.New(uint64(ci)*2 + 1)
 		bounded := randutil.New(uint64(ci)*2 + 2)
-		var buf []int
+		var buf, shuffled []int
+		var fullTags []bool
 		for trial := 0; trial < trials; trial++ {
-			buf = Merge(det, pool, c.k, c.r, full, buf[:0])
+			buf, fullTags, shuffled = mergeImpl(det, pool, c.k, c.r, full, buf[:0], fullTags[:0], shuffled, true)
 			for p := 0; p < want; p++ {
 				fullPage[p][buf[p]]++
-				if inPool[buf[p]] {
+				if fullTags[p] {
 					fullProm[p][1]++
 				} else {
 					fullProm[p][0]++
@@ -157,7 +162,7 @@ func (s *countingSource) At(i int) int {
 	return s.base + i
 }
 
-// TestMergeBoundedReadsAtMostN pins the twin's cost: per call it reads at
+// TestMergeBoundedReadsAtMostN pins the merge's cost: per call it reads at
 // most n det entries and at most n−min(k−1, nd) pool entries — n−k+1
 // once det covers the prefix — however large the pool, and never reads
 // a pool index twice (the draws are without replacement).

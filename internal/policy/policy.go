@@ -4,11 +4,11 @@
 // ranking — and every surface that ranks (the offline Ranker, the §6
 // community simulator, the §5 analytical model, the figure experiments
 // and the online serving path) names its rule as a Spec, validates it
-// once and runs the same scratch-reusing, zero-alloc merge engine
-// (merge.go) or one of its twins: the lazy position resolver
-// (resolver.go) for the simulator, and the bounded merge (bounded.go),
-// which fills only the n served positions and draws each promoted page
-// lazily, for the online service.
+// once and runs the same scratch-reusing, zero-alloc merge,
+// Scratch.MergeBounded (bounded.go), which fills the first n positions
+// and draws each promoted page lazily; the simulator's visits resolve
+// single positions of the same law through the lazy position resolver
+// (resolver.go).
 //
 // A Spec is the §4 policy's three numbers — a pool rule, the protected
 // prefix k and the degree of randomization r — plus the epsilon-decay

@@ -139,20 +139,20 @@ func TestScratchMergeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMergeTaggedMatchesMerge: tagged and untagged merges of the same
-// inputs at the same seed produce the same list, and the tags mark
-// exactly the pool-sourced slots.
+// TestMergeTaggedMatchesMerge: MergeTagged is MergeBounded over the whole
+// list, draw for draw at the same seed, and its tags mark exactly the
+// pool-sourced slots.
 func TestMergeTaggedMatchesMerge(t *testing.T) {
 	det := Slice{1, 2, 3, 4, 5}
 	pool := Slice{10, 11, 12}
+	poolSet := map[int]bool{10: true, 11: true, 12: true}
+	var tagged, bounded Scratch
 	for seed := uint64(1); seed <= 50; seed++ {
-		var sc Scratch
-		merged, tags := sc.MergeTagged(det, pool, 2, 0.4, randutil.New(seed))
-		plain := Merge(det, pool, 2, 0.4, randutil.New(seed), nil)
-		if !reflect.DeepEqual(merged, plain) {
-			t.Fatalf("seed %d: tagged %v != untagged %v", seed, merged, plain)
+		merged, tags := tagged.MergeTagged(det, pool, 2, 0.4, randutil.New(seed))
+		want, wantTags := bounded.MergeBounded(det, pool, len(det)+len(pool), 2, 0.4, randutil.New(seed))
+		if !reflect.DeepEqual(merged, want) || !reflect.DeepEqual(tags, wantTags) {
+			t.Fatalf("seed %d: MergeTagged %v %v != MergeBounded %v %v", seed, merged, tags, want, wantTags)
 		}
-		poolSet := map[int]bool{10: true, 11: true, 12: true}
 		for i, id := range merged {
 			if tags[i] != poolSet[id] {
 				t.Fatalf("seed %d: slot %d (page %d) tagged %v", seed, i, id, tags[i])

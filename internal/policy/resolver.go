@@ -1,10 +1,10 @@
-// The lazy position resolver: the O(1) twin of the merge engine. Merge
-// materializes the full list and serves as the executable specification;
-// Resolver answers "which page occupies position j of a *fresh* random
-// merge" in O(1) expected time per position using an exact
-// binomial-counting argument, without building the list — the "more
-// efficient implementation techniques" the paper alludes to. Their output
-// distributions are identical (see the package tests).
+// The lazy position resolver: Resolver answers "which page occupies
+// position j of a *fresh* random merge" in O(1) expected time per
+// position using an exact binomial-counting argument, without building
+// the list — the "more efficient implementation techniques" the paper
+// alludes to. Its per-position law is the §4 merge's (bounded.go), and
+// Materialize builds the whole list through that merge; the package
+// tests check both against an independent shuffle-first oracle.
 package policy
 
 import (
@@ -18,7 +18,7 @@ import (
 // materializing it. Each PageAt call behaves as if a brand-new merge had
 // been performed (matching the live study, where every user sees an
 // independent random order), so the marginal distribution of the page at
-// position j equals that of Merge.
+// position j equals that of a full MergeBounded.
 type Resolver struct {
 	det    Source
 	pool   Source
@@ -163,15 +163,10 @@ func binomialPMF(s int, r float64) func(b int) float64 {
 	}
 }
 
-// Materialize produces a full merged list via the resolver's inputs,
-// equivalent to Merge. The result is appended to dst.
-func (res *Resolver) Materialize(rng *randutil.RNG, dst []int) []int {
-	return Merge(res.det, res.pool, res.k, res.r, rng, dst)
-}
-
-// MaterializeScratch is Materialize with a caller-owned shuffle buffer,
-// for callers that materialize repeatedly (the simulator's QPC
-// snapshots). It returns the merged list and the grown scratch.
-func (res *Resolver) MaterializeScratch(rng *randutil.RNG, dst, scratch []int) (merged, scratchOut []int) {
-	return MergeScratch(res.det, res.pool, res.k, res.r, rng, dst, scratch)
+// Materialize builds one full merged list of the resolver's inputs:
+// MergeBounded with n = Total(). The list is owned by sc and valid until
+// its next merge.
+func (res *Resolver) Materialize(rng *randutil.RNG, sc *Scratch) []int {
+	merged, _ := sc.MergeBounded(res.det, res.pool, res.Total(), res.k, res.r, rng)
+	return merged
 }

@@ -76,7 +76,8 @@ func TestMergeIsPermutation(t *testing.T) {
 		rng := randutil.New(seed)
 		det := seq(0, nd)
 		pool := seq(1000, np)
-		out := Merge(det, pool, k, r, rng, nil)
+		var sc Scratch
+		out := mergeAll(&sc, det, pool, k, r, rng)
 		if len(out) != nd+np {
 			return false
 		}
@@ -109,7 +110,8 @@ func TestMergePreservesDetOrder(t *testing.T) {
 		rng := randutil.New(seed)
 		det := seq(0, 30)
 		pool := seq(1000, 10)
-		out := Merge(det, pool, int(kRaw)%10+1, float64(rRaw)/255, rng, nil)
+		var sc Scratch
+		out := mergeAll(&sc, det, pool, int(kRaw)%10+1, float64(rRaw)/255, rng)
 		// Det pages (< 1000) must appear in increasing order.
 		last := -1
 		for _, id := range out {
@@ -131,9 +133,10 @@ func TestMergeProtectsTopKMinusOne(t *testing.T) {
 	rng := randutil.New(5)
 	det := seq(0, 20)
 	pool := seq(1000, 10)
+	var sc Scratch
 	for _, k := range []int{1, 2, 5, 20} {
 		for trial := 0; trial < 50; trial++ {
-			out := Merge(det, pool, k, 0.9, rng, nil)
+			out := mergeAll(&sc, det, pool, k, 0.9, rng)
 			for i := 0; i < k-1 && i < len(det); i++ {
 				if out[i] != det[i] {
 					t.Fatalf("k=%d: position %d = %d, want protected %d", k, i+1, out[i], det[i])
@@ -147,7 +150,8 @@ func TestMergeRZeroKeepsPoolAtBottom(t *testing.T) {
 	rng := randutil.New(6)
 	det := seq(0, 10)
 	pool := seq(1000, 5)
-	out := Merge(det, pool, 1, 0, rng, nil)
+	var sc Scratch
+	out := mergeAll(&sc, det, pool, 1, 0, rng)
 	for i := 0; i < 10; i++ {
 		if out[i] != i {
 			t.Fatalf("r=0: det order broken at %d: %v", i, out)
@@ -166,7 +170,8 @@ func TestMergeROneLiveStudyVariant(t *testing.T) {
 	rng := randutil.New(7)
 	det := seq(0, 50)
 	pool := seq(1000, 5)
-	out := Merge(det, pool, 21, 1, rng, nil)
+	var sc Scratch
+	out := mergeAll(&sc, det, pool, 21, 1, rng)
 	for i := 0; i < 20; i++ {
 		if out[i] != i {
 			t.Fatalf("positions 1..20 not deterministic: %v", out[:21])
@@ -186,14 +191,15 @@ func TestMergeROneLiveStudyVariant(t *testing.T) {
 
 func TestMergeEmptyInputs(t *testing.T) {
 	rng := randutil.New(8)
-	if got := Merge(Slice{}, Slice{}, 1, 0.5, rng, nil); len(got) != 0 {
+	var sc Scratch
+	if got := mergeAll(&sc, Slice{}, Slice{}, 1, 0.5, rng); len(got) != 0 {
 		t.Fatalf("empty merge = %v", got)
 	}
-	out := Merge(Slice{}, seq(0, 5), 3, 0.5, rng, nil)
+	out := mergeAll(&sc, Slice{}, seq(0, 5), 3, 0.5, rng)
 	if len(out) != 5 {
 		t.Fatalf("pool-only merge = %v", out)
 	}
-	out = Merge(seq(0, 5), Slice{}, 3, 0.5, rng, nil)
+	out = mergeAll(&sc, seq(0, 5), Slice{}, 3, 0.5, rng)
 	for i, id := range out {
 		if id != i {
 			t.Fatalf("det-only merge reordered: %v", out)
@@ -205,7 +211,8 @@ func TestMergeKBeyondDetLength(t *testing.T) {
 	rng := randutil.New(9)
 	det := seq(0, 3)
 	pool := seq(1000, 4)
-	out := Merge(det, pool, 10, 0.5, rng, nil)
+	var sc Scratch
+	out := mergeAll(&sc, det, pool, 10, 0.5, rng)
 	// All det first (prefix covers whole det list), then pool.
 	for i := 0; i < 3; i++ {
 		if out[i] != i {
@@ -219,12 +226,22 @@ func TestMergeKBeyondDetLength(t *testing.T) {
 	}
 }
 
-func TestMergeAppendsToDst(t *testing.T) {
+// TestMergeScratchReuseStartsEmpty: a Scratch reused after a longer
+// merge returns only the current call's pages and tags, none of the
+// previous call's.
+func TestMergeScratchReuseStartsEmpty(t *testing.T) {
 	rng := randutil.New(10)
-	dst := []int{-7}
-	out := Merge(seq(0, 3), seq(100, 2), 1, 0.5, rng, dst)
-	if len(out) != 6 || out[0] != -7 {
-		t.Fatalf("dst prefix lost: %v", out)
+	var sc Scratch
+	mergeAll(&sc, seq(0, 30), seq(100, 20), 1, 0.5, rng)
+	out, tags := sc.MergeBounded(seq(0, 3), seq(100, 2), 5, 1, 0.5, rng)
+	if len(out) != 5 || len(tags) != 5 {
+		t.Fatalf("reused scratch returned %v %v", out, tags)
+	}
+	for i, id := range out {
+		stale := id >= 3 && id < 100 || id >= 102
+		if stale || tags[i] != (id >= 100) {
+			t.Fatalf("reused scratch returned %v %v", out, tags)
+		}
 	}
 }
 
@@ -275,7 +292,7 @@ func positionDistribution(t *testing.T, sample func(rng *randutil.RNG) int, tria
 
 // TestResolverMatchesMergeDistribution is the central equivalence test:
 // for every position, the lazy resolver's page distribution must match the
-// materializing Merge within chi-square tolerance.
+// full MergeBounded's within chi-square tolerance.
 func TestResolverMatchesMergeDistribution(t *testing.T) {
 	configs := []struct {
 		nd, np, k int
@@ -299,11 +316,11 @@ func TestResolverMatchesMergeDistribution(t *testing.T) {
 			t.Fatal(err)
 		}
 		total := cfg.nd + cfg.np
+		var sc Scratch
 		for pos := 1; pos <= total; pos++ {
 			pos := pos
 			mergeCounts := positionDistribution(t, func(rng *randutil.RNG) int {
-				out := Merge(det, pool, cfg.k, cfg.r, rng, nil)
-				return out[pos-1]
+				return mergeAll(&sc, det, pool, cfg.k, cfg.r, rng)[pos-1]
 			}, trials, uint64(pos*1000+cfg.nd))
 			lazyCounts := positionDistribution(t, func(rng *randutil.RNG) int {
 				return res.PageAt(pos, rng)
@@ -403,15 +420,16 @@ func TestPromotedProbabilityEdges(t *testing.T) {
 	}
 }
 
+// TestResolverMaterializeEquivalentToMerge: Materialize is MergeBounded
+// over the resolver's inputs with n = Total(), draw for draw.
 func TestResolverMaterializeEquivalentToMerge(t *testing.T) {
 	det := seq(0, 12)
 	pool := seq(100, 5)
 	res, _ := NewResolver(det, pool, 2, 0.4)
-	rngA := randutil.New(77)
-	rngB := randutil.New(77)
-	a := res.Materialize(rngA, nil)
-	b := Merge(det, pool, 2, 0.4, rngB, nil)
-	if len(a) != len(b) {
+	var scA, scB Scratch
+	a := res.Materialize(randutil.New(77), &scA)
+	b, _ := scB.MergeBounded(det, pool, res.Total(), 2, 0.4, randutil.New(77))
+	if len(a) != len(b) || len(a) != res.Total() {
 		t.Fatalf("length mismatch %d vs %d", len(a), len(b))
 	}
 	for i := range a {
@@ -449,10 +467,10 @@ func BenchmarkMerge10k(b *testing.B) {
 	det := seq(0, 10000)
 	pool := seq(100000, 500)
 	rng := randutil.New(1)
-	var dst []int
+	var sc Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = Merge(det, pool, 1, 0.1, rng, dst[:0])
+		sc.MergeTagged(&det, &pool, 1, 0.1, rng)
 	}
 }
 
@@ -504,7 +522,8 @@ func TestMergeDeterministicWhenPoolEmpty(t *testing.T) {
 	f := func(seed uint64, kRaw, rRaw uint8) bool {
 		rng := randutil.New(seed)
 		det := seq(0, 25)
-		out := Merge(det, Slice{}, int(kRaw)%30+1, float64(rRaw)/255, rng, nil)
+		var sc Scratch
+		out := mergeAll(&sc, det, Slice{}, int(kRaw)%30+1, float64(rRaw)/255, rng)
 		for i, id := range out {
 			if id != i {
 				return false

@@ -6,31 +6,27 @@ import (
 	"repro/internal/randutil"
 )
 
-// TestScratchMergeTaggedProvenance checks the fromPool tags: the tagged
-// merge must produce the identical list, and the tags must exactly
-// identify pool membership.
+// TestScratchMergeTaggedProvenance checks the fromPool tags: over every
+// bounded case's lists, each slot's tag must say exactly whether its
+// page came from the pool, and no protected slot may be tagged.
 func TestScratchMergeTaggedProvenance(t *testing.T) {
-	det := Slice{10, 20, 30, 40, 50}
-	pool := Slice{100, 200, 300}
-	inPool := map[int]bool{100: true, 200: true, 300: true}
 	var sc Scratch
-	for trial := 0; trial < 50; trial++ {
-		seed := uint64(trial + 1)
-		want := Merge(det, pool, 2, 0.3, randutil.New(seed), nil)
-		got, tags := sc.MergeTagged(det, pool, 2, 0.3, randutil.New(seed))
-		if len(got) != len(want) || len(tags) != len(got) {
-			t.Fatalf("trial %d: lengths %d/%d/%d", trial, len(got), len(tags), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d slot %d: %d != %d", trial, i, got[i], want[i])
+	rng := randutil.New(1)
+	for _, c := range boundedCases {
+		det, pool := c.lists()
+		for trial := 0; trial < 50; trial++ {
+			got, tags := sc.MergeTagged(det, pool, c.k, c.r, rng)
+			if len(got) != c.nd+c.np || len(tags) != len(got) {
+				t.Fatalf("case %+v: %d pages, %d tags", c, len(got), len(tags))
 			}
-			if tags[i] != inPool[got[i]] {
-				t.Fatalf("trial %d slot %d: page %d tagged fromPool=%v", trial, i, got[i], tags[i])
+			for i, id := range got {
+				if tags[i] != (id >= 1000) {
+					t.Fatalf("case %+v slot %d: page %d tagged fromPool=%v", c, i, id, tags[i])
+				}
+				if i < min(c.k-1, c.nd) && tags[i] {
+					t.Fatalf("case %+v: protected slot %d tagged as promoted", c, i)
+				}
 			}
-		}
-		if tags[0] {
-			t.Fatalf("trial %d: protected slot tagged as promoted", trial)
 		}
 	}
 }

@@ -158,18 +158,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// ShuffleInts is Shuffle specialized to an []int, avoiding the swap
-// closure (and its per-call allocation when the slice would otherwise
-// escape). It consumes exactly the same RNG draws as Shuffle(len(s), ...),
-// so the two are interchangeable without perturbing deterministic
-// outputs.
-func (r *RNG) ShuffleInts(s []int) {
-	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

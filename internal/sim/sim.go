@@ -194,8 +194,7 @@ type Simulator struct {
 	tbpSamples  []float64
 	probesStart int
 	probesDone  int
-	mergeBuf    []int
-	shuffleBuf  []int
+	snapMerge   policy.Scratch
 	rankedBuf   []rankengine.Entry
 	detBuf      []int
 	poolBuf     []int
@@ -538,9 +537,8 @@ func (s *Simulator) stochasticRound(x float64) int {
 // Σ F2(i)·Q(L[i]) / v for the search channel, blended with the
 // popularity-proportional and teleport channels under mixed surfing.
 func (s *Simulator) takeSnapshot(pres *policy.Resolver) {
-	s.mergeBuf, s.shuffleBuf = pres.MaterializeScratch(s.snapRng, s.mergeBuf[:0], s.shuffleBuf)
 	num := 0.0
-	for i, idx := range s.mergeBuf {
+	for i, idx := range pres.Materialize(s.snapRng, &s.snapMerge) {
 		num += s.att.VisitRate(i+1) * s.quality[idx]
 	}
 	searchQ := num / s.att.Visits()

@@ -94,11 +94,11 @@ type Ranker struct {
 
 	// Reusable scratch, so steady-state Rank calls allocate only the
 	// returned slice: the sorted working copy, the det/pool split, and
-	// the merge's pool-shuffle buffer.
+	// the merge's buffers.
 	ordered []PageStat
 	det     []int
 	pool    []int
-	shuffle []int
+	merge   policy.Scratch
 }
 
 // NewRanker validates the policy and creates a ranker seeded
@@ -125,8 +125,7 @@ func (r *Ranker) Rank(pages []PageStat) []int {
 }
 
 // rankInto appends the ranked page IDs to dst, reusing the Ranker's
-// scratch buffers for the sorted copy, the det/pool split and the merge
-// shuffle.
+// scratch buffers for the sorted copy, the det/pool split and the merge.
 func (r *Ranker) rankInto(pages []PageStat, dst []int) []int {
 	ordered := append(r.ordered[:0], pages...)
 	r.ordered = ordered
@@ -172,9 +171,9 @@ func (r *Ranker) rankInto(pages []PageStat, dst []int) []int {
 		}
 	}
 	r.det, r.pool = det, pool
-	dst, r.shuffle = policy.MergeScratch(policy.Slice(det), policy.Slice(pool),
-		k, rr, r.rng, dst, r.shuffle)
-	return dst
+	merged, _ := r.merge.MergeBounded(policy.Slice(det), policy.Slice(pool),
+		len(ordered), k, rr, r.rng)
+	return append(dst, merged...)
 }
 
 // SimOptions configures a community simulation run. The zero value uses
