@@ -31,8 +31,8 @@ func (s *Scratch) MergeBounded(det, pool Source, n, k int, r float64, rng *randu
 	}
 	s.draw.reset(np, min(n-len(dst), np))
 	for len(dst) < n {
-		// The coin is tossed only while both lists have pages left, as in
-		// Merge; once either empties the other drains.
+		// The coin is tossed only while both lists have pages left, as
+		// §4 defines the merge; once either empties the other drains.
 		if di < nd && (s.draw.i == np || rng.Float64() >= r) {
 			dst = append(dst, det.At(di))
 			di++

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/randutil"
 )
 
 // benchCorpus builds a 10k-page corpus over 8 shards: 2% zero-awareness,
@@ -264,6 +265,73 @@ func BenchmarkServeRankQueryUncached(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// coldPairs returns every pair of the deck's 96 head terms, 4,560
+// two-term queries (18x the query cache), in a fixed shuffled order.
+func coldPairs() []string {
+	head := func(k int) string { return "h" + strconv.Itoa(100 + k)[1:] }
+	qs := make([]string, 0, 96*95/2)
+	for a := 0; a < 96; a++ {
+		for b := a + 1; b < 96; b++ {
+			qs = append(qs, head(a)+" "+head(b))
+		}
+	}
+	rng := randutil.New(7)
+	rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+	return qs
+}
+
+// BenchmarkServeRankQueryColdCycle measures what the hot-query cache
+// costs queries that do not come back before they are evicted: each op
+// ranks the next 64 of the 4,560 head-term pairs over the 20k deck,
+// cycling them, with the cache on and off. Once the cache is full a key
+// is cached only on its second miss, so a cold miss takes no write lock
+// and copies nothing, and cache=on reads about cache=off; filling on
+// every miss read ~1.4x. CI's -ratio gate holds 1.2x. Four untimed
+// passes over every pair come first: in a fixed cycle the doorkeeper
+// admits only keys that no other missing key overwrites between two
+// visits, and it has admitted them within the first passes, so the
+// timed ops fill almost never and allocs/op is that of cache=off.
+func BenchmarkServeRankQueryColdCycle(b *testing.B) {
+	n := 20000
+	if testing.Short() {
+		n /= 10
+	}
+	c, err := NewCorpus(Config{Shards: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Close)
+	addDeck(b, c, newDeckGen(n), 0, n)
+	c.Sync()
+	queries := coldPairs()
+	for _, cache := range []bool{true, false} {
+		name := "cache=off"
+		c.qcache = nil
+		if cache {
+			name = "cache=on"
+			c.qcache = newQueryCache(queryCacheEntries)
+		}
+		for pass := 0; pass < 4; pass++ {
+			for _, q := range queries {
+				if _, err := c.Rank(q, 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		next := 0
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < 64; j++ {
+					if _, err := c.Rank(queries[next], 10); err != nil {
+						b.Fatal(err)
+					}
+					next = (next + 1) % len(queries)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkServeRankQueryUncachedMatches measures how the cold query

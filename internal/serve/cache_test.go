@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/policy"
@@ -10,7 +11,9 @@ import (
 
 // twinCorpora builds two identically seeded corpora, one with the
 // hot-query cache enabled and one with it disabled, and loads both with
-// the same mixed aware/zero-awareness pages.
+// the same mixed aware/zero-awareness pages. Every page also carries
+// one of eight group terms g0..g7, so "cache gK" and the like give many
+// distinct queries that each match several pages.
 func twinCorpora(t *testing.T, pages int, pol policy.Spec) (cached, uncached *Corpus) {
 	t.Helper()
 	build := func(cache bool) *Corpus {
@@ -27,7 +30,7 @@ func twinCorpora(t *testing.T, pages int, pol policy.Spec) (cached, uncached *Co
 			if i%3 == 0 {
 				pop = 0 // a third of the corpus starts unexplored
 			}
-			if err := c.Add(i, fmt.Sprintf("cache topic page%d", i), pop); err != nil {
+			if err := c.Add(i, fmt.Sprintf("cache topic page%d g%d", i, i%8), pop); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -184,5 +187,203 @@ func TestQueryCacheEviction(t *testing.T) {
 	}
 	if st := c.Stats(); st.QueryCacheEntries > 4 {
 		t.Fatalf("cache grew to %d entries, cap 4", st.QueryCacheEntries)
+	}
+}
+
+// evictCorpus is a one-shard corpus of 64 pages "evict shared termI"
+// behind a query cache of cap entries; the query "evict termI" matches
+// page I alone, so each I is a distinct key.
+func evictCorpus(t *testing.T, cap int) *Corpus {
+	t.Helper()
+	c := newTestCorpus(t, Config{Shards: 1, Seed: 5})
+	c.qcache = newQueryCache(cap)
+	for i := 0; i < 64; i++ {
+		if err := c.Add(i, fmt.Sprintf("evict shared term%d", i), float64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Sync()
+	return c
+}
+
+// rankHits ranks query once and reports whether the cache served it.
+func rankHits(t *testing.T, c *Corpus, query string) bool {
+	t.Helper()
+	before := c.Stats().QueryCacheHits
+	if _, err := c.Rank(query, 5); err != nil {
+		t.Fatal(err)
+	}
+	return c.Stats().QueryCacheHits > before
+}
+
+// TestQueryCacheAdmitsOnSecondMiss: once the cache is full, a key's
+// first miss only leaves its fingerprint with the doorkeeper; the
+// second miss stores the entry, so the third request hits.
+func TestQueryCacheAdmitsOnSecondMiss(t *testing.T) {
+	c := evictCorpus(t, 4)
+	for i := 0; i < 4; i++ {
+		rankHits(t, c, fmt.Sprintf("evict term%d", i))
+	}
+	if st := c.Stats(); st.QueryCacheEntries != 4 {
+		t.Fatalf("%d entries after 4 first misses with room, want 4", st.QueryCacheEntries)
+	}
+	const q = "evict term10"
+	for i, want := range []bool{false, false, true} {
+		if got := rankHits(t, c, q); got != want {
+			t.Fatalf("request %d of %q: hit %v, want %v", i+1, q, got, want)
+		}
+	}
+	if st := c.Stats(); st.QueryCacheEntries != 4 {
+		t.Fatalf("cache holds %d entries, cap 4", st.QueryCacheEntries)
+	}
+}
+
+// TestQueryCacheScanKeepsHotSet: a scan of one-shot queries ten times
+// the cache's size must not evict the hot set that filled it; filling
+// on every miss replaced it entirely.
+func TestQueryCacheScanKeepsHotSet(t *testing.T) {
+	c := evictCorpus(t, 4)
+	for i := 0; i < 4; i++ {
+		rankHits(t, c, fmt.Sprintf("evict term%d", i))
+	}
+	for i := 4; i < 64; i++ {
+		if rankHits(t, c, fmt.Sprintf("evict term%d", i)) {
+			t.Fatalf("one-shot query %d hit", i)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if !rankHits(t, c, fmt.Sprintf("evict term%d", i)) {
+			t.Fatalf("hot query %d evicted by the scan", i)
+		}
+	}
+}
+
+// TestQueryCacheStaleRefillsAtOnce: a key that is present but stale
+// (its epoch moved) refills on its first miss, as it did before the
+// doorkeeper, and the refilled entry serves what the uncached path does.
+func TestQueryCacheStaleRefillsAtOnce(t *testing.T) {
+	pol := policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.3}
+	cached, uncached := twinCorpora(t, 60, pol)
+	cached.qcache = newQueryCache(4)
+	queries := []string{"cache g0", "cache g1", "cache g2", "cache g3"}
+	for _, q := range queries {
+		if _, err := cached.Rank(q, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := cached.Epoch()
+	events := []Event{{Page: 9, Slot: 1, Impressions: 5, Clicks: 4}} // page 9 is in g1
+	for _, c := range []*Corpus{cached, uncached} {
+		if err := c.Feedback(events); err != nil {
+			t.Fatal(err)
+		}
+		c.Sync()
+	}
+	if cached.Epoch() == epoch {
+		t.Fatal("feedback left the corpus epoch unchanged")
+	}
+	for _, q := range queries {
+		if rankHits(t, cached, q) {
+			t.Fatalf("%q served from a stale entry", q)
+		}
+		if !rankHits(t, cached, q) {
+			t.Fatalf("%q did not refill on its first stale miss", q)
+		}
+		a, _ := cached.RankSeeded(q, 5, 9)
+		b, _ := uncached.RankSeeded(q, 5, 9)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%q after refill: cached %+v != uncached %+v", q, a, b)
+		}
+	}
+}
+
+// groupQueries is 24 distinct queries over twinCorpora's pages, each
+// matching several of them.
+func groupQueries() []string {
+	var qs []string
+	for g := 0; g < 8; g++ {
+		qs = append(qs, fmt.Sprintf("cache g%d", g), fmt.Sprintf("topic g%d", g), fmt.Sprintf("cache topic g%d", g))
+	}
+	return qs
+}
+
+// TestQueryCacheIdentityFull is TestQueryCacheIdentity over a cache of
+// four entries and 24 keys: every request meets a full cache, so it
+// covers the doorkeeper's uncached first miss, its admitting second
+// miss and the hit that follows, each byte-identical to the uncached
+// path at the same seed.
+func TestQueryCacheIdentityFull(t *testing.T) {
+	pol := policy.Spec{Rule: policy.RuleSelective, K: 2, R: 0.4}
+	cached, uncached := twinCorpora(t, 60, pol)
+	cached.qcache = newQueryCache(4)
+	seed := uint64(0)
+	for round := 0; round < 2; round++ {
+		for _, q := range groupQueries() {
+			for rep := 0; rep < 3; rep++ {
+				seed++
+				a, err := cached.RankSeeded(q, 6, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := uncached.RankSeeded(q, 6, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%q seed %d: cached %+v != uncached %+v", q, seed, a, b)
+				}
+			}
+		}
+	}
+	st := cached.Stats()
+	if st.QueryCacheHits == 0 || st.QueryCacheEntries != 4 {
+		t.Fatalf("hits %d, entries %d: want hits and a full cache of 4", st.QueryCacheHits, st.QueryCacheEntries)
+	}
+}
+
+// TestQueryCacheConcurrentFull races ranks over a full cache of four
+// entries: goroutines mix the hot keys with one-shot and repeated
+// misses, so lookups, doorkeeper slots, admissions and evictions all
+// interleave. Run under -race; every result must still equal the
+// uncached corpus's at the same seed.
+func TestQueryCacheConcurrentFull(t *testing.T) {
+	pol := policy.Spec{Rule: policy.RuleSelective, K: 1, R: 0.3}
+	cached, uncached := twinCorpora(t, 60, pol)
+	cached.qcache = newQueryCache(4)
+	queries := groupQueries()
+	for _, q := range queries[:4] {
+		if _, err := cached.Rank(q, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				q := queries[(i*(g+1)+g)%len(queries)]
+				seed := uint64(g*1000 + i)
+				a, err := cached.RankSeeded(q, 5, seed)
+				if err != nil {
+					errs <- err
+					return
+				}
+				b, _ := uncached.RankSeeded(q, 5, seed)
+				if !reflect.DeepEqual(a, b) {
+					errs <- fmt.Errorf("%q seed %d: cached %+v != uncached %+v", q, seed, a, b)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := cached.Stats(); st.QueryCacheEntries > 4 || st.QueryCacheHits == 0 {
+		t.Fatalf("entries %d (cap 4), hits %d", st.QueryCacheEntries, st.QueryCacheHits)
 	}
 }

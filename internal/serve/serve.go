@@ -1357,19 +1357,22 @@ func heapSort(best []candRef) {
 // applies per arm. A hit skips retrieval, stat loads and top-K selection
 // entirely and runs the merge over the entry's det list and pool with
 // fresh per-request randomness — byte-identical to the uncached path at
-// the same RNG seed. The coin selection rule (uniform) draws per
-// candidate to form the pool, so its assembly is inherently per-request
-// and bypasses the cache.
+// the same RNG seed. A miss builds an entry only when the cache admits
+// the key (cache.go): a full cache admits a new key on its second miss,
+// so a query that never repeats pays no copies and no write lock. The
+// coin selection rule (uniform) draws per candidate to form the pool,
+// so its assembly is inherently per-request and bypasses the cache.
 func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, rng *randutil.RNG, rs *reqScratch) policy.Source {
 	snap := c.idx.Snapshot()
 	sel := arm.spec.Selection()
 	det, pool := rs.det, rs.pool
 	coinPool := (*policy.Slice)(&rs.pool)
-	cacheable := c.qcache != nil && sel != policy.SelectCoin
 	var key cacheKey
-	if cacheable {
+	fill := false
+	if c.qcache != nil && sel != policy.SelectCoin {
 		key = cacheKey{arm: arm.name, query: searchidx.NormalizeQuery(query)}
-		if e := c.qcache.get(key, n, snap.Epoch(), c.Epoch()); e != nil {
+		var e *queryCacheEntry
+		if e, fill = c.qcache.get(key, n, snap.Epoch(), c.Epoch()); e != nil {
 			c.cacheHits.Add(1)
 			rs.det = append(det, e.det[:min(n, len(e.det))]...)
 			rs.matches = e.pool
@@ -1472,7 +1475,7 @@ func (c *Corpus) queryCandidates(arm *armState, r float64, query string, n int, 
 	if coin {
 		return coinPool
 	}
-	if cacheable && len(poolAll) <= maxCachedPool {
+	if fill && len(poolAll) <= maxCachedPool {
 		c.qcache.put(key, &queryCacheEntry{
 			idxEpoch: idxEpoch,
 			srvEpoch: srvEpoch,

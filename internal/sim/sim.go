@@ -317,11 +317,31 @@ func (w treapWindow) At(i int) int {
 	return e.ID
 }
 
+// rankWindows splits the treap's ranking at rank split into the ranks
+// above it and the ranks from it on. A snapshot day materializes the
+// whole list, so it reads the treap once in rank order; any other day
+// resolves only the positions its visits land on, one Select each.
+func (s *Simulator) rankWindows(split int, whole bool) (above, below policy.Source) {
+	if !whole {
+		return treapWindow{t: s.treap, length: split},
+			treapWindow{t: s.treap, offset: split, length: s.n - split}
+	}
+	ranked := s.treap.AppendRanked(s.rankedBuf[:0])
+	s.rankedBuf = ranked
+	ids := s.detBuf[:0]
+	for _, e := range ranked {
+		ids = append(ids, e.ID)
+	}
+	s.detBuf = ids
+	return policy.Slice(ids[:split]), policy.Slice(ids[split:])
+}
+
 // buildPresenter constructs the day's position resolver from the frozen
-// ranking state. The policy's merge parameters are re-read every day, so
+// ranking state; whole says the day's list will be materialized (a
+// snapshot day). The policy's merge parameters are re-read every day, so
 // state-dependent policies (epsilon-decay) anneal as the community's
 // zero-awareness count moves.
-func (s *Simulator) buildPresenter() *policy.Resolver {
+func (s *Simulator) buildPresenter(whole bool) *policy.Resolver {
 	k, r := s.policy.Params(policy.State{Pages: s.n, ZeroAware: s.zero})
 	var det, pool policy.Source
 	switch s.policy.Selection() {
@@ -329,8 +349,7 @@ func (s *Simulator) buildPresenter() *policy.Resolver {
 		// Quality is strictly positive, so popularity is zero exactly when
 		// awareness is zero: the deterministic list is the treap's top
 		// block and the promotion pool its bottom block.
-		det = treapWindow{t: s.treap, length: s.n - s.zero}
-		pool = treapWindow{t: s.treap, offset: s.n - s.zero, length: s.zero}
+		det, pool = s.rankWindows(s.n-s.zero, whole)
 	case policy.SelectCoin:
 		// Pool membership is resampled once per day (a documented
 		// simplification), but the shuffle-and-merge is fresh per query
@@ -352,7 +371,8 @@ func (s *Simulator) buildPresenter() *policy.Resolver {
 		s.detBuf, s.poolBuf = detIDs, poolIDs
 		det, pool = policy.Slice(detIDs), policy.Slice(poolIDs)
 	default: // SelectNone
-		det, k, r = treapWindow{t: s.treap, length: s.n}, 1, 0
+		det, _ = s.rankWindows(s.n, whole)
+		k, r = 1, 0
 	}
 	res, err := policy.NewResolver(det, pool, k, r)
 	if err != nil {
@@ -363,10 +383,10 @@ func (s *Simulator) buildPresenter() *policy.Resolver {
 
 // StepDay advances the simulation by one day.
 func (s *Simulator) StepDay() {
-	pres := s.buildPresenter()
-
 	// Expected-QPC snapshot from the frozen presented list.
-	if s.measuring && s.day%s.opts.SnapshotEvery == 0 {
+	snapshot := s.measuring && s.day%s.opts.SnapshotEvery == 0
+	pres := s.buildPresenter(snapshot)
+	if snapshot {
 		s.takeSnapshot(pres)
 	}
 

@@ -25,8 +25,9 @@
 package shuffledeck
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/analytic"
 	"repro/internal/community"
@@ -129,14 +130,17 @@ func (r *Ranker) Rank(pages []PageStat) []int {
 func (r *Ranker) rankInto(pages []PageStat, dst []int) []int {
 	ordered := append(r.ordered[:0], pages...)
 	r.ordered = ordered
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Popularity != ordered[j].Popularity {
-			return ordered[i].Popularity > ordered[j].Popularity
+	// Entries this order ties share their ID, so swapping them changes
+	// neither det nor pool below: an unstable sort ranks exactly as a
+	// stable one would.
+	slices.SortFunc(ordered, func(a, b PageStat) int {
+		if c := cmp.Compare(b.Popularity, a.Popularity); c != 0 {
+			return c
 		}
-		if ordered[i].Age != ordered[j].Age {
-			return ordered[i].Age > ordered[j].Age // larger Age = older = first
+		if c := cmp.Compare(b.Age, a.Age); c != 0 {
+			return c // larger Age = older = first
 		}
-		return ordered[i].ID < ordered[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	unexplored := 0
 	for _, p := range ordered {
