@@ -442,6 +442,63 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
+// probeRaw sends one raw handshake message to a replication listener
+// and returns the decoded reply.
+func probeRaw(t *testing.T, addr string, hs []byte) reply {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(2 * time.Second))
+	if err := writeMsg(conn, hs); err != nil {
+		t.Fatal(err)
+	}
+	body, err := readMsg(bufio.NewReader(conn), maxCtrlMsg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := decodeReply(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rp
+}
+
+// TestHandshakeRefusesNonMembers: a leader registers a follower track
+// only for another member of the cluster. A stranger's acks would count
+// toward the write quorum and its start position would hold WAL
+// truncation forever, so a handshake from an unknown node or from the
+// leader's own ID is refused and leaves no track behind; nor does a
+// stranger claiming a higher epoch fence the leader.
+func TestHandshakeRefusesNonMembers(t *testing.T) {
+	c, err := New(fastOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	li := c.LeaderIndex(0)
+	leader := c.Node(li)
+	epoch := c.Registry.Epoch(0)
+	for _, hs := range []handshake{
+		{node: "intruder", epoch: epoch},
+		{node: leader.ID(), epoch: epoch},
+		{node: "intruder", epoch: epoch + 5},
+	} {
+		hs.startLSN, hs.minor = 1, protoMinor
+		if rp := probeRaw(t, leader.ReplAddr(), hs.encode()); rp.status != replyError {
+			t.Fatalf("handshake as %q at epoch %d: status %d (%s), want replyError", hs.node, hs.epoch, rp.status, rp.detail)
+		}
+		if _, ok := leader.shards[0].followers.Load(hs.node); ok {
+			t.Fatalf("leader registered a follower track for %q", hs.node)
+		}
+		if sr := leader.shards[0]; sr.role.Load() != roleLeader || sr.epoch.Load() != epoch {
+			t.Fatalf("handshake as %q at epoch %d moved the leader to %s at epoch %d", hs.node, hs.epoch, roleName(sr.role.Load()), sr.epoch.Load())
+		}
+	}
+}
+
 // TestFencingHandshake probes the wire-level fencing rules directly: a
 // handshake claiming a higher epoch is refused with replyEpoch, and a
 // handshake to a non-leader is refused with replyNotLeader.
@@ -452,54 +509,36 @@ func TestFencingHandshake(t *testing.T) {
 	}
 	defer c.Close()
 
-	probeRaw := func(addr string, hs []byte) reply {
-		t.Helper()
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(2 * time.Second))
-		if err := writeMsg(conn, hs); err != nil {
-			t.Fatal(err)
-		}
-		body, err := readMsg(bufio.NewReader(conn), maxCtrlMsg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rp, err := decodeReply(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rp
-	}
 	probe := func(addr string, hs handshake) reply {
 		t.Helper()
 		hs.minor = protoMinor
-		return probeRaw(addr, hs.encode())
+		return probeRaw(t, addr, hs.encode())
 	}
 
-	// A follower node does not serve the shard.
+	// A follower node does not serve the shard. The probes name a
+	// member: a stranger's handshake is refused before any of this.
 	li := c.LeaderIndex(0)
 	follower := (li + 1) % c.Len()
 	if c.LeaderIndex(0) == follower {
 		follower = (li + 2) % c.Len()
 	}
-	rp := probe(c.Node(follower).ReplAddr(), handshake{node: "probe", shard: 0, epoch: 1, startLSN: 1})
+	member := c.Node(li).ID()
+	rp := probe(c.Node(follower).ReplAddr(), handshake{node: member, shard: 0, epoch: 1, startLSN: 1})
 	if rp.status != replyNotLeader {
 		t.Fatalf("follower handshake: status %d, want replyNotLeader", rp.status)
 	}
 
 	// A handshake without the protocol minor is told why it was refused.
-	old := handshake{node: "probe", shard: 0, epoch: 1, startLSN: 1, minor: protoMinor}.encode()
-	rp = probeRaw(c.Node(li).ReplAddr(), old[:len(old)-1])
+	member = c.Node(follower).ID()
+	old := handshake{node: member, shard: 0, epoch: 1, startLSN: 1, minor: protoMinor}.encode()
+	rp = probeRaw(t, c.Node(li).ReplAddr(), old[:len(old)-1])
 	if rp.status != replyError || !strings.Contains(rp.detail, "no protocol minor") {
 		t.Fatalf("minor-less handshake: status %d detail %q, want replyError naming the missing minor", rp.status, rp.detail)
 	}
 
 	// A higher-epoch handshake fences the stale leader.
 	epoch := c.Registry.Epoch(0)
-	rp = probe(c.Node(li).ReplAddr(), handshake{node: "probe", shard: 0, epoch: epoch + 5, startLSN: 1})
+	rp = probe(c.Node(li).ReplAddr(), handshake{node: member, shard: 0, epoch: epoch + 5, startLSN: 1})
 	if rp.status != replyEpoch {
 		t.Fatalf("stale-leader handshake: status %d, want replyEpoch", rp.status)
 	}

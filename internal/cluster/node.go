@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/serve"
 	"repro/internal/store"
-	"repro/internal/wal"
 )
 
 // Per-shard replication roles.
@@ -124,9 +124,6 @@ type shardRepl struct {
 	// ack.
 	notify    *commitNotify
 	ackNotify *commitNotify
-	// ring is the in-memory tail of the shard's durable WAL
-	// (framering.go): the shipping hot path, fed by OnCommit.
-	ring *frameRing
 	// followers maps follower node ID → track, leader side. Tracks
 	// persist across disconnects: a registered follower that goes away
 	// keeps holding WAL truncation at its last acked position, so it
@@ -135,8 +132,7 @@ type shardRepl struct {
 }
 
 type followerTrack struct {
-	acked     atomic.Uint64
-	lastAckNS atomic.Int64
+	acked atomic.Uint64
 }
 
 // commitNotify is a broadcast edge: Signal wakes every goroutine
@@ -216,15 +212,10 @@ func NewNode(cfg NodeConfig, coord Coordinator) (*Node, error) {
 		shards: make([]*shardRepl, cfg.Corpus.Shards),
 	}
 	for i := range n.shards {
-		n.shards[i] = &shardRepl{notify: newCommitNotify(), ackNotify: newCommitNotify(), ring: &frameRing{}}
+		n.shards[i] = &shardRepl{notify: newCommitNotify(), ackNotify: newCommitNotify()}
 	}
-	// Feed the frame ring with each group commit once it is durable, and
-	// wake the shard's shippers.
-	cfg.Corpus.OnCommit = func(shard int, firstLSN uint64, frames []byte) {
-		sr := n.shards[shard]
-		sr.ring.Append(firstLSN, frames)
-		sr.notify.Signal()
-	}
+	// Wake the shard's shippers after each durable group commit.
+	cfg.Corpus.OnCommit = func(shard int) { n.shards[shard].notify.Signal() }
 	corpus, err := serve.NewCorpus(cfg.Corpus)
 	if err != nil {
 		return nil, err
@@ -847,6 +838,14 @@ func (n *Node) serveSession(conn net.Conn) {
 	}
 	sr := n.shards[si]
 	myEpoch := sr.epoch.Load()
+	// Only another member may follow, or fence this node with a higher
+	// epoch: a track's acks count toward the write quorum and its
+	// position holds WAL truncation.
+	if hs.node == n.cfg.ID || !slices.Contains(n.coord.Nodes(), hs.node) {
+		n.sendReply(conn, reply{status: replyError, epoch: myEpoch,
+			detail: fmt.Sprintf("%q is not a follower member of the cluster", hs.node)})
+		return
+	}
 	if hs.epoch > myEpoch {
 		// The follower has seen a higher epoch than ours: we are the
 		// stale one. Refuse the session and fence ourselves.
@@ -919,7 +918,6 @@ func (n *Node) serveSession(conn net.Conn) {
 			}
 			if a.lsn > track.acked.Load() {
 				track.acked.Store(a.lsn)
-				track.lastAckNS.Store(time.Now().UnixNano())
 				n.recomputeTruncateFloor(si)
 				sr.ackNotify.Signal()
 			}
@@ -953,18 +951,17 @@ const (
 // heartbeating while idle, until the connection dies or this node stops
 // leading the shard at the session epoch.
 //
-// The hot path reads from the in-memory frame ring, which is fed each
-// group commit's frames once they are durable, so every frame shipped is
-// final. A follower too far behind the ring is served from a (reused)
-// WAL reader until it rejoins the ring.
+// It ships from one WAL reader that follows the log for the whole
+// session. Every frame it ships is at or below the committed position,
+// so it is durable and final: a failed commit never reaches a follower.
 func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint64, track *followerTrack) {
 	hb := time.NewTicker(n.cfg.HeartbeatEvery)
 	defer hb.Stop()
+	rd := n.corpus.WALReader(si, pos)
+	defer rd.Close()
 	var (
 		out     bytes.Buffer
 		scratch []byte
-		rd      *wal.Reader
-		rdPos   uint64
 	)
 	sendHB := func(committed uint64) bool {
 		msg := heartbeat{epoch: epoch, commitLSN: committed, nanos: uint64(time.Now().UnixNano())}
@@ -996,78 +993,24 @@ func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint6
 		}
 		committedC, acked = sr.notify.Wait(), sr.ackNotify.Wait()
 		committed := n.corpus.CommittedLSN(si)
-		// Every LSN up to limit is durable and in the WAL's published
-		// extent: the ring is fed after a commit's segment accounting, and
-		// the committed position is stored after that, so a WAL reader
-		// made below covers both.
-		limit := committed
-		if next := sr.ring.NextLSN(); next > 0 && next-1 > limit {
-			limit = next - 1
-		}
 		// Windowed credit: wait for acks once the unacked span fills the
-		// window.
-		if acked := track.acked.Load(); pos > acked && pos-acked > replWindow {
+		// window. Caught up: wait for the next commit or ack.
+		if acked := track.acked.Load(); (pos > acked && pos-acked > replWindow) || pos > committed {
 			if !idle(committed) {
 				return
 			}
 			continue
-		}
-		if pos > limit {
-			// Caught up: wait for the next commit or ack.
-			if !idle(committed) {
-				return
-			}
-			continue
-		}
-		if payloads, ok := sr.ring.Read(pos, shipBatchBytes); ok {
-			rd = nil
-			out.Reset()
-			var frameBytes int64
-			for _, p := range payloads {
-				scratch = appendFrameMsg(scratch[:0], epoch, pos, p)
-				if err := writeMsg(&out, scratch); err != nil {
-					return
-				}
-				frameBytes += int64(len(p))
-				pos++
-			}
-			conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			if _, err := conn.Write(out.Bytes()); err != nil {
-				return
-			}
-			if len(payloads) > 0 {
-				updateAvg(&sr.avgFrameBytes, frameBytes/int64(len(payloads)))
-			}
-			continue
-		}
-		// The ring cannot serve pos (evicted, or fed only from a later
-		// commit on): stream from the WAL itself through a reader reused
-		// until it is exhausted.
-		fresh := false
-		if rd == nil || rdPos != pos {
-			rd, rdPos, fresh = n.corpus.WALReader(si, pos), pos, true
 		}
 		out.Reset()
 		var frames, frameBytes int64
-		for pos <= limit && out.Len() < shipBatchBytes {
+		for pos <= committed && out.Len() < shipBatchBytes {
 			lsn, payload, ok, err := rd.Next()
-			if err != nil || (ok && lsn != pos) {
-				// Reader raced truncation or hit a gap; the follower
-				// will re-handshake and, if needed, catch up from a
-				// snapshot.
-				n.cfg.Logf("cluster %s: shard %d: ship read at %d: ok=%v err=%v", n.cfg.ID, si, pos, ok, err)
+			if err != nil || !ok || lsn != pos {
+				// The log was reset or truncated under the reader, or
+				// ends short of the committed position: the follower will
+				// re-handshake and, if needed, catch up from a snapshot.
+				n.cfg.Logf("cluster %s: shard %d: ship read at %d: lsn=%d ok=%v err=%v", n.cfg.ID, si, pos, lsn, ok, err)
 				return
-			}
-			if !ok {
-				// The reader's snapshot of the log ran out. A fresh one
-				// must cover pos ≤ limit; a stale one just needs
-				// recreating.
-				if fresh {
-					n.cfg.Logf("cluster %s: shard %d: ship read at %d: log ends early", n.cfg.ID, si, pos)
-					return
-				}
-				rd = nil
-				break
 			}
 			scratch = appendFrameMsg(scratch[:0], epoch, lsn, payload)
 			if err := writeMsg(&out, scratch); err != nil {
@@ -1076,17 +1019,12 @@ func (n *Node) shipFrames(si int, sr *shardRepl, conn net.Conn, epoch, pos uint6
 			frames++
 			frameBytes += int64(len(payload))
 			pos++
-			rdPos = pos
 		}
-		if out.Len() > 0 {
-			conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			if _, err := conn.Write(out.Bytes()); err != nil {
-				return
-			}
+		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(out.Bytes()); err != nil {
+			return
 		}
-		if frames > 0 {
-			updateAvg(&sr.avgFrameBytes, frameBytes/frames)
-		}
+		updateAvg(&sr.avgFrameBytes, frameBytes/frames)
 	}
 }
 
@@ -1096,7 +1034,6 @@ func (n *Node) registerFollower(si int, node string, acked uint64) *followerTrac
 	sr := n.shards[si]
 	t := &followerTrack{}
 	t.acked.Store(acked)
-	t.lastAckNS.Store(time.Now().UnixNano())
 	if prev, loaded := sr.followers.LoadOrStore(node, t); loaded {
 		t = prev.(*followerTrack)
 		if acked > t.acked.Load() {

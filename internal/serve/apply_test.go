@@ -148,6 +148,7 @@ func TestInMemoryApplyMatchesDurable(t *testing.T) {
 func replicate(t *testing.T, leader, follower *Corpus, shard int) {
 	t.Helper()
 	r := leader.WALReader(shard, follower.CommittedLSN(shard)+1)
+	defer r.Close()
 	var frames []ReplFrame
 	for {
 		lsn, payload, ok, err := r.Next()

@@ -492,6 +492,7 @@ func TestFeedbackReportsCommitLSN(t *testing.T) {
 	seen := 0
 	for si := 0; si < shards; si++ {
 		r := c.WALReader(si, c.WALFirstLSN(si))
+		defer r.Close()
 		for {
 			lsn, payload, ok, err := r.Next()
 			if err != nil {

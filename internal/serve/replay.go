@@ -113,10 +113,12 @@ type shardCursor struct {
 	lsn   uint64
 }
 
-// advance decodes the cursor's next record; ok=false at end of log.
+// advance decodes the cursor's next record; ok=false at end of log,
+// where the cursor releases its reader.
 func (c *shardCursor) advance() (ok bool, err error) {
 	lsn, payload, ok, err := c.rd.Next()
 	if err != nil || !ok {
+		c.rd.Close()
 		return false, err
 	}
 	rec, err := decodeWALRecord(payload)

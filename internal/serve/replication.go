@@ -1,13 +1,13 @@
 // Replication support under the serving layer: the hooks internal/cluster
 // uses to turn each shard's WAL into a shipped log. A leader's apply loop
-// hands every durable group commit's frames to Config.OnCommit; a shipper
-// thread streams them to followers (reading older frames with WALReader),
-// which feed them back in through ApplyReplicatedAsync — raw payloads
-// appended to the follower's own WAL (byte-identical frames, same LSNs),
-// committed, and applied through applyRecord, the path boot recovery
-// replays through. A follower that is too far behind a truncated log
-// instead receives a store snapshot and installs it with
-// InstallReplicaSnapshot.
+// tells Config.OnCommit of every durable group commit; a shipper thread
+// per follower reads the new frames with one WALReader that follows the
+// log and streams them, and followers feed them back in through
+// ApplyReplicatedAsync — raw payloads appended to the follower's own WAL
+// (byte-identical frames, same LSNs), committed, and applied through
+// applyRecord, the path boot recovery replays through. A follower that
+// is too far behind a truncated log instead receives a store snapshot
+// and installs it with InstallReplicaSnapshot.
 //
 // The serving layer stays cluster-agnostic: it knows "this shard takes
 // local writes" (leader) or "this shard advances only via replicated
@@ -61,9 +61,10 @@ func (c *Corpus) CommittedLSN(shard int) uint64 {
 func (c *Corpus) Indexing(shard int) bool { return c.shards[shard].indexing.Load() > 0 }
 
 // WALReader returns a cursor over the shard's committed frames with
-// LSN >= from. The cursor snapshots the log's committed extent at the
-// call: frames committed later need a fresh one. Safe to call
-// concurrently with the apply loop.
+// LSN >= from that follows the log: frames committed after the call are
+// returned by later Next calls, and a log reset or a truncation past the
+// cursor is an error, never a skip. Safe to use concurrently with the
+// apply loop; Close releases it.
 func (c *Corpus) WALReader(shard int, from uint64) *wal.Reader {
 	return c.shards[shard].st.Log.Reader(from)
 }

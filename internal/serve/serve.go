@@ -178,13 +178,13 @@ type Config struct {
 	Limits     Limits
 	Durability Durability
 
-	// OnCommit, when non-nil, receives each successful WAL group commit
-	// of a shard: its first LSN and raw frame bytes, once they are
-	// durable (wal.Options.OnCommit). A failed commit never reaches it.
-	// It runs on the shard's apply goroutine, inside the commit, so it
-	// must copy what it keeps and return quickly; replication feeds its
-	// ship queue from it. Ignored without Durability.DataDir.
-	OnCommit func(shard int, firstLSN uint64, frames []byte)
+	// OnCommit, when non-nil, is told each time a shard's WAL group
+	// commit succeeds, once CommittedLSN covers it; a failed commit never
+	// reaches it. It runs on the shard's apply goroutine, so it must
+	// return quickly: replication uses it to wake the shard's shippers,
+	// which read the new frames with WALReader. Ignored without
+	// Durability.DataDir.
+	OnCommit func(shard int)
 }
 
 // Validate reports the first problem with the configuration, or nil.
@@ -368,7 +368,7 @@ type shard struct {
 	shardState
 
 	cfg Config
-	id  int // shard index, for the OnCommit replication hook
+	id  int // shard index, for the OnCommit wake-up
 	ch  chan applyReq
 
 	// credits counts admission-controlled batches admitted but not yet
@@ -601,16 +601,6 @@ func NewCorpus(cfg Config) (*Corpus, error) {
 			c.st.Close()
 			c.syncPool.Close()
 			return nil, err
-		}
-		if cfg.OnCommit != nil {
-			// Per-shard commit hooks must be bound before the apply loops
-			// start.
-			for _, sh := range c.shards {
-				shardID := sh.id
-				sh.st.Log.SetOnCommit(func(first uint64, frames []byte) {
-					cfg.OnCommit(shardID, first, frames)
-				})
-			}
 		}
 	}
 	for _, sh := range c.shards {
@@ -1635,6 +1625,9 @@ func (sh *shard) commitGroup(reqs []applyReq, now int64) (replErrs []error, endL
 	if end := sh.st.Log.NextLSN() - 1; end >= startLSN {
 		sh.committedLSN.Store(end)
 		endLSN = end
+		if fn := sh.cfg.OnCommit; fn != nil {
+			fn(sh.id)
+		}
 	}
 	return replErrs, endLSN, true
 }

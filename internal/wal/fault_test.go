@@ -2,8 +2,10 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -161,43 +163,46 @@ func TestFsyncFailureRetainsBatchUntilRetry(t *testing.T) {
 	}
 }
 
-// TestOnCommitSeesOnlyDurableBatches: the commit hook never sees a
-// batch whose fsync failed, and when the retry succeeds it gets the
-// whole batch once, with a Reader already covering it.
-func TestOnCommitSeesOnlyDurableBatches(t *testing.T) {
+// readAll drains a reader up to the end of what is committed, as
+// "lsn:payload" strings, failing the test on a read error.
+func readAll(t *testing.T, r *Reader) []string {
+	t.Helper()
+	var out []string
+	for {
+		lsn, p, ok, err := r.Next()
+		if err != nil {
+			t.Fatalf("reader: %v", err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, fmt.Sprintf("%d:%s", lsn, p))
+	}
+}
+
+// TestReaderNeverReadsPastCommittedSize: a reader made before a commit
+// whose fsync fails, and first read after it, sees nothing of the failed
+// batch — its bytes are in the segment file, past the committed size —
+// and once the batch is dropped and a different batch committed at the
+// same LSNs, the reader returns the new records, each once.
+func TestReaderNeverReadsPastCommittedSize(t *testing.T) {
 	inj := &faultfs.Injector{}
 	l, _, err := Open(t.TempDir(), Options{Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	type call struct {
-		first    uint64
-		payloads []string
-		readable uint64 // last LSN a Reader made inside the hook returns
+	if _, err := l.Append([]byte("zero")); err != nil {
+		t.Fatal(err)
 	}
-	var calls []call
-	l.SetOnCommit(func(first uint64, frames []byte) {
-		c := call{first: first}
-		ForEachFrame(frames, func(p []byte) bool {
-			c.payloads = append(c.payloads, string(p))
-			return true
-		})
-		r := l.Reader(first)
-		for {
-			lsn, _, ok, err := r.Next()
-			if err != nil {
-				t.Error(err)
-			}
-			if !ok {
-				break
-			}
-			c.readable = lsn
-		}
-		calls = append(calls, c)
-	})
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	r := l.Reader(1)
+	defer r.Close()
+
 	inj.FailSyncs(1)
-	for _, rec := range []string{"one", "two"} {
+	for _, rec := range []string{"old-a", "old-b"} {
 		if _, err := l.Append([]byte(rec)); err != nil {
 			t.Fatal(err)
 		}
@@ -205,15 +210,28 @@ func TestOnCommitSeesOnlyDurableBatches(t *testing.T) {
 	if err := l.Commit(); !errors.Is(err, faultfs.ErrInjectedSync) {
 		t.Fatalf("commit error = %v, want injected sync", err)
 	}
-	if len(calls) != 0 {
-		t.Fatalf("hook saw a failed commit: %+v", calls)
+	// The failed batch's bytes are in the file now; the reader's first
+	// read must stop where the committed size does.
+	if got := readAll(t, r); len(got) != 1 || got[0] != "1:zero" {
+		t.Fatalf("after the failed commit: %v, want [1:zero]", got)
+	}
+	if err := l.DropBuffered(); err != nil {
+		t.Fatal(err)
+	}
+	// Same LSNs, same frame sizes, different bytes.
+	for _, rec := range []string{"new-a", "new-b"} {
+		if _, err := l.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Commit(); err != nil {
-		t.Fatalf("retry: %v", err)
+		t.Fatal(err)
 	}
-	if len(calls) != 1 || calls[0].first != 1 || len(calls[0].payloads) != 2 ||
-		calls[0].payloads[0] != "one" || calls[0].payloads[1] != "two" || calls[0].readable != 2 {
-		t.Fatalf("hook calls = %+v, want one call at LSN 1 with [one two], readable through 2", calls)
+	if got := readAll(t, r); strings.Join(got, " ") != "2:new-a 3:new-b" {
+		t.Fatalf("after the retry: %v, want [2:new-a 3:new-b]", got)
+	}
+	if got := readAll(t, r); len(got) != 0 {
+		t.Fatalf("reader returned records twice: %v", got)
 	}
 }
 

@@ -122,14 +122,6 @@ type Options struct {
 	// still issues one logical sync per group commit; the pool decides
 	// how many device round trips that costs.
 	SyncPool *SyncPool
-	// OnCommit, when non-nil, is called by Commit once the batch is
-	// durable and published: after the sync, the directory sync and the
-	// segment accounting, so a Reader created inside the call already
-	// covers the batch. frames is the raw frame bytes of the batch
-	// starting at LSN first; the slice is only valid during the call. A
-	// failed Commit never reaches it. Replication feeds its in-memory
-	// ship queue from it.
-	OnCommit func(first uint64, frames []byte)
 }
 
 func (o Options) withDefaults() Options {
@@ -177,8 +169,11 @@ type Log struct {
 	// on an empty log, the LSN the next record will get). Guarded by
 	// segMu so FirstLSN never touches nextLSN cross-goroutine.
 	firstRetained uint64
-	buf           []byte // frames appended since the last successful Commit
-	bufFirst      uint64 // LSN of the first buffered frame
+	// resets counts ResetTo calls, so a Reader can tell that the log it
+	// follows was discarded under it. Guarded by segMu.
+	resets   uint64
+	buf      []byte // frames appended since the last successful Commit
+	bufFirst uint64 // LSN of the first buffered frame
 	// pendingStart is the buffer offset of an open BeginRecord frame
 	// (meaningful only between BeginRecord and EndRecord).
 	pendingStart int
@@ -375,6 +370,9 @@ func Open(dir string, opts Options) (*Log, RecoverInfo, error) {
 	return l, info, nil
 }
 
+// segmentName names the segment file whose first record has LSN first.
+func segmentName(first uint64) string { return fmt.Sprintf("wal-%016x.seg", first) }
+
 // scanSegments lists the segment files in LSN order.
 func scanSegments(dir string) ([]segment, error) {
 	entries, err := os.ReadDir(dir)
@@ -417,29 +415,6 @@ func validateSegment(path string) (records uint64, validBytes, tornBytes int64, 
 			return records, off, 0, nil
 		}
 	}
-}
-
-// ForEachFrame walks a raw run of encoded frames (the bytes an OnCommit
-// hook receives) and yields each record payload in order, stopping early
-// when fn returns false or a frame fails validation. It returns the
-// number of complete frames yielded — for hook input that is always the
-// run's full frame count.
-func ForEachFrame(frames []byte, fn func(payload []byte) bool) int {
-	var off int64
-	count := 0
-	for off < int64(len(frames)) {
-		n, valid := frameAt(frames, off)
-		if !valid {
-			break
-		}
-		if !fn(frames[off+frameHeader : off+n]) {
-			count++
-			break
-		}
-		count++
-		off += n
-	}
-	return count
 }
 
 // frameAt validates the frame starting at off and returns its total
@@ -533,7 +508,7 @@ func (l *Log) EndRecord(buf []byte) (uint64, error) {
 
 // Commit writes every record appended since the last Commit and makes
 // the batch durable per the fsync mode — the group-commit boundary. It
-// runs on the caller's goroutine: write, sync, publish, then OnCommit.
+// runs on the caller's goroutine: write, sync, then publish.
 //
 // Commit is transactional about the log's own state: nothing (segment
 // bounds, sizes, the append buffer) is updated until the batch has been
@@ -590,9 +565,6 @@ func (l *Log) Commit() error {
 	l.segMu.Unlock()
 	l.size.Add(n)
 	l.stats.note(int(last-l.bufFirst+1), time.Since(start).Nanoseconds())
-	if fn := l.opts.OnCommit; fn != nil {
-		fn(l.bufFirst, l.buf)
-	}
 	l.buf = l.buf[:0]
 	if full {
 		// Rotate: the next Commit opens a fresh segment. The batch is
@@ -667,7 +639,7 @@ func (l *Log) ensureActive(first uint64) error {
 	// active is nil only on a fresh/fully-truncated log or right after a
 	// rotation close — both cases start a new segment (Open reopens a
 	// final segment with room itself).
-	path := filepath.Join(l.dir, fmt.Sprintf("wal-%016x.seg", first))
+	path := filepath.Join(l.dir, segmentName(first))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -687,14 +659,6 @@ func (l *Log) ensureActive(first uint64) error {
 	// entry durable before publishing anything.
 	l.dirSync = true
 	return nil
-}
-
-// SetOnCommit installs (or replaces) the Options.OnCommit hook. Like the
-// rest of the mutating API it belongs to the appender: the owner wires
-// per-shard hooks up after Open, before the goroutine that commits
-// starts.
-func (l *Log) SetOnCommit(fn func(first uint64, frames []byte)) {
-	l.opts.OnCommit = fn
 }
 
 // NextLSN returns the LSN the next appended record will get.
@@ -739,6 +703,7 @@ func (l *Log) ResetTo(lsn uint64) error {
 	l.segMu.Lock()
 	l.segments = nil
 	l.firstRetained = lsn
+	l.resets++
 	l.segMu.Unlock()
 	l.buf = l.buf[:0]
 	l.size.Store(0)
@@ -778,6 +743,7 @@ func (l *Log) TruncateBefore(lsn uint64) error {
 // never parsed. Call it before appending (recovery) or after Commit.
 func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
 	r := l.Reader(from)
+	defer r.Close()
 	for {
 		lsn, payload, ok, err := r.Next()
 		if err != nil || !ok {
@@ -789,74 +755,158 @@ func (l *Log) Replay(from uint64, fn func(lsn uint64, payload []byte) error) err
 	}
 }
 
-// Reader is a pull-style cursor over the log's committed records,
-// loading ONE segment into memory at a time — the shape offline replay
-// needs to merge multiple shard logs without materializing whole
-// histories. The payload returned by Next aliases the reader's current
-// segment buffer and is valid only until the following Next call.
+// Reader is a pull-style cursor over the log's committed records that
+// follows the log as it grows: once Next has returned everything
+// committed so far it reports the end (ok=false), and a later call picks
+// up whatever has been committed since, across segment rotations. It
+// keeps one segment file open and in memory only the bytes its last
+// refresh read, never more than one segment's. The payload returned by
+// Next aliases the reader's buffer and is valid only until the following
+// Next call.
+//
+// Reads never pass a segment's committed size as published under segMu:
+// every refresh re-reads the current segment from the last committed
+// size the reader trusted, so bytes a failed or dropped commit left past
+// that size are never parsed, and a batch later committed at the same
+// LSNs is read from the file afresh. When the log is reset (ResetTo), or
+// truncated past records the reader has not returned, Next reports an
+// error rather than skip them or return stale frames.
+//
+// A Reader may run on a goroutine other than the appender's (replication
+// ships from one) but is itself for one goroutine. Close releases its
+// file.
 type Reader struct {
-	segments []segment
-	from     uint64
-	segIdx   int
-	data     []byte
-	limit    int64
-	off      int64
-	lsn      uint64
+	log    *Log
+	resets uint64 // log.resets at creation
+	from   uint64
+	f      *os.File // current segment, nil before the first
+	first  uint64   // current segment's first LSN
+	off    int64    // committed bytes of the current segment read so far
+	lsn    uint64   // LSN of the frame at buf[pos]
+	buf    []byte   // committed bytes read at the last refresh
+	pos    int
 }
 
-// Reader returns a cursor over records with LSN >= from. The cursor
-// snapshots the segment metadata at creation, so it sees exactly the
-// records committed before this call — frames committed later need a
-// fresh Reader. Safe to call from goroutines other than the appender
-// (replication ships from one); reads are bounded by the committed
-// sizes captured here, so concurrent appends are never parsed.
+// Reader returns a cursor over records with LSN >= from, committed
+// before or after this call. Safe to call from goroutines other than the
+// appender.
 func (l *Log) Reader(from uint64) *Reader {
 	l.segMu.Lock()
-	segs := make([]segment, len(l.segments))
-	copy(segs, l.segments)
-	l.segMu.Unlock()
-	return &Reader{segments: segs, from: from}
+	defer l.segMu.Unlock()
+	return &Reader{log: l, resets: l.resets, from: from}
 }
 
-// Next returns the next record, or ok=false at the end of the log.
+// Next returns the next record, or ok=false when the reader has
+// returned every record committed so far.
 func (r *Reader) Next() (lsn uint64, payload []byte, ok bool, err error) {
 	for {
-		for r.data == nil {
-			if r.segIdx >= len(r.segments) {
-				return 0, nil, false, nil
-			}
-			seg := r.segments[r.segIdx]
-			if seg.last < r.from {
-				r.segIdx++
-				continue
-			}
-			data, err := os.ReadFile(seg.path)
-			if err != nil {
-				return 0, nil, false, fmt.Errorf("wal: %w", err)
-			}
-			r.data, r.off, r.lsn = data, 0, seg.first
-			r.limit = seg.size
-			if r.limit > int64(len(data)) {
-				r.limit = int64(len(data))
+		for r.pos == len(r.buf) {
+			if more, err := r.refresh(); err != nil || !more {
+				return 0, nil, false, err
 			}
 		}
-		if r.off >= r.limit {
-			r.data = nil
-			r.segIdx++
-			continue
-		}
-		n, valid := frameAt(r.data[:r.limit], r.off)
+		n, valid := frameAt(r.buf, int64(r.pos))
 		if !valid {
-			seg := r.segments[r.segIdx]
-			return 0, nil, false, fmt.Errorf("%w: frame at %d of %s", ErrCorrupt, r.off, filepath.Base(seg.path))
+			at := r.off - int64(len(r.buf)-r.pos)
+			return 0, nil, false, fmt.Errorf("%w: frame at %d of %s", ErrCorrupt, at, segmentName(r.first))
 		}
-		lsn, payload = r.lsn, r.data[r.off+frameHeader:r.off+n]
+		lsn, payload = r.lsn, r.buf[r.pos+frameHeader:r.pos+int(n)]
 		r.lsn++
-		r.off += n
+		r.pos += int(n)
 		if lsn >= r.from {
 			return lsn, payload, true, nil
 		}
 	}
+}
+
+// refresh reads the committed bytes of the current segment past the
+// reader's offset, moving on to the segment that starts at the reader's
+// next LSN once the current one is read to its end or truncated away.
+// It reports false when nothing new has been committed.
+func (r *Reader) refresh() (bool, error) {
+	size, more, err := r.locate()
+	if err != nil || !more {
+		return false, err
+	}
+	// Read outside segMu so the appender's commits never wait on it: the
+	// bytes below a committed size never change, and the open file
+	// keeps them even if the segment is removed meanwhile.
+	n := int(size - r.off)
+	if cap(r.buf) < n {
+		r.buf = make([]byte, n)
+	}
+	r.buf, r.pos = r.buf[:n], 0
+	if _, err := r.f.ReadAt(r.buf, r.off); err != nil {
+		r.buf = r.buf[:0]
+		return false, fmt.Errorf("wal: reading %s: %w", segmentName(r.first), err)
+	}
+	r.off = size
+	return true, nil
+}
+
+// locate picks, under segMu, the segment refresh reads and the
+// committed size to read it to, opening the segment when the reader
+// moves on to it. more is false when nothing new has been committed.
+func (r *Reader) locate() (size int64, more bool, err error) {
+	l := r.log
+	l.segMu.Lock()
+	defer l.segMu.Unlock()
+	if l.resets != r.resets {
+		return 0, false, fmt.Errorf("wal: reader at lsn %d: log reset under it", r.lsn)
+	}
+	i := 0
+	if r.f == nil {
+		for i < len(l.segments) && l.segments[i].last < r.from {
+			i++
+		}
+		if i == len(l.segments) {
+			return 0, false, nil
+		}
+	} else if i = l.segmentIndex(r.first); i == len(l.segments) || l.segments[i].size == r.off {
+		// Read to its end, or removed: go on only from the segment
+		// holding the next LSN, so no record is ever skipped.
+		gone := i == len(l.segments)
+		if i = l.segmentIndex(r.lsn); i == len(l.segments) {
+			if gone {
+				return 0, false, fmt.Errorf("wal: reader at lsn %d: %s truncated away", r.lsn, segmentName(r.first))
+			}
+			return 0, false, nil
+		}
+	}
+	seg := l.segments[i]
+	if r.f == nil || seg.first != r.first {
+		// Opened under segMu: ResetTo cannot have put a new file at
+		// this path since the resets check above.
+		f, err := os.Open(seg.path)
+		if err != nil {
+			return 0, false, fmt.Errorf("wal: %w", err)
+		}
+		r.Close()
+		r.f, r.first, r.off, r.lsn = f, seg.first, 0, seg.first
+		return seg.size, true, nil
+	}
+	return seg.size, seg.size > r.off, nil
+}
+
+// segmentIndex returns the index of the segment whose first LSN is
+// first, or len(l.segments) when there is none. Callers hold segMu.
+func (l *Log) segmentIndex(first uint64) int {
+	for i := range l.segments {
+		if l.segments[i].first == first {
+			return i
+		}
+	}
+	return len(l.segments)
+}
+
+// Close releases the reader's open segment file.
+func (r *Reader) Close() error {
+	if r.f == nil {
+		return nil
+	}
+	err := r.f.Close()
+	r.f = nil
+	return err
 }
 
 // Close commits buffered records and closes the active segment.

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // collect replays the whole log into memory.
@@ -365,6 +368,7 @@ func TestReadOnlyOpenDoesNotTruncateTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd := ro.Reader(1)
+	defer rd.Close()
 	m := 0
 	for {
 		_, _, ok, err := rd.Next()
@@ -409,6 +413,7 @@ func TestReaderMatchesReplay(t *testing.T) {
 		}
 		var got []string
 		rd := l.Reader(from)
+		defer rd.Close()
 		for {
 			lsn, p, ok, err := rd.Next()
 			if err != nil {
@@ -427,5 +432,187 @@ func TestReaderMatchesReplay(t *testing.T) {
 				t.Fatalf("from=%d record %d: Reader %q vs Replay %q", from, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestReaderFollowsCommitsAcrossRotation: a reader returns records
+// committed after it was made, including those in segments the log
+// rotated into since.
+func TestReaderFollowsCommitsAcrossRotation(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	commit := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if _, err := l.Append([]byte(fmt.Sprintf("record-%02d-payload", i))); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	commit(1, 3)
+	r := l.Reader(2)
+	defer r.Close()
+	var got []string
+	for _, to := range []int{3, 5, 12, 20} {
+		commit(int(l.NextLSN()), to)
+		got = append(got, readAll(t, r)...)
+	}
+	if len(l.segments) < 4 {
+		t.Fatalf("log holds %d segments, want rotations under the reader", len(l.segments))
+	}
+	if len(got) != 18 {
+		t.Fatalf("reader returned %d records, want 18 (LSNs 2..19): %v", len(got), got)
+	}
+	for i, rec := range got {
+		if want := fmt.Sprintf("%d:record-%02d-payload", i+2, i+2); rec != want {
+			t.Fatalf("record %d: %q, want %q", i, rec, want)
+		}
+	}
+}
+
+// TestReaderErrorsWhenLogResetUnderIt: once ResetTo discards the
+// reader's segments, Next is an error, even when the reset log goes on
+// from exactly the reader's next LSN.
+func TestReaderErrorsWhenLogResetUnderIt(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for _, rec := range []string{"one", "two"} {
+		if _, err := l.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	r := l.Reader(1)
+	defer r.Close()
+	if got := readAll(t, r); len(got) != 2 {
+		t.Fatalf("before the reset: %v", got)
+	}
+	if err := l.ResetTo(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("three")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if lsn, p, ok, err := r.Next(); err == nil {
+		t.Fatalf("reader over a reset log: lsn=%d %q ok=%v, want an error", lsn, p, ok)
+	}
+}
+
+// TestReaderErrorsWhenTruncatedPastIt: truncation that removes records
+// a reader has not returned yet is an error; truncation of a segment the
+// reader has read to its end is not.
+func TestReaderErrorsWhenTruncatedPastIt(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	commit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := l.Append([]byte(fmt.Sprintf("record-%02d-payload", l.NextLSN()))); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	commit(1)
+	behind, ahead := l.Reader(1), l.Reader(1)
+	defer behind.Close()
+	defer ahead.Close()
+	if got := readAll(t, behind); len(got) != 1 {
+		t.Fatalf("behind read %v, want LSN 1 only", got)
+	}
+	commit(2) // segment 1 now holds LSNs 1..3 and is full
+	if got := readAll(t, ahead); len(got) != 3 {
+		t.Fatalf("ahead read %v, want LSNs 1..3", got)
+	}
+	commit(2)
+	if err := l.TruncateBefore(3); err != nil {
+		t.Fatal(err)
+	}
+	if l.FirstLSN() != 4 {
+		t.Fatalf("first retained LSN %d, want 4", l.FirstLSN())
+	}
+	if got := readAll(t, ahead); strings.Join(got, " ") != "4:record-04-payload 5:record-05-payload" {
+		t.Fatalf("ahead after truncation: %v, want LSNs 4..5", got)
+	}
+	if lsn, p, ok, err := behind.Next(); err == nil {
+		t.Fatalf("reader behind the truncation: lsn=%d %q ok=%v, want an error", lsn, p, ok)
+	}
+}
+
+// TestReaderFollowsConcurrentCommits races a reader's refreshes against
+// an appender committing across segment rotations: every record arrives
+// once, in order.
+func TestReaderFollowsConcurrentCommits(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{SegmentBytes: 256, Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const records = 600
+	var (
+		wg   sync.WaitGroup
+		werr error
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= records; i++ {
+			if _, werr = l.Append([]byte(fmt.Sprintf("rec-%d", i))); werr != nil {
+				return
+			}
+			if i%3 == 0 || i == records {
+				if werr = l.Commit(); werr != nil {
+					return
+				}
+			}
+		}
+	}()
+	defer wg.Wait() // the appender finishes before l.Close on every path
+	r := l.Reader(1)
+	defer r.Close()
+	next := uint64(1)
+	deadline := time.Now().Add(10 * time.Second)
+	for next <= records {
+		lsn, p, ok, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if time.Now().After(deadline) {
+				t.Fatalf("reader stuck before LSN %d", next)
+			}
+			runtime.Gosched()
+			continue
+		}
+		if want := fmt.Sprintf("rec-%d", next); lsn != next || string(p) != want {
+			t.Fatalf("read lsn %d %q, want %d %q", lsn, p, next, want)
+		}
+		next++
+	}
+	wg.Wait()
+	if werr != nil {
+		t.Fatal(werr)
+	}
+	if lsn, _, ok, err := r.Next(); ok || err != nil {
+		t.Fatalf("after the last record: lsn=%d ok=%v err=%v, want the end", lsn, ok, err)
 	}
 }
