@@ -21,10 +21,13 @@
 // missing from the current run, when its ns/op exceeds
 // baseline·(1+tol)+floor-ns, or when its allocs/op exceeds the
 // baseline's at all: allocation counts are machine-independent, so they
-// get no tolerance. The ns/op floor absorbs scheduler/timer/GC noise of
-// short (-benchtime=100x) measurements, which is roughly constant (tens
-// of µs amortized) rather than proportional: a single-digit-µs benchmark
-// is effectively gated on allocs/op — exact once the benchmark warms its
+// get no tolerance. A benchmark whose allocs/op falls below its
+// baseline's is named on a `re-record` line, without failing: the exact
+// gate would otherwise let that many allocations creep back unnoticed.
+// The ns/op floor absorbs scheduler/timer/GC noise of short
+// (-benchtime=100x) measurements, which is roughly constant (tens of µs
+// amortized) rather than proportional: a single-digit-µs benchmark is
+// effectively gated on allocs/op — exact once the benchmark warms its
 // pools before the timer — while ms-scale benchmarks still get a
 // meaningful 25% ns/op gate.
 // Feed the output of several bench runs (CI uses three) into one
@@ -173,12 +176,7 @@ func main() {
 		fatal(fmt.Errorf("parse %s: %w", *baseline, err))
 	}
 	failures := Compare(base.Benchmarks, benches, *tol, *floorNs)
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(base.Benchmarks) {
 		b := base.Benchmarks[name]
 		cur, ok := benches[name]
 		if !ok {
@@ -188,6 +186,9 @@ func main() {
 		fmt.Printf("  %-40s ns/op %10.0f -> %10.0f (%+6.1f%%)  allocs/op %6.0f -> %6.0f\n",
 			name, b.NsPerOp, cur.NsPerOp, pct(b.NsPerOp, cur.NsPerOp),
 			b.AllocsPerOp, cur.AllocsPerOp)
+	}
+	for _, note := range StaleAllocs(base.Benchmarks, benches) {
+		fmt.Println("  re-record " + note)
 	}
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) (ns/op beyond %.0f%%, or allocs/op above baseline):\n", len(failures), *tol*100)
@@ -273,12 +274,7 @@ func Parse(r io.Reader) (map[string]Record, error) {
 // base·(1+tol)+floorNs, or any allocs/op above the baseline's.
 func Compare(base, cur map[string]Record, tol, floorNs float64) []string {
 	var failures []string
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(base) {
 		b := base[name]
 		c, ok := cur[name]
 		if !ok {
@@ -295,6 +291,30 @@ func Compare(base, cur map[string]Record, tol, floorNs float64) []string {
 		}
 	}
 	return failures
+}
+
+// StaleAllocs returns one note per baseline benchmark whose allocs/op in
+// the current run is below the baseline's. The exact allocs gate lets a
+// stale count hide that many allocations coming back, so the baseline
+// wants re-recording; the note never fails the gate.
+func StaleAllocs(base, cur map[string]Record) []string {
+	var notes []string
+	for _, name := range sortedNames(base) {
+		if c, ok := cur[name]; ok && c.AllocsPerOp < base[name].AllocsPerOp {
+			notes = append(notes, fmt.Sprintf("%s: allocs/op %.0f below baseline %.0f",
+				name, c.AllocsPerOp, base[name].AllocsPerOp))
+		}
+	}
+	return notes
+}
+
+func sortedNames(m map[string]Record) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // CheckRatios evaluates -ratio constraints against the current run's

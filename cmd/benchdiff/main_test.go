@@ -116,6 +116,30 @@ func TestCompareGate(t *testing.T) {
 	}
 }
 
+func TestStaleAllocsNamesCountsBelowBaseline(t *testing.T) {
+	base := map[string]Record{
+		"BenchmarkReplicationShip": {NsPerOp: 1_700_000, AllocsPerOp: 3611},
+		"BenchmarkServeRank":       {NsPerOp: 50000, AllocsPerOp: 10},
+		"BenchmarkGone":            {NsPerOp: 100, AllocsPerOp: 5},
+	}
+	cur := map[string]Record{
+		"BenchmarkReplicationShip": {NsPerOp: 1_700_000, AllocsPerOp: 3600},
+		"BenchmarkServeRank":       {NsPerOp: 50000, AllocsPerOp: 10},
+	}
+	notes := StaleAllocs(base, cur)
+	if len(notes) != 1 || !strings.Contains(notes[0], "BenchmarkReplicationShip: allocs/op 3600 below baseline 3611") {
+		t.Fatalf("stale allocs baseline not named: %v", notes)
+	}
+	// A count below the baseline is a note, never a gate failure.
+	delete(base, "BenchmarkGone")
+	if fails := Compare(base, cur, 0.25, 200); len(fails) != 0 {
+		t.Fatalf("fewer allocs failed the gate: %v", fails)
+	}
+	if notes := StaleAllocs(base, base); len(notes) != 0 {
+		t.Fatalf("self-compare named stale baselines: %v", notes)
+	}
+}
+
 func TestRatioFlagParsing(t *testing.T) {
 	var r ratioFlags
 	if err := r.Set("BenchmarkWALAppendRecord<=1.15xBenchmarkWALAppend"); err != nil {

@@ -301,10 +301,11 @@ func (n *Node) Close() {
 // are refused, no final snapshot is written. The next NewNode over the
 // same data directory recovers from WAL + last snapshot, exactly like
 // a crashed process. Replication goroutines are stopped BEFORE the
-// corpus dies — Corpus.Kill must not race in-flight appliers, and a
-// real SIGKILL takes the replication threads and the WAL down in the
-// same instant anyway. An apply that was already in flight completes
-// durably first, which only ever makes the survivors MORE caught up.
+// corpus dies — Corpus.Kill must not race an in-flight replicated
+// apply, and a real SIGKILL takes the replication threads and the WAL
+// down in the same instant anyway. An apply that was already in flight
+// completes durably first, which only ever makes the survivors MORE
+// caught up.
 func (n *Node) Kill() {
 	if n.stopped.Swap(true) {
 		return
@@ -607,115 +608,25 @@ func (n *Node) followOnce(si int, leaderID, addr string) error {
 	return n.followStream(si, sr, conn, br)
 }
 
-// replBatch is one unit of work handed from a follower session's reader
-// to its applier: a contiguous run of leader-durable frames. hb asks for
-// an ack even if the position did not move (heartbeat liveness — the
-// leader's ack reader times out on a silent follower).
-type replBatch struct {
-	frames []serve.ReplFrame
-	hb     bool
-}
-
-// maxReplPipeline bounds how many replicated batches a follower session
-// keeps submitted to its shard's apply loop at once; the loop commits
-// whatever has queued as one group. maxReplBatch bounds the frames of
-// one batch.
-const (
-	maxReplPipeline = 4
-	maxReplBatch    = 512
-)
+// maxReplBatch bounds the frames of one replicated batch.
+const maxReplBatch = 512
 
 // followStream applies the leader's frame/heartbeat stream until the
 // connection dies, the epoch moves on, or the node's role changes.
 //
-// Frames arrive durable on the leader and in LSN order, so the reader
-// hands them to the applier in batches as they are read, cutting a batch
-// when the socket goes quiet or it reaches maxReplBatch frames. The
-// applier keeps up to maxReplPipeline batches submitted, so the next
-// batch is decoded and queued while this node's fsync of the previous
-// one is in flight, and acks upstream are cumulative: one whenever the
-// pipeline drains, one per replAckEvery frames while catching up.
+// The session is one serial loop: read frames until the socket goes
+// quiet or the batch holds maxReplBatch frames, apply the batch (the
+// call returns once it is durable and indexed), then ack CommittedLSN
+// upstream. Frames that arrive during this node's fsync wait in the
+// socket and form the next batch; the leader's replWindow credit bounds
+// them. A heartbeat applies any batch in hand and is acked even when the
+// position did not move: the leader's ack reader times out on a silent
+// follower.
 func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Reader) error {
 	readTimeout := n.followReadTimeout()
-
-	applyC := make(chan replBatch, maxReplPipeline)
-	applierDone := make(chan struct{})
-	go func() {
-		defer close(applierDone)
-		var outstanding []func() error
-		lastAcked := n.corpus.CommittedLSN(si)
-		hbPending := false
-		broken := false
-		fail := func() {
-			broken = true
-			conn.Close() // unblocks the reader; it drains us by closing applyC
-		}
-		harvest := func(keep int) {
-			for len(outstanding) > keep {
-				w := outstanding[0]
-				outstanding = outstanding[1:]
-				if err := w(); err != nil && !broken {
-					n.cfg.Logf("cluster %s: shard %d: replicated apply: %v", n.cfg.ID, si, err)
-					fail()
-				}
-			}
-		}
-		maybeAck := func() {
-			if broken {
-				return
-			}
-			committed := n.corpus.CommittedLSN(si)
-			due := committed-lastAcked >= replAckEvery ||
-				(len(outstanding) == 0 && (hbPending || committed > lastAcked))
-			if !due {
-				return
-			}
-			conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			if writeMsg(conn, ack{lsn: committed}.encode()) != nil {
-				fail()
-				return
-			}
-			lastAcked = committed
-			hbPending = false
-		}
-		for b := range applyC {
-			hbPending = hbPending || b.hb
-			if len(b.frames) > 0 && !broken {
-				if w, err := n.corpus.ApplyReplicatedAsync(si, b.frames); err != nil {
-					n.cfg.Logf("cluster %s: shard %d: replicated apply: %v", n.cfg.ID, si, err)
-					fail()
-				} else {
-					outstanding = append(outstanding, w)
-				}
-			}
-			harvest(maxReplPipeline - 1)
-			if len(applyC) == 0 {
-				// No more work queued: wait for every submitted batch so
-				// the cumulative ack below covers everything shipped so far.
-				harvest(0)
-			}
-			maybeAck()
-		}
-		harvest(0)
-		maybeAck()
-	}()
-	defer func() {
-		close(applyC)
-		<-applierDone
-	}()
-
-	read := n.corpus.CommittedLSN(si) // last LSN handed to the applier
+	read := n.corpus.CommittedLSN(si) // last LSN read off the stream
 	var batch []serve.ReplFrame
 	var batchBytes int64
-	flush := func(hb bool) {
-		if len(batch) > 0 {
-			updateAvg(&sr.avgFrameBytes, batchBytes/int64(len(batch)))
-		}
-		if len(batch) > 0 || hb {
-			applyC <- replBatch{frames: batch, hb: hb}
-		}
-		batch, batchBytes = nil, 0
-	}
 	for {
 		if !n.running() || sr.role.Load() != roleFollower {
 			return nil
@@ -744,11 +655,10 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 			}
 			batch = append(batch, serve.ReplFrame{LSN: f.lsn, Payload: f.payload})
 			batchBytes += int64(len(f.payload))
-			// Batch greedily: release once the socket goes quiet.
+			// Batch greedily: apply once the socket goes quiet.
 			if br.Buffered() > 0 && len(batch) < maxReplBatch {
 				continue
 			}
-			flush(false)
 		case msgHeartbeat:
 			hb, err := decodeHeartbeat(body)
 			if err != nil {
@@ -761,9 +671,21 @@ func (n *Node) followStream(si int, sr *shardRepl, conn net.Conn, br *bufio.Read
 			if hb.commitLSN > sr.leaderCommit.Load() {
 				sr.leaderCommit.Store(hb.commitLSN)
 			}
-			flush(true)
 		default:
 			return fmt.Errorf("unexpected message kind %q mid-stream", body[0])
+		}
+		if len(batch) > 0 {
+			updateAvg(&sr.avgFrameBytes, batchBytes/int64(len(batch)))
+			if err := n.corpus.ApplyReplicated(si, batch); err != nil {
+				return fmt.Errorf("replicated apply: %w", err)
+			}
+			// A fresh slice per batch: a reused one would keep up to
+			// 512 decoded frames (~80 KB) alive per idle session.
+			batch, batchBytes = nil, 0
+		}
+		conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
+		if err := writeMsg(conn, ack{lsn: n.corpus.CommittedLSN(si)}.encode()); err != nil {
+			return err
 		}
 	}
 }
@@ -937,13 +859,10 @@ func (n *Node) sendReply(conn net.Conn, rp reply) bool {
 // Shipping tunables. replWindow is the windowed-credit bound: the
 // leader stops streaming when the frames in flight beyond the
 // follower's cumulative ack reach it, so a slow follower backpressures
-// the stream instead of buffering without bound. replAckEvery is the
-// follower's catch-up ack granularity (a quarter window keeps the
-// leader's credit from ever draining while the follower makes
-// progress). shipBatchBytes packs frames into large socket writes.
+// the stream instead of buffering without bound. shipBatchBytes packs
+// frames into large socket writes.
 const (
 	replWindow     = 4096
-	replAckEvery   = replWindow / 4
 	shipBatchBytes = 256 << 10
 )
 

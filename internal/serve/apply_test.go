@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/policy"
@@ -143,11 +144,19 @@ func TestInMemoryApplyMatchesDurable(t *testing.T) {
 }
 
 // replicate ships every frame the leader's shard committed past the
-// follower's position through ApplyReplicatedAsync, as a replication
+// follower's position through ApplyReplicated, as a replication
 // session would.
 func replicate(t *testing.T, leader, follower *Corpus, shard int) {
 	t.Helper()
-	r := leader.WALReader(shard, follower.CommittedLSN(shard)+1)
+	if err := follower.ApplyReplicated(shard, walFrames(t, leader, shard, follower.CommittedLSN(shard)+1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// walFrames reads every committed frame of the shard's log from LSN from.
+func walFrames(t *testing.T, c *Corpus, shard int, from uint64) []ReplFrame {
+	t.Helper()
+	r := c.WALReader(shard, from)
 	defer r.Close()
 	var frames []ReplFrame
 	for {
@@ -156,17 +165,73 @@ func replicate(t *testing.T, leader, follower *Corpus, shard int) {
 			t.Fatal(err)
 		}
 		if !ok {
-			break
+			return frames
 		}
 		frames = append(frames, ReplFrame{LSN: lsn, Payload: bytes.Clone(payload)})
 	}
-	wait, err := follower.ApplyReplicatedAsync(shard, frames)
-	if err != nil {
+}
+
+// TestApplyReplicatedTrimsDuplicatesAndRefusesGaps pins the rules by
+// which a follower's log grows: a batch that overlaps the log is trimmed
+// to its new frames, so every LSN is logged once and the follower's log
+// stays byte-identical to the leader's; a batch that starts past the
+// log's end, or skips an LSN, is refused and logs nothing.
+func TestApplyReplicatedTrimsDuplicatesAndRefusesGaps(t *testing.T) {
+	cfg := applyConfig()
+	cfg.Durability = Durability{FsyncMode: "none", SnapshotInterval: -1}
+	lcfg, fcfg := cfg, cfg
+	lcfg.Durability.DataDir = t.TempDir()
+	fcfg.Durability.DataDir = t.TempDir()
+	leader := newTestCorpus(t, lcfg)
+	follower := newTestCorpus(t, fcfg)
+	for i := 0; i < follower.Shards(); i++ {
+		follower.SetShardWritable(i, false)
+	}
+	applyOps(t, 41, 0, leader)
+	const shard = 0
+	src := walFrames(t, leader, shard, 1)
+	if len(src) < 17 {
+		t.Fatalf("leader shard %d logged %d frames, want at least 17", shard, len(src))
+	}
+	logIs := func(phase string, want uint64) {
+		t.Helper()
+		if got := follower.CommittedLSN(shard); got != want {
+			t.Fatalf("%s: committed lsn %d, want %d", phase, got, want)
+		}
+		got := walFrames(t, follower, shard, 1)
+		if uint64(len(got)) != want {
+			t.Fatalf("%s: follower logged %d frames, want %d", phase, len(got), want)
+		}
+		for i, f := range got {
+			if f.LSN != uint64(i+1) || !bytes.Equal(f.Payload, src[i].Payload) {
+				t.Fatalf("%s: follower frame %d is lsn %d %x, leader's is lsn %d %x", phase, i, f.LSN, f.Payload, src[i].LSN, src[i].Payload)
+			}
+		}
+	}
+
+	if err := follower.ApplyReplicated(shard, src[0:10]); err != nil {
 		t.Fatal(err)
 	}
-	if err := wait(); err != nil {
-		t.Fatal(err)
+	logIs("ship 1-10", 10)
+	if err := follower.ApplyReplicated(shard, src[5:14]); err != nil {
+		t.Fatalf("re-ship 6-14: %v", err)
 	}
+	logIs("re-ship 6-14", 14)
+
+	err := follower.ApplyReplicated(shard, src[16:17])
+	if err == nil || !strings.Contains(err.Error(), "does not extend") {
+		t.Fatalf("a batch starting at 17 on a log ending at 14: error %v, want \"does not extend\"", err)
+	}
+	logIs("batch at 17", 14)
+	if err := follower.ApplyReplicated(shard, []ReplFrame{src[14], src[16]}); err == nil {
+		t.Fatal("a batch of LSNs 15 and 17 was accepted")
+	}
+	logIs("batch of 15 and 17", 14)
+
+	if err := follower.ApplyReplicated(shard, src[14:17]); err != nil {
+		t.Fatalf("ship 15-17 after the refusals: %v", err)
+	}
+	logIs("ship 15-17", 17)
 }
 
 // TestWALLagAgreesAcrossPaths: WALLagBytes counts on-disk bytes (payload

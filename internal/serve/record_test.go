@@ -42,7 +42,7 @@ func TestDecodeWALRecordRejectsUnplaceableAdds(t *testing.T) {
 }
 
 // TestFollowerRefusesUnplaceableAdd: a replicated add with a negative
-// birth is refused by ApplyReplicatedAsync before the follower logs it.
+// birth is refused by ApplyReplicated before the follower logs it.
 // Logged, it would panic the follower's applier, and every restart would
 // replay it into the same panic.
 func TestFollowerRefusesUnplaceableAdd(t *testing.T) {
@@ -55,7 +55,7 @@ func TestFollowerRefusesUnplaceableAdd(t *testing.T) {
 	a := AddRecord{ID: 5, Text: "hostile page", Popularity: 1, Birth: -8}
 	shard := follower.ShardOf(a.ID)
 	frames := []ReplFrame{{LSN: 1, Payload: appendAddRecord(nil, a, 1)}}
-	if _, err := follower.ApplyReplicatedAsync(shard, frames); err == nil {
+	if err := follower.ApplyReplicated(shard, frames); err == nil {
 		t.Fatal("a replicated add born at -8 was accepted")
 	}
 	follower.Sync()
@@ -80,10 +80,7 @@ func TestFollowerRefusesFarFutureBirth(t *testing.T) {
 	frames := []ReplFrame{{LSN: 1, Payload: appendAddRecord(nil, a, 1)}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	wait, err := follower.ApplyReplicatedAsync(shard, frames)
-	if err == nil {
-		err = wait()
-	}
+	err := follower.ApplyReplicated(shard, frames)
 	follower.Sync()
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {

@@ -3,7 +3,7 @@
 // tells Config.OnCommit of every durable group commit; a shipper thread
 // per follower reads the new frames with one WALReader that follows the
 // log and streams them, and followers feed them back in through
-// ApplyReplicatedAsync — raw payloads appended to the follower's own WAL
+// ApplyReplicated — raw payloads appended to the follower's own WAL
 // (byte-identical frames, same LSNs), committed, and applied through
 // applyRecord, the path boot recovery replays through. A follower that
 // is too far behind a truncated log instead receives a store snapshot
@@ -39,7 +39,7 @@ var errKilled = errors.New("serve: corpus killed")
 type ReplFrame struct {
 	LSN     uint64
 	Payload []byte
-	rec     walRecord // decoded by ApplyReplicatedAsync before enqueue
+	rec     walRecord // decoded by ApplyReplicated before enqueue
 }
 
 // ShardIndex is the page-to-shard hash every router must agree on: the
@@ -56,8 +56,8 @@ func (c *Corpus) CommittedLSN(shard int) uint64 {
 }
 
 // Indexing reports whether replicated state submitted on the shard — a
-// batch whose wait has not returned, or a snapshot being installed —
-// has yet to be indexed.
+// batch whose ApplyReplicated call has not returned, or a snapshot being
+// installed — has yet to be indexed.
 func (c *Corpus) Indexing(shard int) bool { return c.shards[shard].indexing.Load() > 0 }
 
 // WALReader returns a cursor over the shard's committed frames with
@@ -86,7 +86,7 @@ func (c *Corpus) SnapshotForCatchup(shard int) (*store.Snapshot, error) {
 
 // SetShardWritable flips a shard between leader (local writes allowed)
 // and follower (ErrNotLeader; state advances only via
-// ApplyReplicatedAsync).
+// ApplyReplicated).
 func (c *Corpus) SetShardWritable(shard int, writable bool) {
 	c.shards[shard].notLeader.Store(!writable)
 }
@@ -111,37 +111,30 @@ func (c *Corpus) SetReplicationHealth(fn func() *ReplicationHealth) {
 }
 
 // replBirthLead is how many of its shard's adds past the birth watermark
-// a replicated add may be born; ApplyReplicatedAsync refuses a later
-// one, whose apply would allocate every page-table chunk up to it. A
-// session keeps at most 4 batches of 512 frames unindexed, so a real
-// add lies within 2,048; twice that caps a hostile one at 4,096·Shards
-// slots.
+// a replicated add may be born; ApplyReplicated refuses a later one,
+// whose apply would allocate every page-table chunk up to it. A session
+// keeps at most one batch of 512 frames unindexed, so a real add lies
+// within 512; eight times that caps a hostile one at 4,096·Shards slots.
 const replBirthLead = 4096
 
-// ApplyReplicatedAsync feeds frames shipped from the shard's leader
-// through the apply loop: payloads are appended to the follower's own
-// WAL at their original LSNs (frames already present are skipped),
+// ApplyReplicated feeds frames shipped from the shard's leader through
+// the apply loop: payloads are appended to the follower's own WAL at
+// their original LSNs (frames already present are skipped),
 // group-committed, and applied with the leader's logged timestamps.
 // Frames must be strictly ascending and contiguous; if the first missing
 // frame does not extend the local log, the valid prefix still commits
-// and the wait function's error reports the break so the session
-// re-syncs from CommittedLSN()+1.
+// and the error reports the break so the session re-syncs from
+// CommittedLSN()+1.
 //
-// The call validates and submits the batch and returns without waiting
-// for the group commit. The returned wait function blocks until the
-// batch is durable — the ack a follower sends upstream is as strong as
-// a client 202 — finishes the corpus-index maintenance for whatever
-// committed, and reports the batch's outcome; call it exactly once.
-// Submitting batch N+1 before batch N's wait returns is the point: N+1
-// is decoded and queued while N's fsync is in flight and joins the apply
-// loop's next group, so a replication session does not stall its stream
-// once per group commit.
-func (c *Corpus) ApplyReplicatedAsync(shard int, frames []ReplFrame) (func() error, error) {
+// The call returns once the batch is durable — the ack a follower sends
+// upstream is as strong as a client 202 — and the corpus index covers
+// whatever committed.
+func (c *Corpus) ApplyReplicated(shard int, frames []ReplFrame) error {
 	if !c.durable {
-		return nil, errors.New("serve: replication requires a durable corpus")
+		return errors.New("serve: replication requires a durable corpus")
 	}
 	if len(frames) == 0 {
-		return func() error { return nil }, nil
+		return nil
 	}
 	sh := c.shards[shard]
 	c.idxMu.Lock()
@@ -151,50 +144,47 @@ func (c *Corpus) ApplyReplicatedAsync(shard int, frames []ReplFrame) (func() err
 	for i := range frames {
 		rec, err := decodeWALRecord(frames[i].Payload)
 		if err != nil {
-			return nil, fmt.Errorf("serve: replicated frame lsn %d: %w", frames[i].LSN, err)
+			return fmt.Errorf("serve: replicated frame lsn %d: %w", frames[i].LSN, err)
 		}
 		if rec.kind == recKindAdd && rec.add.Birth >= watermark+lead {
-			return nil, fmt.Errorf("serve: replicated frame lsn %d: page %d born at %d, %d or more past the birth watermark %d",
+			return fmt.Errorf("serve: replicated frame lsn %d: page %d born at %d, %d or more past the birth watermark %d",
 				frames[i].LSN, rec.add.ID, rec.add.Birth, lead, watermark)
 		}
 		if i > 0 && frames[i].LSN != frames[i-1].LSN+1 {
-			return nil, fmt.Errorf("serve: replicated frames not contiguous at lsn %d", frames[i].LSN)
+			return fmt.Errorf("serve: replicated frames not contiguous at lsn %d", frames[i].LSN)
 		}
 		frames[i].rec = rec
 	}
-	done := make(chan error, 1)
 	sh.indexing.Add(1)
+	defer sh.indexing.Add(-1)
+	done := make(chan error, 1)
 	sh.ch <- applyReq{repl: frames, done: done}
-	return func() error {
-		defer sh.indexing.Add(-1)
-		err := <-done
-		// Index-side effects for whatever actually committed: the corpus
-		// index and id map are rebuilt from shard state at boot, so they
-		// are maintenance here, not durability.
-		applied := sh.committedLSN.Load()
-		c.idxMu.Lock()
-		for i := range frames {
-			f := &frames[i]
-			if f.LSN > applied {
-				break
-			}
-			switch f.rec.kind {
-			case recKindAdd:
-				a := f.rec.add
-				if _, dup := c.birthOf(a.ID); dup {
-					continue // duplicate frame, already indexed
-				}
-				if ierr := c.indexPage(a.ID, a.Birth, a.Text); ierr != nil {
-					c.idxMu.Unlock()
-					return fmt.Errorf("serve: indexing replicated page %d: %w", a.ID, ierr)
-				}
-			case recKindRemove:
-				c.unindexPage(f.rec.remove)
-			}
+	err := <-done
+	// Index-side effects for whatever actually committed: the corpus
+	// index and id map are rebuilt from shard state at boot, so they are
+	// maintenance here, not durability.
+	applied := sh.committedLSN.Load()
+	c.idxMu.Lock()
+	defer c.idxMu.Unlock()
+	for i := range frames {
+		f := &frames[i]
+		if f.LSN > applied {
+			break
 		}
-		c.idxMu.Unlock()
-		return err
-	}, nil
+		switch f.rec.kind {
+		case recKindAdd:
+			a := f.rec.add
+			if _, dup := c.birthOf(a.ID); dup {
+				continue // duplicate frame, already indexed
+			}
+			if ierr := c.indexPage(a.ID, a.Birth, a.Text); ierr != nil {
+				return fmt.Errorf("serve: indexing replicated page %d: %w", a.ID, ierr)
+			}
+		case recKindRemove:
+			c.unindexPage(f.rec.remove)
+		}
+	}
+	return err
 }
 
 // InstallReplicaSnapshot bootstraps an EMPTY follower shard from a
