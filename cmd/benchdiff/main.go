@@ -32,8 +32,9 @@
 // meaningful 25% ns/op gate.
 // Feed the output of several bench runs (CI uses three) into one
 // invocation: a benchmark appearing multiple times keeps its fastest
-// run, the standard noise-robust statistic. New benchmarks absent from
-// the baseline are recorded but not judged.
+// ns/op, the standard noise-robust statistic, and separately its lowest
+// allocs/op. New benchmarks absent from the baseline are recorded but
+// not judged.
 //
 // -ratio constraints compare two benchmarks measured in the SAME run,
 // so they hold on any machine regardless of absolute disk speed. They
@@ -222,7 +223,8 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.*)$`)
 // Parse extracts benchmark records from `go test -bench` output. The
 // GOMAXPROCS suffix (-8) is stripped so records compare across machines
 // with different core counts. A benchmark appearing multiple times (CI
-// concatenates several runs) keeps its fastest measurement by ns/op.
+// concatenates several runs) keeps its fastest measurement by ns/op and
+// its lowest allocs/op, which may come from another run.
 func Parse(r io.Reader) (map[string]Record, error) {
 	out := map[string]Record{}
 	sc := bufio.NewScanner(r)
@@ -262,9 +264,14 @@ func Parse(r io.Reader) (map[string]Record, error) {
 				rec.Metrics[unit] = val
 			}
 		}
-		if prev, ok := out[name]; !ok || rec.NsPerOp < prev.NsPerOp {
-			out[name] = rec
+		if prev, ok := out[name]; ok {
+			allocs := min(prev.AllocsPerOp, rec.AllocsPerOp)
+			if prev.NsPerOp <= rec.NsPerOp {
+				rec = prev
+			}
+			rec.AllocsPerOp = allocs
 		}
+		out[name] = rec
 	}
 	return out, sc.Err()
 }

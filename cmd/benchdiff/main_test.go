@@ -17,6 +17,8 @@ ok  	repro/internal/serve	1.2s
 BenchmarkRankerRank    	       1	   6600000 ns/op	   84049 B/op	       6 allocs/op
 BenchmarkRankerRank    	       1	   5500000 ns/op	   84049 B/op	       6 allocs/op
 BenchmarkRankerRank    	       1	   7100000 ns/op	   84049 B/op	       6 allocs/op
+BenchmarkServeFeedback 	     100	      9000 ns/op	    4100 B/op	      75 allocs/op
+BenchmarkServeFeedback 	     100	     12000 ns/op	    3900 B/op	      50 allocs/op
 `
 
 func TestParse(t *testing.T) {
@@ -24,8 +26,8 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 {
-		t.Fatalf("parsed %d benchmarks, want 4: %v", len(got), got)
+	if len(got) != 5 {
+		t.Fatalf("parsed %d benchmarks, want 5: %v", len(got), got)
 	}
 	sr, ok := got["BenchmarkServeRank"]
 	if !ok {
@@ -44,6 +46,29 @@ func TestParse(t *testing.T) {
 	// Repeated runs keep the fastest measurement.
 	if rr := got["BenchmarkRankerRank"]; rr.NsPerOp != 5_500_000 {
 		t.Fatalf("best-of-N not kept: %+v", rr)
+	}
+	// allocs/op keeps its own minimum: a fast run at 75 allocs beside a
+	// slower one at 50 is judged 50, with the fast run's ns/op.
+	if sf := got["BenchmarkServeFeedback"]; sf.NsPerOp != 9000 || sf.AllocsPerOp != 50 {
+		t.Fatalf("allocs/op not the minimum over runs: %+v", sf)
+	}
+}
+
+// TestParseAllocsGateStillExact: the per-run allocs minimum only
+// forgives a count some runs do not show; one extra allocation in every
+// run still fails the exact gate.
+func TestParseAllocsGateStillExact(t *testing.T) {
+	base := map[string]Record{"BenchmarkServeRankBatch": {NsPerOp: 90000, AllocsPerOp: 3}}
+	got, err := Parse(strings.NewReader(`BenchmarkServeRankBatch-2   100   91000 ns/op   4 allocs/op
+BenchmarkServeRankBatch-2   100   88000 ns/op   4 allocs/op
+BenchmarkServeRankBatch-2   100   95000 ns/op   4 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails := Compare(base, got, 0.25, 50000)
+	if len(fails) != 1 || !strings.Contains(fails[0], "BenchmarkServeRankBatch: allocs/op 4") {
+		t.Fatalf("baseline+1 in every run not caught: %v", fails)
 	}
 }
 

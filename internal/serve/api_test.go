@@ -130,6 +130,21 @@ func TestErrorEnvelopeRoundTrips(t *testing.T) {
 		{"feedback batch oversized", http.MethodPost, "/v1/feedback/batch", BatchContentType, longFeedbackBatch, 400, ErrCodeBadRequest},
 		{"feedback batch bad event", http.MethodPost, "/v1/feedback/batch", BatchContentType, badEventBatch, 400, ErrCodeBadRequest},
 		{"feedback batch bad binary frame", http.MethodPost, "/v1/feedback/batch", BatchContentType, []byte{0xff, 0x01}, 400, ErrCodeBadRequest},
+		{"rank n -1", http.MethodPost, "/v1/rank", "application/json", []byte(`{"n":-1}`), 400, ErrCodeBadRequest},
+		{"batch n -1", http.MethodPost, "/v1/rank/batch", "application/json", []byte(`{"requests":[{"n":-1}]}`), 400, ErrCodeBadRequest},
+		{"batch unknown arm", http.MethodPost, "/v1/rank/batch", "application/json", []byte(`{"requests":[{"arm":"nope"}]}`), 400, ErrCodeBadRequest},
+		{"binary batch unknown arm", http.MethodPost, "/v1/rank/batch", BatchContentType,
+			AppendRankBatchRequest(nil, []RankRequest{{Arm: "nope"}}), 400, ErrCodeBadRequest},
+	}
+	// One resolver validates /v1/rank and every batch sub-request, in
+	// either codec: the same fault gets the same message, the batch's
+	// prefixed with the sub-request's position.
+	wantMessage := map[string]string{
+		"rank n -1":                "n must be >= 0, got -1",
+		"rank unknown arm":         `unknown arm "nope"`,
+		"batch n -1":               "request 0: n must be >= 0, got -1",
+		"batch unknown arm":        `request 0: unknown arm "nope"`,
+		"binary batch unknown arm": `request 0: unknown arm "nope"`,
 	}
 	for _, tc := range cases {
 		w := do(t, srv, tc.method, tc.path, tc.contentType, tc.body)
@@ -139,6 +154,9 @@ func TestErrorEnvelopeRoundTrips(t *testing.T) {
 		info := decodeEnvelope(t, w)
 		if info.Code != tc.code {
 			t.Fatalf("%s: envelope code %q, want %q", tc.name, info.Code, tc.code)
+		}
+		if msg, ok := wantMessage[tc.name]; ok && info.Message != msg {
+			t.Fatalf("%s: envelope message %q, want %q", tc.name, info.Message, msg)
 		}
 		if info.RetryAfterMS != 0 {
 			t.Fatalf("%s: client error carries retry_after_ms %d", tc.name, info.RetryAfterMS)

@@ -208,7 +208,8 @@ func (c *Corpus) rankForcedSeeded(arm, query string, n int, seed uint64) ([]Resu
 	if !ok {
 		return nil, "", fmt.Errorf("unknown arm %q", arm)
 	}
-	return c.rankInto(query, n, &seed, "", a, nil)
+	res, name := c.rankInto(query, n, &seed, "", a, nil)
+	return res, name, nil
 }
 
 // TestPerArmTelemetryAndDiscoveries: feedback attributed to an arm

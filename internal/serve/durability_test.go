@@ -156,6 +156,13 @@ func TestKillRestartRoundTrip(t *testing.T) {
 	if info.RecordsReplayed == 0 {
 		t.Fatalf("kill skipped the final snapshot, so recovery must replay the WAL; info = %+v", info)
 	}
+	// Kill is Close's shutdown with the killed flag set: no shard may
+	// have written its final snapshot, and every shard replays its log.
+	for i, sr := range info.Shards {
+		if sr.SnapshotLSN != 0 || sr.RecordsReplayed == 0 {
+			t.Fatalf("shard %d after kill: %+v, want no snapshot and a replayed log", i, sr)
+		}
+	}
 	assertFingerprintEqual(t, want, fingerprint(r))
 
 	// The rebuilt index serves queries over the recovered corpus.
@@ -208,8 +215,13 @@ func TestCleanCloseRecoversFromSnapshotOnly(t *testing.T) {
 	if info.RecordsReplayed != 0 {
 		t.Fatalf("clean close must leave a covering snapshot; recovery replayed %d records", info.RecordsReplayed)
 	}
-	if len(info.Shards) != 3 || info.Shards[0].SnapshotLSN == 0 {
-		t.Fatalf("recovery info = %+v, want per-shard snapshot LSNs", info)
+	if len(info.Shards) != 3 {
+		t.Fatalf("recovery info = %+v, want 3 shards", info)
+	}
+	for i, sr := range info.Shards {
+		if sr.SnapshotLSN == 0 {
+			t.Fatalf("shard %d after close: %+v, want a final snapshot", i, sr)
+		}
 	}
 	assertFingerprintEqual(t, want, fingerprint(r))
 }

@@ -262,13 +262,8 @@ func (sh *shard) appendRepl(r *applyReq) error {
 func (sh *shard) handleSnapInstall(r *applyReq) {
 	snap := r.snapInstall
 	finish := func(err error) {
-		if r.done != nil {
-			if err != nil {
-				r.done <- err
-			}
-			close(r.done)
-			r.done = nil
-		}
+		sh.ack(r, err) // holds no credit: only feedback is admitted
+		r.done = nil
 	}
 	if len(sh.seqOf) != 0 || sh.appliedLSN.Load() != 0 {
 		finish(fmt.Errorf("serve: shard %d is not empty; snapshot install requires a fresh follower", sh.id))

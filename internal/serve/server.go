@@ -57,6 +57,7 @@ type connScratch struct {
 	events  []Event       // scanned feedback events
 	reqs    []RankRequest // scanned JSON rank batch
 	seeds   []uint64      // backing for the batch's RankRequest.Seed
+	forced  []*armState   // the batch's resolved forced arms
 	seed    uint64        // backing for a single scanned RankRequest.Seed
 	lsns    []uint64      // per-shard commit LSNs of a held feedback post
 }
@@ -293,9 +294,27 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
 		return
 	}
-	if req.N < 0 {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "n must be >= 0, got %d", req.N)
+	forced, err := s.resolveRank(&req)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%v", err)
 		return
+	}
+	if !s.rateLimit(w, r, req.Unit) {
+		return
+	}
+	s.rankRequests.Add(1)
+	var armName string
+	sc.results, armName = s.corpus.rankInto(req.Query, req.N, req.Seed, req.Unit, forced, sc.results)
+	sc.out = appendRankResponse(sc.out[:0], req.Query, armName, s.corpus.Epoch(), sc.results)
+	writeRaw(w, http.StatusOK, sc.out)
+}
+
+// resolveRank validates a rank request for both rank handlers: it sets
+// N to the served length (DefaultTopN for 0, capped at MaxTopN) and
+// returns the forced arm, nil when Arm is empty.
+func (s *Server) resolveRank(req *RankRequest) (*armState, error) {
+	if req.N < 0 {
+		return nil, fmt.Errorf("n must be >= 0, got %d", req.N)
 	}
 	if req.N == 0 {
 		req.N = DefaultTopN
@@ -303,27 +322,14 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	if req.N > MaxTopN {
 		req.N = MaxTopN
 	}
-	var forced *armState
-	if req.Arm != "" {
-		a, ok := s.corpus.armByName(req.Arm)
-		if !ok {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "unknown arm %q", req.Arm)
-			return
-		}
-		forced = a
+	if req.Arm == "" {
+		return nil, nil
 	}
-	if !s.rateLimit(w, r, req.Unit) {
-		return
+	a, ok := s.corpus.armByName(req.Arm)
+	if !ok {
+		return nil, fmt.Errorf("unknown arm %q", req.Arm)
 	}
-	s.rankRequests.Add(1)
-	var armName string
-	sc.results, armName, err = s.corpus.rankInto(req.Query, req.N, req.Seed, req.Unit, forced, sc.results)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%v", err)
-		return
-	}
-	sc.out = appendRankResponse(sc.out[:0], req.Query, armName, s.corpus.Epoch(), sc.results)
-	writeRaw(w, http.StatusOK, sc.out)
+	return a, nil
 }
 
 // handleRankBatch serves POST /v1/rank/batch: many rank requests per
@@ -375,18 +381,15 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	// Validate every sub-request before serving any, so a bad batch
 	// fails whole without side effects.
 	var unit string
+	sc.forced = sc.forced[:0]
 	for i := range reqs {
 		req := &reqs[i]
-		if req.N < 0 {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "request %d: n must be >= 0, got %d", i, req.N)
+		forced, err := s.resolveRank(req)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "request %d: %v", i, err)
 			return
 		}
-		if req.Arm != "" {
-			if _, ok := s.corpus.armByName(req.Arm); !ok {
-				httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "request %d: unknown arm %q", i, req.Arm)
-				return
-			}
-		}
+		sc.forced = append(sc.forced, forced)
 		if unit == "" {
 			unit = req.Unit
 		}
@@ -404,23 +407,8 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := range reqs {
 		req := &reqs[i]
-		n := req.N
-		if n == 0 {
-			n = DefaultTopN
-		}
-		if n > MaxTopN {
-			n = MaxTopN
-		}
-		var forced *armState
-		if req.Arm != "" {
-			forced, _ = s.corpus.armByName(req.Arm)
-		}
 		var armName string
-		sc.results, armName, err = s.corpus.rankInto(req.Query, n, req.Seed, req.Unit, forced, sc.results)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "request %d: %v", i, err)
-			return
-		}
+		sc.results, armName = s.corpus.rankInto(req.Query, req.N, req.Seed, req.Unit, sc.forced[i], sc.results)
 		if binaryCodec {
 			out = appendBinRankItem(out, armName, s.corpus.Epoch(), sc.results)
 		} else {
@@ -430,17 +418,15 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 			out = appendRankBody(out, req.Query, armName, s.corpus.Epoch(), sc.results)
 		}
 	}
-	if !binaryCodec {
-		out = append(out, ']', '}', '\n')
-	}
-	sc.out = out
 	if binaryCodec {
+		sc.out = out
 		w.Header().Set("Content-Type", BatchContentType)
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(out)
 		return
 	}
-	writeRaw(w, http.StatusOK, out)
+	sc.out = append(out, ']', '}', '\n')
+	writeRaw(w, http.StatusOK, sc.out)
 }
 
 // DecodeFeedbackPost decodes and validates the body of a feedback post

@@ -437,32 +437,14 @@ func frameAt(data []byte, off int64) (int64, bool) {
 	return frameHeader + int64(length), true
 }
 
-// appendFrame frames payload into dst.
-func appendFrame(dst, payload []byte) []byte {
-	var h [frameHeader]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
-	sum := crc32.Update(crc32.Checksum(h[0:4], crcTable), crcTable, payload)
-	binary.LittleEndian.PutUint32(h[4:8], sum)
-	dst = append(dst, h[:]...)
-	return append(dst, payload...)
-}
-
-// Append buffers one record and returns its LSN. The record is not
-// durable — and not even written — until Commit.
+// Append buffers one record, framed by BeginRecord/EndRecord, and
+// returns its LSN. It is not durable — not even written — until Commit.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	if l.opts.ReadOnly {
-		return 0, fmt.Errorf("wal: log opened read-only")
+	buf, err := l.BeginRecord()
+	if err != nil {
+		return 0, err
 	}
-	if len(payload) > MaxRecord {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecord", len(payload))
-	}
-	lsn := l.nextLSN
-	l.nextLSN++
-	if len(l.buf) == 0 {
-		l.bufFirst = lsn
-	}
-	l.buf = appendFrame(l.buf, payload)
-	return lsn, nil
+	return l.EndRecord(append(buf, payload...))
 }
 
 // BeginRecord starts a record in place: it reserves the frame header in
