@@ -17,24 +17,28 @@
 //	           benchmarks (repeatable); fails when A's ns/op exceeds
 //	           1.15 times B's ns/op in THIS run
 //
-// The gate fails (exit 1) when a benchmark present in the baseline is
-// missing from the current run, when its ns/op exceeds
-// baseline·(1+tol)+floor-ns, or when its allocs/op exceeds the
-// baseline's at all: allocation counts are machine-independent, so they
-// get no tolerance. A benchmark whose allocs/op falls below its
-// baseline's is named on a `re-record` line, without failing: the exact
-// gate would otherwise let that many allocations creep back unnoticed.
-// The ns/op floor absorbs scheduler/timer/GC noise of short
-// (-benchtime=100x) measurements, which is roughly constant (tens of µs
-// amortized) rather than proportional: a single-digit-µs benchmark is
-// effectively gated on allocs/op — exact once the benchmark warms its
-// pools before the timer — while ms-scale benchmarks still get a
-// meaningful 25% ns/op gate.
+// The gate fails (exit 1) when a -ratio constraint is violated, when a
+// benchmark present in the baseline is missing from the current run,
+// when its ns/op exceeds baseline·(1+tol)+floor-ns, or when its
+// allocs/op exceeds the baseline's at all: allocation counts are
+// machine-independent, so they get no tolerance. A benchmark whose
+// allocs/op falls below its baseline's is named on a `re-record` line,
+// without failing: the exact gate would otherwise let that many
+// allocations creep back unnoticed. The ns/op floor absorbs
+// scheduler/timer/GC noise of short (-benchtime=100x) measurements,
+// which is roughly constant (tens of µs amortized) rather than
+// proportional: a single-digit-µs benchmark is effectively gated on
+// allocs/op — exact once the benchmark warms its pools before the
+// timer — while ms-scale benchmarks still get a meaningful 25% ns/op
+// gate.
 // Feed the output of several bench runs (CI uses three) into one
 // invocation: a benchmark appearing multiple times keeps its fastest
 // ns/op, the standard noise-robust statistic, and separately its lowest
 // allocs/op. New benchmarks absent from the baseline are recorded but
 // not judged.
+//
+// Every gate is judged and every verdict printed before benchdiff exits,
+// so one failure never hides another.
 //
 // -ratio constraints compare two benchmarks measured in the SAME run,
 // so they hold on any machine regardless of absolute disk speed. They
@@ -46,6 +50,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -106,99 +111,149 @@ func (r *ratioFlags) Set(s string) error {
 	return nil
 }
 
-func main() {
-	in := flag.String("in", "", "bench output file (default: stdin)")
-	out := flag.String("out", "", "JSON record to write (required)")
-	baseline := flag.String("baseline", "", "baseline JSON to compare against")
-	tol := flag.Float64("tol", 0.25, "fractional ns/op regression tolerance")
-	floorNs := flag.Float64("floor-ns", 50000, "absolute ns/op slack")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes the record, judges every
+// gate — ratios, then ns/op and allocs/op against the baseline — and
+// prints every verdict before it returns the exit status: 0 when all
+// hold, 1 when any fails or an input cannot be read, 2 on bad flags.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "bench output file (default: stdin)")
+	out := fs.String("out", "", "JSON record to write (required)")
+	baseline := fs.String("baseline", "", "baseline JSON to compare against")
+	tol := fs.Float64("tol", 0.25, "fractional ns/op regression tolerance")
+	floorNs := fs.Float64("floor-ns", 50000, "absolute ns/op slack")
 	var ratios ratioFlags
-	flag.Var(&ratios, "ratio", "current-run constraint NAME<=FACTORxNAME (repeatable)")
-	flag.Parse()
+	fs.Var(&ratios, "ratio", "current-run constraint NAME<=FACTORxNAME (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *out == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -out is required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff: -out is required")
+		fs.Usage()
+		return 2
 	}
 	if *tol < 0 || *floorNs < 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: -tol and -floor-ns must be >= 0")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff: -tol and -floor-ns must be >= 0")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 1
 	}
 
 	var r io.Reader = os.Stdin
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		r = f
 	}
 	benches, err := Parse(r)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if len(benches) == 0 {
-		fatal(fmt.Errorf("no benchmark lines found in input"))
+		return fail(fmt.Errorf("no benchmark lines found in input"))
 	}
 	doc := File{Go: runtime.Version(), Benchmarks: benches}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("benchdiff: recorded %d benchmarks to %s\n", len(benches), *out)
+	fmt.Fprintf(stdout, "benchdiff: recorded %d benchmarks to %s\n", len(benches), *out)
 
 	// Ratio constraints judge the current run alone, so they apply even
-	// when only recording a fresh baseline.
-	if ratioFailures := CheckRatios(benches, ratios); len(ratioFailures) > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d ratio constraint(s) violated:\n", len(ratioFailures))
-		for _, f := range ratioFailures {
-			fmt.Fprintln(os.Stderr, "  "+f)
-		}
-		os.Exit(1)
-	}
+	// when only recording a fresh baseline. A violation is printed and
+	// judged with the baseline's verdicts, so it hides none of them.
+	var ratioFailures []string
 	for _, c := range ratios {
-		fmt.Printf("  ratio ok: %s %.0f ns/op <= %gx %s %.0f ns/op\n",
+		if f := CheckRatios(benches, []Ratio{c}); len(f) > 0 {
+			ratioFailures = append(ratioFailures, f...)
+			continue
+		}
+		fmt.Fprintf(stdout, "  ratio ok: %s %.0f ns/op <= %gx %s %.0f ns/op\n",
 			c.Left, benches[c.Left].NsPerOp, c.Factor, c.Right, benches[c.Right].NsPerOp)
 	}
 
-	if *baseline == "" {
-		return
-	}
-	baseBuf, err := os.ReadFile(*baseline)
-	if err != nil {
-		fatal(err)
-	}
-	var base File
-	if err := json.Unmarshal(baseBuf, &base); err != nil {
-		fatal(fmt.Errorf("parse %s: %w", *baseline, err))
-	}
-	failures := Compare(base.Benchmarks, benches, *tol, *floorNs)
-	for _, name := range sortedNames(base.Benchmarks) {
-		b := base.Benchmarks[name]
-		cur, ok := benches[name]
-		if !ok {
-			fmt.Printf("  %-40s MISSING (baseline %.0f ns/op)\n", name, b.NsPerOp)
-			continue
+	// An unreadable baseline is one more failed gate: it is reported
+	// after the ratio verdicts, not instead of them.
+	var failures []string
+	var baseErr error
+	if *baseline != "" {
+		var base File
+		if base, baseErr = readFile(*baseline); baseErr == nil {
+			failures = judgeBaseline(stdout, base.Benchmarks, benches, *tol, *floorNs)
 		}
-		fmt.Printf("  %-40s ns/op %10.0f -> %10.0f (%+6.1f%%)  allocs/op %6.0f -> %6.0f\n",
-			name, b.NsPerOp, cur.NsPerOp, pct(b.NsPerOp, cur.NsPerOp),
-			b.AllocsPerOp, cur.AllocsPerOp)
 	}
-	for _, note := range StaleAllocs(base.Benchmarks, benches) {
-		fmt.Println("  re-record " + note)
+
+	if len(ratioFailures) > 0 {
+		fmt.Fprintf(stderr, "benchdiff: %d ratio constraint(s) violated:\n", len(ratioFailures))
+		for _, f := range ratioFailures {
+			fmt.Fprintln(stderr, "  "+f)
+		}
 	}
 	if len(failures) > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) (ns/op beyond %.0f%%, or allocs/op above baseline):\n", len(failures), *tol*100)
+		fmt.Fprintf(stderr, "benchdiff: %d regression(s) (ns/op beyond %.0f%%, or allocs/op above baseline):\n", len(failures), *tol*100)
 		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "  "+f)
+			fmt.Fprintln(stderr, "  "+f)
 		}
-		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: %d benchmarks within %.0f%% ns/op and at or below allocs/op of baseline\n", len(base.Benchmarks), *tol*100)
+	if baseErr != nil {
+		fmt.Fprintln(stderr, "benchdiff:", baseErr)
+	}
+	if len(ratioFailures)+len(failures) > 0 || baseErr != nil {
+		return 1
+	}
+	return 0
+}
+
+// judgeBaseline compares cur against base (Compare), prints one line
+// per baseline benchmark and the re-record notes, and returns the
+// failures.
+func judgeBaseline(stdout io.Writer, base, cur map[string]Record, tol, floorNs float64) []string {
+	failures := Compare(base, cur, tol, floorNs)
+	for _, name := range sortedNames(base) {
+		b := base[name]
+		c, ok := cur[name]
+		if !ok {
+			fmt.Fprintf(stdout, "  %-40s MISSING (baseline %.0f ns/op)\n", name, b.NsPerOp)
+			continue
+		}
+		fmt.Fprintf(stdout, "  %-40s ns/op %10.0f -> %10.0f (%+6.1f%%)  allocs/op %6.0f -> %6.0f\n",
+			name, b.NsPerOp, c.NsPerOp, pct(b.NsPerOp, c.NsPerOp),
+			b.AllocsPerOp, c.AllocsPerOp)
+	}
+	for _, note := range StaleAllocs(base, cur) {
+		fmt.Fprintln(stdout, "  re-record "+note)
+	}
+	if len(failures) == 0 {
+		fmt.Fprintf(stdout, "benchdiff: %d benchmarks within %.0f%% ns/op and at or below allocs/op of baseline\n", len(base), tol*100)
+	}
+	return failures
+}
+
+// readFile reads and parses a benchdiff JSON document.
+func readFile(path string) (File, error) {
+	var f File
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return f, err
+	}
+	if err := json.Unmarshal(buf, &f); err != nil {
+		return f, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return f, nil
 }
 
 func pct(base, cur float64) float64 {
@@ -206,11 +261,6 @@ func pct(base, cur float64) float64 {
 		return 0
 	}
 	return (cur - base) / base * 100
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
 }
 
 // benchLine matches e.g.

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -212,5 +214,70 @@ func TestCheckRatios(t *testing.T) {
 	fails = CheckRatios(cur, []Ratio{{Left: "BenchmarkGone", Factor: 2, Right: "BenchmarkAlsoGone"}})
 	if len(fails) != 2 || !strings.Contains(fails[0], "missing") || !strings.Contains(fails[1], "missing") {
 		t.Fatalf("missing sides not caught: %v", fails)
+	}
+}
+
+// TestRunPrintsEveryVerdict: a ratio violation no longer ends the run
+// before the baseline comparison. One ratio misfire and one allocs/op
+// regression in the same input are both printed, beside the ratio that
+// holds, and the exit status is 1; so is a ratio violation beside a
+// baseline that cannot be read.
+func TestRunPrintsEveryVerdict(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "bench.txt")
+	base := filepath.Join(dir, "base.json")
+	if err := os.WriteFile(in, []byte(`BenchmarkA-2     100   5000 ns/op   0 allocs/op
+BenchmarkB-2     100   1000 ns/op   0 allocs/op
+BenchmarkC-2     100   2000 ns/op   3 allocs/op
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base, []byte(`{"benchmarks": {
+  "BenchmarkA": {"ns_per_op": 5000, "allocs_per_op": 0},
+  "BenchmarkB": {"ns_per_op": 1000, "allocs_per_op": 0},
+  "BenchmarkC": {"ns_per_op": 2000, "allocs_per_op": 2}
+}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr strings.Builder
+	code := run([]string{"-in", in, "-out", filepath.Join(dir, "out.json"), "-baseline", base,
+		"-ratio", "BenchmarkA<=2xBenchmarkB", "-ratio", "BenchmarkB<=1xBenchmarkC"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit status %d, want 1\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	for _, want := range []string{
+		"BenchmarkA: ns/op 5000 exceeds 2x BenchmarkB",
+		"BenchmarkC: allocs/op 3 exceeds baseline 2",
+	} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, &stderr)
+		}
+	}
+	for _, want := range []string{"ratio ok: BenchmarkB", "BenchmarkC", "allocs/op      2 ->      3"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, &stdout)
+		}
+	}
+
+	// A baseline that cannot be read fails the run, after the ratio
+	// violation is printed.
+	stdout.Reset()
+	stderr.Reset()
+	code = run([]string{"-in", in, "-out", filepath.Join(dir, "out.json"), "-baseline", filepath.Join(dir, "missing.json"),
+		"-ratio", "BenchmarkA<=2xBenchmarkB"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("missing baseline: exit status %d, want 1\nstderr:\n%s", code, &stderr)
+	}
+	for _, want := range []string{"BenchmarkA: ns/op 5000 exceeds 2x BenchmarkB", "missing.json"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("missing baseline: stderr lacks %q:\n%s", want, &stderr)
+		}
+	}
+
+	// The same input without the faults passes.
+	code = run([]string{"-in", in, "-out", filepath.Join(dir, "out.json"),
+		"-ratio", "BenchmarkA<=5xBenchmarkB"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("clean run exit status %d, want 0\nstderr:\n%s", code, &stderr)
 	}
 }

@@ -3,6 +3,7 @@ package searchidx
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -56,16 +57,30 @@ func randomSortedList(rng *randutil.RNG, n int, lo, hi uint32) []uint32 {
 }
 
 func runIntersect(lists [][]uint32) []uint32 {
+	ids, _ := intersectRan(lists)
+	return ids
+}
+
+// intersectRan intersects lists through intersectLists and also returns
+// how many filters each kernel ran, as intersectChunk counted them.
+func intersectRan(lists [][]uint32) (ids []uint32, ran [2]int) {
 	// intersectLists requires lists[0] to exist; callers (RetrieveInto)
 	// never pass zero lists and treat any empty list as an early exit.
 	for _, l := range lists {
 		if len(l) == 0 {
-			return nil
+			return nil, ran
 		}
 	}
-	// Chunk sizes vary with the list, as splits leave them, so cursors
-	// cross part-full chunks, and one list's chunk edges fall inside the
-	// runs of another's.
+	ps := chunkLists(lists)
+	qs := new(queryScratch)
+	qs.resetCursors(ps)
+	return qs.intersectLists(nil, ps), qs.ran
+}
+
+// chunkLists returns posting lists holding lists. Chunk sizes vary with
+// the list, as splits leave them, so cursors cross part-full chunks, and
+// one list's chunk edges fall inside the runs of another's.
+func chunkLists(lists [][]uint32) []*posting {
 	ps := make([]*posting, len(lists))
 	for i, l := range lists {
 		size := 1 + (len(l)+i)%8
@@ -74,7 +89,7 @@ func runIntersect(lists [][]uint32) []uint32 {
 		}
 		ps[i] = chunked(l, size)
 	}
-	return intersectLists(nil, ps, new(queryScratch).resetCursors(ps))
+	return ps
 }
 
 // chunked returns a posting list holding ids in chunks of size (the
@@ -101,32 +116,36 @@ func assertSameIDs(t *testing.T, got, want []uint32, context string) {
 	}
 }
 
-// kernelsOf reports which kernels intersecting lists with lists[0]
-// driving reaches, from the lists' lengths alone: a later list at most
-// mergeRatio times as long as the driver is merged, a longer one
-// galloped. An empty list, or a lone one, reaches neither.
-func kernelsOf(lens []int) (merged, galloped bool) {
+// kernelsOf reports, from the lists' lengths alone, what intersecting
+// lists with lists[0] driving reaches: alike, a later list at most
+// skewRatio times as long as the driver (probed where its candidates lie
+// close enough, galloped elsewhere), and skewed, a longer one, always
+// galloped. An empty list, or a lone one, reaches neither. Which kernel
+// ran is what queryScratch.ran counts.
+func kernelsOf(lens []int) (alike, skewed bool) {
 	if len(lens) < 2 || slices.Contains(lens, 0) {
 		return false, false
 	}
 	for _, n := range lens[1:] {
-		if n <= mergeRatio*lens[0] {
-			merged = true
+		if n <= skewRatio*lens[0] {
+			alike = true
 		} else {
-			galloped = true
+			skewed = true
 		}
 	}
-	return merged, galloped
+	return alike, skewed
 }
 
 // intersectSeeds are the seeds of the intersection properties; each must
 // reach both kernels.
 var intersectSeeds = []uint64{20250728, 1, 2}
 
-// regimeLists draws the posting lists of one trial of regime 0..6. The
-// first four keep lists under 80 ids and alike in size; the last three
+// regimeLists draws the posting lists of one trial of regime 0..7. The
+// first four keep lists under 80 ids and alike in size; the next three
 // span many chunks: dense lists alike in size, lists skewed past
-// mergeRatio, and three or four lists mixing the two.
+// skewRatio, and three or four lists mixing the two. The last draws
+// lists alike in size but too sparse for the probe's bitmap, which are
+// galloped.
 func regimeLists(rng *randutil.RNG, regime int) [][]uint32 {
 	k := 1 + rng.Intn(4)
 	if regime == 6 {
@@ -152,21 +171,23 @@ func regimeLists(rng *randutil.RNG, regime int) [][]uint32 {
 			} else {
 				lists[i] = randomSortedList(rng, rng.Intn(80), 0, 120)
 			}
-		case 4: // dense, alike in size, many chunks: the merge
+		case 4: // dense, alike in size, many chunks: the probe
 			lists[i] = randomSortedList(rng, 300+rng.Intn(2700), 0, 4000)
-		case 5: // a short driver against lists past mergeRatio: the gallop
+		case 5: // a short driver against lists past skewRatio: the gallop
 			if i == 0 {
 				lists[i] = randomSortedList(rng, 1+rng.Intn(40), 0, 4000)
 			} else {
-				lists[i] = randomSortedList(rng, (mergeRatio+1)*len(lists[0])+rng.Intn(2000), 0, 4000)
+				lists[i] = randomSortedList(rng, (skewRatio+1)*len(lists[0])+rng.Intn(2000), 0, 4000)
 			}
+		case 7: // alike in size, far sparser than probeWords allows: the gallop
+			lists[i] = randomSortedList(rng, 2+rng.Intn(60), 0, 1<<20)
 		default: // a driver, a list alike in size, a skewed one, and either
 			n0 := 50 + rng.Intn(150)
 			n := n0 + rng.Intn(3*n0)
 			if i == 0 {
 				n = n0
 			} else if i == 2 || (i == 3 && rng.Bernoulli(0.5)) {
-				n = (mergeRatio+1)*n0 + rng.Intn(1000)
+				n = (skewRatio+1)*n0 + rng.Intn(1000)
 			}
 			lists[i] = randomSortedList(rng, n, 0, 3000)
 		}
@@ -215,6 +236,169 @@ func TestIntersectMatchesNaiveProperty(t *testing.T) {
 		}
 		if !merged || !galloped {
 			t.Fatalf("seed %d: merged %v, galloped %v: every seed must reach both kernels", seed, merged, galloped)
+		}
+	}
+}
+
+// TestIntersectRegimesProperty runs every regime of regimeLists,
+// including the sparse one, through the k-way intersection against the
+// naive reference, and requires every seed to run both kernels, the
+// probe and the gallop, as intersectChunk dispatched them.
+func TestIntersectRegimesProperty(t *testing.T) {
+	for _, seed := range intersectSeeds {
+		rng := randutil.New(seed)
+		var ran [2]int
+		for trial := 0; trial < 400; trial++ {
+			regime := rng.Intn(8)
+			lists := regimeLists(rng, regime)
+			if rng.Bernoulli(0.5) {
+				slices.Reverse(lists)
+			}
+			want := naiveIntersect(lists)
+			if len(want) == 0 {
+				want = nil
+			}
+			got, r := intersectRan(lists)
+			assertSameIDs(t, got, want, fmt.Sprintf("seed %d trial %d regime %d", seed, trial, regime))
+			ran[gallopKernel] += r[gallopKernel]
+			ran[probeKernel] += r[probeKernel]
+		}
+		if ran[gallopKernel] == 0 || ran[probeKernel] == 0 {
+			t.Fatalf("seed %d: filters galloped %d, probed %d: every seed must run both kernels", seed, ran[gallopKernel], ran[probeKernel])
+		}
+	}
+}
+
+// TestProbeEdges drives one other list through a sequence of driving
+// chunks' candidates, as intersectLists does, with each kernel on its
+// own cursor: the probe must keep what the gallop keeps, report ok
+// exactly when the list reaches the candidates' last id, and
+// leave its cursor where the next chunk can start. Each step's
+// candidates are probed, whatever their count against the list's.
+func TestProbeEdges(t *testing.T) {
+	span := func(lo, hi, step uint32) []uint32 {
+		var ids []uint32
+		for id := lo; id <= hi; id += step {
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	cases := []struct {
+		name  string
+		other []uint32
+		size  int        // the other list's chunk size
+		steps [][]uint32 // successive driving chunks' candidates
+	}{
+		{"crosses chunk edges", span(0, 999, 3), 10,
+			[][]uint32{span(0, 200, 2), span(201, 401, 4), span(402, 999, 7)}},
+		{"starts past a pruned gap", span(0, 4999, 2), 16,
+			[][]uint32{span(10, 40, 5), span(3001, 3100, 3), span(3105, 3300, 2), span(4990, 5000, 1)}},
+		{"first span past a gap", span(0, 4999, 2), 16,
+			[][]uint32{span(2345, 2600, 5)}},
+		{"exhausted inside the span", span(0, 500, 5), 7,
+			[][]uint32{span(0, 100, 10), span(400, 700, 7)}},
+		{"ends exactly at hi", append(span(0, 690, 3), 700), 9,
+			[][]uint32{span(600, 700, 4), span(800, 900, 4)}},
+		{"exhausted before the span", span(0, 300, 3), 8,
+			[][]uint32{span(0, 99, 1), span(400, 500, 1)}},
+		{"one candidate", span(0, 300, 3), 8,
+			[][]uint32{{9}, {10}, {300}, {301}}},
+		{"one word", span(64, 127, 1), 5,
+			[][]uint32{span(64, 127, 9), span(128, 130, 1)}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := chunked(tc.other, tc.size)
+			probeC := cursor{ids: p.chunk(0).ids}
+			gallopC := probeC
+			for si, cand := range tc.steps {
+				if k := kernelFor(len(cand), len(cand), cand); k != probeKernel {
+					t.Fatalf("step %d: kernelFor picks %d, not the probe", si, k)
+				}
+				want := naiveIntersect([][]uint32{cand, tc.other})
+				wantOK := tc.other[len(tc.other)-1] >= cand[len(cand)-1]
+				bits := make([]uint64, (cand[len(cand)-1]-cand[0])/64+1)
+				got := slices.Clone(cand)
+				n, ok := p.probe(got, &probeC, bits)
+				assertSameIDs(t, got[:n], want, fmt.Sprintf("step %d probe", si))
+				if ok != wantOK {
+					t.Fatalf("step %d: probe ok = %v, want %v (list ends at %d, candidates at %d)", si, ok, wantOK, tc.other[len(tc.other)-1], cand[len(cand)-1])
+				}
+				got = slices.Clone(cand)
+				n, gallopOK := p.filter(got, &gallopC)
+				assertSameIDs(t, got[:n], want, fmt.Sprintf("step %d gallop", si))
+				if gallopOK != wantOK {
+					t.Fatalf("step %d: gallop ok = %v, want %v", si, gallopOK, wantOK)
+				}
+				if !ok {
+					break
+				}
+			}
+		})
+	}
+}
+
+// TestProbeMultiTerm indexes three like-sized terms and a skewed one,
+// inserted out of order so that chunks split, and checks three- and
+// four-term queries, plain and pruned by random skips, against the
+// naive intersection: the probe filters the survivors of earlier lists
+// (the three-term query probes every filter), its cursors re-enter after
+// skipped chunks, and the gallop runs beside it (the four-term query
+// runs both).
+func TestProbeMultiTerm(t *testing.T) {
+	rng := randutil.New(47)
+	lists := [][]uint32{
+		randomSortedList(rng, 300, 0, 4000),
+		randomSortedList(rng, 600, 0, 4000),
+		randomSortedList(rng, 900, 0, 4000),
+		randomSortedList(rng, 3200, 0, 4000),
+	}
+	names := []string{"a", "b", "c", "d"}
+	terms := map[uint32][]string{}
+	for i, l := range lists {
+		for _, id := range l {
+			terms[id] = append(terms[id], names[i])
+		}
+	}
+	ids := slices.Sorted(maps.Keys(terms))
+	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	ix := NewIndex()
+	for _, id := range ids {
+		if err := ix.Add(Document{ID: int(id), Text: strings.Join(terms[id], " ")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := ix.Snapshot()
+	for _, k := range []int{3, 4} {
+		query := names[:k]
+		ps, _ := snap.gatherLists(new(queryScratch), query)
+		want := naiveIntersect(lists[:k])
+		qs := new(queryScratch)
+		assertSameIDs(t, snap.retrieveInto(qs, nil, strings.Join(query, " ")), want, fmt.Sprintf("%d terms", k))
+		if qs.ran[probeKernel] == 0 || (qs.ran[gallopKernel] > 0) != (k == 4) {
+			t.Fatalf("%d terms: filters galloped %d, probed %d: the like-sized lists must be probed, only the skewed one galloped",
+				k, qs.ran[gallopKernel], qs.ran[probeKernel])
+		}
+		for trial := 0; trial < 20; trial++ {
+			var skipped, got []uint32
+			ci := 0
+			snap.RetrievePruned(strings.Join(query, " "),
+				func(float64) bool {
+					skip := rng.Bernoulli(0.5)
+					if skip {
+						skipped = append(skipped, ps[0].chunk(ci).ids...)
+					}
+					ci++
+					return skip
+				},
+				func(ids []uint32) { got = append(got, ids...) })
+			var kept []uint32
+			for _, id := range want {
+				if !slices.Contains(skipped, id) {
+					kept = append(kept, id)
+				}
+			}
+			assertSameIDs(t, got, kept, fmt.Sprintf("%d terms, trial %d", k, trial))
 		}
 	}
 }
@@ -327,7 +511,11 @@ func TestGallopGalloping(t *testing.T) {
 // from the known universe, and the freshness rule: a reader that loads
 // the epoch and then the lists sees every document whose Add had
 // returned before the epoch load (the writer stores cells, then the
-// epoch).
+// epoch). "alpha shared" pairs two lists alike in size and dense, and
+// the test requires that some reader's retrieval of it ran the bitmap
+// probe while the writer still ran, its chunks split and copied under
+// the probe: the writer holds its second half of rounds until a reader
+// has, so the two overlap even at GOMAXPROCS=1.
 func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 	const (
 		docs    = 300
@@ -366,13 +554,17 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 
 	// fresh counts the never-deleted documents docs, docs+1, ... whose
 	// Add has returned.
-	var fresh atomic.Int64
+	var fresh, probed, readersLeft atomic.Int64
+	readersLeft.Store(readers)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		rng := randutil.New(7)
 		for r := 0; r < rounds; r++ {
+			for r == rounds/2 && probed.Load() == 0 && readersLeft.Load() > 0 {
+				runtime.Gosched()
+			}
 			id := rng.Intn(docs)
 			if !ix.Delete(id) {
 				t.Errorf("doc %d missing at delete", id)
@@ -398,8 +590,10 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			defer readersLeft.Add(-1)
 			var lastEpoch uint64
 			var buf []uint32
+			qs := new(queryScratch)
 			for r := 0; r < rounds; r++ {
 				returned := int(fresh.Load())
 				snap := ix.Snapshot()
@@ -454,6 +648,15 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 						return
 					}
 				}
+				probes := qs.ran[probeKernel]
+				buf = snap.retrieveInto(qs, buf[:0], "alpha shared")
+				if !slices.IsSorted(buf) || len(slices.Compact(slices.Clone(buf))) != len(buf) {
+					t.Errorf("alpha shared ids not strictly ascending: %v", buf)
+					return
+				}
+				if qs.ran[probeKernel] > probes && fresh.Load() < rounds {
+					probed.Add(1)
+				}
 				ids := ix.Retrieve(queries[(g+r)%len(queries)])
 				for i, id := range ids {
 					if id < 0 || id >= universe {
@@ -471,6 +674,9 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 	wg.Wait()
 	if ix.terms.slots.Load() == slotsBefore {
 		t.Fatal("the term table was never resized while readers ran")
+	}
+	if probed.Load() == 0 {
+		t.Fatal("no reader saw alpha shared take the bitmap probe while the writer ran")
 	}
 
 	// Quiescent again: full-universe queries must see every doc.
@@ -493,14 +699,16 @@ func TestConcurrentRetrieveDuringMutation(t *testing.T) {
 }
 
 // BenchmarkRetrieveIntersect times one two-term RetrieveInto on a
-// 20,000-document deck-shaped index. dense intersects two head terms,
-// ~3,800 ids each at 19% density: lists alike in size, the merge path.
-// skewed intersects a 60-id term with a head term: the gallop path.
+// 20,000-document deck-shaped index, one case per kernel. dense
+// intersects two head terms, ~3,800 ids each at 19% density: lists
+// alike in size whose driving chunks span ~5 ids per candidate, the
+// probe. skewed intersects a 60-id term with a head term: the gallop.
 // Each op takes the next of 64 queries, as a cold query stream would,
 // so the branch predictor cannot learn one pair's interleaving; one
-// untimed pass over them warms the pooled scratch and the destination.
-// CI gates dense against skewed, which pins the kernel choice at the
-// runner's own scale.
+// untimed pass over them warms the pooled scratch and the destination,
+// and fails the case if a query's filter runs another kernel than the
+// case's, as intersectChunk counts them. CI gates dense against skewed,
+// which pins the kernel choice at the runner's own scale.
 func BenchmarkRetrieveIntersect(b *testing.B) {
 	d := newDeckAdder()
 	rng := randutil.New(3)
@@ -517,11 +725,12 @@ func BenchmarkRetrieveIntersect(b *testing.B) {
 	d.addTexts(b, texts)
 	head := func(k int) string { return "h" + strconv.Itoa(100 + k%96)[1:] }
 	for _, bc := range []struct {
-		name  string
-		query func(k int) string
+		name   string
+		query  func(k int) string
+		kernel kernel
 	}{
-		{"dense", func(k int) string { return head(k) + " " + head(k+1) }},
-		{"skewed", func(k int) string { return "rare " + head(k) }},
+		{"dense", func(k int) string { return head(k) + " " + head(k+1) }, probeKernel},
+		{"skewed", func(k int) string { return "rare " + head(k) }, gallopKernel},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			queries := make([]string, 64)
@@ -531,9 +740,14 @@ func BenchmarkRetrieveIntersect(b *testing.B) {
 			snap := d.ix.Snapshot()
 			var buf []uint32
 			for _, q := range queries {
-				if buf = snap.RetrieveInto(buf[:0], q); len(buf) == 0 {
+				qs := new(queryScratch)
+				if buf = snap.retrieveInto(qs, buf[:0], q); len(buf) == 0 {
 					b.Fatalf("%q matches nothing", q)
 				}
+				if qs.ran[bc.kernel] == 0 || qs.ran[gallopKernel]+qs.ran[probeKernel] != qs.ran[bc.kernel] {
+					b.Fatalf("%q: filters galloped %d, probed %d; want only kernel %d", q, qs.ran[gallopKernel], qs.ran[probeKernel], bc.kernel)
+				}
+				buf = snap.RetrieveInto(buf[:0], q)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -2,9 +2,12 @@
 // table (terms.go) holding its current immutable posting header, and
 // queries resolve by rarest-first intersection of chunked sorted
 // []uint32 posting lists (bounds.go), into caller- or pool-owned
-// scratch. The intersection kernel merges a list alike in size to the
-// rarest one linearly, without branches, and gallops (exponential
-// search) through a list much longer than it.
+// scratch. The intersection kernel has two regimes, chosen per driving
+// chunk and per other list (kernelFor). A list alike in size to the
+// rarest one is probed when the candidates lie close together: its ids
+// inside their span set bits of a bitmap, and each candidate tests its
+// bit, no step waiting on another. Any other list is galloped: an
+// exponential search per candidate.
 package searchidx
 
 import (
@@ -51,6 +54,8 @@ type queryScratch struct {
 	lists   []*posting
 	cursors []cursor
 	block   []uint32 // per-chunk intersection buffer for RetrievePruned
+	bits    []uint64 // the probe's bitmap over the candidates' span
+	ran     [2]int   // filters run, by kernel: what tests see of the dispatch
 }
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -67,7 +72,7 @@ func (qs *queryScratch) release() {
 // RetrieveInto appends the ids of the documents matching every query term
 // (conjunctive AND) to dst, in ascending id order, and returns the
 // extended slice. Terms are intersected rarest-first, each other list
-// merged or galloped by its length against the rarest (intersectChunk),
+// probed or galloped against the candidates (intersectChunk),
 // streaming directly into dst; internal scratch comes
 // from a sync.Pool, so the only allocation is dst growth. When any term
 // has no postings, or the query tokenizes to zero terms, dst is returned
@@ -75,6 +80,11 @@ func (qs *queryScratch) release() {
 func (s Snapshot) RetrieveInto(dst []uint32, query string) []uint32 {
 	qs := queryScratchPool.Get().(*queryScratch)
 	defer qs.release()
+	return s.retrieveInto(qs, dst, query)
+}
+
+// retrieveInto is RetrieveInto on the caller's scratch.
+func (s Snapshot) retrieveInto(qs *queryScratch, dst []uint32, query string) []uint32 {
 	terms := appendTokens(qs.terms[:0], query)
 	qs.terms = terms
 	if len(terms) == 0 {
@@ -87,16 +97,16 @@ func (s Snapshot) RetrieveInto(dst []uint32, query string) []uint32 {
 	if len(lists) == 1 {
 		return lists[0].appendTo(dst)
 	}
-	return intersectLists(dst, lists, qs.resetCursors(lists))
+	qs.resetCursors(lists)
+	return qs.intersectLists(dst, lists)
 }
 
-// resetCursors returns one cursor at the start of each list.
-func (qs *queryScratch) resetCursors(lists []*posting) []cursor {
+// resetCursors places one cursor at the start of each list.
+func (qs *queryScratch) resetCursors(lists []*posting) {
 	qs.cursors = qs.cursors[:0]
 	for _, p := range lists {
 		qs.cursors = append(qs.cursors, cursor{ids: p.chunk(0).ids})
 	}
-	return qs.cursors
 }
 
 // gatherLists resolves the deduplicated query terms' postings into
@@ -128,15 +138,16 @@ func (s Snapshot) gatherLists(qs *queryScratch, terms []string) (lists []*postin
 }
 
 // intersectLists appends the k-way intersection of the sorted lists to
-// dst. lists[0] (the rarest) drives, one chunk at a time: its ids are
-// merged against each other list alike in size, in O(both lengths), and
-// located by galloping in each list more than mergeRatio times longer,
-// in O(Σ log(gap)) — bounded by the rarest list, not the largest.
-func intersectLists(dst []uint32, lists []*posting, cursors []cursor) []uint32 {
+// dst, from the cursors resetCursors placed. lists[0] (the rarest)
+// drives, one chunk at a time: its ids are probed in each other list
+// alike in size, in O(both lengths), when they lie close enough for the
+// bitmap, and located by galloping otherwise, in O(Σ log(gap)) — bounded
+// by the rarest list, not the largest.
+func (qs *queryScratch) intersectLists(dst []uint32, lists []*posting) []uint32 {
 	rare := lists[0]
 	for ci := range rare.chunks() {
 		var done bool
-		if dst, done = intersectChunk(dst, rare.chunk(ci).ids, lists, cursors); done {
+		if dst, done = qs.intersectChunk(dst, rare.chunk(ci).ids, lists); done {
 			break
 		}
 	}
@@ -188,7 +199,7 @@ func (s Snapshot) RetrievePruned(query string, skip func(upper float64) bool, em
 		return st
 	}
 	rare := lists[0]
-	cursors := qs.resetCursors(lists)
+	qs.resetCursors(lists)
 	buf := qs.block
 	for ci := range rare.chunks() {
 		c := rare.chunk(ci)
@@ -205,7 +216,7 @@ func (s Snapshot) RetrievePruned(query string, skip func(upper float64) bool, em
 			continue
 		}
 		var done bool
-		buf, done = intersectChunk(buf[:0], c.ids, lists, cursors)
+		buf, done = qs.intersectChunk(buf[:0], c.ids, lists)
 		if len(buf) > 0 {
 			st.Candidates += len(buf)
 			emit(buf)
@@ -221,49 +232,134 @@ func (s Snapshot) RetrievePruned(query string, skip func(upper float64) bool, em
 	return st
 }
 
-// mergeRatio is the intersection kernel's switch point: a list at most
-// mergeRatio times as long as the driving list is merged against the
-// candidates linearly, a longer one is galloped. Alike in size, an
-// entry or two of the other list falls between consecutive candidates,
-// so a branch-free step per entry beats a search per candidate whose
-// probes are mispredicted branches; skewed, the gaps are long enough
-// that galloping's O(log gap) per candidate wins. Swept over 64 random
-// list pairs per ratio (100 and 1,000 driving ids), the merge took
-// 0.4-0.6 of the gallop's time up to twice the driver's length, 0.7-0.8
-// at four and eight times, about the same at twelve, and 1.4-2.2 from
-// sixteen on.
-const mergeRatio = 8
+// skewRatio is the switch between the intersection kernel's regimes by
+// length: a list more than skewRatio times as long as the driving list
+// is galloped, a shorter one is probed when the candidates' span allows
+// (probeWords). Alike in size, an entry or two of the other list falls
+// between consecutive candidates, so a step per entry beats a search per
+// candidate whose probes are mispredicted branches; skewed, the gaps are
+// long enough that galloping's O(log gap) per candidate wins. Swept over
+// 64 random list pairs per ratio (100 and 1,000 driving ids), a
+// branch-free merge took 0.4-0.6 of the gallop's time up to twice the
+// driver's length, 0.7-0.8 at four and eight times, about the same at
+// twelve, and 1.4-2.2 from sixteen on; the probe took 0.44-0.73 of that
+// merge's time against lists up to eight times as long.
+const skewRatio = 8
+
+// probeWords is the span limit of the probe: a list alike in size is
+// probed when the candidates' span [first, last] fits in probeWords
+// 64-bit words per candidate, galloped when it does not. The probe
+// clears the span's words, sets one bit per id of the other list inside
+// it and tests one bit per candidate, and none of those steps waits on
+// the one before it. The bitmap's clear is the one cost that grows with
+// the span. Swept over 64 random candidate sets per cell (8, 32 and 128
+// candidates, each against a list of 1, 2 and 8 times as many ids spread
+// over the span), the probe took 0.44-0.73 of a branch-free merge's time
+// up to eight words per candidate, 0.44-0.77 at sixteen, 0.56-0.85 at 32
+// and 0.62-2.0 at 64. Eight keeps the bitmap of a full chunk's
+// candidates within 8 KiB, a quarter of a common L1 data cache.
+const probeWords = 8
+
+// kernel is one regime of the intersection kernel.
+type kernel uint8
+
+const (
+	gallopKernel kernel = iota // gallop to each candidate
+	probeKernel                // set the list's bits, test the candidates'
+)
+
+// kernelFor picks how a list of n ids filters cand, the surviving
+// candidates of a chunk of a driving list of n0 ids: probed when it is
+// at most skewRatio times as long and cand's span fits in probeWords
+// words per candidate, galloped otherwise.
+func kernelFor(n0, n int, cand []uint32) kernel {
+	if n <= skewRatio*n0 && uint64(cand[len(cand)-1]-cand[0])>>6 < uint64(probeWords*len(cand)) {
+		return probeKernel
+	}
+	return gallopKernel
+}
 
 // intersectChunk appends to dst the ids of one driving-list chunk that
-// match every other list, moving each other-list cursor forward; done
+// match every other list, moving each other list's cursor forward; done
 // reports that some other list is exhausted, so no later id can match.
 // The chunk's ids are copied to dst's tail and filtered there in place,
 // one other list at a time, so each list sees only the survivors of the
-// ones before it.
-func intersectChunk(dst, ids []uint32, lists []*posting, cursors []cursor) (out []uint32, done bool) {
+// ones before it, by the kernel kernelFor picks for them.
+func (qs *queryScratch) intersectChunk(dst, ids []uint32, lists []*posting) (out []uint32, done bool) {
 	base := len(dst)
 	dst = append(dst, ids...)
 	for li := 1; li < len(lists) && len(dst) > base; li++ {
-		merge := lists[li].n <= mergeRatio*lists[0].n
-		n, ok := lists[li].filter(dst[base:], &cursors[li], merge)
+		cand, p, c := dst[base:], lists[li], &qs.cursors[li]
+		var n int
+		var ok bool
+		if kernelFor(lists[0].n, p.n, cand) == probeKernel {
+			words := int((cand[len(cand)-1]-cand[0])>>6) + 1
+			if cap(qs.bits) < words {
+				qs.bits = make([]uint64, words)
+			}
+			n, ok = p.probe(cand, c, qs.bits[:words])
+			qs.ran[probeKernel]++
+		} else {
+			n, ok = p.filter(cand, c)
+			qs.ran[gallopKernel]++
+		}
 		dst = dst[:base+n]
 		done = done || !ok
 	}
 	return dst, done
 }
 
+// probe is filter's bitmap regime. It keeps, at the front of cand and in
+// order, the candidates that p holds, returns how many it kept, and
+// moves c past the span [lo, hi] of cand; ok is false when p has no id
+// at or above hi. It gallops c to lo, sets bit id-lo of bits for each of
+// p's ids up to hi, across p's chunk edges, then keeps each candidate
+// whose bit is set. bits holds (hi-lo)/64+1 words.
+func (p *posting) probe(cand []uint32, c *cursor, bits []uint64) (n int, ok bool) {
+	lo, hi := cand[0], cand[len(cand)-1]
+	clear(bits)
+	j := gallop(c.ids, c.off, lo)
+	if j == len(c.ids) {
+		if !p.advance(c, lo) {
+			return 0, false
+		}
+		j = gallop(c.ids, 0, lo)
+	}
+walk:
+	for {
+		for k, id := range c.ids[j:] {
+			if id > hi {
+				c.off, ok = j+k, true
+				break walk
+			}
+			d := id - lo
+			bits[d>>6] |= 1 << (d & 63)
+		}
+		if c.ci == len(p.spine) {
+			// p ends inside the span: ok when its last id is hi itself.
+			last := c.ids[len(c.ids)-1]
+			c.off, ok = len(c.ids), last >= hi
+			break
+		}
+		c.ci++
+		c.ids, j = p.chunk(c.ci).ids, 0
+	}
+	for _, v := range cand {
+		d := v - lo
+		cand[n] = v
+		n += int(bits[d>>6] >> (d & 63) & 1)
+	}
+	return n, ok
+}
+
 // filter keeps, at the front of cand and in order, the candidates that
-// p holds, and returns how many it kept, moving c forward. ok is false
-// when p has no id at or above some candidate: that candidate and every
-// later one are dropped, and no later id can match either.
-//
-// Every candidate is galloped to, unless merge is set: then only those
-// where a merge run starts are — the driving chunk's first, the first
-// past each end of p's chunks, and the last — so the ids a pruned skip
-// passed over cost O(log gap); the runs between are merged linearly.
-func (p *posting) filter(cand []uint32, c *cursor, merge bool) (n int, ok bool) {
-	for i := 0; i < len(cand); {
-		v := cand[i]
+// p holds, and returns how many it kept, moving c forward: it gallops to
+// each candidate, so the ids between two candidates, or a pruned skip's
+// gap, cost O(log gap). ok is false when p has no id at or above some
+// candidate: that candidate and every later one are dropped, and no
+// later id can match either.
+func (p *posting) filter(cand []uint32, c *cursor) (n int, ok bool) {
+	for _, v := range cand {
 		j := gallop(c.ids, c.off, v)
 		if j == len(c.ids) {
 			if !p.advance(c, v) {
@@ -273,44 +369,9 @@ func (p *posting) filter(cand []uint32, c *cursor, merge bool) (n int, ok bool) 
 		}
 		cand[n] = v
 		n += b2i(c.ids[j] == v)
-		i++
-		if merge {
-			i, j, n = mergeRun(cand, c.ids, i, j, n)
-		}
 		c.off = j
 	}
 	return n, true
-}
-
-// mergeRun continues filter's in-place merge of cand[i:] against
-// ids[j:], n candidates kept so far, until either side reaches its last
-// entry, and returns the three positions; filter gallops to what is
-// left. Each step advances i, j or both, by whether the two heads
-// compare at most or at least equal: SETcc and CMOV, no branch to
-// mispredict. Each side's successor is loaded before the comparison
-// resolves, so a step waits on a conditional move rather than on a load.
-func mergeRun(cand, ids []uint32, i, j, n int) (int, int, int) {
-	if i+1 >= len(cand) || j+1 >= len(ids) {
-		return i, j, n
-	}
-	x, y := cand[i], ids[j]
-	for {
-		xn, yn := cand[i+1], ids[j+1]
-		cand[n] = x
-		n += b2i(x == y)
-		le, ge := x <= y, y <= x
-		i += b2i(le)
-		j += b2i(ge)
-		if le {
-			x = xn
-		}
-		if ge {
-			y = yn
-		}
-		if i+1 >= len(cand) || j+1 >= len(ids) {
-			return i, j, n
-		}
-	}
 }
 
 // b2i returns 1 for true and 0 for false, without a branch: the
