@@ -282,13 +282,6 @@ func (mdl *Model) adjustedRank(rank float64) float64 {
 	}
 }
 
-// ExpectedRank returns F1(x), the expected deterministic rank of a page
-// of popularity x under the converged model (Eq. 5), before promotion
-// displacement.
-func (mdl *Model) ExpectedRank(x float64) float64 {
-	return mdl.f1At(x, mdl.suffix)
-}
-
 // ExactF evaluates the converged visit-rate function without the
 // quadratic smoothing: F2 composed with the policy-adjusted Eq. 5 rank.
 // For uniform promotion it includes the pooled branch. Measurement
@@ -415,9 +408,6 @@ func (mdl *Model) F(x float64) float64 {
 	}
 	return math.Exp(mdl.quad.Eval(math.Log(x)))
 }
-
-// F0 returns F(0), the expected visit rate of a zero-popularity page.
-func (mdl *Model) F0() float64 { return mdl.f0 }
 
 // Iterations returns how many fixed-point rounds ran.
 func (mdl *Model) Iterations() int { return mdl.iterations }

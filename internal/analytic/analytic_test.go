@@ -393,3 +393,6 @@ func TestQPCBoundedQuick(t *testing.T) {
 		}
 	}
 }
+
+// F0 returns F(0), the expected visit rate of a zero-popularity page.
+func (mdl *Model) F0() float64 { return mdl.f0 }

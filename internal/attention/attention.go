@@ -148,15 +148,6 @@ func (m *Model) VisitRateAt(rank float64) float64 {
 	return m.Theta() * math.Pow(rank, -m.exponent)
 }
 
-// Probability returns the probability that a single visit lands on the
-// given 1-based rank.
-func (m *Model) Probability(rank int) float64 {
-	if rank < 1 || rank > m.n {
-		return 0
-	}
-	return (m.prefix[rank] - m.prefix[rank-1]) / m.prefix[m.n]
-}
-
 // CumulativeMass returns Σ_{i=1..rank} F2(i): the expected visits per unit
 // time landing on the top `rank` positions. rank is clamped to [0, n].
 func (m *Model) CumulativeMass(rank int) float64 {
@@ -195,17 +186,4 @@ func (m *Model) SampleRank(rng *randutil.RNG) int {
 		return i + 1
 	}
 	return int(slot.alias) + 1
-}
-
-// SampleRanks draws count independent rank positions into dst (reusing its
-// backing array when possible) and returns the slice.
-func (m *Model) SampleRanks(rng *randutil.RNG, count int, dst []int) []int {
-	if cap(dst) < count {
-		dst = make([]int, count)
-	}
-	dst = dst[:count]
-	for i := range dst {
-		dst[i] = m.SampleRank(rng)
-	}
-	return dst
 }

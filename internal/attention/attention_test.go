@@ -277,3 +277,25 @@ func BenchmarkSampleRank(b *testing.B) {
 		})
 	}
 }
+
+// Probability returns the probability that a single visit lands on the
+// given 1-based rank.
+func (m *Model) Probability(rank int) float64 {
+	if rank < 1 || rank > m.n {
+		return 0
+	}
+	return (m.prefix[rank] - m.prefix[rank-1]) / m.prefix[m.n]
+}
+
+// SampleRanks draws count independent rank positions into dst (reusing its
+// backing array when possible) and returns the slice.
+func (m *Model) SampleRanks(rng *randutil.RNG, count int, dst []int) []int {
+	if cap(dst) < count {
+		dst = make([]int, count)
+	}
+	dst = dst[:count]
+	for i := range dst {
+		dst[i] = m.SampleRank(rng)
+	}
+	return dst
+}

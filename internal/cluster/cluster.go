@@ -127,42 +127,6 @@ func (c *Cluster) serveNode(n *Node) {
 	c.fdSrvs = append(c.fdSrvs, httptest.NewServer(fh))
 }
 
-// RestartNode brings a killed node back: a brand-new Node over the same
-// data directory (recovering WAL + snapshot like a restarted process),
-// re-registered under its old ID. With wipe, the data directory is
-// cleared first — the fresh-follower case that exercises snapshot
-// catch-up when the leader's WAL tail is long truncated.
-func (c *Cluster) RestartNode(i int, wipe bool) error {
-	if !c.killed[i] {
-		return fmt.Errorf("cluster: node %d is not dead", i)
-	}
-	id := fmt.Sprintf("n%d", i)
-	if wipe {
-		if err := os.RemoveAll(filepath.Join(c.opts.DataDir, id)); err != nil {
-			return err
-		}
-	}
-	n, err := c.buildNode(i)
-	if err != nil {
-		return err
-	}
-	c.Registry.Register(n)
-	if err := n.Start(); err != nil {
-		return err
-	}
-	c.nodes[i] = n
-	api := httptest.NewServer(n.Handler())
-	c.apiSrvs[i] = api
-	c.Registry.SetAPIURL(id, api.URL)
-	var fh http.Handler = NewFrontDoor(n)
-	if c.opts.WrapFrontDoor != nil {
-		fh = c.opts.WrapFrontDoor(fh)
-	}
-	c.fdSrvs[i] = httptest.NewServer(fh)
-	c.killed[i] = false
-	return nil
-}
-
 // Len returns the node count.
 func (c *Cluster) Len() int { return len(c.nodes) }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -775,4 +776,66 @@ func waitUntil(t *testing.T, timeout time.Duration, f func() error) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// MarkDead declares a node failed by fiat — the operator (or a test)
+// asserting a node is gone even though its process still runs. A dead
+// node loses promotion arbitration immediately; it is how a partition
+// is simulated without killing the process.
+func (r *Registry) MarkDead(node string) {
+	r.mu.Lock()
+	r.dead[node] = true
+	r.mu.Unlock()
+}
+
+// SetPartitioned simulates a network partition around the node: every
+// replication connection drops and no new ones are made (in or out)
+// until healed. The process keeps running — which is exactly how a
+// zombie leader is born. Pair with Registry.MarkDead so the arbiter
+// also considers it failed.
+func (n *Node) SetPartitioned(p bool) {
+	n.partitioned.Store(p)
+	if p {
+		n.connMu.Lock()
+		for c := range n.conns {
+			c.Close()
+		}
+		n.connMu.Unlock()
+	}
+}
+
+// RestartNode brings a killed node back: a brand-new Node over the same
+// data directory (recovering WAL + snapshot like a restarted process),
+// re-registered under its old ID. With wipe, the data directory is
+// cleared first — the fresh-follower case that exercises snapshot
+// catch-up when the leader's WAL tail is long truncated.
+func (c *Cluster) RestartNode(i int, wipe bool) error {
+	if !c.killed[i] {
+		return fmt.Errorf("cluster: node %d is not dead", i)
+	}
+	id := fmt.Sprintf("n%d", i)
+	if wipe {
+		if err := os.RemoveAll(filepath.Join(c.opts.DataDir, id)); err != nil {
+			return err
+		}
+	}
+	n, err := c.buildNode(i)
+	if err != nil {
+		return err
+	}
+	c.Registry.Register(n)
+	if err := n.Start(); err != nil {
+		return err
+	}
+	c.nodes[i] = n
+	api := httptest.NewServer(n.Handler())
+	c.apiSrvs[i] = api
+	c.Registry.SetAPIURL(id, api.URL)
+	var fh http.Handler = NewFrontDoor(n)
+	if c.opts.WrapFrontDoor != nil {
+		fh = c.opts.WrapFrontDoor(fh)
+	}
+	c.fdSrvs[i] = httptest.NewServer(fh)
+	c.killed[i] = false
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -184,11 +185,11 @@ func (fd *FrontDoor) postFeedback(leader string, events []serve.Event) (status i
 		}
 	}
 	if leader == fd.node.cfg.ID {
-		rec := newBufferResponse()
+		rec := httptest.NewRecorder()
 		req, _ := http.NewRequest(http.MethodPost, path, bytes.NewReader(payload))
 		req.Header.Set("Content-Type", contentType)
 		fd.node.Handler().ServeHTTP(rec, req)
-		return rec.status, rec.body.Bytes(), nil
+		return rec.Code, rec.Body.Bytes(), nil
 	}
 	base := fd.coord.APIURL(leader)
 	if base == "" {
@@ -206,21 +207,20 @@ func (fd *FrontDoor) postFeedback(leader string, events []serve.Event) (status i
 	return resp.StatusCode, rb, nil
 }
 
-// serveRead answers rank reads: local replica first; if the local
-// guard refuses (stale replica mid-failover), retry the same request
-// against each peer until one answers.
+// serveRead answers rank reads. A fresh local replica serves the
+// request in place, so the API sees the client's own request (its
+// RemoteAddr keys the rate limiter). A stale one (mid-failover) sends
+// the same request to each peer until one answers, and answers the
+// guard's stale_replica 503 when none does.
 func (fd *FrontDoor) serveRead(w http.ResponseWriter, r *http.Request) {
+	stale, why := fd.node.staleShard()
+	if !stale {
+		fd.node.api.ServeHTTP(w, r)
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
 		errorOut(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
-		return
-	}
-	rec := newBufferResponse()
-	req, _ := http.NewRequest(r.Method, r.URL.Path, bytes.NewReader(body))
-	req.Header = r.Header.Clone()
-	fd.node.Handler().ServeHTTP(rec, req)
-	if rec.status != http.StatusServiceUnavailable {
-		rec.copyTo(w)
 		return
 	}
 	for _, peer := range fd.coord.Nodes() {
@@ -254,32 +254,6 @@ func (fd *FrontDoor) serveRead(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.Copy(w, resp.Body)
 		return
 	}
-	// Every replica is stale or unreachable: surface the local 503.
-	rec.copyTo(w)
-}
-
-// bufferResponse is a minimal in-memory http.ResponseWriter for
-// in-process sub-requests (no httptest dependency outside tests).
-type bufferResponse struct {
-	status int
-	header http.Header
-	body   bytes.Buffer
-}
-
-func newBufferResponse() *bufferResponse {
-	return &bufferResponse{status: http.StatusOK, header: make(http.Header)}
-}
-
-func (b *bufferResponse) Header() http.Header         { return b.header }
-func (b *bufferResponse) WriteHeader(code int)        { b.status = code }
-func (b *bufferResponse) Write(p []byte) (int, error) { return b.body.Write(p) }
-
-func (b *bufferResponse) copyTo(w http.ResponseWriter) {
-	for k, vs := range b.header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(b.status)
-	_, _ = w.Write(b.body.Bytes())
+	// Every replica is stale or unreachable.
+	errorOut(w, http.StatusServiceUnavailable, ErrCodeStaleReplica, why, 1000)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"testing"
 	"time"
@@ -262,5 +263,142 @@ func TestOneShardAckNeverWaitsForHeartbeat(t *testing.T) {
 				t.Errorf("fsync=%s: slowest of %d acks took %v, at least half a heartbeat (%v): a post waited for one", mode, posts, slowest, opts.HeartbeatEvery)
 			}
 		})
+	}
+}
+
+// markStale puts node i's replica of its first follower shard past the
+// lag bound: a leader commit position no frame will ever reach, which
+// replication only ever raises.
+func markStale(t *testing.T, c *Cluster, i int) {
+	t.Helper()
+	n := c.Node(i)
+	for _, sr := range n.shards {
+		if sr.role.Load() != roleLeader {
+			sr.leaderCommit.Store(1 << 62)
+			if stale, _ := n.staleShard(); !stale {
+				t.Fatalf("node %d is not stale after marking", i)
+			}
+			return
+		}
+	}
+	t.Fatalf("node %d leads every shard", i)
+}
+
+// TestFrontDoorReadFailsOverFromStaleReplica: a front door serves a
+// rank read from its own replica while that replica is fresh; while it
+// is stale, it relays a fresh peer's answer, and with every replica
+// stale it answers 503 stale_replica.
+func TestFrontDoorReadFailsOverFromStaleReplica(t *testing.T) {
+	c, err := New(fastOpts(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for id := 0; id < 24; id++ {
+		if err := c.Add(id, fmt.Sprintf("page shared %d", id), float64(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(`{"query":"shared","n":5,"unit":"u","seed":7}`)
+	rank := func(url string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/rank", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, reply
+	}
+	rankRequests := func() []uint64 {
+		t.Helper()
+		var out []uint64
+		for i := 0; i < c.Len(); i++ {
+			resp, err := http.Get(c.APIURL(i) + "/v1/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st serve.StatsResponse
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, st.RankRequests)
+		}
+		return out
+	}
+
+	before := rankRequests()
+	status, reply := rank(c.FrontDoorURL(0))
+	after := rankRequests()
+	if status != http.StatusOK {
+		t.Fatalf("fresh read: status %d: %s", status, reply)
+	}
+	for i := range after {
+		want := before[i]
+		if i == 0 {
+			want++
+		}
+		if after[i] != want {
+			t.Errorf("fresh read: node %d served %d rank requests, want %d (only the local replica serves)", i, after[i]-before[i], want-before[i])
+		}
+	}
+	if _, direct := rank(c.APIURL(0)); !bytes.Equal(reply, direct) {
+		t.Errorf("fresh read through the front door:\n%s\nlocal API:\n%s", reply, direct)
+	}
+
+	markStale(t, c, 0)
+	markStale(t, c, 2)
+	status, reply = rank(c.FrontDoorURL(0))
+	if _, fresh := rank(c.APIURL(1)); status != http.StatusOK || !bytes.Equal(reply, fresh) {
+		t.Errorf("stale read: status %d:\n%s\nfresh peer:\n%s", status, reply, fresh)
+	}
+
+	markStale(t, c, 1)
+	resp, err := http.Post(c.FrontDoorURL(0)+"/v1/rank", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env serve.ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != ErrCodeStaleReplica || resp.Header.Get("Retry-After") != "1" {
+		t.Errorf("every replica stale: status %d, Retry-After %q, %+v (%v); want 503 %s", resp.StatusCode, resp.Header.Get("Retry-After"), env.Error, err, ErrCodeStaleReplica)
+	}
+}
+
+// TestFrontDoorRateLimitsReadsPerClient: a unit-less read is charged to
+// the client's address, so two clients each get their own bucket
+// through the front door as they would at the API.
+func TestFrontDoorRateLimitsReadsPerClient(t *testing.T) {
+	opts := fastOpts(t)
+	opts.Corpus = func(_ int, cfg *serve.Config) {
+		cfg.Limits.RateLimitRPS = 1
+		cfg.Limits.RateLimitBurst = 1
+	}
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WaitConverged(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	fd := NewFrontDoor(c.Node(0))
+	for _, addr := range []string{"192.0.2.1:1000", "192.0.2.2:1000"} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/rank", bytes.NewReader([]byte(`{"n":5}`)))
+		req.RemoteAddr = addr
+		w := httptest.NewRecorder()
+		fd.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Errorf("first read from %s: status %d: %s", addr, w.Code, w.Body)
+		}
 	}
 }

@@ -40,7 +40,7 @@ const ErrCodeStaleReplica = "stale_replica"
 
 // ErrCodeReplLag is the error code a leader returns when a feedback
 // batch committed locally but a follower quorum did not ack it within
-// ReplAckTimeout: the write was NOT acknowledged, retry it.
+// replAckTimeout: the write was NOT acknowledged, retry it.
 const ErrCodeReplLag = serve.ErrCodeReplLag
 
 // NodeConfig sizes one cluster node. Zero values select defaults.
@@ -68,13 +68,6 @@ type NodeConfig struct {
 	// ElectionTimeout is how long a follower waits without hearing a
 	// leader before asking the coordinator to promote it (default 1s).
 	ElectionTimeout time.Duration
-	// ReplAckTimeout bounds how long a leader holds a feedback 202
-	// waiting for a quorum of followers to ack the batch's commit
-	// position (default 5s). On timeout the client gets 503 and
-	// retries — the batch is locally durable but was never
-	// acknowledged, so a retry can double-count yet nothing acked is
-	// ever lost.
-	ReplAckTimeout time.Duration
 	// Logf, when non-nil, receives replication lifecycle events
 	// (sessions, promotions, fencing refusals).
 	Logf func(format string, args ...any)
@@ -95,9 +88,6 @@ func (cfg *NodeConfig) fillDefaults() {
 	}
 	if cfg.ElectionTimeout == 0 {
 		cfg.ElectionTimeout = time.Second
-	}
-	if cfg.ReplAckTimeout == 0 {
-		cfg.ReplAckTimeout = 5 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -326,22 +316,6 @@ func (n *Node) teardown() {
 	n.connMu.Unlock()
 	n.wg.Wait()
 	n.peers.CloseIdleConnections()
-}
-
-// SetPartitioned simulates a network partition around the node: every
-// replication connection drops and no new ones are made (in or out)
-// until healed. The process keeps running — which is exactly how a
-// zombie leader is born. Pair with Registry.MarkDead so the arbiter
-// also considers it failed.
-func (n *Node) SetPartitioned(p bool) {
-	n.partitioned.Store(p)
-	if p {
-		n.connMu.Lock()
-		for c := range n.conns {
-			c.Close()
-		}
-		n.connMu.Unlock()
-	}
 }
 
 func (n *Node) trackConn(c net.Conn) bool {
@@ -860,10 +834,15 @@ func (n *Node) sendReply(conn net.Conn, rp reply) bool {
 // leader stops streaming when the frames in flight beyond the
 // follower's cumulative ack reach it, so a slow follower backpressures
 // the stream instead of buffering without bound. shipBatchBytes packs
-// frames into large socket writes.
+// frames into large socket writes. replAckTimeout bounds how long a
+// leader holds a feedback 202 waiting for a quorum of followers to ack
+// the batch's commit position. On timeout the client gets 503 and
+// retries — the batch is locally durable but was never acknowledged,
+// so a retry can double-count yet nothing acked is ever lost.
 const (
 	replWindow     = 4096
 	shipBatchBytes = 256 << 10
+	replAckTimeout = 5 * time.Second
 )
 
 // shipFrames streams the shard's WAL frames from pos onward,
@@ -1070,7 +1049,7 @@ func (n *Node) holdForQuorum(lsns []uint64) error {
 		if lsn == 0 {
 			continue
 		}
-		if err := n.WaitReplicated(si, lsn, need, n.cfg.ReplAckTimeout); err != nil {
+		if err := n.WaitReplicated(si, lsn, need, replAckTimeout); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -74,16 +73,6 @@ func (r *Registry) AssignInitialLeaders() {
 	for si := range r.shards {
 		r.shards[si] = regShard{epoch: 1, leader: ring.ShardLeader(si)}
 	}
-}
-
-// MarkDead declares a node failed by fiat — the operator (or a test)
-// asserting a node is gone even though its process still runs. A dead
-// node loses promotion arbitration immediately; it is how a partition
-// is simulated without killing the process.
-func (r *Registry) MarkDead(node string) {
-	r.mu.Lock()
-	r.dead[node] = true
-	r.mu.Unlock()
 }
 
 func (r *Registry) nodeAlive(id string) bool {
@@ -173,14 +162,4 @@ func (r *Registry) Nodes() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]string(nil), r.order...)
-}
-
-// LeaderDiffers is a test helper: it errors unless the shard's leader
-// has moved off old.
-func (r *Registry) LeaderDiffers(shard int, old string) error {
-	cur, _ := r.Leader(shard)
-	if cur == old {
-		return fmt.Errorf("shard %d still led by %s", shard, old)
-	}
-	return nil
 }

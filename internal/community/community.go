@@ -122,9 +122,6 @@ func (c Config) String() string {
 		c.MonitoredVisitsPerDay(), c.LifetimeDays/DaysPerYear)
 }
 
-// WithPages returns a copy with n replaced (other fields untouched).
-func (c Config) WithPages(n int) Config { c.Pages = n; return c }
-
 // WithLifetimeYears returns a copy with l replaced.
 func (c Config) WithLifetimeYears(years float64) Config {
 	c.LifetimeDays = years * DaysPerYear

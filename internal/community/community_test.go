@@ -164,3 +164,6 @@ func TestWithUsersHoldsVisitBudget(t *testing.T) {
 		t.Fatalf("v = %v, want 100", got)
 	}
 }
+
+// WithPages returns a copy with n replaced (other fields untouched).
+func (c Config) WithPages(n int) Config { c.Pages = n; return c }

@@ -27,19 +27,6 @@ func New(n int) *Tree {
 	return &Tree{n: n, tree: make([]float64, n+1), raw: make([]float64, n)}
 }
 
-// FromWeights builds a tree initialized with the given weights in O(n).
-func FromWeights(weights []float64) *Tree {
-	t := New(len(weights))
-	copy(t.raw, weights)
-	for i, w := range weights {
-		t.tree[i+1] += w
-		if parent := i + 1 + ((i + 1) & -(i + 1)); parent <= t.n {
-			t.tree[parent] += t.tree[i+1]
-		}
-	}
-	return t
-}
-
 // Len returns the number of slots.
 func (t *Tree) Len() int { return t.n }
 

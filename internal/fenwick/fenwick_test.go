@@ -224,3 +224,16 @@ func BenchmarkAdd(b *testing.B) {
 		tr.Add(rng.Intn(100000), 0.5)
 	}
 }
+
+// FromWeights builds a tree initialized with the given weights in O(n).
+func FromWeights(weights []float64) *Tree {
+	t := New(len(weights))
+	copy(t.raw, weights)
+	for i, w := range weights {
+		t.tree[i+1] += w
+		if parent := i + 1 + ((i + 1) & -(i + 1)); parent <= t.n {
+			t.tree[parent] += t.tree[i+1]
+		}
+	}
+	return t
+}

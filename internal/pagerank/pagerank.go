@@ -38,16 +38,6 @@ func (g *Graph) OutDegree(u int) int { return g.outPtr[u+1] - g.outPtr[u] }
 // caller must not modify it.
 func (g *Graph) OutNeighbors(u int) []int { return g.outAdj[g.outPtr[u]:g.outPtr[u+1]] }
 
-// InDegrees returns the in-degree of every node — the simplest popularity
-// measure the paper mentions (§1).
-func (g *Graph) InDegrees() []int {
-	in := make([]int, g.n)
-	for _, v := range g.outAdj {
-		in[v]++
-	}
-	return in
-}
-
 // Builder accumulates edges before freezing them into a Graph.
 type Builder struct {
 	n     int
@@ -237,39 +227,4 @@ func PreferentialAttachment(n, outDegree int, rng *randutil.RNG) (*Graph, error)
 		repeated = append(repeated, v)
 	}
 	return b.Build(), nil
-}
-
-// QualitiesFromRanks rescales PageRank values into page qualities in
-// (0, maxQ], preserving their relative proportions — the paper's recipe
-// of shaping quality like the PageRank distribution with the top page at
-// 0.4 (§6.1).
-func QualitiesFromRanks(ranks []float64, maxQ float64) ([]float64, error) {
-	if len(ranks) == 0 {
-		return nil, fmt.Errorf("pagerank: empty rank vector")
-	}
-	if maxQ <= 0 || maxQ > 1 {
-		return nil, fmt.Errorf("pagerank: max quality %v outside (0,1]", maxQ)
-	}
-	top := 0.0
-	for _, r := range ranks {
-		if math.IsNaN(r) || r < 0 {
-			return nil, fmt.Errorf("pagerank: invalid rank %v", r)
-		}
-		if r > top {
-			top = r
-		}
-	}
-	if top == 0 {
-		return nil, fmt.Errorf("pagerank: all ranks zero")
-	}
-	qs := make([]float64, len(ranks))
-	for i, r := range ranks {
-		qs[i] = r / top * maxQ
-		if qs[i] <= 0 {
-			// Quality must be strictly positive for the popularity model;
-			// floor isolated zero-rank nodes at a tiny epsilon.
-			qs[i] = maxQ * 1e-9
-		}
-	}
-	return qs, nil
 }

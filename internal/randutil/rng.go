@@ -222,33 +222,6 @@ func (r *RNG) binomialInversion(n int, p float64) int {
 	return x
 }
 
-// Poisson samples from a Poisson distribution with the given mean. It uses
-// Knuth's product method for small means and a normal approximation for
-// large means.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	for {
-		x := math.Floor(mean + math.Sqrt(mean)*r.NormFloat64() + 0.5)
-		if x >= 0 {
-			return int(x)
-		}
-	}
-}
-
 // Split derives an independent child generator. The child stream is a
 // deterministic function of the parent state, so seeded experiments that
 // fan out remain reproducible.

@@ -434,3 +434,30 @@ func BenchmarkBinomialLarge(b *testing.B) {
 		_ = r.Binomial(10000, 0.1)
 	}
 }
+
+// Poisson samples from a Poisson distribution with the given mean. It uses
+// Knuth's product method for small means and a normal approximation for
+// large means.
+func (r *RNG) Poisson(mean float64) int {
+	if mean <= 0 {
+		return 0
+	}
+	if mean < 30 {
+		l := math.Exp(-mean)
+		k := 0
+		p := 1.0
+		for {
+			p *= r.Float64()
+			if p <= l {
+				return k
+			}
+			k++
+		}
+	}
+	for {
+		x := math.Floor(mean + math.Sqrt(mean)*r.NormFloat64() + 0.5)
+		if x >= 0 {
+			return int(x)
+		}
+	}
+}

@@ -82,11 +82,6 @@ func NewIndex() *Index {
 	return ix
 }
 
-// Tokenize lower-cases and splits text into alphanumeric terms.
-func Tokenize(text string) []string {
-	return appendTokens(nil, text)
-}
-
 // appendTokens appends the lower-cased alphanumeric terms of text to dst.
 // When text is already lower-case the terms share its backing storage and
 // the only allocations are dst growth, so pooled callers tokenize free.

@@ -112,3 +112,8 @@ func TestLargeIndexIntersection(t *testing.T) {
 		t.Fatalf("intersection size %d, want %d", len(res), want)
 	}
 }
+
+// Tokenize lower-cases and splits text into alphanumeric terms.
+func Tokenize(text string) []string {
+	return appendTokens(nil, text)
+}

@@ -272,33 +272,6 @@ func (s *scanner) event(e, prev *Event, arms map[string]*armState) bool {
 	})
 }
 
-// wrapped scans the one-key envelope both array bodies share —
-// {"<name>":[ … ]} — calling elem at the start of every element. An
-// empty object or an empty array is accepted with no elements.
-func (s *scanner) wrapped(name string, elem func() bool) bool {
-	if !s.lit('{') {
-		return false
-	}
-	if s.lit('}') {
-		return s.end()
-	}
-	if k, ok := s.key(); !ok || string(k) != name || !s.lit('[') {
-		return false
-	}
-	if !s.lit(']') {
-		for again := true; again; {
-			if !elem() {
-				return false
-			}
-			var ok bool
-			if again, ok = s.more(']'); !ok {
-				return false
-			}
-		}
-	}
-	return s.lit('}') && s.end()
-}
-
 // scanRankRequest decodes a canonical /v1/rank body into *req (see
 // scanner.rankRequest); false declines.
 func scanRankRequest(data []byte, req *RankRequest, seed *uint64, arms map[string]*armState) bool {
@@ -306,44 +279,41 @@ func scanRankRequest(data []byte, req *RankRequest, seed *uint64, arms map[strin
 	return s.rankRequest(req, seed, arms) && s.end()
 }
 
-// scanRankBatch decodes a canonical JSON /v1/rank/batch body, appending
-// to reqs[:0] and seeds[:0] (sub-request seeds live in seeds so a
-// seeded batch does not allocate one word per request); false declines.
-// Seed pointers stay valid when seeds grows: they keep the old backing
-// array, already written, alive.
-func scanRankBatch(data []byte, reqs []RankRequest, seeds []uint64, arms map[string]*armState) ([]RankRequest, []uint64, bool) {
-	s := scanner{data: data}
-	reqs, seeds = reqs[:0], seeds[:0]
-	ok := s.wrapped("requests", func() bool {
-		// Past the cap the handler refuses the batch whatever it holds;
-		// let the fallback count it rather than grow the pool for it.
-		if len(reqs) > MaxBatchRequests {
-			return false
-		}
-		reqs = append(reqs, RankRequest{})
-		seeds = append(seeds, 0)
-		return s.rankRequest(&reqs[len(reqs)-1], &seeds[len(seeds)-1], arms)
-	})
-	return reqs, seeds, ok
-}
-
-// scanFeedback decodes a canonical feedback body, appending the events
-// to dst[:0]; false declines.
+// scanFeedback decodes a canonical feedback body — {"events":[ … ]},
+// with an empty array or an empty object accepted as no events —
+// appending the events to dst[:0]; false declines.
 func scanFeedback(data []byte, dst []Event, arms map[string]*armState) ([]Event, bool) {
 	s := scanner{data: data}
 	dst = dst[:0]
+	if !s.lit('{') {
+		return dst, false
+	}
+	if s.lit('}') {
+		return dst, s.end()
+	}
+	if k, ok := s.key(); !ok || string(k) != "events" || !s.lit('[') {
+		return dst, false
+	}
 	none := Event{}
-	ok := s.wrapped("events", func() bool {
-		prev := &none
-		if n := len(dst); n > 0 {
-			prev = &dst[n-1]
+	if !s.lit(']') {
+		for again := true; again; {
+			prev := &none
+			if n := len(dst); n > 0 {
+				prev = &dst[n-1]
+			}
+			dst = append(dst, Event{})
+			// prev may point into the array append just left; it is only
+			// read, and that array still holds the event.
+			if !s.event(&dst[len(dst)-1], prev, arms) {
+				return dst, false
+			}
+			var ok bool
+			if again, ok = s.more(']'); !ok {
+				return dst, false
+			}
 		}
-		dst = append(dst, Event{})
-		// prev may point into the array append just left; it is only
-		// read, and that array still holds the event.
-		return s.event(&dst[len(dst)-1], prev, arms)
-	})
-	return dst, ok
+	}
+	return dst, s.lit('}') && s.end()
 }
 
 // decodeRankRequest is the /v1/rank body decoder: the scanner, or
@@ -354,18 +324,6 @@ func decodeRankRequest(data []byte, req *RankRequest, seed *uint64, arms map[str
 	}
 	*req = RankRequest{}
 	return json.Unmarshal(data, req)
-}
-
-// decodeRankBatch is the JSON /v1/rank/batch body decoder: the scanner
-// into the pooled slices, or json.Unmarshal into fresh ones.
-func decodeRankBatch(data []byte, sc *connScratch, arms map[string]*armState) ([]RankRequest, error) {
-	var ok bool
-	if sc.reqs, sc.seeds, ok = scanRankBatch(data, sc.reqs, sc.seeds, arms); ok {
-		return sc.reqs, nil
-	}
-	var body RankBatchRequest
-	err := json.Unmarshal(data, &body)
-	return body.Requests, err
 }
 
 // decodeFeedback is the JSON feedback body decoder: the scanner into

@@ -48,6 +48,9 @@ var (
 		"{\"unit\":\"a b~\x7f\",\"query\":\"<&>'\"}", // DEL and the HTML characters are plain bytes on the way in
 		`{"arm":"nope"}`,
 	}
+	// /v1/rank/batch bodies, which encoding/json decodes. They stay
+	// seeds of the rank target: a batch posted to /v1/rank is one more
+	// body the rank scanner must take as encoding/json does or decline.
 	rankBatchAccepted = []string{
 		`{"requests": [{"query": "a", "n": 10}, {"query": "b", "n": 5, "seed": 7}]}`, // docs/api.md
 		`{"requests":[{"query":"","n":3},{"query":"","n":2}]}`,
@@ -109,29 +112,23 @@ func scribble(body []byte) {
 	}
 }
 
-// checkScanRank pins the scanner's contract on one /v1/rank and one
-// /v1/rank/batch reading of data — accepts ⇒ encoding/json accepts, with
-// an equal value — and reports what it accepted.
-func checkScanRank(t *testing.T, data []byte) (single, batch bool) {
+// checkScanRank pins the scanner's contract on a /v1/rank reading of
+// data — accepts ⇒ encoding/json accepts, with an equal value — and
+// reports whether it accepted.
+func checkScanRank(t *testing.T, data []byte) bool {
 	t.Helper()
 	var wantOne RankRequest
 	errOne := json.Unmarshal(data, &wantOne)
-	var wantMany RankBatchRequest
-	errMany := json.Unmarshal(data, &wantMany)
 
 	body := bytes.Clone(data)
 	var got RankRequest
 	var seed uint64
-	single = scanRankRequest(body, &got, &seed, testArms)
-	reqs, _, batch := scanRankBatch(body, nil, nil, testArms)
+	single := scanRankRequest(body, &got, &seed, testArms)
 	scribble(body)
 	if single && (errOne != nil || !reflect.DeepEqual(got, wantOne)) {
 		t.Fatalf("rank scanner took %q as %+v; encoding/json: %+v, %v", data, got, wantOne, errOne)
 	}
-	if batch && (errMany != nil || !sameList(reqs, wantMany.Requests)) {
-		t.Fatalf("rank batch scanner took %q as %+v; encoding/json: %+v, %v", data, reqs, wantMany.Requests, errMany)
-	}
-	return single, batch
+	return single
 }
 
 // checkScanFeedback is checkScanRank for the feedback body.
@@ -150,13 +147,8 @@ func checkScanFeedback(t *testing.T, data []byte) bool {
 
 func TestScannerAcceptsCanonicalBodies(t *testing.T) {
 	for _, body := range rankAccepted {
-		if single, _ := checkScanRank(t, []byte(body)); !single {
+		if !checkScanRank(t, []byte(body)) {
 			t.Errorf("rank scanner declined %q", body)
-		}
-	}
-	for _, body := range rankBatchAccepted {
-		if _, batch := checkScanRank(t, []byte(body)); !batch {
-			t.Errorf("rank batch scanner declined %q", body)
 		}
 	}
 	for _, body := range feedbackAccepted {
@@ -168,13 +160,8 @@ func TestScannerAcceptsCanonicalBodies(t *testing.T) {
 
 func TestScannerDeclinesTheRest(t *testing.T) {
 	for _, body := range rankDeclined {
-		if single, _ := checkScanRank(t, []byte(body)); single {
+		if checkScanRank(t, []byte(body)) {
 			t.Errorf("rank scanner took %q", body)
-		}
-	}
-	for _, body := range append(rankBatchDeclined, rankDeclined...) {
-		if _, batch := checkScanRank(t, []byte(body)); batch && body != `{"n":1}x` {
-			t.Errorf("rank batch scanner took %q", body)
 		}
 	}
 	for _, body := range feedbackDeclined {
@@ -231,26 +218,6 @@ func TestScanIntoReusedPoolLeaksNothing(t *testing.T) {
 		}
 		if !sameList(got, want.Events) {
 			t.Errorf("after a full post, %q decoded as %+v, want %+v", second, got, want.Events)
-		}
-	}
-
-	fullBatch := `{"requests":[{"query":"q1","n":5,"unit":"alice","arm":"treatment","seed":11},{"query":"q2","n":6,"unit":"bob","arm":"x","seed":12}]}`
-	for _, second := range []string{
-		`{"requests":[{"n":1},{"query":"z"}]}`,
-		`{"requests":[{},{},{"seed":3}]}`,
-		`{"requests":[{"unit":"carol"}]}`,
-	} {
-		reqs, seeds, ok := scanRankBatch([]byte(fullBatch), nil, nil, testArms)
-		if !ok {
-			t.Fatal("declined the full batch")
-		}
-		got, _, ok := scanRankBatch([]byte(second), reqs, seeds, testArms)
-		var want RankBatchRequest
-		if err := json.Unmarshal([]byte(second), &want); err != nil || !ok {
-			t.Fatalf("%q: scanner %v, encoding/json %v", second, ok, err)
-		}
-		if !reflect.DeepEqual(got, want.Requests) {
-			t.Errorf("after a full batch, %q decoded as %+v, want %+v", second, got, want.Requests)
 		}
 	}
 
@@ -350,9 +317,9 @@ func fuzzServer(tb testing.TB) (*Server, *Corpus) {
 }
 
 // FuzzDecodeRankRequest is the differential target for the rank
-// scanner, single and batch: whatever it accepts, encoding/json accepts
-// with an equal value, and the handlers answer the same status and bytes
-// as they do through json.Unmarshal.
+// scanner: whatever it accepts, encoding/json accepts with an equal
+// value, and the handler answers the same status and bytes as it does
+// through json.Unmarshal.
 func FuzzDecodeRankRequest(f *testing.F) {
 	for _, seeds := range [][]string{rankAccepted, rankBatchAccepted, rankDeclined, rankBatchDeclined} {
 		for _, s := range seeds {
@@ -361,12 +328,8 @@ func FuzzDecodeRankRequest(f *testing.F) {
 	}
 	srv, _ := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		single, batch := checkScanRank(t, data)
-		if single {
+		if checkScanRank(t, data) {
 			diffHandler(t, srv, "/v1/rank", data)
-		}
-		if batch {
-			diffHandler(t, srv, "/v1/rank/batch", data)
 		}
 	})
 }

@@ -534,3 +534,6 @@ func TestFeedbackReportsCommitLSN(t *testing.T) {
 		t.Fatalf("the WALs hold %d event records, want %d", seen, want)
 	}
 }
+
+// ShardOf returns the shard index serving the given page ID.
+func (c *Corpus) ShardOf(page int) int { return ShardIndex(page, len(c.shards)) }

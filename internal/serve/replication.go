@@ -46,9 +46,6 @@ type ReplFrame struct {
 // corpus partitions by it, and the cluster front door routes by it.
 func ShardIndex(page, shards int) int { return int(uint(page) % uint(shards)) }
 
-// ShardOf returns the shard index serving the given page ID.
-func (c *Corpus) ShardOf(page int) int { return ShardIndex(page, len(c.shards)) }
-
 // CommittedLSN returns the shard's last durable WAL position: the
 // position replication ships up to, and the ack a follower reports.
 func (c *Corpus) CommittedLSN(shard int) uint64 {

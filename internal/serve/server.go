@@ -54,21 +54,17 @@ type connScratch struct {
 	in      []byte
 	out     []byte
 	results []Result
-	events  []Event       // scanned feedback events
-	reqs    []RankRequest // scanned JSON rank batch
-	seeds   []uint64      // backing for the batch's RankRequest.Seed
-	forced  []*armState   // the batch's resolved forced arms
-	seed    uint64        // backing for a single scanned RankRequest.Seed
-	lsns    []uint64      // per-shard commit LSNs of a held feedback post
+	events  []Event     // scanned feedback events
+	forced  []*armState // the batch's resolved forced arms
+	seed    uint64      // backing for a single scanned RankRequest.Seed
+	lsns    []uint64    // per-shard commit LSNs of a held feedback post
 }
 
 // maxPooledEvents is the largest scanned-events slice a connScratch
 // keeps between requests: room for a JSON /v1/feedback post as large as
 // a full binary batch however append rounded its growth. /v1/feedback
 // has no event cap, so one 8 MB post can scan into millions of events;
-// that slice is dropped rather than pinned in the pool. (The rank batch
-// targets cannot outgrow MaxBatchRequests — the scanner declines past
-// it.)
+// that slice is dropped rather than pinned in the pool.
 const maxPooledEvents = 2 * MaxFeedbackBatchEvents
 
 // Server wraps a Corpus with the HTTP API. Create with NewServer; it
@@ -364,11 +360,12 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		reqs, err = decodeRankBatch(sc.in, sc, s.corpus.armIdx)
-		if err != nil {
+		var body RankBatchRequest
+		if err = json.Unmarshal(sc.in, &body); err != nil {
 			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
 			return
 		}
+		reqs = body.Requests
 	}
 	if len(reqs) == 0 {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "empty batch")

@@ -7,6 +7,7 @@ import (
 	"repro/internal/community"
 	"repro/internal/policy"
 	"repro/internal/quality"
+	"repro/internal/rankengine"
 	"repro/internal/stats"
 )
 
@@ -455,4 +456,31 @@ func TestPopularLongevityProtectsPopularPages(t *testing.T) {
 	if long <= base {
 		t.Fatalf("popular pages under longevity=8 mean age %v, want above baseline %v", long, base)
 	}
+}
+
+// Day returns the current simulation day.
+func (s *Simulator) Day() int { return s.day }
+
+// Awareness returns the awareness count of page idx (testing hook).
+func (s *Simulator) Awareness(idx int) int { return s.aware[idx] }
+
+// ProbePage returns the index of the TBP probe page (the highest-quality
+// page).
+func (s *Simulator) ProbePage() int { return s.probeIdx }
+
+// VisitCounts returns the lifetime number of monitored visits and how
+// many landed on zero-awareness pages (the exploration volume).
+func (s *Simulator) VisitCounts() (total, toZeroAware int64) {
+	return s.totalVisits, s.zeroVisits
+}
+
+// Deaths returns the lifetime number of page replacements.
+func (s *Simulator) Deaths() int64 { return s.deathCount }
+
+// CountAbovePopularity returns how many pages currently exceed the given
+// popularity — the empirical counterpart of the analytical rank function
+// F1(x) − 1. The hypothetical entry is given the oldest possible birth so
+// that equal-popularity pages (age tie-break) do not count.
+func (s *Simulator) CountAbovePopularity(x float64) int {
+	return s.treap.CountAbove(rankengine.Entry{ID: -1, Popularity: x, BirthDay: math.MinInt32})
 }

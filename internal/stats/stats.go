@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Summary holds moments of a sample.
@@ -214,57 +213,6 @@ func solve3(m [3][3]float64, rhs [3]float64) ([3]float64, error) {
 	return sol, nil
 }
 
-// Histogram is a fixed-width histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	N      int // total observations, including out-of-range ones
-	Under  int // observations below Lo
-	Over   int // observations at or above Hi
-}
-
-// NewHistogram creates a histogram with the given number of bins.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: need positive bin count, got %d", bins)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: need lo < hi, got [%v, %v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.N++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if idx >= len(h.Counts) { // floating-point edge at Hi
-			idx = len(h.Counts) - 1
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Fraction returns the share of all observations that fell into bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.N)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
 // ChiSquare computes the chi-square statistic of observed counts against
 // expected counts, pooling expected cells below minExpected into their
 // neighbors to keep the statistic well behaved. It returns the statistic
@@ -312,27 +260,4 @@ func ChiSquareCritical999(df int) float64 {
 	z := 3.0902 // 99.9% standard normal quantile
 	t := 1 - 2/(9*d) + z*math.Sqrt(2/(9*d))
 	return d * t * t * t
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation; it copies and sorts the input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }

@@ -5,7 +5,6 @@ import (
 	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -27,9 +26,6 @@ type SyncPool struct {
 	mu      sync.Mutex
 	waiting []chan error
 	running bool
-
-	batches atomic.Uint64 // syncfs calls issued
-	syncs   atomic.Uint64 // Sync requests served (logical barriers)
 }
 
 // gatherSpin is how long the batcher keeps yielding for more committers
@@ -59,7 +55,6 @@ func (p *SyncPool) Sync(f *os.File) error {
 	if p == nil || p.dir == nil {
 		return fdatasync(f)
 	}
-	p.syncs.Add(1)
 	ch := make(chan error, 1)
 	p.mu.Lock()
 	p.waiting = append(p.waiting, ch)
@@ -108,28 +103,10 @@ func (p *SyncPool) run() {
 		if err != nil {
 			err = fmt.Errorf("wal: syncfs: %w", err)
 		}
-		p.batches.Add(1)
 		for _, ch := range batch {
 			ch <- err
 		}
 	}
-}
-
-// Batches returns how many coalesced syncfs calls the pool has issued.
-func (p *SyncPool) Batches() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.batches.Load()
-}
-
-// Syncs returns how many logical barriers (Sync calls) the pool served;
-// Syncs/Batches is the coalescing factor.
-func (p *SyncPool) Syncs() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.syncs.Load()
 }
 
 // Close releases the filesystem fd. Outstanding Sync calls must have
