@@ -275,8 +275,10 @@ func main() {
 		}()
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if *join != "" {
-		if err := runClusterNode(cfg, *join, *peersSpec, *maxFollowerLag, *addr, to); err != nil {
+		if err := runClusterNode(ctx, cfg, *join, *peersSpec, *maxFollowerLag, *addr, to); err != nil {
 			log.Fatalf("shuffledeckd: %v", err)
 		}
 		log.Printf("shuffledeckd: shut down")
@@ -333,8 +335,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("shuffledeckd: %v", err)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if len(arms) > 0 {
 		log.Printf("shuffledeckd: %d arms (%v), listening on %s", len(arms), arms.String(), ln.Addr())
 	} else {
@@ -343,7 +343,7 @@ func main() {
 	if *dataDir != "" {
 		go build()
 	}
-	if err := runServer(ctx, ln, gate, ready, to); err != nil {
+	if err := runServer(ctx, ln, gate, to, closeCorpus(ready)); err != nil {
 		log.Fatalf("shuffledeckd: %v", err)
 	}
 	log.Printf("shuffledeckd: shut down")
@@ -356,7 +356,8 @@ func main() {
 // across the peer ring), and the node's replication listener serves WAL
 // streams to followers of its led shards. Leadership is the -peers
 // ring: failover across processes is operator action, not automatic.
-func runClusterNode(cfg serve.Config, join, peersSpec string, maxLag uint64, addr string, to httpTimeouts) error {
+// It serves until ctx is canceled, then drains and closes the node.
+func runClusterNode(ctx context.Context, cfg serve.Config, join, peersSpec string, maxLag uint64, addr string, to httpTimeouts) error {
 	peers, err := cluster.ParsePeers(peersSpec)
 	if err != nil {
 		return fmt.Errorf("-peers: %w", err)
@@ -402,31 +403,7 @@ func runClusterNode(cfg serve.Config, join, peersSpec string, maxLag uint64, add
 	log.Printf("shuffledeckd: cluster node %s (%d peers, leading %d/%d shards), api %s, repl %s",
 		join, len(peers), led, node.Corpus().Shards(), ln.Addr(), node.ReplAddr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	srv := &http.Server{
-		Handler:           cluster.NewFrontDoor(node),
-		ReadHeaderTimeout: to.readHeader,
-		ReadTimeout:       to.read,
-		WriteTimeout:      to.write,
-		IdleTimeout:       to.idle,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		node.Close()
-		if err == http.ErrServerClosed {
-			err = nil
-		}
-		return err
-	case <-ctx.Done():
-	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		return err
-	}
-	node.Close()
-	return nil
+	return runServer(ctx, ln, cluster.NewFrontDoor(node), to, node.Close)
 }
 
 // httpTimeouts bounds each phase of an HTTP exchange so a stalled or
@@ -483,25 +460,21 @@ func (g *bootGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // hint, so /v1 clients (loadgen among them) back off instead of
 // hammering a recovering instance.
 func recoveringHandler(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/v1/healthz" {
+		serve.WriteError(w, http.StatusServiceUnavailable, serve.ErrCodeUnavailable, time.Second, "recovering from data dir; not ready")
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Retry-After", "1")
 	w.WriteHeader(http.StatusServiceUnavailable)
-	if r.URL.Path == "/v1/healthz" {
-		fmt.Fprintln(w, `{"status":"recovering","ready":false}`)
-		return
-	}
-	fmt.Fprintln(w, `{"error":{"code":"unavailable","message":"recovering from data dir; not ready","retry_after_ms":1000}}`)
+	fmt.Fprintln(w, `{"status":"recovering","ready":false}`)
 }
 
 // runServer serves h on ln until ctx is canceled (SIGINT/SIGTERM in
-// main), then shuts down gracefully in three ordered steps: drain every
-// in-flight HTTP request, flush all pending feedback batches into the
-// shards (Sync blocks until applied and published), and stop the apply
-// loops — which, on a durable corpus, writes the final snapshots. The
-// ready channel delivers the corpus once recovery finishes; shutdown
-// waits on it so a signal during recovery still closes cleanly. The
-// corpus remains readable afterwards.
-func runServer(ctx context.Context, ln net.Listener, h http.Handler, ready <-chan *serve.Corpus, to httpTimeouts) error {
+// main), then shuts down gracefully: it drains every in-flight HTTP
+// request, then calls closeFn to release what the handlers served from.
+// If serving fails first, closeFn runs and the error is returned.
+func runServer(ctx context.Context, ln net.Listener, h http.Handler, to httpTimeouts, closeFn func()) error {
 	srv := &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: to.readHeader,
@@ -513,10 +486,7 @@ func runServer(ctx context.Context, ln net.Listener, h http.Handler, ready <-cha
 	go func() { errCh <- srv.Serve(ln) }()
 	select {
 	case err := <-errCh:
-		// The listener failed before any signal; stop the apply loops and
-		// report.
-		corpus := <-ready
-		corpus.Close()
+		closeFn()
 		if err == http.ErrServerClosed {
 			err = nil
 		}
@@ -525,17 +495,27 @@ func runServer(ctx context.Context, ln net.Listener, h http.Handler, ready <-cha
 	}
 	// No Shutdown timeout: a /feedback handler blocked on shard
 	// backpressure must finish its channel sends before the apply loops
-	// stop, or Close would race it (send on closed channel).
+	// stop, or closing would race it (send on closed channel).
 	if err := srv.Shutdown(context.Background()); err != nil {
 		return err
 	}
-	// Every batch the drained handlers enqueued is now in the shard
-	// queues; Sync flushes and publishes them so no acknowledged feedback
-	// is lost on exit.
-	corpus := <-ready
-	corpus.Sync()
-	corpus.Close()
+	closeFn()
 	return nil
+}
+
+// closeCorpus is runServer's closeFn for a single-node daemon. The
+// ready channel delivers the corpus once recovery finishes; waiting on
+// it lets a signal during recovery still close cleanly. Sync flushes
+// and publishes every batch the drained handlers enqueued, so no
+// acknowledged feedback is lost on exit; Close stops the apply loops,
+// which on a durable corpus writes the final snapshots. The corpus
+// remains readable afterwards.
+func closeCorpus(ready <-chan *serve.Corpus) func() {
+	return func() {
+		corpus := <-ready
+		corpus.Sync()
+		corpus.Close()
+	}
 }
 
 // topics are the synthetic bootstrap's query vocabulary.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -134,7 +135,9 @@ func TestGracefulShutdownFlushesFeedback(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- runServer(ctx, ln, serve.NewServer(corpus), readyNow(corpus), defaultTimeouts()) }()
+	go func() {
+		done <- runServer(ctx, ln, serve.NewServer(corpus), defaultTimeouts(), closeCorpus(readyNow(corpus)))
+	}()
 	base := "http://" + ln.Addr().String()
 
 	// The server must be up: rank something.
@@ -190,7 +193,7 @@ func TestGracefulShutdownFlushesFeedback(t *testing.T) {
 	}
 }
 
-// readyNow wraps an already-built corpus in the ready channel runServer
+// readyNow wraps an already-built corpus in the ready channel closeCorpus
 // takes (main fills it from the recovery goroutine).
 func readyNow(c *serve.Corpus) <-chan *serve.Corpus {
 	ch := make(chan *serve.Corpus, 1)
@@ -228,9 +231,16 @@ func TestBootGateSwapsFromRecoveringToReady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reply, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/rank during recovery = %d, want 503", resp.StatusCode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"error":{"code":"unavailable","message":"recovering from data dir; not ready","retry_after_ms":1000}}` + "\n"
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" ||
+		resp.Header.Get("Content-Type") != "application/json" || string(reply) != want {
+		t.Fatalf("/rank during recovery = %d, Retry-After %q, Content-Type %q, body %q; want 503, \"1\", application/json, %q",
+			resp.StatusCode, resp.Header.Get("Retry-After"), resp.Header.Get("Content-Type"), reply, want)
 	}
 
 	corpus, err := serve.NewCorpus(serve.Config{Shards: 1, Seed: 2})
@@ -285,7 +295,9 @@ func TestDurableDaemonRoundTrip(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
-		go func() { done <- runServer(ctx, ln, serve.NewServer(corpus), readyNow(corpus), defaultTimeouts()) }()
+		go func() {
+			done <- runServer(ctx, ln, serve.NewServer(corpus), defaultTimeouts(), closeCorpus(readyNow(corpus)))
+		}()
 		drive("http://"+ln.Addr().String(), corpus)
 		cancel()
 		select {
@@ -341,4 +353,69 @@ func TestDurableDaemonRoundTrip(t *testing.T) {
 			t.Fatalf("durable healthz = %+v", hz)
 		}
 	})
+}
+
+// TestClusterNodeLifecycle runs a one-member -join node on loopback: it
+// answers through the cluster front door, and on cancel (SIGTERM in
+// main) it drains, closes the node and returns nil.
+func TestClusterNodeLifecycle(t *testing.T) {
+	freeAddr := func() string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	addr, repl := freeAddr(), freeAddr()
+	cfg := serve.Config{Shards: 2, Seed: 3, Durability: serve.Durability{DataDir: t.TempDir()}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- runClusterNode(ctx, cfg, "n0", "n0=http://"+addr+"@"+repl, 0, addr, defaultTimeouts())
+	}()
+	base := "http://" + addr
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/v1/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/v1/healthz = %d, want 200", resp.StatusCode)
+			}
+			break
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("runClusterNode returned before serving: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node never answered: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	resp, err := http.Post(base+"/v1/rank", "application/json", strings.NewReader(`{"n":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/rank through the front door = %d, want 200", resp.StatusCode)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("runClusterNode: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cluster node shutdown hung")
+	}
+	if resp, err := http.Get(base + "/v1/healthz"); err == nil {
+		resp.Body.Close()
+		t.Fatal("listener still accepting after shutdown")
+	}
 }

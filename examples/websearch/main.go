@@ -28,10 +28,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pr, err := pagerank.Compute(graph, pagerank.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	pr := pagerank.Compute(graph)
 	fmt.Printf("web graph: %d pages, %d links, PageRank converged in %d iterations\n",
 		graph.NumNodes(), graph.NumEdges(), pr.Iterations)
 

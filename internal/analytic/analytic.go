@@ -31,36 +31,18 @@ import (
 	"repro/internal/stats"
 )
 
-// Options tunes the fixed-point solver. The zero value selects defaults.
-type Options struct {
-	// GridSize is the number of log-spaced popularity grid points
-	// (default 64).
-	GridSize int
-	// MaxIterations bounds the fixed-point loop (default 80).
-	MaxIterations int
-	// Tolerance is the convergence threshold on max |Δ log F| over the
-	// grid (default 1e-4).
-	Tolerance float64
-	// Damping is the log-space step fraction toward the new F
-	// (default 0.5).
-	Damping float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.GridSize <= 0 {
-		o.GridSize = 64
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 200
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-4
-	}
-	if o.Damping <= 0 || o.Damping > 1 {
-		o.Damping = 0.4
-	}
-	return o
-}
+// The fixed-point solver's settings.
+const (
+	// gridSize is the number of log-spaced popularity grid points, 64.
+	gridSize = 64
+	// maxIterations bounds the fixed-point loop at 200 rounds.
+	maxIterations = 200
+	// tolerance is the convergence threshold on max |Δ log F| over the
+	// grid, 1e-4.
+	tolerance = 1e-4
+	// damping is the log-space step fraction toward the new F, 0.4.
+	damping = 0.4
+)
 
 // Model is a solved analytical model for one community and policy.
 type Model struct {
@@ -70,7 +52,6 @@ type Model struct {
 	r       float64 // degree of randomization, likewise
 	buckets []quality.Bucket
 	att     *attention.Model
-	opts    Options
 
 	m      int     // monitored users
 	lambda float64 // retirement rate 1/l
@@ -101,7 +82,7 @@ type Model struct {
 // deterministic rule solves as (1, 0). Epsilon-decay is refused: the
 // steady state below assumes a constant r, and its r moves with the
 // zero-awareness fraction.
-func Solve(comm community.Config, spec policy.Spec, buckets []quality.Bucket, opts Options) (*Model, error) {
+func Solve(comm community.Config, spec policy.Spec, buckets []quality.Bucket) (*Model, error) {
 	if err := comm.Validate(); err != nil {
 		return nil, err
 	}
@@ -129,7 +110,6 @@ func Solve(comm community.Config, spec policy.Spec, buckets []quality.Bucket, op
 	if total != comm.Pages {
 		return nil, fmt.Errorf("analytic: bucket counts sum to %d, community has %d pages", total, comm.Pages)
 	}
-	opts = opts.withDefaults()
 	att, err := attention.NewModel(comm.Pages, comm.MonitoredVisitsPerDay(), comm.Exponent())
 	if err != nil {
 		return nil, err
@@ -141,7 +121,6 @@ func Solve(comm community.Config, spec policy.Spec, buckets []quality.Bucket, op
 		r:       r,
 		buckets: buckets,
 		att:     att,
-		opts:    opts,
 		m:       comm.MonitoredUsers,
 		lambda:  comm.RetirementRate(),
 		n:       comm.Pages,
@@ -166,14 +145,13 @@ func (mdl *Model) buildGrid(maxQ float64) {
 	if lo >= hi {
 		lo = hi / 1000
 	}
-	g := mdl.opts.GridSize
-	mdl.grid = make([]float64, g)
+	mdl.grid = make([]float64, gridSize)
 	logLo, logHi := math.Log(lo), math.Log(hi)
 	for i := range mdl.grid {
-		frac := float64(i) / float64(g-1)
+		frac := float64(i) / (gridSize - 1)
 		mdl.grid[i] = math.Exp(logLo + frac*(logHi-logLo))
 	}
-	mdl.fGrid = make([]float64, g)
+	mdl.fGrid = make([]float64, gridSize)
 }
 
 // solve runs the fixed-point iteration.
@@ -201,8 +179,8 @@ func (mdl *Model) solve() {
 	}
 	mdl.fitQuad()
 
-	eta := mdl.opts.Damping
-	for iter := 0; iter < mdl.opts.MaxIterations; iter++ {
+	eta := damping // a float64 variable: 1-eta rounds in float64, not as an exact constant
+	for iter := 0; iter < maxIterations; iter++ {
 		mdl.iterations = iter + 1
 		newGrid := mdl.recompute()
 		// Damped log-space update and convergence check.
@@ -217,7 +195,7 @@ func (mdl *Model) solve() {
 			mdl.fGrid[i] = math.Exp((1-eta)*oldL + eta*newL)
 		}
 		mdl.fitQuad()
-		if maxDelta < mdl.opts.Tolerance {
+		if maxDelta < tolerance {
 			mdl.converged = true
 			break
 		}
@@ -409,14 +387,8 @@ func (mdl *Model) F(x float64) float64 {
 	return math.Exp(mdl.quad.Eval(math.Log(x)))
 }
 
-// Iterations returns how many fixed-point rounds ran.
-func (mdl *Model) Iterations() int { return mdl.iterations }
-
 // Converged reports whether the solver met its tolerance.
 func (mdl *Model) Converged() bool { return mdl.converged }
-
-// Policy returns the policy the model was solved for.
-func (mdl *Model) Policy() policy.Spec { return mdl.spec }
 
 // awarenessChain fills dist[i] with f(a_i|q) for i = 0..m: the
 // steady-state awareness distribution of Theorem 1.

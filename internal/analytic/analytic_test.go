@@ -20,7 +20,7 @@ func testBuckets(t testing.TB, n int) []quality.Bucket {
 func solveFor(t testing.TB, pol policy.Spec) *Model {
 	t.Helper()
 	comm := community.Default()
-	mdl, err := Solve(comm, pol, testBuckets(t, comm.Pages), Options{})
+	mdl, err := Solve(comm, pol, testBuckets(t, comm.Pages))
 	if err != nil {
 		t.Fatalf("Solve(%v): %v", pol, err)
 	}
@@ -30,21 +30,21 @@ func solveFor(t testing.TB, pol policy.Spec) *Model {
 func TestSolveValidation(t *testing.T) {
 	comm := community.Default()
 	buckets := testBuckets(t, comm.Pages)
-	if _, err := Solve(community.Config{}, policy.Recommended(), buckets, Options{}); err == nil {
+	if _, err := Solve(community.Config{}, policy.Recommended(), buckets); err == nil {
 		t.Error("invalid community accepted")
 	}
-	if _, err := Solve(comm, policy.Spec{Rule: policy.RuleSelective, K: 0, R: 0.1}, buckets, Options{}); err == nil {
+	if _, err := Solve(comm, policy.Spec{Rule: policy.RuleSelective, K: 0, R: 0.1}, buckets); err == nil {
 		t.Error("invalid policy accepted")
 	}
-	if _, err := Solve(comm, policy.Recommended(), nil, Options{}); err == nil {
+	if _, err := Solve(comm, policy.Recommended(), nil); err == nil {
 		t.Error("empty buckets accepted")
 	}
-	if _, err := Solve(comm, policy.Recommended(), buckets[:len(buckets)-1], Options{}); err == nil {
+	if _, err := Solve(comm, policy.Recommended(), buckets[:len(buckets)-1]); err == nil {
 		t.Error("bucket count mismatch accepted")
 	}
 	bad := append([]quality.Bucket(nil), buckets...)
 	bad[0].Q = -0.5
-	if _, err := Solve(comm, policy.Recommended(), bad, Options{}); err == nil {
+	if _, err := Solve(comm, policy.Recommended(), bad); err == nil {
 		t.Error("negative quality accepted")
 	}
 }
@@ -282,17 +282,6 @@ func TestTBPDecreasesWithQuality(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.GridSize <= 0 || o.MaxIterations <= 0 || o.Tolerance <= 0 || o.Damping <= 0 {
-		t.Fatalf("defaults not applied: %+v", o)
-	}
-	custom := Options{GridSize: 32, MaxIterations: 10, Tolerance: 1e-2, Damping: 0.9}
-	if custom.withDefaults() != custom {
-		t.Fatal("explicit options overridden")
-	}
-}
-
 func TestPolicyAccessor(t *testing.T) {
 	mdl := solveFor(t, policy.RecommendedSafe())
 	if mdl.Policy() != policy.RecommendedSafe() {
@@ -310,7 +299,7 @@ func TestSolveRuleTable(t *testing.T) {
 		TotalVisitsPerDay: 10, LifetimeDays: 60,
 	}
 	buckets := quality.Buckets(quality.DeterministicWithTop(quality.Default(), comm.Pages), 10)
-	ref, err := Solve(comm, policy.Spec{Rule: policy.RuleNone, K: 1}, buckets, Options{})
+	ref, err := Solve(comm, policy.Spec{Rule: policy.RuleNone, K: 1}, buckets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +315,7 @@ func TestSolveRuleTable(t *testing.T) {
 		{"epsilon-decay at its floor", policy.Spec{Rule: policy.RuleEpsilonDecay, K: 1, R: 0.2, RMin: 0.2}, "state-dependent"},
 	}
 	for _, tc := range cases {
-		mdl, err := Solve(comm, tc.spec, buckets, Options{})
+		mdl, err := Solve(comm, tc.spec, buckets)
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.wantErr)
@@ -353,7 +342,7 @@ func TestSmallCommunity(t *testing.T) {
 	}
 	qs := quality.DeterministicWithTop(quality.Default(), comm.Pages)
 	buckets := quality.Buckets(qs, 10)
-	mdl, err := Solve(comm, policy.Recommended(), buckets, Options{})
+	mdl, err := Solve(comm, policy.Recommended(), buckets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +370,7 @@ func TestQPCBoundedQuick(t *testing.T) {
 		}
 		pol := policy.Spec{Rule: rules[i%3], K: 1 + i%3, R: 0.05 * float64(i%5)}
 		qs := quality.DeterministicWithTop(quality.Default(), comm.Pages)
-		mdl, err := Solve(comm, pol, quality.Buckets(qs, 25), Options{})
+		mdl, err := Solve(comm, pol, quality.Buckets(qs, 25))
 		if err != nil {
 			t.Fatalf("case %d (%v): %v", i, pol, err)
 		}
@@ -396,3 +385,9 @@ func TestQPCBoundedQuick(t *testing.T) {
 
 // F0 returns F(0), the expected visit rate of a zero-popularity page.
 func (mdl *Model) F0() float64 { return mdl.f0 }
+
+// Iterations returns how many fixed-point rounds ran.
+func (mdl *Model) Iterations() int { return mdl.iterations }
+
+// Policy returns the policy the model was solved for.
+func (mdl *Model) Policy() policy.Spec { return mdl.spec }

@@ -111,14 +111,8 @@ func Default(n int, visits float64) (*Model, error) {
 	return NewModel(n, visits, DefaultExponent)
 }
 
-// N returns the number of rank positions.
-func (m *Model) N() int { return m.n }
-
 // Visits returns the per-interval visit budget v.
 func (m *Model) Visits() float64 { return m.visits }
-
-// Exponent returns the rank-bias exponent γ.
-func (m *Model) Exponent() float64 { return m.exponent }
 
 // Theta returns the normalization constant θ = v / Σ i^(−γ).
 func (m *Model) Theta() float64 {

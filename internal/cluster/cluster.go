@@ -32,7 +32,6 @@ type Options struct {
 	HeartbeatEvery  time.Duration
 	ElectionTimeout time.Duration
 	MaxHeartbeatAge time.Duration
-	MaxFollowerLag  uint64
 	Logf            func(format string, args ...any)
 	// WrapFrontDoor, when non-nil, wraps each node's front door before
 	// it is served — the chaos harness threads one shared AckRecorder
@@ -107,7 +106,6 @@ func (c *Cluster) buildNode(i int) (*Node, error) {
 	return NewNode(NodeConfig{
 		ID:              id,
 		Corpus:          cfg,
-		MaxFollowerLag:  c.opts.MaxFollowerLag,
 		MaxHeartbeatAge: c.opts.MaxHeartbeatAge,
 		HeartbeatEvery:  c.opts.HeartbeatEvery,
 		ElectionTimeout: c.opts.ElectionTimeout,

@@ -839,3 +839,10 @@ func (c *Cluster) RestartNode(i int, wipe bool) error {
 	c.killed[i] = false
 	return nil
 }
+
+// Epoch returns the shard's current fencing epoch.
+func (r *Registry) Epoch(shard int) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.shards[shard].epoch
+}

@@ -70,18 +70,6 @@ func (fd *FrontDoor) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// errorOut writes the standard envelope.
-func errorOut(w http.ResponseWriter, status int, code, msg string, retryMS int64) {
-	w.Header().Set("Content-Type", "application/json")
-	if retryMS > 0 {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(serve.ErrorEnvelope{Error: serve.ErrorInfo{
-		Code: code, Message: msg, RetryAfterMS: retryMS,
-	}})
-}
-
 // leaderVerdict is one shard leader's answer to its part of a post.
 type leaderVerdict struct {
 	leader string
@@ -106,13 +94,13 @@ type leaderVerdict struct {
 func (fd *FrontDoor) serveFeedback(w http.ResponseWriter, r *http.Request, batch bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
-		errorOut(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
+		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, 0, "%v", err)
 		return
 	}
 	contentType := r.Header.Get("Content-Type")
 	events, err := fd.node.api.DecodeFeedbackPost(batch, contentType, body)
 	if err != nil {
-		errorOut(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
+		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, 0, "%v", err)
 		return
 	}
 	shards := fd.node.corpus.Shards()
@@ -138,8 +126,8 @@ func (fd *FrontDoor) serveFeedback(w http.ResponseWriter, r *http.Request, batch
 	wg.Wait()
 	for _, v := range verdicts {
 		if v.err != nil {
-			errorOut(w, http.StatusServiceUnavailable, "leader_unreachable",
-				fmt.Sprintf("shard leader %s: %v", v.leader, v.err), 1000)
+			serve.WriteError(w, http.StatusServiceUnavailable, "leader_unreachable", time.Second,
+				"shard leader %s: %v", v.leader, v.err)
 			return
 		}
 		if v.status != http.StatusAccepted {
@@ -220,7 +208,7 @@ func (fd *FrontDoor) serveRead(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
-		errorOut(w, http.StatusBadRequest, "bad_request", err.Error(), 0)
+		serve.WriteError(w, http.StatusBadRequest, serve.ErrCodeBadRequest, 0, "%v", err)
 		return
 	}
 	for _, peer := range fd.coord.Nodes() {
@@ -255,5 +243,5 @@ func (fd *FrontDoor) serveRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Every replica is stale or unreachable.
-	errorOut(w, http.StatusServiceUnavailable, ErrCodeStaleReplica, why, 1000)
+	serve.WriteError(w, http.StatusServiceUnavailable, ErrCodeStaleReplica, time.Second, "%s", why)
 }

@@ -208,11 +208,8 @@ func TestFrontDoorRelaysLowestLeaderVerdict(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var env serve.ErrorEnvelope
-				err = json.NewDecoder(resp.Body).Decode(&env)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != tc.wantCode {
-					t.Fatalf("round %d: status %d, %+v (%v); want 503 %s", round, resp.StatusCode, env.Error, err, tc.wantCode)
+				if err := envelope503(resp, tc.wantCode); err != nil {
+					t.Fatalf("round %d: %v", round, err)
 				}
 			}
 		})
@@ -366,12 +363,35 @@ func TestFrontDoorReadFailsOverFromStaleReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env serve.ErrorEnvelope
-	err = json.NewDecoder(resp.Body).Decode(&env)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusServiceUnavailable || env.Error.Code != ErrCodeStaleReplica || resp.Header.Get("Retry-After") != "1" {
-		t.Errorf("every replica stale: status %d, Retry-After %q, %+v (%v); want 503 %s", resp.StatusCode, resp.Header.Get("Retry-After"), env.Error, err, ErrCodeStaleReplica)
+	if err := envelope503(resp, ErrCodeStaleReplica); err != nil {
+		t.Errorf("every replica stale: %v", err)
 	}
+}
+
+// envelope503 reads and closes resp and checks that it is a 503 with
+// Retry-After 1 whose body is, byte for byte, the error envelope of the
+// given code with a one-second retry hint.
+func envelope503(resp *http.Response, code string) error {
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	var env serve.ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		return fmt.Errorf("status %d, body %q: %v", resp.StatusCode, body, err)
+	}
+	msg, err := json.Marshal(env.Error.Message)
+	if err != nil {
+		return err
+	}
+	want := `{"error":{"code":"` + code + `","message":` + string(msg) + `,"retry_after_ms":1000}}` + "\n"
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" ||
+		resp.Header.Get("Content-Type") != "application/json" || string(body) != want {
+		return fmt.Errorf("status %d, Retry-After %q, Content-Type %q, body %q; want 503, \"1\", application/json, %q",
+			resp.StatusCode, resp.Header.Get("Retry-After"), resp.Header.Get("Content-Type"), body, want)
+	}
+	return nil
 }
 
 // TestFrontDoorRateLimitsReadsPerClient: a unit-less read is charged to

@@ -38,11 +38,6 @@ func roleName(r int32) string {
 // (or the leader has gone quiet) to honor the staleness bound.
 const ErrCodeStaleReplica = "stale_replica"
 
-// ErrCodeReplLag is the error code a leader returns when a feedback
-// batch committed locally but a follower quorum did not ack it within
-// replAckTimeout: the write was NOT acknowledged, retry it.
-const ErrCodeReplLag = serve.ErrCodeReplLag
-
 // NodeConfig sizes one cluster node. Zero values select defaults.
 type NodeConfig struct {
 	// ID is the node's cluster-wide name. Required.
@@ -1022,7 +1017,7 @@ func (n *Node) guardHandler(inner http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if rankPath(r.URL.Path) {
 			if stale, why := n.staleShard(); stale {
-				errorOut(w, http.StatusServiceUnavailable, ErrCodeStaleReplica, why, 1000)
+				serve.WriteError(w, http.StatusServiceUnavailable, ErrCodeStaleReplica, time.Second, "%s", why)
 				return
 			}
 		}

@@ -91,13 +91,6 @@ func (r *Registry) Leader(shard int) (string, uint64) {
 	return s.leader, s.epoch
 }
 
-// Epoch returns the shard's current fencing epoch.
-func (r *Registry) Epoch(shard int) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shards[shard].epoch
-}
-
 // TryPromote implements Coordinator: candidate asks to replace the
 // leader it saw at fromEpoch. The promotion succeeds only when (1) the
 // epoch has not moved — nobody else won already, (2) the incumbent

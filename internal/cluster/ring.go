@@ -15,8 +15,7 @@ import (
 // leadership (no coordinator) and what keeps the in-process registry's
 // initial assignment deterministic under test.
 type Ring struct {
-	points []ringPoint // sorted by hash
-	nodes  []string    // sorted member IDs
+	points []ringPoint // sorted by hash, then node
 }
 
 type ringPoint struct {
@@ -44,7 +43,7 @@ func ringHash(s string) uint64 {
 }
 
 // NewRing builds a ring over the given node IDs. IDs are deduplicated
-// and sorted, so argument order never changes the mapping.
+// and the points sorted, so argument order never changes the mapping.
 func NewRing(nodeIDs []string) *Ring {
 	seen := make(map[string]bool, len(nodeIDs))
 	r := &Ring{}
@@ -53,10 +52,6 @@ func NewRing(nodeIDs []string) *Ring {
 			continue
 		}
 		seen[id] = true
-		r.nodes = append(r.nodes, id)
-	}
-	sort.Strings(r.nodes)
-	for _, id := range r.nodes {
 		for v := 0; v < ringVnodes; v++ {
 			r.points = append(r.points, ringPoint{
 				hash: ringHash(fmt.Sprintf("%s#%d", id, v)),
@@ -72,9 +67,6 @@ func NewRing(nodeIDs []string) *Ring {
 	})
 	return r
 }
-
-// Nodes returns the sorted member IDs.
-func (r *Ring) Nodes() []string { return r.nodes }
 
 // ShardLeader returns the node that owns shard si under the current
 // membership. Panics on an empty ring — a cluster with no nodes is a

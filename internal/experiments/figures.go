@@ -19,7 +19,7 @@ import (
 func solveAnalytic(comm community.Config, pol policy.Spec) (*analytic.Model, error) {
 	qs := defaultQualities(comm.Pages)
 	buckets := quality.Buckets(qs, 40)
-	return analytic.Solve(comm, pol, buckets, analytic.Options{})
+	return analytic.Solve(comm, pol, buckets)
 }
 
 // solveAnalyticBatch solves the §5 model for several policies on the

@@ -27,27 +27,11 @@ func New(n int) *Tree {
 	return &Tree{n: n, tree: make([]float64, n+1), raw: make([]float64, n)}
 }
 
-// Len returns the number of slots.
-func (t *Tree) Len() int { return t.n }
-
-// Weight returns the current weight at index i.
-func (t *Tree) Weight(i int) float64 {
-	t.check(i)
-	return t.raw[i]
-}
-
 // Set replaces the weight at index i.
 func (t *Tree) Set(i int, w float64) {
 	t.check(i)
 	t.add(i, w-t.raw[i])
 	t.raw[i] = w
-}
-
-// Add increases the weight at index i by delta (which may be negative).
-func (t *Tree) Add(i int, delta float64) {
-	t.check(i)
-	t.add(i, delta)
-	t.raw[i] += delta
 }
 
 func (t *Tree) add(i int, delta float64) {

@@ -237,3 +237,19 @@ func FromWeights(weights []float64) *Tree {
 	}
 	return t
 }
+
+// Len returns the number of slots.
+func (t *Tree) Len() int { return t.n }
+
+// Weight returns the current weight at index i.
+func (t *Tree) Weight(i int) float64 {
+	t.check(i)
+	return t.raw[i]
+}
+
+// Add increases the weight at index i by delta (which may be negative).
+func (t *Tree) Add(i int, delta float64) {
+	t.check(i)
+	t.add(i, delta)
+	t.raw[i] += delta
+}

@@ -1,8 +1,8 @@
 // Package pagerank provides the link-analysis substrate the paper's
 // popularity measures build on: a compact sparse web graph, PageRank by
-// power iteration with teleportation (the random-surfer model of
-// Section 8), in-degree counting, and an evolving preferential-attachment
-// graph generator for synthesizing link-based popularity workloads.
+// power iteration with uniform teleportation (the random-surfer model of
+// Section 8), and an evolving preferential-attachment graph generator
+// for synthesizing link-based popularity workloads.
 package pagerank
 
 import (
@@ -12,9 +12,16 @@ import (
 	"repro/internal/randutil"
 )
 
-// DefaultDamping is 1 − c for the paper's teleportation probability
-// c = 0.15.
-const DefaultDamping = 0.85
+// The power iteration's settings.
+const (
+	// damping is 0.85: 1 − c for the paper's teleportation probability
+	// c = 0.15.
+	damping = 0.85
+	// maxIterations bounds the power iteration at 100 rounds.
+	maxIterations = 100
+	// tolerance is the L1 convergence threshold, 1e-9.
+	tolerance = 1e-9
+)
 
 // Graph is a directed graph over nodes 0..n−1 in compressed sparse row
 // form. Build one with NewBuilder/Build or generate one with
@@ -80,32 +87,6 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// Options tunes the PageRank power iteration.
-type Options struct {
-	// Damping is 1 − teleport probability (default 0.85).
-	Damping float64
-	// MaxIterations bounds the power iteration (default 100).
-	MaxIterations int
-	// Tolerance is the L1 convergence threshold (default 1e-9).
-	Tolerance float64
-	// Personalization, when non-nil, biases teleportation by the given
-	// non-negative weights (need not be normalized). Nil means uniform.
-	Personalization []float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Damping == 0 {
-		o.Damping = DefaultDamping
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 100
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-9
-	}
-	return o
-}
-
 // Result carries the computed ranks and convergence diagnostics.
 type Result struct {
 	Ranks      []float64
@@ -113,46 +94,21 @@ type Result struct {
 	Converged  bool
 }
 
-// Compute runs power iteration with dangling-mass redistribution. Ranks
-// sum to 1.
-func Compute(g *Graph, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if opts.Damping < 0 || opts.Damping >= 1 {
-		return nil, fmt.Errorf("pagerank: damping %v outside [0,1)", opts.Damping)
-	}
+// Compute runs power iteration with uniform teleportation and
+// dangling-mass redistribution. Ranks sum to 1.
+func Compute(g *Graph) *Result {
 	n := g.n
-	// Teleport distribution.
 	tele := make([]float64, n)
-	if opts.Personalization != nil {
-		if len(opts.Personalization) != n {
-			return nil, fmt.Errorf("pagerank: personalization length %d for %d nodes",
-				len(opts.Personalization), n)
-		}
-		sum := 0.0
-		for i, w := range opts.Personalization {
-			if w < 0 || math.IsNaN(w) {
-				return nil, fmt.Errorf("pagerank: invalid personalization weight %v at %d", w, i)
-			}
-			sum += w
-		}
-		if sum == 0 {
-			return nil, fmt.Errorf("pagerank: personalization weights all zero")
-		}
-		for i, w := range opts.Personalization {
-			tele[i] = w / sum
-		}
-	} else {
-		for i := range tele {
-			tele[i] = 1 / float64(n)
-		}
+	for i := range tele {
+		tele[i] = 1 / float64(n)
 	}
 
 	ranks := make([]float64, n)
 	next := make([]float64, n)
 	copy(ranks, tele)
 	res := &Result{}
-	d := opts.Damping
-	for iter := 0; iter < opts.MaxIterations; iter++ {
+	d := damping // a float64 variable: 1-d rounds in float64, not as an exact constant
+	for iter := 0; iter < maxIterations; iter++ {
 		res.Iterations = iter + 1
 		// Dangling nodes donate their mass through the teleport vector.
 		dangling := 0.0
@@ -179,13 +135,13 @@ func Compute(g *Graph, opts Options) (*Result, error) {
 			delta += math.Abs(next[i] - ranks[i])
 		}
 		ranks, next = next, ranks
-		if delta < opts.Tolerance {
+		if delta < tolerance {
 			res.Converged = true
 			break
 		}
 	}
 	res.Ranks = ranks
-	return res, nil
+	return res
 }
 
 // PreferentialAttachment generates a directed graph of n nodes where each

@@ -74,10 +74,7 @@ func TestComputeUniformOnSymmetricGraph(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		addEdges(t, b, [][2]int{{i, (i + 1) % 5}})
 	}
-	res, err := Compute(b.Build(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Compute(b.Build())
 	if !res.Converged {
 		t.Fatal("cycle did not converge")
 	}
@@ -94,10 +91,7 @@ func TestComputeRanksSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Compute(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Compute(g)
 	sum := 0.0
 	for _, r := range res.Ranks {
 		if r <= 0 {
@@ -117,10 +111,7 @@ func TestComputeHub(t *testing.T) {
 		addEdges(t, b, [][2]int{{i, 0}})
 	}
 	addEdges(t, b, [][2]int{{0, 1}})
-	res, err := Compute(b.Build(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Compute(b.Build())
 	for i := 1; i < 6; i++ {
 		if res.Ranks[0] <= res.Ranks[i] {
 			t.Fatalf("hub rank %v not above node %d rank %v", res.Ranks[0], i, res.Ranks[i])
@@ -138,57 +129,13 @@ func TestDanglingMassConserved(t *testing.T) {
 	// Node 2 is dangling; ranks must still sum to 1.
 	b := mustBuilder(t, 3)
 	addEdges(t, b, [][2]int{{0, 1}, {1, 2}})
-	res, err := Compute(b.Build(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Compute(b.Build())
 	sum := res.Ranks[0] + res.Ranks[1] + res.Ranks[2]
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("dangling graph ranks sum to %v", sum)
 	}
 	if !res.Converged {
 		t.Fatal("did not converge")
-	}
-}
-
-func TestPersonalizedTeleport(t *testing.T) {
-	// Personalization concentrated on node 3 should lift its rank above
-	// the uniform-teleport value.
-	b := mustBuilder(t, 4)
-	addEdges(t, b, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	g := b.Build()
-	uniform, err := Compute(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pers := []float64{0, 0, 0, 1}
-	biased, err := Compute(g, Options{Personalization: pers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if biased.Ranks[3] <= uniform.Ranks[3] {
-		t.Fatalf("personalized rank %v not above uniform %v", biased.Ranks[3], uniform.Ranks[3])
-	}
-}
-
-func TestComputeValidation(t *testing.T) {
-	b := mustBuilder(t, 2)
-	addEdges(t, b, [][2]int{{0, 1}})
-	g := b.Build()
-	if _, err := Compute(g, Options{Damping: 1.0}); err == nil {
-		t.Error("damping 1.0 accepted")
-	}
-	if _, err := Compute(g, Options{Damping: -0.5}); err == nil {
-		t.Error("negative damping accepted")
-	}
-	if _, err := Compute(g, Options{Personalization: []float64{1}}); err == nil {
-		t.Error("short personalization accepted")
-	}
-	if _, err := Compute(g, Options{Personalization: []float64{0, 0}}); err == nil {
-		t.Error("all-zero personalization accepted")
-	}
-	if _, err := Compute(g, Options{Personalization: []float64{-1, 2}}); err == nil {
-		t.Error("negative personalization accepted")
 	}
 }
 
@@ -322,9 +269,7 @@ func BenchmarkPageRank10k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compute(g, Options{Tolerance: 1e-8}); err != nil {
-			b.Fatal(err)
-		}
+		Compute(g)
 	}
 }
 

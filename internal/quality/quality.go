@@ -6,15 +6,13 @@
 // frequent the most popular portal). We generate qualities
 // deterministically from distribution quantiles so that a community of n
 // pages always carries the same quality multiset for a given
-// configuration; stochastic draws are also provided.
+// configuration.
 package quality
 
 import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/randutil"
 )
 
 // DefaultMax is the quality of the best page in the paper's default
@@ -31,8 +29,6 @@ type Distribution interface {
 	// Quantile returns the quality at cumulative probability u ∈ [0, 1),
 	// with larger u giving larger quality.
 	Quantile(u float64) float64
-	// Sample draws a random quality.
-	Sample(rng *randutil.RNG) float64
 	// Max returns the largest quality the distribution can produce.
 	Max() float64
 }
@@ -85,11 +81,6 @@ func (p *PowerLaw) Quantile(u float64) float64 {
 	return math.Pow(-(u*hk-u*lk-hk)/(hk*lk), -1/k)
 }
 
-// Sample draws a quality value.
-func (p *PowerLaw) Sample(rng *randutil.RNG) float64 {
-	return p.Quantile(rng.Float64())
-}
-
 // Max returns the distribution's upper bound.
 func (p *PowerLaw) Max() float64 { return p.MaxQ }
 
@@ -111,9 +102,6 @@ func (d Uniform) Quantile(u float64) float64 {
 	return d.MinQ + u*(d.MaxQ-d.MinQ)
 }
 
-// Sample draws uniformly from [MinQ, MaxQ].
-func (d Uniform) Sample(rng *randutil.RNG) float64 { return d.Quantile(rng.Float64()) }
-
 // Max returns MaxQ.
 func (d Uniform) Max() float64 { return d.MaxQ }
 
@@ -122,9 +110,6 @@ type Point struct{ Q float64 }
 
 // Quantile returns the point mass.
 func (d Point) Quantile(float64) float64 { return d.Q }
-
-// Sample returns the point mass.
-func (d Point) Sample(*randutil.RNG) float64 { return d.Q }
 
 // Max returns the point mass.
 func (d Point) Max() float64 { return d.Q }

@@ -93,35 +93,6 @@ func TestPowerLawTailExponent(t *testing.T) {
 	}
 }
 
-func TestSampleWithinBounds(t *testing.T) {
-	d := Default()
-	rng := randutil.New(77)
-	for i := 0; i < 10000; i++ {
-		q := d.Sample(rng)
-		if q < d.MinQ || q > d.MaxQ {
-			t.Fatalf("sample %v out of [%v, %v]", q, d.MinQ, d.MaxQ)
-		}
-	}
-}
-
-func TestSampleMatchesQuantiles(t *testing.T) {
-	d := Default()
-	rng := randutil.New(101)
-	const n = 50000
-	samples := make([]float64, n)
-	for i := range samples {
-		samples[i] = d.Sample(rng)
-	}
-	sort.Float64s(samples)
-	for _, u := range []float64{0.25, 0.5, 0.9} {
-		got := samples[int(u*n)]
-		want := d.Quantile(u)
-		if math.Abs(got-want)/want > 0.1 {
-			t.Errorf("empirical quantile %v = %v, want ~%v", u, got, want)
-		}
-	}
-}
-
 func TestUniform(t *testing.T) {
 	d := Uniform{MinQ: 0.2, MaxQ: 0.8}
 	if got := d.Quantile(0.5); math.Abs(got-0.5) > 1e-12 {
@@ -136,18 +107,11 @@ func TestUniform(t *testing.T) {
 	if got := d.Quantile(2); got != 0.8 {
 		t.Errorf("clamp high = %v", got)
 	}
-	rng := randutil.New(1)
-	for i := 0; i < 1000; i++ {
-		q := d.Sample(rng)
-		if q < 0.2 || q > 0.8 {
-			t.Fatalf("uniform sample %v out of range", q)
-		}
-	}
 }
 
 func TestPoint(t *testing.T) {
 	d := Point{Q: 0.4}
-	if d.Quantile(0.1) != 0.4 || d.Sample(randutil.New(1)) != 0.4 || d.Max() != 0.4 {
+	if d.Quantile(0.1) != 0.4 || d.Max() != 0.4 {
 		t.Fatal("point distribution not constant")
 	}
 }

@@ -122,17 +122,6 @@ func (r *RNG) Geometric(p float64) int {
 	return int(g)
 }
 
-// Exp returns an exponentially distributed value with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("randutil: Exp with non-positive rate")
-	}
-	u := r.Float64()
-	// 1-u is in (0, 1]; log is finite.
-	return -math.Log(1-u) / rate
-}
-
 // NormFloat64 returns a standard normal variate via the polar
 // Marsaglia method.
 func (r *RNG) NormFloat64() float64 {

@@ -461,3 +461,14 @@ func (r *RNG) Poisson(mean float64) int {
 		}
 	}
 }
+
+// Exp returns an exponentially distributed value with the given rate
+// (mean 1/rate). It panics if rate <= 0.
+func (r *RNG) Exp(rate float64) float64 {
+	if rate <= 0 {
+		panic("randutil: Exp with non-positive rate")
+	}
+	u := r.Float64()
+	// 1-u is in (0, 1]; log is finite.
+	return -math.Log(1-u) / rate
+}

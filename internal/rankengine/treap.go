@@ -75,12 +75,6 @@ func New(seed uint64) *Treap {
 // Len returns the number of pages in the treap.
 func (t *Treap) Len() int { return t.root.sizeOf() }
 
-// Contains reports whether the page is present.
-func (t *Treap) Contains(id int) bool {
-	_, ok := t.pos[id]
-	return ok
-}
-
 // Entry returns the stored entry for a page.
 func (t *Treap) Entry(id int) (Entry, bool) {
 	e, ok := t.pos[id]
@@ -203,28 +197,6 @@ func (t *Treap) Select(rank int) (Entry, bool) {
 			n = n.right
 		}
 	}
-}
-
-// Rank returns the 1-based rank of a page. ok is false when absent.
-func (t *Treap) Rank(id int) (int, bool) {
-	e, ok := t.pos[id]
-	if !ok {
-		return 0, false
-	}
-	rank := 1
-	n := t.root
-	for n != nil {
-		if n.entry.ID == e.ID {
-			return rank + n.left.sizeOf(), true
-		}
-		if less(e, n.entry) {
-			n = n.left
-		} else {
-			rank += n.left.sizeOf() + 1
-			n = n.right
-		}
-	}
-	return 0, false
 }
 
 // CountAbove returns the number of pages with strictly better rank order

@@ -357,3 +357,31 @@ func BenchmarkTreapSelect(b *testing.B) {
 		tr.Select(rng.Intn(n) + 1)
 	}
 }
+
+// Contains reports whether the page is present.
+func (t *Treap) Contains(id int) bool {
+	_, ok := t.pos[id]
+	return ok
+}
+
+// Rank returns the 1-based rank of a page. ok is false when absent.
+func (t *Treap) Rank(id int) (int, bool) {
+	e, ok := t.pos[id]
+	if !ok {
+		return 0, false
+	}
+	rank := 1
+	n := t.root
+	for n != nil {
+		if n.entry.ID == e.ID {
+			return rank + n.left.sizeOf(), true
+		}
+		if less(e, n.entry) {
+			n = n.left
+		} else {
+			rank += n.left.sizeOf() + 1
+			n = n.right
+		}
+	}
+	return 0, false
+}

@@ -180,7 +180,7 @@ func (s *Server) rateLimit(w http.ResponseWriter, r *http.Request, unit string) 
 	if s.limiter == nil || s.limiter.allow(clientKey(unit, r)) {
 		return true
 	}
-	httpError(w, http.StatusTooManyRequests, ErrCodeRateLimited, time.Second, "rate limit exceeded")
+	WriteError(w, http.StatusTooManyRequests, ErrCodeRateLimited, time.Second, "rate limit exceeded")
 	return false
 }
 
@@ -274,7 +274,7 @@ type StatsResponse struct {
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "POST only")
 		return
 	}
 	sc := s.scratch.Get().(*connScratch)
@@ -282,17 +282,17 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	var err error
 	sc.in, err = readBody(sc.in[:0], w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
+		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
 		return
 	}
 	var req RankRequest
 	if err := decodeRankRequest(sc.in, &req, &sc.seed, s.corpus.armIdx); err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
+		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
 		return
 	}
 	forced, err := s.resolveRank(&req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%v", err)
+		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%v", err)
 		return
 	}
 	if !s.rateLimit(w, r, req.Unit) {
@@ -340,7 +340,7 @@ func (s *Server) resolveRank(req *RankRequest) (*armState, error) {
 // rank_requests.
 func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "POST only")
 		return
 	}
 	sc := s.scratch.Get().(*connScratch)
@@ -348,7 +348,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	var err error
 	sc.in, err = readBody(sc.in[:0], w, r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad body: %v", err)
+		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad body: %v", err)
 		return
 	}
 	binaryCodec := r.Header.Get("Content-Type") == BatchContentType
@@ -356,23 +356,23 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	if binaryCodec {
 		reqs, err = DecodeRankBatchRequest(sc.in)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%v", err)
+			WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%v", err)
 			return
 		}
 	} else {
 		var body RankBatchRequest
 		if err = json.Unmarshal(sc.in, &body); err != nil {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
+			WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "bad JSON: %v", err)
 			return
 		}
 		reqs = body.Requests
 	}
 	if len(reqs) == 0 {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "empty batch")
+		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "empty batch")
 		return
 	}
 	if len(reqs) > MaxBatchRequests {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "batch of %d requests exceeds %d", len(reqs), MaxBatchRequests)
+		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "batch of %d requests exceeds %d", len(reqs), MaxBatchRequests)
 		return
 	}
 	// Validate every sub-request before serving any, so a bad batch
@@ -383,7 +383,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		req := &reqs[i]
 		forced, err := s.resolveRank(req)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "request %d: %v", i, err)
+			WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "request %d: %v", i, err)
 			return
 		}
 		sc.forced = append(sc.forced, forced)
@@ -492,7 +492,7 @@ func (s *Server) decodeFeedbackPost(batch bool, contentType string, body []byte,
 // batch into a large WAL group commit instead of many small ones.
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, batch bool) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "POST only")
+		WriteError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "POST only")
 		return
 	}
 	sc := s.scratch.Get().(*connScratch)
@@ -504,13 +504,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, batch bo
 		if batch {
 			what = "bad body"
 		}
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%s: %v", what, err)
+		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%s: %v", what, err)
 		return
 	}
 	contentType := r.Header.Get("Content-Type")
 	events, err := s.decodeFeedbackPost(batch, contentType, sc.in, &sc.events)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%v", err)
+		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, 0, "%v", err)
 		return
 	}
 	var unit string
@@ -544,7 +544,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, batch bo
 	err = s.corpus.feedback(events, true, lsns)
 	if err == nil && s.ackHold != nil {
 		if held := s.ackHold(lsns); held != nil {
-			httpError(w, http.StatusServiceUnavailable, ErrCodeReplLag, time.Second, "%v", held)
+			WriteError(w, http.StatusServiceUnavailable, ErrCodeReplLag, time.Second, "%v", held)
 			return
 		}
 	}
@@ -561,21 +561,21 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request, batch bo
 		writeRaw(w, http.StatusAccepted, sc.out)
 	case errors.Is(err, ErrOverloaded):
 		s.feedback429.Add(1)
-		httpError(w, http.StatusTooManyRequests, ErrCodeOverloaded, time.Second, "feedback queue full, retry with backoff")
+		WriteError(w, http.StatusTooManyRequests, ErrCodeOverloaded, time.Second, "feedback queue full, retry with backoff")
 	case errors.Is(err, ErrNotLeader):
 		// 503 so generic clients back off and retry; the not_leader code
 		// tells cluster-aware clients to re-resolve the front door first.
 		s.feedback503.Add(1)
-		httpError(w, http.StatusServiceUnavailable, ErrCodeNotLeader, time.Second, "this node does not lead the target shard: %v", err)
+		WriteError(w, http.StatusServiceUnavailable, ErrCodeNotLeader, time.Second, "this node does not lead the target shard: %v", err)
 	default:
 		s.feedback503.Add(1)
-		httpError(w, http.StatusServiceUnavailable, ErrCodeUnavailable, 2*time.Second, "feedback not durable: %v", err)
+		WriteError(w, http.StatusServiceUnavailable, ErrCodeUnavailable, 2*time.Second, "feedback not durable: %v", err)
 	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "GET only")
 		return
 	}
 	resp := StatsResponse{
@@ -623,7 +623,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "GET only")
+		WriteError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, 0, "GET only")
 		return
 	}
 	writeJSON(w, http.StatusOK, ExperimentResponse{Arms: s.corpus.Arms()})
@@ -708,10 +708,10 @@ type ErrorEnvelope struct {
 	Error ErrorInfo `json:"error"`
 }
 
-// httpError answers with the unified error envelope. A positive
+// WriteError answers with the unified error envelope. A positive
 // retryAfter also sets the Retry-After header (whole seconds, rounded
 // up) and is mirrored in the body in milliseconds.
-func httpError(w http.ResponseWriter, status int, code string, retryAfter time.Duration, format string, args ...any) {
+func WriteError(w http.ResponseWriter, status int, code string, retryAfter time.Duration, format string, args ...any) {
 	var retryMS int64
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.FormatInt(int64((retryAfter+time.Second-1)/time.Second), 10))

@@ -60,6 +60,10 @@ func (ms MixedSurfing) teleport() float64 {
 	return ms.C
 }
 
+// snapshotEvery is how often, in days, the expected-QPC snapshot of the
+// presented list is taken: every 10 days.
+const snapshotEvery = 10
+
 // Options tunes a simulation run.
 type Options struct {
 	// Seed drives all randomness; runs are reproducible per seed.
@@ -70,9 +74,6 @@ type Options struct {
 	WarmupDays int
 	// MeasureDays of steady-state measurement. Zero selects 1× lifetime.
 	MeasureDays int
-	// SnapshotEvery controls how often (in days) the expected-QPC
-	// snapshot of the presented list is taken. Zero selects 10.
-	SnapshotEvery int
 	// Mixed enables the Section 8 mixed surfing model when non-nil.
 	Mixed *MixedSurfing
 	// TrackTBP enables time-to-become-popular probing of the
@@ -104,9 +105,6 @@ func (o Options) withDefaults(comm community.Config) Options {
 	}
 	if o.MeasureDays <= 0 {
 		o.MeasureDays = int(comm.LifetimeDays)
-	}
-	if o.SnapshotEvery <= 0 {
-		o.SnapshotEvery = 10
 	}
 	return o
 }
@@ -384,7 +382,7 @@ func (s *Simulator) buildPresenter(whole bool) *policy.Resolver {
 // StepDay advances the simulation by one day.
 func (s *Simulator) StepDay() {
 	// Expected-QPC snapshot from the frozen presented list.
-	snapshot := s.measuring && s.day%s.opts.SnapshotEvery == 0
+	snapshot := s.measuring && s.day%snapshotEvery == 0
 	pres := s.buildPresenter(snapshot)
 	if snapshot {
 		s.takeSnapshot(pres)
@@ -620,6 +618,3 @@ func (s *Simulator) result() *Result {
 	}
 	return res
 }
-
-// ZeroAware returns the current number of zero-awareness pages.
-func (s *Simulator) ZeroAware() int { return s.zero }

@@ -484,3 +484,6 @@ func (s *Simulator) Deaths() int64 { return s.deathCount }
 func (s *Simulator) CountAbovePopularity(x float64) int {
 	return s.treap.CountAbove(rankengine.Entry{ID: -1, Popularity: x, BirthDay: math.MinInt32})
 }
+
+// ZeroAware returns the current number of zero-awareness pages.
+func (s *Simulator) ZeroAware() int { return s.zero }

@@ -256,9 +256,6 @@ func sweepTemps(dir string) {
 // Meta returns the store's corpus shape.
 func (s *Store) Meta() Meta { return s.meta }
 
-// Shards returns the shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
 // Shard returns shard i's persistence.
 func (s *Store) Shard(i int) *Shard { return s.shards[i] }
 

@@ -306,3 +306,6 @@ func TestTruncationPreservesFallbackSnapshotCoverage(t *testing.T) {
 		}
 	}
 }
+
+// Shards returns the shard count.
+func (s *Store) Shards() int { return len(s.shards) }

@@ -275,7 +275,7 @@ type Prediction struct {
 func Predict(comm Community, pol Policy) (*Prediction, error) {
 	qs := quality.DeterministicWithTop(quality.Default(), comm.Pages)
 	buckets := quality.Buckets(qs, 40)
-	mdl, err := analytic.Solve(comm, pol, buckets, analytic.Options{})
+	mdl, err := analytic.Solve(comm, pol, buckets)
 	if err != nil {
 		return nil, err
 	}

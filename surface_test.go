@@ -1,32 +1,27 @@
 package shuffledeck
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
-	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
 // surfaceAllowed names exported functions and methods under internal/
-// that no non-test file references, each kept for the reason given.
-// Keys are "pkgdir.Func" or "pkgdir.Type.Method"; a "*.Method" key
-// allows the method on every type, for methods that satisfy an
-// interface and are called through it, which a syntax-only scan cannot
-// see. An entry that matches no declaration fails the test, so the list
-// shrinks with the code.
+// that no non-test file calls, each kept for the reason given. Keys are
+// "pkgdir.Func" or "pkgdir.Type.Method". An entry that matches no
+// declaration, or one that non-test code does call, fails the test, so
+// the list shrinks with the code.
 var surfaceAllowed = map[string]string{
-	"*.String":    "fmt.Stringer, called by fmt's verbs",
-	"*.ServeHTTP": "http.Handler, called by net/http",
-	"*.Len":       "sort.Interface and policy.Source, called through the interface",
-	"*.Close":     "io.Closer, called through the interface",
-
 	"internal/stats.ChiSquare":                     "serve and policy tests check draw distributions with it",
 	"internal/stats.ChiSquareCritical999":          "serve and policy tests check draw distributions with it",
 	"internal/randutil.RNG.Perm":                   "serve's deck tests draw reference permutations with it",
@@ -35,16 +30,29 @@ var surfaceAllowed = map[string]string{
 	"internal/faultfs.Injector.SetTornWrites":      "wal and cluster tests inject torn writes with it",
 	"internal/faultfs.Injector.WriteFailures":      "wal and cluster tests count injected write failures with it",
 	"internal/faultfs.Injector.SyncFailures":       "wal and cluster tests count injected sync failures with it",
+	"internal/wal.Log.Size":                        "store tests check segment bytes with it",
 	"internal/policy.Resolver.PromotedProbability": "the exact promotion probability the exposure metrics of ROADMAP items 12 and 18 will export",
 }
 
+// stdInterfaces are the standard-library interfaces whose methods the
+// standard library calls, out of sight of the module's own files.
+var stdInterfaces = [][2]string{
+	{"fmt", "Stringer"},
+	{"net/http", "Handler"},
+	{"sort", "Interface"},
+	{"container/heap", "Interface"},
+	{"io", "Closer"},
+}
+
 // TestNoTestOnlyExports fails when an exported function or method
-// declared in a non-test file under internal/ is referenced by no
-// non-test file. A function counts as referenced by a pkg.Name selector
-// from another package or a Name identifier in its own package; a
-// method by any .Name selector. Its own declaration does not count. It
-// reads syntax only, so it cannot tell two methods of one name apart.
-// An export only tests call belongs in a _test.go file of its package.
+// declared in a non-test file under internal/, an exported interface's
+// methods included, is called by no non-test file. It type-checks every
+// non-test package of the module, so a call counts only when it
+// resolves to that very declaration; a reference inside the
+// declaration's own body does not count. A method also counts as called
+// when its type implements an interface whose method of that name
+// non-test code calls, or one of stdInterfaces or error. An export only
+// tests call belongs in a _test.go file of its package.
 func TestNoTestOnlyExports(t *testing.T) {
 	unused, err := testOnlyExports(".")
 	if err != nil {
@@ -53,27 +61,48 @@ func TestNoTestOnlyExports(t *testing.T) {
 	if len(unused) > 0 {
 		t.Errorf("%d exported functions or methods under internal/ have no non-test caller; "+
 			"move each into a _test.go file of its package, delete it, or allowlist it in surfaceAllowed with a reason "+
-			"(an allowlist entry that matches no declaration is listed too):\n\t%s",
+			"(a stale allowlist entry is listed too):\n\t%s",
 			len(unused), strings.Join(unused, "\n\t"))
 	}
 }
 
-type surfaceDecl struct {
-	key      string // pkgdir.Func or pkgdir.Type.Method
-	name     string
-	method   bool
-	pos, end token.Pos
+// moduleImporter type-checks the module's packages from the parsed
+// files, recording every package's uses in one types.Info, and leaves
+// the standard library to the source importer.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path -> non-test files
+	std   types.Importer
+	info  *types.Info
+	pkgs  map[string]*types.Package
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	conf := types.Config{Importer: m}
+	p, err := conf.Check(path, m.fset, files, m.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", path, err)
+	}
+	m.pkgs[path] = p
+	return p, nil
 }
 
 // testOnlyExports returns the keys of the exported functions and methods
-// under root/internal that no non-test file of the module references.
+// under root/internal that no non-test file of the module calls.
 func testOnlyExports(root string) ([]string, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // package dir (slash, relative) -> files
+	files := map[string][]*ast.File{} // import path -> non-test files
 	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -87,6 +116,9 @@ func testOnlyExports(root string) ([]string, error) {
 		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -96,115 +128,149 @@ func testOnlyExports(root string) ([]string, error) {
 			return err
 		}
 		dir := filepath.ToSlash(rel)
-		files[dir] = append(files[dir], f)
+		ip := modPath
+		if dir != "." {
+			ip += "/" + dir
+		}
+		files[ip] = append(files[ip], f)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	var decls []surfaceDecl
-	for dir, pkgFiles := range files {
-		if !strings.HasPrefix(dir, "internal/") {
+	imp := &moduleImporter{
+		fset:  fset,
+		files: files,
+		std:   importer.ForCompiler(fset, "source", nil),
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		pkgs:  map[string]*types.Package{},
+	}
+	paths := make([]string, 0, len(files))
+	for ip := range files {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		if _, err := imp.Import(ip); err != nil {
+			return nil, err
+		}
+	}
+
+	// Calls: every use of a function or method, by position, and the
+	// interface methods non-test code or the standard library calls.
+	type ifaceCall struct {
+		name  string
+		iface *types.Interface
+	}
+	uses := map[*types.Func][]token.Pos{}
+	ifaceCalls := map[ifaceCall]bool{}
+	for id, obj := range imp.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
 			continue
 		}
-		for _, f := range pkgFiles {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				sd := surfaceDecl{name: fd.Name.Name, pos: fd.Pos(), end: fd.End()}
-				if fd.Recv != nil {
-					recv := receiverType(fd.Recv.List[0].Type)
-					if !ast.IsExported(recv) {
-						continue // unreachable from outside its package by name
-					}
-					sd.method = true
-					sd.key = dir + "." + recv + "." + sd.name
-				} else {
-					sd.key = dir + "." + sd.name
-				}
-				decls = append(decls, sd)
+		fn = fn.Origin()
+		uses[fn] = append(uses[fn], id.Pos())
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+				ifaceCalls[ifaceCall{fn.Name(), iface}] = true
 			}
 		}
 	}
-
-	// References: selectors by name (methods), and under "dir.Name" a
-	// pkg.Name from another package or a bare Name inside package dir
-	// (functions). Each reference keeps its position so a declaration's
-	// own body can be excluded.
-	selectors := map[string][]token.Pos{}
-	funcs := map[string][]token.Pos{}
-	sels := map[*ast.Ident]bool{}
-	for dir, pkgFiles := range files {
-		for _, f := range pkgFiles {
-			imports := map[string]string{} // local name -> package dir
-			for _, is := range f.Imports {
-				ip, _ := strconv.Unquote(is.Path.Value)
-				if !strings.HasPrefix(ip, modPath+"/") {
-					continue
-				}
-				idir := strings.TrimPrefix(ip, modPath+"/")
-				name := path.Base(idir)
-				if pf := files[idir]; len(pf) > 0 {
-					name = pf[0].Name.Name
-				}
-				if is.Name != nil {
-					name = is.Name.Name
-				}
-				imports[name] = idir
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.SelectorExpr:
-					sels[x.Sel] = true
-					selectors[x.Sel.Name] = append(selectors[x.Sel.Name], x.Pos())
-					if id, ok := x.X.(*ast.Ident); ok {
-						if idir, ok := imports[id.Name]; ok {
-							k := idir + "." + x.Sel.Name
-							funcs[k] = append(funcs[k], x.Pos())
-						}
-					}
-				case *ast.Ident:
-					if sels[x] {
-						break
-					}
-					k := dir + "." + x.Name
-					funcs[k] = append(funcs[k], x.Pos())
-				}
-				return true
-			})
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, si := range stdInterfaces {
+		p, err := imp.std.Import(si[0])
+		if err != nil {
+			return nil, err
+		}
+		ifaces = append(ifaces, p.Scope().Lookup(si[1]).Type().Underlying().(*types.Interface))
+	}
+	for _, iface := range ifaces {
+		for i := 0; i < iface.NumMethods(); i++ {
+			ifaceCalls[ifaceCall{iface.Method(i).Name(), iface}] = true
 		}
 	}
-
-	outside := func(ps []token.Pos, d surfaceDecl) bool {
-		for _, p := range ps {
-			if p < d.pos || p >= d.end {
+	viaInterface := func(m *types.Func) bool {
+		t := m.Type().(*types.Signature).Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		for c := range ifaceCalls {
+			if c.name == m.Name() && (types.Implements(t, c.iface) || types.Implements(types.NewPointer(t), c.iface)) {
 				return true
 			}
 		}
 		return false
 	}
+
 	var unused []string
 	matched := map[string]bool{}
-	for _, d := range decls {
-		if _, ok := surfaceAllowed[d.key]; ok {
-			matched[d.key] = true
+	judge := func(key string, called bool) {
+		if _, ok := surfaceAllowed[key]; ok {
+			matched[key] = true
+			if called {
+				unused = append(unused, key+" (allowlisted, but called)")
+			}
+		} else if !called {
+			unused = append(unused, key)
+		}
+	}
+	for _, ip := range paths {
+		dir := strings.TrimPrefix(ip, modPath+"/")
+		if !strings.HasPrefix(dir, "internal/") {
 			continue
 		}
-		if d.method {
-			if _, ok := surfaceAllowed["*."+d.name]; ok {
-				matched["*."+d.name] = true
-				continue
+		for _, f := range files[ip] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if !d.Name.IsExported() {
+						continue
+					}
+					fn := imp.info.Defs[d.Name].(*types.Func)
+					key := dir + "." + d.Name.Name
+					if d.Recv != nil {
+						recv := receiverType(d.Recv.List[0].Type)
+						if !ast.IsExported(recv) {
+							continue // unreachable from outside its package by name
+						}
+						key = dir + "." + recv + "." + d.Name.Name
+					}
+					called := false
+					for _, p := range uses[fn] {
+						if p < d.Pos() || p >= d.End() {
+							called = true
+							break
+						}
+					}
+					if !called && d.Recv != nil {
+						called = viaInterface(fn)
+					}
+					judge(key, called)
+				case *ast.GenDecl:
+					// An interface's own methods: called when some use
+					// resolves to the interface method itself.
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok || !ts.Name.IsExported() {
+							continue
+						}
+						it, ok := ts.Type.(*ast.InterfaceType)
+						if !ok {
+							continue
+						}
+						for _, m := range it.Methods.List {
+							for _, name := range m.Names { // an embedded interface has none
+								if name.IsExported() {
+									judge(dir+"."+ts.Name.Name+"."+name.Name, len(uses[imp.info.Defs[name].(*types.Func)]) > 0)
+								}
+							}
+						}
+					}
+				}
 			}
-			if outside(selectors[d.name], d) {
-				continue
-			}
-		} else if outside(funcs[d.key], d) {
-			continue
 		}
-		unused = append(unused, d.key)
 	}
 	for k := range surfaceAllowed {
 		if !matched[k] {
